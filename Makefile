@@ -1,11 +1,15 @@
 # Development targets. `make ci` is the gate every change must pass: vet,
 # build, race-enabled tests, and a short benchmark smoke over the kernel
 # hot path (catches accidental allocation regressions without taking
-# benchmark-grade time).
+# benchmark-grade time). Outside the gate: `make bench-e2e` runs the
+# repository's one declared benchmark (bench/, BENCHMARK.json: seven
+# workloads over the four substrates), `make bench-compare A=… B=…` gives
+# the verdict on two of its result sets, and `make loc` prints the
+# non-test line count per package that CHANGES.md's size tables quote.
 
 GO ?= go
 
-.PHONY: ci vet staticcheck build test race bench bench-smoke bench-scale bench-snapshot bench-check bench-delta scale-smoke fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
+.PHONY: ci vet staticcheck build test race bench bench-smoke bench-scale bench-snapshot bench-check bench-delta bench-e2e bench-compare loc scale-smoke fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
 
 ci: vet staticcheck build test race chaos chaos-net chaos-udp chaos-dtn bench-smoke scale-smoke fuzz-short bench-check
 
@@ -75,6 +79,24 @@ bench-snapshot:
 bench-check:
 	$(GO) run ./cmd/mobilexp -check-bench BENCH_mobilexp.json
 	$(GO) run ./cmd/mobilexp -check-bench BENCH_scale.json
+
+# The repository's one end-to-end benchmark (bench/README.md): every
+# workload BENCHMARK.json declares, each in a fresh child process. Pass
+# flags through ARGS, e.g. `make bench-e2e ARGS="-reps 10 -out bench/out/A.json"`.
+bench-e2e:
+	$(GO) run ./bench $(ARGS)
+
+# Verdict on two result sets written by `bench-e2e ARGS="-reps N -out …"`,
+# against the bounds in BENCHMARK.json.
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
+# Non-test Go lines per package, everything outside bench/ (the frozen
+# benchmark is not part of the program's size), with a total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Short fuzz pass over the kernel heap oracle and scheduler invariants.
 fuzz:

@@ -19,6 +19,8 @@ package conformance
 // nemesis package's determinism suite, under the race detector.
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,8 +131,23 @@ func (cn *crashNet) ready() {
 func (cn *crashNet) settle() {
 	cn.t.Helper()
 	if !cn.lb.Sys.WaitIdle(idleTimeout) {
-		cn.t.Fatal("crash net: network did not drain")
+		cn.t.Fatalf("crash net: network did not drain\n%s\nnemesis log tail:\n%s",
+			undrained(cn.lb.Sys), cn.disturbanceTail(8))
 	}
+}
+
+// disturbanceTail formats the last n disturbances each nemesis proxy
+// injected, one proxy per line, in the order the cluster dialled them.
+func (cn *crashNet) disturbanceTail(n int) string {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	var b strings.Builder
+	for i, px := range cn.proxies {
+		log := px.Disturbances()
+		tail := log[max(0, len(log)-n):]
+		fmt.Fprintf(&b, "  proxy %d (%s), %d total: %v\n", i, px.Addr(), len(log), tail)
+	}
+	return b.String()
 }
 
 func (cn *crashNet) restartNode(i int) {

@@ -11,6 +11,8 @@
 package conformance
 
 import (
+	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -44,6 +46,8 @@ type driver interface {
 	reconnect(mh core.MHID, at core.MSSID)
 	meter() *cost.Meter
 	stats() engine.Stats
+	// engine returns the shared engine. After start, touch it only inside do.
+	engine() *engine.Engine
 	// injector returns the fault injector, or nil on a fault-free driver.
 	// After start, touch it only inside do.
 	injector() *faults.Injector
@@ -79,6 +83,7 @@ func (d *simDriver) disconnect(mh core.MHID)               { _ = d.sys.Disconnec
 func (d *simDriver) reconnect(mh core.MHID, at core.MSSID) { _ = d.sys.Reconnect(mh, at, true) }
 func (d *simDriver) meter() *cost.Meter                    { return d.sys.Meter() }
 func (d *simDriver) stats() engine.Stats                   { return d.sys.Stats() }
+func (d *simDriver) engine() *engine.Engine                { return d.sys.Engine() }
 func (d *simDriver) injector() *faults.Injector            { return d.sys.Injector() }
 func (d *simDriver) stop()                                 {}
 
@@ -128,6 +133,7 @@ func (d *liveDriver) disconnect(mh core.MHID)               { d.sys.Disconnect(m
 func (d *liveDriver) reconnect(mh core.MHID, at core.MSSID) { d.sys.Reconnect(mh, at) }
 func (d *liveDriver) meter() *cost.Meter                    { return d.sys.Meter() }
 func (d *liveDriver) stats() engine.Stats                   { return d.sys.Stats() }
+func (d *liveDriver) engine() *engine.Engine                { return d.sys.Engine() }
 func (d *liveDriver) injector() *faults.Injector            { return d.sys.Injector() }
 func (d *liveDriver) stop()                                 { d.sys.Stop() }
 
@@ -202,21 +208,41 @@ func (d *netDriver) disconnect(mh core.MHID)               { d.lb.Sys.Disconnect
 func (d *netDriver) reconnect(mh core.MHID, at core.MSSID) { d.lb.Sys.Reconnect(mh, at) }
 func (d *netDriver) meter() *cost.Meter                    { return d.lb.Sys.Meter() }
 func (d *netDriver) stats() engine.Stats                   { return d.lb.Sys.Stats() }
+func (d *netDriver) engine() *engine.Engine                { return d.lb.Sys.Engine() }
 func (d *netDriver) injector() *faults.Injector            { return d.lb.Sys.Injector() }
 func (d *netDriver) stop()                                 { d.lb.Stop() }
 
 func (d *netDriver) pause(t *testing.T) {
 	t.Helper()
 	if !d.lb.Sys.WaitIdle(idleTimeout) {
-		t.Fatal("net pause: network did not drain")
+		t.Fatalf("net pause: network did not drain\n%s", undrained(d.lb.Sys))
 	}
 }
 
 func (d *netDriver) settle(t *testing.T) {
 	t.Helper()
 	if !d.lb.Sys.WaitIdle(idleTimeout) {
-		t.Fatal("net settle: network did not drain")
+		t.Fatalf("net settle: network did not drain\n%s", undrained(d.lb.Sys))
 	}
+}
+
+// undrained says what a socket cluster that failed to drain still holds,
+// and where: the hub's /status document (per-peer liveness state and outbox
+// depth from PeerHealth, plus the pending- and parked-record counters) and
+// the engine's live record count, read on the executor. The read is bounded
+// so a wedged executor is reported instead of hanging the failure message.
+func undrained(sys *netrt.System) string {
+	status := httptest.NewRecorder()
+	sys.HealthHandler().ServeHTTP(status, httptest.NewRequest("GET", "/status", nil))
+	live := "unknown: the executor did not answer within 2s"
+	got := make(chan int, 1)
+	go sys.Do(func() { got <- sys.Engine().LiveRecs() })
+	select {
+	case n := <-got:
+		live = fmt.Sprint(n)
+	case <-time.After(2 * time.Second):
+	}
+	return fmt.Sprintf("engine live records: %s\nhub /status: %s", live, status.Body)
 }
 
 // forEachSubstrate runs scenario once per substrate as a subtest.

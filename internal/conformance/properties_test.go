@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"testing"
+	"time"
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
@@ -221,5 +222,70 @@ func TestConformanceMobilityStatePartitioning(t *testing.T) {
 			t.Errorf("stats = %d moves / %d disconnects / %d reconnects, want 3/2/1",
 				st.Moves, st.Disconnects, st.Reconnects)
 		}
+	})
+}
+
+// TestConformanceTimers: timers are delivery records like all other parked
+// work, on every substrate, with the fault injector in the stack. A
+// Context.After callback fires exactly once and holds the network's idle
+// predicate open while armed; an armed Context.AfterDaemon does not, and
+// still fires; both are counted by LiveRecs until they do; and a crash
+// plan's OnCrash/OnRestart hooks, armed through the same record path, fire
+// once each. The counters are plain ints read inside do, so under -race a
+// callback that ran off the execution context would be reported.
+func TestConformanceTimers(t *testing.T) {
+	const (
+		afterDelay = 150 // inside the simulator's 200-tick pause
+		// daemonDelay is far enough out (half a second of wall time on the
+		// live substrates) that pause returning before it fires is not a
+		// matter of scheduling luck.
+		daemonDelay = 10_000
+	)
+	plan := &core.FaultPlan{Seed: 5, Crashes: []core.Crash{{MSS: 1, At: 40, RestartAt: 120}}}
+	forEachSubstrateFaults(t, 2, 2, plan, func(t *testing.T, d driver) {
+		ctx := d.registrar().Register(&probe{})
+		var fired, daemonFired, crashes, restarts int
+		daemonDone := make(chan struct{})
+		d.start()
+		d.do(func() {
+			inj := d.injector()
+			inj.OnCrash(func(core.MSSID) { crashes++ })
+			inj.OnRestart(func(core.MSSID) { restarts++ })
+			inj.Arm()
+			ctx.AfterDaemon(daemonDelay, func() { daemonFired++; close(daemonDone) })
+			ctx.After(afterDelay, func() { fired++ })
+			if live := d.engine().LiveRecs(); live != 4 {
+				t.Errorf("LiveRecs with four timers armed = %d, want 4", live)
+			}
+		})
+		d.pause(t)
+		d.do(func() {
+			if fired != 1 {
+				t.Errorf("After fired %d times by the time the network went idle, want 1", fired)
+			}
+			if crashes != 1 || restarts != 1 {
+				t.Errorf("crash/restart hooks fired %d/%d times, want 1/1", crashes, restarts)
+			}
+			if daemonFired != 0 {
+				t.Errorf("AfterDaemon fired %d times before its delay; the idle wait must not have waited for it", daemonFired)
+			}
+			if live := d.engine().LiveRecs(); live != 1 {
+				t.Errorf("LiveRecs with only the daemon timer armed = %d, want 1", live)
+			}
+		})
+		d.settle(t) // sim: runs the daemon timer; live: already idle
+		select {
+		case <-daemonDone:
+		case <-time.After(idleTimeout):
+			t.Fatal("AfterDaemon never fired")
+		}
+		d.do(func() {
+			if fired != 1 || daemonFired != 1 {
+				t.Errorf("After/AfterDaemon fired %d/%d times, want 1/1", fired, daemonFired)
+			}
+			if live := d.engine().LiveRecs(); live != 0 {
+				t.Errorf("LiveRecs after every timer fired = %d, want 0", live)
+			}
+		})
 	})
 }

@@ -29,15 +29,6 @@ type simSubstrate struct {
 
 func (s *simSubstrate) Now() sim.Time { return s.kernel.Now() }
 
-func (s *simSubstrate) Enqueue(fn func()) { s.kernel.Schedule(0, fn) }
-
-func (s *simSubstrate) After(d sim.Time, fn func()) { s.kernel.Schedule(d, fn) }
-
-// DaemonAfter implements engine.DaemonScheduler. On the simulator a daemon
-// timer is an ordinary scheduled event: virtual time only advances by
-// running events, so there is no idle accounting to keep open.
-func (s *simSubstrate) DaemonAfter(d sim.Time, fn func()) { s.kernel.Schedule(d, fn) }
-
 func (s *simSubstrate) BindRecSink(sink engine.RecSink) {
 	s.step = func(a any) { sink.StepRec(a.(*engine.DeliveryRec)) }
 }
@@ -52,6 +43,9 @@ func (s *simSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.Deliver
 	}
 }
 
+// AfterRec treats a daemon timer as an ordinary scheduled event: virtual
+// time only advances by running events, so there is no idle accounting to
+// keep open.
 func (s *simSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	if err := s.kernel.ScheduleCallKeyedErr(0, d, s.step, rec); err != nil {
 		panic(fmt.Sprintf("core: schedule record: %v", err))

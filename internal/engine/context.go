@@ -140,14 +140,14 @@ var _ Context = (*algContext)(nil)
 
 func (c *algContext) Now() sim.Time { return c.e.sub.Now() }
 
-func (c *algContext) After(d sim.Time, fn func()) { c.e.sub.After(d, fn) }
+func (c *algContext) After(d sim.Time, fn func()) {
+	c.e.sub.AfterRec(d, c.e.TimerRec(fn))
+}
 
 func (c *algContext) AfterDaemon(d sim.Time, fn func()) {
-	if ds, ok := c.e.sub.(DaemonScheduler); ok {
-		ds.DaemonAfter(d, fn)
-		return
-	}
-	c.e.sub.After(d, fn)
+	r := c.e.TimerRec(fn)
+	r.flag = true
+	c.e.sub.AfterRec(d, r)
 }
 
 func (c *algContext) RNG() *sim.RNG { return c.e.sub.RNG() }

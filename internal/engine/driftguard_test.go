@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -92,27 +93,27 @@ func TestSubstrateAdaptersDoNotRedeclareEngineLogic(t *testing.T) {
 // faultInjectorAllowedEngineRefs is the complete engine surface the fault
 // injector (internal/faults) may touch: the Substrate seam it wraps, the
 // delivery-record currency that flows through it (DeliveryRec and the
-// RecSink pool protocol), the channel-numbering decoder, the loss-reporting
-// types, and the public model vocabulary. Anything else — routing,
-// mobility, FIFO bookkeeping, ARQ — is engine-internal, and an injector
-// reaching for it is drifting from a substrate wrapper into a second
-// protocol implementation.
+// RecSink pool protocol, whose TimerRec is how plan arming obtains its
+// crash/restart timer records), the channel-numbering decoder, the
+// loss-reporting types, and the public model vocabulary. Anything else —
+// routing, mobility, FIFO bookkeeping, ARQ — is engine-internal, and an
+// injector reaching for it is drifting from a substrate wrapper into a
+// second protocol implementation.
 var faultInjectorAllowedEngineRefs = map[string]bool{
-	"Substrate":       true,
-	"DaemonScheduler": true,
-	"DeliveryRec":     true,
-	"RecSink":         true,
-	"ChannelLayout":   true,
-	"ChannelKind":     true,
-	"ChannelWired":    true,
-	"ChannelDown":     true,
-	"ChannelUp":       true,
-	"ChannelCount":    true,
-	"FaultStats":      true,
-	"FaultReporter":   true,
-	"MSSID":           true,
-	"MHID":            true,
-	"Delay":           true,
+	"Substrate":     true,
+	"DeliveryRec":   true,
+	"RecSink":       true,
+	"ChannelLayout": true,
+	"ChannelKind":   true,
+	"ChannelWired":  true,
+	"ChannelDown":   true,
+	"ChannelUp":     true,
+	"ChannelCount":  true,
+	"FaultStats":    true,
+	"FaultReporter": true,
+	"MSSID":         true,
+	"MHID":          true,
+	"Delay":         true,
 }
 
 // TestFaultInjectorUsesOnlyTheSubstrateSeam fails if internal/faults
@@ -168,11 +169,14 @@ var deliveryPathClosureAllowlist = map[string]string{
 }
 
 // TestDeliveryPathsBuildNoClosures fails if routing.go, arq.go,
-// mobility.go, or engine.go contains a func literal outside the allowlist
-// above. This is the record-discipline guard: the CPS delivery chain was
-// replaced by value-state records, and this test keeps it replaced.
+// mobility.go, engine.go, or context.go contains a func literal outside the
+// allowlist above. This is the record-discipline guard: the CPS delivery
+// chain was replaced by value-state records, and this test keeps it
+// replaced. context.go is included because timers cross the seam as
+// records too: Context.After must store the caller's callback in a record,
+// never wrap it in a closure of its own.
 func TestDeliveryPathsBuildNoClosures(t *testing.T) {
-	for _, file := range []string{"routing.go", "arq.go", "mobility.go", "engine.go"} {
+	for _, file := range []string{"routing.go", "arq.go", "mobility.go", "engine.go", "context.go"} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
@@ -194,6 +198,30 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestSubstrateSeamIsRecordsOnly pins the whole seam: Substrate has exactly
+// these six methods and none of them takes a func. Work crosses the seam
+// as DeliveryRec values only, so every parked unit of work stays enumerable
+// data (LiveRecs) and no binding or wrapper has a second scheduling path to
+// implement. Reintroducing a closure form (After(d, fn), Enqueue(fn)) or an
+// optional side interface for one fails here.
+func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
+	want := []string{"AfterRec", "BindRecSink", "EnqueueRec", "Now", "RNG", "TransmitRec"}
+	seam := reflect.TypeOf((*Substrate)(nil)).Elem()
+	var got []string
+	for i := 0; i < seam.NumMethod(); i++ {
+		m := seam.Method(i)
+		got = append(got, m.Name)
+		for j := 0; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j).Kind() == reflect.Func {
+				t.Errorf("Substrate.%s takes a func parameter (%v): schedule a DeliveryRec instead", m.Name, m.Type.In(j))
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Substrate methods = %v, want exactly %v", got, want)
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 // observedSubstrate interposes the event tracer at the Substrate/Transmit
 // seam — the same seam the fault injector wraps — so every message handed
 // to the transport is recorded, whatever substrate (or injector stack)
-// sits underneath. Only TransmitRec is observed here; model-level events
-// (mobility, delivery, search, ARQ) are emitted by the engine itself,
-// which is the only layer that knows their meaning.
+// sits underneath. Only TransmitRec is observed here (every other seam
+// method is the embedded inner substrate's); model-level events (mobility,
+// delivery, search, ARQ) are emitted by the engine itself, which is the
+// only layer that knows their meaning.
 type observedSubstrate struct {
-	inner Substrate
-	t     *obs.Tracer
+	Substrate
+	t *obs.Tracer
 }
 
 var (
@@ -28,43 +29,19 @@ func ObserveSubstrate(inner Substrate, t *obs.Tracer) Substrate {
 	if t == nil {
 		return inner
 	}
-	return &observedSubstrate{inner: inner, t: t}
+	return &observedSubstrate{Substrate: inner, t: t}
 }
-
-func (o *observedSubstrate) Now() sim.Time { return o.inner.Now() }
-
-func (o *observedSubstrate) Enqueue(fn func()) { o.inner.Enqueue(fn) }
-
-func (o *observedSubstrate) After(d sim.Time, fn func()) { o.inner.After(d, fn) }
-
-func (o *observedSubstrate) BindRecSink(sink RecSink) { o.inner.BindRecSink(sink) }
 
 func (o *observedSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryRec) {
-	o.t.Record(o.inner.Now(), obs.EvTransmit, int32(ch), int32(latency), 0)
-	o.inner.TransmitRec(ch, latency, rec)
-}
-
-func (o *observedSubstrate) AfterRec(d sim.Time, rec *DeliveryRec) { o.inner.AfterRec(d, rec) }
-
-func (o *observedSubstrate) EnqueueRec(rec *DeliveryRec) { o.inner.EnqueueRec(rec) }
-
-func (o *observedSubstrate) RNG() *sim.RNG { return o.inner.RNG() }
-
-// DaemonAfter forwards daemon timers to the inner substrate's scheduler
-// when it has one, falling back to After (see DaemonScheduler).
-func (o *observedSubstrate) DaemonAfter(d sim.Time, fn func()) {
-	if ds, ok := o.inner.(DaemonScheduler); ok {
-		ds.DaemonAfter(d, fn)
-		return
-	}
-	o.inner.After(d, fn)
+	o.t.Record(o.Now(), obs.EvTransmit, int32(ch), int32(latency), 0)
+	o.Substrate.TransmitRec(ch, latency, rec)
 }
 
 // FaultStats forwards the inner substrate's loss accounting so wrapping
 // the injector does not hide it from Engine.Stats; a fault-free inner
 // substrate reports zeroes.
 func (o *observedSubstrate) FaultStats() FaultStats {
-	if fr, ok := o.inner.(FaultReporter); ok {
+	if fr, ok := o.Substrate.(FaultReporter); ok {
 		return fr.FaultStats()
 	}
 	return FaultStats{}

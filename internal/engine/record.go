@@ -29,6 +29,15 @@ import "fmt"
 //   - FreeRec never follows rec.inner: an ARQ data frame's payload record
 //     is owned by the ARQ sender queue until the frame is acked (see
 //     arq.go), so dropping an air copy must not free the payload.
+//   - A timer (Context.After, Context.AfterDaemon, fault-plan arming) is an
+//     opTimer record carrying its callback, scheduled through AfterRec like
+//     any other deferred work and counted by LiveRecs until it fires. It is
+//     the one record whose state is not plain data: the callback is the
+//     algorithm's, not the engine's. Wrappers outside the engine obtain one
+//     from RecSink.TimerRec.
+//   - The daemon flag (Daemon) marks a timer as standing maintenance: live
+//     substrates' AfterRec does not count an armed daemon record as an
+//     outstanding operation, so it cannot hold WaitIdle open.
 //
 // The free list is intrusive (the next field), single-threaded like the
 // rest of the engine, and never shrinks; steady-state routing allocates no
@@ -68,6 +77,9 @@ const (
 	opArqData    // data frame survived channel ch: recvData(ch, ackCh, seq, inner)
 	opArqAck     // ack for seq came back: recvAck(ch, seq)
 	opArqTimeout // ack timer fired: timeout(ch, gen=seq)
+
+	// Timers (context.go; fault-plan arming via RecSink.TimerRec).
+	opTimer // run fn on the execution context (daemon timer=flag)
 )
 
 // DeliveryRec is one unit of in-flight engine work (see the package comment
@@ -92,11 +104,12 @@ type DeliveryRec struct {
 	tag   int32 // wrapper-private cookie (the fault injector's trace index)
 	next  *DeliveryRec
 	inner *DeliveryRec // ARQ data frame's payload; owned by the sender queue
+	fn    func()       // opTimer's callback
 }
 
 // Chan returns the flat channel id the record was transmitted on, or -1 for
-// records scheduled off-channel (After/Enqueue). Substrate wrappers use it
-// to classify a record at delivery time (ChannelLayout.Decode).
+// records scheduled off-channel (AfterRec/EnqueueRec). Substrate wrappers
+// use it to classify a record at delivery time (ChannelLayout.Decode).
 func (r *DeliveryRec) Chan() int { return int(r.onCh) }
 
 // SetChan stamps the transmit channel; called by the outermost wrapper's
@@ -111,6 +124,11 @@ func (r *DeliveryRec) Tag() int32 { return r.tag }
 // can amend the transmit-time trace entry).
 func (r *DeliveryRec) SetTag(v int32) { r.tag = v }
 
+// Daemon reports whether the record is a daemon timer (Context.AfterDaemon):
+// a live substrate's AfterRec must not count it as an outstanding operation
+// while it is armed.
+func (r *DeliveryRec) Daemon() bool { return r.op == opTimer && r.flag }
+
 // RecSink executes and recycles delivery records. The engine implements it;
 // substrates receive it through Substrate.BindRecSink, and a fault-injecting
 // wrapper may interpose its own sink to discard records at delivery time.
@@ -123,6 +141,9 @@ type RecSink interface {
 	// CloneRec allocates a pooled copy of rec (a transmission duplicated in
 	// flight). Each copy is stepped or freed independently.
 	CloneRec(rec *DeliveryRec) *DeliveryRec
+	// TimerRec allocates a pooled timer record that runs fn when stepped;
+	// the caller schedules it with Substrate.AfterRec (fault-plan arming).
+	TimerRec(fn func()) *DeliveryRec
 }
 
 var _ RecSink = (*Engine)(nil)
@@ -164,10 +185,17 @@ func (e *Engine) CloneRec(rec *DeliveryRec) *DeliveryRec {
 	return c
 }
 
+// TimerRec returns a pooled non-daemon timer record running fn.
+func (e *Engine) TimerRec(fn func()) *DeliveryRec {
+	r := e.newRec(opTimer)
+	r.fn = fn
+	return r
+}
+
 // LiveRecs reports the number of records currently checked out of the pool:
-// in flight in a substrate, queued as waiters, or held by the ARQ sender
-// queues. A quiesced fault-free system holds zero; the pool-recycling test
-// asserts the same after a chaos plan.
+// in flight in a substrate, armed as timers, queued as waiters, or held by
+// the ARQ sender queues. A quiesced fault-free system holds zero; the
+// pool-recycling test asserts the same after a chaos plan.
 func (e *Engine) LiveRecs() int { return e.recLive }
 
 // StepRec runs rec's operation and frees it.
@@ -272,6 +300,9 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 		e.arq.recvAck(int(rec.ch), rec.seq)
 	case opArqTimeout:
 		e.arq.timeout(int(rec.ch), rec.seq)
+
+	case opTimer:
+		rec.fn()
 
 	default:
 		panic(fmt.Sprintf("engine: delivery record with invalid op %d", int(rec.op)))

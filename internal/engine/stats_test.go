@@ -30,10 +30,8 @@ type plainSubstrate struct {
 	transmits int
 }
 
-func (p *plainSubstrate) Now() sim.Time               { return p.now }
-func (p *plainSubstrate) Enqueue(fn func())           { fn() }
-func (p *plainSubstrate) After(d sim.Time, fn func()) { fn() }
-func (p *plainSubstrate) BindRecSink(sink RecSink)    { p.sink = sink }
+func (p *plainSubstrate) Now() sim.Time            { return p.now }
+func (p *plainSubstrate) BindRecSink(sink RecSink) { p.sink = sink }
 func (p *plainSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryRec) {
 	p.transmits++
 	if p.sink != nil {

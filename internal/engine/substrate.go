@@ -7,27 +7,26 @@ import "mobiledist/internal/sim"
 // cost accounting — and calls into the substrate for exactly four services:
 // time, deferred execution, per-channel FIFO transport, and randomness.
 //
-// Two substrates exist: the deterministic simulation kernel (internal/core
-// binds sim.Kernel) and the goroutine live runtime (internal/rt binds its
-// executor and channel pipes). Every Substrate method is invoked from the
-// engine's execution context (the kernel goroutine or the rt executor), and
-// every callback or record handed to the substrate must be run back on that
-// same execution context.
+// Four bindings exist: the deterministic simulation kernel (internal/core
+// binds sim.Kernel), the goroutine live runtime (internal/rt binds its
+// executor and channel pipes), and the socket runtime over TCP streams or
+// authenticated datagrams (internal/netrt). Every Substrate method is
+// invoked from the engine's execution context (the kernel goroutine or a
+// live executor), and every record handed to the substrate must be stepped
+// back on that same execution context.
 //
-// Message delivery travels as pooled DeliveryRec values, not closures: the
-// engine binds itself as the substrate's RecSink at construction, and the
-// substrate hands each scheduled record to the sink when its time arrives
-// (StepRec executes and recycles it). The closure forms Enqueue and After
-// remain for control-path callers — algorithm timers (Context.After) and
-// fault-plan arming — which are rare and may allocate.
+// Records are the only thing that crosses the seam: no method takes a func.
+// Message delivery, mobility steps, ARQ timers and algorithm timers
+// (Context.After, fault-plan arming) all travel as pooled DeliveryRec
+// values. The engine binds itself as the substrate's RecSink at
+// construction, and the substrate hands each scheduled record to the sink
+// when its time arrives (StepRec executes and recycles it), so every
+// parked unit of work is enumerable data counted by Engine.LiveRecs.
 type Substrate interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
-	// Enqueue runs fn on the execution context as soon as possible,
-	// preserving submission order among Enqueue calls.
-	Enqueue(fn func())
-	// After runs fn on the execution context after d ticks of virtual time.
-	After(d sim.Time, fn func())
+	// RNG returns the deterministic random source latencies are drawn from.
+	RNG() *sim.RNG
 	// BindRecSink registers the sink that executes delivery records. The
 	// engine calls it exactly once, before any record is scheduled; a
 	// record-aware wrapper (the fault injector) forwards the bind and may
@@ -39,25 +38,13 @@ type Substrate interface {
 	// numbering (see ChannelCount).
 	TransmitRec(ch int, latency sim.Time, rec *DeliveryRec)
 	// AfterRec hands rec to the bound sink after d ticks of virtual time,
-	// outside any channel's FIFO order.
+	// outside any channel's FIFO order. A live substrate counts the armed
+	// record as an outstanding operation (holding WaitIdle open) unless
+	// rec.Daemon() — standing maintenance timers must not wedge quiescence.
 	AfterRec(d sim.Time, rec *DeliveryRec)
 	// EnqueueRec hands rec to the bound sink as soon as possible,
-	// preserving submission order with Enqueue.
+	// preserving submission order among EnqueueRec calls.
 	EnqueueRec(rec *DeliveryRec)
-	// RNG returns the deterministic random source latencies are drawn from.
-	RNG() *sim.RNG
-}
-
-// DaemonScheduler is an optional Substrate extension for background
-// timers — periodic maintenance like DTN gossip ticks — that must not
-// hold the substrate's idle/quiescence accounting open while armed. A
-// plain After on the live substrates counts as an outstanding operation
-// until it fires, so a standing timer would wedge WaitIdle; DaemonAfter
-// schedules outside that accounting. The callback still runs on the
-// engine's execution context. Substrates without the extension fall back
-// to After (harmless on the simulator, where virtual time jumps).
-type DaemonScheduler interface {
-	DaemonAfter(d sim.Time, fn func())
 }
 
 // ChannelCount returns the number of distinct FIFO channels in an (m, n)
@@ -145,11 +132,11 @@ func (e *Engine) chanUp(mh MHID) int {
 }
 
 // DenseChannelLimit is the largest channel count for which per-channel
-// state is kept in flat arrays. ChannelCount is dominated by the M*N
+// state is kept in one flat array. ChannelCount is dominated by the M*N
 // downlink block, which reaches ~10^10 at M=10^4/N=10^6 — far beyond what
 // flat slices can hold — while the number of channels that ever carry
-// traffic is bounded by live (cell, MH) attachments, O(N). Above the limit,
-// per-channel structures switch to sparse maps keyed by channel id; the
+// traffic is bounded by live (cell, MH) attachments, O(N). Above the limit
+// the ARQ link table switches to a sparse map keyed by channel id; the
 // semantics are identical either way.
 const DenseChannelLimit = 1 << 22
 
@@ -170,30 +157,19 @@ type downMark struct {
 
 // FIFOClock computes FIFO-respecting arrival times for virtual-time
 // substrates: per-channel high-water marks indexed by the engine's channel
-// numbering. A missing entry means "no prior traffic". Substrates that
-// serialize channels physically (one goroutine per channel, as internal/rt
-// does) do not need it.
+// numbering. A zero mark means "no prior traffic", which is exact: clamping
+// against 0 is a no-op. Substrates that serialize channels physically (one
+// goroutine per channel, as internal/rt does) do not need it.
 //
-// Two storage modes exist. NewFIFOClock keeps one flat slice up to
-// DenseChannelLimit channels and overflows to a sparse map — the generic
-// form for any channel numbering. NewFIFOClockLayout knows the engine's
-// wired/down/up block structure and never needs a global map: the wired and
-// uplink blocks stay flat (they are M^2 and N entries), and the downlink
-// block — M*N ids, ~10^10 at full scale — is held as per-MH mark lists,
-// exploiting that a host only carries downlink history from cells that have
-// actually transmitted to it. The arrival semantics are identical in every
-// mode; only the lookup cost differs.
+// Storage follows the engine's wired/down/up block structure and never
+// needs a global map: the wired and uplink blocks stay flat (they are M^2
+// and N entries), and the downlink block — M*N ids, ~10^10 at full scale —
+// is held as per-MH marks, exploiting that a host only carries downlink
+// history from cells that have actually transmitted to it: a flat
+// hottest-mark-per-MH array (one cache line per lookup in the common case
+// of a host served by its current cell) plus a rarely-touched overflow
+// list holding marks from the host's previous cells.
 type FIFOClock struct {
-	// Generic single-block storage (NewFIFOClock).
-	last   []sim.Time
-	sparse map[int]sim.Time
-
-	// Layout-aware storage (NewFIFOClockLayout). up non-nil selects this
-	// mode. Downlink marks are split into a flat hottest-mark-per-MH array
-	// (one cache line per lookup in the common case of a host served by its
-	// current cell) and a rarely-touched overflow list holding marks from the
-	// host's previous cells. A zero mark means "no prior traffic", which is
-	// exact: clamping against 0 is a no-op.
 	n        int
 	wiredEnd int
 	downEnd  int
@@ -202,15 +178,6 @@ type FIFOClock struct {
 	down0    []downMark
 	downOv   [][]downMark
 	up       []sim.Time
-}
-
-// NewFIFOClock returns a clock for the given channel count with generic
-// storage: flat up to DenseChannelLimit channels, sparse beyond.
-func NewFIFOClock(channels int) *FIFOClock {
-	if channels > DenseChannelLimit {
-		return &FIFOClock{sparse: make(map[int]sim.Time)}
-	}
-	return &FIFOClock{last: make([]sim.Time, channels)}
 }
 
 // NewFIFOClockLayout returns a clock for the engine's (m, n) channel
@@ -238,21 +205,6 @@ func NewFIFOClockLayout(m, n int) *FIFOClock {
 // the same channel, and records it as the channel's new high-water mark.
 func (c *FIFOClock) Arrival(ch int, now, latency sim.Time) sim.Time {
 	arrival := now + latency
-	if c.up == nil {
-		// Generic single-block storage.
-		if c.sparse != nil {
-			if last := c.sparse[ch]; arrival < last {
-				arrival = last
-			}
-			c.sparse[ch] = arrival
-			return arrival
-		}
-		if last := c.last[ch]; arrival < last {
-			arrival = last
-		}
-		c.last[ch] = arrival
-		return arrival
-	}
 	switch {
 	case ch < c.wiredEnd:
 		if c.wired != nil {

@@ -157,7 +157,13 @@ type chanState struct {
 	rng *sim.RNG
 }
 
-// Injector implements engine.Substrate by wrapping an inner substrate and
+// inner is the wrapped substrate. The alias keeps the Injector's embedded
+// field unexported while still promoting the seam methods it does not
+// interpose.
+type inner = engine.Substrate
+
+// Injector implements engine.Substrate by embedding the inner substrate
+// (time, randomness and off-channel scheduling pass straight through) and
 // disturbing wireless TransmitRecs per the plan. Construct it around the
 // raw substrate, hand it to engine.New, and (for plans with crashes) call
 // Arm on the execution context before traffic flows.
@@ -170,7 +176,7 @@ type chanState struct {
 // surfacing from the transport passes its gate, which discards wired
 // records landing at a station that crashed while they were in flight.
 type Injector struct {
-	inner  engine.Substrate
+	inner
 	plan   Plan
 	layout engine.ChannelLayout
 	chans  []chanState
@@ -198,42 +204,21 @@ var (
 	_ engine.RecSink       = (*Injector)(nil)
 )
 
-// New wraps inner for an (m, n) network under the given plan.
-func New(plan Plan, m, n int, inner engine.Substrate) (*Injector, error) {
+// New wraps sub for an (m, n) network under the given plan.
+func New(plan Plan, m, n int, sub engine.Substrate) (*Injector, error) {
 	if err := plan.Validate(m, n); err != nil {
 		return nil, err
 	}
-	if inner == nil {
+	if sub == nil {
 		return nil, fmt.Errorf("faults: nil inner substrate")
 	}
 	layout := engine.ChannelLayout{M: m, N: n}
 	return &Injector{
-		inner:  inner,
+		inner:  sub,
 		plan:   plan,
 		layout: layout,
 		chans:  make([]chanState, layout.Count()),
 	}, nil
-}
-
-// Now implements engine.Substrate.
-func (i *Injector) Now() sim.Time { return i.inner.Now() }
-
-// Enqueue implements engine.Substrate.
-func (i *Injector) Enqueue(fn func()) { i.inner.Enqueue(fn) }
-
-// After implements engine.Substrate.
-func (i *Injector) After(d sim.Time, fn func()) { i.inner.After(d, fn) }
-
-// DaemonAfter implements engine.DaemonScheduler, forwarding daemon timers
-// to the inner substrate's scheduler when it has one (falling back to
-// After). Daemon timers are maintenance ticks, not traffic: the injector
-// never disturbs them.
-func (i *Injector) DaemonAfter(d sim.Time, fn func()) {
-	if ds, ok := i.inner.(engine.DaemonScheduler); ok {
-		ds.DaemonAfter(d, fn)
-		return
-	}
-	i.inner.After(d, fn)
 }
 
 // BindRecSink implements engine.Substrate: remember the engine's sink and
@@ -251,7 +236,7 @@ func (i *Injector) BindRecSink(sink engine.RecSink) {
 func (i *Injector) StepRec(rec *engine.DeliveryRec) {
 	if ch := rec.Chan(); ch >= 0 {
 		if kind, _, b := i.layout.Decode(ch); kind == engine.ChannelWired {
-			if i.crashedAt(engine.MSSID(b), i.inner.Now()) {
+			if i.crashedAt(engine.MSSID(b), i.Now()) {
 				idx := int(rec.Tag())
 				i.stats.CrashDiscards++
 				i.amend(ch, idx, "crash-rx")
@@ -272,14 +257,8 @@ func (i *Injector) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
 	return i.sink.CloneRec(rec)
 }
 
-// AfterRec implements engine.Substrate.
-func (i *Injector) AfterRec(d sim.Time, rec *engine.DeliveryRec) { i.inner.AfterRec(d, rec) }
-
-// EnqueueRec implements engine.Substrate.
-func (i *Injector) EnqueueRec(rec *engine.DeliveryRec) { i.inner.EnqueueRec(rec) }
-
-// RNG implements engine.Substrate.
-func (i *Injector) RNG() *sim.RNG { return i.inner.RNG() }
+// TimerRec implements engine.RecSink, forwarding to the engine's pool.
+func (i *Injector) TimerRec(fn func()) *engine.DeliveryRec { return i.sink.TimerRec(fn) }
 
 // FaultStats implements engine.FaultReporter.
 func (i *Injector) FaultStats() engine.FaultStats { return i.stats }
@@ -298,7 +277,7 @@ func (i *Injector) event(kind obs.EventKind, ch, idx int) {
 	if i.tracer == nil {
 		return
 	}
-	i.tracer.Record(i.inner.Now(), kind, int32(ch), int32(idx), 0)
+	i.tracer.Record(i.Now(), kind, int32(ch), int32(idx), 0)
 }
 
 // OnCrash registers a hook run (on the execution context) when a planned
@@ -326,19 +305,21 @@ func (i *Injector) Arm() {
 	}
 }
 
+// at arms a timer record for absolute virtual time t. The record bypasses
+// the injector's own TransmitRec: plan hooks are not traffic.
 func (i *Injector) at(t sim.Time, fn func()) {
-	d := t - i.inner.Now()
+	d := t - i.Now()
 	if d < 0 {
 		d = 0
 	}
-	i.inner.After(d, fn)
+	i.AfterRec(d, i.sink.TimerRec(fn))
 }
 
 // DownSince reports whether mss is crashed at the current virtual time,
 // and since when. Callable only on the execution context; useful as a
 // failure-detector oracle with a suspicion delay.
 func (i *Injector) DownSince(mss engine.MSSID) (sim.Time, bool) {
-	now := i.inner.Now()
+	now := i.Now()
 	for _, c := range i.plan.Crashes {
 		if c.MSS == mss && c.At <= now && (c.RestartAt == 0 || now < c.RestartAt) {
 			return c.At, true
@@ -394,7 +375,7 @@ func (i *Injector) channelRNG(ch int) *sim.RNG {
 // record copies through the inner substrate. Destroyed records return to
 // the pool via FreeRec; duplicates are pooled clones.
 func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	now := i.inner.Now()
+	now := i.Now()
 	kind, a, b := i.layout.Decode(ch)
 	st := &i.chans[ch]
 	idx := st.n
@@ -466,7 +447,7 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 		i.stats.WirelessReorders++
 		cl := i.sink.CloneRec(rec)
 		i.inner.TransmitRec(ch, latency, rec)
-		i.inner.AfterRec(latency+extra, cl)
+		i.AfterRec(latency+extra, cl)
 		i.record(ch, idx, "dup+reorder")
 		i.event(obs.EvDuplicate, ch, idx)
 		i.event(obs.EvReorder, ch, idx)
@@ -479,7 +460,7 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 		i.event(obs.EvDuplicate, ch, idx)
 	case reorder:
 		i.stats.WirelessReorders++
-		i.inner.AfterRec(latency+extra, rec)
+		i.AfterRec(latency+extra, rec)
 		i.record(ch, idx, "reorder")
 		i.event(obs.EvReorder, ch, idx)
 	default:

@@ -25,8 +25,6 @@ type stubSubstrate struct {
 func newStub() *stubSubstrate { return &stubSubstrate{rng: sim.NewRNG(99)} }
 
 func (s *stubSubstrate) Now() sim.Time                   { return s.now }
-func (s *stubSubstrate) Enqueue(fn func())               { fn() }
-func (s *stubSubstrate) After(d sim.Time, fn func())     { fn() }
 func (s *stubSubstrate) BindRecSink(sink engine.RecSink) { s.sink = sink }
 func (s *stubSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	s.transmits = append(s.transmits, fmt.Sprintf("ch%d@%d", ch, latency))
@@ -40,17 +38,35 @@ func (s *stubSubstrate) EnqueueRec(rec *engine.DeliveryRec) { s.sink.StepRec(rec
 func (s *stubSubstrate) RNG() *sim.RNG                      { return s.rng }
 
 // fakeSink plays the engine's end of the record protocol: it counts records
-// that survive to delivery and records returned to the pool.
+// that survive to delivery and records returned to the pool, and runs the
+// callback of a timer record it handed out.
 type fakeSink struct {
 	delivered int
 	freed     int
+	timers    map[*engine.DeliveryRec]func()
 }
 
-func (f *fakeSink) StepRec(rec *engine.DeliveryRec) { f.delivered++ }
+func (f *fakeSink) StepRec(rec *engine.DeliveryRec) {
+	if fn, ok := f.timers[rec]; ok {
+		delete(f.timers, rec)
+		fn()
+		return
+	}
+	f.delivered++
+}
 func (f *fakeSink) FreeRec(rec *engine.DeliveryRec) { f.freed++ }
 func (f *fakeSink) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
 	c := *rec
 	return &c
+}
+func (f *fakeSink) TimerRec(fn func()) *engine.DeliveryRec {
+	rec := &engine.DeliveryRec{}
+	rec.SetChan(-1)
+	if f.timers == nil {
+		f.timers = make(map[*engine.DeliveryRec]func())
+	}
+	f.timers[rec] = fn
+	return rec
 }
 
 // mustNew builds an injector over a fresh stub for a 2×4 network, bound to
@@ -225,7 +241,7 @@ func TestArmFiresCrashAndRestartHooks(t *testing.T) {
 	var events []string
 	inj.OnCrash(func(mss engine.MSSID) { events = append(events, fmt.Sprintf("crash mss%d", int(mss))) })
 	inj.OnRestart(func(mss engine.MSSID) { events = append(events, fmt.Sprintf("restart mss%d", int(mss))) })
-	inj.Arm() // the stub runs After callbacks synchronously
+	inj.Arm() // the stub steps AfterRec records synchronously
 	if len(events) != 2 || events[0] != "crash mss1" || events[1] != "restart mss1" {
 		t.Errorf("hook events = %v, want [crash mss1, restart mss1]", events)
 	}

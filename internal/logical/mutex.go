@@ -148,9 +148,6 @@ func (e *MutexEngine) Handle(m MutexMsg) {
 	e.maybeGrant()
 }
 
-// QueueLen reports the number of pending requests (for tests and metrics).
-func (e *MutexEngine) QueueLen() int { return e.queue.Len() }
-
 // maybeGrant fires onGrant when the head request is local and every peer
 // has been heard from with a later timestamp.
 func (e *MutexEngine) maybeGrant() {

@@ -201,9 +201,6 @@ func New(target string, plan Plan) (*Proxy, error) {
 // instead of the target.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the address the proxy relays to.
-func (p *Proxy) Target() string { return p.target }
-
 // Disturbances returns a copy of the disturbance log so far.
 func (p *Proxy) Disturbances() []Disturbance {
 	p.mu.Lock()

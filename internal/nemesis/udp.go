@@ -171,9 +171,6 @@ func NewUDP(target string, plan UDPPlan) (*UDPProxy, error) {
 // instead of the target.
 func (p *UDPProxy) Addr() string { return p.pc.LocalAddr().String() }
 
-// Target returns the address the proxy relays to.
-func (p *UDPProxy) Target() string { return p.target.String() }
-
 // Disturbances returns the log in canonical (flow, dir, index, kind) order,
 // so two runs of the same plan over the same packet sequence compare
 // byte-for-byte.

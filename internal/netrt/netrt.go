@@ -282,27 +282,6 @@ var _ engine.Substrate = (*netSubstrate)(nil)
 
 func (l *netSubstrate) Now() sim.Time { return l.s.now() }
 
-func (l *netSubstrate) Enqueue(fn func()) { l.s.tasks.Push(fn) }
-
-func (l *netSubstrate) After(d sim.Time, fn func()) {
-	s := l.s
-	s.tasks.OpStart()
-	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() {
-		if !s.tasks.Push(func() { defer s.tasks.OpDone(); fn() }) {
-			s.tasks.OpDone()
-		}
-	})
-}
-
-// DaemonAfter implements engine.DaemonScheduler: a wall timer that runs fn
-// on the executor without holding an op open while armed, so standing
-// maintenance timers (DTN gossip) cannot wedge WaitIdle. A push after
-// shutdown is silently dropped.
-func (l *netSubstrate) DaemonAfter(d sim.Time, fn func()) {
-	s := l.s
-	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() { s.tasks.Push(fn) })
-}
-
 func (l *netSubstrate) BindRecSink(sink engine.RecSink) { l.s.sink = sink }
 
 // TransmitRec parks the delivery record under the channel's next sequence
@@ -353,11 +332,17 @@ func (s *System) parkOnDead() {
 	s.parked.Add(1)
 }
 
-// AfterRec schedules a record the way After schedules a closure: a wall
-// timer that hands the record to the executor for interpretation. A record
-// landing after Stop is dropped (not freed — the pool is executor-only).
+// AfterRec arms a wall timer that hands the record to the executor for
+// interpretation. A daemon record (standing maintenance such as DTN gossip)
+// is armed without holding an op open, so it cannot wedge WaitIdle. A
+// record landing after Stop is dropped (not freed — the pool is
+// executor-only).
 func (l *netSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	s := l.s
+	if rec.Daemon() {
+		time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() { l.EnqueueRec(rec) })
+		return
+	}
 	s.tasks.OpStart()
 	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() {
 		if !s.tasks.Push(func() { defer s.tasks.OpDone(); s.sink.StepRec(rec) }) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,8 +33,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) {
 	writeHist("dgram_rtt_us", "Per-datagram round-trip time in microseconds (Karn-sampled).", s.DgramRTTUS)
 }
 
-// expvarValue is the JSON shape PublishExpvar and the /vars endpoint
-// expose: the counter map plus summary statistics per histogram.
+// expvarValue is the JSON shape the /vars endpoint exposes: the counter map plus summary statistics per histogram.
 type expvarValue struct {
 	Events     map[string]int64       `json:"events"`
 	Histograms map[string]histSummary `json:"histograms"`
@@ -73,14 +71,6 @@ func (t *Tracer) expvarValue() expvarValue {
 		Total:   t.Total(),
 		Dropped: t.Dropped(),
 	}
-}
-
-// PublishExpvar registers the tracer's metrics under name in the process's
-// expvar registry (served at /debug/vars by the default mux). Like
-// expvar.Publish it panics on duplicate names, so call it once per name
-// per process.
-func (t *Tracer) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return t.expvarValue() }))
 }
 
 // Handler returns an HTTP handler exposing the tracer:

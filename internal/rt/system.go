@@ -171,19 +171,6 @@ var _ engine.Substrate = (*liveSubstrate)(nil)
 
 func (l *liveSubstrate) Now() sim.Time { return l.s.now() }
 
-func (l *liveSubstrate) Enqueue(fn func()) { l.s.exec(fn) }
-
-func (l *liveSubstrate) After(d sim.Time, fn func()) { l.s.afterTicks(d, fn) }
-
-// DaemonAfter implements engine.DaemonScheduler: a wall timer that runs fn
-// on the executor without holding the in-flight op counter open while
-// armed, so standing maintenance timers (DTN gossip) cannot wedge
-// WaitIdle. A timer firing after Stop is safely ignored by exec.
-func (l *liveSubstrate) DaemonAfter(d sim.Time, fn func()) {
-	s := l.s
-	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() { s.exec(fn) })
-}
-
 func (l *liveSubstrate) BindRecSink(sink engine.RecSink) { l.s.sink = sink }
 
 // TransmitRec hands the delivery record to the channel's pipe goroutine,
@@ -203,10 +190,16 @@ func (l *liveSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.Delive
 	}
 }
 
-// AfterRec schedules a record the way After schedules a closure: a wall
-// timer that hands the record to the executor for interpretation.
+// AfterRec arms a wall timer that hands the record to the executor for
+// interpretation. A daemon record (standing maintenance such as DTN gossip)
+// is armed without holding the in-flight op counter open, so it cannot
+// wedge WaitIdle; a timer firing after Stop is safely ignored by exec.
 func (l *liveSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	s := l.s
+	if rec.Daemon() {
+		time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() { l.EnqueueRec(rec) })
+		return
+	}
 	s.opStart()
 	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() {
 		s.exec(func() {
@@ -392,15 +385,8 @@ func (s *System) exec(fn func()) {
 }
 
 // opStart/opDone bracket an asynchronous operation for idle tracking.
-func (s *System) opStart()         { s.tasks.OpStart() }
-func (s *System) opDone()          { s.tasks.OpDone() }
-func (s *System) execOp(fn func()) { s.exec(func() { defer s.opDone(); fn() }) }
-func (s *System) afterTicks(d sim.Time, fn func()) {
-	s.opStart()
-	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() {
-		s.execOp(fn)
-	})
-}
+func (s *System) opStart() { s.tasks.OpStart() }
+func (s *System) opDone()  { s.tasks.OpDone() }
 
 func (s *System) checkMSS(id core.MSSID) {
 	if int(id) < 0 || int(id) >= s.cfg.M {

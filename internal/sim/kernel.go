@@ -207,18 +207,10 @@ func (k *Kernel) ScheduleKeyedErr(key int, delay Time, fn func()) error {
 	return k.ScheduleCallKeyedErr(key, delay, runFn, fn)
 }
 
-// ScheduleCall is Schedule in invoker/argument form: do(arg) runs after
-// delay ticks. Unlike Schedule, no closure is needed — a caller with a
+// ScheduleCallAtKeyed is ScheduleAtKeyed in invoker/argument form: do(arg)
+// runs at absolute time at. No closure is needed — a caller with a
 // long-lived invoker and a pointer argument (the engine's pooled delivery
 // records) schedules without allocating.
-func (k *Kernel) ScheduleCall(delay Time, do func(any), arg any) {
-	if err := k.ScheduleCallKeyedErr(0, delay, do, arg); err != nil {
-		panic(fmt.Sprintf("sim: schedule: %v", err))
-	}
-}
-
-// ScheduleCallAtKeyed is ScheduleCall at an absolute timestamp with a shard
-// key; it is the record-path analogue of ScheduleAtKeyed.
 func (k *Kernel) ScheduleCallAtKeyed(key int, at Time, do func(any), arg any) error {
 	if at < k.now {
 		return ErrNegativeDelay
