@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: ci vet staticcheck build test race bench bench-smoke bench-scale bench-snapshot bench-check bench-delta bench-e2e bench-compare loc scale-smoke fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
+.PHONY: ci vet staticcheck build test race tables-check bench bench-smoke bench-scale bench-snapshot bench-check bench-delta bench-e2e bench-compare loc scale-smoke fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
 
-ci: vet staticcheck build test race chaos chaos-net chaos-udp chaos-dtn bench-smoke scale-smoke fuzz-short bench-check
+ci: vet staticcheck build test race tables-check chaos chaos-net chaos-udp chaos-dtn bench-smoke scale-smoke fuzz-short bench-check
 
 vet:
 	$(GO) vet ./...
@@ -165,3 +165,10 @@ soak:
 # Regenerate the experiment tables (parallel driver, deterministic output).
 tables:
 	$(GO) run ./cmd/mobilexp -markdown
+
+# The byte-identity gate: `mobilexp -markdown` must equal the checked-in
+# cmd/mobilexp/testdata/tables.golden.md. A change that intentionally alters
+# protocol behaviour rewrites it with
+# `go test ./cmd/mobilexp -run TestTablesGolden -update`.
+tables-check:
+	$(GO) test -run TestTablesGolden -count 1 ./cmd/mobilexp/

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"mobiledist"
+	"mobiledist/internal/obs"
 )
 
 type options struct {
@@ -59,21 +60,19 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&o.groupSize, "group", 8, "group size for group-* algorithms")
 	fs.IntVar(&o.messages, "messages", 10, "group messages for group-* algorithms")
 	fs.IntVar(&o.churn, "churn", 0, "disconnect/reconnect cycles per MH")
-	fs.BoolVar(&o.trace, "trace", false, "print model-level protocol events")
+	fs.BoolVar(&o.trace, "trace", false, "print the mobility, search and delivery-failure events as \"trace <t> <kind> <a> <b> <c>\" lines (operands per kind: internal/obs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	sys, err := mobiledist.NewSystem(func() mobiledist.Config {
-		cfg := mobiledist.DefaultConfig(o.m, o.n)
-		cfg.Seed = o.seed
-		if o.trace {
-			cfg.Trace = func(t mobiledist.Time, event, detail string) {
-				fmt.Fprintf(out, "trace t=%-8d %-17s %s\n", int64(t), event, detail)
-			}
-		}
-		return cfg
-	}())
+	cfg := mobiledist.DefaultConfig(o.m, o.n)
+	cfg.Seed = o.seed
+	if o.trace {
+		// Only the model-level protocol steps: mobility, searches, failures.
+		cfg.Obs = mobiledist.NewTracer(0)
+		cfg.Obs.EnableOnly(append(obs.MobilityKinds(), obs.EvSearch, obs.EvFailure)...)
+	}
+	sys, err := mobiledist.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
@@ -104,6 +103,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if err := sys.Run(); err != nil {
 		return err
+	}
+	for _, ev := range cfg.Obs.Events() {
+		fmt.Fprintln(out, "trace", ev.Line(true))
 	}
 
 	fmt.Fprintf(out, "algorithm %s on M=%d MSSs, N=%d MHs (seed %d)\n\n", o.alg, o.m, o.n, o.seed)

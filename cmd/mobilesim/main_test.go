@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -83,8 +84,13 @@ func TestRunTraceFlag(t *testing.T) {
 	if err := run([]string{"-alg", "l2", "-m", "3", "-n", "4", "-moves", "1", "-trace"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out.String(), "trace t=") {
-		t.Errorf("trace output missing:\n%s", out.String())
+	for _, kind := range []string{"leave", "join", "search"} {
+		if !regexp.MustCompile(`(?m)^trace \d+ ` + kind + ` `).MatchString(out.String()) {
+			t.Errorf("trace output has no %s event:\n%s", kind, out.String())
+		}
+	}
+	if strings.Contains(out.String(), " transmit ") {
+		t.Errorf("-trace printed transport events, want only mobility/search/failure kinds:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,43 @@ import (
 
 	"mobiledist"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden.md from the current output")
+
+// TestTablesGolden is the "experiment tables byte-identical" gate: the full
+// suite's markdown must equal the checked-in golden file. A change that
+// means to alter protocol behaviour regenerates it with
+// `go test ./cmd/mobilexp -run TestTablesGolden -update` and says why.
+func TestTablesGolden(t *testing.T) {
+	const golden = "testdata/tables.golden.md"
+	var out strings.Builder
+	if err := run([]string{"-markdown"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("tables differ from %s at line %d (%d vs %d lines):\n got: %s\nwant: %s", golden, i+1, len(got), len(wantLines), g, w)
+		}
+	}
+}
 
 func TestRunSingleExperiment(t *testing.T) {
 	var out strings.Builder

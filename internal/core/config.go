@@ -5,7 +5,6 @@ import (
 	"mobiledist/internal/engine"
 	"mobiledist/internal/faults"
 	"mobiledist/internal/obs"
-	"mobiledist/internal/sim"
 )
 
 // Fault-injection vocabulary, re-exported so drivers configure plans
@@ -22,58 +21,20 @@ type (
 )
 
 // Config describes a two-tier network instance driven by the deterministic
-// simulator. The model parameters mirror engine.Config; Seed and StepLimit
-// are kernel-substrate concerns that only exist here.
+// simulator: the model parameters (the embedded engine.Config, so cfg.M,
+// cfg.Wired, cfg.Obs and the rest are its fields) plus what only the kernel
+// substrate has.
 type Config struct {
-	// M is the number of mobile support stations (M >= 1).
-	M int
-	// N is the number of mobile hosts (N >= 1). The paper assumes N >> M but
-	// the model does not require it.
-	N int
-	// Params are the message cost constants.
-	Params cost.Params
+	engine.Config
+
 	// Seed initialises the deterministic RNG.
 	Seed uint64
-
-	// Wired is the MSS-to-MSS latency range.
-	Wired Delay
-	// Wireless is the MH<->MSS latency range.
-	Wireless Delay
-	// Travel is how long a MH spends between leaving one cell and joining
-	// the next.
-	Travel Delay
-
-	// SearchMode selects the search service (abstract Csearch vs broadcast).
-	SearchMode SearchMode
-	// PessimisticSearch, when true, charges Csearch on every routed delivery
-	// to a MH even if it happens to still be local — the paper's "any
-	// message destined for a mobile host incurs a fixed search cost"
-	// assumption, under which the analytic expressions are exact. When
-	// false, search is charged only for genuinely non-local destinations.
-	PessimisticSearch bool
-
-	// Placement maps each MH to its initial cell. Nil means round-robin
-	// (mh i starts at MSS i mod M).
-	Placement func(mh MHID) MSSID
 
 	// Faults, when non-nil and non-empty, wraps the kernel substrate in a
 	// deterministic fault injector applying the plan (internal/faults) and
 	// implies ReliableWireless so algorithms keep the model's delivery
-	// guarantees under loss.
+	// guarantees under loss (see NewEngine).
 	Faults *FaultPlan
-
-	// ReliableWireless enables the engine's stop-and-wait ARQ sublayer on
-	// the wireless channels even without a fault plan (see
-	// engine.Config.ReliableWireless). A non-empty Faults plan enables it
-	// regardless.
-	ReliableWireless bool
-	// ARQTimeout is the sublayer's initial retransmission timeout in ticks
-	// (0 derives a default from the wireless latency range).
-	ARQTimeout sim.Time
-
-	// WaiterLimit caps the per-MH in-transit waiter queue (see
-	// engine.Config.WaiterLimit); 0 means unlimited.
-	WaiterLimit int
 
 	// StepLimit bounds total simulation events as a runaway-protocol
 	// backstop; 0 applies a generous default.
@@ -85,17 +46,6 @@ type Config struct {
 	// byte-identical either way; sharding only changes the data structure's
 	// constants, which matters from roughly 10^5 hosts up.
 	Shards int
-
-	// Trace, when non-nil, receives one line per model-level event
-	// (mobility protocol steps, searches, delivery failures). Useful for
-	// debugging protocol runs; adds no cost charges.
-	Trace func(t sim.Time, event, detail string)
-
-	// Obs, when non-nil, records typed observability events and metrics
-	// (internal/obs): every Transmit at the substrate seam, the engine's
-	// model-level events, fault-injection decisions, and algorithm CS
-	// progress. Nil (the default) keeps the hot path untouched.
-	Obs *obs.Tracer
 }
 
 // defaultFaults is the plan DefaultConfig attaches to every new system;
@@ -134,48 +84,50 @@ func DefaultTracer() *obs.Tracer { return defaultObs }
 // n mobile hosts.
 func DefaultConfig(m, n int) Config {
 	return Config{
-		M:                 m,
-		N:                 n,
-		Params:            cost.DefaultParams(),
-		Seed:              1,
-		Wired:             Delay{Min: 5, Max: 20},
-		Wireless:          Delay{Min: 1, Max: 4},
-		Travel:            Delay{Min: 10, Max: 50},
-		SearchMode:        SearchAbstract,
-		PessimisticSearch: true,
-		Faults:            defaultFaults,
-		Obs:               defaultObs,
+		Config: engine.Config{
+			M:                 m,
+			N:                 n,
+			Params:            cost.DefaultParams(),
+			Wired:             Delay{Min: 5, Max: 20},
+			Wireless:          Delay{Min: 1, Max: 4},
+			Travel:            Delay{Min: 10, Max: 50},
+			SearchMode:        SearchAbstract,
+			PessimisticSearch: true,
+			Obs:               defaultObs,
+		},
+		Seed:   1,
+		Faults: defaultFaults,
 	}
 }
 
-// engineConfig projects the simulator configuration onto the shared engine's
-// substrate-independent parameters. A non-empty fault plan forces the ARQ
-// sublayer on: without it, injected loss would silently void the model's
-// FIFO and prefix-delivery guarantees.
-func (c Config) engineConfig() engine.Config {
-	reliable := c.ReliableWireless
-	if c.Faults != nil && !c.Faults.Empty() {
-		reliable = true
+// NewEngine assembles the one substrate stack every driver runs on top of
+// its raw substrate — fault injector (only under a non-empty plan), then the
+// observability seam outermost so it records what the engine asked the
+// transport to do before the injector disturbs it, then the engine — and
+// returns the engine with the injector (nil when fault-free). It is also the
+// one place the two derived model rules are applied: a non-empty fault plan
+// forces the ARQ sublayer on (without it, injected loss would silently void
+// the model's FIFO and prefix-delivery guarantees), and a zero SearchMode
+// means SearchAbstract.
+func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*engine.Engine, *faults.Injector, error) {
+	sub := raw
+	var inj *faults.Injector
+	if plan != nil && !plan.Empty() {
+		var err error
+		if inj, err = faults.New(*plan, model.M, model.N, raw); err != nil {
+			return nil, nil, err
+		}
+		inj.SetTracer(model.Obs)
+		sub = inj
+		model.ReliableWireless = true
 	}
-	return engine.Config{
-		M:                 c.M,
-		N:                 c.N,
-		Params:            c.Params,
-		Wired:             c.Wired,
-		Wireless:          c.Wireless,
-		Travel:            c.Travel,
-		SearchMode:        c.SearchMode,
-		PessimisticSearch: c.PessimisticSearch,
-		ReliableWireless:  reliable,
-		ARQTimeout:        c.ARQTimeout,
-		WaiterLimit:       c.WaiterLimit,
-		Placement:         c.Placement,
-		Trace:             c.Trace,
-		Obs:               c.Obs,
+	if model.SearchMode == 0 {
+		model.SearchMode = SearchAbstract
 	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	return c.engineConfig().Validate()
+	model.Obs.SetTopology(model.M, model.N)
+	eng, err := engine.New(model, engine.ObserveSubstrate(sub, model.Obs))
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng, inj, nil
 }

@@ -72,8 +72,6 @@ type System struct {
 }
 
 // NewSystem builds a system from cfg, placing every MH in its initial cell.
-// A non-empty cfg.Faults plan interposes the deterministic fault injector
-// between the engine and the kernel substrate.
 func NewSystem(cfg Config) (*System, error) {
 	k := sim.NewShardedKernel(cfg.Seed, cfg.Shards)
 	limit := cfg.StepLimit
@@ -82,22 +80,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	k.SetStepLimit(limit)
 	raw := &simSubstrate{kernel: k}
-	var sub engine.Substrate = raw
-	var inj *faults.Injector
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		var err error
-		inj, err = faults.New(*cfg.Faults, cfg.M, cfg.N, raw)
-		if err != nil {
-			return nil, err
-		}
-		inj.SetTracer(cfg.Obs)
-		sub = inj
-	}
-	// The observer wraps outermost so it records what the engine asked the
-	// transport to do, before the fault injector disturbs it.
-	cfg.Obs.SetTopology(cfg.M, cfg.N)
-	sub = engine.ObserveSubstrate(sub, cfg.Obs)
-	eng, err := engine.New(cfg.engineConfig(), sub)
+	eng, inj, err := NewEngine(cfg.Config, cfg.Faults, raw)
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,8 @@ import (
 )
 
 func TestTraceEmitsMobilityAndSearchEvents(t *testing.T) {
-	var lines []string
 	cfg := DefaultConfig(3, 4)
-	cfg.Trace = func(ts sim.Time, event, detail string) {
-		lines = append(lines, fmt.Sprintf("%d %s %s", ts, event, detail))
-	}
+	cfg.Obs = obs.NewTracer(0)
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -43,23 +40,20 @@ func TestTraceEmitsMobilityAndSearchEvents(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"leave", "left", "join", "disconnect", "reconnect", "search", "delivery-failure"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("trace missing %q events:\n%s", want, joined)
-		}
-	}
-	// Timestamps must be non-decreasing.
+	events := cfg.Obs.Events()
+	seen := make(map[obs.EventKind]bool)
 	var last sim.Time = -1
-	for _, l := range lines {
-		var ts int64
-		if _, err := fmt.Sscanf(l, "%d", &ts); err != nil {
-			t.Fatalf("bad trace line %q", l)
+	for _, ev := range events {
+		seen[ev.Kind] = true
+		if ev.T < last {
+			t.Fatalf("trace timestamps decreased:\n%s", strings.Join(obs.Lines(events, true), "\n"))
 		}
-		if sim.Time(ts) < last {
-			t.Fatalf("trace timestamps decreased:\n%s", joined)
+		last = ev.T
+	}
+	for _, want := range []obs.EventKind{obs.EvLeave, obs.EvJoin, obs.EvDisconnect, obs.EvReconnect, obs.EvHandoff, obs.EvSearch, obs.EvFailure} {
+		if !seen[want] {
+			t.Errorf("trace missing %v events:\n%s", want, strings.Join(obs.Lines(events, true), "\n"))
 		}
-		last = sim.Time(ts)
 	}
 }
 

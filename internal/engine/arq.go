@@ -133,13 +133,13 @@ func (a *arq) transmitHead(ch int) {
 	st.outstanding = true
 	st.timerGen++
 	air := a.e.newRec(opArqData)
-	air.ch = int32(ch)
-	air.ackCh = int32(f.ackCh)
+	air.ch = ch
+	air.ackCh = f.ackCh
 	air.seq = f.seq
 	air.inner = f.rec
 	a.e.sub.TransmitRec(ch, a.e.delay(a.e.cfg.Wireless), air)
 	timer := a.e.newRec(opArqTimeout)
-	timer.ch = int32(ch)
+	timer.ch = ch
 	timer.seq = st.timerGen
 	a.e.sub.AfterRec(st.rto, timer)
 }
@@ -192,7 +192,7 @@ func (a *arq) recvData(ch, ackCh int, seq uint64, payload *DeliveryRec) {
 // data sender's retransmission.
 func (a *arq) sendAck(ackCh, dataCh int, seq uint64) {
 	ack := a.e.newRec(opArqAck)
-	ack.ch = int32(dataCh)
+	ack.ch = dataCh
 	ack.seq = seq
 	a.e.sub.TransmitRec(ackCh, a.e.delay(a.e.cfg.Wireless), ack)
 }

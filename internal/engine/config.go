@@ -28,8 +28,11 @@ func (d Delay) Validate(name string) error {
 
 // Config describes the substrate-independent parameters of a two-tier
 // network: sizes, cost constants, link latency ranges, the search service,
-// and initial placement. Substrate-specific knobs (the simulator's seed and
-// step limit, the live runtime's tick) live in the adapters' configs.
+// and initial placement. It is the only declaration of these parameters:
+// the drivers' configs (core.Config, rt.Config, and through it
+// netrt.Config) embed it, so cfg.M or cfg.ARQTimeout on any of them is this
+// struct's field, and each driver declares only its substrate's own knobs
+// (the simulator's seed and step limit, the live runtimes' tick) beside it.
 type Config struct {
 	// M is the number of mobile support stations (M >= 1).
 	M int
@@ -81,11 +84,6 @@ type Config struct {
 	// Placement maps each MH to its initial cell. Nil means round-robin
 	// (mh i starts at MSS i mod M).
 	Placement func(mh MHID) MSSID
-
-	// Trace, when non-nil, receives one line per model-level event
-	// (mobility protocol steps, searches, delivery failures). Useful for
-	// debugging protocol runs; adds no cost charges.
-	Trace func(t sim.Time, event, detail string)
 
 	// Obs, when non-nil, receives typed observability events (internal/obs)
 	// from the engine's model-level emission points: mobility protocol

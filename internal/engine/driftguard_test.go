@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -62,30 +63,115 @@ var forbiddenAdapterDecls = map[string]string{
 	"lastWired": "FIFO high-water marks live in engine.FIFOClock",
 	"lastDown":  "FIFO high-water marks live in engine.FIFOClock",
 	"lastUp":    "FIFO high-water marks live in engine.FIFOClock",
+	// configuration (drivers embed engine.Config; core.NewEngine applies the
+	// derived rules)
+	"engineConfig": "the model parameters are declared once, in engine.Config, which the driver configs embed",
 	// contexts (both substrates must hand out the engine's algContext)
 	"simContext": "core must hand out the engine's Context implementation",
 	"rtContext":  "rt must hand out the engine's Context implementation",
 }
 
 func TestSubstrateAdaptersDoNotRedeclareEngineLogic(t *testing.T) {
+	fset := token.NewFileSet()
 	for _, dir := range []string{"../core", "../rt", "../netrt", "../dgram"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 {
-			t.Fatalf("no Go sources found in %s", dir)
-		}
-		for _, file := range files {
-			if filepath.Ext(file) != ".go" || isTestFile(file) {
-				continue
-			}
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, file, nil, 0)
-			if err != nil {
-				t.Fatalf("parse %s: %v", file, err)
-			}
+		for _, f := range parseNonTest(t, fset, dir) {
 			checkDecls(t, fset, f)
+		}
+	}
+}
+
+// parseNonTest walks root and parses every non-test Go file outside the
+// directories named in skip.
+func parseNonTest(t *testing.T, fset *token.FileSet, root string, skip ...string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			for _, s := range skip {
+				if d.Name() == s {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || isTestFile(path) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go sources found under %s", root)
+	}
+	return files
+}
+
+// TestLiveShellIsWrittenOnce pins the live driver shell to rt.Host: the
+// executor lifecycle, the transport-independent Substrate methods and the
+// id checks are each a method of exactly one receiver across internal/rt
+// and internal/netrt. A second declaration is a driver re-growing its own
+// copy of the shell — embed the host instead (what genuinely differs per
+// driver is TransmitRec and Stop, which are not listed).
+func TestLiveShellIsWrittenOnce(t *testing.T) {
+	shell := []string{"Do", "WaitIdle", "Start", "AfterRec", "EnqueueRec", "checkMH", "checkMSS"}
+	declared := make(map[string][]string)
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../rt", "../netrt"} {
+		for _, f := range parseNonTest(t, fset, dir) {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					declared[fd.Name.Name] = append(declared[fd.Name.Name], fset.Position(fd.Pos()).String())
+				}
+			}
+		}
+	}
+	for _, name := range shell {
+		if at := declared[name]; len(at) != 1 {
+			t.Errorf("method %s is declared %d times across rt and netrt, want exactly once (on rt.Host): %v", name, len(at), at)
+		}
+	}
+}
+
+// TestSubstrateStackIsAssembledOnce pins core.NewEngine as the only place
+// under internal/ (outside engine and faults themselves) that builds the
+// fault-injector → observer → engine stack: engine.New and faults.New each
+// have exactly one non-test call site. A second one is a driver assembling
+// its own stack, and with it its own copy of the derived config rules.
+func TestSubstrateStackIsAssembledOnce(t *testing.T) {
+	calls := map[string][]string{"engine.New": nil, "faults.New": nil}
+	fset := token.NewFileSet()
+	for _, f := range parseNonTest(t, fset, "..", "engine", "faults") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Obj == nil {
+				name := pkg.Name + "." + sel.Sel.Name
+				if _, tracked := calls[name]; tracked {
+					calls[name] = append(calls[name], fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	for name, at := range calls {
+		if len(at) != 1 {
+			t.Errorf("%s( has %d non-test call sites under internal/, want exactly one (core.NewEngine): %v", name, len(at), at)
 		}
 	}
 }
@@ -122,22 +208,8 @@ var faultInjectorAllowedEngineRefs = map[string]bool{
 // interface and the channel-layout decoder, never by reaching into engine
 // internals.
 func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("../faults", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no Go sources found in ../faults")
-	}
-	for _, file := range files {
-		if isTestFile(file) {
-			continue
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatalf("parse %s: %v", file, err)
-		}
+	fset := token.NewFileSet()
+	for _, f := range parseNonTest(t, fset, "../faults") {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -270,14 +270,6 @@ func (e *Engine) IsDozing(mh MHID) bool {
 	return e.mh[mh].dozing
 }
 
-// trace emits a model-level event to the configured trace sink.
-func (e *Engine) trace(event, format string, args ...any) {
-	if e.cfg.Trace == nil {
-		return
-	}
-	e.cfg.Trace(e.sub.Now(), event, fmt.Sprintf(format, args...))
-}
-
 // event records one typed observability event. With tracing disabled
 // (Config.Obs nil) this is a single branch — no time lookup, no
 // allocation — which is what keeps the hot-path benchmarks flat.
@@ -382,9 +374,6 @@ func (e *Engine) notifyDisconnect(at MSSID, mh MHID) {
 
 func (e *Engine) notifyFailure(alg int, at MSSID, mh MHID, msg Message, reason FailReason) {
 	e.stats.FailedDeliveries++
-	if e.cfg.Trace != nil {
-		e.trace("delivery-failure", "mss%d notified: mh%d %v", int(at), int(mh), reason)
-	}
 	e.event(obs.EvFailure, int32(mh), int32(at), 0)
 	h, ok := e.algs[alg].(DeliveryFailureHandler)
 	if !ok {

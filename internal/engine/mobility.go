@@ -45,9 +45,6 @@ func (e *Engine) Move(mh MHID, to MSSID) error {
 	st.status = StatusInTransit
 	st.at = from // remembered as the previous cell for the join message
 
-	if e.cfg.Trace != nil {
-		e.trace("leave", "mh%d leaving mss%d for mss%d", int(mh), int(from), int(to))
-	}
 	rec := e.newRec(opLeave)
 	rec.mh = mh
 	rec.mss = from
@@ -60,9 +57,6 @@ func (e *Engine) Move(mh MHID, to MSSID) error {
 // interpreter case.
 func (e *Engine) leaveArrive(mh MHID, from, to MSSID) {
 	e.mss[from].local.remove(mh)
-	if e.cfg.Trace != nil {
-		e.trace("left", "mss%d processed leave of mh%d", int(from), int(mh))
-	}
 	e.event(obs.EvLeave, int32(mh), int32(from), 0)
 	e.notifyLeave(from, mh)
 
@@ -100,9 +94,6 @@ func (e *Engine) joinArrive(mh MHID, to, prev MSSID, wasDisconnected bool) {
 	if !wasDisconnected {
 		e.stats.Moves++
 	}
-	if e.cfg.Trace != nil {
-		e.trace("join", "mh%d joined mss%d (prev mss%d)", int(mh), int(to), int(prev))
-	}
 	e.event(obs.EvJoin, int32(mh), int32(to), int32(prev))
 	e.notifyJoin(to, mh, prev, wasDisconnected)
 	e.fireWaiters(mh)
@@ -137,9 +128,6 @@ func (e *Engine) disconnectArrive(mh MHID, at MSSID) {
 	e.mss[at].local.remove(mh)
 	e.mss[at].disconnected[mh] = true
 	e.stats.Disconnects++
-	if e.cfg.Trace != nil {
-		e.trace("disconnect", "mh%d disconnected at mss%d", int(mh), int(at))
-	}
 	e.event(obs.EvDisconnect, int32(mh), int32(at), 0)
 	e.notifyDisconnect(at, mh)
 }
@@ -232,9 +220,6 @@ func (e *Engine) handoffReplyArrive(mh MHID, at, prev MSSID) {
 	st.status = StatusConnected
 	st.at = at
 	e.stats.Reconnects++
-	if e.cfg.Trace != nil {
-		e.trace("reconnect", "mh%d reconnected at mss%d (was at mss%d)", int(mh), int(at), int(prev))
-	}
 	e.event(obs.EvHandoff, int32(mh), int32(at), int32(prev))
 	e.event(obs.EvJoin, int32(mh), int32(at), int32(prev))
 	e.notifyJoin(at, mh, prev, true)

@@ -98,9 +98,11 @@ type DeliveryRec struct {
 	msg   Message
 	opts  routeOpts
 	seq   uint64
-	ch    int32
-	ackCh int32
-	onCh  int32 // transmit channel, stamped by the outermost wrapper; -1 off-channel
+	// ch, ackCh and onCh are flat channel ids, which reach M*M+M*N+N (~10^10
+	// at M=10^4/N=10^6): full ints, never narrowed.
+	ch    int
+	ackCh int
+	onCh  int   // transmit channel, stamped by the outermost wrapper; -1 off-channel
 	tag   int32 // wrapper-private cookie (the fault injector's trace index)
 	next  *DeliveryRec
 	inner *DeliveryRec // ARQ data frame's payload; owned by the sender queue
@@ -110,11 +112,11 @@ type DeliveryRec struct {
 // Chan returns the flat channel id the record was transmitted on, or -1 for
 // records scheduled off-channel (AfterRec/EnqueueRec). Substrate wrappers
 // use it to classify a record at delivery time (ChannelLayout.Decode).
-func (r *DeliveryRec) Chan() int { return int(r.onCh) }
+func (r *DeliveryRec) Chan() int { return r.onCh }
 
 // SetChan stamps the transmit channel; called by the outermost wrapper's
 // TransmitRec (and by off-channel paths with -1).
-func (r *DeliveryRec) SetChan(ch int) { r.onCh = int32(ch) }
+func (r *DeliveryRec) SetChan(ch int) { r.onCh = ch }
 
 // Tag returns the wrapper-private cookie set by SetTag.
 func (r *DeliveryRec) Tag() int32 { return r.tag }
@@ -244,9 +246,6 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 			// DeliveryFailureHandler fires because there is no origin MSS
 			// to notify — the message never left the MH.
 			e.stats.FailedDeliveries++
-			if e.cfg.Trace != nil {
-				e.trace("send-dropped", "mh%d disconnected before deferred send", int(rec.mh))
-			}
 		}
 
 	case opUpForwardVia:
@@ -295,11 +294,11 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 		e.handoffReplyArrive(rec.mh, rec.mss, rec.mss2)
 
 	case opArqData:
-		e.arq.recvData(int(rec.ch), int(rec.ackCh), rec.seq, rec.inner)
+		e.arq.recvData(rec.ch, rec.ackCh, rec.seq, rec.inner)
 	case opArqAck:
-		e.arq.recvAck(int(rec.ch), rec.seq)
+		e.arq.recvAck(rec.ch, rec.seq)
 	case opArqTimeout:
-		e.arq.timeout(int(rec.ch), rec.seq)
+		e.arq.timeout(rec.ch, rec.seq)
 
 	case opTimer:
 		rec.fn()

@@ -180,9 +180,6 @@ func (e *Engine) reclassifyWastedWireless(cat cost.Category) {
 // chargeSearch records one search under the configured search mode.
 func (e *Engine) chargeSearch(opts routeOpts, stale bool) {
 	e.stats.Searches++
-	if e.cfg.Trace != nil {
-		e.trace("search", "origin mss%d (stale=%v)", int(opts.origin), stale)
-	}
 	e.event(obs.EvSearch, int32(opts.origin), boolOperand(stale), 0)
 	cat := opts.cat
 	if stale {

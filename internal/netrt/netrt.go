@@ -8,10 +8,13 @@
 // Substrate seam hands the transport opaque delivery records — so the
 // runtime splits the model plane from the data plane:
 //
-//   - the hub (this file) hosts the engine on a single executor goroutine,
-//     exactly like internal/rt. Every TransmitRec assigns the channel's
-//     next sequence number, parks the delivery record, and ships a TData
-//     frame on a physical journey over TCP;
+//   - the hub (this file) is internal/rt's Host — the engine, its single
+//     executor goroutine, timers, Do/WaitIdle and the mobility surface —
+//     plus what sockets add: a listener and one peer per station and mobile
+//     host, a pending ledger and per-channel release buffer, liveness with
+//     generation-fenced resync, and client retargeting. Every TransmitRec
+//     assigns the channel's next sequence number, parks the delivery
+//     record, and ships a TData frame on a physical journey over TCP;
 //   - MSS relay nodes (node.go) carry the wired tier: a TData for wired
 //     channel (i,j) travels hub → node i, sleeps the link latency in node
 //     i's per-channel pipe, crosses the mesh connection to node j, and
@@ -43,59 +46,23 @@ package netrt
 import (
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mobiledist/internal/core"
-	"mobiledist/internal/cost"
 	"mobiledist/internal/engine"
-	"mobiledist/internal/execq"
-	"mobiledist/internal/faults"
-	"mobiledist/internal/obs"
+	"mobiledist/internal/rt"
 	"mobiledist/internal/sim"
 	"mobiledist/internal/wire"
 )
 
-// Config describes the hub of a TCP-backed two-tier network. The model
-// parameters mirror rt.Config; ListenAddr and MSSAddrs are the cluster
+// Config describes the hub of a socket-backed two-tier network: rt's
+// configuration (the model parameters, Seed, Tick, Faults) plus the cluster
 // concerns that only exist here.
 type Config struct {
-	// M and N size the network.
-	M, N int
-	// Params are the message cost constants.
-	Params cost.Params
-	// Seed initialises the latency RNG.
-	Seed uint64
-	// Tick converts virtual-time units to wall time (default 50µs, as rt).
-	Tick time.Duration
-	// Wired and Wireless are latency ranges in ticks.
-	Wired, Wireless core.Delay
-	// Travel is the between-cells delay range in ticks.
-	Travel core.Delay
-	// SearchMode selects the search service (zero: core.SearchAbstract).
-	SearchMode core.SearchMode
-	// PessimisticSearch mirrors core.Config.PessimisticSearch.
-	PessimisticSearch bool
-	// Faults, when non-nil and non-empty, wraps the substrate in the
-	// deterministic fault injector and implies ReliableWireless.
-	Faults *core.FaultPlan
-	// ReliableWireless enables the engine's ARQ sublayer on the wireless
-	// channels even without a fault plan.
-	ReliableWireless bool
-	// ARQTimeout is the ARQ initial retransmission timeout in ticks.
-	ARQTimeout sim.Time
-	// WaiterLimit caps the per-MH in-transit waiter queue (see
-	// engine.Config.WaiterLimit); 0 means unlimited.
-	WaiterLimit int
-	// Placement maps each MH to its initial cell (nil: round-robin).
-	Placement func(core.MHID) core.MSSID
-	// Trace, when non-nil, receives one line per model-level event.
-	Trace func(t sim.Time, event, detail string)
-	// Obs, when non-nil, records typed observability events and metrics.
-	Obs *obs.Tracer
+	rt.Config
 
 	// Transport selects the substrate every cluster connection runs over:
 	// TransportTCP (default, also "") or TransportUDP — authenticated
@@ -147,56 +114,7 @@ type Config struct {
 // with the same model parameters as rt.DefaultConfig. MSSAddrs must still
 // be filled in (StartLoopback does).
 func DefaultConfig(m, n int) Config {
-	return Config{
-		M:                 m,
-		N:                 n,
-		Params:            cost.DefaultParams(),
-		Seed:              1,
-		Tick:              50 * time.Microsecond,
-		Wired:             core.Delay{Min: 1, Max: 4},
-		Wireless:          core.Delay{Min: 1, Max: 2},
-		Travel:            core.Delay{Min: 2, Max: 10},
-		SearchMode:        core.SearchAbstract,
-		PessimisticSearch: true,
-		ListenAddr:        "127.0.0.1:0",
-	}
-}
-
-// engineConfig projects the hub configuration onto the shared engine's
-// substrate-independent parameters.
-func (c Config) engineConfig() engine.Config {
-	mode := c.SearchMode
-	if mode == 0 {
-		mode = core.SearchAbstract
-	}
-	reliable := c.ReliableWireless
-	if c.Faults != nil && !c.Faults.Empty() {
-		reliable = true
-	}
-	return engine.Config{
-		M:                 c.M,
-		N:                 c.N,
-		Params:            c.Params,
-		Wired:             c.Wired,
-		Wireless:          c.Wireless,
-		Travel:            c.Travel,
-		SearchMode:        mode,
-		PessimisticSearch: c.PessimisticSearch,
-		ReliableWireless:  reliable,
-		ARQTimeout:        c.ARQTimeout,
-		WaiterLimit:       c.WaiterLimit,
-		Placement:         c.Placement,
-		Trace:             c.Trace,
-		Obs:               c.Obs,
-	}
-}
-
-// place mirrors the engine's initial placement rule.
-func (c Config) place(mh core.MHID) core.MSSID {
-	if c.Placement != nil {
-		return c.Placement(mh)
-	}
-	return core.MSSID(int(mh) % c.M)
+	return Config{Config: rt.DefaultConfig(m, n), ListenAddr: "127.0.0.1:0"}
 }
 
 // pendKey identifies one in-flight transmission.
@@ -221,22 +139,14 @@ type chanState struct {
 	ready map[uint64]struct{}
 }
 
-// System is the hub: the shared engine bound to the TCP substrate. It
-// implements core.Registrar with the same lifecycle and calling conventions
-// as rt.System, so any algorithm in this repository runs on it unmodified.
+// System is the hub: the shared host bound to the socket substrate. The
+// lifecycle, calling conventions and mobility surface are rt.Host's, so any
+// algorithm in this repository runs on it unmodified.
 type System struct {
-	cfg    Config
-	eng    *engine.Engine
-	rng    *sim.RNG // executor-only
-	inj    *faults.Injector
-	layout engine.ChannelLayout
-
-	tasks    *execq.Queue
-	stopped  chan struct{}
-	execDone chan struct{}
-	started  bool
+	*rt.Host
+	cfg      Config
+	layout   engine.ChannelLayout
 	stopOnce sync.Once
-	epoch    time.Time
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -251,7 +161,6 @@ type System struct {
 	pending   map[pendKey]pendEntry
 	envelopes [][]byte
 	rtGen     uint64
-	sink      engine.RecSink
 
 	// deadMSS / deadMH mirror the liveness tracker's dead verdicts onto the
 	// executor (set and cleared via executor tasks, read by TransmitRec):
@@ -272,31 +181,18 @@ type System struct {
 
 var _ core.Registrar = (*System)(nil)
 
-// netSubstrate adapts the System to the engine's Substrate interface. Every
-// method runs on the executor (or the single-threaded build phase).
-type netSubstrate struct {
-	s *System
-}
-
-var _ engine.Substrate = (*netSubstrate)(nil)
-
-func (l *netSubstrate) Now() sim.Time { return l.s.now() }
-
-func (l *netSubstrate) BindRecSink(sink engine.RecSink) { l.s.sink = sink }
-
 // TransmitRec parks the delivery record under the channel's next sequence
 // number and ships the TData frame toward the relay that owns the sending
 // end of the physical journey. A frame bound for a peer the liveness
 // tracker declared dead parks without shipping (graceful degradation: the
 // record stays pending, bounded by the algorithms' own in-flight windows,
 // and the resync replay ships it when the peer returns).
-func (l *netSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	s := l.s
+func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	seq := s.seqs[ch]
 	s.seqs[ch]++
 	s.pending[pendKey{int32(ch), seq}] = pendEntry{rec: rec, latency: uint32(latency)}
 	s.inflight.Add(1)
-	s.tasks.OpStart()
+	s.Tasks().OpStart()
 	f := wire.Frame{
 		Type:    wire.TData,
 		Ch:      int32(ch),
@@ -328,44 +224,13 @@ func (l *netSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.Deliver
 
 // parkOnDead accounts one transmission parked on a dead peer (executor).
 func (s *System) parkOnDead() {
-	s.eng.NoteParkedOnDeadMSS()
+	s.Engine().NoteParkedOnDeadMSS()
 	s.parked.Add(1)
 }
 
-// AfterRec arms a wall timer that hands the record to the executor for
-// interpretation. A daemon record (standing maintenance such as DTN gossip)
-// is armed without holding an op open, so it cannot wedge WaitIdle. A
-// record landing after Stop is dropped (not freed — the pool is
-// executor-only).
-func (l *netSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
-	s := l.s
-	if rec.Daemon() {
-		time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() { l.EnqueueRec(rec) })
-		return
-	}
-	s.tasks.OpStart()
-	time.AfterFunc(time.Duration(d)*s.cfg.Tick, func() {
-		if !s.tasks.Push(func() { defer s.tasks.OpDone(); s.sink.StepRec(rec) }) {
-			s.tasks.OpDone()
-		}
-	})
-}
-
-// EnqueueRec runs the record on the executor without delay.
-func (l *netSubstrate) EnqueueRec(rec *engine.DeliveryRec) {
-	l.s.tasks.Push(func() { l.s.sink.StepRec(rec) })
-}
-
-func (l *netSubstrate) RNG() *sim.RNG { return l.s.rng }
-
 // NewSystem builds a hub from cfg, binds its listener, and starts accepting
-// node and client connections (their traffic queues until Start). A
-// non-empty cfg.Faults plan interposes the deterministic fault injector
-// between the engine and the socket substrate.
+// node and client connections (their traffic queues until Start).
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Tick <= 0 {
-		cfg.Tick = 50 * time.Microsecond
-	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
@@ -374,47 +239,29 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	channels := engine.ChannelCount(cfg.M, cfg.N)
 	s := &System{
-		cfg:      cfg,
-		rng:      sim.NewRNG(cfg.Seed),
-		layout:   engine.ChannelLayout{M: cfg.M, N: cfg.N},
-		tasks:    execq.New(),
-		stopped:  make(chan struct{}),
-		execDone: make(chan struct{}),
-		seqs:     make([]uint64, channels),
-		chans:    make([]chanState, channels),
-		pending:  make(map[pendKey]pendEntry),
-		deadMSS:  make([]bool, cfg.M),
-		deadMH:   make([]bool, cfg.N),
+		cfg:     cfg,
+		layout:  engine.ChannelLayout{M: cfg.M, N: cfg.N},
+		seqs:    make([]uint64, channels),
+		chans:   make([]chanState, channels),
+		pending: make(map[pendKey]pendEntry),
+		deadMSS: make([]bool, cfg.M),
+		deadMH:  make([]bool, cfg.N),
 	}
-	s.lv = newLiveness(cfg.M, cfg.N, cfg.SuspectAfter, cfg.DeadAfter, cfg.Obs, s.now)
 	s.envelopes = make([][]byte, channels)
 	for ch := range s.envelopes {
 		kind, a, b := s.layout.Decode(ch)
 		s.envelopes[ch] = wire.Envelope{Kind: uint8(kind), A: int32(a), B: int32(b)}.Encode()
 	}
 
-	var sub engine.Substrate = &netSubstrate{s: s}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj, err := faults.New(*cfg.Faults, cfg.M, cfg.N, sub)
-		if err != nil {
-			return nil, err
-		}
-		inj.SetTracer(cfg.Obs)
-		s.inj = inj
-		sub = inj
-	}
-	// The observer wraps outermost so it records what the engine asked the
-	// transport to do, before the fault injector disturbs it.
-	cfg.Obs.SetTopology(cfg.M, cfg.N)
-	sub = engine.ObserveSubstrate(sub, cfg.Obs)
-	eng, err := engine.New(cfg.engineConfig(), sub)
+	h, err := rt.NewHost(cfg.Config, s)
 	if err != nil {
 		return nil, err
 	}
-	s.eng = eng
+	s.Host = h
+	s.lv = newLiveness(cfg.M, cfg.N, cfg.SuspectAfter, cfg.DeadAfter, cfg.Obs, s.Now)
 	// The relay observer is registered first so clients learn their new
 	// cell before any user algorithm reacts to the join.
-	s.eng.Register(&mobilityRelay{s: s})
+	s.Register(&mobilityRelay{s: s})
 
 	s.mssPeers = make([]*peer, cfg.M)
 	for i := range s.mssPeers {
@@ -437,7 +284,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// placement).
 	for h := 0; h < cfg.N; h++ {
 		s.rtGen++
-		at := cfg.place(core.MHID(h))
+		at, _ := s.Engine().Where(core.MHID(h))
 		s.sendRetarget(core.MHID(h), at, -1, s.rtGen)
 	}
 
@@ -489,7 +336,7 @@ func (s *System) heartbeatLoop(every time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopped:
+		case <-s.Stopped():
 			return
 		case <-t.C:
 		}
@@ -499,7 +346,7 @@ func (s *System) heartbeatLoop(every time.Duration) {
 		for _, i := range died {
 			role, id := s.lv.role(i)
 			s.peerFor(role, id).clearOutbox()
-			s.tasks.Push(func() {
+			s.Tasks().Push(func() {
 				if role == wire.RoleMSS {
 					s.deadMSS[id] = true
 				} else {
@@ -575,7 +422,7 @@ func (s *System) handshake(conn net.Conn) {
 		// New incarnation (or a dead peer returning): replay on the
 		// executor. The TResync ack is sent there too, after the outbox
 		// clears, so it isn't dropped with the stale frames.
-		s.tasks.Push(func() { s.resyncPeer(h.Role, int(h.ID), gen) })
+		s.Tasks().Push(func() { s.resyncPeer(h.Role, int(h.ID), gen) })
 	} else {
 		s.peerFor(h.Role, int(h.ID)).send(wire.Frame{Type: wire.TResync, Ch: -1, Seq: gen})
 	}
@@ -585,7 +432,7 @@ func (s *System) handshake(conn net.Conn) {
 func (s *System) onPeerFrame(role wire.Role, id int, f wire.Frame) {
 	switch f.Type {
 	case wire.TDelivered:
-		s.tasks.Push(func() { s.resolve(f.Ch, f.Seq) })
+		s.Tasks().Push(func() { s.resolve(f.Ch, f.Seq) })
 	case wire.TAttached:
 		if h := int(f.Ch); 0 <= h && h < s.cfg.N {
 			s.lv.noteAttached(h, f.Seq)
@@ -596,7 +443,7 @@ func (s *System) onPeerFrame(role wire.Role, id int, f wire.Frame) {
 			// through a false suspicion (or a one-way partition healed). Its
 			// outbox was cleared, so replay the unconfirmed suffix.
 			gen := s.lv.genOf(role, id)
-			s.tasks.Push(func() { s.resyncPeer(role, id, gen) })
+			s.Tasks().Push(func() { s.resyncPeer(role, id, gen) })
 		}
 	}
 }
@@ -636,8 +483,8 @@ func (s *System) deliver(ch int32, seq uint64) {
 	}
 	delete(s.pending, k)
 	s.inflight.Add(-1)
-	s.sink.StepRec(pe.rec)
-	s.tasks.OpDone()
+	s.StepRec(pe.rec)
+	s.Tasks().OpDone()
 }
 
 // resyncPeer recovers a returning peer on the executor: drop whatever the
@@ -656,7 +503,7 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 		// re-dial, covering half-open wireless connections that survived
 		// the crash on the client side.
 		for h := 0; h < s.cfg.N; h++ {
-			if at, st := s.eng.Where(core.MHID(h)); st == core.StatusConnected && int(at) == id {
+			if at, st := s.Engine().Where(core.MHID(h)); st == core.StatusConnected && int(at) == id {
 				s.rtGen++
 				s.sendRetarget(core.MHID(h), at, at, s.rtGen)
 			}
@@ -664,7 +511,7 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 	} else {
 		s.deadMH[id] = false
 		// A fresh client process has no target; re-send its current cell.
-		at, st := s.eng.Where(core.MHID(id))
+		at, st := s.Engine().Where(core.MHID(id))
 		s.rtGen++
 		if st == core.StatusConnected {
 			s.sendRetarget(core.MHID(id), at, at, s.rtGen)
@@ -726,9 +573,6 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 			s.mhPeers[b].send(f)
 		}
 	}
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(s.now(), "resync", fmt.Sprintf("%v%d gen=%d replayed=%d", role, id, gen, len(keys)))
-	}
 }
 
 // mobilityRelay is the hub's internal mobility observer: it translates the
@@ -768,75 +612,8 @@ func (s *System) sendRetarget(mh core.MHID, at core.MSSID, prev core.MSSID, gen 
 	s.mhPeers[mh].send(wire.Frame{Type: wire.TRetarget, Ch: -1, Payload: h.Encode()})
 }
 
-// Register implements core.Registrar. It must be called before Start.
-func (s *System) Register(alg core.Algorithm) core.Context {
-	if s.started {
-		panic("netrt: Register after Start")
-	}
-	return s.eng.Register(alg)
-}
-
-// Engine exposes the shared network engine (for conformance tests and
-// cross-substrate tooling). Access it only via Do after Start.
-func (s *System) Engine() *engine.Engine { return s.eng }
-
-// Injector exposes the fault injector, or nil when the system runs
-// fault-free. After Start, access it only via Do.
-func (s *System) Injector() *faults.Injector { return s.inj }
-
-// Meter returns the cost meter. Read it only after WaitIdle or Stop.
-func (s *System) Meter() *cost.Meter { return s.eng.Meter() }
-
 // Config returns the hub configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// Tracer returns the tracer the system was configured with, or nil.
-func (s *System) Tracer() *obs.Tracer { return s.cfg.Obs }
-
-// MetricsHandler returns an http.Handler exposing the observability state
-// (Prometheus text at /metrics, expvar-style JSON at /vars), or 404s when
-// the system was built without a tracer.
-func (s *System) MetricsHandler() http.Handler {
-	if s.cfg.Obs == nil {
-		return http.NotFoundHandler()
-	}
-	return s.cfg.Obs.Handler()
-}
-
-// Stats returns a copy of the model-level counters. After Start it
-// synchronises with the executor, so it must not be called from inside Do
-// or a handler (read s.Engine().Stats() there instead).
-func (s *System) Stats() engine.Stats {
-	if !s.started {
-		return s.eng.Stats()
-	}
-	var st engine.Stats
-	s.Do(func() { st = s.eng.Stats() })
-	return st
-}
-
-// Searches reports searches performed so far (same calling rules as Stats).
-func (s *System) Searches() int64 { return s.Stats().Searches }
-
-// Start launches the executor. Algorithms must already be registered.
-func (s *System) Start() {
-	if s.started {
-		panic("netrt: Start called twice")
-	}
-	s.started = true
-	s.epoch = time.Now()
-	go func() {
-		defer close(s.execDone)
-		for {
-			fn, ok := s.tasks.Pop()
-			if !ok {
-				return
-			}
-			fn()
-			s.tasks.Done()
-		}
-	}()
-}
 
 // WaitReady blocks until the whole cluster is wired up — every MSS node
 // holds a hub connection, every MH client does too and has confirmed its
@@ -852,47 +629,6 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 // ready reports instantaneous cluster readiness.
 func (s *System) ready() bool { return s.lv.ready() }
 
-// Do runs fn on the executor and waits for it — the only safe way to call
-// algorithm APIs from outside handlers after Start.
-func (s *System) Do(fn func()) {
-	if !s.started {
-		panic("netrt: Do before Start")
-	}
-	done := make(chan struct{})
-	if !s.tasks.Push(func() {
-		defer close(done)
-		fn()
-	}) {
-		panic("netrt: Do after Stop")
-	}
-	<-done
-}
-
-// WaitIdle blocks until the network drains — no task queued or running, no
-// timer or transmission in flight — or the timeout elapses, reporting
-// whether it drained. The predicate is exact: every transmission holds an
-// in-flight op from Transmit until its confirmation releases the delivery.
-func (s *System) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		ch, idle := s.tasks.IdleWait()
-		if idle {
-			return true
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return false
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return false
-		}
-	}
-}
-
 // Stop shuts the hub down: it asks every node and client to exit (TBye),
 // gives the outboxes a moment to flush, then tears down the executor, the
 // listener and every connection, and waits for all goroutines.
@@ -905,11 +641,7 @@ func (s *System) Stop() {
 			p.send(wire.Frame{Type: wire.TBye, Ch: -1})
 		}
 		s.flushPeers(500 * time.Millisecond)
-		close(s.stopped)
-		s.tasks.Close()
-		if s.started {
-			<-s.execDone
-		}
+		s.Shutdown()
 		s.ln.Close()
 		for _, p := range s.mssPeers {
 			p.close()
@@ -934,51 +666,4 @@ func (s *System) flushPeers(timeout time.Duration) {
 			p.flush(deadline)
 		}
 	}
-}
-
-// now returns virtual time (wall time since Start in ticks).
-func (s *System) now() sim.Time {
-	if s.epoch.IsZero() {
-		return 0
-	}
-	return sim.Time(time.Since(s.epoch) / s.cfg.Tick)
-}
-
-func (s *System) checkMSS(id core.MSSID) {
-	if int(id) < 0 || int(id) >= s.cfg.M {
-		panic(fmt.Sprintf("netrt: invalid mss id %d (M=%d)", int(id), s.cfg.M))
-	}
-}
-
-func (s *System) checkMH(id core.MHID) {
-	if int(id) < 0 || int(id) >= s.cfg.N {
-		panic(fmt.Sprintf("netrt: invalid mh id %d (N=%d)", int(id), s.cfg.N))
-	}
-}
-
-// Move initiates a cell switch for mh (same surface as rt.System.Move).
-func (s *System) Move(mh core.MHID, to core.MSSID) {
-	s.checkMH(mh)
-	s.checkMSS(to)
-	s.Do(func() { _ = s.eng.Move(mh, to) })
-}
-
-// Disconnect performs a voluntary disconnection of mh.
-func (s *System) Disconnect(mh core.MHID) {
-	s.checkMH(mh)
-	s.Do(func() { _ = s.eng.Disconnect(mh) })
-}
-
-// Reconnect re-attaches a disconnected mh at the given MSS, supplying its
-// previous location (the paper's common case).
-func (s *System) Reconnect(mh core.MHID, at core.MSSID) {
-	s.checkMH(mh)
-	s.checkMSS(at)
-	s.Do(func() { _ = s.eng.Reconnect(mh, at, true) })
-}
-
-// Where reports the cell and status of mh (call via Do for a consistent
-// snapshot, or after WaitIdle).
-func (s *System) Where(mh core.MHID) (core.MSSID, core.MHStatus) {
-	return s.eng.Where(mh)
 }

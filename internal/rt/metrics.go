@@ -7,7 +7,7 @@ import (
 )
 
 // Tracer returns the tracer the system was configured with, or nil.
-func (s *System) Tracer() *obs.Tracer { return s.cfg.Obs }
+func (h *Host) Tracer() *obs.Tracer { return h.cfg.Obs }
 
 // MetricsHandler returns an http.Handler exposing the system's
 // observability state while it runs: Prometheus text exposition at
@@ -15,9 +15,9 @@ func (s *System) Tracer() *obs.Tracer { return s.cfg.Obs }
 // from any goroutine at any point in the lifecycle — the tracer snapshots
 // under its own lock — so a live run can be watched without stopping it.
 // A system built without a tracer serves 404s.
-func (s *System) MetricsHandler() http.Handler {
-	if s.cfg.Obs == nil {
+func (h *Host) MetricsHandler() http.Handler {
+	if h.cfg.Obs == nil {
 		return http.NotFoundHandler()
 	}
-	return s.cfg.Obs.Handler()
+	return h.cfg.Obs.Handler()
 }

@@ -9,35 +9,35 @@ import "mobiledist/internal/core"
 // the MH's current status as no-ops.
 
 // Move initiates a cell switch for mh.
-func (s *System) Move(mh core.MHID, to core.MSSID) {
-	s.checkMH(mh)
-	s.checkMSS(to)
-	s.Do(func() { _ = s.eng.Move(mh, to) })
+func (h *Host) Move(mh core.MHID, to core.MSSID) {
+	h.checkMH(mh)
+	h.checkMSS(to)
+	h.Do(func() { _ = h.eng.Move(mh, to) })
 }
 
 // Disconnect performs a voluntary disconnection of mh.
-func (s *System) Disconnect(mh core.MHID) {
-	s.checkMH(mh)
-	s.Do(func() { _ = s.eng.Disconnect(mh) })
+func (h *Host) Disconnect(mh core.MHID) {
+	h.checkMH(mh)
+	h.Do(func() { _ = h.eng.Disconnect(mh) })
 }
 
 // Reconnect re-attaches a disconnected mh at the given MSS. The MH supplies
 // its previous location (knowsPrev), as the paper's common case.
-func (s *System) Reconnect(mh core.MHID, at core.MSSID) {
-	s.checkMH(mh)
-	s.checkMSS(at)
-	s.Do(func() { _ = s.eng.Reconnect(mh, at, true) })
+func (h *Host) Reconnect(mh core.MHID, at core.MSSID) {
+	h.checkMH(mh)
+	h.checkMSS(at)
+	h.Do(func() { _ = h.eng.Reconnect(mh, at, true) })
 }
 
 // Where reports the cell and status of mh (call via Do for a consistent
 // snapshot, or after WaitIdle).
-func (s *System) Where(mh core.MHID) (core.MSSID, core.MHStatus) {
-	return s.eng.Where(mh)
+func (h *Host) Where(mh core.MHID) (core.MSSID, core.MHStatus) {
+	return h.eng.Where(mh)
 }
 
 // SetDoze marks mh as dozing (or not); deliveries to a dozing MH still
 // succeed but are counted in Stats. Call before Start or from inside Do.
-func (s *System) SetDoze(mh core.MHID, dozing bool) { s.eng.SetDoze(mh, dozing) }
+func (h *Host) SetDoze(mh core.MHID, dozing bool) { h.eng.SetDoze(mh, dozing) }
 
 // IsDozing reports whether mh is in doze mode (same calling rules as Where).
-func (s *System) IsDozing(mh core.MHID) bool { return s.eng.IsDozing(mh) }
+func (h *Host) IsDozing(mh core.MHID) bool { return h.eng.IsDozing(mh) }

@@ -342,7 +342,9 @@ func TestLiveConfigValidation(t *testing.T) {
 	if _, err := NewSystem(bad); err == nil {
 		t.Error("invalid wired delay accepted")
 	}
-	if _, err := NewSystem(Config{M: 0, N: 1}); err == nil {
+	var zero Config
+	zero.N = 1
+	if _, err := NewSystem(zero); err == nil {
 		t.Error("M=0 accepted")
 	}
 	worse := DefaultConfig(2, 2)

@@ -46,14 +46,10 @@ func (s *System) forward(ch chan delivery) {
 			t := time.NewTimer(d.latency)
 			select {
 			case <-t.C:
-				rec := d.rec
-				s.exec(func() {
-					defer s.opDone()
-					s.sink.StepRec(rec)
-				})
+				s.land(d.rec)
 			case <-s.stopped:
 				t.Stop()
-				s.opDone()
+				s.tasks.OpDone()
 				return
 			}
 		case <-s.stopped:

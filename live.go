@@ -11,7 +11,9 @@ type (
 	// LiveSystem is the goroutine/channel runtime driver. It implements
 	// Registrar, so every algorithm constructor in this package accepts it.
 	LiveSystem = rt.System
-	// LiveConfig describes a live two-tier network.
+	// LiveConfig describes a live two-tier network: the same embedded model
+	// parameters as Config, plus Seed, Tick and Faults. Start from
+	// DefaultLiveConfig and assign fields.
 	LiveConfig = rt.Config
 )
 

@@ -52,7 +52,12 @@ type (
 	Message = core.Message
 	// From identifies a message's immediate sender.
 	From = core.From
-	// Config describes a two-tier network instance.
+	// Config describes a two-tier network instance: the model parameters
+	// (M, N, Params, the Wired/Wireless/Travel latency ranges, SearchMode,
+	// ReliableWireless, Obs, … — the fields of the embedded engine
+	// configuration, declared once for every driver) plus the simulator's
+	// own Seed, Faults, StepLimit and Shards. Start from DefaultConfig and
+	// assign fields.
 	Config = core.Config
 	// Delay is an inclusive latency range.
 	Delay = core.Delay
