@@ -1,17 +1,17 @@
 # Development targets. `make ci` is the gate every change must pass: vet,
-# build, race-enabled tests, and a short benchmark smoke over the kernel
-# hot path (catches accidental allocation regressions without taking
-# benchmark-grade time). Outside the gate: `make bench-e2e` runs the
-# repository's one declared benchmark (bench/, BENCHMARK.json: seven
-# workloads over the four substrates), `make bench-compare A=… B=…` gives
-# the verdict on two of its result sets, and `make loc` prints the
-# non-test line count per package that CHANGES.md's size tables quote.
+# build, race-enabled tests, the tables byte-identity gate, the chaos
+# conformance suites and a short fuzz pass. Outside the gate: `make
+# bench-e2e` runs the repository's one declared benchmark (bench/,
+# BENCHMARK.json: seven workloads over the four substrates), `make
+# bench-compare A=… B=…` gives the verdict on two of its result sets, and
+# `make loc` prints the non-test line count per package that CHANGES.md's
+# size tables quote.
 
 GO ?= go
 
-.PHONY: ci vet staticcheck build test race tables-check bench bench-smoke bench-scale bench-snapshot bench-check bench-delta bench-e2e bench-compare loc scale-smoke fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
+.PHONY: ci vet staticcheck build test race tables-check bench-e2e bench-compare loc fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
 
-ci: vet staticcheck build test race tables-check chaos chaos-net chaos-udp chaos-dtn bench-smoke scale-smoke fuzz-short bench-check
+ci: vet staticcheck build test race tables-check chaos chaos-net chaos-udp chaos-dtn fuzz-short
 
 vet:
 	$(GO) vet ./...
@@ -34,51 +34,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Full benchmark pass over the perf-tracked surfaces (see DESIGN.md
-# "Performance architecture").
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkKernel' -benchmem ./internal/sim
-	$(GO) test -run xxx -bench 'BenchmarkRouteMHToMH|BenchmarkSystemChurn' -benchmem ./internal/core
-	$(GO) test -run xxx -bench 'BenchmarkAll' -benchmem ./internal/experiments
-
-# Quick smoke: does the kernel hot path still run and stay allocation-free?
-bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkKernel' -benchtime 100x ./internal/sim
-
-# Scale-suite smoke: generator determinism + the N=10^4 points of every
-# traffic shape on both kernels (-short skips the 10^5/10^6 sizes), plus a
-# driver pass of the same points through mobilexp -scale so the recorded
-# delivery-record path is exercised end to end on every change.
-scale-smoke:
-	$(GO) test -run 'TestScale' -count 1 ./internal/workload/
-	$(GO) test -run xxx -bench 'BenchmarkScale' -benchtime 1x -short .
-	$(GO) run ./cmd/mobilexp -scale -scale-max 10000 -o /dev/null
-
-# Full scale trajectory (route/churn/search-chase at N=10^4..10^6, both
-# kernels), recorded to BENCH_scale.json. Minutes of wall clock; not in ci.
-# The outgoing snapshot is kept as BENCH_scale.prev.json so bench-delta can
-# compare the kernel ratios across the re-record.
-bench-scale:
-	@if [ -f BENCH_scale.json ]; then cp BENCH_scale.json BENCH_scale.prev.json; fi
-	$(GO) run ./cmd/mobilexp -scale -scale-reps 3 -bench-json BENCH_scale.json
-	$(GO) run ./cmd/mobilexp -check-bench BENCH_scale.json
-
-# Compare the current scale snapshot against the previous one (written by
-# the last bench-scale): per-row msgs/sec ratios and the sharded-vs-single
-# kernel ratio trajectory.
-bench-delta:
-	$(GO) run ./cmd/mobilexp -check-bench BENCH_scale.json -delta BENCH_scale.prev.json
-
-# Regenerate the experiment-suite timing baseline.
-bench-snapshot:
-	$(GO) run ./cmd/mobilexp -bench-json BENCH_mobilexp.json -o /dev/null
-	$(GO) run ./cmd/mobilexp -check-bench BENCH_mobilexp.json
-
-# Validate the checked-in snapshots against the mobiledist-bench schema.
-bench-check:
-	$(GO) run ./cmd/mobilexp -check-bench BENCH_mobilexp.json
-	$(GO) run ./cmd/mobilexp -check-bench BENCH_scale.json
 
 # The repository's one end-to-end benchmark (bench/README.md): every
 # workload BENCHMARK.json declares, each in a fresh child process. Pass

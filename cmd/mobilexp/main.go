@@ -4,11 +4,9 @@
 // Usage:
 //
 //	mobilexp [-seed N] [-id E4] [-markdown] [-o FILE] [-parallel W]
+//	         [-verify N] [-trace FILE]
 //	         [-drop P] [-dup P] [-reorder P] [-flap MSS:FROM:UNTIL,...]
 //	         [-crash MSS:AT:RESTART,...] [-faultseed N]
-//	         [-trace FILE] [-bench-json FILE] [-scale] [-scale-max N]
-//	         [-scale-reps R] [-cpuprofile FILE] [-memprofile FILE]
-//	         [-check-bench FILE [-delta PREV]]
 //
 // Without -id every experiment runs in index order, generated on up to
 // -parallel worker goroutines (default: one per CPU); the tables are
@@ -22,36 +20,6 @@
 // function of the seed: two runs with the same seed and flags produce
 // byte-identical trace files.
 //
-// -bench-json FILE writes a machine-readable benchmark snapshot (schema
-// mobiledist-bench/v2): wall-clock timings plus platform, host, CPU count
-// and VCS revision, for tracking the repo's performance trajectory. v2 is
-// a strict superset of the v1 document — every v1 field keeps its name and
-// meaning, so v1 readers still parse v2 snapshots. Timing forces
-// sequential generation so experiments don't contend.
-//
-// -scale replaces the experiment tables with the million-host scale suite
-// (internal/workload GenScale/RunScale): the route, churn and search-chase
-// traffic shapes at N=10^4/10^5/10^6 mobile hosts, each on the single-heap
-// and sharded kernels, reporting simulated msgs/sec and the
-// sharded-vs-single speedup. -scale-max caps the largest N (e.g.
-// -scale-max 100000 for a quick pass); -scale-reps R records the fastest
-// of R repetitions per point, the standard defence against scheduler
-// noise. Combined with -bench-json the runs are recorded in the
-// snapshot's "scale" array — that is how the checked-in BENCH_scale.json
-// trajectory is produced (via `make bench-scale`).
-//
-// -cpuprofile / -memprofile write pprof profiles covering the whole run
-// (tables or scale suite), for digging into regressions the snapshots
-// surface.
-//
-// -check-bench FILE validates a snapshot written by -bench-json (v1 or
-// v2) and exits non-zero on malformed documents; CI runs it over the
-// checked-in snapshots so schema drift is caught at the gate. Adding
-// -delta PREV also compares FILE's scale results against the previous
-// snapshot PREV, row-matched by (kind, N, shards): absolute msgs/sec
-// ratios (host-dependent) and the sharded-vs-single kernel ratio (the
-// number `make bench-delta` tracks across commits).
-//
 // The fault flags build a deterministic fault plan (see internal/faults)
 // and install it process-wide, so every experiment regenerates under the
 // same unreliable-wireless weather — the engine's ARQ sublayer preserves
@@ -62,17 +30,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"mobiledist"
 )
@@ -95,15 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		parallel = fs.Int("parallel", runtime.NumCPU(), "worker goroutines for the full suite (output is identical for any value)")
 
 		tracePath = fs.String("trace", "", "capture the observability event stream to FILE as JSONL (forces sequential generation)")
-		benchJSON = fs.String("bench-json", "", "write a mobiledist-bench/v2 timing snapshot to FILE (forces sequential generation)")
-
-		scale      = fs.Bool("scale", false, "run the million-host scale suite instead of the experiment tables")
-		scaleMax   = fs.Int("scale-max", 1_000_000, "largest host count N the scale suite runs")
-		scaleReps  = fs.Int("scale-reps", 1, "repetitions per scale point; the fastest is recorded")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to FILE")
-		memprofile = fs.String("memprofile", "", "write a heap profile taken at the end of the run to FILE")
-		checkBench = fs.String("check-bench", "", "validate the bench snapshot in FILE (schema v1 or v2) and exit")
-		deltaBench = fs.String("delta", "", "with -check-bench: compare the snapshot's scale results against the previous snapshot in FILE")
 
 		drop      = fs.Float64("drop", 0, "wireless drop probability per transmission, both directions [0,1]")
 		dup       = fs.Float64("dup", 0, "wireless duplicate probability per transmission, both directions [0,1]")
@@ -114,67 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *checkBench != "" {
-		if err := checkBenchFile(*checkBench); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: ok\n", *checkBench)
-		if *deltaBench != "" {
-			return reportBenchDelta(stdout, *checkBench, *deltaBench)
-		}
-		return nil
-	}
-	if *deltaBench != "" {
-		return fmt.Errorf("-delta requires -check-bench (the snapshot to compare)")
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		// Taken on the way out so it reflects what the run left live.
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mobilexp:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mobilexp:", err)
-			}
-		}()
-	}
-
-	if *scale {
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		runs, err := runScaleSuite(out, *seed, *scaleMax, *scaleReps)
-		if err != nil {
-			return err
-		}
-		if *benchJSON != "" {
-			return writeBenchJSON(*benchJSON, *seed, nil, runs)
-		}
-		return nil
 	}
 
 	plan, err := buildFaultPlan(*drop, *dup, *reorder, *flaps, *crashes, *faultseed)
@@ -191,6 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		if len(plan.Crashes) > 0 && *id == "" {
 			return fmt.Errorf("-crash requires -id (try -id F1: the other experiments' algorithms assume live stations)")
 		}
+		defer mobiledist.SetDefaultFaultPlan(mobiledist.DefaultFaultPlan())
 		mobiledist.SetDefaultFaultPlan(plan)
 	}
 
@@ -200,42 +95,25 @@ func run(args []string, stdout io.Writer) error {
 		mobiledist.SetDefaultTracer(tracer)
 		defer mobiledist.SetDefaultTracer(nil)
 	}
-	// A shared tracer interleaves events from concurrently-generated
-	// experiments nondeterministically, and per-experiment timing is only
-	// meaningful without contention: both flags force sequential runs.
-	sequential := *tracePath != "" || *benchJSON != ""
-
-	var bench []benchExperiment
-	timedByID := func(eid string) (mobiledist.ExperimentTable, bool) {
-		start := time.Now()
-		t, ok := mobiledist.ExperimentByID(eid, *seed)
-		if ok && *benchJSON != "" {
-			bench = append(bench, benchExperiment{ID: t.ID, Title: t.Title, Millis: float64(time.Since(start)) / float64(time.Millisecond)})
-		}
-		return t, ok
-	}
 
 	var tables []mobiledist.ExperimentTable
 	switch {
 	case *verify > 0:
 		tables = []mobiledist.ExperimentTable{mobiledist.VerifyExperiments(*verify)}
 	case *id != "":
-		t, ok := timedByID(*id)
+		t, ok := mobiledist.ExperimentByID(*id, *seed)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (known: %s)", *id, strings.Join(mobiledist.ExperimentIDs(), ", "))
 		}
 		tables = []mobiledist.ExperimentTable{t}
-	case sequential:
-		for _, eid := range mobiledist.ExperimentIDs() {
-			t, _ := timedByID(eid)
-			tables = append(tables, t)
-		}
-		if plan != nil {
-			f1, _ := timedByID("F1")
-			tables = append(tables, f1)
-		}
 	default:
-		tables = mobiledist.AllExperimentsParallel(*seed, *parallel)
+		workers := *parallel
+		if tracer != nil {
+			// A shared tracer interleaves events from concurrently-generated
+			// experiments nondeterministically, so tracing runs on one worker.
+			workers = 1
+		}
+		tables = mobiledist.AllExperimentsParallel(*seed, workers)
 		if plan != nil {
 			// Under a fault plan the suite gains the fault/recovery counter
 			// table; fault-free runs stay byte-identical to earlier releases.
@@ -244,279 +122,47 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	emit := func(w io.Writer) error { return writeTables(w, tables, *markdown) }
+	if *outPath == "" {
+		err = emit(stdout)
+	} else {
+		err = writeFile(*outPath, emit)
 	}
-	for _, t := range tables {
-		if *markdown {
-			fmt.Fprintln(out, t.Markdown())
-		} else {
-			fmt.Fprintln(out, t.Format())
-		}
+	if err != nil {
+		return err
 	}
-
 	if tracer != nil {
-		if err := writeTrace(*tracePath, tracer); err != nil {
-			return err
-		}
+		// The captured event stream, as JSONL.
+		return writeFile(*tracePath, tracer.Snapshot().WriteJSONL)
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *seed, bench, nil); err != nil {
+	return nil
+}
+
+func writeTables(out io.Writer, tables []mobiledist.ExperimentTable, markdown bool) error {
+	for _, t := range tables {
+		text := t.Format()
+		if markdown {
+			text = t.Markdown()
+		}
+		if _, err := fmt.Fprintln(out, text); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeTrace exports the captured event stream as JSONL.
-func writeTrace(path string, tracer *mobiledist.Tracer) error {
+// writeFile creates path and fills it through write; a failed write or a
+// failed Close (a short write surfacing late) is the caller's error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tracer.Snapshot().WriteJSONL(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// Bench snapshot schema identifiers. v2 is a strict superset of v1: every
-// v1 field keeps its JSON name and meaning, and v2 adds host/cpus/commit
-// metadata plus the optional "scale" results array, so a v1 reader parses a
-// v2 document (minus the fields it doesn't know) and this binary reads both.
-const (
-	benchSchemaV1 = "mobiledist-bench/v1"
-	benchSchemaV2 = "mobiledist-bench/v2"
-)
-
-// benchExperiment is one experiment's timing in the bench snapshot.
-type benchExperiment struct {
-	ID     string  `json:"id"`
-	Title  string  `json:"title"`
-	Millis float64 `json:"ms"`
-}
-
-// benchScaleRun is one scale-suite run in the bench snapshot: a traffic
-// shape at a population size on one kernel configuration.
-type benchScaleRun struct {
-	Kind         string  `json:"kind"`
-	N            int     `json:"n"`
-	M            int     `json:"m"`
-	Ops          int     `json:"ops"`
-	Shards       int     `json:"shards"`
-	Millis       float64 `json:"ms"`
-	Messages     int64   `json:"messages"`
-	Steps        uint64  `json:"steps"`
-	MsgsPerSec   float64 `json:"msgs_per_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is msgs/sec relative to the shards=1 run of the same
-	// (kind, n) pair; set only on sharded rows.
-	Speedup float64 `json:"speedup,omitempty"`
-}
-
-// benchSnapshot is the mobiledist-bench/v2 document -bench-json writes.
-type benchSnapshot struct {
-	Schema      string            `json:"schema"`
-	GOOS        string            `json:"goos"`
-	GOARCH      string            `json:"goarch"`
-	GoVersion   string            `json:"go"`
-	Host        string            `json:"host,omitempty"`
-	CPUs        int               `json:"cpus,omitempty"`
-	Commit      string            `json:"commit,omitempty"`
-	Seed        uint64            `json:"seed"`
-	TotalMillis float64           `json:"total_ms"`
-	Experiments []benchExperiment `json:"experiments,omitempty"`
-	Scale       []benchScaleRun   `json:"scale,omitempty"`
-}
-
-// vcsRevision reports the commit the binary was built from, when the
-// toolchain stamped one (go build from a clean checkout; `go run` and test
-// binaries usually carry none).
-func vcsRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	for _, s := range info.Settings {
-		if s.Key == "vcs.revision" {
-			return s.Value
-		}
-	}
-	return ""
-}
-
-func writeBenchJSON(path string, seed uint64, bench []benchExperiment, scale []benchScaleRun) error {
-	host, _ := os.Hostname()
-	snap := benchSnapshot{
-		Schema:      benchSchemaV2,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GoVersion:   runtime.Version(),
-		Host:        host,
-		CPUs:        runtime.NumCPU(),
-		Commit:      vcsRevision(),
-		Seed:        seed,
-		Experiments: bench,
-		Scale:       scale,
-	}
-	for _, b := range bench {
-		snap.TotalMillis += b.Millis
-	}
-	for _, s := range scale {
-		snap.TotalMillis += s.Millis
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readBenchFile loads and decodes a snapshot written by -bench-json.
-func readBenchFile(path string) (benchSnapshot, error) {
-	var snap benchSnapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return snap, fmt.Errorf("%s: %v", path, err)
-	}
-	return snap, nil
-}
-
-// reportBenchDelta compares the scale results of the snapshot at curPath
-// against the previous snapshot at prevPath, matching rows by
-// (kind, n, shards). The interesting column is the kernel ratio: the
-// sharded rows' speedup relative to the single-heap baseline, whose
-// trajectory across snapshots is what `make bench-delta` watches. The
-// report is informational — wall clocks shift with the host — so the only
-// errors are unreadable snapshots.
-func reportBenchDelta(out io.Writer, curPath, prevPath string) error {
-	cur, err := readBenchFile(curPath)
-	if err != nil {
-		return err
-	}
-	prev, err := readBenchFile(prevPath)
-	if err != nil {
-		return err
-	}
-	type key struct {
-		kind   string
-		n      int
-		shards int
-	}
-	prevRows := make(map[key]benchScaleRun, len(prev.Scale))
-	for _, r := range prev.Scale {
-		prevRows[key{r.Kind, r.N, r.Shards}] = r
-	}
-	fmt.Fprintf(out, "delta %s (commit %.12s) vs %s (commit %.12s)\n", curPath, cur.Commit, prevPath, prev.Commit)
-	matched := 0
-	for _, r := range cur.Scale {
-		p, ok := prevRows[key{r.Kind, r.N, r.Shards}]
-		if !ok {
-			fmt.Fprintf(out, "  %-12s N=%-8d shards=%-4d (no previous row)\n", r.Kind, r.N, r.Shards)
-			continue
-		}
-		matched++
-		line := fmt.Sprintf("  %-12s N=%-8d shards=%-4d %11.0f msgs/sec (x%.2f vs prev)",
-			r.Kind, r.N, r.Shards, r.MsgsPerSec, ratio(r.MsgsPerSec, p.MsgsPerSec))
-		if r.Speedup != 0 && p.Speedup != 0 {
-			line += fmt.Sprintf("  kernel-ratio %.3f vs %.3f (%+.1f%%)",
-				r.Speedup, p.Speedup, 100*(r.Speedup-p.Speedup)/p.Speedup)
-		}
-		fmt.Fprintln(out, line)
-	}
-	if len(cur.Experiments) > 0 && len(prev.Experiments) > 0 {
-		fmt.Fprintf(out, "  experiment suite %.1f ms vs %.1f ms (x%.2f)\n",
-			cur.TotalMillis, prev.TotalMillis, ratio(cur.TotalMillis, prev.TotalMillis))
-	}
-	if matched == 0 && len(cur.Scale) == 0 {
-		fmt.Fprintln(out, "  (no scale rows to compare)")
-	}
-	return nil
-}
-
-func ratio(cur, prev float64) float64 {
-	if prev == 0 {
-		return 0
-	}
-	return cur / prev
-}
-
-// checkBenchFile validates a snapshot written by -bench-json, accepting
-// both schema versions.
-func checkBenchFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...))
-	}
-	switch snap.Schema {
-	case benchSchemaV1:
-		if len(snap.Scale) > 0 {
-			return bad("scale results require schema %s", benchSchemaV2)
-		}
-	case benchSchemaV2:
-	default:
-		return bad("unknown schema %q (want %s or %s)", snap.Schema, benchSchemaV1, benchSchemaV2)
-	}
-	if snap.GOOS == "" || snap.GOARCH == "" || snap.GoVersion == "" {
-		return bad("missing platform triple")
-	}
-	if len(snap.Experiments) == 0 && len(snap.Scale) == 0 {
-		return bad("no experiment or scale results")
-	}
-	var total float64
-	for i, e := range snap.Experiments {
-		if e.ID == "" {
-			return bad("experiment %d: empty id", i)
-		}
-		if e.Millis < 0 {
-			return bad("experiment %s: negative ms", e.ID)
-		}
-		total += e.Millis
-	}
-	for i, s := range snap.Scale {
-		name := fmt.Sprintf("scale %d (%s N=%d shards=%d)", i, s.Kind, s.N, s.Shards)
-		if s.Kind == "" {
-			return bad("%s: empty kind", name)
-		}
-		if s.N < 1 || s.M < 1 || s.Ops < 1 || s.Shards < 1 {
-			return bad("%s: non-positive dimension", name)
-		}
-		if s.Millis <= 0 || s.MsgsPerSec <= 0 || s.EventsPerSec <= 0 {
-			return bad("%s: non-positive timing", name)
-		}
-		if s.Messages < 1 || s.Steps < 1 {
-			return bad("%s: empty run", name)
-		}
-		total += s.Millis
-	}
-	// TotalMillis is the sum of the parts; allow float slack.
-	if diff := snap.TotalMillis - total; diff > 1 || diff < -1 {
-		return bad("total_ms %.1f does not match sum of parts %.1f", snap.TotalMillis, total)
-	}
-	return nil
 }
 
 // buildFaultPlan turns the fault flags into a plan, or nil when every flag

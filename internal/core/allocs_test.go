@@ -11,6 +11,16 @@ import (
 // per-pair FIFO state created), moving messages allocates nothing — every
 // deferred delivery is a pooled value-state record, not a heap closure.
 
+// benchAlg is a no-op algorithm so the allocation tests measure the
+// network layer, not handler work.
+type benchAlg struct{}
+
+func (benchAlg) Name() string                                            { return "bench" }
+func (benchAlg) HandleMSS(ctx Context, at MSSID, from From, msg Message) {}
+func (benchAlg) HandleMH(ctx Context, at MHID, msg Message)              {}
+func (benchAlg) OnDeliveryFailure(ctx Context, at MSSID, mh MHID, msg Message, reason FailReason) {
+}
+
 // routeSystem builds a small fault-free system and warms it up with enough
 // traffic that every lazily-created structure on the routed path exists.
 func routeSystem(t testing.TB, m, n int) (*System, Context) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -40,24 +39,6 @@ func TestAllParallelDegenerateWorkerCounts(t *testing.T) {
 		got := AllParallel(7, w)
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("AllParallel(7, %d) diverged from All(7)", w)
-		}
-	}
-}
-
-func BenchmarkAllSequential(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := AllParallel(uint64(i+1), 1); len(got) == 0 {
-			b.Fatal("no tables")
-		}
-	}
-}
-
-func BenchmarkAllParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := AllParallel(uint64(i+1), runtime.NumCPU()); len(got) == 0 {
-			b.Fatal("no tables")
 		}
 	}
 }

@@ -2,15 +2,12 @@ package rt
 
 import (
 	"testing"
-	"time"
 
 	"mobiledist/internal/core"
-	"mobiledist/internal/cost"
-	"mobiledist/internal/sim"
 )
 
-// benchAlg is a no-op algorithm so benchmarks measure the runtime, not
-// handler work.
+// benchAlg is a no-op algorithm so the allocation test measures the
+// runtime, not handler work.
 type benchAlg struct{}
 
 func (benchAlg) Name() string { return "bench" }
@@ -18,46 +15,6 @@ func (benchAlg) HandleMSS(ctx core.Context, at core.MSSID, from core.From, msg c
 }
 func (benchAlg) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {}
 func (benchAlg) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.MHID, msg core.Message, reason core.FailReason) {
-}
-
-// BenchmarkRTRouteMHToMH measures the full MH-to-MH message path on the live
-// runtime — wireless uplink, search, wired forward, wireless downlink,
-// per-pair FIFO reorder — across pipe goroutines and the executor. It is the
-// live counterpart of core's BenchmarkRouteMHToMH, on the same (m, n)
-// population with a tick small enough that latency sleeps don't dominate.
-func BenchmarkRTRouteMHToMH(b *testing.B) {
-	const (
-		m     = 8
-		n     = 64
-		batch = 256
-	)
-	cfg := DefaultConfig(m, n)
-	cfg.Tick = time.Nanosecond
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := sys.Register(benchAlg{})
-	rng := sim.NewRNG(7)
-	sys.Start()
-	defer sys.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		sys.Do(func() {
-			for j := 0; j < batch; j++ {
-				from := core.MHID(rng.Intn(n))
-				to := core.MHID(rng.Intn(n))
-				if err := ctx.SendMHToMH(from, to, j, cost.CatAlgorithm); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		if !sys.WaitIdle(idleTimeout) {
-			b.Fatal("network did not drain")
-		}
-	}
 }
 
 // TestSteadyStateMembershipAllocFree proves the engine-side membership reads

@@ -83,7 +83,7 @@ func NewKernel(seed uint64) *Kernel {
 
 // NewShardedKernel returns a kernel whose pending-event set is partitioned
 // into the given number of shards (rounded up to a power of two) selected
-// by the key passed to ScheduleKeyed/ScheduleAtKeyed. Scheduling and pop
+// by the key passed to ScheduleKeyed/ScheduleCallAtKeyed. Scheduling and pop
 // order are byte-identical to NewKernel for the same calls; shards only
 // change the data structure's constants (see sharded.go). shards <= 1
 // returns a plain single-heap kernel.
@@ -207,10 +207,10 @@ func (k *Kernel) ScheduleKeyedErr(key int, delay Time, fn func()) error {
 	return k.ScheduleCallKeyedErr(key, delay, runFn, fn)
 }
 
-// ScheduleCallAtKeyed is ScheduleAtKeyed in invoker/argument form: do(arg)
-// runs at absolute time at. No closure is needed — a caller with a
-// long-lived invoker and a pointer argument (the engine's pooled delivery
-// records) schedules without allocating.
+// ScheduleCallAtKeyed runs do(arg) at absolute virtual time at (which must
+// not be in the past), under shard key key. No closure is needed — a caller
+// with a long-lived invoker and a pointer argument (the engine's pooled
+// delivery records) schedules without allocating.
 func (k *Kernel) ScheduleCallAtKeyed(key int, at Time, do func(any), arg any) error {
 	if at < k.now {
 		return ErrNegativeDelay
@@ -242,23 +242,6 @@ func (k *Kernel) ScheduleCallKeyedErr(key int, delay Time, do func(any), arg any
 	}
 	k.push(event{at: k.now + delay, seq: k.seq, do: do, arg: arg})
 	return nil
-}
-
-// ScheduleAt runs fn at absolute virtual time at (which must not be in the
-// past).
-func (k *Kernel) ScheduleAt(at Time, fn func()) error {
-	if at < k.now {
-		return ErrNegativeDelay
-	}
-	return k.ScheduleKeyedErr(0, at-k.now, fn)
-}
-
-// ScheduleAtKeyed is ScheduleAt with a shard key.
-func (k *Kernel) ScheduleAtKeyed(key int, at Time, fn func()) error {
-	if at < k.now {
-		return ErrNegativeDelay
-	}
-	return k.ScheduleKeyedErr(key, at-k.now, fn)
 }
 
 // Pending reports the number of queued events.

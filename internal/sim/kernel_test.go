@@ -81,8 +81,8 @@ func TestKernelNegativeDelayRejected(t *testing.T) {
 func TestKernelScheduleAtPast(t *testing.T) {
 	k := NewKernel(1)
 	k.Schedule(10, func() {
-		if err := k.ScheduleAt(5, func() {}); !errors.Is(err, ErrNegativeDelay) {
-			t.Errorf("ScheduleAt(past) = %v, want ErrNegativeDelay", err)
+		if err := k.ScheduleCallAtKeyed(0, 5, runFn, func() {}); !errors.Is(err, ErrNegativeDelay) {
+			t.Errorf("ScheduleCallAtKeyed(past) = %v, want ErrNegativeDelay", err)
 		}
 	})
 	if err := k.Run(); err != nil {

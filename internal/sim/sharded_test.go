@@ -97,7 +97,7 @@ func TestShardedKernelMatchesSingleHeap(t *testing.T) {
 }
 
 // TestShardedKernelBasics covers the small-surface behaviors: shard count
-// reporting, negative delays, nil functions, and ScheduleAtKeyed.
+// reporting, negative delays, nil functions, and ScheduleCallAtKeyed.
 func TestShardedKernelBasics(t *testing.T) {
 	k := NewShardedKernel(1, 5) // rounds up to 8
 	if got := k.Shards(); got != 8 {
@@ -115,8 +115,8 @@ func TestShardedKernelBasics(t *testing.T) {
 	if err := k.ScheduleKeyedErr(3, 1, nil); err == nil {
 		t.Error("nil fn accepted")
 	}
-	if err := k.ScheduleAtKeyed(9, 10, func() {}); err != nil {
-		t.Errorf("ScheduleAtKeyed: %v", err)
+	if err := k.ScheduleCallAtKeyed(9, 10, runFn, func() {}); err != nil {
+		t.Errorf("ScheduleCallAtKeyed: %v", err)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestShardedKernelBasics(t *testing.T) {
 	if k.Now() != 10 {
 		t.Errorf("Now() = %d, want 10", k.Now())
 	}
-	if err := k.ScheduleAtKeyed(9, 5, func() {}); err != ErrNegativeDelay {
-		t.Errorf("past ScheduleAtKeyed error = %v", err)
+	if err := k.ScheduleCallAtKeyed(9, 5, runFn, func() {}); err != ErrNegativeDelay {
+		t.Errorf("past ScheduleCallAtKeyed error = %v", err)
 	}
 }
 
