@@ -1,11 +1,11 @@
-# Development targets. `make ci` is the gate every change must pass: vet,
-# build, race-enabled tests, the tables byte-identity gate, the chaos
-# conformance suites and a short fuzz pass. Outside the gate: `make
-# bench-e2e` runs the repository's one declared benchmark (bench/,
-# BENCHMARK.json: seven workloads over the four substrates), `make
-# bench-compare A=… B=…` gives the verdict on two of its result sets, and
-# `make loc` prints the non-test line count per package that CHANGES.md's
-# size tables quote.
+# Development targets. `make ci` is the gate every change must pass: vet
+# (which also fails if `gofmt -l .` names a file), build, race-enabled
+# tests, the tables byte-identity gate, the chaos conformance suites and a
+# short fuzz pass. Outside the gate: `make bench-e2e` runs the repository's
+# one declared benchmark (bench/, BENCHMARK.json: seven workloads over the
+# four substrates), `make bench-compare A=… B=…` gives the verdict on two of
+# its result sets, and `make loc` prints the non-test line count per package
+# that CHANGES.md's size tables quote.
 
 GO ?= go
 
@@ -15,6 +15,9 @@ ci: vet staticcheck build test race tables-check chaos chaos-net chaos-udp chaos
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . names unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Static analysis beyond vet. Runs when the staticcheck binary is on PATH;
 # environments without it (e.g. hermetic containers) skip with a notice

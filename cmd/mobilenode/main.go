@@ -82,13 +82,13 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mobilenode", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	var (
-		role    = fs.String("role", "demo", "process role: demo, hub, mss, or mh")
-		cluster = fs.String("cluster", "", "cluster address file (JSON)")
-		id      = fs.Int("id", 0, "station or host id for -role mss/mh")
-		doInit  = fs.Bool("init", false, "write a cluster file for -m/-n and exit")
-		m       = fs.Int("m", 3, "number of mobile support stations (-init)")
-		n       = fs.Int("n", 4, "number of mobile hosts (-init)")
-		base    = fs.String("base", "127.0.0.1:9200", "first address for -init; subsequent ports count up")
+		role      = fs.String("role", "demo", "process role: demo, hub, mss, or mh")
+		cluster   = fs.String("cluster", "", "cluster address file (JSON)")
+		id        = fs.Int("id", 0, "station or host id for -role mss/mh")
+		doInit    = fs.Bool("init", false, "write a cluster file for -m/-n and exit")
+		m         = fs.Int("m", 3, "number of mobile support stations (-init)")
+		n         = fs.Int("n", 4, "number of mobile hosts (-init)")
+		base      = fs.String("base", "127.0.0.1:9200", "first address for -init; subsequent ports count up")
 		seed      = fs.Uint64("seed", 1, "latency RNG seed (hub)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "cluster ready/drain timeout (hub)")
 		health    = fs.String("health", "", "serve the role's /health and /status endpoints on this address")
@@ -299,9 +299,9 @@ type process interface {
 // Supervision backoff: restarts pace up from min to cap; an incarnation
 // that stays up past resetAfter earns the next crash a fresh minimum.
 const (
-	superviseBackoffMin   = 250 * time.Millisecond
-	superviseBackoffMax   = 5 * time.Second
-	superviseResetAfter   = 10 * time.Second
+	superviseBackoffMin    = 250 * time.Millisecond
+	superviseBackoffMax    = 5 * time.Second
+	superviseResetAfter    = 10 * time.Second
 	superviseHealthUnavail = `{"status":"restarting"}` + "\n"
 )
 
@@ -392,8 +392,8 @@ func runHub(out io.Writer, cc netrt.ClusterConfig, seed uint64, timeout time.Dur
 	cfg.Seed = seed
 	cfg.ListenAddr = cc.Hub
 	cfg.MSSAddrs = cc.MSS
-	if cc.TickUS > 0 {
-		cfg.Tick = time.Duration(cc.TickUS) * time.Microsecond
+	if cc.TickNS > 0 {
+		cfg.Tick = time.Duration(cc.TickNS)
 	}
 	if cc.HeartbeatMS != 0 {
 		cfg.HeartbeatEvery = time.Duration(cc.HeartbeatMS) * time.Millisecond

@@ -39,8 +39,8 @@ const (
 	ptAck     = 4 // body: cumulative offset (8) + n (1) + n×(start,end) (16 each)
 	ptClose   = 5 // body: empty
 
-	dataOverhead = 8       // stream offset prefix inside a ptData body
-	maxAckRanges = 8       // selective ranges carried per ack
+	dataOverhead = 8 // stream offset prefix inside a ptData body
+	maxAckRanges = 8 // selective ranges carried per ack
 	maxPacket    = 64 * 1024
 )
 

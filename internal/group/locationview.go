@@ -247,8 +247,12 @@ func (g *LocationView) HandleMSS(ctx core.Context, at core.MSSID, from core.From
 		g.applyAtCoordinator(ctx, at, m)
 	case lvFullCopy:
 		st := &g.mss[at]
-		st.inView = true
 		st.deleteInFlight = false
+		if at == g.opts.Coordinator {
+			g.syncCoordinatorCopy()
+			return
+		}
+		st.inView = true
 		st.view = make(map[core.MSSID]bool, len(m.View))
 		for _, id := range m.View {
 			st.view[id] = true
@@ -442,13 +446,22 @@ func (g *LocationView) applyAtCoordinator(ctx core.Context, at core.MSSID, req l
 		// Tell the removed MSS to drop its copy.
 		ctx.SendFixed(at, req.Del, inc, cost.CatLocation)
 	}
-	// The coordinator's own copy (when it hosts members) tracks the master.
-	if g.master[at] {
-		g.mss[at].inView = true
-		g.mss[at].view = g.cloneMaster()
-	} else if req.HasDel && req.Del == at {
-		g.mss[at].inView = false
-		g.mss[at].view = nil
+	g.syncCoordinatorCopy()
+}
+
+// syncCoordinatorCopy makes the coordinator's own view copy (it has one
+// when it hosts members) what the master says now. The coordinator applies
+// every change to its copy in place, so a full copy it mailed itself on an
+// earlier addition is a snapshot that later changes may have overtaken:
+// taking the snapshot would resurrect a deleted cell — or the coordinator's
+// own membership, after which a member joining its cell requests no
+// addition and is never reached.
+func (g *LocationView) syncCoordinatorCopy() {
+	st := &g.mss[g.opts.Coordinator]
+	st.inView = g.master[g.opts.Coordinator]
+	st.view = nil
+	if st.inView {
+		st.view = g.cloneMaster()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobiledist/internal/rt"
 	"mobiledist/internal/wire"
 )
 
@@ -34,9 +35,10 @@ type ClientConfig struct {
 // its current serving MSS node. TRetarget frames from the hub's mobility
 // relay move the wireless connection between stations — dialling the new
 // cell with backoff, attaching with TAttach, and reporting TAttached — so
-// every leave/join handoff is a physical re-dial. Uplink frames sleep
-// their latency here, then cross the wireless link; downlink frames
-// arriving on it are echoed back so the serving node can confirm them.
+// every leave/join handoff is a physical re-dial. Uplink frames are stamped
+// with their due time as they arrive from the hub, leave the uplink pipe in
+// order once due, and cross the wireless link; downlink frames arriving on
+// it are echoed back so the serving node can confirm them.
 //
 // At-least-once: the client keeps the set of uplink frames written but not
 // yet echoed by the node. If the wireless connection drops (a handoff, or
@@ -53,7 +55,7 @@ type Client struct {
 	saidBye atomic.Bool   // orderly hub shutdown seen
 
 	hub *peer
-	upq *frameQueue
+	upq *fifo[dueFrame]
 
 	wg       sync.WaitGroup
 	stop     chan struct{}
@@ -82,7 +84,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:     cfg,
 		tick:    cfg.Cluster.tick(),
-		upq:     newFrameQueue(),
+		upq:     newFifo[dueFrame](),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		pending: make(map[pendKey]struct{}),
@@ -135,7 +137,7 @@ func (c *Client) Gen() uint64 { return c.gen.Load() }
 func (c *Client) onHubFrame(f wire.Frame) {
 	switch f.Type {
 	case wire.TData:
-		c.upq.put(f)
+		c.upq.put(stamp(f, c.tick))
 	case wire.TRetarget:
 		h, err := wire.DecodeHandoff(f.Payload)
 		if err == nil {
@@ -171,27 +173,27 @@ func (c *Client) retarget(h wire.Handoff) {
 	c.cond.Broadcast()
 }
 
-// uplinkLoop drains the MH's single uplink pipe: sleep each frame's
-// latency, then transmit it over the current wireless connection — or, if
-// the MH is detached (between cells or disconnected), resolve it straight
-// to the hub, exactly as the model's always-delivering transport does.
+// uplinkLoop drains the MH's single uplink pipe: wait out whatever is left
+// of each frame's latency, then transmit it over the current wireless
+// connection — or, if the MH is detached (between cells or disconnected),
+// resolve it straight to the hub, exactly as the model's always-delivering
+// transport does.
 func (c *Client) uplinkLoop() {
 	defer c.wg.Done()
+	var timer rt.DueTimer
 	for {
-		f, epoch, ok := c.upq.head()
+		batch, epoch, ok := c.upq.peek()
 		if !ok {
 			return
 		}
-		c.upq.pop(epoch)
-		t := time.NewTimer(time.Duration(f.Latency) * c.tick)
-		select {
-		case <-t.C:
-		case <-c.stop:
-			t.Stop()
-			return
+		for _, d := range batch {
+			if !timer.Wait(d.due, c.stop) {
+				return
+			}
+			d.f.Hop = 1
+			c.transmitUp(d.f)
 		}
-		f.Hop = 1
-		c.transmitUp(f)
+		c.upq.consume(epoch, len(batch))
 	}
 }
 
@@ -303,7 +305,17 @@ func (c *Client) wirelessReader(conn net.Conn, gen uint64) {
 		}
 		return nil
 	}
+	unflushed := false // an echo sits in the writer's buffer
 	for {
+		// Flush when idle, as Node.clientReader does.
+		if unflushed && !r.FrameBuffered() {
+			if ww := w(); ww != nil {
+				c.wmu.Lock()
+				_ = ww.Flush()
+				c.wmu.Unlock()
+			}
+			unflushed = false
+		}
 		f, err := r.ReadFrame()
 		if err != nil {
 			break
@@ -312,8 +324,9 @@ func (c *Client) wirelessReader(conn net.Conn, gen uint64) {
 		case wire.TData:
 			if ww := w(); ww != nil {
 				c.wmu.Lock()
-				_ = ww.WriteFrame(wire.Frame{Type: wire.TDelivered, Ch: f.Ch, Seq: f.Seq})
+				_ = ww.BufferFrame(wire.Frame{Type: wire.TDelivered, Ch: f.Ch, Seq: f.Seq})
 				c.wmu.Unlock()
+				unflushed = true
 			}
 		case wire.TDelivered:
 			c.mu.Lock()

@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -23,9 +24,11 @@ type ClusterConfig struct {
 	M int `json:"m"`
 	// N is the number of mobile hosts.
 	N int `json:"n"`
-	// TickUS is the virtual-time tick in microseconds (0: the 50µs
-	// default). Relays use it to sleep link latencies.
-	TickUS int64 `json:"tick_us,omitempty"`
+	// TickNS is the virtual-time tick in nanoseconds (0: the 50µs
+	// default) — nanoseconds so that it carries the hub's rt.Config.Tick
+	// without loss and hub and relays price a link latency identically.
+	// Relays use it to stamp due times in their link pipes.
+	TickNS int64 `json:"tick_ns,omitempty"`
 	// HeartbeatMS is the liveness ping interval in milliseconds (0: the
 	// 25ms default; negative: heartbeats disabled). Relay nodes use the
 	// same cadence toward their attached clients.
@@ -77,28 +80,23 @@ func (c ClusterConfig) backoffBounds() (min, max time.Duration) {
 	return min, max
 }
 
-// heartbeatMS converts a Config heartbeat interval to the ClusterConfig
-// field encoding (0 keeps the default, negative disables).
-func heartbeatMS(d time.Duration) int64 {
+// ceilMS converts a Config duration to a ClusterConfig millisecond field,
+// rounding up so that a positive sub-millisecond value stays positive
+// instead of truncating to 0 ("use the default"). Zero and negative values
+// keep their meaning (default; for heartbeats, disabled).
+func ceilMS(d time.Duration) int64 {
 	if d < 0 {
 		return -1
 	}
-	if d == 0 {
-		return 0
-	}
-	ms := int64(d / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return ms
+	return int64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
 // tick returns the wall duration of one virtual tick.
 func (c ClusterConfig) tick() time.Duration {
-	if c.TickUS <= 0 {
+	if c.TickNS <= 0 {
 		return 50 * time.Microsecond
 	}
-	return time.Duration(c.TickUS) * time.Microsecond
+	return time.Duration(c.TickNS)
 }
 
 // Validate checks internal consistency.
@@ -137,15 +135,22 @@ func (c ClusterConfig) Save(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// LoadCluster reads and validates a cluster file.
+// LoadCluster reads and validates a cluster file. A key this version does
+// not know is an error, not ignored: a file that still says tick_us must
+// fail loudly rather than silently select the default tick.
 func LoadCluster(path string) (ClusterConfig, error) {
 	var c ClusterConfig
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return c, err
 	}
-	if err := json.Unmarshal(b, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return c, fmt.Errorf("netrt: parse %s: %w", path, err)
+	}
+	if dec.More() {
+		return c, fmt.Errorf("netrt: parse %s: data after the cluster object", path)
 	}
 	return c, c.Validate()
 }
@@ -225,10 +230,10 @@ func StartLoopback(cfg Config) (*Loopback, error) {
 		MSS:              dialAddrs,
 		M:                cfg.M,
 		N:                cfg.N,
-		TickUS:           int64(cfg.Tick / time.Microsecond),
-		HeartbeatMS:      heartbeatMS(cfg.HeartbeatEvery),
-		DialBackoffMinMS: int64(cfg.DialBackoffMin / time.Millisecond),
-		DialBackoffMaxMS: int64(cfg.DialBackoffMax / time.Millisecond),
+		TickNS:           int64(sys.Host.Config().Tick),
+		HeartbeatMS:      ceilMS(cfg.HeartbeatEvery),
+		DialBackoffMinMS: ceilMS(cfg.DialBackoffMin),
+		DialBackoffMaxMS: ceilMS(cfg.DialBackoffMax),
 		Transport:        cfg.Transport,
 		Secret:           cfg.Secret,
 	}

@@ -38,7 +38,7 @@ func waitPeerState(t *testing.T, s *System, role wire.Role, id int, want PeerSta
 // TestOutboxReplayAcrossConnDrop is the satellite regression for the peer
 // outbox: an ordered stream keeps flowing while the hub-side connections to
 // the relay nodes are repeatedly torn down mid-stream. The outbox's
-// head/write/pop discipline plus the hub's release-buffer dedup must lose
+// peek/flush/consume discipline plus the hub's release-buffer dedup must lose
 // nothing and double-apply nothing.
 func TestOutboxReplayAcrossConnDrop(t *testing.T) {
 	const batches, batch = 6, 8
@@ -121,6 +121,42 @@ func TestLivenessAdmitFencing(t *testing.T) {
 	gen, resync, ok = lv.admit(wire.RoleMH, 1, 5)
 	if !ok || gen != 5 || !resync {
 		t.Fatalf("dead-peer admit = (%d, %v, %v), want (5, true, true)", gen, resync, ok)
+	}
+}
+
+// TestLivenessStalledTickerVerdictIsRecoverable: a heartbeat ticker that
+// stalls past the dead deadline (a starved hub) finds the lastPong of a
+// peer that answered every ping stale and declares it dead with nothing
+// outstanding. The peer must still be pinged, so that its answer brings it
+// back and flags the resync; otherwise it stays dead for as long as its
+// connection stands — seen as "state dead, connected, misses 0" in a
+// loaded TestCrashFIFOAcrossNodeRestart run.
+func TestLivenessStalledTickerVerdictIsRecoverable(t *testing.T) {
+	const deadFor = 20 * time.Millisecond
+	lv := newLiveness(1, 1, 3, deadFor, nil, func() sim.Time { return 0 })
+	lv.admit(wire.RoleMH, 0, 0)
+	lv.noteConn(wire.RoleMH, 0, true)
+
+	var pinged []uint64
+	ping := func(_ wire.Role, _ int, seq uint64) { pinged = append(pinged, seq) }
+	lv.tick(ping)
+	if len(pinged) != 1 || lv.pong(wire.RoleMH, 0, pinged[0]) {
+		t.Fatalf("first round: pings %v, or a resync asked of a healthy peer", pinged)
+	}
+
+	time.Sleep(2 * deadFor) // the ticker stalls; the peer owes nothing
+	if died := lv.tick(ping); len(died) != 1 || lv.state(wire.RoleMH, 0) != PeerDead {
+		t.Fatalf("stalled tick declared %v dead, state %v: the verdict this test recovers from did not happen", died, lv.state(wire.RoleMH, 0))
+	}
+	lv.tick(ping)
+	if len(pinged) < 2 {
+		t.Fatal("a connected peer declared dead is never pinged again: nothing can bring it back")
+	}
+	if !lv.pong(wire.RoleMH, 0, pinged[len(pinged)-1]) {
+		t.Error("the dead peer's answer did not ask for a resync")
+	}
+	if got := lv.state(wire.RoleMH, 0); got != PeerAlive {
+		t.Errorf("state %v after the peer answered, want alive", got)
 	}
 }
 

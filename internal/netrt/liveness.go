@@ -232,8 +232,13 @@ func (lv *liveness) wake() {
 // every peer whose previous ping is unanswered, emits suspect/dead
 // transitions, and sends the next round of pings via sendPing (only to
 // connected peers — a disconnected peer cannot pong, so its misses accrue
-// without queuing useless frames). It returns the peers newly declared
-// dead; the caller clears their outboxes and parks their traffic.
+// without queuing useless frames). A dead verdict changes what the hub does
+// with a peer's traffic, not whether it keeps asking: a connected peer is
+// pinged while dead too, because the verdict may be the hub's own fault (a
+// ticker that stalled past deadFor finds every lastPong stale, including
+// those of peers that answered everything they were asked) and only a pong
+// brings such a peer back. It returns the peers newly declared dead; the
+// caller clears their outboxes and parks their traffic.
 func (lv *liveness) tick(sendPing func(role wire.Role, id int, seq uint64)) (died []int) {
 	now := time.Now()
 	lv.mu.Lock()
@@ -260,7 +265,7 @@ func (lv *liveness) tick(sendPing func(role wire.Role, id int, seq uint64)) (die
 			lv.tracer.Record(lv.now(), obs.EvPeerDead, int32(id), int32(role), int32(p.missed))
 			died = append(died, i)
 		}
-		if p.connected && p.state != PeerDead {
+		if p.connected {
 			p.pingSeq++
 			p.pingAt = now
 			sendPing(role, id, p.pingSeq)

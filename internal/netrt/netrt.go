@@ -16,14 +16,23 @@
 //     assigns the channel's next sequence number, parks the delivery
 //     record, and ships a TData frame on a physical journey over TCP;
 //   - MSS relay nodes (node.go) carry the wired tier: a TData for wired
-//     channel (i,j) travels hub → node i, sleeps the link latency in node
-//     i's per-channel pipe, crosses the mesh connection to node j, and
-//     node j confirms with TDelivered. Downlinks sleep at the serving node
-//     and cross that node's wireless connection to the MH client;
+//     channel (i,j) travels hub → node i, is due its link latency after it
+//     entered node i's per-channel pipe, crosses the mesh connection to
+//     node j, and node j confirms with TDelivered. Downlinks wait at the
+//     serving node and cross that node's wireless connection to the MH
+//     client;
 //   - MH clients (client.go) carry the uplinks: the frame travels hub →
-//     client, sleeps the latency, and crosses the client's current
+//     client, waits out its latency, and crosses the client's current
 //     wireless connection into whatever cell serves it — so Cwireless
 //     traffic always crosses a real link, and handoffs physically re-dial;
+//   - a link's latency is a due time, not a sleep: a pipe handles its
+//     frames strictly in order and waits only while the head's due time
+//     (arrival + latency × tick) is still ahead, so latencies of queued
+//     frames overlap exactly as engine.FIFOClock's arrival clamp makes
+//     them on the simulator and rt's pipes do in-process. Socket writers
+//     flush when idle (peer.writeLoop drains its outbox into one write;
+//     the wireless echo paths flush when their reader has no further
+//     frame buffered), so a hop costs its sockets and nothing else;
 //   - when the hub receives TDelivered (ch, seq) it releases the parked
 //     record — but only in per-channel sequence order, holding back any
 //     confirmation that arrives early. That release buffer, not TCP alone,

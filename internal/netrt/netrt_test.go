@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -49,7 +50,9 @@ func waitReady(t *testing.T, lb *Loopback) {
 func settle(t *testing.T, lb *Loopback) {
 	t.Helper()
 	if !lb.Sys.WaitIdle(idleTimeout) {
-		t.Fatal("network did not drain")
+		status := httptest.NewRecorder()
+		lb.Sys.HealthHandler().ServeHTTP(status, httptest.NewRequest("GET", "/status", nil))
+		t.Fatalf("network did not drain\nhub /status: %s", status.Body)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mobiledist/internal/engine"
+	"mobiledist/internal/rt"
 	"mobiledist/internal/wire"
 )
 
@@ -36,15 +37,17 @@ const clientMissK = 4
 
 // Node is an MSS relay: it owns the physical sending end of its station's
 // wired channels and downlinks. TData frames arrive from the hub (hop 0),
-// sleep their link latency in a per-channel pipe — one goroutine per
-// channel, preserving FIFO exactly like internal/rt's transport — and then
-// cross the last physical link: the mesh connection to the destination
-// station, or the wireless connection to the attached MH client. The node
-// confirms wired arrivals from its mesh neighbours and owns the
-// at-least-once confirmation of its downlinks: a frame radioed to a client
-// that detached (or whose connection dropped before the client echoed it)
-// is confirmed by the node itself, which matches the model — the engine's
-// deliver closures re-check MH state at delivery time.
+// are stamped with their due time (arrival + latency × tick) as they enter
+// a per-channel pipe — one goroutine per channel, handling frames strictly
+// in order and waiting only while the head's due time is still ahead, the
+// same link model as internal/rt's transport — and then cross the last
+// physical link: the mesh connection to the destination station, or the
+// wireless connection to the attached MH client. The node confirms wired
+// arrivals from its mesh neighbours and owns the at-least-once confirmation
+// of its downlinks: a frame radioed to a client that detached (or whose
+// connection dropped before the client echoed it) is confirmed by the node
+// itself, which matches the model — the engine's deliver closures re-check
+// MH state at delivery time.
 type Node struct {
 	cfg    NodeConfig
 	tick   time.Duration
@@ -64,7 +67,7 @@ type Node struct {
 	done     chan struct{}
 
 	pipeMu sync.Mutex
-	pipes  map[int32]*frameQueue
+	pipes  map[int32]*fifo[dueFrame]
 
 	linkMu sync.Mutex
 	links  map[int32]*clientLink
@@ -117,7 +120,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		layout: engine.ChannelLayout{M: cfg.Cluster.M, N: cfg.Cluster.N},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-		pipes:  make(map[int32]*frameQueue),
+		pipes:  make(map[int32]*fifo[dueFrame]),
 		links:  make(map[int32]*clientLink),
 	}
 	n.gen.Store(cfg.Gen)
@@ -155,7 +158,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.hub.tap = cfg.FrameTap
 	n.hub.backoffMin, n.hub.backoffMax = bmin, bmax
 	n.hub.dial = func() (net.Conn, error) { return tr.dial(cfg.Cluster.Hub) }
-	n.hub.start()
 
 	n.mesh = make([]*peer, cfg.Cluster.M)
 	for j := range n.mesh {
@@ -171,6 +173,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.mesh[j] = p
 		p.start()
 	}
+	// The hub connection starts last: its first frames may be a resync
+	// replay, and a pipe relays a frame that is already due at once — into
+	// the mesh, which must be complete by then.
+	n.hub.start()
 
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -198,7 +204,7 @@ func (n *Node) Wait() { <-n.done }
 func (n *Node) onHubFrame(f wire.Frame) {
 	switch f.Type {
 	case wire.TData:
-		n.pipe(f.Ch).put(f)
+		n.pipe(f.Ch).put(stamp(f, n.tick))
 	case wire.THeartbeat:
 		if f.Hop == 0 { // hub ping: answer in kind
 			n.hub.send(wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: f.Seq, Hop: 1})
@@ -255,53 +261,57 @@ func (n *Node) heartbeatClients() {
 	}
 }
 
-// pipe returns (creating on demand) the latency pipe for channel ch.
-func (n *Node) pipe(ch int32) *frameQueue {
+// pipe returns (creating on demand) the link pipe for channel ch.
+func (n *Node) pipe(ch int32) *fifo[dueFrame] {
 	n.pipeMu.Lock()
 	defer n.pipeMu.Unlock()
 	q, ok := n.pipes[ch]
 	if ok {
 		return q
 	}
-	q = newFrameQueue()
+	q = newFifo[dueFrame]()
 	n.pipes[ch] = q
 	n.wg.Add(1)
 	go n.forward(q)
 	return q
 }
 
-// forward drains one channel pipe: sleep each frame's latency, then relay
-// it onto its last physical link — strictly in order, the model's
-// per-channel FIFO.
-func (n *Node) forward(q *frameQueue) {
+// forward drains one channel pipe: wait out whatever is left of each
+// frame's latency, then relay it onto its last physical link — strictly in
+// order, the model's per-channel FIFO.
+func (n *Node) forward(q *fifo[dueFrame]) {
 	defer n.wg.Done()
+	var timer rt.DueTimer
 	for {
-		f, epoch, ok := q.head()
+		batch, epoch, ok := q.peek()
 		if !ok {
 			return
 		}
-		q.pop(epoch)
-		t := time.NewTimer(time.Duration(f.Latency) * n.tick)
-		select {
-		case <-t.C:
-		case <-n.stop:
-			t.Stop()
-			return
-		}
-		f.Hop = 1
-		kind, _, b := n.layout.Decode(int(f.Ch))
-		switch kind {
-		case engine.ChannelWired:
-			if b == n.cfg.ID {
-				// Self-loop wired channel: the message never leaves the
-				// station.
-				n.confirm(f.Ch, f.Seq)
-			} else {
-				n.mesh[b].send(f)
+		for _, d := range batch {
+			if !timer.Wait(d.due, n.stop) {
+				return
 			}
-		case engine.ChannelDown:
-			n.forwardDown(int32(b), f)
+			n.relay(d.f)
 		}
+		q.consume(epoch, len(batch))
+	}
+}
+
+// relay puts a due frame onto its last physical link.
+func (n *Node) relay(f wire.Frame) {
+	f.Hop = 1
+	kind, _, b := n.layout.Decode(int(f.Ch))
+	switch kind {
+	case engine.ChannelWired:
+		if b == n.cfg.ID {
+			// Self-loop wired channel: the message never leaves the
+			// station.
+			n.confirm(f.Ch, f.Seq)
+		} else {
+			n.mesh[b].send(f)
+		}
+	case engine.ChannelDown:
+		n.forwardDown(int32(b), f)
 	}
 }
 
@@ -425,7 +435,16 @@ func (n *Node) attachClient(conn net.Conn, r *wire.Reader, mh int32) {
 
 func (n *Node) clientReader(link *clientLink, r *wire.Reader, mh int32) {
 	defer n.wg.Done()
+	unflushed := false // an echo sits in link.w's buffer
 	for {
+		// Flush when idle: echoes ride one write while further input is
+		// already buffered, and never wait behind a read that can block.
+		if unflushed && !r.FrameBuffered() {
+			link.wmu.Lock()
+			_ = link.w.Flush()
+			link.wmu.Unlock()
+			unflushed = false
+		}
 		f, err := r.ReadFrame()
 		if err != nil {
 			break
@@ -435,8 +454,9 @@ func (n *Node) clientReader(link *clientLink, r *wire.Reader, mh int32) {
 			// Uplink arrival: confirm to the hub, echo to the client.
 			n.confirm(f.Ch, f.Seq)
 			link.wmu.Lock()
-			_ = link.w.WriteFrame(wire.Frame{Type: wire.TDelivered, Ch: f.Ch, Seq: f.Seq})
+			_ = link.w.BufferFrame(wire.Frame{Type: wire.TDelivered, Ch: f.Ch, Seq: f.Seq})
 			link.wmu.Unlock()
+			unflushed = true
 		case wire.TDelivered:
 			// Downlink echo: the client saw the frame.
 			if link.take(pendKey{f.Ch, f.Seq}) {

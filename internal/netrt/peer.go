@@ -31,8 +31,8 @@ func jitterBackoff(d time.Duration) time.Duration {
 // of frames plus whatever TCP connection currently reaches the neighbour.
 // The outbox is the FIFO unit — frames written to one peer arrive in order
 // because a single writer goroutine drains the queue onto one connection at
-// a time, and a frame is only consumed (popped) after a successful write,
-// so a dropped connection retries it on the next one. Peers are either
+// a time, and a batch is only consumed after it was written and flushed, so
+// a dropped connection retries it whole on the next one. Peers are either
 // dialling (they own reconnection with capped, jittered exponential
 // backoff) or accept-managed (the owner hands them each new inbound
 // connection).
@@ -61,7 +61,7 @@ type peer struct {
 	// values fall back to the package defaults.
 	backoffMin, backoffMax time.Duration
 
-	out  *frameQueue
+	out  *fifo[wire.Frame]
 	stop chan struct{}
 	wg   *sync.WaitGroup
 
@@ -80,7 +80,7 @@ func newPeer(name string, wg *sync.WaitGroup, onFrame func(wire.Frame)) *peer {
 	p := &peer{
 		name:    name,
 		onFrame: onFrame,
-		out:     newFrameQueue(),
+		out:     newFifo[wire.Frame](),
 		stop:    make(chan struct{}),
 		wg:      wg,
 	}
@@ -121,9 +121,6 @@ func (p *peer) currentConn() net.Conn {
 	return p.conn
 }
 
-// drained reports whether the outbox is empty.
-func (p *peer) drained() bool { return p.out.drained() }
-
 // outboxDepth reports the number of queued frames (for /status).
 func (p *peer) outboxDepth() int { return p.out.depth() }
 
@@ -156,24 +153,38 @@ func (p *peer) start() {
 	}
 }
 
-// writeLoop drains the outbox onto whatever connection is current.
+// writeLoop drains the outbox onto whatever connection is current: take
+// everything queued, buffer it, flush once. At depth 1 that is a write per
+// frame, exactly as unbatched; under load one write(2) carries the run. The
+// batch is peeked after the connection is known, so what goes out is the
+// outbox as it stands now, not as it stood before a reconnect.
 func (p *peer) writeLoop() {
 	defer p.wg.Done()
 	for {
-		f, epoch, ok := p.out.head()
-		if !ok {
-			return
-		}
 		w, gen, ok := p.writer()
 		if !ok {
 			return
 		}
-		if err := w.WriteFrame(f); err != nil {
-			p.dropConn(gen)
-			continue // retry the same frame on the next connection
+		batch, epoch, ok := p.out.peek()
+		if !ok {
+			return
 		}
-		p.out.pop(epoch)
+		if err := writeBatch(w, batch); err != nil {
+			p.dropConn(gen)
+			continue // retry the whole batch on the next connection
+		}
+		p.out.consume(epoch, len(batch))
 	}
+}
+
+// writeBatch buffers every frame of batch and flushes once.
+func writeBatch(w *wire.Writer, batch []wire.Frame) error {
+	for _, f := range batch {
+		if err := w.BufferFrame(f); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }
 
 // writer blocks until a connection is installed or the peer closes.

@@ -69,7 +69,7 @@ func secretBytes(s string) []byte {
 // tcpTransport is the default substrate: plain TCP streams.
 type tcpTransport struct{}
 
-func (tcpTransport) name() string                     { return TransportTCP }
+func (tcpTransport) name() string                       { return TransportTCP }
 func (tcpTransport) dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 func (tcpTransport) listen(addr, _ string) (net.Listener, error) {
 	return net.Listen("tcp", addr)

@@ -25,8 +25,12 @@ type Config struct {
 	// Seed initialises the latency RNG.
 	Seed uint64
 	// Tick converts the model's virtual-time units to wall time (timers in
-	// algorithm code use sim.Time; one unit sleeps one Tick). Zero or
-	// negative means defaultTick.
+	// algorithm code use sim.Time; one unit lasts one Tick). Zero or
+	// negative means defaultTick. Ticks are honoured to the nanosecond on
+	// every substrate, the socket relays included. A sub-millisecond wait on
+	// an otherwise idle process still wakes up to 1 ms late (the Go
+	// netpoller's timer granularity), which is why the benchmark runs at
+	// 1 ns: no link wait is ever armed and what is left is program cost.
 	Tick time.Duration
 	// Faults, when non-nil and non-empty, wraps the live substrate in the
 	// deterministic fault injector (internal/faults) and implies

@@ -15,8 +15,9 @@
 //   - System (this file, transport.go) is Host plus this package's
 //     transport: every FIFO channel of the model (each ordered MSS pair,
 //     each MSS→MH downlink, each MH uplink) is a goroutine reading from a
-//     Go channel, sleeping the link latency, and handing the message to the
-//     executor — preserving per-channel FIFO exactly as the model requires.
+//     Go channel in order, waiting out whatever is left of each message's
+//     link latency, and handing it to the executor — preserving per-channel
+//     FIFO exactly as the model requires.
 //
 // Because internal/core binds the same engine to the deterministic kernel,
 // the substrates cannot drift: every protocol rule lives in exactly one
@@ -60,17 +61,17 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// TransmitRec hands the delivery record to the channel's pipe goroutine,
-// which sleeps the latency and forwards to the executor — FIFO by
-// construction. The send races Stop: once the pipe's forward goroutine has
-// exited, a full buffer would block the executor forever, so a stopped
-// runtime resolves the op and drops the record instead (shutdown discards
-// in-flight traffic by design; the record is abandoned, not freed, because
-// the pool is executor-only).
+// TransmitRec stamps the delivery record with its due time and hands it to
+// the channel's pipe goroutine, which forwards it to the executor once due
+// — FIFO by construction. The send races Stop: once the pipe's forward
+// goroutine has exited, a full buffer would block the executor forever, so
+// a stopped runtime resolves the op and drops the record instead (shutdown
+// discards in-flight traffic by design; the record is abandoned, not freed,
+// because the pool is executor-only).
 func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	s.tasks.OpStart()
 	select {
-	case s.pipe(ch) <- delivery{latency: time.Duration(latency) * s.cfg.Tick, rec: rec}:
+	case s.pipe(ch) <- delivery{due: time.Now().Add(time.Duration(latency) * s.cfg.Tick), rec: rec}:
 	case <-s.stopped:
 		s.tasks.OpDone()
 	}

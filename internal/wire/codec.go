@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Codec errors.
@@ -25,8 +26,13 @@ var (
 // zigzag maps signed to unsigned the way encoding/binary varints do.
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
+// uvarintLen is the size of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // AppendFrame appends the canonical encoding of f to dst and returns the
-// extended slice.
+// extended slice. The body length is computed from the field sizes, so the
+// body is appended in place and a dst with room makes the call
+// allocation-free.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if f.Type == 0 || f.Type >= typeCount {
 		return dst, fmt.Errorf("%w: %d", ErrType, uint8(f.Type))
@@ -34,18 +40,17 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxFrame/2 {
 		return dst, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(f.Payload))
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	body := make([]byte, 0, 16+len(f.Payload))
-	body = append(body, tmp[:binary.PutUvarint(tmp[:], zigzag(int64(f.Ch)))]...)
-	body = append(body, tmp[:binary.PutUvarint(tmp[:], f.Seq)]...)
-	body = append(body, f.Hop)
-	body = append(body, tmp[:binary.PutUvarint(tmp[:], uint64(f.Latency))]...)
-	body = append(body, tmp[:binary.PutUvarint(tmp[:], uint64(len(f.Payload)))]...)
-	body = append(body, f.Payload...)
+	ch, plen := zigzag(int64(f.Ch)), uint64(len(f.Payload))
+	blen := uvarintLen(ch) + uvarintLen(f.Seq) + 1 + uvarintLen(uint64(f.Latency)) + uvarintLen(plen) + len(f.Payload)
 
 	dst = append(dst, magic0, magic1, Version, byte(f.Type))
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(body)))]...)
-	return append(dst, body...), nil
+	dst = appendUvarint(dst, uint64(blen))
+	dst = appendUvarint(dst, ch)
+	dst = appendUvarint(dst, f.Seq)
+	dst = append(dst, f.Hop)
+	dst = appendUvarint(dst, uint64(f.Latency))
+	dst = appendUvarint(dst, plen)
+	return append(dst, f.Payload...), nil
 }
 
 // reader is the minimal cursor shared by slice and stream decoding.
@@ -163,9 +168,12 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return f, start + int(blen), nil
 }
 
-// Writer frames and writes records onto a stream, flushing after each frame
-// (frames are the unit of progress for the runtime; batching would trade
-// latency for nothing at these sizes).
+// Writer frames and writes records onto a stream. WriteFrame flushes, so a
+// lone frame is on the socket when it returns. The split form — BufferFrame,
+// then Flush — is for callers that know more frames are at hand (a drained
+// outbox, a reader with further input buffered) and flush when idle: one
+// write(2) then carries the whole run. A caller must never block waiting
+// for input with a buffered frame unflushed.
 type Writer struct {
 	w   *bufio.Writer
 	buf []byte
@@ -179,8 +187,17 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// WriteFrame encodes and writes one frame.
+// WriteFrame encodes, writes and flushes one frame.
 func (w *Writer) WriteFrame(f Frame) error {
+	if err := w.BufferFrame(f); err != nil {
+		return err
+	}
+	return w.w.Flush()
+}
+
+// BufferFrame encodes one frame into the stream buffer without flushing it
+// (a full buffer still spills to the stream).
+func (w *Writer) BufferFrame(f Frame) error {
 	b, err := AppendFrame(w.buf[:0], f)
 	if err != nil {
 		return err
@@ -189,11 +206,12 @@ func (w *Writer) WriteFrame(f Frame) error {
 	if w.Tap != nil {
 		w.Tap(b, f)
 	}
-	if _, err := w.w.Write(b); err != nil {
-		return err
-	}
-	return w.w.Flush()
+	_, err = w.w.Write(b)
+	return err
 }
+
+// Flush writes every buffered frame to the stream.
+func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader reads frames from a stream.
 type Reader struct {
@@ -204,6 +222,18 @@ type Reader struct {
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
+}
+
+// FrameBuffered reports whether a complete frame is already buffered, so
+// that the next ReadFrame cannot block on the stream. Writers that flush
+// when idle ask it before every read.
+func (r *Reader) FrameBuffered() bool {
+	b, _ := r.r.Peek(r.r.Buffered())
+	if len(b) <= 4 {
+		return false
+	}
+	blen, n := binary.Uvarint(b[4:])
+	return n > 0 && uint64(len(b)-4-n) >= blen
 }
 
 // ReadFrame blocks for and parses the next frame. Errors are terminal: a

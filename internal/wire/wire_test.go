@@ -216,3 +216,108 @@ func TestPayloadBlobRoundTrips(t *testing.T) {
 		t.Error("truncated handoff accepted")
 	}
 }
+
+// TestAppendFrameAllocFree pins the encoder's allocation contract: with room
+// in dst, encoding a data frame allocates nothing — the body length is
+// computed, not learned from a scratch copy.
+func TestAppendFrameAllocFree(t *testing.T) {
+	f := Frame{Type: TData, Ch: 37, Seq: 123_456, Hop: 1, Latency: 3, Payload: Envelope{Kind: 2, A: 3, B: 11}.Encode()}
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf, _ = AppendFrame(buf[:0], f)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendFrame allocated %v times per frame, want 0", allocs)
+	}
+}
+
+// TestUvarintLen checks the computed field size against the encoder at
+// every 7-bit boundary.
+func TestUvarintLen(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(v), len(appendUvarint(nil, v)); got != want {
+				t.Errorf("uvarintLen(%#x) = %d, encoder wrote %d bytes", v, got, want)
+			}
+		}
+	}
+}
+
+// countingWriter counts Write calls on the stream under a Writer.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestWriterSplitForm pins the Writer contract: WriteFrame reaches the
+// stream once per frame; BufferFrame reaches it only at Flush, taps every
+// frame with the bytes WriteFrame would have written, and leaves the same
+// stream behind.
+func TestWriterSplitForm(t *testing.T) {
+	frames := sampleFrames()
+
+	var each countingWriter
+	w := NewWriter(&each)
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
+			t.Fatalf("WriteFrame(%v): %v", f.Type, err)
+		}
+	}
+	if each.writes != len(frames) {
+		t.Errorf("WriteFrame: %d stream writes for %d frames, want one each", each.writes, len(frames))
+	}
+
+	var batch countingWriter
+	var tapped bytes.Buffer
+	w = NewWriter(&batch)
+	w.Tap = func(raw []byte, _ Frame) { tapped.Write(raw) }
+	for _, f := range frames {
+		if err := w.BufferFrame(f); err != nil {
+			t.Fatalf("BufferFrame(%v): %v", f.Type, err)
+		}
+	}
+	if batch.writes != 0 {
+		t.Errorf("BufferFrame reached the stream %d times before Flush", batch.writes)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if batch.writes != 1 {
+		t.Errorf("Flush: %d stream writes, want 1", batch.writes)
+	}
+	if !bytes.Equal(batch.Bytes(), each.Bytes()) || !bytes.Equal(tapped.Bytes(), each.Bytes()) {
+		t.Error("split form wrote or tapped different bytes than WriteFrame")
+	}
+}
+
+// TestReaderFrameBuffered drives the flush-when-idle predicate: true exactly
+// while a whole further frame sits in the buffer, false on an empty buffer
+// and on a partial frame (where the next ReadFrame would block).
+func TestReaderFrameBuffered(t *testing.T) {
+	one, _ := AppendFrame(nil, Frame{Type: TDelivered, Ch: 17, Seq: 9})
+	two, _ := AppendFrame(nil, Frame{Type: TData, Ch: 3, Seq: 300, Latency: 2, Payload: Envelope{Kind: 1, A: 1, B: 2}.Encode()})
+	for cut := 1; cut < len(two); cut++ {
+		stream := append(append(append([]byte(nil), one...), two...), two[:cut]...)
+		r := NewReader(bytes.NewReader(stream))
+		if r.FrameBuffered() {
+			t.Fatal("FrameBuffered before any read filled the buffer")
+		}
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if !r.FrameBuffered() {
+			t.Fatalf("cut %d: second frame is whole in the buffer, FrameBuffered = false", cut)
+		}
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if r.FrameBuffered() {
+			t.Fatalf("cut %d: only %d of %d bytes of the third frame buffered, FrameBuffered = true", cut, cut, len(two))
+		}
+	}
+}
