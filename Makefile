@@ -57,6 +57,9 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Short fuzz pass over the kernel heap oracle and scheduler invariants.
+# FuzzStoreModel compares two whole stores after every op of an input, so
+# the default minute of minimising each new-coverage input would eat the
+# budget; it gets an exec-count bound instead.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire
@@ -64,6 +67,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
 
 # The same fuzz targets with a budget small enough for the ci gate: the
 # wire decoders and the datagram packet/token parsers read bytes straight
@@ -75,6 +79,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 5s -fuzzminimizetime 500x ./internal/dtn
 
 # Chaos conformance: the substrate-parity invariants re-run under seeded
 # fault plans (wireless loss, link flaps, MSS crash/restart) on the

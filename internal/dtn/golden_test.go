@@ -31,7 +31,7 @@ func (goldenSink) OnDeliveryFailure(engine.Context, engine.MSSID, engine.MHID, e
 // store path no other trace pins: LRU eviction at a full store, Touch on
 // want, per-MH quota refusal, TTL expiry mid-run, and a station crash
 // that wipes a store and reaps the replicas on the wire toward it.
-func runCustodyGolden(t *testing.T, strategy RoutingAlgorithm) string {
+func runCustodyGolden(t *testing.T, strategy RoutingAlgorithm) (string, *Manager) {
 	t.Helper()
 	const (
 		m, n   = 8, 64
@@ -120,7 +120,7 @@ func runCustodyGolden(t *testing.T, strategy RoutingAlgorithm) string {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	return fmt.Sprintf("%s\n  dtn    %+v stored=%d\n  engine %+v\n  obs    events=%d sha256=%x\n",
-		strategy.Name(), st, mgr.StoredTotal(), sys.Stats(), len(snap.Events), h.Sum(nil))
+		strategy.Name(), st, mgr.StoredTotal(), sys.Stats(), len(snap.Events), h.Sum(nil)), mgr
 }
 
 // TestCustodyGolden reproduces, byte for byte, the counters and the event
@@ -130,8 +130,11 @@ func runCustodyGolden(t *testing.T, strategy RoutingAlgorithm) string {
 // contract, whatever its layout.
 func TestCustodyGolden(t *testing.T) {
 	var got bytes.Buffer
-	got.WriteString(runCustodyGolden(t, Epidemic{Every: 100}))
-	got.WriteString(runCustodyGolden(t, SprayAndWait{}))
+	for _, strategy := range []RoutingAlgorithm{Epidemic{Every: 100}, SprayAndWait{}} {
+		report, mgr := runCustodyGolden(t, strategy)
+		got.WriteString(report)
+		checkLedger(t, mgr)
+	}
 	path := filepath.Join("testdata", "custody_golden.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -148,5 +151,32 @@ func TestCustodyGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("custody scenario diverged from %s:\n--- got ---\n%s--- want ---\n%s", path, got.String(), want)
+	}
+}
+
+// checkLedger holds the manager's resident ledger to what its stores
+// actually contain: the per-bundle counts and the total that replaced
+// probing every station are only as good as put and remove being the
+// sole doors.
+func checkLedger(t *testing.T, mgr *Manager) {
+	t.Helper()
+	resident := make(map[BundleID]int)
+	total := 0
+	for _, s := range mgr.stores {
+		for _, id := range s.IDs() {
+			resident[id]++
+			total++
+		}
+	}
+	if total != mgr.storedTotal || total != mgr.StoredTotal() {
+		t.Errorf("%s: stores hold %d replicas, ledger total %d", mgr.Name(), total, mgr.storedTotal)
+	}
+	if len(resident) != len(mgr.resident) {
+		t.Errorf("%s: %d bundles resident, ledger has %d", mgr.Name(), len(resident), len(mgr.resident))
+	}
+	for id, n := range resident {
+		if mgr.resident[id] != n {
+			t.Errorf("%s: bundle %d resident at %d stations, ledger says %d", mgr.Name(), id, n, mgr.resident[id])
+		}
 	}
 }

@@ -40,9 +40,19 @@ type Manager struct {
 	ticker   Ticker // non-nil iff strategy wants periodic maintenance
 
 	stores []*Store
-	// retired holds IDs that reached a terminal state (delivered or
-	// failed); late replicas of a retired bundle are duplicates.
-	retired map[BundleID]struct{}
+	// resident counts the stores holding a replica of each bundle and
+	// storedTotal sums them: the ledger put and remove keep, so "is any
+	// copy left" and "is anything stored" cost one lookup, not a probe
+	// of every station.
+	resident    map[BundleID]int
+	storedTotal int
+	// Retired IDs reached a terminal state (delivered or failed); late
+	// replicas of a retired bundle are duplicates. IDs are dense and
+	// allocated in order, so the set is a watermark — every ID up to
+	// retiredUpTo is retired — plus the sparse retired IDs above it,
+	// which drain into the watermark as the gaps below them close.
+	retiredUpTo BundleID
+	retired     map[BundleID]struct{}
 	// copies counts replicas created per live bundle (for the
 	// replication-cost histogram at delivery time).
 	copies map[BundleID]int
@@ -61,6 +71,11 @@ type Manager struct {
 
 	tickArmed bool
 	stats     Stats
+
+	// bundleBuf and wantBuf are scratch for the walks that remove while
+	// they iterate (sweeps, drains, crash wipes) and for want-lists.
+	bundleBuf []*Bundle
+	wantBuf   []BundleID
 }
 
 // flight is one bundle's on-the-wire accounting: a representative copy
@@ -98,6 +113,7 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:      cfg,
 		strategy: cfg.Strategy,
+		resident: make(map[BundleID]int),
 		retired:  make(map[BundleID]struct{}),
 		copies:   make(map[BundleID]int),
 		inflight: make(map[BundleID]*flight),
@@ -138,12 +154,79 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // StoredTotal reports the replicas currently resident across all
 // stations (diagnostics and tests).
-func (m *Manager) StoredTotal() int {
-	n := 0
-	for _, s := range m.stores {
-		n += s.Len()
+func (m *Manager) StoredTotal() int { return m.storedTotal }
+
+// put and remove are the only places a replica enters or leaves a store,
+// so the resident ledger is exact.
+func (m *Manager) put(at engine.MSSID, b *Bundle) (evicted *Bundle, ok bool) {
+	evicted, ok = m.stores[at].Put(b)
+	if ok {
+		m.resident[b.ID]++
+		m.storedTotal++
 	}
-	return n
+	if evicted != nil {
+		m.noteRemoved(evicted.ID)
+	}
+	return evicted, ok
+}
+
+func (m *Manager) remove(at engine.MSSID, id BundleID) *Bundle {
+	b := m.stores[at].Remove(id)
+	if b != nil {
+		m.noteRemoved(id)
+	}
+	return b
+}
+
+func (m *Manager) noteRemoved(id BundleID) {
+	if n := m.resident[id] - 1; n > 0 {
+		m.resident[id] = n
+	} else {
+		delete(m.resident, id)
+	}
+	m.storedTotal--
+}
+
+// retire marks id terminal, advancing the watermark over every retired
+// ID that is now contiguous with it.
+func (m *Manager) retire(id BundleID) {
+	if id != m.retiredUpTo+1 {
+		if id > m.retiredUpTo {
+			m.retired[id] = struct{}{}
+		}
+		return
+	}
+	m.retiredUpTo = id
+	for len(m.retired) > 0 {
+		if _, ok := m.retired[m.retiredUpTo+1]; !ok {
+			break
+		}
+		m.retiredUpTo++
+		delete(m.retired, m.retiredUpTo)
+	}
+}
+
+func (m *Manager) isRetired(id BundleID) bool {
+	if id <= m.retiredUpTo {
+		return true
+	}
+	_, dead := m.retired[id]
+	return dead
+}
+
+// takeBundleBuf lends out the bundle scratch slice, empty. While it is
+// out a nested walk gets nil and allocates its own, so a strategy or
+// engine callback that re-enters the manager cannot clobber the outer
+// walk; giveBundleBuf returns it with its pointers dropped.
+func (m *Manager) takeBundleBuf() []*Bundle {
+	buf := m.bundleBuf[:0]
+	m.bundleBuf = nil
+	return buf
+}
+
+func (m *Manager) giveBundleBuf(buf []*Bundle) {
+	clear(buf)
+	m.bundleBuf = buf[:0]
 }
 
 // ---- CustodyHook (the engine seam, inbound) ----
@@ -168,7 +251,7 @@ func (m *Manager) OfferCustody(holder engine.MSSID, mh engine.MHID, msg engine.M
 	if m.cfg.TTL > 0 {
 		b.Expiry = now + m.cfg.TTL
 	}
-	evicted, ok := m.stores[holder].Put(b)
+	evicted, ok := m.put(holder, b)
 	if !ok {
 		m.stats.DroppedQuota++
 		return false
@@ -221,7 +304,7 @@ func (m *Manager) HandleMSS(ctx engine.Context, at engine.MSSID, from engine.Fro
 // moves all pass through it, so the dedup, expiry, and delivery rules
 // hold uniformly.
 func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
-	if _, dead := m.retired[b.ID]; dead {
+	if m.isRetired(b.ID) {
 		m.stats.Duplicates++
 		return
 	}
@@ -241,7 +324,7 @@ func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
 		m.deliver(at, b)
 		return
 	}
-	evicted, ok := m.stores[at].Put(b)
+	evicted, ok := m.put(at, b)
 	if !ok {
 		m.stats.DroppedQuota++
 		m.ctx.NoteBundleDropped(uint64(b.ID), at, b.MH)
@@ -275,11 +358,11 @@ func (m *Manager) onStored(at engine.MSSID, b *Bundle) {
 		m.replicate(at, p, b, tokens)
 	}
 	if drop && m.stores[at].Has(b.ID) &&
-		(m.inflight[b.ID] != nil || m.residentElsewhere(at, b.ID)) {
+		(m.inflight[b.ID] != nil || m.resident[b.ID] > 1) {
 		// Custody transfer: the strategy moved the bundle on and wants
 		// the local replica gone. Only honour it while another copy
 		// exists, so a buggy strategy cannot silently lose a bundle.
-		m.stores[at].Remove(b.ID)
+		m.remove(at, b.ID)
 	}
 }
 
@@ -287,7 +370,7 @@ func (m *Manager) onStored(at engine.MSSID, b *Bundle) {
 // routes it to the (re)connected host with a stale-location search plus
 // the ordinary wireless downlink.
 func (m *Manager) deliver(at engine.MSSID, b *Bundle) {
-	m.retired[b.ID] = struct{}{}
+	m.retire(b.ID)
 	m.stats.Delivered++
 	m.ctx.NoteBundleDelivered(uint64(b.ID), at, m.copies[b.ID])
 	delete(m.copies, b.ID)
@@ -357,22 +440,31 @@ func (m *Manager) inflightDec(id BundleID, at engine.MSSID) bool {
 
 // ---- anti-entropy ----
 
+// handleSummary answers a peer's summary vector with the IDs this
+// station lacks. Both the vector and the store's index ascend by ID, so
+// one merge walk finds them: nothing is decoded into a slice and only an
+// ID actually missing here is looked up in the retired set. A corrupt
+// vector is dropped whole, as DecodeSummary would have rejected it.
 func (m *Manager) handleSummary(at, peer engine.MSSID, data []byte) {
-	ids, err := DecodeSummary(data)
-	if err != nil {
-		return
-	}
-	want := make([]BundleID, 0, len(ids))
-	for _, id := range ids {
-		if _, dead := m.retired[id]; dead {
-			continue
+	have := m.stores[at].live()
+	want := m.wantBuf[:0]
+	r := readSummary(data)
+	var chunk [64]BundleID
+	for n := r.read(chunk[:]); n > 0; n = r.read(chunk[:]) {
+		for _, id := range chunk[:n] {
+			for len(have) > 0 && have[0].id < id {
+				have = have[1:]
+			}
+			if len(have) > 0 && have[0].id == id {
+				continue
+			}
+			if !m.isRetired(id) {
+				want = append(want, id)
+			}
 		}
-		if m.stores[at].Has(id) {
-			continue
-		}
-		want = append(want, id)
 	}
-	if len(want) == 0 {
+	m.wantBuf = want[:0]
+	if r.err != nil || len(want) == 0 {
 		return
 	}
 	m.ctx.SendFixed(at, peer, wantMsg{data: EncodeSummary(want)}, cost.CatControl)
@@ -390,7 +482,7 @@ func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 			continue
 		}
 		if b.expired(now) {
-			m.stores[at].Remove(id)
+			m.remove(at, id)
 			m.expire(at, b)
 			continue
 		}
@@ -433,18 +525,10 @@ func (m *Manager) lose(at engine.MSSID, b *Bundle) {
 // abandonment (still freeing the pair-FIFO slot) when only a crashed
 // station could.
 func (m *Manager) terminal(at engine.MSSID, b *Bundle, canNotify bool) {
-	if _, dead := m.retired[b.ID]; dead {
+	if m.isRetired(b.ID) || m.inflight[b.ID] != nil || m.resident[b.ID] > 0 {
 		return
 	}
-	if m.inflight[b.ID] != nil {
-		return
-	}
-	for _, s := range m.stores {
-		if s.Has(b.ID) {
-			return
-		}
-	}
-	m.retired[b.ID] = struct{}{}
+	m.retire(b.ID)
 	delete(m.copies, b.ID)
 	m.stats.Failed++
 	if canNotify {
@@ -454,24 +538,16 @@ func (m *Manager) terminal(at engine.MSSID, b *Bundle, canNotify bool) {
 	}
 }
 
-func (m *Manager) residentElsewhere(at engine.MSSID, id BundleID) bool {
-	for i, s := range m.stores {
-		if engine.MSSID(i) != at && s.Has(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// sweepExpired lazily drops every expired replica at the station.
+// sweepExpired lazily drops every expired replica at the station, in
+// ascending ID order. It is O(1) while the store's earliest deadline is
+// still ahead.
 func (m *Manager) sweepExpired(at engine.MSSID) {
-	now := m.ctx.Now()
-	for _, b := range m.stores[at].All() {
-		if b.expired(now) {
-			m.stores[at].Remove(b.ID)
-			m.expire(at, b)
-		}
+	buf := m.stores[at].appendExpired(m.takeBundleBuf(), m.ctx.Now())
+	for _, b := range buf {
+		m.remove(at, b.ID)
+		m.expire(at, b)
 	}
+	m.giveBundleBuf(buf)
 }
 
 // ---- MobilityObserver ----
@@ -518,10 +594,12 @@ func (m *Manager) NoteCrash(mss engine.MSSID) {
 		return
 	}
 	m.down[mss] = true
-	for _, b := range m.stores[mss].All() {
-		m.stores[mss].Remove(b.ID)
+	buf := m.stores[mss].appendAll(m.takeBundleBuf())
+	for _, b := range buf {
+		m.remove(mss, b.ID)
 		m.lose(mss, b)
 	}
+	m.giveBundleBuf(buf)
 	m.reapInflight(mss)
 }
 
@@ -598,12 +676,13 @@ func (m *Manager) SendSummary(from, peer engine.MSSID) {
 		return
 	}
 	m.sweepExpired(from)
-	ids := m.stores[from].IDs()
-	if len(ids) == 0 {
+	if m.stores[from].Len() == 0 {
 		return
 	}
 	m.stats.SummariesSent++
-	m.ctx.SendFixed(from, peer, summaryMsg{data: EncodeSummary(ids)}, cost.CatControl)
+	// The store caches its encoded vector until its ID set changes, so
+	// both ring neighbours' messages share one read-only slice.
+	m.ctx.SendFixed(from, peer, summaryMsg{data: m.stores[from].summary()}, cost.CatControl)
 }
 
 // DeliverAll moves every stored replica destined for mh toward station
@@ -611,13 +690,15 @@ func (m *Manager) SendSummary(from, peer engine.MSSID) {
 // ID order; arrival order may still differ, and the engine's pair
 // sequence buffer restores per-pair FIFO at final delivery.
 func (m *Manager) DeliverAll(at engine.MSSID, mh engine.MHID) {
+	buf := m.takeBundleBuf()
 	for i := range m.stores {
 		src := engine.MSSID(i)
 		if m.down[src] {
 			continue
 		}
-		for _, b := range m.stores[src].ForMH(mh) {
-			m.stores[src].Remove(b.ID)
+		buf = m.stores[src].appendForMH(buf[:0], mh)
+		for _, b := range buf {
+			m.remove(src, b.ID)
 			if b.expired(m.ctx.Now()) {
 				m.expire(src, b)
 				continue
@@ -630,7 +711,9 @@ func (m *Manager) DeliverAll(at engine.MSSID, mh engine.MHID) {
 				m.transfer(src, at, b)
 			}
 		}
+		clear(buf)
 	}
+	m.giveBundleBuf(buf)
 }
 
 // ---- gossip timer ----
@@ -643,7 +726,7 @@ func (m *Manager) maybeArmTick() {
 	if m.ticker == nil || m.tickArmed {
 		return
 	}
-	if m.inFlightTotal == 0 && m.StoredTotal() == 0 {
+	if m.inFlightTotal == 0 && m.storedTotal == 0 {
 		return
 	}
 	m.tickArmed = true

@@ -409,3 +409,54 @@ func TestWaiterOverflowHandsCustody(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 overflow bundles accepted and delivered", st)
 	}
 }
+
+// TestRetiredSetDrainsIntoWatermark pins the bound on the retired set:
+// IDs are dense, so once every bundle below a retired one has settled
+// the explicit entry folds into the watermark, and a settled run holds
+// no per-bundle retirement state at all.
+func TestRetiredSetDrainsIntoWatermark(t *testing.T) {
+	sys, p, ctx, mgr := fixedSys(t, core.DefaultConfig(3, 3), Config{Strategy: Epidemic{Every: 50}, TTL: 400})
+	for mh := core.MHID(0); mh < 2; mh++ {
+		if err := sys.Disconnect(mh); err != nil {
+			t.Fatalf("Disconnect: %v", err)
+		}
+	}
+	sys.Schedule(10, func() {
+		ctx.SendToMH(2, 0, "a", cost.CatAlgorithm) // bundle 1
+		ctx.SendToMH(2, 1, "b", cost.CatAlgorithm) // bundle 2
+		ctx.SendToMH(2, 0, "c", cost.CatAlgorithm) // bundle 3
+	})
+	// mh1 returns first: bundle 2 retires above the still-live bundle 1,
+	// so it has to sit in the explicit set.
+	sys.Schedule(100, func() {
+		if err := sys.Reconnect(1, 2, true); err != nil {
+			t.Errorf("Reconnect: %v", err)
+		}
+	})
+	sys.Schedule(200, func() {
+		if !mgr.isRetired(2) || mgr.isRetired(1) || mgr.isRetired(3) {
+			t.Errorf("mid-run: retired(1,2,3) = %v %v %v, want only 2", mgr.isRetired(1), mgr.isRetired(2), mgr.isRetired(3))
+		}
+		if mgr.retiredUpTo != 0 || len(mgr.retired) != 1 {
+			t.Errorf("mid-run: watermark %d with %d explicit entries, want 0 and 1", mgr.retiredUpTo, len(mgr.retired))
+		}
+	})
+	// mh0 never returns: bundles 1 and 3 expire, closing the gap.
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := []engine.Message{"b"}; !reflect.DeepEqual(p.got, want) {
+		t.Fatalf("deliveries = %v, want %v", p.got, want)
+	}
+	if st := mgr.Stats(); st.Accepted != 3 || st.Delivered != 1 || st.Failed != 2 {
+		t.Fatalf("stats = %+v, want 3 accepted, 1 delivered, 2 failed", st)
+	}
+	if len(mgr.retired) != 0 || mgr.retiredUpTo != mgr.nextID-1 {
+		t.Fatalf("settled: %d explicit retired entries, watermark %d, next ID %d; want none and watermark = next-1",
+			len(mgr.retired), mgr.retiredUpTo, mgr.nextID)
+	}
+	if len(mgr.resident) != 0 || mgr.storedTotal != 0 || len(mgr.copies) != 0 || len(mgr.inflight) != 0 {
+		t.Fatalf("settled: ledgers hold resident=%d stored=%d copies=%d inflight=%d, want all empty",
+			len(mgr.resident), mgr.storedTotal, len(mgr.copies), len(mgr.inflight))
+	}
+}

@@ -130,9 +130,6 @@ func (e Epidemic) Tick(h Host) {
 	}
 	for mss := 0; mss < m; mss++ {
 		at := engine.MSSID(mss)
-		if len(h.StoredAt(at)) == 0 {
-			continue
-		}
 		h.SendSummary(at, engine.MSSID((mss+1)%m))
 		if m > 2 {
 			h.SendSummary(at, engine.MSSID((mss+m-1)%m))
