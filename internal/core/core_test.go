@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobiledist/internal/cost"
+	"mobiledist/internal/engine"
 	"mobiledist/internal/sim"
 )
 
@@ -522,6 +523,63 @@ func TestSendToMSSOfMHDisconnected(t *testing.T) {
 	}
 	if len(p.failures) != 1 {
 		t.Fatalf("failures = %+v, want 1", p.failures)
+	}
+}
+
+// greedyCustody is a custody hook that takes everything it is offered.
+type greedyCustody struct{ offers int }
+
+func (g *greedyCustody) OfferCustody(engine.MSSID, engine.MHID, engine.Message, engine.CustodyRef) bool {
+	g.offers++
+	return true
+}
+
+// TestSendToMSSOfMHNeverGoesToCustody: the chase is shared with SendToMH,
+// the custody seam is not — a message for the station serving a MH is never
+// stored for the MH. With a hook bound that accepts every offer, a
+// disconnected destination still ends in the failure notification (one
+// control message), and an overflowing in-transit queue still drops
+// (uncharged), while the same overflow of a SendToMH is offered.
+func TestSendToMSSOfMHNeverGoesToCustody(t *testing.T) {
+	cfg := DefaultConfig(3, 3)
+	cfg.WaiterLimit = 1
+	cfg.Travel = FixedDelay(100)
+	sys := MustNewSystem(cfg)
+	p := &probe{}
+	ctx := sys.Register(p)
+	hook := &greedyCustody{}
+	sys.Engine().BindCustody(hook)
+
+	if err := sys.Disconnect(2); err != nil {
+		t.Fatalf("Disconnect: %v", err)
+	}
+	sys.Schedule(5, func() {
+		if err := sys.Move(0, 1); err != nil {
+			t.Errorf("Move: %v", err)
+		}
+	})
+	sys.Schedule(50, func() {
+		ctx.SendToMSSOfMH(0, 2, "to the station of a disconnected mh", cost.CatAlgorithm)
+		ctx.SendToMSSOfMH(1, 0, "parked", cost.CatAlgorithm)
+		ctx.SendToMSSOfMH(1, 0, "overflow", cost.CatAlgorithm)
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if hook.offers != 0 {
+		t.Errorf("custody hook was offered %d station-bound messages, want 0", hook.offers)
+	}
+	if len(p.failures) != 1 || p.failures[0].MH != 2 {
+		t.Errorf("failures = %+v, want one, for mh2", p.failures)
+	}
+	if got := sys.Stats().WaiterDrops; got != 1 {
+		t.Errorf("WaiterDrops = %d, want 1", got)
+	}
+	if len(p.mssGot) != 1 || p.mssGot[0].At != 1 || p.mssGot[0].Msg != "parked" {
+		t.Errorf("station deliveries = %+v, want \"parked\" at mss1 after the join", p.mssGot)
+	}
+	if got := sys.Meter().Count(cost.CatControl, cost.KindFixed); got != 1 {
+		t.Errorf("control fixed = %d, want 1 (the failure notification only)", got)
 	}
 }
 

@@ -73,43 +73,29 @@ type arqChan struct {
 
 type arq struct {
 	e      *Engine
-	chans  []*arqChan       // flat channel numbering; entries nil until first use
-	sparse map[int]*arqChan // replaces chans above DenseChannelLimit
+	chans  *ChanTable[*arqChan] // entries nil until first use
 	rto0   sim.Time
 	rtoMax sim.Time
 }
 
 func newARQ(e *Engine) *arq {
-	rto := e.cfg.ARQTimeout
-	if rto == 0 {
-		// Data frame out plus ack back, both at maximum latency, plus slack
-		// for same-instant scheduling.
-		rto = 2*e.cfg.Wireless.Max + 4
+	// Data frame out plus ack back, both at maximum latency, plus slack for
+	// same-instant scheduling.
+	rto := 2*e.cfg.Wireless.Max + 4
+	return &arq{
+		e:      e,
+		chans:  NewChanTable[*arqChan](ChannelLayout{M: e.cfg.M, N: e.cfg.N}),
+		rto0:   rto,
+		rtoMax: 8 * rto,
 	}
-	a := &arq{e: e, rto0: rto, rtoMax: 8 * rto}
-	if n := ChannelCount(e.cfg.M, e.cfg.N); n > DenseChannelLimit {
-		a.sparse = make(map[int]*arqChan)
-	} else {
-		a.chans = make([]*arqChan, n)
-	}
-	return a
 }
 
 func (a *arq) state(ch int) *arqChan {
-	if a.sparse != nil {
-		st := a.sparse[ch]
-		if st == nil {
-			st = &arqChan{rto: a.rto0}
-			a.sparse[ch] = st
-		}
-		return st
+	st := a.chans.At(ch)
+	if *st == nil {
+		*st = &arqChan{rto: a.rto0}
 	}
-	st := a.chans[ch]
-	if st == nil {
-		st = &arqChan{rto: a.rto0}
-		a.chans[ch] = st
-	}
-	return st
+	return *st
 }
 
 // send enqueues one logical message on wireless channel ch, transmitting

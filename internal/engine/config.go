@@ -30,7 +30,7 @@ func (d Delay) Validate(name string) error {
 // network: sizes, cost constants, link latency ranges, the search service,
 // and initial placement. It is the only declaration of these parameters:
 // the drivers' configs (core.Config, rt.Config, and through it
-// netrt.Config) embed it, so cfg.M or cfg.ARQTimeout on any of them is this
+// netrt.Config) embed it, so cfg.M or cfg.WaiterLimit on any of them is this
 // struct's field, and each driver declares only its substrate's own knobs
 // (the simulator's seed and step limit, the live runtimes' tick) beside it.
 type Config struct {
@@ -65,13 +65,11 @@ type Config struct {
 	// algorithms keep the model's FIFO + prefix-delivery semantics when the
 	// substrate underneath loses, duplicates, or reorders wireless frames.
 	// Wired MSS-to-MSS channels stay lossless per the model and are not
-	// touched. Off by default: over reliable channels the sublayer would
-	// only add traffic and perturb seeded runs.
+	// touched. The first ack timeout is 2*Wireless.Max + 4 ticks (a data
+	// frame plus its ack at maximum latency) and doubles per retry up to 8x.
+	// Off by default: over reliable channels the sublayer would only add
+	// traffic and perturb seeded runs.
 	ReliableWireless bool
-	// ARQTimeout is the initial retransmission timeout in ticks; each retry
-	// doubles it up to 8x. 0 derives a default from the wireless latency
-	// range (enough for a data frame plus its ack at maximum latency).
-	ARQTimeout sim.Time
 
 	// WaiterLimit caps the number of delivery records parked per
 	// in-transit MH (the waiter queue a never-arriving MH would otherwise
@@ -114,9 +112,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Travel.Validate("travel"); err != nil {
 		return err
-	}
-	if c.ARQTimeout < 0 {
-		return fmt.Errorf("engine: ARQTimeout must be >= 0, got %d", c.ARQTimeout)
 	}
 	if c.WaiterLimit < 0 {
 		return fmt.Errorf("engine: WaiterLimit must be >= 0, got %d", c.WaiterLimit)

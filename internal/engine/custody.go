@@ -66,13 +66,7 @@ func (e *Engine) FailCustody(holder MSSID, mh MHID, msg Message, ref CustodyRef)
 	e.checkMSS(holder)
 	e.checkMH(mh)
 	e.meter.Charge(cost.CatControl, cost.KindFixed)
-	e.skipPairSeq(ref.opts)
-	rec := e.newRec(opNotifyFailure)
-	rec.mss = ref.opts.origin
-	rec.mh = mh
-	rec.msg = msg
-	rec.opts = ref.opts
-	e.transmitWired(holder, ref.opts.origin, rec)
+	e.failToOrigin(holder, mh, msg, ref.opts)
 }
 
 // AbandonCustody records the silent loss of a custodied message whose

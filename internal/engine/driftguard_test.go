@@ -22,7 +22,6 @@ import (
 var forbiddenAdapterDecls = map[string]string{
 	// routing
 	"routeToMH":                "MH routing with search/retry/chase is engine-owned",
-	"routeToMSSOfMH":           "MSS-of-MH routing is engine-owned",
 	"wirelessDown":             "downlink delivery with prefix semantics is engine-owned",
 	"deliverToMH":              "per-pair FIFO reorder delivery is engine-owned",
 	"chargeSearch":             "search accounting is engine-owned",
@@ -180,8 +179,9 @@ func TestSubstrateStackIsAssembledOnce(t *testing.T) {
 // injector (internal/faults) may touch: the Substrate seam it wraps, the
 // delivery-record currency that flows through it (DeliveryRec and the
 // RecSink pool protocol, whose TimerRec is how plan arming obtains its
-// crash/restart timer records), the channel-numbering decoder, the
-// loss-reporting types, and the public model vocabulary. Anything else —
+// crash/restart timer records), the channel-numbering decoder and the
+// per-channel table keyed by it, the loss-reporting types, and the public
+// model vocabulary. Anything else —
 // routing, mobility, FIFO bookkeeping, ARQ — is engine-internal, and an
 // injector reaching for it is drifting from a substrate wrapper into a
 // second protocol implementation.
@@ -194,7 +194,8 @@ var faultInjectorAllowedEngineRefs = map[string]bool{
 	"ChannelWired":  true,
 	"ChannelDown":   true,
 	"ChannelUp":     true,
-	"ChannelCount":  true,
+	"ChanTable":     true,
+	"NewChanTable":  true,
 	"FaultStats":    true,
 	"FaultReporter": true,
 	"MSSID":         true,
@@ -225,6 +226,66 @@ func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// perChannelMapAllowlist names the int-keyed maps (package/field) that may
+// exist beside engine.ChanTable, each with the reason it is not per-channel
+// model state.
+var perChannelMapAllowlist = map[string]string{
+	"netrt/pipes": "relay node: lock-guarded registry of per-channel pipe goroutines, created on demand",
+	"netrt/links": "relay node: lock-guarded registry of attached client connections, keyed by MH id",
+	"rt/pipes":    "goroutine runtime: lock-guarded registry of per-channel pipe goroutines, created on demand",
+}
+
+// TestPerChannelStateLivesInChanTable fails if the engine, the fault
+// injector or a substrate driver grows per-channel state of its own: a make
+// sized by the channel count (ChannelLayout.Count grows as M*N — 1.6 GB per
+// 16-byte entry at sim-route's M=10^3/N=10^5) or an int-keyed map (the
+// sparse half of a dense/sparse pair). State per channel goes in a
+// ChanTable, which is written once and sized O(M+N).
+func TestPerChannelStateLivesInChanTable(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"engine", "faults", "core", "rt", "netrt"} {
+		for _, f := range parseNonTest(t, fset, filepath.Join("..", dir)) {
+			allowed := func(name ast.Expr) bool {
+				id, ok := name.(*ast.Ident)
+				return ok && perChannelMapAllowlist[dir+"/"+id.Name] != ""
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.Field:
+					for _, name := range x.Names {
+						if allowed(name) {
+							return false
+						}
+					}
+				case *ast.KeyValueExpr:
+					if allowed(x.Key) {
+						return false
+					}
+				case *ast.MapType:
+					if key, ok := x.Key.(*ast.Ident); ok && (key.Name == "int" || key.Name == "int32") {
+						t.Errorf("%s: map[%s] — per-channel state belongs in an engine.ChanTable (or name the map in perChannelMapAllowlist with the reason it is something else)",
+							fset.Position(x.Pos()), key.Name)
+					}
+				case *ast.CallExpr:
+					if fn, ok := x.Fun.(*ast.Ident); !ok || fn.Name != "make" {
+						return true
+					}
+					for _, arg := range x.Args[1:] {
+						ast.Inspect(arg, func(m ast.Node) bool {
+							if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "Count" {
+								t.Errorf("%s: make sized by a channel count — per-channel state belongs in an engine.ChanTable, which allocates O(M+N)",
+									fset.Position(x.Pos()))
+							}
+							return true
+						})
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 

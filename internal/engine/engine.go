@@ -411,7 +411,7 @@ func (e *Engine) addWaiter(mh MHID, rec *DeliveryRec) {
 // sequence is tombstoned so later ordered traffic is not wedged, and
 // the record returns to the pool.
 func (e *Engine) overflowWaiter(mh MHID, rec *DeliveryRec) {
-	if e.custody != nil && rec.op == opRouteResume {
+	if e.custody != nil && rec.op == opRouteResume && !rec.opts.toMSS {
 		e.meter.Charge(cost.CatControl, cost.KindFixed)
 		if e.custody.OfferCustody(rec.mss, mh, rec.msg, CustodyRef{opts: rec.opts}) {
 			e.FreeRec(rec)

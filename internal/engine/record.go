@@ -58,10 +58,8 @@ const (
 	opSendFromMH    // waiter: replay sendFromMH(opts.alg, mh, msg, opts.cat)
 	opUpForwardVia  // uplink completed: forwardViaMSS(opts.origin, mss, mh, msg, opts)
 	opSendMHViaMSS  // waiter: replay sendMHViaMSS(opts.alg, mh, mss, mh2, msg, opts.cat)
-	opRouteMSSArrive
-	opRouteMSSResume // waiter: resume routeToMSSOfMH(mss, mh, msg, opts, stale)
-	opSendMHToMH     // waiter: replay sendMHToMH(opts.alg, mh, mh2, msg, opts.cat)
-	opUpRoute        // uplink completed: routeToMH(mss, mh, msg, opts, false)
+	opSendMHToMH    // waiter: replay sendMHToMH(opts.alg, mh, mh2, msg, opts.cat)
+	opUpRoute       // uplink completed: routeToMH(mss, mh, msg, opts, false)
 
 	// Mobility (mobility.go).
 	opLeave           // leave(r) reached the old cell: mh leaves mss for mss2
@@ -219,12 +217,15 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 		// Re-check on arrival: the MH may have moved on while the message
 		// crossed the wired network.
 		cur := &e.mh[rec.mh]
-		if cur.status == StatusConnected && cur.at == rec.mss {
+		switch {
+		case cur.status != StatusConnected || cur.at != rec.mss:
+			e.stats.StaleReroutes++
+			e.routeToMH(rec.mss, rec.mh, rec.msg, rec.opts, true)
+		case rec.opts.toMSS:
+			e.dispatchMSS(rec.opts.alg, rec.mss, From{MSS: rec.opts.origin}, rec.msg)
+		default:
 			e.wirelessDown(rec.mss, rec.mh, rec.msg, rec.opts)
-			return
 		}
-		e.stats.StaleReroutes++
-		e.routeToMH(rec.mss, rec.mh, rec.msg, rec.opts, true)
 
 	case opRouteResume:
 		e.routeToMH(rec.mss, rec.mh, rec.msg, rec.opts, rec.stale)
@@ -255,18 +256,6 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 
 	case opSendMHViaMSS:
 		_ = e.sendMHViaMSS(rec.opts.alg, rec.mh, rec.mss, rec.mh2, rec.msg, rec.opts.cat)
-
-	case opRouteMSSArrive:
-		cur := &e.mh[rec.mh]
-		if cur.status == StatusConnected && cur.at == rec.mss {
-			e.dispatchMSS(rec.opts.alg, rec.mss, From{MSS: rec.opts.origin}, rec.msg)
-			return
-		}
-		e.stats.StaleReroutes++
-		e.routeToMSSOfMH(rec.mss, rec.mh, rec.msg, rec.opts, true)
-
-	case opRouteMSSResume:
-		e.routeToMSSOfMH(rec.mss, rec.mh, rec.msg, rec.opts, rec.stale)
 
 	case opSendMHToMH:
 		_ = e.sendMHToMH(rec.opts.alg, rec.mh, rec.mh2, rec.msg, rec.opts.cat)

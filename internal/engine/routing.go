@@ -24,7 +24,11 @@ type routeOpts struct {
 	// pair key as set (the zero pairKey is a valid pair).
 	pair    pairKey
 	hasPair bool
-	seq     uint64
+	// toMSS makes the MSS serving the MH the final recipient (SendToMSSOfMH,
+	// the paper's bare Csearch): the same locate-and-chase with no wireless
+	// leg at the end, and never custody — the message is for a station.
+	toMSS bool
+	seq   uint64
 }
 
 type pairKey struct {
@@ -95,11 +99,11 @@ func (e *Engine) sendToMH(alg int, from MSSID, mh MHID, msg Message, cat cost.Ca
 	e.routeToMH(from, mh, msg, routeOpts{alg: alg, origin: from, cat: cat}, false)
 }
 
-// routeToMH implements delivery with search and retry-across-moves. via is
-// the MSS currently holding the message. stale marks retries caused by the
-// destination moving while the message was in flight; their search charges
-// go to cost.CatStale so the primary accounting matches the paper's
-// footnote-2 assumption.
+// routeToMH implements delivery with search and retry-across-moves, to the
+// MH or (opts.toMSS) to the MSS serving it. via is the MSS currently holding
+// the message. stale marks retries caused by the destination moving while
+// the message was in flight; their search charges go to cost.CatStale so the
+// primary accounting matches the paper's footnote-2 assumption.
 func (e *Engine) routeToMH(via MSSID, mh MHID, msg Message, opts routeOpts, stale bool) {
 	st := &e.mh[mh]
 	switch st.status {
@@ -114,57 +118,74 @@ func (e *Engine) routeToMH(via MSSID, mh MHID, msg Message, opts routeOpts, stal
 		rec.opts = opts
 		rec.stale = stale
 		e.addWaiter(mh, rec)
-		return
 
 	case StatusDisconnected:
 		// The MSS of the cell where the MH disconnected informs the
 		// searcher of its status (Section 2). The search that discovered
-		// this is charged; the notification is control traffic. With a
-		// custody hook bound, the MSS holding the disconnected flag may
-		// instead take custody for store-carry-forward delivery; the
-		// handover is control traffic like the notification it replaces.
-		holder := st.at
+		// this is charged.
 		e.chargeSearch(opts, stale)
-		e.meter.Charge(cost.CatControl, cost.KindFixed)
-		if e.custody != nil && e.custody.OfferCustody(holder, mh, msg, CustodyRef{opts: opts}) {
-			return
-		}
-		// The message will never deliver: free its pair sequence slot
-		// now, at send time — the origin may itself be crashed and the
-		// notification discarded in flight, and pair state is global
-		// engine state, not something the origin must hear about.
-		e.skipPairSeq(opts)
-		rec := e.newRec(opNotifyFailure)
-		rec.mss = opts.origin
-		rec.mh = mh
-		rec.msg = msg
-		rec.opts = opts
-		e.transmitWired(holder, opts.origin, rec)
-		return
+		e.bounce(st.at, mh, msg, opts)
 
 	case StatusConnected:
 		target := st.at
-		if target == via {
-			// Local delivery. Under the paper's pessimistic assumption every
-			// routed delivery to a MH still incurs the fixed search cost.
-			if e.cfg.PessimisticSearch && e.cfg.SearchMode == SearchAbstract {
-				e.chargeSearch(opts, stale)
-			}
+		if target != via {
+			e.chargeSearch(opts, stale)
+			rec := e.newRec(opRouteArrive)
+			rec.mss = target
+			rec.mh = mh
+			rec.msg = msg
+			rec.opts = opts
+			e.transmitWired(via, target, rec)
+			return
+		}
+		// Local delivery. Under the paper's pessimistic assumption every
+		// routed delivery to a MH still incurs the fixed search cost.
+		if e.cfg.PessimisticSearch && e.cfg.SearchMode == SearchAbstract {
+			e.chargeSearch(opts, stale)
+		}
+		if !opts.toMSS {
 			e.wirelessDown(via, mh, msg, opts)
 			return
 		}
-		e.chargeSearch(opts, stale)
-		rec := e.newRec(opRouteArrive)
+		// Through the substrate, not inline: the caller may be a handler of
+		// this very station.
+		rec := e.newRec(opDispatchMSS)
 		rec.mss = target
-		rec.mh = mh
+		rec.from = From{MSS: opts.origin}
 		rec.msg = msg
-		rec.opts = opts
-		e.transmitWired(via, target, rec)
-		return
+		rec.opts.alg = opts.alg
+		e.sub.EnqueueRec(rec)
 
 	default:
 		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(mh), int(st.status)))
 	}
+}
+
+// bounce disposes of a routed message that found mh disconnected, at the MSS
+// holding its "disconnected" flag: one fixed control message either way —
+// the handover to the custody hook when one is bound and takes the message
+// for store-carry-forward (custody.go), else the notification to the sender.
+func (e *Engine) bounce(holder MSSID, mh MHID, msg Message, opts routeOpts) {
+	e.meter.Charge(cost.CatControl, cost.KindFixed)
+	if e.custody != nil && !opts.toMSS && e.custody.OfferCustody(holder, mh, msg, CustodyRef{opts: opts}) {
+		return
+	}
+	e.failToOrigin(holder, mh, msg, opts)
+}
+
+// failToOrigin sends the disconnected notification from holder to the MSS
+// that initiated the routed send. The message will never deliver, so its
+// pair sequence slot is freed now, at send time: the origin may itself be
+// crashed and the notification discarded in flight, and pair state is
+// global engine state, not something the origin must hear about.
+func (e *Engine) failToOrigin(holder MSSID, mh MHID, msg Message, opts routeOpts) {
+	e.skipPairSeq(opts)
+	rec := e.newRec(opNotifyFailure)
+	rec.mss = opts.origin
+	rec.mh = mh
+	rec.msg = msg
+	rec.opts = opts
+	e.transmitWired(holder, opts.origin, rec)
 }
 
 // reclassifyWastedWireless moves one wireless charge from cat to the stale
@@ -234,23 +255,10 @@ func (e *Engine) downArrive(rec *DeliveryRec) {
 	}
 	if st.status == StatusDisconnected && st.at == mss {
 		// Disconnected in this very cell before the transmission
-		// completed: the transmission was wasted (reclassified as
-		// stale) and the local MSS notifies the sender — or, with a
-		// custody hook bound, keeps the message for store-carry-forward.
+		// completed: the transmission was wasted (reclassified as stale)
+		// and the local MSS answers for the MH.
 		e.reclassifyWastedWireless(rec.opts.cat)
-		e.meter.Charge(cost.CatControl, cost.KindFixed)
-		if e.custody != nil && e.custody.OfferCustody(mss, mh, rec.msg, CustodyRef{opts: rec.opts}) {
-			return
-		}
-		// Tombstone at send time (see routeToMH): the notification may
-		// never reach a crashed origin.
-		e.skipPairSeq(rec.opts)
-		fail := e.newRec(opNotifyFailure)
-		fail.mss = rec.opts.origin
-		fail.mh = mh
-		fail.msg = rec.msg
-		fail.opts = rec.opts
-		e.transmitWired(mss, rec.opts.origin, fail)
+		e.bounce(mss, mh, rec.msg, rec.opts)
 		return
 	}
 	// Left the cell: the wireless message fell outside the received
@@ -308,39 +316,52 @@ func (e *Engine) skipPairSeq(opts routeOpts) {
 	e.drainPair(opts.pair, ps)
 }
 
-// sendFromMH transmits msg from mh to its current local MSS. Sends from a
-// MH in transit are deferred until it joins a cell (it "neither sends nor
-// receives" between cells).
-func (e *Engine) sendFromMH(alg int, mh MHID, msg Message, cat cost.Category) error {
-	e.checkMH(mh)
-	st := &e.mh[mh]
+// uplink is the gate every MH-originated send passes: between cells a MH
+// "neither sends nor receives" (Section 2). From a connected MH it charges
+// the uplink transmission and returns the cell it is made in, with send
+// true: the caller builds its record and transmits. From a MH in transit
+// it parks a replayOp record that re-issues the send once the MH has
+// joined a cell; from a disconnected one it reports an error.
+func (e *Engine) uplink(replayOp recOp, alg int, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) (at MSSID, send bool, err error) {
+	e.checkMH(from)
+	st := &e.mh[from]
 	switch st.status {
 	case StatusDisconnected:
-		return fmt.Errorf("engine: mh%d is disconnected and cannot send", int(mh))
+		return 0, false, fmt.Errorf("engine: mh%d is disconnected and cannot send", int(from))
 	case StatusInTransit:
-		rec := e.newRec(opSendFromMH)
-		rec.mh = mh
+		rec := e.newRec(replayOp)
+		rec.mh = from
+		rec.mss = via
+		rec.mh2 = to
 		rec.msg = msg
 		rec.opts.alg = alg
 		rec.opts.cat = cat
-		e.addWaiter(mh, rec)
-		return nil
+		e.addWaiter(from, rec)
+		return 0, false, nil
 	case StatusConnected:
-		at := st.at
 		e.meter.Charge(cat, cost.KindWireless)
-		e.meter.WirelessTx(int(mh))
-		// The message was transmitted before any subsequent leave(), so
-		// the MSS of the cell it was sent in processes it.
-		rec := e.newRec(opDispatchMSS)
-		rec.mss = at
-		rec.from = From{MH: mh, IsMH: true}
-		rec.msg = msg
-		rec.opts.alg = alg
-		e.transmitUp(mh, rec)
-		return nil
+		e.meter.WirelessTx(int(from))
+		return st.at, true, nil
 	default:
-		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(mh), int(st.status)))
+		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(from), int(st.status)))
 	}
+}
+
+// sendFromMH transmits msg from mh to its current local MSS.
+func (e *Engine) sendFromMH(alg int, mh MHID, msg Message, cat cost.Category) error {
+	at, send, err := e.uplink(opSendFromMH, alg, mh, 0, 0, msg, cat)
+	if !send {
+		return err
+	}
+	// The message was transmitted before any subsequent leave(), so the MSS
+	// of the cell it was sent in processes it.
+	rec := e.newRec(opDispatchMSS)
+	rec.mss = at
+	rec.from = From{MH: mh, IsMH: true}
+	rec.msg = msg
+	rec.opts.alg = alg
+	e.transmitUp(mh, rec)
+	return nil
 }
 
 // forwardViaMSS routes msg to MH `to` through the MSS a directory names:
@@ -372,37 +393,19 @@ func (e *Engine) sendToMHVia(alg int, from, via MSSID, to MHID, msg Message, cat
 // member). A stale directory entry falls back to a search charged to
 // cost.CatStale.
 func (e *Engine) sendMHViaMSS(alg int, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) error {
-	e.checkMH(from)
 	e.checkMSS(via)
 	e.checkMH(to)
-	st := &e.mh[from]
-	switch st.status {
-	case StatusDisconnected:
-		return fmt.Errorf("engine: mh%d is disconnected and cannot send", int(from))
-	case StatusInTransit:
-		rec := e.newRec(opSendMHViaMSS)
-		rec.mh = from
-		rec.mss = via
-		rec.mh2 = to
-		rec.msg = msg
-		rec.opts.alg = alg
-		rec.opts.cat = cat
-		e.addWaiter(from, rec)
-		return nil
-	case StatusConnected:
-		at := st.at
-		e.meter.Charge(cat, cost.KindWireless)
-		e.meter.WirelessTx(int(from))
-		rec := e.newRec(opUpForwardVia)
-		rec.mss = via
-		rec.mh = to
-		rec.msg = msg
-		rec.opts = routeOpts{alg: alg, origin: at, cat: cat}
-		e.transmitUp(from, rec)
-		return nil
-	default:
-		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(from), int(st.status)))
+	at, send, err := e.uplink(opSendMHViaMSS, alg, from, via, to, msg, cat)
+	if !send {
+		return err
 	}
+	rec := e.newRec(opUpForwardVia)
+	rec.mss = via
+	rec.mh = to
+	rec.msg = msg
+	rec.opts = routeOpts{alg: alg, origin: at, cat: cat}
+	e.transmitUp(from, rec)
+	return nil
 }
 
 // sendToMSSOfMH locates mh and delivers msg to the MSS currently serving it
@@ -411,101 +414,27 @@ func (e *Engine) sendMHViaMSS(alg int, from MHID, via MSSID, to MHID, msg Messag
 func (e *Engine) sendToMSSOfMH(alg int, from MSSID, mh MHID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	e.checkMH(mh)
-	e.routeToMSSOfMH(from, mh, msg, routeOpts{alg: alg, origin: from, cat: cat}, false)
-}
-
-// routeToMSSOfMH is routeToMH with the MSS itself as the final recipient.
-func (e *Engine) routeToMSSOfMH(via MSSID, mh MHID, msg Message, opts routeOpts, stale bool) {
-	st := &e.mh[mh]
-	switch st.status {
-	case StatusInTransit:
-		rec := e.newRec(opRouteMSSResume)
-		rec.mss = via
-		rec.mh = mh
-		rec.msg = msg
-		rec.opts = opts
-		rec.stale = stale
-		e.addWaiter(mh, rec)
-		return
-
-	case StatusDisconnected:
-		holder := st.at
-		e.chargeSearch(opts, stale)
-		e.meter.Charge(cost.CatControl, cost.KindFixed)
-		// Tombstone at send time (see routeToMH); a no-op here since
-		// MSS-destined traffic never carries a pair sequence.
-		e.skipPairSeq(opts)
-		rec := e.newRec(opNotifyFailure)
-		rec.mss = opts.origin
-		rec.mh = mh
-		rec.msg = msg
-		rec.opts = opts
-		e.transmitWired(holder, opts.origin, rec)
-		return
-
-	case StatusConnected:
-		target := st.at
-		if target == via {
-			if e.cfg.PessimisticSearch && e.cfg.SearchMode == SearchAbstract {
-				e.chargeSearch(opts, stale)
-			}
-			rec := e.newRec(opDispatchMSS)
-			rec.mss = target
-			rec.from = From{MSS: opts.origin}
-			rec.msg = msg
-			rec.opts.alg = opts.alg
-			e.sub.EnqueueRec(rec)
-			return
-		}
-		e.chargeSearch(opts, stale)
-		rec := e.newRec(opRouteMSSArrive)
-		rec.mss = target
-		rec.mh = mh
-		rec.msg = msg
-		rec.opts = opts
-		e.transmitWired(via, target, rec)
-		return
-
-	default:
-		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(mh), int(st.status)))
-	}
+	e.routeToMH(from, mh, msg, routeOpts{alg: alg, origin: from, cat: cat, toMSS: true}, false)
 }
 
 // sendMHToMH implements MH-to-MH messaging: wireless uplink, routed
 // forwarding with search, wireless downlink, with per-ordered-pair FIFO
 // delivery.
 func (e *Engine) sendMHToMH(alg int, from, to MHID, msg Message, cat cost.Category) error {
-	e.checkMH(from)
 	e.checkMH(to)
-	st := &e.mh[from]
-	switch st.status {
-	case StatusDisconnected:
-		return fmt.Errorf("engine: mh%d is disconnected and cannot send", int(from))
-	case StatusInTransit:
-		rec := e.newRec(opSendMHToMH)
-		rec.mh = from
-		rec.mh2 = to
-		rec.msg = msg
-		rec.opts.alg = alg
-		rec.opts.cat = cat
-		e.addWaiter(from, rec)
-		return nil
-	case StatusConnected:
-		at := st.at
-		key := pairKey{from: from, to: to}
-		ps := e.pairState(key)
-		seq := ps.nextSeq
-		ps.nextSeq++
-		e.meter.Charge(cat, cost.KindWireless)
-		e.meter.WirelessTx(int(from))
-		rec := e.newRec(opUpRoute)
-		rec.mss = at
-		rec.mh = to
-		rec.msg = msg
-		rec.opts = routeOpts{alg: alg, origin: at, cat: cat, pair: key, hasPair: true, seq: seq}
-		e.transmitUp(from, rec)
-		return nil
-	default:
-		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(from), int(st.status)))
+	at, send, err := e.uplink(opSendMHToMH, alg, from, 0, to, msg, cat)
+	if !send {
+		return err
 	}
+	key := pairKey{from: from, to: to}
+	ps := e.pairState(key)
+	seq := ps.nextSeq
+	ps.nextSeq++
+	rec := e.newRec(opUpRoute)
+	rec.mss = at
+	rec.mh = to
+	rec.msg = msg
+	rec.opts = routeOpts{alg: alg, origin: at, cat: cat, pair: key, hasPair: true, seq: seq}
+	e.transmitUp(from, rec)
+	return nil
 }

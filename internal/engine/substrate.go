@@ -1,6 +1,10 @@
 package engine
 
-import "mobiledist/internal/sim"
+import (
+	"sort"
+
+	"mobiledist/internal/sim"
+)
 
 // Substrate is the execution backend an Engine drives. The engine owns the
 // entire protocol model — registries, status machine, routing, mobility,
@@ -35,7 +39,7 @@ type Substrate interface {
 	// TransmitRec delivers rec on FIFO channel ch: hand it to the bound
 	// sink after the drawn link latency, never overtaking an earlier
 	// TransmitRec on the same channel. Channel ids are the engine's flat
-	// numbering (see ChannelCount).
+	// numbering (see ChannelLayout).
 	TransmitRec(ch int, latency sim.Time, rec *DeliveryRec)
 	// AfterRec hands rec to the bound sink after d ticks of virtual time,
 	// outside any channel's FIFO order. A live substrate counts the armed
@@ -46,12 +50,6 @@ type Substrate interface {
 	// preserving submission order among EnqueueRec calls.
 	EnqueueRec(rec *DeliveryRec)
 }
-
-// ChannelCount returns the number of distinct FIFO channels in an (m, n)
-// network: m*m ordered wired MSS pairs, m*n wireless downlinks, and n
-// wireless uplinks. The engine numbers them contiguously in that order, so
-// a substrate can size flat per-channel state once at construction.
-func ChannelCount(m, n int) int { return m*m + m*n + n }
 
 // ChannelKind classifies a flat channel id.
 type ChannelKind int
@@ -66,14 +64,18 @@ const (
 	ChannelUp
 )
 
-// ChannelLayout decodes the engine's flat channel numbering for an (m, n)
-// network. It is the classification surface for transport-level tooling
-// that wraps a Substrate (the fault injector): such tooling must depend on
-// nothing of the engine beyond Substrate, ChannelCount and this decoder.
+// ChannelLayout is the engine's flat channel numbering for an (m, n)
+// network: m*m ordered wired MSS pairs, m*n wireless downlinks and n
+// wireless uplinks, numbered contiguously in that order. It is the
+// classification surface for transport-level tooling that wraps a Substrate
+// (the fault injector): such tooling must depend on nothing of the engine
+// beyond Substrate, this decoder and ChanTable, the per-channel storage
+// keyed by it.
 type ChannelLayout struct{ M, N int }
 
-// Count returns ChannelCount(l.M, l.N).
-func (l ChannelLayout) Count() int { return ChannelCount(l.M, l.N) }
+// Count returns the number of distinct channel ids. It grows as M*N: state
+// per channel belongs in a ChanTable, never in an array of this size.
+func (l ChannelLayout) Count() int { return l.M*l.M + l.M*l.N + l.N }
 
 // Decode classifies ch. For ChannelWired, a and b are the source and
 // destination MSS ids; for ChannelDown, a is the MSS and b the MH; for
@@ -131,73 +133,133 @@ func (e *Engine) chanUp(mh MHID) int {
 	return e.cfg.M*e.cfg.M + e.cfg.M*e.cfg.N + int(mh)
 }
 
-// DenseChannelLimit is the largest channel count for which per-channel
-// state is kept in one flat array. ChannelCount is dominated by the M*N
-// downlink block, which reaches ~10^10 at M=10^4/N=10^6 — far beyond what
-// flat slices can hold — while the number of channels that ever carry
-// traffic is bounded by live (cell, MH) attachments, O(N). Above the limit
-// the ARQ link table switches to a sparse map keyed by channel id; the
-// semantics are identical either way.
-const DenseChannelLimit = 1 << 22
+// ChanTable holds one T per flat channel id without ever being sized by
+// ChannelLayout.Count, which the M*N downlink block carries to ~10^10 at
+// M=10^4/N=10^6. Storage follows the blocks of the numbering: a wired row
+// (M entries) per source station, allocated when that station first sends;
+// the N uplinks flat; and the downlinks per MH — a host only has downlink
+// history with cells that have transmitted to it, so each host keeps one hot
+// slot (one cache line per lookup while its current cell serves it) and a
+// short overflow list of the cells that served it before.
+//
+// A pointer returned by At is valid until the next At on the same table: a
+// downlink lookup that misses the hot slot swaps entries between the slot
+// and the overflow list. A holder that can re-enter the table while it works
+// (ARQ, the netrt hub) therefore stores *S as its T and keeps the S; one that
+// reads and writes the entry at once (FIFOClock, the fault injector) stores
+// the value itself.
+type ChanTable[T any] struct {
+	m, n              int
+	wiredEnd, downEnd int // first downlink id, first uplink id
+	wired             [][]T
+	hot               []downSlot[T]
+	over              [][]downSlot[T]
+	up                []T
+}
 
-// denseWiredLimit is the largest wired block (M*M entries) a layout-aware
-// FIFOClock keeps as a flat slice. It is far above DenseChannelLimit because
-// the wired block is only quadratic in the station count — 10^8 entries at
-// M=10^4, within reach of a flat allocation — whereas the downlink block is
-// M*N and genuinely intractable flat.
-const denseWiredLimit = 1 << 27
+// downSlot is one (station, MH) downlink entry among its MH's slots.
+type downSlot[T any] struct {
+	cell int32 // station id + 1; 0 marks a hot slot never used
+	v    T
+}
 
-// downMark is one per-MH downlink high-water mark: the latest arrival
-// scheduled on the (mss, mh) downlink. A host accumulates one entry per
-// distinct cell that has ever sent to it, which mobility keeps small.
-type downMark struct {
-	mss  int32
-	mark sim.Time
+// downRef is one used downlink slot under its channel id, for Each.
+type downRef[T any] struct {
+	ch int
+	v  *T
+}
+
+// NewChanTable returns an empty table for l's numbering, allocating O(M+N).
+func NewChanTable[T any](l ChannelLayout) *ChanTable[T] {
+	return &ChanTable[T]{
+		m:        l.M,
+		n:        l.N,
+		wiredEnd: l.M * l.M,
+		downEnd:  l.M*l.M + l.M*l.N,
+		wired:    make([][]T, l.M),
+		hot:      make([]downSlot[T], l.N),
+		over:     make([][]downSlot[T], l.N),
+		up:       make([]T, l.N),
+	}
+}
+
+// At returns channel ch's entry, the zero T on first use.
+func (t *ChanTable[T]) At(ch int) *T {
+	if ch >= t.downEnd {
+		return &t.up[ch-t.downEnd]
+	}
+	if rel := ch - t.wiredEnd; rel >= 0 {
+		mh, cell := rel%t.n, int32(rel/t.n)+1
+		d := &t.hot[mh]
+		if d.cell == cell {
+			return &d.v
+		}
+		ov := t.over[mh]
+		for i := range ov {
+			if ov[i].cell == cell {
+				ov[i], *d = *d, ov[i]
+				return &d.v
+			}
+		}
+		// First use of this downlink: it takes the hot slot, demoting
+		// whatever held it.
+		if d.cell != 0 {
+			t.over[mh] = append(ov, *d)
+		}
+		*d = downSlot[T]{cell: cell}
+		return &d.v
+	}
+	row := &t.wired[ch/t.m]
+	if *row == nil {
+		*row = make([]T, t.m)
+	}
+	return &(*row)[ch%t.m]
+}
+
+// Each calls fn for every entry At has handed out, in ascending channel id
+// order. The wired rows and the uplink block are walked whole, so fn also
+// sees never-requested neighbours there, holding the zero T. fn must not
+// call At.
+func (t *ChanTable[T]) Each(fn func(ch int, v *T)) {
+	for a, row := range t.wired {
+		for b := range row {
+			fn(a*t.m+b, &row[b])
+		}
+	}
+	// Downlinks are stored by MH and numbered by station: order the used
+	// slots by id before visiting them.
+	var down []downRef[T]
+	add := func(mh int, s *downSlot[T]) {
+		if s.cell != 0 {
+			down = append(down, downRef[T]{t.wiredEnd + int(s.cell-1)*t.n + mh, &s.v})
+		}
+	}
+	for mh := range t.hot {
+		add(mh, &t.hot[mh])
+		for i := range t.over[mh] {
+			add(mh, &t.over[mh][i])
+		}
+	}
+	sort.Slice(down, func(i, j int) bool { return down[i].ch < down[j].ch })
+	for _, d := range down {
+		fn(d.ch, d.v)
+	}
+	for mh := range t.up {
+		fn(t.downEnd+mh, &t.up[mh])
+	}
 }
 
 // FIFOClock computes FIFO-respecting arrival times for virtual-time
-// substrates: per-channel high-water marks indexed by the engine's channel
-// numbering. A zero mark means "no prior traffic", which is exact: clamping
-// against 0 is a no-op. Substrates that serialize channels physically (one
-// goroutine per channel, as internal/rt does) do not need it.
-//
-// Storage follows the engine's wired/down/up block structure and never
-// needs a global map: the wired and uplink blocks stay flat (they are M^2
-// and N entries), and the downlink block — M*N ids, ~10^10 at full scale —
-// is held as per-MH marks, exploiting that a host only carries downlink
-// history from cells that have actually transmitted to it: a flat
-// hottest-mark-per-MH array (one cache line per lookup in the common case
-// of a host served by its current cell) plus a rarely-touched overflow
-// list holding marks from the host's previous cells.
-type FIFOClock struct {
-	n        int
-	wiredEnd int
-	downEnd  int
-	wired    []sim.Time
-	wiredMap map[int]sim.Time // wired fallback above denseWiredLimit
-	down0    []downMark
-	downOv   [][]downMark
-	up       []sim.Time
-}
+// substrates: one high-water mark per channel. A zero mark means "no prior
+// traffic", which is exact: clamping against 0 is a no-op. Substrates that
+// serialize channels physically (one goroutine per channel, as internal/rt
+// does) do not need it.
+type FIFOClock struct{ marks *ChanTable[sim.Time] }
 
 // NewFIFOClockLayout returns a clock for the engine's (m, n) channel
-// numbering using per-block storage, avoiding sparse-map lookups on the
-// per-message hot path at every supported scale.
+// numbering.
 func NewFIFOClockLayout(m, n int) *FIFOClock {
-	c := &FIFOClock{
-		n:        n,
-		wiredEnd: m * m,
-		downEnd:  m*m + m*n,
-		down0:    make([]downMark, n),
-		downOv:   make([][]downMark, n),
-		up:       make([]sim.Time, n),
-	}
-	if m*m <= denseWiredLimit {
-		c.wired = make([]sim.Time, m*m)
-	} else {
-		c.wiredMap = make(map[int]sim.Time)
-	}
-	return c
+	return &FIFOClock{marks: NewChanTable[sim.Time](ChannelLayout{M: m, N: n})}
 }
 
 // Arrival returns the delivery time for a message sent now with the given
@@ -205,58 +267,10 @@ func NewFIFOClockLayout(m, n int) *FIFOClock {
 // the same channel, and records it as the channel's new high-water mark.
 func (c *FIFOClock) Arrival(ch int, now, latency sim.Time) sim.Time {
 	arrival := now + latency
-	switch {
-	case ch < c.wiredEnd:
-		if c.wired != nil {
-			slot := &c.wired[ch]
-			if *slot > arrival {
-				arrival = *slot
-			}
-			*slot = arrival
-			return arrival
-		}
-		if last := c.wiredMap[ch]; last > arrival {
-			arrival = last
-		}
-		c.wiredMap[ch] = arrival
-		return arrival
-	case ch < c.downEnd:
-		rel := ch - c.wiredEnd
-		mh := rel % c.n
-		mss := int32(rel / c.n)
-		d := &c.down0[mh]
-		if d.mss == mss && d.mark != 0 {
-			if d.mark > arrival {
-				arrival = d.mark
-			}
-			d.mark = arrival
-			return arrival
-		}
-		ov := c.downOv[mh]
-		for i := range ov {
-			if ov[i].mss == mss {
-				if ov[i].mark > arrival {
-					arrival = ov[i].mark
-				}
-				// Promote the hit to the hot slot; the displaced mark keeps
-				// the overflow position.
-				ov[i], *d = *d, downMark{mss: mss, mark: arrival}
-				return arrival
-			}
-		}
-		// First traffic on this (mss, mh) downlink: it takes the hot slot,
-		// demoting whatever held it.
-		if d.mark != 0 {
-			c.downOv[mh] = append(ov, *d)
-		}
-		*d = downMark{mss: mss, mark: arrival}
-		return arrival
-	default:
-		slot := &c.up[ch-c.downEnd]
-		if *slot > arrival {
-			arrival = *slot
-		}
-		*slot = arrival
-		return arrival
+	mark := c.marks.At(ch)
+	if *mark > arrival {
+		arrival = *mark
 	}
+	*mark = arrival
+	return arrival
 }

@@ -150,11 +150,13 @@ func (p Plan) Validate(m, n int) error {
 	return nil
 }
 
-// chanState is the per-channel decision stream: a transmission counter and
-// a private RNG derived from (plan seed, channel id).
+// chanState is the per-channel decision stream — a transmission counter and
+// a private RNG derived from (plan seed, channel id) — and, while the trace
+// is recorded, the decision taken for each transmission index.
 type chanState struct {
-	n   int
-	rng *sim.RNG
+	n      int
+	rng    *sim.RNG
+	events []string
 }
 
 // inner is the wrapped substrate. The alias keeps the Injector's embedded
@@ -179,7 +181,7 @@ type Injector struct {
 	inner
 	plan   Plan
 	layout engine.ChannelLayout
-	chans  []chanState
+	chans  *engine.ChanTable[chanState]
 	stats  engine.FaultStats
 
 	// sink is the engine's record sink; the injector's own RecSink
@@ -195,7 +197,6 @@ type Injector struct {
 	tracer *obs.Tracer
 
 	recording bool
-	events    [][]string
 }
 
 var (
@@ -217,7 +218,7 @@ func New(plan Plan, m, n int, sub engine.Substrate) (*Injector, error) {
 		inner:  sub,
 		plan:   plan,
 		layout: layout,
-		chans:  make([]chanState, layout.Count()),
+		chans:  engine.NewChanTable[chanState](layout),
 	}, nil
 }
 
@@ -359,13 +360,12 @@ func (i *Injector) flappedUp(mh engine.MHID, t sim.Time) bool {
 	return false
 }
 
-// channelRNG lazily builds the channel's private decision stream. The
+// stream lazily builds the channel's private decision stream. The
 // golden-ratio multiply spreads adjacent channel ids across the splitmix
 // seed space.
-func (i *Injector) channelRNG(ch int) *sim.RNG {
-	st := &i.chans[ch]
+func (st *chanState) stream(seed uint64, ch int) *sim.RNG {
 	if st.rng == nil {
-		st.rng = sim.NewRNG(i.plan.Seed ^ (uint64(ch+1) * 0x9E3779B97F4A7C15))
+		st.rng = sim.NewRNG(seed ^ (uint64(ch+1) * 0x9E3779B97F4A7C15))
 	}
 	return st.rng
 }
@@ -377,7 +377,9 @@ func (i *Injector) channelRNG(ch int) *sim.RNG {
 func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	now := i.Now()
 	kind, a, b := i.layout.Decode(ch)
-	st := &i.chans[ch]
+	// st is good until the next At (engine.ChanTable): it is used up to the
+	// draws below, and record looks the channel up again.
+	st := i.chans.At(ch)
 	idx := st.n
 	st.n++
 	// Stamp the channel (for the delivery-time gate) and the transmission
@@ -415,7 +417,7 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 
 	// Exactly four draws per wireless transmission, fault or not, so the
 	// decision stream is a pure function of (seed, channel, index).
-	rng := i.channelRNG(ch)
+	rng := st.stream(i.plan.Seed, ch)
 	pDrop := rng.Float64()
 	pDup := rng.Float64()
 	pReorder := rng.Float64()
@@ -479,29 +481,25 @@ func reorderExtra(d engine.Delay, rng *sim.RNG) sim.Time {
 // RecordTrace switches per-transmission trace recording on or off. Enable
 // it before traffic flows; the trace is the determinism witness the fuzz
 // and conformance tests compare across runs and substrates.
-func (i *Injector) RecordTrace(on bool) {
-	i.recording = on
-	if on && i.events == nil {
-		i.events = make([][]string, i.layout.Count())
-	}
-}
+func (i *Injector) RecordTrace(on bool) { i.recording = on }
 
 func (i *Injector) record(ch, idx int, action string) {
 	if !i.recording {
 		return
 	}
-	for len(i.events[ch]) <= idx {
-		i.events[ch] = append(i.events[ch], "")
+	st := i.chans.At(ch)
+	for len(st.events) <= idx {
+		st.events = append(st.events, "")
 	}
-	i.events[ch][idx] = action
+	st.events[idx] = action
 }
 
 func (i *Injector) amend(ch, idx int, action string) {
 	if !i.recording {
 		return
 	}
-	if idx < len(i.events[ch]) {
-		i.events[ch][idx] = action
+	if st := i.chans.At(ch); idx < len(st.events) {
+		st.events[idx] = action
 	}
 }
 
@@ -511,10 +509,10 @@ func (i *Injector) amend(ch, idx int, action string) {
 // comparable across runs and across substrates.
 func (i *Injector) Trace() string {
 	var b strings.Builder
-	for ch, evs := range i.events {
-		for idx, action := range evs {
+	i.chans.Each(func(ch int, st *chanState) {
+		for idx, action := range st.events {
 			fmt.Fprintf(&b, "ch%d#%d %s\n", ch, idx, action)
 		}
-	}
+	})
 	return b.String()
 }

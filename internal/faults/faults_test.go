@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mobiledist/internal/engine"
@@ -279,6 +280,30 @@ func TestSamePlanSameSeedSameTrace(t *testing.T) {
 	t3, _ := driveTraffic(t, plan, 200)
 	if t1 == t3 {
 		t.Fatal("different seeds produced identical traces — the seed is inert")
+	}
+}
+
+// TestNewAllocatesLinear: an injector costs O(M+N) to build, whatever the
+// channel count. At sim-route's size (M=10^3, N=10^5: 1.0e8 channel ids) a
+// decision stream and a trace slot per id would be 4 GB before the first
+// transmission.
+func TestNewAllocatesLinear(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	inj, err := New(Plan{Down: LinkFaults{Drop: 0.05}}, 1000, 100000, newStub())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Errorf("New(M=1000, N=100000) allocated %d bytes, want < 32 MB", got)
+	}
+	inj.RecordTrace(true)
+	inj.BindRecSink(&fakeSink{})
+	last := engine.ChannelLayout{M: 1000, N: 100000}.Count() - 1
+	inj.TransmitRec(last, 1, &engine.DeliveryRec{})
+	if got, want := inj.Trace(), fmt.Sprintf("ch%d#0 deliver\n", last); got != want {
+		t.Errorf("trace of one uplink transmission = %q, want %q", got, want)
 	}
 }
 

@@ -41,6 +41,7 @@ type hubStatusJSON struct {
 	DeadPeers      int                `json:"dead_peers"`
 	ParkedOnDead   int64              `json:"parked_on_dead"`
 	PendingRecords int64              `json:"pending_records"`
+	StrayConfirms  int64              `json:"stray_confirms"`
 	HeartbeatRTT   rttJSON            `json:"heartbeat_rtt"`
 	Peers          []peerStatusJSON   `json:"peers"`
 	Dgram          []dgramSessionJSON `json:"dgram_sessions,omitempty"`
@@ -168,6 +169,7 @@ func (s *System) HealthHandler() http.Handler {
 			N:              s.cfg.N,
 			ParkedOnDead:   s.parked.Load(),
 			PendingRecords: s.inflight.Load(),
+			StrayConfirms:  s.strays.Load(),
 			Peers:          make([]peerStatusJSON, 0, len(table)),
 			Dgram:          listenerSessions(s.ln),
 		}

@@ -282,7 +282,7 @@ func TestWriterBatchesWhatTheOutboxHolds(t *testing.T) {
 // TestWriterResendsBatchAfterFailedFlush: a connection that dies mid-flush
 // consumes nothing; the whole batch goes out again on the next connection,
 // so the far side sees every sequence number, in order once duplicates
-// (which the hub's release buffer suppresses) are dropped.
+// (which fall below the hub's send window) are dropped.
 func TestWriterResendsBatchAfterFailedFlush(t *testing.T) {
 	const frames = 32
 	p := testPeer(t)

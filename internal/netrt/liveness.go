@@ -155,7 +155,7 @@ func (lv *liveness) noteConn(role wire.Role, id int, connected bool) {
 		// A dropped connection can swallow frames that were already written
 		// into its send buffer (write success ≠ delivery). Flag the peer so
 		// the next admission or pong replays the unconfirmed suffix; the
-		// release buffer suppresses whatever actually made it across.
+		// send window drops whatever actually made it across as a duplicate.
 		p.needSync = true
 	}
 	lv.cond.Broadcast()
@@ -172,24 +172,8 @@ func (lv *liveness) noteAttached(mh int, gen uint64) {
 	lv.mu.Unlock()
 }
 
-// ready reports cluster readiness: every peer connected, every MH attached.
-func (lv *liveness) ready() bool {
-	lv.mu.Lock()
-	defer lv.mu.Unlock()
-	for i := range lv.peers {
-		if !lv.peers[i].connected {
-			return false
-		}
-	}
-	for _, gen := range lv.attached {
-		if gen == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// waitReady blocks until ready() or the timeout, reporting success.
+// waitReady blocks until the cluster is ready — every peer connected, every
+// MH attached — or the timeout, reporting success.
 func (lv *liveness) waitReady(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, lv.wake)

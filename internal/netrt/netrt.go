@@ -11,10 +11,11 @@
 //   - the hub (this file) is internal/rt's Host — the engine, its single
 //     executor goroutine, timers, Do/WaitIdle and the mobility surface —
 //     plus what sockets add: a listener and one peer per station and mobile
-//     host, a pending ledger and per-channel release buffer, liveness with
-//     generation-fenced resync, and client retargeting. Every TransmitRec
-//     assigns the channel's next sequence number, parks the delivery
-//     record, and ships a TData frame on a physical journey over TCP;
+//     host, one send window per channel, liveness with generation-fenced
+//     resync, and client retargeting. Every TransmitRec parks the delivery
+//     record at the end of its channel's window — its position there is its
+//     sequence number — and ships a TData frame on a physical journey over
+//     TCP;
 //   - MSS relay nodes (node.go) carry the wired tier: a TData for wired
 //     channel (i,j) travels hub → node i, is due its link latency after it
 //     entered node i's per-channel pipe, crosses the mesh connection to
@@ -33,12 +34,14 @@
 //     flush when idle (peer.writeLoop drains its outbox into one write;
 //     the wireless echo paths flush when their reader has no further
 //     frame buffered), so a hop costs its sockets and nothing else;
-//   - when the hub receives TDelivered (ch, seq) it releases the parked
-//     record — but only in per-channel sequence order, holding back any
-//     confirmation that arrives early. That release buffer, not TCP alone,
-//     is the model's per-channel FIFO guarantee; duplicate confirmations
-//     (possible during connection loss, which both ends resolve
-//     at-least-once) are suppressed by the same sequence check.
+//   - when the hub receives TDelivered (ch, seq) it marks that window entry
+//     confirmed and releases the window's confirmed prefix — so records
+//     leave in per-channel sequence order, and a confirmation that arrives
+//     early waits in place. The window, not TCP alone, is the model's
+//     per-channel FIFO guarantee; duplicate confirmations (possible during
+//     connection loss, which both ends resolve at-least-once) fall below
+//     the window and are dropped, and one for a sequence never sent falls
+//     outside it and is counted (stray_confirms in /status).
 //
 // Model-level semantics are therefore identical to internal/rt: a
 // transmission, once made, always resolves — a frame radioed into a cell
@@ -54,8 +57,8 @@ package netrt
 
 import (
 	"fmt"
+	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,26 +129,41 @@ func DefaultConfig(m, n int) Config {
 	return Config{Config: rt.DefaultConfig(m, n), ListenAddr: "127.0.0.1:0"}
 }
 
-// pendKey identifies one in-flight transmission.
+// pendKey identifies one in-flight transmission in a relay's or a client's
+// written-but-unechoed set.
 type pendKey struct {
 	ch  int32
 	seq uint64
 }
 
-// pendEntry is one parked in-flight transmission: the delivery record plus
-// the drawn latency, kept so a resync replay can rebuild the exact TData
-// frame for the unconfirmed suffix.
+// pendEntry is one parked in-flight transmission: the delivery record, the
+// drawn latency (kept so a resync replay can rebuild the exact TData frame)
+// and whether its confirmation has arrived.
 type pendEntry struct {
-	rec     *engine.DeliveryRec
-	latency uint32
+	rec       *engine.DeliveryRec
+	latency   uint32
+	confirmed bool
 }
 
-// chanState is the hub's per-channel release buffer: next is the sequence
-// number whose confirmation may release, ready holds confirmations that
-// arrived early.
-type chanState struct {
-	next  uint64
-	ready map[uint64]struct{}
+// hubChan is the hub's state of one channel, its send window: win[i] is the
+// transmission with sequence number next+i, parked until it and everything
+// before it is confirmed, so the next number to assign is next+len(win).
+// envelope is the payload of the channel's TData frames.
+type hubChan struct {
+	next     uint64
+	win      []pendEntry
+	envelope []byte
+}
+
+// frame builds the TData frame of win[i].
+func (c *hubChan) frame(ch, i int) wire.Frame {
+	return wire.Frame{
+		Type:    wire.TData,
+		Ch:      int32(ch),
+		Seq:     c.next + uint64(i),
+		Latency: c.win[i].latency,
+		Payload: c.envelope,
+	}
 }
 
 // System is the hub: the shared host bound to the socket substrate. The
@@ -165,16 +183,14 @@ type System struct {
 	// Executor-only transmission state. Parked records are stepped (and
 	// freed) by the bound sink on the executor only; the record pool is
 	// not thread-safe, so stopped paths drop records rather than free them.
-	seqs      []uint64
-	chans     []chanState
-	pending   map[pendKey]pendEntry
-	envelopes [][]byte
-	rtGen     uint64
+	// Entries are nil until a channel's first transmission.
+	chans *engine.ChanTable[*hubChan]
+	rtGen uint64
 
 	// deadMSS / deadMH mirror the liveness tracker's dead verdicts onto the
 	// executor (set and cleared via executor tasks, read by TransmitRec):
-	// transmissions toward a dead peer park in pending without queuing a
-	// frame, and the resync replay re-sends them.
+	// transmissions toward a dead peer park in their window without queuing
+	// a frame, and the resync replay re-sends them.
 	deadMSS []bool
 	deadMH  []bool
 
@@ -182,59 +198,52 @@ type System struct {
 	// state machine, incarnation generations, attach confirmations).
 	lv *liveness
 
-	// parked and inflight are /status counters, written on the executor and
-	// read by the health endpoint.
+	// /status counters, written on the executor and read by the health
+	// endpoint.
 	parked   atomic.Int64 // transmissions parked on a dead peer (lifetime)
-	inflight atomic.Int64 // pending delivery records right now
+	inflight atomic.Int64 // delivery records in all windows right now
+	strays   atomic.Int64 // confirmations for a sequence never sent (lifetime)
 }
 
 var _ core.Registrar = (*System)(nil)
 
-// TransmitRec parks the delivery record under the channel's next sequence
-// number and ships the TData frame toward the relay that owns the sending
-// end of the physical journey. A frame bound for a peer the liveness
-// tracker declared dead parks without shipping (graceful degradation: the
-// record stays pending, bounded by the algorithms' own in-flight windows,
-// and the resync replay ships it when the peer returns).
+// TransmitRec parks the delivery record at the end of the channel's window
+// and ships the TData frame toward the relay that owns the sending end of
+// the physical journey. A frame bound for a peer the liveness tracker
+// declared dead parks without shipping (graceful degradation: the record
+// stays in the window, bounded by the algorithms' own in-flight windows, and
+// the resync replay ships it when the peer returns).
 func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	seq := s.seqs[ch]
-	s.seqs[ch]++
-	s.pending[pendKey{int32(ch), seq}] = pendEntry{rec: rec, latency: uint32(latency)}
+	cp := s.chans.At(ch)
+	if *cp == nil {
+		kind, a, b := s.layout.Decode(ch)
+		*cp = &hubChan{envelope: wire.Envelope{Kind: uint8(kind), A: int32(a), B: int32(b)}.Encode()}
+	}
+	c := *cp
+	c.win = append(c.win, pendEntry{rec: rec, latency: uint32(latency)})
 	s.inflight.Add(1)
 	s.Tasks().OpStart()
-	f := wire.Frame{
-		Type:    wire.TData,
-		Ch:      int32(ch),
-		Seq:     seq,
-		Latency: uint32(latency),
-		Payload: s.envelopes[ch],
+	p, dead := s.sender(ch)
+	if dead {
+		s.Engine().NoteParkedOnDeadMSS()
+		s.parked.Add(1)
+		return
 	}
-	kind, a, b := s.layout.Decode(ch)
-	var ok bool
-	switch kind {
-	case engine.ChannelWired, engine.ChannelDown:
-		if s.deadMSS[a] {
-			s.parkOnDead()
-			return
-		}
-		ok = s.mssPeers[a].send(f)
-	case engine.ChannelUp:
-		if s.deadMH[b] {
-			s.parkOnDead()
-			return
-		}
-		ok = s.mhPeers[b].send(f)
-	}
-	if !ok {
+	if f := c.frame(ch, len(c.win)-1); !p.send(f) {
 		// Shutdown: outboxes are closed; resolve so drains don't hang.
-		s.resolve(int32(ch), seq)
+		s.resolve(f.Ch, f.Seq)
 	}
 }
 
-// parkOnDead accounts one transmission parked on a dead peer (executor).
-func (s *System) parkOnDead() {
-	s.Engine().NoteParkedOnDeadMSS()
-	s.parked.Add(1)
+// sender names the peer that owns the sending end of ch's physical journey
+// — the source station of a wired channel or downlink, the client of an
+// uplink — and whether the liveness tracker has declared it dead.
+func (s *System) sender(ch int) (p *peer, dead bool) {
+	kind, a, b := s.layout.Decode(ch)
+	if kind == engine.ChannelUp {
+		return s.mhPeers[b], s.deadMH[b]
+	}
+	return s.mssPeers[a], s.deadMSS[a]
 }
 
 // NewSystem builds a hub from cfg, binds its listener, and starts accepting
@@ -246,20 +255,16 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.MSSAddrs) != cfg.M {
 		return nil, fmt.Errorf("netrt: MSSAddrs has %d entries, want M=%d", len(cfg.MSSAddrs), cfg.M)
 	}
-	channels := engine.ChannelCount(cfg.M, cfg.N)
+	layout := engine.ChannelLayout{M: cfg.M, N: cfg.N}
+	if layout.Count() > math.MaxInt32 {
+		return nil, fmt.Errorf("netrt: M=%d, N=%d makes %d channel ids, more than the %d a frame's int32 carries", cfg.M, cfg.N, layout.Count(), math.MaxInt32)
+	}
 	s := &System{
 		cfg:     cfg,
-		layout:  engine.ChannelLayout{M: cfg.M, N: cfg.N},
-		seqs:    make([]uint64, channels),
-		chans:   make([]chanState, channels),
-		pending: make(map[pendKey]pendEntry),
+		layout:  layout,
+		chans:   engine.NewChanTable[*hubChan](layout),
 		deadMSS: make([]bool, cfg.M),
 		deadMH:  make([]bool, cfg.N),
-	}
-	s.envelopes = make([][]byte, channels)
-	for ch := range s.envelopes {
-		kind, a, b := s.layout.Decode(ch)
-		s.envelopes[ch] = wire.Envelope{Kind: uint8(kind), A: int32(a), B: int32(b)}.Encode()
 	}
 
 	h, err := rt.NewHost(cfg.Config, s)
@@ -457,51 +462,41 @@ func (s *System) onPeerFrame(role wire.Role, id int, f wire.Frame) {
 	}
 }
 
-// resolve releases the parked delivery for (ch, seq), in per-channel
-// sequence order: early confirmations wait in the ready set, duplicates
-// (seq already released) are dropped. Runs on the executor.
+// resolve takes the confirmation of (ch, seq) and releases the confirmed
+// prefix of the channel's window, in order. Both numbers come off a socket:
+// a sequence below the window is a duplicate and dropped, anything else that
+// is not in a window — no such channel, nothing ever sent on it, a sequence
+// not sent yet — is a stray, dropped and counted. Runs on the executor.
 func (s *System) resolve(ch int32, seq uint64) {
-	st := &s.chans[ch]
-	if seq < st.next {
+	var c *hubChan
+	if 0 <= ch && int(ch) < s.layout.Count() {
+		c = *s.chans.At(int(ch))
+	}
+	if c == nil || seq >= c.next+uint64(len(c.win)) {
+		s.strays.Add(1)
+		return
+	}
+	if seq < c.next {
 		return // duplicate confirmation
 	}
-	if seq != st.next {
-		if st.ready == nil {
-			st.ready = make(map[uint64]struct{})
-		}
-		st.ready[seq] = struct{}{}
-		return
+	c.win[seq-c.next].confirmed = true
+	for len(c.win) > 0 && c.win[0].confirmed {
+		rec := c.win[0].rec
+		// Shift first: stepping the record may transmit on this channel.
+		c.win = append(c.win[:0], c.win[1:]...)
+		c.next++
+		s.inflight.Add(-1)
+		s.StepRec(rec)
+		s.Tasks().OpDone()
 	}
-	s.deliver(ch, st.next)
-	st.next++
-	for {
-		if _, ok := st.ready[st.next]; !ok {
-			return
-		}
-		delete(st.ready, st.next)
-		s.deliver(ch, st.next)
-		st.next++
-	}
-}
-
-func (s *System) deliver(ch int32, seq uint64) {
-	k := pendKey{ch, seq}
-	pe, ok := s.pending[k]
-	if !ok {
-		return
-	}
-	delete(s.pending, k)
-	s.inflight.Add(-1)
-	s.StepRec(pe.rec)
-	s.Tasks().OpDone()
 }
 
 // resyncPeer recovers a returning peer on the executor: drop whatever the
 // cleared-and-refilled outbox holds (stale interleavings), acknowledge the
 // incarnation, re-send current retarget state, then replay the unconfirmed
-// per-channel suffix from the pending ledger in (channel, sequence) order.
-// Duplicates that survive anywhere downstream are suppressed by the hub's
-// release buffer, so replay is always safe — even after a false suspicion.
+// entries of every window that crosses the peer, in (channel, sequence)
+// order. Duplicates that survive anywhere downstream fall below the hub's
+// windows, so replay is always safe — even after a false suspicion.
 func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 	p := s.peerFor(role, id)
 	p.clearOutbox()
@@ -529,59 +524,37 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 		}
 	}
 
-	// The unconfirmed suffix: every pending transmission that crosses the
+	// The unconfirmed suffix: every parked transmission that crosses the
 	// peer — for a station, wired channels it sends or receives (a frame
 	// may have died inside it after crossing the mesh, before confirming)
-	// and its downlinks; for a client, its uplinks. Early-confirmed
-	// sequences (in the ready set) are excluded: their journey completed.
-	keys := make([]pendKey, 0, 16)
-	for k := range s.pending {
-		kind, a, b := s.layout.Decode(int(k.ch))
-		owned := false
-		switch kind {
+	// and its downlinks; for a client, its uplinks. Early-confirmed entries
+	// are excluded: their journey completed. Frames go where TransmitRec
+	// sends them: the sending station owns the journey, so a frame lost
+	// inside a dead *receiving* station replays through its (live) sender.
+	s.chans.Each(func(ch int, cp **hubChan) {
+		c := *cp
+		if c == nil {
+			return
+		}
+		crosses := false
+		switch kind, a, b := s.layout.Decode(ch); kind {
 		case engine.ChannelWired:
-			owned = role == wire.RoleMSS && (a == id || b == id)
+			crosses = role == wire.RoleMSS && (a == id || b == id)
 		case engine.ChannelDown:
-			owned = role == wire.RoleMSS && a == id
+			crosses = role == wire.RoleMSS && a == id
 		case engine.ChannelUp:
-			owned = role == wire.RoleMH && b == id
+			crosses = role == wire.RoleMH && b == id
 		}
-		if !owned {
-			continue
+		if !crosses {
+			return
 		}
-		if st := &s.chans[k.ch]; st.ready != nil {
-			if _, confirmed := st.ready[k.seq]; confirmed {
-				continue
+		via, _ := s.sender(ch)
+		for i := range c.win {
+			if !c.win[i].confirmed {
+				via.send(c.frame(ch, i))
 			}
 		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ch != keys[j].ch {
-			return keys[i].ch < keys[j].ch
-		}
-		return keys[i].seq < keys[j].seq
 	})
-	for _, k := range keys {
-		pe := s.pending[k]
-		f := wire.Frame{
-			Type:    wire.TData,
-			Ch:      k.ch,
-			Seq:     k.seq,
-			Latency: pe.latency,
-			Payload: s.envelopes[k.ch],
-		}
-		// Route like TransmitRec: the sending station owns the journey, so
-		// a frame lost inside a dead *receiving* station replays through
-		// its (live) sender.
-		kind, a, b := s.layout.Decode(int(k.ch))
-		switch kind {
-		case engine.ChannelWired, engine.ChannelDown:
-			s.mssPeers[a].send(f)
-		case engine.ChannelUp:
-			s.mhPeers[b].send(f)
-		}
-	}
 }
 
 // mobilityRelay is the hub's internal mobility observer: it translates the
@@ -634,9 +607,6 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) WaitReady(timeout time.Duration) bool {
 	return s.lv.waitReady(timeout)
 }
-
-// ready reports instantaneous cluster readiness.
-func (s *System) ready() bool { return s.lv.ready() }
 
 // Stop shuts the hub down: it asks every node and client to exit (TBye),
 // gives the outboxes a moment to flush, then tears down the executor, the

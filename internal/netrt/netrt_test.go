@@ -18,12 +18,17 @@ const idleTimeout = 20 * time.Second
 
 // probe is a minimal algorithm giving tests a Context and delivery hooks.
 type probe struct {
-	onMH func(ctx core.Context, at core.MHID, msg core.Message)
+	onMH  func(ctx core.Context, at core.MHID, msg core.Message)
+	onMSS func()
 }
 
 func (p *probe) Name() string { return "netrt-probe" }
 
-func (p *probe) HandleMSS(core.Context, core.MSSID, core.From, core.Message) {}
+func (p *probe) HandleMSS(core.Context, core.MSSID, core.From, core.Message) {
+	if p.onMSS != nil {
+		p.onMSS()
+	}
+}
 
 func (p *probe) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	if p.onMH != nil {

@@ -8,7 +8,7 @@ import (
 
 // The runtime's transport is purely physical: the engine decides what to
 // send, on which flat channel id, with which latency (see
-// engine.ChannelCount); this file only moves deliveries. A delivery is
+// engine.ChannelLayout); this file only moves deliveries. A delivery is
 // stamped with its due time — arrival + latency × Tick — when it enters its
 // channel's pipe; one goroutine per active channel reads the pipe strictly
 // in order, waits only while the head's due time is still ahead, and hands

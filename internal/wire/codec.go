@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 )
 
@@ -21,6 +22,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	// ErrTooLarge means a length prefix exceeds MaxFrame.
 	ErrTooLarge = errors.New("wire: frame exceeds size bound")
+	// ErrRange means a varint field does not fit the Frame field it fills.
+	ErrRange = errors.New("wire: field out of range")
 )
 
 // zigzag maps signed to unsigned the way encoding/binary varints do.
@@ -102,6 +105,9 @@ func decodeBody(t Type, b []byte) (Frame, error) {
 	if err != nil {
 		return f, err
 	}
+	if ch < math.MinInt32 || ch > math.MaxInt32 {
+		return f, fmt.Errorf("%w: channel id %d", ErrRange, ch)
+	}
 	f.Ch = int32(ch)
 	if f.Seq, err = r.uvarint(); err != nil {
 		return f, err
@@ -112,6 +118,9 @@ func decodeBody(t Type, b []byte) (Frame, error) {
 	lat, err := r.uvarint()
 	if err != nil {
 		return f, err
+	}
+	if lat > math.MaxUint32 {
+		return f, fmt.Errorf("%w: latency %d", ErrRange, lat)
 	}
 	f.Latency = uint32(lat)
 	plen, err := r.uvarint()

@@ -34,6 +34,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{magic0, magic1, Version, byte(TData), 0x80})
 	f.Add([]byte("MW\x01\x03garbage"))
+	// Fields wider than the Frame's: rejected, never narrowed.
+	f.Add(rawDataFrame(1<<32+5, 1, 2))
+	f.Add(rawDataFrame(5, 1, 1<<32+9))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)

@@ -184,6 +184,40 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// rawDataFrame hand-encodes a TData frame whose channel id and latency are
+// full 64-bit varints, as a peer that is not this encoder could send them.
+func rawDataFrame(ch int64, seq, latency uint64) []byte {
+	body := appendVarint(nil, ch)
+	body = appendUvarint(body, seq)
+	body = append(body, 1) // hop
+	body = appendUvarint(body, latency)
+	body = appendUvarint(body, 0) // no payload
+	b := []byte{magic0, magic1, Version, byte(TData)}
+	return append(appendUvarint(b, uint64(len(body))), body...)
+}
+
+// TestDecodeRejectsFieldsWiderThanTheFrame: Frame.Ch is an int32 and
+// Frame.Latency a uint32, but both cross the wire as 64-bit varints. A value
+// that does not fit must be a decode error — narrowed, a confirmation for
+// channel 2^32+5 would be taken for channel 5.
+func TestDecodeRejectsFieldsWiderThanTheFrame(t *testing.T) {
+	if f, _, err := DecodeFrame(rawDataFrame(7, 3, 9)); err != nil || f.Ch != 7 || f.Seq != 3 || f.Latency != 9 {
+		t.Fatalf("in-range hand-encoded frame: %+v, %v", f, err)
+	}
+	for name, b := range map[string][]byte{
+		"channel id 2^32+5":  rawDataFrame(1<<32+5, 0, 0),
+		"channel id -2^31-1": rawDataFrame(-1<<31-1, 0, 0),
+		"latency 2^32+9":     rawDataFrame(5, 0, 1<<32+9),
+	} {
+		if f, _, err := DecodeFrame(b); !errors.Is(err, ErrRange) {
+			t.Errorf("DecodeFrame, %s: frame %+v, err %v, want ErrRange", name, f, err)
+		}
+		if f, err := NewReader(bytes.NewReader(b)).ReadFrame(); !errors.Is(err, ErrRange) {
+			t.Errorf("ReadFrame, %s: frame %+v, err %v, want ErrRange", name, f, err)
+		}
+	}
+}
+
 func TestPayloadBlobRoundTrips(t *testing.T) {
 	h := Hello{Role: RoleMH, ID: 7, M: 3, N: 9}
 	gotH, err := DecodeHello(h.Encode())
