@@ -36,9 +36,8 @@
 //     the hub's orderly goodbye. Each restart claims generation 0 in its
 //     hello, so the hub fences the dead incarnation and replays the
 //     unconfirmed suffix.
-//   - MOBILEDIST_HEARTBEAT_MS, MOBILEDIST_DIAL_BACKOFF_MIN_MS and
-//     MOBILEDIST_DIAL_BACKOFF_MAX_MS override the cluster file's liveness
-//     cadence and reconnect pacing per process.
+//   - MOBILEDIST_HEARTBEAT_MS overrides the cluster file's liveness cadence
+//     per process.
 //   - -transport tcp|udp selects the socket substrate; with -init it is
 //     stamped into the cluster file, otherwise it overrides the file (every
 //     process must agree). -secret overrides the UDP token-minting secret
@@ -244,17 +243,11 @@ func mintTokenBlob(cc netrt.ClusterConfig, id int, ttl time.Duration) (string, e
 }
 
 // applyEnv overlays the MOBILEDIST_* environment overrides on a loaded
-// cluster file, so operators can tune liveness cadence and reconnect pacing
-// per process without editing the shared file.
+// cluster file, so operators can tune liveness cadence per process without
+// editing the shared file.
 func applyEnv(cc netrt.ClusterConfig) netrt.ClusterConfig {
 	if v, ok := envInt64("MOBILEDIST_HEARTBEAT_MS"); ok {
 		cc.HeartbeatMS = v
-	}
-	if v, ok := envInt64("MOBILEDIST_DIAL_BACKOFF_MIN_MS"); ok {
-		cc.DialBackoffMinMS = v
-	}
-	if v, ok := envInt64("MOBILEDIST_DIAL_BACKOFF_MAX_MS"); ok {
-		cc.DialBackoffMaxMS = v
 	}
 	return cc
 }
@@ -398,8 +391,6 @@ func runHub(out io.Writer, cc netrt.ClusterConfig, seed uint64, timeout time.Dur
 	if cc.HeartbeatMS != 0 {
 		cfg.HeartbeatEvery = time.Duration(cc.HeartbeatMS) * time.Millisecond
 	}
-	cfg.DialBackoffMin = time.Duration(cc.DialBackoffMinMS) * time.Millisecond
-	cfg.DialBackoffMax = time.Duration(cc.DialBackoffMaxMS) * time.Millisecond
 	cfg.Transport = cc.Transport
 	cfg.Secret = cc.Secret
 	sys, err := netrt.NewSystem(cfg)

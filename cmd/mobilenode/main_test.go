@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -232,14 +233,12 @@ func TestSuperviseRestartsUntilBye(t *testing.T) {
 }
 
 // TestApplyEnvOverrides: the MOBILEDIST_* variables overlay the cluster
-// file's liveness and reconnect tuning.
+// file's liveness tuning.
 func TestApplyEnvOverrides(t *testing.T) {
 	t.Setenv("MOBILEDIST_HEARTBEAT_MS", "40")
-	t.Setenv("MOBILEDIST_DIAL_BACKOFF_MIN_MS", "2")
-	t.Setenv("MOBILEDIST_DIAL_BACKOFF_MAX_MS", "100")
 	cc := applyEnv(netrt.ClusterConfig{Hub: "h", M: 1, N: 1, MSS: []string{"a"}})
-	if cc.HeartbeatMS != 40 || cc.DialBackoffMinMS != 2 || cc.DialBackoffMaxMS != 100 {
-		t.Errorf("applyEnv = %+v, want 40/2/100", cc)
+	if cc.HeartbeatMS != 40 {
+		t.Errorf("applyEnv = %+v, want heartbeat 40", cc)
 	}
 	t.Setenv("MOBILEDIST_HEARTBEAT_MS", "not-a-number")
 	if cc2 := applyEnv(netrt.ClusterConfig{}); cc2.HeartbeatMS != 0 {
@@ -249,28 +248,22 @@ func TestApplyEnvOverrides(t *testing.T) {
 
 // TestDemoServesHealthEndpoint: -health on the demo role answers /health
 // while the workload runs (polled concurrently, since runDemo is
-// synchronous).
+// synchronous). The endpoint binds port 0 and the test reads the address
+// it got from the demo's output, so no port is ever released and rebound.
 func TestDemoServesHealthEndpoint(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // free the port for -health to rebind
-
 	var out syncBuilder
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-role", "demo", "-seed", "5", "-health", addr}, &out) }()
+	go func() { done <- run([]string{"-role", "demo", "-seed", "5", "-health", "127.0.0.1:0"}, &out) }()
 
+	bound := regexp.MustCompile(`health endpoint on (http://\S+/health)`)
 	deadline := time.Now().Add(15 * time.Second)
 	healthy := false
 	for !healthy && time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/health")
-		if err == nil {
-			if resp.StatusCode == 200 {
-				healthy = true
+		if m := bound.FindStringSubmatch(out.String()); m != nil {
+			if resp, err := http.Get(m[1]); err == nil {
+				healthy = resp.StatusCode == 200
+				resp.Body.Close()
 			}
-			resp.Body.Close()
 		}
 		select {
 		case err := <-done:

@@ -33,11 +33,6 @@ type ClusterConfig struct {
 	// 25ms default; negative: heartbeats disabled). Relay nodes use the
 	// same cadence toward their attached clients.
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
-	// DialBackoffMinMS / DialBackoffMaxMS bound every dialler's jittered
-	// exponential reconnect backoff, in milliseconds (0: the package
-	// defaults, 5ms and 250ms).
-	DialBackoffMinMS int64 `json:"dial_backoff_min_ms,omitempty"`
-	DialBackoffMaxMS int64 `json:"dial_backoff_max_ms,omitempty"`
 	// Transport selects the substrate every cluster connection runs over:
 	// "tcp" (default, also empty) or "udp" (authenticated datagram
 	// sessions via internal/dgram).
@@ -62,22 +57,6 @@ func (c ClusterConfig) heartbeat() time.Duration {
 		return defaultHeartbeatEvery
 	}
 	return time.Duration(c.HeartbeatMS) * time.Millisecond
-}
-
-// backoffBounds returns the dialler reconnect backoff bounds.
-func (c ClusterConfig) backoffBounds() (min, max time.Duration) {
-	min = time.Duration(c.DialBackoffMinMS) * time.Millisecond
-	max = time.Duration(c.DialBackoffMaxMS) * time.Millisecond
-	if min <= 0 {
-		min = defaultDialBackoffMin
-	}
-	if max <= 0 {
-		max = defaultDialBackoffMax
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
 }
 
 // ceilMS converts a Config duration to a ClusterConfig millisecond field,
@@ -226,16 +205,14 @@ func StartLoopback(cfg Config) (*Loopback, error) {
 	}
 	lb := &Loopback{Sys: sys, cfg: cfg, rawMSS: addrs}
 	lb.Cluster = ClusterConfig{
-		Hub:              wrap("hub", sys.Addr()),
-		MSS:              dialAddrs,
-		M:                cfg.M,
-		N:                cfg.N,
-		TickNS:           int64(sys.Host.Config().Tick),
-		HeartbeatMS:      ceilMS(cfg.HeartbeatEvery),
-		DialBackoffMinMS: ceilMS(cfg.DialBackoffMin),
-		DialBackoffMaxMS: ceilMS(cfg.DialBackoffMax),
-		Transport:        cfg.Transport,
-		Secret:           cfg.Secret,
+		Hub:         wrap("hub", sys.Addr()),
+		MSS:         dialAddrs,
+		M:           cfg.M,
+		N:           cfg.N,
+		TickNS:      int64(sys.Host.Config().Tick),
+		HeartbeatMS: ceilMS(cfg.HeartbeatEvery),
+		Transport:   cfg.Transport,
+		Secret:      cfg.Secret,
 	}
 	// The hub bound before the wrapped (possibly proxied) address existed;
 	// tell its listener what dialers will present tokens bound to.

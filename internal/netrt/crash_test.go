@@ -68,9 +68,9 @@ func TestOutboxReplayAcrossConnDrop(t *testing.T) {
 		// Tear down the hub↔node connection carrying this batch (and a
 		// client uplink for good measure); the node re-dials and the outbox
 		// retries the unwritten suffix on the new connection.
-		lb.Sys.mssPeers[b%3].dropCurrent()
+		lb.Sys.peerFor(wire.RoleMSS, b%3).dropCurrent()
 		if b%2 == 0 {
-			lb.Sys.mhPeers[0].dropCurrent()
+			lb.Sys.peerFor(wire.RoleMH, 0).dropCurrent()
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -278,12 +278,15 @@ func (c *Client) HealthHandler() http.Handler {
 			HubConnected: c.hub.connected(),
 		}
 		c.mu.Lock()
-		doc.Attached = c.wconn != nil
+		l := c.link
 		doc.TargetMSS = c.target.MSS
-		doc.PendingUplinks = len(c.pending)
-		wconn := c.wconn
 		c.mu.Unlock()
-		doc.Dgram = connSessions(c.hub.currentConn(), wconn)
+		conns := []net.Conn{c.hub.currentConn()}
+		if l != nil {
+			doc.Attached, doc.PendingUplinks = true, l.held()
+			conns = append(conns, l.conn)
+		}
+		doc.Dgram = connSessions(conns...)
 		writeJSON(w, doc)
 	})
 	return mux

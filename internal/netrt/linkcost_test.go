@@ -44,34 +44,31 @@ func TestTickReachesRelaysLossless(t *testing.T) {
 }
 
 // TestLoadClusterRejectsUnknownKeys: a cluster file from before the tick
-// went to nanoseconds must fail, not silently run at the default tick.
+// went to nanoseconds must fail, not silently run at the default tick, and
+// so must one that still tunes the dial backoff, which has no knob.
 func TestLoadClusterRejectsUnknownKeys(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cluster.json")
-	old := `{"hub":"127.0.0.1:1","mss":["127.0.0.1:2"],"m":1,"n":1,"tick_us":50}`
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCluster(path); err == nil {
-		t.Error("LoadCluster accepted a file that says tick_us")
+	for _, key := range []string{`"tick_us":50`, `"dial_backoff_min_ms":2`, `"dial_backoff_max_ms":100`} {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		old := `{"hub":"127.0.0.1:1","mss":["127.0.0.1:2"],"m":1,"n":1,` + key + `}`
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCluster(path); err == nil {
+			t.Errorf("LoadCluster accepted a file that says %s", key)
+		}
 	}
 }
 
-// TestSubMillisecondConfigSurvivesClusterConfig: the millisecond fields
-// round up, so a positive sub-millisecond setting is not read back as
+// TestSubMillisecondConfigSurvivesClusterConfig: the millisecond field
+// rounds up, so a positive sub-millisecond setting is not read back as
 // 0 = "use the default".
 func TestSubMillisecondConfigSurvivesClusterConfig(t *testing.T) {
 	cfg := DefaultConfig(1, 1)
 	cfg.HeartbeatEvery = 300 * time.Microsecond
-	cfg.DialBackoffMin = 200 * time.Microsecond
-	cfg.DialBackoffMax = 1500 * time.Microsecond
 	lb := startLoopback(t, cfg)
 	lb.Stop()
-	bmin, bmax := lb.Cluster.backoffBounds()
 	if got := lb.Cluster.heartbeat(); got != time.Millisecond {
 		t.Errorf("heartbeat %v, want 1ms", got)
-	}
-	if bmin != time.Millisecond || bmax != 2*time.Millisecond {
-		t.Errorf("backoff bounds %v..%v, want 1ms..2ms", bmin, bmax)
 	}
 	if ceilMS(0) != 0 || ceilMS(-time.Second) != -1 || ceilMS(3*time.Millisecond) != 3 {
 		t.Error("ceilMS moved a value that needed no rounding")
@@ -222,7 +219,7 @@ func farSide(conn net.Conn) <-chan []wire.Frame {
 func testPeer(t *testing.T) *peer {
 	t.Helper()
 	var wg sync.WaitGroup
-	p := newPeer("test", &wg, nil)
+	p := newPeer(&wg, nil)
 	p.start()
 	t.Cleanup(func() {
 		p.close()

@@ -25,7 +25,9 @@
 //   - MH clients (client.go) carry the uplinks: the frame travels hub →
 //     client, waits out its latency, and crosses the client's current
 //     wireless connection into whatever cell serves it — so Cwireless
-//     traffic always crosses a real link, and handoffs physically re-dial;
+//     traffic always crosses a real link, and handoffs physically re-dial.
+//     Node and client are the two ends of one link type and one cluster
+//     member (link.go);
 //   - a link's latency is a due time, not a sleep: a pipe handles its
 //     frames strictly in order and waits only while the head's due time
 //     (arrival + latency × tick) is still ahead, so latencies of queued
@@ -115,11 +117,6 @@ type Config struct {
 	// before it is declared dead — its outbox clears and deliveries to it
 	// park until a resync (0: default 500ms).
 	DeadAfter time.Duration
-	// DialBackoffMin and DialBackoffMax bound every dialling peer's
-	// reconnect backoff (zero: 5ms/250ms defaults). They propagate into the
-	// ClusterConfig StartLoopback builds, and cmd/mobilenode exposes them
-	// via MOBILEDIST_DIAL_BACKOFF_MIN/MAX.
-	DialBackoffMin, DialBackoffMax time.Duration
 }
 
 // DefaultConfig returns a hub configuration for m stations and n hosts,
@@ -127,13 +124,6 @@ type Config struct {
 // be filled in (StartLoopback does).
 func DefaultConfig(m, n int) Config {
 	return Config{Config: rt.DefaultConfig(m, n), ListenAddr: "127.0.0.1:0"}
-}
-
-// pendKey identifies one in-flight transmission in a relay's or a client's
-// written-but-unechoed set.
-type pendKey struct {
-	ch  int32
-	seq uint64
 }
 
 // pendEntry is one parked in-flight transmission: the delivery record, the
@@ -175,10 +165,14 @@ type System struct {
 	layout   engine.ChannelLayout
 	stopOnce sync.Once
 
-	ln       net.Listener
-	wg       sync.WaitGroup
-	mssPeers []*peer
-	mhPeers  []*peer
+	ln net.Listener
+	wg sync.WaitGroup
+	// lv is the liveness tracker and cluster-readiness monitor (heartbeat
+	// state machine, incarnation generations, attach confirmations). Its
+	// numbering of the cluster's processes — stations, then mobile hosts —
+	// indexes peers and dead.
+	lv    *liveness
+	peers []*peer
 
 	// Executor-only transmission state. Parked records are stepped (and
 	// freed) by the bound sink on the executor only; the record pool is
@@ -187,16 +181,11 @@ type System struct {
 	chans *engine.ChanTable[*hubChan]
 	rtGen uint64
 
-	// deadMSS / deadMH mirror the liveness tracker's dead verdicts onto the
-	// executor (set and cleared via executor tasks, read by TransmitRec):
+	// dead mirrors the liveness tracker's dead verdicts onto the executor
+	// (set and cleared via executor tasks, read by TransmitRec):
 	// transmissions toward a dead peer park in their window without queuing
 	// a frame, and the resync replay re-sends them.
-	deadMSS []bool
-	deadMH  []bool
-
-	// lv is the liveness tracker and cluster-readiness monitor (heartbeat
-	// state machine, incarnation generations, attach confirmations).
-	lv *liveness
+	dead []bool
 
 	// /status counters, written on the executor and read by the health
 	// endpoint.
@@ -240,10 +229,11 @@ func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) 
 // uplink — and whether the liveness tracker has declared it dead.
 func (s *System) sender(ch int) (p *peer, dead bool) {
 	kind, a, b := s.layout.Decode(ch)
+	i := s.lv.idx(wire.RoleMSS, a)
 	if kind == engine.ChannelUp {
-		return s.mhPeers[b], s.deadMH[b]
+		i = s.lv.idx(wire.RoleMH, b)
 	}
-	return s.mssPeers[a], s.deadMSS[a]
+	return s.peers[i], s.dead[i]
 }
 
 // NewSystem builds a hub from cfg, binds its listener, and starts accepting
@@ -260,11 +250,11 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("netrt: M=%d, N=%d makes %d channel ids, more than the %d a frame's int32 carries", cfg.M, cfg.N, layout.Count(), math.MaxInt32)
 	}
 	s := &System{
-		cfg:     cfg,
-		layout:  layout,
-		chans:   engine.NewChanTable[*hubChan](layout),
-		deadMSS: make([]bool, cfg.M),
-		deadMH:  make([]bool, cfg.N),
+		cfg:    cfg,
+		layout: layout,
+		chans:  engine.NewChanTable[*hubChan](layout),
+		peers:  make([]*peer, cfg.M+cfg.N),
+		dead:   make([]bool, cfg.M+cfg.N),
 	}
 
 	h, err := rt.NewHost(cfg.Config, s)
@@ -277,20 +267,12 @@ func NewSystem(cfg Config) (*System, error) {
 	// cell before any user algorithm reacts to the join.
 	s.Register(&mobilityRelay{s: s})
 
-	s.mssPeers = make([]*peer, cfg.M)
-	for i := range s.mssPeers {
-		p := newPeer(fmt.Sprintf("hub->mss%d", i), &s.wg, func(f wire.Frame) { s.onPeerFrame(wire.RoleMSS, i, f) })
+	for i := range s.peers {
+		role, id := s.lv.role(i)
+		p := newPeer(&s.wg, func(f wire.Frame) { s.onPeerFrame(role, id, f) })
 		p.tap = cfg.FrameTap
-		p.onChange = func() { s.lv.noteConn(wire.RoleMSS, i, p.connected()) }
-		s.mssPeers[i] = p
-		p.start()
-	}
-	s.mhPeers = make([]*peer, cfg.N)
-	for h := range s.mhPeers {
-		p := newPeer(fmt.Sprintf("hub->mh%d", h), &s.wg, func(f wire.Frame) { s.onPeerFrame(wire.RoleMH, h, f) })
-		p.tap = cfg.FrameTap
-		p.onChange = func() { s.lv.noteConn(wire.RoleMH, h, p.connected()) }
-		s.mhPeers[h] = p
+		p.onChange = func() { s.lv.noteConn(role, id, p.connected()) }
+		s.peers[i] = p
 		p.start()
 	}
 	// Seed every client with its initial cell (the engine placed it there
@@ -334,10 +316,7 @@ func (c Config) heartbeatEvery() time.Duration {
 
 // peerFor maps a liveness identity to its peer slot.
 func (s *System) peerFor(role wire.Role, id int) *peer {
-	if role == wire.RoleMH {
-		return s.mhPeers[id]
-	}
-	return s.mssPeers[id]
+	return s.peers[s.lv.idx(role, id)]
 }
 
 // heartbeatLoop drives the liveness state machine: ping every connected
@@ -358,15 +337,8 @@ func (s *System) heartbeatLoop(every time.Duration) {
 			s.peerFor(role, id).send(wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: seq})
 		})
 		for _, i := range died {
-			role, id := s.lv.role(i)
-			s.peerFor(role, id).clearOutbox()
-			s.Tasks().Push(func() {
-				if role == wire.RoleMSS {
-					s.deadMSS[id] = true
-				} else {
-					s.deadMH[id] = true
-				}
-			})
+			s.peers[i].clearOutbox()
+			s.Tasks().Push(func() { s.dead[i] = true })
 		}
 	}
 }
@@ -498,11 +470,11 @@ func (s *System) resolve(ch int32, seq uint64) {
 // order. Duplicates that survive anywhere downstream fall below the hub's
 // windows, so replay is always safe — even after a false suspicion.
 func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
-	p := s.peerFor(role, id)
-	p.clearOutbox()
-	p.send(wire.Frame{Type: wire.TResync, Ch: -1, Seq: gen})
+	i := s.lv.idx(role, id)
+	s.peers[i].clearOutbox()
+	s.peers[i].send(wire.Frame{Type: wire.TResync, Ch: -1, Seq: gen})
+	s.dead[i] = false
 	if role == wire.RoleMSS {
-		s.deadMSS[id] = false
 		// Re-point every MH the dead station was serving: their clients
 		// re-dial, covering half-open wireless connections that survived
 		// the crash on the client side.
@@ -513,7 +485,6 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 			}
 		}
 	} else {
-		s.deadMH[id] = false
 		// A fresh client process has no target; re-send its current cell.
 		at, st := s.Engine().Where(core.MHID(id))
 		s.rtGen++
@@ -591,7 +562,7 @@ func (s *System) sendRetarget(mh core.MHID, at core.MSSID, prev core.MSSID, gen 
 	if at >= 0 {
 		h.Addr = s.cfg.MSSAddrs[at]
 	}
-	s.mhPeers[mh].send(wire.Frame{Type: wire.TRetarget, Ch: -1, Payload: h.Encode()})
+	s.peerFor(wire.RoleMH, int(mh)).send(wire.Frame{Type: wire.TRetarget, Ch: -1, Payload: h.Encode()})
 }
 
 // Config returns the hub configuration.
@@ -613,19 +584,13 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 // listener and every connection, and waits for all goroutines.
 func (s *System) Stop() {
 	s.stopOnce.Do(func() {
-		for _, p := range s.mssPeers {
-			p.send(wire.Frame{Type: wire.TBye, Ch: -1})
-		}
-		for _, p := range s.mhPeers {
+		for _, p := range s.peers {
 			p.send(wire.Frame{Type: wire.TBye, Ch: -1})
 		}
 		s.flushPeers(500 * time.Millisecond)
 		s.Shutdown()
 		s.ln.Close()
-		for _, p := range s.mssPeers {
-			p.close()
-		}
-		for _, p := range s.mhPeers {
+		for _, p := range s.peers {
 			p.close()
 		}
 		s.wg.Wait()
@@ -639,8 +604,7 @@ func (s *System) Stop() {
 // its outbox).
 func (s *System) flushPeers(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
-	peers := append(append([]*peer(nil), s.mssPeers...), s.mhPeers...)
-	for _, p := range peers {
+	for _, p := range s.peers {
 		if p.connected() {
 			p.flush(deadline)
 		}

@@ -1,7 +1,6 @@
 package netrt
 
 import (
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -9,35 +8,15 @@ import (
 	"mobiledist/internal/wire"
 )
 
-// Default reconnect backoff bounds for dialling peers; Config/ClusterConfig
-// fields override them (see backoffMin/backoffMax on ClusterConfig).
-const (
-	defaultDialBackoffMin = 5 * time.Millisecond
-	defaultDialBackoffMax = 250 * time.Millisecond
-)
-
-// jitterBackoff spreads a backoff delay uniformly over [d/2, d), so a fleet
-// of restarting processes doesn't thundering-herd the hub on synchronized
-// retry schedules. Uses math/rand: reconnect pacing is operational noise,
-// not part of any determinism contract.
-func jitterBackoff(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
-}
-
 // peer is one logical neighbour of a cluster process: a persistent outbox
 // of frames plus whatever TCP connection currently reaches the neighbour.
 // The outbox is the FIFO unit — frames written to one peer arrive in order
 // because a single writer goroutine drains the queue onto one connection at
 // a time, and a batch is only consumed after it was written and flushed, so
 // a dropped connection retries it whole on the next one. Peers are either
-// dialling (they own reconnection with capped, jittered exponential
-// backoff) or accept-managed (the owner hands them each new inbound
-// connection).
+// dialling (they own reconnection, through redial) or accept-managed (the
+// owner hands them each new inbound connection).
 type peer struct {
-	name string
 	// onFrame, when non-nil, handles frames read from the current
 	// connection. It is called on the connection's reader goroutine.
 	onFrame func(f wire.Frame)
@@ -57,9 +36,6 @@ type peer struct {
 	dial func() (net.Conn, error)
 	// tap, when non-nil, observes every written frame with its wire bytes.
 	tap func(raw []byte, f wire.Frame)
-	// backoffMin/backoffMax bound the dialler's reconnect backoff; zero
-	// values fall back to the package defaults.
-	backoffMin, backoffMax time.Duration
 
 	out  *fifo[wire.Frame]
 	stop chan struct{}
@@ -76,9 +52,8 @@ type peer struct {
 }
 
 // newPeer builds a peer; start must be called to launch its goroutines.
-func newPeer(name string, wg *sync.WaitGroup, onFrame func(wire.Frame)) *peer {
+func newPeer(wg *sync.WaitGroup, onFrame func(wire.Frame)) *peer {
 	p := &peer{
-		name:    name,
 		onFrame: onFrame,
 		out:     newFifo[wire.Frame](),
 		stop:    make(chan struct{}),
@@ -86,21 +61,6 @@ func newPeer(name string, wg *sync.WaitGroup, onFrame func(wire.Frame)) *peer {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-// backoff returns the effective reconnect bounds.
-func (p *peer) backoff() (min, max time.Duration) {
-	min, max = p.backoffMin, p.backoffMax
-	if min <= 0 {
-		min = defaultDialBackoffMin
-	}
-	if max <= 0 {
-		max = defaultDialBackoffMax
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
 }
 
 // send queues f for delivery, reporting false after close.
@@ -203,8 +163,6 @@ func (p *peer) writer() (*wire.Writer, uint64, bool) {
 // dialLoop (re)establishes the connection whenever none is current.
 func (p *peer) dialLoop() {
 	defer p.wg.Done()
-	min, max := p.backoff()
-	backoff := min
 	for {
 		p.mu.Lock()
 		for p.conn != nil && !p.closed {
@@ -215,20 +173,10 @@ func (p *peer) dialLoop() {
 		if closed {
 			return
 		}
-		conn, err := p.dial()
-		if err != nil {
-			select {
-			case <-p.stop:
-				return
-			case <-time.After(jitterBackoff(backoff)):
-			}
-			backoff *= 2
-			if backoff > max {
-				backoff = max
-			}
-			continue
+		var conn net.Conn
+		if !redial(p.stop, func() (err error) { conn, err = p.dial(); return err }) {
+			return
 		}
-		backoff = min
 		w := wire.NewWriter(conn)
 		w.Tap = p.tap
 		if p.hello != nil {

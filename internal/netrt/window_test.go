@@ -113,7 +113,7 @@ func TestHubWindowReleasesInOrder(t *testing.T) {
 			t.Errorf("engine live records = %d at the end, want 0", n)
 		}
 	})
-	wantStrings(t, "frames queued for mss0", queuedData(s.mssPeers[0]), "1/0", "1/1", "1/2")
+	wantStrings(t, "frames queued for mss0", queuedData(s.peerFor(wire.RoleMSS, 0)), "1/0", "1/1", "1/2")
 }
 
 // TestHubWindowReleaseReentersTransmit: a released record's handler
@@ -135,7 +135,7 @@ func TestHubWindowReleaseReentersTransmit(t *testing.T) {
 		s.resolve(chWired01, 2)
 		wantStrings(t, "released after seq 2", ran, "a", "b", "c")
 	})
-	wantStrings(t, "frames queued for mss0", queuedData(s.mssPeers[0]), "1/0", "1/1", "1/2")
+	wantStrings(t, "frames queued for mss0", queuedData(s.peerFor(wire.RoleMSS, 0)), "1/0", "1/1", "1/2")
 }
 
 // TestHubResyncReplaysUnconfirmedInOrder: what resyncPeer queues for a
@@ -151,14 +151,14 @@ func TestHubResyncReplaysUnconfirmedInOrder(t *testing.T) {
 			transmit(s, ch, &ran, "x", nil)
 		}
 		s.resolve(chWired01, 1) // early: its journey completed, no replay
-		for _, p := range append(s.mssPeers, s.mhPeers...) {
+		for _, p := range s.peers {
 			p.clearOutbox()
 		}
 		s.resyncPeer(wire.RoleMSS, 0, 1)
 	})
-	wantStrings(t, "replayed through mss0", queuedData(s.mssPeers[0]), "1/0", "1/2", "5/0")
-	wantStrings(t, "replayed through mss1", queuedData(s.mssPeers[1]), "2/0")
-	wantStrings(t, "replayed through mh0", queuedData(s.mhPeers[0]))
+	wantStrings(t, "replayed through mss0", queuedData(s.peerFor(wire.RoleMSS, 0)), "1/0", "1/2", "5/0")
+	wantStrings(t, "replayed through mss1", queuedData(s.peerFor(wire.RoleMSS, 1)), "2/0")
+	wantStrings(t, "replayed through mh0", queuedData(s.peerFor(wire.RoleMH, 0)))
 }
 
 // TestNewSystemRejectsChannelIDsBeyondTheFrame: a frame carries its channel
