@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 30s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
@@ -72,12 +73,14 @@ fuzz:
 
 # The same fuzz targets with a budget small enough for the ci gate: the
 # wire decoders and the datagram packet/token parsers read bytes straight
-# off sockets, so even a few seconds of coverage-guided input on every
-# change is worth the wall clock.
+# off sockets, and the JSONL trace reader takes whatever file it is given,
+# so even a few seconds of coverage-guided input on every change is worth
+# the wall clock.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 5s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 5s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn

@@ -1,6 +1,5 @@
-// Command mobiletrace inspects observability traces captured by
-// cmd/mobilexp's -trace flag (JSONL) or obs.Trace.MarshalBinary (the
-// compact binary codec). Both formats are auto-detected.
+// Command mobiletrace inspects observability traces: the JSONL files
+// cmd/mobilexp's -trace flag writes (obs.Trace.WriteJSONL).
 //
 // Usage:
 //
@@ -23,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -64,16 +62,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadTrace reads a trace file in either format, sniffing the binary magic.
+// loadTrace reads a JSONL trace file.
 func loadTrace(path string) (obs.Trace, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return obs.Trace{}, err
 	}
-	if bytes.HasPrefix(data, []byte("MOBTRC")) {
-		return obs.UnmarshalBinary(data)
-	}
-	return obs.ReadJSONL(bytes.NewReader(data))
+	defer f.Close()
+	return obs.ReadJSONL(f)
 }
 
 const maxShownDiffs = 20

@@ -11,8 +11,8 @@ import (
 )
 
 // captureTrace runs a small seeded simulation with a scripted mobility
-// workload and writes its trace to path (JSONL, or binary when bin).
-func captureTrace(t *testing.T, path string, seed uint64, bin bool) {
+// workload and writes its trace to path.
+func captureTrace(t *testing.T, path string, seed uint64) {
 	t.Helper()
 	tracer := mobiledist.NewTracer(0)
 	cfg := mobiledist.DefaultConfig(2, 3)
@@ -27,16 +27,6 @@ func captureTrace(t *testing.T, path string, seed uint64, bin bool) {
 		t.Fatalf("Run: %v", err)
 	}
 	tr := tracer.Snapshot()
-	if bin {
-		data, err := tr.MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatalf("WriteFile: %v", err)
-		}
-		return
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -51,8 +41,8 @@ func TestDiffIdenticalRuns(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.jsonl")
 	b := filepath.Join(dir, "b.jsonl")
-	captureTrace(t, a, 7, false)
-	captureTrace(t, b, 7, false)
+	captureTrace(t, a, 7)
+	captureTrace(t, b, 7)
 	var out, errOut strings.Builder
 	if code := run([]string{"diff", a, b}, &out, &errOut); code != 0 {
 		t.Fatalf("diff of identical runs: exit %d\n%s%s", code, out.String(), errOut.String())
@@ -62,24 +52,12 @@ func TestDiffIdenticalRuns(t *testing.T) {
 	}
 }
 
-func TestDiffBinaryVsJSONL(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.jsonl")
-	b := filepath.Join(dir, "b.bin")
-	captureTrace(t, a, 7, false)
-	captureTrace(t, b, 7, true)
-	var out, errOut strings.Builder
-	if code := run([]string{"diff", a, b}, &out, &errOut); code != 0 {
-		t.Fatalf("cross-format diff: exit %d\n%s%s", code, out.String(), errOut.String())
-	}
-}
-
 func TestDiffDetectsDivergence(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.jsonl")
 	b := filepath.Join(dir, "b.jsonl")
-	captureTrace(t, a, 7, false)
-	captureTrace(t, b, 8, false)
+	captureTrace(t, a, 7)
+	captureTrace(t, b, 8)
 	var out, errOut strings.Builder
 	if code := run([]string{"diff", a, b}, &out, &errOut); code != 1 {
 		t.Fatalf("diff of different seeds: exit %d, want 1\n%s%s", code, out.String(), errOut.String())
@@ -91,7 +69,7 @@ func TestDiffDetectsDivergence(t *testing.T) {
 
 func TestShowFiltersKinds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.jsonl")
-	captureTrace(t, path, 7, false)
+	captureTrace(t, path, 7)
 	var out, errOut strings.Builder
 	if code := run([]string{"show", "-kinds", "leave,join", "-no-time", path}, &out, &errOut); code != 0 {
 		t.Fatalf("show: exit %d\n%s", code, errOut.String())
@@ -111,7 +89,7 @@ func TestShowFiltersKinds(t *testing.T) {
 
 func TestSpacetimeRenders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.jsonl")
-	captureTrace(t, path, 7, false)
+	captureTrace(t, path, 7)
 	var out, errOut strings.Builder
 	if code := run([]string{"spacetime", path}, &out, &errOut); code != 0 {
 		t.Fatalf("spacetime: exit %d\n%s", code, errOut.String())

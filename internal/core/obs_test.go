@@ -98,8 +98,8 @@ func TestObsEventsMatchStats(t *testing.T) {
 			t.Errorf("event count %q = %d, want %d (Stats: %+v)", tc.kind, got, tc.want, stats)
 		}
 	}
-	if m, n := tracer.Topology(); m != 3 || n != 4 {
-		t.Errorf("tracer topology = (%d, %d), want (3, 4)", m, n)
+	if tr := tracer.Snapshot(); tr.M != 3 || tr.N != 4 {
+		t.Errorf("tracer topology = (%d, %d), want (3, 4)", tr.M, tr.N)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestDefaultTracerAttachesToDefaultConfig(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if tracer.Total() == 0 {
+	if tracer.MetricsSnapshot().Total == 0 {
 		t.Error("system built from DefaultConfig recorded no events")
 	}
 }

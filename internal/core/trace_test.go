@@ -109,11 +109,11 @@ func TestShardedSystemGoldenTrace(t *testing.T) {
 		if err := sys.Run(); err != nil {
 			t.Fatalf("Run(shards=%d): %v", shards, err)
 		}
-		b, err := tr.Snapshot().MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
+		var b bytes.Buffer
+		if err := tr.Snapshot().WriteJSONL(&b); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
 		}
-		return b, sys.Meter().Report(cfg.Params), sys.Stats()
+		return b.Bytes(), sys.Meter().Report(cfg.Params), sys.Stats()
 	}
 
 	golden, goldenReport, goldenStats := run(1)

@@ -402,7 +402,7 @@ func TestSessionLossRecovery(t *testing.T) {
 		snap.Counts[obs.EvPacketRetransmit.String()] == 0 {
 		t.Errorf("missing obs counters: %v", snap.Counts)
 	}
-	if snap.DgramRTTUS.Count() == 0 {
+	if snap.Histograms["dgram_rtt_us"].Count() == 0 {
 		t.Error("no RTT samples recorded")
 	}
 }

@@ -218,12 +218,11 @@ func TestSprayReplicatesAlongVisitHistory(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 duplicate replicas discarded", st)
 	}
 	ms := tr.MetricsSnapshot()
-	if ms.BundleCopies.Count() != 1 || ms.BundleCopies.Max() != 3 {
-		t.Fatalf("bundle-copies histogram n=%d max=%d, want n=1 max=3",
-			ms.BundleCopies.Count(), ms.BundleCopies.Max())
+	if h := ms.Histograms["bundle_copies"]; h.Count() != 1 || h.Sum() != 3 {
+		t.Fatalf("bundle_copies histogram n=%d sum=%d, want n=1 sum=3", h.Count(), h.Sum())
 	}
-	if ms.BundleCustodyTicks.Count() != 1 {
-		t.Fatalf("bundle-custody-ticks n=%d, want 1", ms.BundleCustodyTicks.Count())
+	if n := ms.Histograms["bundle_custody_ticks"].Count(); n != 1 {
+		t.Fatalf("bundle_custody_ticks n=%d, want 1", n)
 	}
 }
 

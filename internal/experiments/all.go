@@ -5,28 +5,50 @@ import (
 	"sync/atomic"
 )
 
-// tableFuncs lists every experiment in DESIGN.md index order. Each entry
-// builds its own System from the seed alone, so the tables are fully
-// independent and safe to generate concurrently.
-func tableFuncs() []func(uint64) Table {
-	return []func(uint64) Table{
-		E1LamportCostVsN,
-		E2LamportEnergy,
-		E3LamportDisconnect,
-		E4RingCostVsK,
-		E5RingFairness,
-		E6TokenList,
-		E7RingDisconnect,
-		E8GroupCostVsMobility,
-		E9GroupLocality,
-		E10GroupWireless,
-		E11ProxyTraffic,
-		A1SearchModes,
-		A2Crossover,
-		A3LazyInform,
-		A4MulticastHandoff,
-		D1StoreCarryForward,
+// experiment is one registry entry. run builds its own System from the
+// seed alone, so the tables are fully independent and safe to generate
+// concurrently.
+type experiment struct {
+	id  string
+	run func(uint64) Table
+	// extra marks an experiment ByID reaches but the default suite leaves
+	// out.
+	extra bool
+}
+
+// registry lists every experiment once, in DESIGN.md index order.
+var registry = []experiment{
+	{"E1", E1LamportCostVsN, false},
+	{"E2", E2LamportEnergy, false},
+	{"E3", E3LamportDisconnect, false},
+	{"E4", E4RingCostVsK, false},
+	{"E5", E5RingFairness, false},
+	{"E6", E6TokenList, false},
+	{"E7", E7RingDisconnect, false},
+	{"E8", E8GroupCostVsMobility, false},
+	{"E9", E9GroupLocality, false},
+	{"E10", E10GroupWireless, false},
+	{"E11", E11ProxyTraffic, false},
+	{"A1", A1SearchModes, false},
+	{"A2", A2Crossover, false},
+	{"A3", A3LazyInform, false},
+	{"A4", A4MulticastHandoff, false},
+	{"D1", D1StoreCarryForward, false},
+	// F1's content depends on the process-wide default fault plan, and the
+	// fault-free tables must stay byte-identical with or without it
+	// compiled in.
+	{"F1", F1Unreliability, true},
+}
+
+// suite returns the default suite: the registry without its extras.
+func suite() []experiment {
+	var out []experiment
+	for _, e := range registry {
+		if !e.extra {
+			out = append(out, e)
+		}
 	}
+	return out
 }
 
 // All runs every experiment in the suite, in DESIGN.md index order. It is
@@ -45,14 +67,14 @@ func All(seed uint64) []Table {
 // content, and the result slice is always in DESIGN.md index order, so
 // AllParallel(seed, w) == All(seed) for every w ≥ 1.
 func AllParallel(seed uint64, workers int) []Table {
-	fns := tableFuncs()
-	out := make([]Table, len(fns))
-	if workers > len(fns) {
-		workers = len(fns)
+	es := suite()
+	out := make([]Table, len(es))
+	if workers > len(es) {
+		workers = len(es)
 	}
 	if workers <= 1 {
-		for i, fn := range fns {
-			out[i] = fn(seed)
+		for i, e := range es {
+			out[i] = e.run(seed)
 		}
 		return out
 	}
@@ -64,10 +86,10 @@ func AllParallel(seed uint64, workers int) []Table {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(fns) {
+				if i >= len(es) {
 					return
 				}
-				out[i] = fns[i](seed)
+				out[i] = es[i].run(seed)
 			}
 		}()
 	}
@@ -75,38 +97,22 @@ func AllParallel(seed uint64, workers int) []Table {
 	return out
 }
 
-// ByID returns the experiment with the given id, or false.
+// ByID returns the experiment with the given id, or false. Every registry
+// entry is addressable, extras included.
 func ByID(id string, seed uint64) (Table, bool) {
-	funcs := map[string]func(uint64) Table{
-		"E1":  E1LamportCostVsN,
-		"E2":  E2LamportEnergy,
-		"E3":  E3LamportDisconnect,
-		"E4":  E4RingCostVsK,
-		"E5":  E5RingFairness,
-		"E6":  E6TokenList,
-		"E7":  E7RingDisconnect,
-		"E8":  E8GroupCostVsMobility,
-		"E9":  E9GroupLocality,
-		"E10": E10GroupWireless,
-		"E11": E11ProxyTraffic,
-		"A1":  A1SearchModes,
-		"A2":  A2Crossover,
-		"A3":  A3LazyInform,
-		"A4":  A4MulticastHandoff,
-		"D1":  D1StoreCarryForward,
-		// F1 is addressable but not part of the default suite: its content
-		// depends on the process-wide default fault plan, and the fault-free
-		// tables must stay byte-identical with or without it compiled in.
-		"F1": F1Unreliability,
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(seed), true
+		}
 	}
-	fn, ok := funcs[id]
-	if !ok {
-		return Table{}, false
-	}
-	return fn(seed), true
+	return Table{}, false
 }
 
-// IDs lists the experiment ids in index order.
+// IDs lists the default suite's experiment ids in index order.
 func IDs() []string {
-	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "A1", "A2", "A3", "A4", "D1"}
+	var ids []string
+	for _, e := range suite() {
+		ids = append(ids, e.id)
+	}
+	return ids
 }

@@ -35,7 +35,7 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 // negative, and oversized worker counts all produce the reference suite.
 func TestAllParallelDegenerateWorkerCounts(t *testing.T) {
 	ref := All(7)
-	for _, w := range []int{0, -3, 1, len(tableFuncs()) + 10} {
+	for _, w := range []int{0, -3, 1, len(IDs()) + 10} {
 		got := AllParallel(7, w)
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("AllParallel(7, %d) diverged from All(7)", w)

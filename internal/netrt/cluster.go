@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"mobiledist/internal/rt"
 	"mobiledist/internal/wire"
 )
 
@@ -50,13 +51,7 @@ func (c ClusterConfig) transport(role wire.Role, id int) (transport, error) {
 
 // heartbeat returns the liveness ping interval (0 disables heartbeats).
 func (c ClusterConfig) heartbeat() time.Duration {
-	if c.HeartbeatMS < 0 {
-		return 0
-	}
-	if c.HeartbeatMS == 0 {
-		return defaultHeartbeatEvery
-	}
-	return time.Duration(c.HeartbeatMS) * time.Millisecond
+	return heartbeatEvery(time.Duration(c.HeartbeatMS) * time.Millisecond)
 }
 
 // ceilMS converts a Config duration to a ClusterConfig millisecond field,
@@ -70,10 +65,11 @@ func ceilMS(d time.Duration) int64 {
 	return int64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
-// tick returns the wall duration of one virtual tick.
+// tick returns the wall duration of one virtual tick (TickNS <= 0: the
+// live runtime's default, as the hub resolves it).
 func (c ClusterConfig) tick() time.Duration {
 	if c.TickNS <= 0 {
-		return 50 * time.Microsecond
+		return rt.DefaultConfig(c.M, c.N).Tick
 	}
 	return time.Duration(c.TickNS)
 }

@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"mobiledist/internal/core"
+	"mobiledist/internal/dgram"
 	"mobiledist/internal/engine"
 	"mobiledist/internal/rt"
 	"mobiledist/internal/sim"
@@ -288,6 +289,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	if udp, ok := tr.(*udpTransport); ok {
+		// The hub's datagram sessions trace into its tracer on its clock.
+		udp.cfg = dgram.Config{Trace: cfg.Obs, TraceNow: s.Now}
+	}
 	ln, err := tr.listen(cfg.ListenAddr, "")
 	if err != nil {
 		return nil, err
@@ -295,23 +300,24 @@ func NewSystem(cfg Config) (*System, error) {
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if every := cfg.heartbeatEvery(); every > 0 {
+	if every := heartbeatEvery(cfg.HeartbeatEvery); every > 0 {
 		s.wg.Add(1)
 		go s.heartbeatLoop(every)
 	}
 	return s, nil
 }
 
-// heartbeatEvery resolves the configured liveness interval (<= 0 means
-// default; negative disables).
-func (c Config) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery < 0 {
+// heartbeatEvery resolves a configured liveness interval, the hub's or a
+// cluster file's: 0 means the default, negative disables heartbeats
+// (returns 0).
+func heartbeatEvery(d time.Duration) time.Duration {
+	if d < 0 {
 		return 0
 	}
-	if c.HeartbeatEvery == 0 {
+	if d == 0 {
 		return defaultHeartbeatEvery
 	}
-	return c.HeartbeatEvery
+	return d
 }
 
 // peerFor maps a liveness identity to its peer slot.
@@ -353,12 +359,7 @@ func (s *System) Addr() string { return s.ln.Addr().String() }
 func (s *System) SetAdvertise(addr string) { setAdvertise(s.ln, addr) }
 
 // Transport reports the substrate the hub runs over ("tcp" or "udp").
-func (s *System) Transport() string {
-	if s.cfg.Transport == "" {
-		return TransportTCP
-	}
-	return s.cfg.Transport
-}
+func (s *System) Transport() string { return transportName(s.cfg.Transport) }
 
 // acceptLoop admits node and client connections: the first frame must be a
 // THello identifying the dialler, after which the connection is attached to

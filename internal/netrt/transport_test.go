@@ -1,11 +1,14 @@
 package netrt
 
 import (
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
+	"mobiledist/internal/obs"
 )
 
 // TestClusterValidateTransport pins the config surface: the two known
@@ -77,6 +80,38 @@ func TestLoopbackUDPFIFOAcrossMoves(t *testing.T) {
 		if v != i {
 			t.Fatalf("received[%d] = %d, want %d (FIFO violated)", i, v, i)
 		}
+	}
+}
+
+// TestUDPHubTracesItsSessions: the hub's datagram sessions record into the
+// hub's tracer, so a traced UDP cluster's /metrics carries the dgram RTT
+// histogram the session layer samples, beside the model's own events.
+func TestUDPHubTracesItsSessions(t *testing.T) {
+	cfg := DefaultConfig(2, 2)
+	cfg.Transport = TransportUDP
+	cfg.Obs = obs.NewTracer(1 << 12).WithMetrics(obs.NewMetrics())
+	lb := startLoopback(t, cfg)
+	defer lb.Stop()
+	ctx := lb.Sys.Register(&probe{})
+	lb.Sys.Start()
+	waitReady(t, lb)
+	lb.Sys.Do(func() {
+		for i := 0; i < 8; i++ {
+			if err := ctx.SendMHToMH(0, 1, i, cost.CatAlgorithm); err != nil {
+				t.Errorf("SendMHToMH: %v", err)
+			}
+		}
+	})
+	settle(t, lb)
+
+	rec := httptest.NewRecorder()
+	lb.Sys.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	m := regexp.MustCompile(`(?m)^mobiledist_dgram_rtt_us_count (\d+)$`).FindStringSubmatch(rec.Body.String())
+	if m == nil || m[1] == "0" {
+		t.Errorf("hub /metrics has no dgram RTT samples:\n%s", rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), `mobiledist_events_total{kind="deliver"} 8`) {
+		t.Errorf("hub /metrics lost the model's deliver count:\n%s", rec.Body)
 	}
 }
 

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,9 +40,6 @@ const (
 	jsonlVersion = 1
 )
 
-// binaryMagic opens the binary trace format; the trailing byte versions it.
-var binaryMagic = []byte("MOBTRC\x01")
-
 // WriteJSONL renders the trace as line-oriented JSON: a header line
 // followed by one event per line. The output is canonical — field order is
 // fixed — so equal traces are byte-identical.
@@ -72,7 +67,7 @@ func ReadJSONL(r io.Reader) (Trace, error) {
 	if hdr.Trace != jsonlName || hdr.V != jsonlVersion {
 		return Trace{}, fmt.Errorf("obs: not a v%d %s trace (header %q v%d)", jsonlVersion, jsonlName, hdr.Trace, hdr.V)
 	}
-	out := Trace{M: hdr.M, N: hdr.N, Events: make([]Event, 0, hdr.Events)}
+	out := Trace{M: hdr.M, N: hdr.N} // hdr.Events is not trusted to size anything
 	for {
 		var line jsonlEvent
 		if err := dec.Decode(&line); err == io.EOF {
@@ -85,81 +80,6 @@ func ReadJSONL(r io.Reader) (Trace, error) {
 			return Trace{}, fmt.Errorf("obs: trace event %d: unknown kind %q", len(out.Events), line.K)
 		}
 		out.Events = append(out.Events, Event{T: line.T, Kind: kind, A: line.A, B: line.B, C: line.C})
-	}
-	return out, nil
-}
-
-// MarshalBinary renders the trace in the compact binary format: magic,
-// topology and count as uvarints, then per event a delta-encoded time,
-// the kind byte, and zigzag-encoded operands.
-func (t Trace) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(binaryMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putVarint := func(v int64) { buf.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
-	putUvarint(uint64(t.M))
-	putUvarint(uint64(t.N))
-	putUvarint(uint64(len(t.Events)))
-	var prev sim.Time
-	for _, ev := range t.Events {
-		putVarint(int64(ev.T - prev))
-		prev = ev.T
-		buf.WriteByte(byte(ev.Kind))
-		putVarint(int64(ev.A))
-		putVarint(int64(ev.B))
-		putVarint(int64(ev.C))
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary parses the output of MarshalBinary.
-func UnmarshalBinary(data []byte) (Trace, error) {
-	if !bytes.HasPrefix(data, binaryMagic) {
-		return Trace{}, fmt.Errorf("obs: not a binary trace (bad magic)")
-	}
-	r := bytes.NewReader(data[len(binaryMagic):])
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(r) }
-	readVarint := func() (int64, error) { return binary.ReadVarint(r) }
-	m, err := readUvarint()
-	if err != nil {
-		return Trace{}, fmt.Errorf("obs: binary trace topology: %w", err)
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return Trace{}, fmt.Errorf("obs: binary trace topology: %w", err)
-	}
-	count, err := readUvarint()
-	if err != nil {
-		return Trace{}, fmt.Errorf("obs: binary trace count: %w", err)
-	}
-	out := Trace{M: int(m), N: int(n)}
-	var prev sim.Time
-	for i := uint64(0); i < count; i++ {
-		dt, err := readVarint()
-		if err != nil {
-			return Trace{}, fmt.Errorf("obs: binary trace event %d: %w", i, err)
-		}
-		kb, err := r.ReadByte()
-		if err != nil {
-			return Trace{}, fmt.Errorf("obs: binary trace event %d: %w", i, err)
-		}
-		if kb == 0 || EventKind(kb) >= evKindCount {
-			return Trace{}, fmt.Errorf("obs: binary trace event %d: unknown kind %d", i, kb)
-		}
-		var ops [3]int64
-		for j := range ops {
-			v, err := readVarint()
-			if err != nil {
-				return Trace{}, fmt.Errorf("obs: binary trace event %d: %w", i, err)
-			}
-			ops[j] = v
-		}
-		prev += sim.Time(dt)
-		out.Events = append(out.Events, Event{
-			T: prev, Kind: EventKind(kb),
-			A: int32(ops[0]), B: int32(ops[1]), C: int32(ops[2]),
-		})
 	}
 	return out, nil
 }

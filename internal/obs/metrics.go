@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 
 	"mobiledist/internal/sim"
 )
@@ -70,19 +68,13 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Count reports how many values were observed.
-func (h *Histogram) Count() int64 { return h.total }
+func (h Histogram) Count() int64 { return h.total }
 
 // Sum reports the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Min and Max report the observed extrema (0 when empty).
-func (h *Histogram) Min() int64 { return h.min }
-
-// Max reports the largest observed value (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
+func (h Histogram) Sum() int64 { return h.sum }
 
 // Mean reports the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
+func (h Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -92,246 +84,140 @@ func (h *Histogram) Mean() float64 {
 // Quantile returns an estimate of the q-quantile (q in [0, 1]): the lower
 // bound of the bucket holding the q-th observation, clamped to the
 // observed extrema.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h Histogram) Quantile(q float64) int64 {
 	if h.total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = max(0, min(q, 1))
 	rank := int64(q * float64(h.total-1))
 	var seen int64
 	for idx, c := range h.counts {
 		seen += c
 		if seen > rank {
-			v := histLower(idx)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			return max(h.min, min(histLower(idx), h.max))
 		}
 	}
 	return h.max
 }
 
-// Diff returns h - prev bucket-wise: the histogram of observations made
-// after prev was snapshotted. Min/max are taken from h (extrema are not
-// reversible).
-func (h Histogram) Diff(prev Histogram) Histogram {
-	out := h
-	for i := range out.counts {
-		out.counts[i] -= prev.counts[i]
-	}
-	out.total -= prev.total
-	out.sum -= prev.sum
-	return out
+// histDef is one row of the histogram table: the name /metrics exports
+// (after a mobiledist_ prefix) and its help text, and the events that feed
+// it. A value row observes one operand of every `on` event. A span row
+// (value nil) observes the ticks from a `start` event to the next `on`
+// event with the same operand A; a later start restarts the clock unless
+// keepFirst is set, and a `cancel` event abandons the span.
+type histDef struct {
+	name, help    string
+	on            EventKind
+	value         func(Event) int32
+	start, cancel uint64 // kind masks
+	keepFirst     bool
 }
 
-// Metrics is the registry fed by a Tracer: per-kind event counters and the
-// model's latency/shape histograms. It is always accessed under the owning
-// tracer's lock (or single-threaded before traffic flows), so the fields
-// need no locking of their own; Snapshot copies everything by value.
+func operandB(e Event) int32 { return e.B }
+func operandC(e Event) int32 { return e.C }
+
+// histograms is the table: every histogram the registry keeps, in the
+// order /metrics renders them. Adding a histogram is adding a row.
+var histograms = [...]histDef{
+	{name: "cs_latency_ticks", help: "Critical-section request-to-grant latency in ticks.",
+		on: EvCSEnter, start: 1 << EvCSRequest},
+	{name: "handoff_ticks", help: "Mobility handoff duration (leave/reconnect to join) in ticks.",
+		on: EvJoin, start: 1<<EvLeave | 1<<EvReconnect},
+	{name: "chase_hops", help: "Wireless delivery attempts per routed message.",
+		on: EvDeliver, value: operandC},
+	{name: "arq_retries", help: "ARQ retransmissions per eventually-acked frame.",
+		on: EvAck, value: operandB},
+	{name: "dgram_rtt_us", help: "Per-datagram round-trip time in microseconds (Karn-sampled).",
+		on: EvPacketRTT, value: operandB},
+	{name: "bundle_copies", help: "Replicas created over the lifetime of each delivered DTN bundle.",
+		on: EvBundleDelivered, value: operandC},
+	// The first custody acceptance starts the clock; replicas of the same
+	// bundle accepted later must not reset it.
+	{name: "bundle_custody_ticks", help: "DTN custody-accept to delivery duration in ticks.",
+		on: EvBundleDelivered, start: 1 << EvBundleCustody, keepFirst: true,
+		cancel: 1<<EvBundleExpired | 1<<EvBundleDropped},
+}
+
+// Metrics is the registry fed by a Tracer: per-kind event counters and one
+// histogram per row of the table. It is only touched under the owning
+// tracer's lock.
 type Metrics struct {
 	counts [evKindCount]int64
-
-	// CSLatency is the CS-request→grant latency distribution in ticks.
-	CSLatency Histogram
-	// HandoffTicks is the duration of mobility handoffs in ticks:
-	// leave→join for cell switches, reconnect→join for reconnections.
-	HandoffTicks Histogram
-	// ChaseHops is the wireless delivery attempts per routed message
-	// (1 = delivered where first addressed; each extra is one
-	// search-and-chase hop after the destination moved in flight).
-	ChaseHops Histogram
-	// ARQRetries is the retransmissions per eventually-acked frame
-	// (0 = first try succeeded).
-	ARQRetries Histogram
-	// DgramRTTUS is the per-datagram round-trip time distribution in
-	// microseconds, sampled by the UDP session layer on acks of segments
-	// that were never retransmitted (Karn's rule).
-	DgramRTTUS Histogram
-	// BundleCopies is the replication cost per delivered DTN bundle: the
-	// number of replicas created over its lifetime, sampled at the
-	// primary delivery (EvBundleDelivered operand C).
-	BundleCopies Histogram
-	// BundleCustodyTicks is the custody-accept→delivery duration per
-	// delivered bundle in ticks — how long store-carry-forward held a
-	// message before its MH reappeared.
-	BundleCustodyTicks Histogram
-
-	csReqAt         map[int32]sim.Time
-	moveStart       map[int32]sim.Time
-	bundleCustodyAt map[int32]sim.Time
+	hists  [len(histograms)]Histogram
+	open   [len(histograms)]map[int32]sim.Time // span rows: start time by operand A
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		csReqAt:         make(map[int32]sim.Time),
-		moveStart:       make(map[int32]sim.Time),
-		bundleCustodyAt: make(map[int32]sim.Time),
+	m := &Metrics{}
+	for i, d := range histograms {
+		if d.value == nil {
+			m.open[i] = make(map[int32]sim.Time)
+		}
 	}
+	return m
 }
 
 // observe folds one event into the registry. Called under the tracer lock.
 func (m *Metrics) observe(ev Event) {
-	if ev.Kind < evKindCount {
-		m.counts[ev.Kind]++
-	}
-	switch ev.Kind {
-	case EvCSRequest:
-		m.csReqAt[ev.A] = ev.T
-	case EvCSEnter:
-		if t0, ok := m.csReqAt[ev.A]; ok {
-			m.CSLatency.Observe(int64(ev.T - t0))
-			delete(m.csReqAt, ev.A)
+	m.counts[ev.Kind]++
+	bit := uint64(1) << ev.Kind
+	for i := range histograms {
+		d, open := &histograms[i], m.open[i]
+		switch {
+		case ev.Kind == d.on && d.value != nil:
+			m.hists[i].Observe(int64(d.value(ev)))
+		case ev.Kind == d.on:
+			if t0, ok := open[ev.A]; ok {
+				m.hists[i].Observe(int64(ev.T - t0))
+				delete(open, ev.A)
+			}
+		case d.start&bit != 0:
+			if _, ok := open[ev.A]; !ok || !d.keepFirst {
+				open[ev.A] = ev.T
+			}
+		case d.cancel&bit != 0:
+			delete(open, ev.A)
 		}
-	case EvLeave, EvReconnect:
-		m.moveStart[ev.A] = ev.T
-	case EvJoin:
-		if t0, ok := m.moveStart[ev.A]; ok {
-			m.HandoffTicks.Observe(int64(ev.T - t0))
-			delete(m.moveStart, ev.A)
-		}
-	case EvDeliver:
-		m.ChaseHops.Observe(int64(ev.C))
-	case EvAck:
-		m.ARQRetries.Observe(int64(ev.B))
-	case EvPacketRTT:
-		m.DgramRTTUS.Observe(int64(ev.B))
-	case EvBundleCustody:
-		// First acceptance starts the custody clock; replicas of the same
-		// bundle arriving later must not reset it.
-		if _, ok := m.bundleCustodyAt[ev.A]; !ok {
-			m.bundleCustodyAt[ev.A] = ev.T
-		}
-	case EvBundleDelivered:
-		m.BundleCopies.Observe(int64(ev.C))
-		if t0, ok := m.bundleCustodyAt[ev.A]; ok {
-			m.BundleCustodyTicks.Observe(int64(ev.T - t0))
-			delete(m.bundleCustodyAt, ev.A)
-		}
-	case EvBundleExpired, EvBundleDropped:
-		delete(m.bundleCustodyAt, ev.A)
 	}
 }
 
-// MetricsSnapshot is a point-in-time copy of the registry, comparable and
-// diffable. Counts maps kind names to event counts (zero-count kinds are
-// omitted).
+// MetricsSnapshot is a point-in-time copy of a tracer's counters and
+// histograms.
 type MetricsSnapshot struct {
-	Counts             map[string]int64
-	CSLatency          Histogram
-	HandoffTicks       Histogram
-	ChaseHops          Histogram
-	ARQRetries         Histogram
-	DgramRTTUS         Histogram
-	BundleCopies       Histogram
-	BundleCustodyTicks Histogram
+	// Counts maps kind names to event counts (zero-count kinds are omitted).
+	Counts map[string]int64
+	// Histograms maps each table row's name to a copy of its histogram.
+	Histograms map[string]Histogram
+	// Total counts every event the tracer recorded, including those its
+	// ring has since overwritten; Dropped counts the overwritten ones.
+	Total, Dropped uint64
 }
 
-// Snapshot copies the registry. Callers normally reach it through
-// Tracer-owning APIs that serialise against recording.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Counts:             make(map[string]int64),
-		CSLatency:          m.CSLatency,
-		HandoffTicks:       m.HandoffTicks,
-		ChaseHops:          m.ChaseHops,
-		ARQRetries:         m.ARQRetries,
-		DgramRTTUS:         m.DgramRTTUS,
-		BundleCopies:       m.BundleCopies,
-		BundleCustodyTicks: m.BundleCustodyTicks,
-	}
-	for k, c := range m.counts {
-		if c != 0 {
-			s.Counts[EventKind(k).String()] = c
-		}
-	}
-	return s
-}
-
-// MetricsSnapshot returns a snapshot of the attached registry taken under
-// the tracer lock, so it is consistent with concurrent recording; the zero
-// snapshot if no registry (or tracer) is attached.
+// MetricsSnapshot copies the tracer's totals and, when a registry is
+// attached, its counters and histograms, all under the tracer lock, so the
+// snapshot is consistent with concurrent recording.
 func (t *Tracer) MetricsSnapshot() MetricsSnapshot {
+	s := MetricsSnapshot{Counts: map[string]int64{}, Histograms: map[string]Histogram{}}
 	if t == nil {
-		return MetricsSnapshot{Counts: map[string]int64{}}
+		return s
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.metrics == nil {
-		return MetricsSnapshot{Counts: map[string]int64{}}
+	s.Total = t.total
+	if t.bounded {
+		s.Dropped = t.total - min(t.total, uint64(len(t.ring)))
 	}
-	return t.metrics.Snapshot()
-}
-
-// Diff returns the activity between prev and s: per-counter and per-bucket
-// subtraction. Use it to meter one phase of a run.
-func (s MetricsSnapshot) Diff(prev MetricsSnapshot) MetricsSnapshot {
-	out := MetricsSnapshot{
-		Counts:             make(map[string]int64),
-		CSLatency:          s.CSLatency.Diff(prev.CSLatency),
-		HandoffTicks:       s.HandoffTicks.Diff(prev.HandoffTicks),
-		ChaseHops:          s.ChaseHops.Diff(prev.ChaseHops),
-		ARQRetries:         s.ARQRetries.Diff(prev.ARQRetries),
-		DgramRTTUS:         s.DgramRTTUS.Diff(prev.DgramRTTUS),
-		BundleCopies:       s.BundleCopies.Diff(prev.BundleCopies),
-		BundleCustodyTicks: s.BundleCustodyTicks.Diff(prev.BundleCustodyTicks),
-	}
-	for k, c := range s.Counts {
-		if d := c - prev.Counts[k]; d != 0 {
-			out.Counts[k] = d
+	if m := t.metrics; m != nil {
+		for k, c := range m.counts {
+			if c != 0 {
+				s.Counts[EventKind(k).String()] = c
+			}
+		}
+		for i, d := range histograms {
+			s.Histograms[d.name] = m.hists[i]
 		}
 	}
-	for k, c := range prev.Counts {
-		if _, ok := s.Counts[k]; !ok && c != 0 {
-			out.Counts[k] = -c
-		}
-	}
-	return out
-}
-
-// CounterNames returns the snapshot's counter names sorted, for stable
-// rendering.
-func (s MetricsSnapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counts))
-	for k := range s.Counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Format renders the snapshot as an aligned human-readable block.
-func (s MetricsSnapshot) Format() string {
-	out := ""
-	for _, name := range s.CounterNames() {
-		out += fmt.Sprintf("%-16s %d\n", name, s.Counts[name])
-	}
-	for _, h := range []struct {
-		name string
-		h    Histogram
-	}{
-		{"cs-latency", s.CSLatency},
-		{"handoff-ticks", s.HandoffTicks},
-		{"chase-hops", s.ChaseHops},
-		{"arq-retries", s.ARQRetries},
-		{"dgram-rtt-us", s.DgramRTTUS},
-		{"bundle-copies", s.BundleCopies},
-		{"bundle-custody-ticks", s.BundleCustodyTicks},
-	} {
-		if h.h.Count() == 0 {
-			continue
-		}
-		out += fmt.Sprintf("%-16s n=%d mean=%.2f p50=%d p99=%d max=%d\n",
-			h.name, h.h.Count(), h.h.Mean(), h.h.Quantile(0.5), h.h.Quantile(0.99), h.h.Max())
-	}
-	return out
+	return s
 }

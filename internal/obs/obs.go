@@ -14,11 +14,11 @@
 //     critical-section and token activity;
 //   - a Tracer stores events in a fixed-capacity ring buffer (or an
 //     unbounded recorder for export), optionally feeding a Metrics registry
-//     of counters and HDR-style latency histograms, snapshot-diffable
-//     mid-run;
-//   - a Trace (topology + events) round-trips through a compact binary
-//     codec and line-oriented JSONL, so a captured run is an artifact that
-//     can be diffed, replayed, and rendered (cmd/mobiletrace).
+//     of per-kind counters and the HDR-style histograms its one table
+//     declares, served as Prometheus text at /metrics (Handler);
+//   - a Trace (topology + events) round-trips through line-oriented JSONL,
+//     so a captured run is an artifact that can be diffed, replayed, and
+//     rendered (cmd/mobiletrace).
 //
 // Hot-path contract: every Record call on a nil *Tracer is a nil-check
 // no-op, and Record on a live tracer allocates nothing. The engine guards
@@ -41,8 +41,8 @@ import (
 // documented on the constants; unused operands are zero.
 type EventKind uint8
 
-// Event kinds. The numbering is part of the binary trace format: append
-// new kinds, never renumber.
+// Event kinds. A trace carries a kind by its name (String), never by its
+// number.
 const (
 	evInvalid EventKind = iota
 	// EvTransmit: one message handed to the substrate's FIFO transport.
@@ -222,21 +222,12 @@ func (k EventKind) String() string {
 
 // KindFromString inverts String; ok is false for unknown names.
 func KindFromString(s string) (EventKind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return EventKind(k), true
+	for k := EventKind(1); k < evKindCount; k++ {
+		if kindNames[k] == s {
+			return k, true
 		}
 	}
 	return evInvalid, false
-}
-
-// Kinds returns every defined event kind in numbering order.
-func Kinds() []EventKind {
-	out := make([]EventKind, 0, int(evKindCount)-1)
-	for k := EventKind(1); k < evKindCount; k++ {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Event is one recorded observation: a fixed-size value, so a ring of them
@@ -260,15 +251,11 @@ type Event struct {
 // no-ops on it, which is how tracing-disabled systems stay allocation- and
 // overhead-free.
 type Tracer struct {
-	// disabled and sampleN form the recording seam's admission filter,
-	// consulted before the lock: a masked-out or sampled-out event takes
-	// one atomic load and returns, touching neither the ring nor the
-	// metrics. Bit k of disabled set = kind k masked out (zero value: all
-	// kinds enabled). sampleN[k] > 1 = keep 1 in every sampleN[k] events
-	// of kind k; seen[k] counts arrivals to decide which.
+	// disabled is the recording seam's admission filter, consulted before
+	// the lock: a masked-out event takes one atomic load and returns,
+	// touching neither the ring nor the metrics. Bit k set = kind k masked
+	// out (zero value: all kinds enabled).
 	disabled atomic.Uint64
-	sampleN  [evKindCount]atomic.Uint32
-	seen     [evKindCount]atomic.Uint64
 
 	mu      sync.Mutex
 	ring    []Event // ring mode: fixed backing store
@@ -304,16 +291,6 @@ func (t *Tracer) WithMetrics(m *Metrics) *Tracer {
 	return t
 }
 
-// Metrics returns the attached metrics registry, or nil.
-func (t *Tracer) Metrics() *Metrics {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.metrics
-}
-
 // SetTopology records the (M, N) network shape for trace export. Tracers
 // shared across systems of different shapes export a zero topology, which
 // disables shape-dependent rendering (the space-time diagram) but not
@@ -335,40 +312,11 @@ func (t *Tracer) SetTopology(m, n int) {
 	t.m, t.n = m, n
 }
 
-// Topology returns the recorded network shape (0, 0 when unset or mixed).
-func (t *Tracer) Topology() (m, n int) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m, t.n
-}
-
-// SetKindEnabled includes (enabled) or masks out (disabled) one kind at
-// the recording seam. A masked-out kind is rejected before the tracer's
-// lock: it reaches neither the ring buffer nor the attached metrics, and
-// the Record call allocates nothing. All kinds start enabled.
-func (t *Tracer) SetKindEnabled(kind EventKind, enabled bool) {
-	if t == nil || kind >= evKindCount {
-		return
-	}
-	bit := uint64(1) << kind
-	for {
-		old := t.disabled.Load()
-		next := old | bit
-		if enabled {
-			next = old &^ bit
-		}
-		if t.disabled.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// EnableOnly masks out every kind except those listed — the whitelist form
-// of SetKindEnabled for tracers that should record, say, only the mobility
-// protocol.
+// EnableOnly masks out every kind except those listed, at the recording
+// seam: a masked-out kind is rejected before the tracer's lock, reaches
+// neither the ring buffer nor the attached metrics, and its Record call
+// allocates nothing. All kinds start enabled; a tracer that should record,
+// say, only the mobility protocol calls EnableOnly(MobilityKinds()...).
 func (t *Tracer) EnableOnly(kinds ...EventKind) {
 	if t == nil {
 		return
@@ -382,35 +330,16 @@ func (t *Tracer) EnableOnly(kinds ...EventKind) {
 	t.disabled.Store(mask)
 }
 
-// SetSampleEvery keeps one in every n recorded events of kind, starting
-// with the first, rejecting the rest before the ring buffer (and before
-// the metrics — sampled counters count sampled events). n <= 1 restores
-// every-event recording for the kind.
-func (t *Tracer) SetSampleEvery(kind EventKind, n int) {
-	if t == nil || kind >= evKindCount {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.sampleN[kind].Store(uint32(n))
-}
-
 // Record appends one event. On a nil tracer it is a no-op; on a live one
 // it allocates nothing in ring mode (recorder mode amortises appends).
-// Events masked out by SetKindEnabled or thinned by SetSampleEvery are
-// rejected here, before the lock and the ring, with zero allocation.
+// Events masked out by EnableOnly are rejected here, before the lock and
+// the ring, with zero allocation.
 func (t *Tracer) Record(now sim.Time, kind EventKind, a, b, c int32) {
 	if t == nil || kind >= evKindCount {
 		return
 	}
 	if t.disabled.Load()&(uint64(1)<<kind) != 0 {
 		return
-	}
-	if n := t.sampleN[kind].Load(); n > 1 {
-		if (t.seen[kind].Add(1)-1)%uint64(n) != 0 {
-			return
-		}
 	}
 	ev := Event{T: now, Kind: kind, A: a, B: b, C: c}
 	t.mu.Lock()
@@ -426,31 +355,6 @@ func (t *Tracer) Record(now sim.Time, kind EventKind, a, b, c int32) {
 	t.mu.Unlock()
 }
 
-// Total reports how many events were ever recorded (including any the ring
-// has since overwritten).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped reports how many events the ring overwrote (always 0 in recorder
-// mode).
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.bounded || t.total <= uint64(len(t.ring)) {
-		return 0
-	}
-	return t.total - uint64(len(t.ring))
-}
-
 // Events returns a copy of the retained events in recording order (oldest
 // first). In ring mode that is the most recent window.
 func (t *Tracer) Events() []Event {
@@ -459,18 +363,18 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.retained()
+}
+
+// retained copies the retained events oldest first. Called under t.mu.
+func (t *Tracer) retained() []Event {
 	if !t.bounded {
 		return append([]Event(nil), t.events...)
 	}
-	n := t.total
-	capacity := uint64(len(t.ring))
-	if n > capacity {
-		n = capacity
-	}
+	n := min(t.total, uint64(len(t.ring)))
 	out := make([]Event, 0, n)
-	start := t.total - n
-	for i := uint64(0); i < n; i++ {
-		out = append(out, t.ring[(start+i)%capacity])
+	for i := t.total - n; i < t.total; i++ {
+		out = append(out, t.ring[i%uint64(len(t.ring))])
 	}
 	return out
 }
@@ -478,8 +382,12 @@ func (t *Tracer) Events() []Event {
 // Snapshot returns the retained events as an exportable Trace carrying the
 // recorded topology.
 func (t *Tracer) Snapshot() Trace {
-	m, n := t.Topology()
-	return Trace{M: m, N: n, Events: t.Events()}
+	if t == nil {
+		return Trace{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Trace{M: t.m, N: t.n, Events: t.retained()}
 }
 
 // Filter returns the events for which keep is true, preserving order.

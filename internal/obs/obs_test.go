@@ -2,9 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"testing"
 
 	"mobiledist/internal/sim"
@@ -14,19 +15,32 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Record(1, EvTransmit, 1, 2, 3) // must not panic
 	tr.SetTopology(2, 3)
-	if tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Error("nil tracer reported state")
+	tr.EnableOnly(EvJoin)
+	if tr.Events() != nil {
+		t.Error("nil tracer reported events")
 	}
-	if m, n := tr.Topology(); m != 0 || n != 0 {
-		t.Error("nil tracer reported topology")
+	if s := tr.Snapshot(); s.M != 0 || s.N != 0 || s.Events != nil {
+		t.Error("nil tracer reported a trace")
 	}
 	if tr.WithMetrics(NewMetrics()) != nil {
 		t.Error("WithMetrics on nil tracer returned non-nil")
 	}
 	snap := tr.MetricsSnapshot()
-	if len(snap.Counts) != 0 {
-		t.Error("nil tracer snapshot has counts")
+	if len(snap.Counts) != 0 || len(snap.Histograms) != 0 || snap.Total != 0 || snap.Dropped != 0 {
+		t.Errorf("nil tracer snapshot has state: %+v", snap)
 	}
+}
+
+// allKindsBut lists every defined kind except the given ones, in numbering
+// order.
+func allKindsBut(skip ...EventKind) []EventKind {
+	var out []EventKind
+	for k := EventKind(1); k < evKindCount; k++ {
+		if !slices.Contains(skip, k) {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 func TestRecordAllocatesNothing(t *testing.T) {
@@ -45,25 +59,26 @@ func TestRecordAllocatesNothing(t *testing.T) {
 
 func TestMaskedKindRecordsNothingAndAllocatesNothing(t *testing.T) {
 	tr := NewTracer(0).WithMetrics(NewMetrics()) // recorder mode: appends would allocate
-	tr.SetKindEnabled(EvTransmit, false)
+	tr.EnableOnly(allKindsBut(EvTransmit)...)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Record(1, EvTransmit, 3, 7, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("masked-out Record allocates %.1f per run, want 0", allocs)
 	}
-	if tr.Total() != 0 || len(tr.Events()) != 0 {
-		t.Errorf("masked-out kind recorded: total=%d events=%d", tr.Total(), len(tr.Events()))
+	s := tr.MetricsSnapshot()
+	if s.Total != 0 || len(tr.Events()) != 0 {
+		t.Errorf("masked-out kind recorded: total=%d events=%d", s.Total, len(tr.Events()))
 	}
-	if got := tr.MetricsSnapshot().Counts[EvTransmit.String()]; got != 0 {
+	if got := s.Counts[EvTransmit.String()]; got != 0 {
 		t.Errorf("masked-out kind reached metrics: count=%d", got)
 	}
 
 	tr.Record(2, EvDeliver, 1, 0, 1) // other kinds unaffected
-	tr.SetKindEnabled(EvTransmit, true)
+	tr.EnableOnly(allKindsBut()...)
 	tr.Record(3, EvTransmit, 3, 7, 0)
-	if tr.Total() != 2 {
-		t.Errorf("after re-enable Total = %d, want 2", tr.Total())
+	if total := tr.MetricsSnapshot().Total; total != 2 {
+		t.Errorf("after re-enable Total = %d, want 2", total)
 	}
 }
 
@@ -76,9 +91,7 @@ func TestMaskedDgramKindsAllocateNothing(t *testing.T) {
 		EvPacketRetransmit, EvPacketReplayDropped, EvPacketRTT,
 	}
 	tr := NewTracer(0).WithMetrics(NewMetrics())
-	for _, k := range dgramKinds {
-		tr.SetKindEnabled(k, false)
-	}
+	tr.EnableOnly(allKindsBut(dgramKinds...)...)
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, k := range dgramKinds {
 			tr.Record(1, k, 3, 250, 0)
@@ -87,23 +100,24 @@ func TestMaskedDgramKindsAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("masked-out datagram kinds allocate %.1f per run, want 0", allocs)
 	}
-	if tr.Total() != 0 {
-		t.Errorf("masked-out datagram kinds recorded: total=%d", tr.Total())
+	s := tr.MetricsSnapshot()
+	if s.Total != 0 {
+		t.Errorf("masked-out datagram kinds recorded: total=%d", s.Total)
 	}
-	if s := tr.MetricsSnapshot(); s.DgramRTTUS.Count() != 0 {
-		t.Errorf("masked packet-rtt reached the RTT histogram: count=%d", s.DgramRTTUS.Count())
+	if n := s.Histograms["dgram_rtt_us"].Count(); n != 0 {
+		t.Errorf("masked packet-rtt reached the RTT histogram: count=%d", n)
 	}
 }
 
 // TestPacketRTTFeedsHistogram: an enabled packet-rtt event lands its
-// microsecond operand in the DgramRTTUS histogram.
+// microsecond operand in the dgram_rtt_us histogram.
 func TestPacketRTTFeedsHistogram(t *testing.T) {
 	tr := NewTracer(0).WithMetrics(NewMetrics())
 	tr.Record(5, EvPacketRTT, 1, 740, 0)
 	tr.Record(6, EvPacketRTT, 1, 260, 0)
 	s := tr.MetricsSnapshot()
-	if s.DgramRTTUS.Count() != 2 || s.DgramRTTUS.Sum() != 1000 {
-		t.Errorf("DgramRTTUS count=%d sum=%d, want 2, 1000", s.DgramRTTUS.Count(), s.DgramRTTUS.Sum())
+	if h := s.Histograms["dgram_rtt_us"]; h.Count() != 2 || h.Sum() != 1000 {
+		t.Errorf("dgram_rtt_us count=%d sum=%d, want 2, 1000", h.Count(), h.Sum())
 	}
 	if s.Counts["packet-rtt"] != 2 {
 		t.Errorf("packet-rtt count = %d, want 2", s.Counts["packet-rtt"])
@@ -113,7 +127,7 @@ func TestPacketRTTFeedsHistogram(t *testing.T) {
 func TestEnableOnlyWhitelistsKinds(t *testing.T) {
 	tr := NewTracer(0)
 	tr.EnableOnly(MobilityKinds()...)
-	for _, k := range Kinds() {
+	for _, k := range allKindsBut() {
 		tr.Record(1, k, 0, 0, 0)
 	}
 	evs := tr.Events()
@@ -127,47 +141,13 @@ func TestEnableOnlyWhitelistsKinds(t *testing.T) {
 	}
 }
 
-func TestSampleEveryKeepsOneInN(t *testing.T) {
-	tr := NewTracer(0)
-	tr.SetSampleEvery(EvTransmit, 10)
-	for i := int32(0); i < 95; i++ {
-		tr.Record(sim.Time(i), EvTransmit, i, 0, 0)
-		tr.Record(sim.Time(i), EvDeliver, i, 0, 0) // unsampled control
-	}
-	var transmits, delivers int
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case EvTransmit:
-			if ev.A%10 != 0 {
-				t.Errorf("sampled event A = %d, want a multiple of 10 (first of each stride)", ev.A)
-			}
-			transmits++
-		case EvDeliver:
-			delivers++
-		}
-	}
-	if transmits != 10 || delivers != 95 {
-		t.Errorf("kept %d transmits (want 10) and %d delivers (want 95)", transmits, delivers)
-	}
-	tr.SetSampleEvery(EvTransmit, 0) // restore every-event recording
-	tr.Record(100, EvTransmit, -1, 0, 0)
-	tr.Record(101, EvTransmit, -2, 0, 0)
-	evs := tr.Events()
-	if evs[len(evs)-1].A != -2 || evs[len(evs)-2].A != -1 {
-		t.Error("SetSampleEvery(kind, 0) did not restore every-event recording")
-	}
-}
-
 func TestRingOverwritesOldest(t *testing.T) {
 	tr := NewTracer(4)
 	for i := int32(0); i < 10; i++ {
 		tr.Record(sim.Time(i), EvTransmit, i, 0, 0)
 	}
-	if tr.Total() != 10 {
-		t.Errorf("Total = %d, want 10", tr.Total())
-	}
-	if tr.Dropped() != 6 {
-		t.Errorf("Dropped = %d, want 6", tr.Dropped())
+	if s := tr.MetricsSnapshot(); s.Total != 10 || s.Dropped != 6 {
+		t.Errorf("Total = %d, Dropped = %d, want 10, 6", s.Total, s.Dropped)
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -185,30 +165,30 @@ func TestRecorderKeepsEverything(t *testing.T) {
 	for i := int32(0); i < 100; i++ {
 		tr.Record(sim.Time(i), EvTransmit, i, 0, 0)
 	}
-	if tr.Dropped() != 0 || len(tr.Events()) != 100 {
-		t.Errorf("recorder dropped events: dropped=%d len=%d", tr.Dropped(), len(tr.Events()))
+	if d := tr.MetricsSnapshot().Dropped; d != 0 || len(tr.Events()) != 100 {
+		t.Errorf("recorder dropped events: dropped=%d len=%d", d, len(tr.Events()))
 	}
 }
 
 func TestTopologyMixedDetection(t *testing.T) {
 	tr := NewTracer(0)
 	tr.SetTopology(4, 16)
-	if m, n := tr.Topology(); m != 4 || n != 16 {
-		t.Errorf("Topology = (%d, %d), want (4, 16)", m, n)
+	if s := tr.Snapshot(); s.M != 4 || s.N != 16 {
+		t.Errorf("topology = (%d, %d), want (4, 16)", s.M, s.N)
 	}
 	tr.SetTopology(4, 16) // same shape is fine
 	tr.SetTopology(8, 32) // mixing zeroes it
-	if m, n := tr.Topology(); m != 0 || n != 0 {
-		t.Errorf("mixed Topology = (%d, %d), want (0, 0)", m, n)
+	if s := tr.Snapshot(); s.M != 0 || s.N != 0 {
+		t.Errorf("mixed topology = (%d, %d), want (0, 0)", s.M, s.N)
 	}
 	tr.SetTopology(4, 16) // stays mixed
-	if m, n := tr.Topology(); m != 0 || n != 0 {
+	if s := tr.Snapshot(); s.M != 0 || s.N != 0 {
 		t.Error("mixed topology reverted")
 	}
 }
 
 func TestKindStringRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range allKindsBut() {
 		name := k.String()
 		if name == "unknown" || name == "" {
 			t.Errorf("kind %d has no name", k)
@@ -218,8 +198,10 @@ func TestKindStringRoundTrip(t *testing.T) {
 			t.Errorf("KindFromString(%q) = %d, %v; want %d", name, got, ok, k)
 		}
 	}
-	if _, ok := KindFromString("nope"); ok {
-		t.Error("unknown name accepted")
+	for _, name := range []string{"nope", "unknown", ""} {
+		if _, ok := KindFromString(name); ok {
+			t.Errorf("KindFromString(%q) accepted", name)
+		}
 	}
 }
 
@@ -255,22 +237,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	got, err := UnmarshalBinary(data)
-	if err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	assertTraceEqual(t, tr, got)
-	if _, err := UnmarshalBinary([]byte("not a trace")); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
 func assertTraceEqual(t *testing.T, want, got Trace) {
 	t.Helper()
 	if got.M != want.M || got.N != want.N {
@@ -291,8 +257,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for v := int64(1); v <= 1000; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.min != 1 || h.max != 1000 {
+		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.min, h.max)
 	}
 	// Log-linear with 2 significant bits: quantile estimates must be within
 	// 25% below the true value (bucket lower bounds).
@@ -331,20 +297,24 @@ func TestMetricsPairing(t *testing.T) {
 	tr.Record(90, EvAck, 4, 2, 0)
 
 	s := tr.MetricsSnapshot()
-	if s.CSLatency.Count() != 1 || s.CSLatency.Sum() != 15 {
-		t.Errorf("CSLatency count=%d sum=%d, want 1, 15", s.CSLatency.Count(), s.CSLatency.Sum())
-	}
-	if s.HandoffTicks.Count() != 1 || s.HandoffTicks.Sum() != 40 {
-		t.Errorf("HandoffTicks count=%d sum=%d, want 1, 40", s.HandoffTicks.Count(), s.HandoffTicks.Sum())
-	}
-	if s.ChaseHops.Sum() != 3 || s.ARQRetries.Sum() != 2 {
-		t.Errorf("ChaseHops sum=%d ARQRetries sum=%d, want 3, 2", s.ChaseHops.Sum(), s.ARQRetries.Sum())
+	for name, want := range map[string][2]int64{
+		"cs_latency_ticks": {1, 15},
+		"handoff_ticks":    {1, 40},
+		"chase_hops":       {1, 3},
+		"arq_retries":      {1, 2},
+	} {
+		if h := s.Histograms[name]; h.Count() != want[0] || h.Sum() != want[1] {
+			t.Errorf("%s count=%d sum=%d, want %d, %d", name, h.Count(), h.Sum(), want[0], want[1])
+		}
 	}
 	if s.Counts["cs-request"] != 1 || s.Counts["join"] != 1 {
 		t.Errorf("counters wrong: %v", s.Counts)
 	}
 }
 
+// TestSnapshotDiff: a snapshot is a copy, not a view — recording after it
+// leaves it unchanged — so subtracting two snapshots meters the activity
+// between them.
 func TestSnapshotDiff(t *testing.T) {
 	tr := NewTracer(0).WithMetrics(NewMetrics())
 	tr.Record(0, EvTransmit, 0, 1, 0)
@@ -352,12 +322,16 @@ func TestSnapshotDiff(t *testing.T) {
 	before := tr.MetricsSnapshot()
 	tr.Record(2, EvTransmit, 0, 1, 0)
 	tr.Record(3, EvDeliver, 0, 0, 2)
-	d := tr.MetricsSnapshot().Diff(before)
-	if d.Counts["transmit"] != 1 || d.Counts["deliver"] != 1 {
-		t.Errorf("diff counts: %v", d.Counts)
+	after := tr.MetricsSnapshot()
+	if before.Counts["transmit"] != 1 || before.Histograms["chase_hops"].Count() != 1 || before.Total != 2 {
+		t.Errorf("earlier snapshot changed under later recording: %+v", before.Counts)
 	}
-	if d.ChaseHops.Count() != 1 || d.ChaseHops.Sum() != 2 {
-		t.Errorf("diff ChaseHops count=%d sum=%d, want 1, 2", d.ChaseHops.Count(), d.ChaseHops.Sum())
+	if d := after.Counts["deliver"] - before.Counts["deliver"]; d != 1 {
+		t.Errorf("deliver count grew by %d between snapshots, want 1", d)
+	}
+	b, a := before.Histograms["chase_hops"], after.Histograms["chase_hops"]
+	if a.Count()-b.Count() != 1 || a.Sum()-b.Sum() != 2 {
+		t.Errorf("chase_hops grew by count %d sum %d, want 1, 2", a.Count()-b.Count(), a.Sum()-b.Sum())
 	}
 }
 
@@ -375,14 +349,27 @@ func TestFilterAndMobilityKinds(t *testing.T) {
 	}
 }
 
-func TestHandlerServesMetricsAndVars(t *testing.T) {
-	tr := NewTracer(0).WithMetrics(NewMetrics())
+// TestHandlerServesMetrics pins the whole /metrics rendering of a fixed
+// event sequence: the per-kind counters, the tracer's recorded and dropped
+// totals (a 4-event ring after 10 events), and every row of the histogram
+// table, the span rows' restart and keep-first rules included. Other paths
+// are not served.
+func TestHandlerServesMetrics(t *testing.T) {
+	tr := NewTracer(4).WithMetrics(NewMetrics())
 	tr.Record(10, EvCSRequest, 1, 0, 0)
-	tr.Record(30, EvCSEnter, 1, 0, 0)
+	tr.Record(25, EvCSEnter, 1, 0, 0)
+	tr.Record(30, EvLeave, 2, 0, 0)
+	tr.Record(70, EvJoin, 2, 1, 0)
+	tr.Record(80, EvDeliver, 1, 1, 3)
+	tr.Record(90, EvAck, 4, 2, 0)
+	tr.Record(95, EvPacketRTT, 1, 740, 0)
+	tr.Record(100, EvBundleCustody, 7, 0, 2)
+	tr.Record(120, EvBundleCustody, 7, 1, 2) // a replica: the clock keeps running
+	tr.Record(160, EvBundleDelivered, 7, 1, 3)
 	srv := httptest.NewServer(tr.Handler())
 	defer srv.Close()
 
-	get := func(path string) string {
+	get := func(path string) (int, string) {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -392,27 +379,42 @@ func TestHandlerServesMetricsAndVars(t *testing.T) {
 		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			t.Fatalf("read %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return buf.String()
+		return resp.StatusCode, buf.String()
 	}
 
-	metrics := get("/metrics")
-	for _, want := range []string{
-		`mobiledist_events_total{kind="cs-request"} 1`,
-		"mobiledist_cs_latency_ticks_count 1",
-		"mobiledist_cs_latency_ticks_sum 20",
-		"# TYPE mobiledist_events_total counter",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, metrics)
-		}
+	summary := func(name, help string, v int64) string {
+		return fmt.Sprintf("# HELP mobiledist_%s %s\n# TYPE mobiledist_%s summary\n", name, help, name) +
+			fmt.Sprintf("mobiledist_%s{quantile=\"0.5\"} %d\nmobiledist_%s{quantile=\"0.9\"} %d\nmobiledist_%s{quantile=\"0.99\"} %d\n", name, v, name, v, name, v) +
+			fmt.Sprintf("mobiledist_%s_sum %d\nmobiledist_%s_count 1\n", name, v, name)
 	}
-	vars := get("/vars")
-	for _, want := range []string{`"cs-request": 1`, `"total_recorded": 2`, `"cs_latency_ticks"`} {
-		if !strings.Contains(vars, want) {
-			t.Errorf("/vars missing %q:\n%s", want, vars)
-		}
+	want := `# HELP mobiledist_events_total Observability events recorded, by kind.
+# TYPE mobiledist_events_total counter
+mobiledist_events_total{kind="ack"} 1
+mobiledist_events_total{kind="bundle-custody"} 2
+mobiledist_events_total{kind="bundle-delivered"} 1
+mobiledist_events_total{kind="cs-enter"} 1
+mobiledist_events_total{kind="cs-request"} 1
+mobiledist_events_total{kind="deliver"} 1
+mobiledist_events_total{kind="join"} 1
+mobiledist_events_total{kind="leave"} 1
+mobiledist_events_total{kind="packet-rtt"} 1
+# HELP mobiledist_trace_recorded_total Events the tracer recorded, including any its ring has since overwritten.
+# TYPE mobiledist_trace_recorded_total counter
+mobiledist_trace_recorded_total 10
+# HELP mobiledist_trace_dropped_total Events the tracer's ring overwrote.
+# TYPE mobiledist_trace_dropped_total counter
+mobiledist_trace_dropped_total 6
+` + summary("cs_latency_ticks", "Critical-section request-to-grant latency in ticks.", 15) +
+		summary("handoff_ticks", "Mobility handoff duration (leave/reconnect to join) in ticks.", 40) +
+		summary("chase_hops", "Wireless delivery attempts per routed message.", 3) +
+		summary("arq_retries", "ARQ retransmissions per eventually-acked frame.", 2) +
+		summary("dgram_rtt_us", "Per-datagram round-trip time in microseconds (Karn-sampled).", 740) +
+		summary("bundle_copies", "Replicas created over the lifetime of each delivered DTN bundle.", 3) +
+		summary("bundle_custody_ticks", "DTN custody-accept to delivery duration in ticks.", 60)
+	if code, got := get("/metrics"); code != http.StatusOK || got != want {
+		t.Errorf("GET /metrics: status %d, body:\n%s\nwant:\n%s", code, got, want)
+	}
+	if code, _ := get("/vars"); code != http.StatusNotFound {
+		t.Errorf("GET /vars: status %d, want 404", code)
 	}
 }

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobiledist/internal/core"
@@ -17,8 +18,8 @@ import (
 // embedded engine.Config, so cfg.M, cfg.Wired, cfg.Obs and the rest are its
 // fields; latency ranges and timeouts are in ticks) plus what only a
 // wall-clock substrate has. Obs recording happens on the executor and
-// transport goroutines (Tracer locks internally); scrapers — MetricsHandler,
-// expvar — snapshot concurrently from other goroutines.
+// transport goroutines (Tracer locks internally); MetricsHandler scrapes
+// snapshot concurrently from other goroutines.
 type Config struct {
 	engine.Config
 
@@ -91,7 +92,10 @@ type Host struct {
 	execDone chan struct{}
 	started  bool
 	stopOnce sync.Once
-	epoch    time.Time
+	// epoch is set by Start. Transport goroutines read the clock (Now)
+	// before and during Start — a datagram session traces its handshake
+	// while the hub is still being built — so it is published atomically.
+	epoch atomic.Pointer[time.Time]
 }
 
 // NewHost builds the engine for cfg on the substrate made of the host's own
@@ -121,10 +125,11 @@ func NewHost(cfg Config, tr Transport) (*Host, error) {
 
 // Now returns virtual time (wall time since Start in ticks).
 func (h *Host) Now() sim.Time {
-	if h.epoch.IsZero() {
+	epoch := h.epoch.Load()
+	if epoch == nil {
 		return 0
 	}
-	return sim.Time(time.Since(h.epoch) / h.cfg.Tick)
+	return sim.Time(time.Since(*epoch) / h.cfg.Tick)
 }
 
 // RNG returns the latency random source (executor-only).
@@ -219,7 +224,8 @@ func (h *Host) Start() {
 		panic("rt: Start called twice")
 	}
 	h.started = true
-	h.epoch = time.Now()
+	epoch := time.Now()
+	h.epoch.Store(&epoch)
 	go func() {
 		defer close(h.execDone)
 		for {

@@ -10,11 +10,12 @@ import (
 func (h *Host) Tracer() *obs.Tracer { return h.cfg.Obs }
 
 // MetricsHandler returns an http.Handler exposing the system's
-// observability state while it runs: Prometheus text exposition at
-// /metrics and an expvar-style JSON document at /vars. Scraping is safe
-// from any goroutine at any point in the lifecycle — the tracer snapshots
-// under its own lock — so a live run can be watched without stopping it.
-// A system built without a tracer serves 404s.
+// observability state while it runs, as Prometheus text at /metrics (see
+// obs.Tracer.Handler): the per-kind event counters, the tracer's recorded
+// and dropped totals, and the histogram table. Scraping is safe from any
+// goroutine at any point in the lifecycle — the tracer snapshots under its
+// own lock — so a live run can be watched without stopping it. A system
+// built without a tracer serves 404s.
 func (h *Host) MetricsHandler() http.Handler {
 	if h.cfg.Obs == nil {
 		return http.NotFoundHandler()

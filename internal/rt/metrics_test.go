@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -99,20 +98,6 @@ func TestMetricsEndpointDuringLiveRun(t *testing.T) {
 	}
 	if final["join"] == 0 || final["transmit"] == 0 {
 		t.Errorf("expected join and transmit events, got %v", final)
-	}
-
-	// /vars serves the expvar-style JSON view of the same registry.
-	resp, err := http.Get(srv.URL + "/vars")
-	if err != nil {
-		t.Fatalf("GET /vars: %v", err)
-	}
-	defer resp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/vars is not valid JSON: %v", err)
-	}
-	if _, ok := vars["events"]; !ok {
-		t.Errorf("/vars missing events map: %v", vars)
 	}
 }
 

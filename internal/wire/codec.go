@@ -88,6 +88,19 @@ func (r *reader) varint() (int64, error) {
 	return int64(u>>1) ^ -int64(u&1), nil
 }
 
+// int32 reads a varint into an int32 field, rejecting a value the field
+// cannot hold: narrowed, channel 2^32+5 would pass for channel 5.
+func (r *reader) int32(field string) (int32, error) {
+	v, err := r.varint()
+	if err != nil {
+		return 0, err
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: %s %d", ErrRange, field, v)
+	}
+	return int32(v), nil
+}
+
 func (r *reader) take(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.b) {
 		return nil, ErrTruncated
@@ -101,14 +114,10 @@ func (r *reader) take(n int) ([]byte, error) {
 func decodeBody(t Type, b []byte) (Frame, error) {
 	r := &reader{b: b}
 	f := Frame{Type: t}
-	ch, err := r.varint()
-	if err != nil {
+	var err error
+	if f.Ch, err = r.int32("channel id"); err != nil {
 		return f, err
 	}
-	if ch < math.MinInt32 || ch > math.MaxInt32 {
-		return f, fmt.Errorf("%w: channel id %d", ErrRange, ch)
-	}
-	f.Ch = int32(ch)
 	if f.Seq, err = r.uvarint(); err != nil {
 		return f, err
 	}
@@ -314,22 +323,18 @@ func DecodeHello(b []byte) (Hello, error) {
 	if h.Role != RoleMSS && h.Role != RoleMH {
 		return h, fmt.Errorf("wire: unknown role %d", role)
 	}
-	id, err := r.varint()
-	if err != nil {
+	if h.ID, err = r.int32("hello id"); err != nil {
 		return h, err
 	}
-	m, err := r.varint()
-	if err != nil {
+	if h.M, err = r.int32("hello m"); err != nil {
 		return h, err
 	}
-	n, err := r.varint()
-	if err != nil {
+	if h.N, err = r.int32("hello n"); err != nil {
 		return h, err
 	}
 	if h.Gen, err = r.uvarint(); err != nil {
 		return h, err
 	}
-	h.ID, h.M, h.N = int32(id), int32(m), int32(n)
 	if r.off != len(b) {
 		return h, errors.New("wire: trailing bytes in hello")
 	}
@@ -353,15 +358,12 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		return e, err
 	}
 	e.Kind = k
-	a, err := r.varint()
-	if err != nil {
+	if e.A, err = r.int32("envelope a"); err != nil {
 		return e, err
 	}
-	bb, err := r.varint()
-	if err != nil {
+	if e.B, err = r.int32("envelope b"); err != nil {
 		return e, err
 	}
-	e.A, e.B = int32(a), int32(bb)
 	if r.off != len(b) {
 		return e, errors.New("wire: trailing bytes in envelope")
 	}
@@ -383,16 +385,14 @@ func (h Handoff) Encode() []byte {
 func DecodeHandoff(b []byte) (Handoff, error) {
 	r := &reader{b: b}
 	var h Handoff
-	mh, err := r.varint()
-	if err != nil {
+	var err error
+	if h.MH, err = r.int32("handoff mh"); err != nil {
 		return h, err
 	}
-	mss, err := r.varint()
-	if err != nil {
+	if h.MSS, err = r.int32("handoff mss"); err != nil {
 		return h, err
 	}
-	prev, err := r.varint()
-	if err != nil {
+	if h.Prev, err = r.int32("handoff prev"); err != nil {
 		return h, err
 	}
 	if h.Gen, err = r.uvarint(); err != nil {
@@ -409,7 +409,7 @@ func DecodeHandoff(b []byte) (Handoff, error) {
 	if err != nil {
 		return h, err
 	}
-	h.MH, h.MSS, h.Prev, h.Addr = int32(mh), int32(mss), int32(prev), string(a)
+	h.Addr = string(a)
 	if r.off != len(b) {
 		return h, errors.New("wire: trailing bytes in handoff")
 	}

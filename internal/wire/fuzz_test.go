@@ -91,6 +91,10 @@ func FuzzPayloadDecoders(f *testing.F) {
 	f.Add(Handoff{MH: 1, MSS: -1, Prev: 2, Gen: 8, Addr: "host:1"}.Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
+	// Fields wider than int32: rejected, never narrowed.
+	for _, w := range widePayloads {
+		f.Add(w.blob)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := DecodeHello(data); err == nil {

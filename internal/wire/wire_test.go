@@ -218,6 +218,59 @@ func TestDecodeRejectsFieldsWiderThanTheFrame(t *testing.T) {
 	}
 }
 
+// varintBlob hand-encodes a payload blob: lead bytes, then each value as a
+// 64-bit zigzag varint (a zero is also a valid uvarint zero).
+func varintBlob(lead []byte, vs ...int64) []byte {
+	b := append([]byte(nil), lead...)
+	for _, v := range vs {
+		b = appendVarint(b, v)
+	}
+	return b
+}
+
+func decodeHelloErr(b []byte) error    { _, err := DecodeHello(b); return err }
+func decodeEnvelopeErr(b []byte) error { _, err := DecodeEnvelope(b); return err }
+func decodeHandoffErr(b []byte) error  { _, err := DecodeHandoff(b); return err }
+
+// widePayloads are payload blobs with an int32 field sent wider than 32
+// bits. The first is the handshake forgery: narrowed, station 2^32 of a
+// cluster with M = 2^32+3 reads as station 0 of the real 3-station
+// cluster, and with Gen 0 it displaced that station as a new incarnation.
+var widePayloads = []struct {
+	name   string
+	decode func([]byte) error
+	blob   []byte
+}{
+	{"hello id 2^32, m 2^32+3", decodeHelloErr, varintBlob([]byte{byte(RoleMSS)}, 1<<32, 1<<32+3, 4, 0)},
+	{"hello n -2^31-1", decodeHelloErr, varintBlob([]byte{byte(RoleMH)}, 1, 3, -1<<31-1, 0)},
+	{"envelope a 2^31", decodeEnvelopeErr, varintBlob([]byte{1}, 1<<31, 0)},
+	{"envelope b -2^31-1", decodeEnvelopeErr, varintBlob([]byte{1}, 0, -1<<31-1)},
+	{"handoff mh 2^32+7", decodeHandoffErr, varintBlob(nil, 1<<32+7, 0, -1, 0, 0)},
+	{"handoff mss 2^40", decodeHandoffErr, varintBlob(nil, 7, 1<<40, -1, 0, 0)},
+	{"handoff prev -2^33", decodeHandoffErr, varintBlob(nil, 7, 2, -1<<33, 0, 0)},
+}
+
+// TestPayloadDecodersRejectFieldsWiderThanInt32: the payload blobs' int32
+// fields cross the wire as 64-bit varints, like Frame.Ch. A value that does
+// not fit is ErrRange, never narrowed; the int32 extremes still decode.
+func TestPayloadDecodersRejectFieldsWiderThanInt32(t *testing.T) {
+	for _, w := range widePayloads {
+		if err := w.decode(w.blob); !errors.Is(err, ErrRange) {
+			t.Errorf("%s: err %v, want ErrRange", w.name, err)
+		}
+	}
+	const lo, hi = -1 << 31, 1<<31 - 1
+	for name, err := range map[string]error{
+		"hello":    decodeHelloErr(varintBlob([]byte{byte(RoleMH)}, hi, hi, lo, 0)),
+		"envelope": decodeEnvelopeErr(varintBlob([]byte{1}, lo, hi)),
+		"handoff":  decodeHandoffErr(varintBlob(nil, hi, lo, hi, 0, 0)),
+	} {
+		if err != nil {
+			t.Errorf("%s with int32 extremes: %v", name, err)
+		}
+	}
+}
+
 func TestPayloadBlobRoundTrips(t *testing.T) {
 	h := Hello{Role: RoleMH, ID: 7, M: 3, N: 9}
 	gotH, err := DecodeHello(h.Encode())

@@ -18,13 +18,12 @@ type (
 	// TraceEventKind classifies a recorded event.
 	TraceEventKind = obs.EventKind
 	// ExportedTrace is a captured run — topology plus event stream — that
-	// round-trips through JSONL and a compact binary codec and can be
-	// diffed with cmd/mobiletrace.
+	// round-trips through JSONL and can be diffed with cmd/mobiletrace.
 	ExportedTrace = obs.Trace
 	// TraceMetrics is the counter-and-histogram registry a Tracer feeds.
 	TraceMetrics = obs.Metrics
-	// TraceMetricsSnapshot is a point-in-time, diffable copy of the
-	// registry.
+	// TraceMetricsSnapshot is a point-in-time copy of a tracer's counters,
+	// histograms and recorded/dropped totals — what /metrics renders.
 	TraceMetricsSnapshot = obs.MetricsSnapshot
 )
 
