@@ -56,12 +56,15 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# Short fuzz pass over the kernel heap oracle and scheduler invariants.
+# Fuzz pass over the kernel oracles (the wheel against a sorted slice and
+# against the sharded queue: every table's byte identity rests on the pop
+# order) and the scheduler, decoder and store invariants.
 # FuzzStoreModel compares two whole stores after every op of an input, so
 # the default minute of minimising each new-coverage input would eat the
 # budget; it gets an exec-count bound instead.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 30s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 30s ./internal/wire
@@ -72,11 +75,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
 
 # The same fuzz targets with a budget small enough for the ci gate: the
-# wire decoders and the datagram packet/token parsers read bytes straight
-# off sockets, and the JSONL trace reader takes whatever file it is given,
-# so even a few seconds of coverage-guided input on every change is worth
-# the wall clock.
+# kernel's pop order decides every seeded table, the wire decoders and the
+# datagram packet/token parsers read bytes straight off sockets, and the
+# JSONL trace reader takes whatever file it is given, so even a few seconds
+# of coverage-guided input on every change is worth the wall clock.
 fuzz-short:
+	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 5s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 5s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 5s ./internal/wire

@@ -42,10 +42,12 @@ type Config struct {
 
 	// Shards partitions the kernel's pending-event set by channel into the
 	// given number of per-shard heaps (sim.NewShardedKernel), rounded up to
-	// a power of two. 0 or 1 keeps the single-heap kernel. The schedule is
-	// byte-identical either way; sharding only changes the data structure's
-	// constants, which the bench probes sim.single.schedule_step_ns and
-	// sim.sharded.schedule_step_ns measure side by side.
+	// a power of two. 0 or 1 keeps the default timing-wheel kernel, which is
+	// faster and smaller than 512 shards at every scale measured (DESIGN
+	// §7.1). The schedule is byte-identical either way; sharding only
+	// changes the data structure's constants, which the bench probes
+	// sim.single.schedule_step_ns and sim.sharded.schedule_step_ns measure
+	// side by side.
 	Shards int
 }
 

@@ -123,7 +123,7 @@ func TestShardedSystemGoldenTrace(t *testing.T) {
 	for _, shards := range []int{8, 64} {
 		got, report, stats := run(shards)
 		if !bytes.Equal(got, golden) {
-			t.Errorf("shards=%d trace differs from single-heap golden trace (%d vs %d bytes)", shards, len(got), len(golden))
+			t.Errorf("shards=%d trace differs from the wheel kernel's golden trace (%d vs %d bytes)", shards, len(got), len(golden))
 		}
 		if report != goldenReport {
 			t.Errorf("shards=%d cost report differs:\n%s\nwant:\n%s", shards, report, goldenReport)

@@ -45,14 +45,66 @@ func FuzzKernelSchedule(f *testing.F) {
 	})
 }
 
-// FuzzKernelHeapOracle cross-checks the 4-ary heap's pop order against a
-// naive sorted-slice oracle. The op stream interleaves pushes (schedule a
-// uniquely identified event at a delay drawn from the byte) with pops
-// (Step), so the heap is exercised at many shapes and fill levels, and every
-// popped event must match the oracle's front exactly — same id, same time.
+// kernelOp decodes one fuzzer op from an action byte and a low delay byte:
+// the action is code%4, and the delay (0..4095 ticks) takes its high bits
+// from code>>4, so pushes and RunUntil deadlines land on both sides of the
+// wheel span and several spans out.
+func kernelOp(code, lo byte) (action byte, delay Time) {
+	return code % 4, Time(code>>4)<<8 | Time(lo)
+}
+
+// opBytes encodes (action, delay) as kernelOp reads it.
+func opBytes(action byte, delay Time) (code, lo byte) {
+	return byte(delay>>8)<<4 | action, byte(delay)
+}
+
+// Fuzzer op actions.
+const (
+	opPush     = 0 // 1 is a push too (a re-entrant one in the sharded fuzzer)
+	opStep     = 2
+	opRunUntil = 3
+)
+
+// Seed delays: a near one that moves the clock well inside the span, one
+// just past the span, and one past two spans.
+const (
+	slideDelay  = 100
+	farDelay    = wheelSpan + 44
+	beyondDelay = 2*wheelSpan + 60
+)
+
+// wheelSeeds are op streams, as (action, delay) pairs, that each fail on a
+// wheel that moves a far event into its run only when the clock reaches its
+// tick: a direct push admitted earlier for that tick would then run first.
+var wheelSeeds = [][][2]int{
+	// A far event at T; the window slides past T-span on a Step; a near
+	// push lands at T.
+	{{opPush, farDelay}, {opPush, slideDelay}, {opStep, 0}, {opPush, farDelay - slideDelay}},
+	// An empty wheel jumps to the far minimum; the next far event is then
+	// inside the window when a near push lands on its tick.
+	{{opPush, farDelay}, {opPush, farDelay + slideDelay}, {opStep, 0}, {opPush, slideDelay}},
+	// RunUntil fires a far event and stops past it; only the deadline's
+	// window slide brings the next far event in before a push lands on it.
+	{{opPush, farDelay}, {opPush, beyondDelay}, {opRunUntil, farDelay + 56}, {opPush, beyondDelay - farDelay - 56}},
+}
+
+// FuzzKernelHeapOracle cross-checks the kernel's pop order against a naive
+// sorted-slice oracle. The op stream (byte pairs, see kernelOp) interleaves
+// pushes of uniquely identified events with Steps and RunUntil deadlines, so
+// events cross from the far heap into the wheel at every window slide, and
+// every fired event must match the oracle's front exactly — same id, same
+// time.
 func FuzzKernelHeapOracle(f *testing.F) {
 	f.Add([]byte{10, 0, 30, 3, 5, 7, 3, 3})
 	f.Add([]byte{255, 3, 255, 3, 0, 0, 3, 3, 3, 3})
+	for _, seed := range wheelSeeds {
+		var ops []byte
+		for _, op := range seed {
+			code, lo := opBytes(byte(op[0]), Time(op[1]))
+			ops = append(ops, code, lo)
+		}
+		f.Add(ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type oracleEvent struct {
 			at Time
@@ -61,42 +113,73 @@ func FuzzKernelHeapOracle(f *testing.F) {
 		k := NewKernel(1)
 		var oracle []oracleEvent // sorted by (at, insertion order)
 		var fired []int
+		var now Time
 		nextID := 0
-		if len(ops) > 200 {
-			ops = ops[:200]
+		if len(ops) > 400 {
+			ops = ops[:400]
 		}
-		for _, op := range ops {
-			if op%4 == 3 {
-				// Pop: the kernel must fire exactly the oracle's front.
+		// fire steps the kernel once; it must fire exactly the oracle's front.
+		fire := func() {
+			want := oracle[0]
+			oracle = oracle[1:]
+			before := len(fired)
+			if !k.Step() {
+				t.Fatalf("kernel empty but oracle holds %d events", len(oracle)+1)
+			}
+			if len(fired) != before+1 || fired[before] != want.id {
+				t.Fatalf("pop order diverged: got id %v, want %d", fired[before:], want.id)
+			}
+			if k.Now() != want.at {
+				t.Fatalf("pop time diverged: kernel at %d, oracle at %d", k.Now(), want.at)
+			}
+			now = want.at
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			switch action, delay := kernelOp(ops[i], ops[i+1]); action {
+			case opStep:
 				if len(oracle) == 0 {
 					if k.Step() {
 						t.Fatal("kernel fired an event the oracle does not have")
 					}
 					continue
 				}
-				want := oracle[0]
-				oracle = oracle[1:]
+				fire()
+			case opRunUntil:
+				// RunUntil must fire exactly the oracle's events due by the
+				// deadline, in order, then stand at the deadline.
+				deadline := now + delay
+				want := 0
+				for want < len(oracle) && oracle[want].at <= deadline {
+					want++
+				}
 				before := len(fired)
-				if !k.Step() {
-					t.Fatalf("kernel empty but oracle holds %d events", len(oracle)+1)
+				if err := k.RunUntil(deadline); err != nil {
+					t.Fatal(err)
 				}
-				if len(fired) != before+1 || fired[len(fired)-1] != want.id {
-					t.Fatalf("pop order diverged: got id %v, want %d", fired[before:], want.id)
+				if len(fired)-before != want {
+					t.Fatalf("RunUntil(%d) fired %d events, oracle holds %d due", deadline, len(fired)-before, want)
 				}
-				if k.Now() != want.at {
-					t.Fatalf("pop time diverged: kernel at %d, oracle at %d", k.Now(), want.at)
+				for j, id := range fired[before:] {
+					if id != oracle[j].id {
+						t.Fatalf("RunUntil(%d) order diverged at %d: got id %d, want %d", deadline, j, id, oracle[j].id)
+					}
 				}
-			} else {
+				oracle = oracle[want:]
+				now = deadline
+				if k.Now() != now {
+					t.Fatalf("RunUntil(%d) left the clock at %d", deadline, k.Now())
+				}
+			default:
 				// Push: schedule at now+delay and insert into the oracle
 				// keeping ties in insertion order (the kernel's seq order).
 				id := nextID
 				nextID++
-				at := k.Now() + Time(op)
-				k.Schedule(Time(op), func() { fired = append(fired, id) })
+				at := now + delay
+				k.Schedule(delay, func() { fired = append(fired, id) })
 				pos := len(oracle)
-				for i, ev := range oracle {
+				for j, ev := range oracle {
 					if at < ev.at {
-						pos = i
+						pos = j
 						break
 					}
 				}
@@ -104,21 +187,15 @@ func FuzzKernelHeapOracle(f *testing.F) {
 				copy(oracle[pos+1:], oracle[pos:])
 				oracle[pos] = oracleEvent{at: at, id: id}
 			}
+			if k.Pending() != len(oracle) {
+				t.Fatalf("kernel holds %d events, oracle %d", k.Pending(), len(oracle))
+			}
 		}
 		// Drain: the remaining pops must also match.
 		for len(oracle) > 0 {
-			want := oracle[0]
-			oracle = oracle[1:]
-			before := len(fired)
-			if !k.Step() {
-				t.Fatalf("kernel drained with %d oracle events left", len(oracle)+1)
-			}
-			if fired[len(fired)-1] != want.id || k.Now() != want.at {
-				t.Fatalf("drain diverged: got id %d at %d, want id %d at %d",
-					fired[before], k.Now(), want.id, want.at)
-			}
+			fire()
 		}
-		if k.Pending() != 0 {
+		if k.Step() || k.Pending() != 0 {
 			t.Fatalf("kernel holds %d events the oracle does not", k.Pending())
 		}
 	})

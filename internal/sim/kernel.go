@@ -1,25 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel maintains a virtual clock and an event heap. Events scheduled
-// for the same instant fire in scheduling order (stable tie-break on a
-// monotonically increasing sequence number), so a run is a pure function of
-// its inputs and RNG seed. All algorithm state machines in this repository
-// execute on a single kernel goroutine; no locking is required in simulation
-// mode.
+// The kernel maintains a virtual clock and a pending-event set. Events
+// scheduled for the same instant fire in scheduling order (stable tie-break
+// on a monotonically increasing sequence number), so a run is a pure
+// function of its inputs and RNG seed. All algorithm state machines in this
+// repository execute on a single kernel goroutine; no locking is required in
+// simulation mode.
 //
-// The event queue is a value-typed 4-ary min-heap ordered by (at, seq).
-// Events are stored inline in a flat slice — no per-event pointer, no
-// interface boxing through container/heap — so scheduling is allocation-free
-// in steady state. Because (at, seq) is a total order, the pop sequence is
-// identical to any correct priority queue over the same events; replacing
-// the previous container/heap binary heap changed no observable schedule.
+// The pending set is a timing wheel: one FIFO run per tick for the
+// wheelSpan ticks starting at the current instant, plus a 4-ary (at, seq)
+// heap for events scheduled further ahead. Simulated traffic crowds a few
+// instants (sim-route holds ~10^5 events over a few dozen ticks), so
+// scheduling is an append to a run and stepping a read from one, with no
+// sift through a standing heap. The pop sequence is exactly the (at, seq)
+// total order of any correct priority queue over the same events (the
+// argument is on Kernel.advance), so the wheel changed no observable
+// schedule. Runs are linked fixed-size chunks from one free list, so
+// scheduling is allocation-free in steady state.
 //
-// For million-host simulations, NewShardedKernel replaces the single heap
-// with per-shard time-bucket heaps under a small top-level merge (see
-// sharded.go). The pop sequence is still exactly the (at, seq) total order,
-// so a sharded kernel is byte-identical to a single-heap kernel on seeded
-// runs; the single-heap kernel remains the oracle the sharded queue is
-// fuzzed against.
+// NewShardedKernel replaces the wheel with per-shard time-bucket heaps under
+// a small top-level merge (see sharded.go). Its pop sequence is the same
+// total order, so a sharded kernel is byte-identical to the wheel on seeded
+// runs; FuzzShardedKernelOracle holds the two against each other.
 package sim
 
 import (
@@ -30,8 +32,8 @@ import (
 // Time is virtual simulation time in abstract ticks.
 type Time int64
 
-// event is a scheduled callback, stored by value in the kernel's heap: an
-// invoker plus one opaque argument. Plain func() events use the package's
+// event is a scheduled callback, stored by value in the kernel's far heap:
+// an invoker plus one opaque argument. Plain func() events use the package's
 // static runFn invoker with the closure as the argument; callers on the
 // allocation-free path (the engine's pooled delivery records) pass a
 // long-lived invoker and a pointer argument, so neither word boxes — func
@@ -43,12 +45,45 @@ type event struct {
 	arg any
 }
 
+// wheelSpan is the number of ticks the wheel covers, a power of two. Events
+// due within it are appended to their tick's run; later ones wait in the far
+// heap. Link, travel and workload delays are a few dozen ticks at most; in a
+// sweep of 64/256/1024 on the sim workloads no span beat 256 beyond
+// run-to-run spread, and 64 trailed on sim-chase and sim-custody (DESIGN §7).
+const wheelSpan = 256
+
+// chunkLen is the number of events in one run chunk: 128 × 24 B, about 3 KB.
+// sim-route's busiest tick (33k events) takes ~260 chunks; a tick holding a
+// handful of events takes one.
+const chunkLen = 128
+
+// slot is one event in a run; the tick is the run's, and the order is the
+// run's position, so neither at nor seq is stored.
+type slot struct {
+	do  func(any)
+	arg any
+}
+
+// chunk is a fixed block of a run, linked to the next block of the same run
+// or, on the kernel's free list, to the next free chunk.
+type chunk struct {
+	ev   [chunkLen]slot
+	next *chunk
+}
+
+// run is the FIFO of events due at one tick: chunks from head to tail, read
+// at head.ev[r] and written at tail.ev[w]. An empty run holds no chunk.
+type run struct {
+	head, tail *chunk
+	r, w       int
+}
+
 // runFn is the invoker for plain func() events.
 func runFn(a any) { a.(func())() }
 
-// before is the heap order: earliest time first, scheduling order within a
-// tick. seq is unique, so this is a total order and the pop sequence is
-// fully determined by the scheduled set.
+// before is the far heap's order: earliest time first, scheduling order
+// within a tick. seq is unique, so this is a total order and the pop
+// sequence is fully determined by the scheduled set.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -64,11 +99,19 @@ var ErrNegativeDelay = errors.New("sim: negative delay")
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now    Time
-	seq    uint64
-	events []event // 4-ary min-heap ordered by (at, seq); unused when sq != nil
-	sq     *shardQueue
-	rng    *RNG
+	now Time
+	seq uint64
+
+	// The wheel (unused when sq != nil): every event due in
+	// [now, now+wheelSpan) is in wheel[at%wheelSpan], and near counts them;
+	// every later one is in far, a 4-ary min-heap ordered by (at, seq).
+	wheel [wheelSpan]run
+	near  int
+	far   []event
+	free  *chunk // drained chunks, linked by next
+
+	sq  *shardQueue
+	rng *RNG
 
 	// stepLimit bounds the number of events processed by Run as a
 	// runaway-protocol backstop; 0 means no limit.
@@ -86,7 +129,7 @@ func NewKernel(seed uint64) *Kernel {
 // by the key passed to ScheduleKeyed/ScheduleCallAtKeyed. Scheduling and pop
 // order are byte-identical to NewKernel for the same calls; shards only
 // change the data structure's constants (see sharded.go). shards <= 1
-// returns a plain single-heap kernel.
+// returns the wheel kernel NewKernel builds.
 func NewShardedKernel(seed uint64, shards int) *Kernel {
 	k := NewKernel(seed)
 	if shards > 1 {
@@ -95,8 +138,8 @@ func NewShardedKernel(seed uint64, shards int) *Kernel {
 	return k
 }
 
-// Shards reports the shard count of the pending-event set (1 for a
-// single-heap kernel).
+// Shards reports the shard count of the pending-event set (1 for the wheel
+// kernel).
 func (k *Kernel) Shards() int {
 	if k.sq == nil {
 		return 1
@@ -117,9 +160,10 @@ func (k *Kernel) SetStepLimit(n uint64) { k.stepLimit = n }
 // Steps reports how many events have been processed so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// push inserts ev, sifting up with a hole instead of pairwise swaps.
+// push inserts ev into the far heap, sifting up with a hole instead of
+// pairwise swaps.
 func (k *Kernel) push(ev event) {
-	h := append(k.events, ev)
+	h := append(k.far, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -130,13 +174,13 @@ func (k *Kernel) push(ev event) {
 		i = p
 	}
 	h[i] = ev
-	k.events = h
+	k.far = h
 }
 
-// pop removes and returns the minimum event. The caller must ensure the
-// heap is non-empty.
+// pop removes and returns the far heap's minimum event. The caller must
+// ensure the heap is non-empty.
 func (k *Kernel) pop() event {
-	h := k.events
+	h := k.far
 	min := h[0]
 	n := len(h) - 1
 	last := h[n]
@@ -169,8 +213,71 @@ func (k *Kernel) pop() event {
 		}
 		h[i] = last
 	}
-	k.events = h
+	k.far = h
 	return min
+}
+
+// pushNear appends an event due at at, which must lie in
+// [now, now+wheelSpan), to its tick's run.
+func (k *Kernel) pushNear(at Time, do func(any), arg any) {
+	r := &k.wheel[at&(wheelSpan-1)]
+	if r.tail == nil || r.w == chunkLen {
+		c := k.free
+		if c != nil {
+			k.free, c.next = c.next, nil
+		} else {
+			c = new(chunk)
+		}
+		if r.tail == nil {
+			r.head = c
+		} else {
+			r.tail.next = c
+		}
+		r.tail, r.w = c, 0
+	}
+	r.tail.ev[r.w] = slot{do: do, arg: arg}
+	r.w++
+	k.near++
+}
+
+// popNear removes the front of the run due at at, which must be non-empty,
+// returning each chunk it finishes to the free list.
+func (k *Kernel) popNear(at Time) slot {
+	r := &k.wheel[at&(wheelSpan-1)]
+	c := r.head
+	s := c.ev[r.r]
+	c.ev[r.r] = slot{} // release the callback references
+	r.r++
+	k.near--
+	switch {
+	case c == r.tail && r.r == r.w:
+		*r = run{}
+	case r.r == chunkLen:
+		r.head, r.r = c.next, 0
+	default:
+		return s
+	}
+	c.next, k.free = k.free, c
+	return s
+}
+
+// advance moves the clock forward to t, which must not pass a queued event,
+// and slides the window with it: every far event due before t+wheelSpan
+// joins its run now, before the window can admit a direct push for its tick.
+//
+// That is the whole ordering argument. A run holds one tick T (the window is
+// wheelSpan wide and nothing before now is queued). An event for T went to
+// the far heap iff T was beyond the window when it was scheduled, so every
+// far event for T was scheduled, and numbered, before every direct push for
+// T; the far heap yields them in (at, seq) order, and pushes append in seq
+// order. A run therefore drains in seq order, and runs are visited in tick
+// order, which is the (at, seq) total order.
+func (k *Kernel) advance(t Time) {
+	k.now = t
+	for len(k.far) > 0 && k.far[0].at-t < wheelSpan {
+		ev := k.pop()
+		k.pushNear(ev.at, ev.do, ev.arg)
+	}
 }
 
 // Schedule runs fn after delay ticks of virtual time. A zero delay runs fn
@@ -190,7 +297,7 @@ func (k *Kernel) ScheduleErr(delay Time, fn func()) error {
 
 // ScheduleKeyed is Schedule with a shard key: callers with a natural
 // partition (the engine's flat channel ids) spread their events across the
-// sharded queue. On a single-heap kernel the key is ignored; the schedule
+// sharded queue. On the wheel kernel the key is ignored; the schedule
 // is identical either way.
 func (k *Kernel) ScheduleKeyed(key int, delay Time, fn func()) {
 	if err := k.ScheduleKeyedErr(key, delay, fn); err != nil {
@@ -219,8 +326,8 @@ func (k *Kernel) ScheduleCallAtKeyed(key int, at Time, do func(any), arg any) er
 }
 
 // ScheduleCallKeyedErr is the funnel every schedule path goes through: it
-// assigns the sequence number and routes the event to the now-queue, the
-// sharded queue, or the single heap.
+// assigns the sequence number and routes the event to the sharded queue
+// (its now-queue or a shard), or to the wheel (a run or the far heap).
 func (k *Kernel) ScheduleCallKeyedErr(key int, delay Time, do func(any), arg any) error {
 	if delay < 0 {
 		return ErrNegativeDelay
@@ -240,7 +347,11 @@ func (k *Kernel) ScheduleCallKeyedErr(key int, delay Time, do func(any), arg any
 		}
 		return nil
 	}
-	k.push(event{at: k.now + delay, seq: k.seq, do: do, arg: arg})
+	if delay < wheelSpan {
+		k.pushNear(k.now+delay, do, arg)
+	} else {
+		k.push(event{at: k.now + delay, seq: k.seq, do: do, arg: arg})
+	}
 	return nil
 }
 
@@ -249,7 +360,7 @@ func (k *Kernel) Pending() int {
 	if k.sq != nil {
 		return k.sq.pending()
 	}
-	return len(k.events)
+	return k.near + len(k.far)
 }
 
 // nextAt returns the timestamp of the earliest queued event.
@@ -261,10 +372,18 @@ func (k *Kernel) nextAt() (Time, bool) {
 		at, _, ok := q.peek()
 		return at, ok
 	}
-	if len(k.events) == 0 {
-		return 0, false
+	if k.near > 0 {
+		// Some run in the window is non-empty: the first one from now on.
+		for t := k.now; ; t++ {
+			if k.wheel[t&(wheelSpan-1)].head != nil {
+				return t, true
+			}
+		}
 	}
-	return k.events[0].at, true
+	if len(k.far) > 0 {
+		return k.far[0].at, true
+	}
+	return 0, false
 }
 
 // Step processes the single earliest event. It reports whether an event was
@@ -273,13 +392,16 @@ func (k *Kernel) Step() bool {
 	if k.sq != nil {
 		return k.stepSharded()
 	}
-	if len(k.events) == 0 {
+	at, ok := k.nextAt()
+	if !ok {
 		return false
 	}
-	ev := k.pop()
-	k.now = ev.at
+	if at != k.now {
+		k.advance(at)
+	}
+	s := k.popNear(at)
 	k.steps++
-	ev.do(ev.arg)
+	s.do(s.arg)
 	return true
 }
 
@@ -337,8 +459,12 @@ func (k *Kernel) RunUntil(deadline Time) error {
 			return fmt.Errorf("sim: step limit %d reached at t=%d", k.stepLimit, k.now)
 		}
 	}
-	if k.now < deadline {
+	switch {
+	case k.now >= deadline:
+	case k.sq != nil:
 		k.now = deadline
+	default:
+		k.advance(deadline)
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package sim
 
-// Sharded event scheduling for million-host simulations.
+// Sharded event scheduling, the alternative to the kernel's timing wheel.
 //
-// The single 4-ary heap is exact but, at N=10^6 hosts, holds a standing
-// population of ~10^6 events: every push and pop walks ~10 levels of a
-// multi-megabyte array, and every event at the same instant pays a full
-// sift. The sharded queue partitions the pending set by a caller-supplied
+// It was built for the single 4-ary heap the wheel replaced, which at N=10^6
+// hosts sifted every push and pop through ~10 levels of a multi-megabyte
+// array. The wheel removes that sift for every event due within its span, and
+// in paired RunScale route runs it is faster than 512 shards at N=10^4, 10^5
+// and 10^6 and holds less memory (DESIGN §7.1); whether this queue stays is
+// ROADMAP item 4's call. It partitions the pending set by a caller-supplied
 // key (the engine passes its flat channel id, so each shard owns a slice of
 // the channel/cell space) and exploits two structural facts about
 // discrete-event traffic in this repository:
@@ -24,7 +26,7 @@ package sim
 //     goes to a plain FIFO now-queue and costs an append and a slice read —
 //     no heap at all.
 //
-// Determinism contract: the pop order is exactly the single-heap kernel's
+// Determinism contract: the pop order is exactly the wheel kernel's
 // (at, seq) total order, proven by construction:
 //
 //   - Within a bucket, events append in seq order (seq is globally
@@ -41,9 +43,9 @@ package sim
 //     seq. Draining shards-first at the current instant, then the
 //     now-queue in FIFO order, is therefore exactly seq order.
 //
-// FuzzShardedKernelOracle cross-checks this against the single-heap kernel
-// on arbitrary keyed op streams, and TestShardedKernelMatchesSingleHeap
-// pins a long mixed workload.
+// FuzzShardedKernelOracle cross-checks this against the wheel kernel on
+// arbitrary keyed op streams, and TestShardedKernelMatchesSingleHeap pins a
+// long mixed workload.
 
 // bucketEvent is one queued callback inside a time bucket. The timestamp
 // lives on the bucket, so each event costs 32 bytes (seq, invoker, arg) —

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// twin drives a single-heap kernel and a sharded kernel through the same
-// call sequence and records each one's fire order.
+// twin drives a wheel kernel and a sharded kernel through the same call
+// sequence and records each one's fire order.
 type twin struct {
 	single, sharded *Kernel
 	fs, fd          []int
@@ -23,18 +23,18 @@ func (w *twin) schedule(key int, delay Time, id int) {
 func (w *twin) compare(t *testing.T) {
 	t.Helper()
 	if len(w.fs) != len(w.fd) {
-		t.Fatalf("fired %d events on single heap, %d sharded", len(w.fs), len(w.fd))
+		t.Fatalf("fired %d events on the wheel, %d sharded", len(w.fs), len(w.fd))
 	}
 	for i := range w.fs {
 		if w.fs[i] != w.fd[i] {
-			t.Fatalf("pop order diverged at %d: single fired %d, sharded %d", i, w.fs[i], w.fd[i])
+			t.Fatalf("pop order diverged at %d: wheel fired %d, sharded %d", i, w.fs[i], w.fd[i])
 		}
 	}
 	if w.single.Now() != w.sharded.Now() {
-		t.Fatalf("clocks diverged: single %d, sharded %d", w.single.Now(), w.sharded.Now())
+		t.Fatalf("clocks diverged: wheel %d, sharded %d", w.single.Now(), w.sharded.Now())
 	}
 	if w.single.Pending() != w.sharded.Pending() {
-		t.Fatalf("pending diverged: single %d, sharded %d", w.single.Pending(), w.sharded.Pending())
+		t.Fatalf("pending diverged: wheel %d, sharded %d", w.single.Pending(), w.sharded.Pending())
 	}
 }
 
@@ -104,7 +104,7 @@ func TestShardedKernelBasics(t *testing.T) {
 		t.Errorf("Shards() = %d, want 8", got)
 	}
 	if got := NewKernel(1).Shards(); got != 1 {
-		t.Errorf("single-heap Shards() = %d, want 1", got)
+		t.Errorf("wheel Shards() = %d, want 1", got)
 	}
 	if got := NewShardedKernel(1, 1).Shards(); got != 1 {
 		t.Errorf("NewShardedKernel(_, 1).Shards() = %d, want 1", got)
@@ -145,52 +145,104 @@ func TestShardedKernelStepLimit(t *testing.T) {
 	}
 }
 
-// TestShardedKernelSteadyStateAllocs proves the steady-state scheduling
-// path — keyed pushes into warmed shards, run drains, bucket recycling —
-// allocates nothing per event.
+// TestShardedKernelSteadyStateAllocs proves both kernels schedule and step
+// without allocating once warm: the wheel recycles run chunks through its
+// free list; the sharded queue recycles buckets, heaps, map cells and the
+// now-queue. Two paths per kernel: closures, where the only allocations
+// allowed are the test's own, and records — a long-lived invoker and a
+// pointer argument, as the engine schedules delivery records — which must
+// make none. The record path mixes in far delays, so events also cross from
+// the far heap into the wheel, and measures several chunks' worth of events
+// per run, so a chunk that is not recycled shows as an allocation.
 func TestShardedKernelSteadyStateAllocs(t *testing.T) {
-	k := NewShardedKernel(1, 16)
-	rng := NewRNG(7)
-	// Standing population across shards and colliding timestamps; warm all
-	// internal arenas first.
-	var churn func(key int) func()
-	churn = func(key int) func() {
-		return func() {
-			k.ScheduleKeyed(key, Time(rng.Intn(16)+1), churn(key))
-		}
+	kernels := []struct {
+		name string
+		new  func() *Kernel
+	}{
+		{"wheel", func() *Kernel { return NewKernel(1) }},
+		{"sharded", func() *Kernel { return NewShardedKernel(1, 16) }},
 	}
-	for j := 0; j < 512; j++ {
-		k.ScheduleKeyed(j, Time(rng.Intn(16)+1), churn(j))
-	}
-	for i := 0; i < 100_000; i++ {
-		if !k.Step() {
-			t.Fatal("queue drained unexpectedly")
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
+	step := func(t *testing.T, k *Kernel, n int) {
+		for i := 0; i < n; i++ {
 			if !k.Step() {
 				t.Fatal("queue drained unexpectedly")
 			}
 		}
-	})
-	// The only allocations on this path are the churn closures themselves
-	// (one per rescheduled event, owned by the test driver); the queue's
-	// buckets, heaps, map cells, and now-queue must all recycle. Allow the
-	// closure+RNG draw and nothing more.
-	if avg > 70 {
-		t.Fatalf("steady-state Step allocated %.1f objects per 64 events (want only the driver's closures)", avg)
+	}
+	for _, kc := range kernels {
+		t.Run(kc.name+"/closures", func(t *testing.T) {
+			k := kc.new()
+			rng := NewRNG(7)
+			// Standing population across shards and colliding timestamps;
+			// warm all internal arenas first.
+			var churn func(key int) func()
+			churn = func(key int) func() {
+				return func() {
+					k.ScheduleKeyed(key, Time(rng.Intn(16)+1), churn(key))
+				}
+			}
+			for j := 0; j < 512; j++ {
+				k.ScheduleKeyed(j, Time(rng.Intn(16)+1), churn(j))
+			}
+			step(t, k, 100_000)
+			avg := testing.AllocsPerRun(200, func() { step(t, k, 64) })
+			// The only allocations on this path are the churn closures
+			// themselves (one per rescheduled event, owned by the test).
+			// Allow the closure+RNG draw and nothing more.
+			if avg > 70 {
+				t.Fatalf("steady-state Step allocated %.1f objects per 64 events (want only the test's closures)", avg)
+			}
+		})
+		t.Run(kc.name+"/records", func(t *testing.T) {
+			k := kc.new()
+			rng := NewRNG(7)
+			type rec struct{ key int }
+			delay := func() Time {
+				if rng.Intn(8) == 0 {
+					return wheelSpan + Time(rng.Intn(64))
+				}
+				return Time(rng.Intn(16) + 1)
+			}
+			var churn func(any)
+			churn = func(a any) {
+				r := a.(*rec)
+				if err := k.ScheduleCallAtKeyed(r.key, k.Now()+delay(), churn, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := 0; j < 4096; j++ {
+				if err := k.ScheduleCallAtKeyed(j, delay(), churn, &rec{key: j}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The sharded queue's bucket slices take ~5e5 events at this mix
+			// to reach their high-water lengths; the wheel is warm far sooner.
+			step(t, k, 1_000_000)
+			const perRun = 4 * chunkLen
+			if avg := testing.AllocsPerRun(100, func() { step(t, k, perRun) }); avg != 0 {
+				t.Fatalf("steady-state record path allocated %.1f objects per %d events, want 0", avg, perRun)
+			}
+		})
 	}
 }
 
-// FuzzShardedKernelOracle cross-checks the sharded queue against the
-// single-heap kernel (the oracle) on arbitrary keyed op streams: byte
-// triples encode (key, delay, action) where action interleaves scheduling
-// with explicit Steps, covering clock advances mid-stream.
+// FuzzShardedKernelOracle cross-checks the sharded queue against the wheel
+// kernel (each the other's oracle) on arbitrary keyed op streams: byte
+// triples encode (key, delay, action) where the delay and action bytes are
+// read as kernelOp reads them, so delays cross the wheel span, and actions
+// interleave scheduling with explicit Steps and RunUntil deadlines.
 func FuzzShardedKernelOracle(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 10, 0, 2, 0, 1, 3, 30, 0, 0, 0, 2})
 	f.Add(uint64(3), []byte{255, 255, 0, 255, 0, 1, 9, 9, 2, 1, 1, 1})
 	f.Add(uint64(9), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
+	for i, seed := range wheelSeeds {
+		var ops []byte
+		for j, op := range seed {
+			code, lo := opBytes(byte(op[0]), Time(op[1]))
+			ops = append(ops, byte(i*7+j), lo, code)
+		}
+		f.Add(uint64(i), ops)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 300 {
 			ops = ops[:300]
@@ -211,25 +263,25 @@ func FuzzShardedKernelOracle(f *testing.F) {
 			k.ScheduleKeyed(key, delay, fn)
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
-			key, delay, action := int(ops[i]), Time(ops[i+1]), ops[i+2]%4
-			switch action {
-			case 0, 1: // schedule (action 1: with a re-entrant nested event)
-				schedule(w.single, &w.fs, key, delay, id, action == 1)
-				schedule(w.sharded, &w.fd, key, delay, id, action == 1)
-				id++
-			case 2: // step both
+			key := int(ops[i])
+			switch action, delay := kernelOp(ops[i+2], ops[i+1]); action {
+			case opStep:
 				s1 := w.single.Step()
 				s2 := w.sharded.Step()
 				if s1 != s2 {
-					t.Fatalf("Step() diverged: single %v, sharded %v", s1, s2)
+					t.Fatalf("Step() diverged: wheel %v, sharded %v", s1, s2)
 				}
-			case 3: // bounded run
-				if err := w.single.RunUntil(w.single.Now() + Time(ops[i+1])); err != nil {
+			case opRunUntil:
+				if err := w.single.RunUntil(w.single.Now() + delay); err != nil {
 					t.Fatal(err)
 				}
-				if err := w.sharded.RunUntil(w.sharded.Now() + Time(ops[i+1])); err != nil {
+				if err := w.sharded.RunUntil(w.sharded.Now() + delay); err != nil {
 					t.Fatal(err)
 				}
+			default: // schedule (action 1: with a re-entrant nested event)
+				schedule(w.single, &w.fs, key, delay, id, action == 1)
+				schedule(w.sharded, &w.fd, key, delay, id, action == 1)
+				id++
 			}
 			w.compare(t)
 		}

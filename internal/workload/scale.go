@@ -5,7 +5,7 @@ package workload
 // generators in workload.go (which draw from the kernel RNG as they run), a
 // scale scenario is materialised up front as a flat op list — a pure
 // function of ScaleConfig — so the same scenario can be replayed against
-// different kernel configurations (single-heap vs sharded) and the
+// different kernel configurations (timing wheel vs sharded) and the
 // byte-identical determinism contract can be asserted on the generator
 // itself.
 
@@ -123,7 +123,7 @@ func GenScale(cfg ScaleConfig) (*ScaleScenario, error) {
 	for i := range ops {
 		ops[i] = ScaleOp{
 			// Coarse waits collide many chains onto each tick — the
-			// FIFO-clamped, batched-arrival regime the sharded kernel is
+			// FIFO-clamped, batched-arrival regime both kernels are
 			// built for.
 			Wait: sim.Time(rng.Intn(16) + 1),
 			MH:   core.MHID(rng.Intn(cfg.N)),
@@ -159,7 +159,7 @@ func (s *ScaleScenario) Fingerprint() uint64 {
 }
 
 // NewScaleSystem builds a simulation system sized for the scenario with the
-// given kernel shard count (0 or 1 for the single-heap kernel).
+// given kernel shard count (0 or 1 for the default timing-wheel kernel).
 func NewScaleSystem(sc *ScaleScenario, shards int) (*core.System, error) {
 	cfg := core.DefaultConfig(sc.Cfg.M, sc.Cfg.N)
 	cfg.Seed = sc.Cfg.Seed

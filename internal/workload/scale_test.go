@@ -59,7 +59,7 @@ func TestScaleConfigValidation(t *testing.T) {
 }
 
 // TestScaleSmoke is the short-mode N=10^4 run of each scale suite kind: the
-// scenario must complete on both the single-heap and sharded kernels with
+// scenario must complete on both the timing-wheel and sharded kernels with
 // identical results — the workload-level face of the golden-trace contract.
 func TestScaleSmoke(t *testing.T) {
 	for _, kind := range []ScaleKind{ScaleRoute, ScaleChurn, ScaleSearchChase} {
@@ -82,7 +82,7 @@ func TestScaleSmoke(t *testing.T) {
 				results[i] = res
 			}
 			if results[0] != results[1] {
-				t.Fatalf("single-heap and sharded runs diverged:\n%+v\n%+v", results[0], results[1])
+				t.Fatalf("wheel and sharded runs diverged:\n%+v\n%+v", results[0], results[1])
 			}
 			res := results[0]
 			if res.Injected != int64(len(sc.Ops)) {
