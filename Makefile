@@ -1,17 +1,18 @@
 # Development targets. `make ci` is the gate every change must pass: vet
-# (which also fails if `gofmt -l .` names a file), build, race-enabled
-# tests, the tables byte-identity gate, the chaos conformance suites and a
-# short fuzz pass. Outside the gate: `make bench-e2e` runs the repository's
-# one declared benchmark (bench/, BENCHMARK.json: seven workloads over the
-# four substrates), `make bench-compare A=… B=…` gives the verdict on two of
-# its result sets, and `make loc` prints the non-test line count per package
-# that CHANGES.md's size tables quote.
+# (which also fails if `gofmt -l .` names a file), build, the cross build
+# (arm64 vet, 386 build), race-enabled tests, the tables byte-identity gate,
+# the chaos conformance suites and a short fuzz pass. Outside the gate:
+# `make bench-e2e` runs the repository's one declared benchmark (bench/,
+# BENCHMARK.json: seven workloads over the four substrates), `make
+# bench-compare A=… B=…` gives the verdict on two of its result sets, and
+# `make loc` prints the non-test line count per package that CHANGES.md's
+# size tables quote.
 
 GO ?= go
 
-.PHONY: ci vet staticcheck build test race tables-check bench-e2e bench-compare loc fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
+.PHONY: ci vet staticcheck build cross test race tables-check bench-e2e bench-compare loc fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
 
-ci: vet staticcheck build test race tables-check chaos chaos-net chaos-udp chaos-dtn fuzz-short
+ci: vet staticcheck build cross test race tables-check chaos chaos-net chaos-udp chaos-dtn fuzz-short
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +32,13 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# The other word size and the other architecture: the sim kernel's
+# prefetch is amd64 assembly with a no-op fallback, and the engine's ids
+# are int32 beside a 32-bit int on 386.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...

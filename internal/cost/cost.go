@@ -38,7 +38,7 @@ func (k Kind) String() string {
 }
 
 // Category classifies why a charge was incurred.
-type Category int
+type Category int8
 
 // Accounting categories.
 const (

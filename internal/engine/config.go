@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"mobiledist/internal/cost"
 	"mobiledist/internal/obs"
@@ -100,6 +101,10 @@ func (c Config) Validate() error {
 	}
 	if c.N < 1 {
 		return fmt.Errorf("engine: N must be >= 1, got %d", c.N)
+	}
+	// MSSID and MHID are int32 (record and host-state layout, DESIGN §7.2).
+	if c.M > math.MaxInt32 || c.N > math.MaxInt32 {
+		return fmt.Errorf("engine: M and N must fit an int32 id, got M=%d N=%d", c.M, c.N)
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err

@@ -133,7 +133,7 @@ type Context interface {
 // capability behaves identically on the simulator and the live runtime.
 type algContext struct {
 	e   *Engine
-	alg int
+	alg int32
 }
 
 var _ Context = (*algContext)(nil)

@@ -44,12 +44,13 @@ type mssState struct {
 	disconnected map[MHID]bool
 }
 
+// mhState is 8 bytes (DESIGN §7.2): at 10^5 hosts the table fits in L2.
 type mhState struct {
-	status MHStatus
 	// at is the current cell while connected, the cell holding the
 	// "disconnected" flag while disconnected, and the previous cell while in
 	// transit.
 	at     MSSID
+	status MHStatus
 	dozing bool
 }
 
@@ -205,7 +206,7 @@ func (e *Engine) Register(alg Algorithm) Context {
 	if alg == nil {
 		panic("engine: register nil algorithm")
 	}
-	idx := len(e.algs)
+	idx := int32(len(e.algs))
 	e.algs = append(e.algs, alg)
 	ctx := &algContext{e: e, alg: idx}
 	e.ctxs = append(e.ctxs, ctx)
@@ -332,7 +333,7 @@ func (e *Engine) transmitUp(mh MHID, rec *DeliveryRec) {
 	e.sub.TransmitRec(e.chanUp(mh), e.delay(e.cfg.Wireless), rec)
 }
 
-func (e *Engine) dispatchMSS(alg int, at MSSID, from From, msg Message) {
+func (e *Engine) dispatchMSS(alg int32, at MSSID, from From, msg Message) {
 	h, ok := e.algs[alg].(MSSHandler)
 	if !ok {
 		panic(fmt.Sprintf("engine: algorithm %q received MSS message without MSSHandler", e.algs[alg].Name()))
@@ -340,7 +341,7 @@ func (e *Engine) dispatchMSS(alg int, at MSSID, from From, msg Message) {
 	h.HandleMSS(e.ctxs[alg], at, from, msg)
 }
 
-func (e *Engine) dispatchMH(alg int, at MHID, msg Message) {
+func (e *Engine) dispatchMH(alg int32, at MHID, msg Message) {
 	h, ok := e.algs[alg].(MHHandler)
 	if !ok {
 		panic(fmt.Sprintf("engine: algorithm %q received MH message without MHHandler", e.algs[alg].Name()))
@@ -372,7 +373,7 @@ func (e *Engine) notifyDisconnect(at MSSID, mh MHID) {
 	}
 }
 
-func (e *Engine) notifyFailure(alg int, at MSSID, mh MHID, msg Message, reason FailReason) {
+func (e *Engine) notifyFailure(alg int32, at MSSID, mh MHID, msg Message, reason FailReason) {
 	e.stats.FailedDeliveries++
 	e.event(obs.EvFailure, int32(mh), int32(at), 0)
 	h, ok := e.algs[alg].(DeliveryFailureHandler)

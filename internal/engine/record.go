@@ -50,7 +50,7 @@ const (
 	opInvalid recOp = iota
 
 	// Routing (routing.go).
-	opDispatchMSS   // run the MSS handler: alg=opts.alg, at=mss, from, msg
+	opDispatchMSS   // run the MSS handler: alg=opts.alg, at=mss, msg, from mss2 (mh2 if flag)
 	opRouteArrive   // routed message reached mss over a wired hop: re-check and deliver or chase
 	opRouteResume   // waiter: resume routeToMH(mss, mh, msg, opts, stale)
 	opDownArrive    // wireless downlink completed at (mss, mh): prefix-rule delivery
@@ -84,25 +84,30 @@ const (
 // above). The struct is exported so substrates can carry *DeliveryRec, but
 // its state is opaque outside the engine except for the channel and tag
 // accessors used by transport-level tooling.
+//
+// Layout (DESIGN §7.2): 128 bytes, one 128-aligned size class, so a record
+// is exactly two cache lines. Hot fields come first — what every routing op
+// reads (op, ids, opts, msg) and the pool link — and the ARQ, timer and
+// wrapper fields last. A new field goes into an existing one's slot or
+// after the rest; TestDeliveryRecLayout fails if the record outgrows 128.
 type DeliveryRec struct {
 	op    recOp
 	stale bool
-	flag  bool
+	flag  bool  // op-specific; opDispatchMSS: the sender is mh2, not mss2
+	tag   int32 // wrapper-private cookie (the fault injector's trace index)
 	mh    MHID
 	mh2   MHID
 	mss   MSSID
 	mss2  MSSID
-	from  From
-	msg   Message
 	opts  routeOpts
-	seq   uint64
+	msg   Message
+	next  *DeliveryRec
 	// ch, ackCh and onCh are flat channel ids, which reach M*M+M*N+N (~10^10
 	// at M=10^4/N=10^6): full ints, never narrowed.
+	onCh  int // transmit channel, stamped by the outermost wrapper; -1 off-channel
 	ch    int
 	ackCh int
-	onCh  int   // transmit channel, stamped by the outermost wrapper; -1 off-channel
-	tag   int32 // wrapper-private cookie (the fault injector's trace index)
-	next  *DeliveryRec
+	seq   uint64
 	inner *DeliveryRec // ARQ data frame's payload; owned by the sender queue
 	fn    func()       // opTimer's callback
 }
@@ -211,7 +216,7 @@ func (e *Engine) StepRec(rec *DeliveryRec) {
 func (e *Engine) runRec(rec *DeliveryRec) {
 	switch rec.op {
 	case opDispatchMSS:
-		e.dispatchMSS(rec.opts.alg, rec.mss, rec.from, rec.msg)
+		e.dispatchMSS(rec.opts.alg, rec.mss, From{MSS: rec.mss2, MH: rec.mh2, IsMH: rec.flag}, rec.msg)
 
 	case opRouteArrive:
 		// Re-check on arrival: the MH may have moved on while the message

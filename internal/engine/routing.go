@@ -10,11 +10,12 @@ import (
 // routeOpts carries routing context through retries. It travels by value
 // inside delivery records; record fields are the only mutation point on the
 // delivery path (runRec and the helpers below never write through shared
-// state to adjust a route in flight).
+// state to adjust a route in flight). Its 32 bytes are part of DeliveryRec's
+// layout budget (DESIGN §7.2): widest fields first, no padding hole.
 type routeOpts struct {
-	alg    int
+	seq    uint64
+	alg    int32
 	origin MSSID // MSS that initiated the routed send (receives failures)
-	cat    cost.Category
 	// hops counts wireless delivery attempts so far: each stale re-route
 	// after the destination moved in flight adds one. Observability only
 	// (the EvDeliver event and the chase-hop histogram); never charged.
@@ -23,12 +24,12 @@ type routeOpts struct {
 	// final destination delivery came from SendMHToMH. hasPair marks the
 	// pair key as set (the zero pairKey is a valid pair).
 	pair    pairKey
+	cat     cost.Category
 	hasPair bool
 	// toMSS makes the MSS serving the MH the final recipient (SendToMSSOfMH,
 	// the paper's bare Csearch): the same locate-and-chase with no wireless
 	// leg at the end, and never custody — the message is for a station.
 	toMSS bool
-	seq   uint64
 }
 
 type pairKey struct {
@@ -43,7 +44,7 @@ type pairState struct {
 }
 
 type deferredDelivery struct {
-	alg int
+	alg int32
 	msg Message
 }
 
@@ -58,20 +59,20 @@ func (e *Engine) pairState(key pairKey) *pairState {
 
 // sendFixed transmits msg on the wired network. Self-sends are allowed and
 // charged, matching the paper's unconditional Cfixed terms.
-func (e *Engine) sendFixed(alg int, from, to MSSID, msg Message, cat cost.Category) {
+func (e *Engine) sendFixed(alg int32, from, to MSSID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	e.checkMSS(to)
 	e.meter.Charge(cat, cost.KindFixed)
 	rec := e.newRec(opDispatchMSS)
 	rec.mss = to
-	rec.from = From{MSS: from}
+	rec.mss2 = from
 	rec.msg = msg
 	rec.opts.alg = alg
 	e.transmitWired(from, to, rec)
 }
 
 // broadcastFixed sends msg from from to every other MSS.
-func (e *Engine) broadcastFixed(alg int, from MSSID, msg Message, cat cost.Category) {
+func (e *Engine) broadcastFixed(alg int32, from MSSID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	for i := 0; i < e.cfg.M; i++ {
 		if MSSID(i) == from {
@@ -82,7 +83,7 @@ func (e *Engine) broadcastFixed(alg int, from MSSID, msg Message, cat cost.Categ
 }
 
 // sendToLocalMH delivers over the local wireless channel only.
-func (e *Engine) sendToLocalMH(alg int, from MSSID, mh MHID, msg Message, cat cost.Category) error {
+func (e *Engine) sendToLocalMH(alg int32, from MSSID, mh MHID, msg Message, cat cost.Category) error {
 	e.checkMSS(from)
 	e.checkMH(mh)
 	if !e.mss[from].local.has(mh) {
@@ -93,7 +94,7 @@ func (e *Engine) sendToLocalMH(alg int, from MSSID, mh MHID, msg Message, cat co
 }
 
 // sendToMH routes msg to mh, searching as needed.
-func (e *Engine) sendToMH(alg int, from MSSID, mh MHID, msg Message, cat cost.Category) {
+func (e *Engine) sendToMH(alg int32, from MSSID, mh MHID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	e.checkMH(mh)
 	e.routeToMH(from, mh, msg, routeOpts{alg: alg, origin: from, cat: cat}, false)
@@ -151,7 +152,7 @@ func (e *Engine) routeToMH(via MSSID, mh MHID, msg Message, opts routeOpts, stal
 		// this very station.
 		rec := e.newRec(opDispatchMSS)
 		rec.mss = target
-		rec.from = From{MSS: opts.origin}
+		rec.mss2 = opts.origin
 		rec.msg = msg
 		rec.opts.alg = opts.alg
 		e.sub.EnqueueRec(rec)
@@ -322,7 +323,7 @@ func (e *Engine) skipPairSeq(opts routeOpts) {
 // true: the caller builds its record and transmits. From a MH in transit
 // it parks a replayOp record that re-issues the send once the MH has
 // joined a cell; from a disconnected one it reports an error.
-func (e *Engine) uplink(replayOp recOp, alg int, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) (at MSSID, send bool, err error) {
+func (e *Engine) uplink(replayOp recOp, alg int32, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) (at MSSID, send bool, err error) {
 	e.checkMH(from)
 	st := &e.mh[from]
 	switch st.status {
@@ -348,7 +349,7 @@ func (e *Engine) uplink(replayOp recOp, alg int, from MHID, via MSSID, to MHID, 
 }
 
 // sendFromMH transmits msg from mh to its current local MSS.
-func (e *Engine) sendFromMH(alg int, mh MHID, msg Message, cat cost.Category) error {
+func (e *Engine) sendFromMH(alg int32, mh MHID, msg Message, cat cost.Category) error {
 	at, send, err := e.uplink(opSendFromMH, alg, mh, 0, 0, msg, cat)
 	if !send {
 		return err
@@ -357,7 +358,7 @@ func (e *Engine) sendFromMH(alg int, mh MHID, msg Message, cat cost.Category) er
 	// of the cell it was sent in processes it.
 	rec := e.newRec(opDispatchMSS)
 	rec.mss = at
-	rec.from = From{MH: mh, IsMH: true}
+	rec.mh2, rec.flag = mh, true
 	rec.msg = msg
 	rec.opts.alg = alg
 	e.transmitUp(mh, rec)
@@ -380,7 +381,7 @@ func (e *Engine) forwardViaMSS(origin, via MSSID, to MHID, msg Message, opts rou
 
 // sendToMHVia implements directory-routed MSS-to-MH messaging (a fixed
 // proxy reaching its mobile host, Section 5).
-func (e *Engine) sendToMHVia(alg int, from, via MSSID, to MHID, msg Message, cat cost.Category) {
+func (e *Engine) sendToMHVia(alg int32, from, via MSSID, to MHID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	e.checkMSS(via)
 	e.checkMH(to)
@@ -392,7 +393,7 @@ func (e *Engine) sendToMHVia(alg int, from, via MSSID, to MHID, msg Message, cat
 // fixed hop charged unconditionally (Section 4.2's 2·Cwireless + Cfixed per
 // member). A stale directory entry falls back to a search charged to
 // cost.CatStale.
-func (e *Engine) sendMHViaMSS(alg int, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) error {
+func (e *Engine) sendMHViaMSS(alg int32, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) error {
 	e.checkMSS(via)
 	e.checkMH(to)
 	at, send, err := e.uplink(opSendMHViaMSS, alg, from, via, to, msg, cat)
@@ -411,7 +412,7 @@ func (e *Engine) sendMHViaMSS(alg int, from MHID, via MSSID, to MHID, msg Messag
 // sendToMSSOfMH locates mh and delivers msg to the MSS currently serving it
 // — the operation the paper prices at Csearch. If mh has disconnected the
 // sender is notified via DeliveryFailureHandler.
-func (e *Engine) sendToMSSOfMH(alg int, from MSSID, mh MHID, msg Message, cat cost.Category) {
+func (e *Engine) sendToMSSOfMH(alg int32, from MSSID, mh MHID, msg Message, cat cost.Category) {
 	e.checkMSS(from)
 	e.checkMH(mh)
 	e.routeToMH(from, mh, msg, routeOpts{alg: alg, origin: from, cat: cat, toMSS: true}, false)
@@ -420,7 +421,7 @@ func (e *Engine) sendToMSSOfMH(alg int, from MSSID, mh MHID, msg Message, cat co
 // sendMHToMH implements MH-to-MH messaging: wireless uplink, routed
 // forwarding with search, wireless downlink, with per-ordered-pair FIFO
 // delivery.
-func (e *Engine) sendMHToMH(alg int, from, to MHID, msg Message, cat cost.Category) error {
+func (e *Engine) sendMHToMH(alg int32, from, to MHID, msg Message, cat cost.Category) error {
 	e.checkMH(to)
 	at, send, err := e.uplink(opSendMHToMH, alg, from, 0, to, msg, cat)
 	if !send {

@@ -3,10 +3,10 @@ package engine
 import "fmt"
 
 // MSSID identifies a mobile support station (fixed host), in [0, M).
-type MSSID int
+type MSSID int32
 
 // MHID identifies a mobile host, in [0, N).
-type MHID int
+type MHID int32
 
 // Message is an algorithm-defined payload exchanged between nodes.
 type Message any
@@ -27,7 +27,7 @@ func (f From) String() string {
 }
 
 // MHStatus is the connectivity state of a mobile host.
-type MHStatus int
+type MHStatus uint8
 
 // Mobile host connectivity states.
 const (

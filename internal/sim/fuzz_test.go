@@ -88,6 +88,31 @@ var wheelSeeds = [][][2]int{
 	{{opPush, farDelay}, {opPush, beyondDelay}, {opRunUntil, farDelay + 56}, {opPush, beyondDelay - farDelay - 56}},
 }
 
+// lookaheadSeeds are op streams for popNear's prefetch window, which reads
+// the slot prefetchAhead past the front of the run being drained.
+var lookaheadSeeds = func() [][][2]int {
+	// One tick holding exactly a chunk, then one holding more: the window
+	// reaches the chunk's end with no next chunk, then crosses into the next
+	// one and runs off its written end.
+	var full [][][2]int
+	for _, n := range []int{chunkLen, chunkLen + prefetchAhead + 1} {
+		var ops [][2]int
+		for i := 0; i < n; i++ {
+			ops = append(ops, [2]int{opPush, 5})
+		}
+		full = append(full, ops)
+	}
+	// Pops interleaved with pushes onto the tick being drained: the window
+	// lies past the last written slot of a half-written tail chunk.
+	half := [][2]int{{opPush, 1}, {opPush, 1}, {opStep, 0}}
+	for i := 0; i < 2*prefetchAhead; i++ {
+		half = append(half, [2]int{opPush, 0}, [2]int{opStep, 0})
+	}
+	// A run shorter than the prefetch distance.
+	short := [][2]int{{opPush, 2}, {opPush, 2}, {opPush, 2}, {opStep, 0}, {opStep, 0}, {opStep, 0}}
+	return append(full, half, short)
+}()
+
 // FuzzKernelHeapOracle cross-checks the kernel's pop order against a naive
 // sorted-slice oracle. The op stream (byte pairs, see kernelOp) interleaves
 // pushes of uniquely identified events with Steps and RunUntil deadlines, so
@@ -97,7 +122,7 @@ var wheelSeeds = [][][2]int{
 func FuzzKernelHeapOracle(f *testing.F) {
 	f.Add([]byte{10, 0, 30, 3, 5, 7, 3, 3})
 	f.Add([]byte{255, 3, 255, 3, 0, 0, 3, 3, 3, 3})
-	for _, seed := range wheelSeeds {
+	for _, seed := range append(wheelSeeds, lookaheadSeeds...) {
 		var ops []byte
 		for _, op := range seed {
 			code, lo := opBytes(byte(op[0]), Time(op[1]))

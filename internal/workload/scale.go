@@ -200,46 +200,70 @@ func (s *scaleSink) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	s.delivered++
 }
 
+// scaleDriver replays a scenario's chains. Each chain is a cursor, the
+// index of its next op, and its pending injection is one kernel event
+// carrying a pointer to that cursor under the one invoker step (inject,
+// bound once), so a replay allocates nothing per op
+// (TestRunScaleAllocsFlatInOps).
+type scaleDriver struct {
+	sys      *core.System
+	ctx      core.Context
+	sc       *ScaleScenario
+	chains   int
+	step     func(any)
+	injected int64
+}
+
+// schedule queues the op at *cur its Wait ticks from now, under key 0 like
+// sys.Schedule, so either kernel orders it as it orders any other event.
+func (d *scaleDriver) schedule(cur *int) {
+	if err := d.sys.Kernel().ScheduleCallKeyedErr(0, d.sc.Ops[*cur].Wait, d.step, cur); err != nil {
+		panic(err)
+	}
+}
+
+// inject applies the chain's current op and queues its next one.
+func (d *scaleDriver) inject(a any) {
+	cur := a.(*int)
+	d.apply(d.sc.Ops[*cur])
+	*cur += d.chains
+	if *cur < len(d.sc.Ops) {
+		d.schedule(cur)
+	}
+}
+
+func (d *scaleDriver) apply(op ScaleOp) {
+	switch d.sc.Cfg.Kind {
+	case ScaleRoute:
+		d.ctx.SendToMH(op.MSS, op.MH, nil, cost.CatAlgorithm)
+	case ScaleChurn:
+		switch _, status := d.sys.Where(op.MH); status {
+		case core.StatusConnected:
+			_ = d.sys.Disconnect(op.MH)
+		case core.StatusDisconnected:
+			_ = d.sys.Reconnect(op.MH, op.MSS, true)
+		}
+		// In transit: skip — the host is already mid-protocol.
+	case ScaleSearchChase:
+		_ = d.sys.Move(op.MH, op.MSS)
+		from := core.MSSID((int(op.MSS) + 1) % d.sc.Cfg.M)
+		d.ctx.SendToMH(from, op.MH, nil, cost.CatAlgorithm)
+	}
+	d.injected++
+}
+
 // RunScale registers a counting sink on sys, injects the scenario through
 // Chains concurrent chains, runs the kernel to quiescence, and reports the
 // totals. The system must be freshly built (NewScaleSystem) and not yet
 // run.
 func RunScale(sys *core.System, sc *ScaleScenario) (ScaleResult, error) {
 	sink := &scaleSink{}
-	ctx := sys.Register(sink)
-	var injected int64
-
-	apply := func(op ScaleOp) {
-		switch sc.Cfg.Kind {
-		case ScaleRoute:
-			ctx.SendToMH(op.MSS, op.MH, nil, cost.CatAlgorithm)
-		case ScaleChurn:
-			switch _, status := sys.Where(op.MH); status {
-			case core.StatusConnected:
-				_ = sys.Disconnect(op.MH)
-			case core.StatusDisconnected:
-				_ = sys.Reconnect(op.MH, op.MSS, true)
-			}
-			// In transit: skip — the host is already mid-protocol.
-		case ScaleSearchChase:
-			_ = sys.Move(op.MH, op.MSS)
-			from := core.MSSID((int(op.MSS) + 1) % sc.Cfg.M)
-			ctx.SendToMH(from, op.MH, nil, cost.CatAlgorithm)
-		}
-		injected++
-	}
-
-	chains := sc.Cfg.chains()
-	var inject func(idx int)
-	inject = func(idx int) {
-		apply(sc.Ops[idx])
-		if next := idx + chains; next < len(sc.Ops) {
-			sys.Schedule(sc.Ops[next].Wait, func() { inject(next) })
-		}
-	}
-	for c := 0; c < chains && c < len(sc.Ops); c++ {
-		c := c
-		sys.Schedule(sc.Ops[c].Wait, func() { inject(c) })
+	d := &scaleDriver{sys: sys, ctx: sys.Register(sink), sc: sc, chains: sc.Cfg.chains()}
+	d.step = d.inject
+	cursor := make([]int, min(d.chains, len(sc.Ops)))
+	for c := range cursor {
+		cursor[c] = c
+		d.schedule(&cursor[c])
 	}
 	if err := sys.Run(); err != nil {
 		return ScaleResult{}, err
@@ -250,7 +274,7 @@ func RunScale(sys *core.System, sc *ScaleScenario) (ScaleResult, error) {
 		msgs += m.KindTotal(kind)
 	}
 	return ScaleResult{
-		Injected:  injected,
+		Injected:  d.injected,
 		Delivered: sink.delivered,
 		Messages:  msgs,
 		Steps:     sys.Kernel().Steps(),

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mobiledist/internal/core"
@@ -95,6 +96,36 @@ func TestScaleSmoke(t *testing.T) {
 				t.Errorf("no deliveries: %+v", res)
 			}
 		})
+	}
+}
+
+// TestRunScaleAllocsFlatInOps is RunScale's allocation contract: at fixed N
+// and Chains, a route run of 40k ops mallocs no more than one of 10k. The
+// record pool and the wheel's chunks grow with the pending population, which
+// the chain count bounds, not with ops; the chains themselves are cursors,
+// not one closure per op. (The chase kind is not pinned: a Move refused
+// because the host is already in transit allocates its *StatusError.)
+func TestRunScaleAllocsFlatInOps(t *testing.T) {
+	mallocs := func(ops int) uint64 {
+		sc, err := GenScale(ScaleConfig{N: 2000, M: 20, Seed: 5, Kind: ScaleRoute, Ops: ops, Chains: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewScaleSystem(sc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunScale(sys, sc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(10_000), mallocs(40_000)
+	if large > small+64 {
+		t.Errorf("RunScale mallocs grow with ops: %d at 10k ops, %d at 40k", small, large)
 	}
 }
 

@@ -40,7 +40,10 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// Identifier and model types (Section 2).
+// Identifier and model types (Section 2). MSSID and MHID are int32, which
+// keeps the simulator's per-event records and per-host state small;
+// Config.Validate refuses an M or N that does not fit. Convert with int(id)
+// before arithmetic that could leave that range (flat channel ids, M*N).
 type (
 	// MSSID identifies a mobile support station (fixed host).
 	MSSID = core.MSSID
