@@ -102,9 +102,11 @@ fuzz-short:
 # Chaos conformance: the substrate-parity invariants re-run under seeded
 # fault plans (wireless loss, link flaps, MSS crash/restart) on the
 # simulator, the live runtime, and the TCP network runtime, race detector
-# on. See DESIGN.md §8 and §10.
+# on. See DESIGN.md §8 and §10. The live runtime's own suite runs five
+# times: its due queue's drain, wall timer and Do callers meet only there.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count 1 ./internal/conformance/
+	$(GO) test -race -count 5 ./internal/rt/
 	$(GO) test -race -run 'Test' -count 1 ./internal/faults/
 	$(GO) test -race -run 'Test' -count 1 ./internal/netrt/ ./internal/wire/
 

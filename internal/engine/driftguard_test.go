@@ -55,7 +55,7 @@ var forbiddenAdapterDecls = map[string]string{
 	"sortedMHs":        "sorted-slice membership is engine-owned",
 	"routeOpts":        "routing context is engine-owned",
 	"waiters":          "in-transit waiter queues are engine-owned",
-	// per-channel FIFO bookkeeping (substrates use FIFOClock or pipes)
+	// per-channel FIFO bookkeeping (substrates use FIFOClock or relay pipes)
 	"fifoWired": "FIFO arrival clamping lives in engine.FIFOClock",
 	"fifoDown":  "FIFO arrival clamping lives in engine.FIFOClock",
 	"fifoUp":    "FIFO arrival clamping lives in engine.FIFOClock",
@@ -235,7 +235,6 @@ func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
 var perChannelMapAllowlist = map[string]string{
 	"netrt/pipes": "relay node: lock-guarded registry of per-channel pipe goroutines, created on demand",
 	"netrt/links": "relay node: lock-guarded registry of attached client connections, keyed by MH id",
-	"rt/pipes":    "goroutine runtime: lock-guarded registry of per-channel pipe goroutines, created on demand",
 }
 
 // TestPerChannelStateLivesInChanTable fails if the engine, the fault

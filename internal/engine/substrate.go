@@ -12,12 +12,12 @@ import (
 // time, deferred execution, per-channel FIFO transport, and randomness.
 //
 // Four bindings exist: the deterministic simulation kernel (internal/core
-// binds sim.Kernel), the goroutine live runtime (internal/rt binds its
-// executor and channel pipes), and the socket runtime over TCP streams or
-// authenticated datagrams (internal/netrt). Every Substrate method is
-// invoked from the engine's execution context (the kernel goroutine or a
-// live executor), and every record handed to the substrate must be stepped
-// back on that same execution context.
+// binds sim.Kernel), the in-process live runtime (internal/rt binds its
+// executor and one due queue over wall time), and the socket runtime over
+// TCP streams or authenticated datagrams (internal/netrt). Every Substrate
+// method is invoked from the engine's execution context (the kernel
+// goroutine or a live executor), and every record handed to the substrate
+// must be stepped back on that same execution context.
 //
 // Records are the only thing that crosses the seam: no method takes a func.
 // Message delivery, mobility steps, ARQ timers and algorithm timers
@@ -249,11 +249,12 @@ func (t *ChanTable[T]) Each(fn func(ch int, v *T)) {
 	}
 }
 
-// FIFOClock computes FIFO-respecting arrival times for virtual-time
-// substrates: one high-water mark per channel. A zero mark means "no prior
-// traffic", which is exact: clamping against 0 is a no-op. Substrates that
-// serialize channels physically (one goroutine per channel, as internal/rt
-// does) do not need it.
+// FIFOClock computes FIFO-respecting arrival times: one high-water mark per
+// channel. A zero mark means "no prior traffic", which is exact: clamping
+// against 0 is a no-op. The unit is the caller's — ticks on the simulator,
+// wall nanoseconds since Start in internal/rt's due queue. Substrates that
+// serialize channels physically (netrt's relays, one in-order pipe per
+// channel) do not need it.
 type FIFOClock struct{ marks *ChanTable[sim.Time] }
 
 // NewFIFOClockLayout returns a clock for the engine's (m, n) channel

@@ -61,9 +61,10 @@ func DefaultConfig(m, n int) Config {
 }
 
 // Transport is the one Substrate method a live driver writes itself: how a
-// delivery record physically crosses FIFO channel ch (goroutine pipes in this
-// package, sockets in internal/netrt). A transmission holds an in-flight op
-// on Tasks from TransmitRec until the record is stepped or abandoned.
+// delivery record physically crosses FIFO channel ch (an executor-local due
+// queue in this package, sockets in internal/netrt). The driver holds an
+// in-flight op on Tasks while a transmitted record is neither stepped nor
+// abandoned, so WaitIdle sees it.
 type Transport interface {
 	TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec)
 }
@@ -288,7 +289,7 @@ func (h *Host) WaitIdle(timeout time.Duration) bool {
 // Shutdown is the host's half of every driver's Stop: close the stop signal
 // and the task queue, and wait for the executor if Start ever launched it.
 // Safe to call more than once and before Start; the driver then releases
-// what is its own (pipe goroutines, sockets).
+// what is its own (the due queue's timer, sockets).
 func (h *Host) Shutdown() {
 	h.stopOnce.Do(func() {
 		close(h.stopped)

@@ -11,10 +11,10 @@ import (
 
 // TestStopLeaksNoGoroutines audits System.Stop the way the netrt suite
 // audits its shutdown: the goroutine count must return to the pre-Start
-// baseline. The hard case is stopping mid-flight — channel pipes full,
-// a token ring still circulating, mobility churn outstanding — where a
-// Transmit blocked on a stopping pipe must take the stop path rather than
-// hold an executor goroutine forever.
+// baseline. The hard case is stopping mid-flight — the due queue full, its
+// timer armed, a token ring still circulating, mobility churn outstanding —
+// where Stop must abandon the queue and stop the timer rather than leave a
+// wake-up behind.
 func TestStopLeaksNoGoroutines(t *testing.T) {
 	const m, n = 4, 8
 	before := runtime.NumGoroutine()
@@ -60,9 +60,9 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// assertNoGoroutineLeak retries (pipe teardown is asynchronous) until the
-// goroutine count returns to the baseline or a deadline passes, then dumps
-// all stacks on failure.
+// assertNoGoroutineLeak retries (a timer callback may still be exiting)
+// until the goroutine count returns to the baseline or a deadline passes,
+// then dumps all stacks on failure.
 func assertNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,8 +1,8 @@
 // Package rt is the live runtime of the two-tier model: it binds the shared
 // network engine (internal/engine) — which owns the MSS/MH registries,
 // routing with search and chase, the mobility protocol, and cost accounting
-// — to real goroutines and channels with wall-clock latencies, the
-// operational style the paper's model describes.
+// — to a real executor goroutine and wall-clock latencies, the operational
+// style the paper's model describes.
 //
 // The package has two layers:
 //
@@ -14,10 +14,11 @@
 //     network to drain; timers are wall timers that land on the executor;
 //   - System (this file, transport.go) is Host plus this package's
 //     transport: every FIFO channel of the model (each ordered MSS pair,
-//     each MSS→MH downlink, each MH uplink) is a goroutine reading from a
-//     Go channel in order, waiting out whatever is left of each message's
-//     link latency, and handing it to the executor — preserving per-channel
-//     FIFO exactly as the model requires.
+//     each MSS→MH downlink, each MH uplink) stamps its deliveries with
+//     engine.FIFOClock's arrival clamp in wall nanoseconds, and one
+//     executor-local queue ordered by that due time steps them on the
+//     executor — preserving per-channel FIFO exactly as the model requires,
+//     with no goroutine per channel.
 //
 // Because internal/core binds the same engine to the deterministic kernel,
 // the substrates cannot drift: every protocol rule lives in exactly one
@@ -28,7 +29,6 @@
 package rt
 
 import (
-	"sync"
 	"time"
 
 	"mobiledist/internal/core"
@@ -36,23 +36,33 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// System is the live runtime driver: the shared host bound to goroutine
-// pipes. It implements core.Registrar, and the contexts it hands out
-// implement core.Context, so any algorithm in this repository runs on it
-// unmodified.
+// System is the live runtime driver: the shared host bound to an
+// executor-local due queue. It implements core.Registrar, and the contexts
+// it hands out implement core.Context, so any algorithm in this repository
+// runs on it unmodified.
 type System struct {
 	*Host
 
-	pipesMu sync.Mutex
-	pipes   map[int]chan delivery
-	wg      sync.WaitGroup
+	// The due queue (transport.go): executor only, or the building goroutine
+	// before Start. queued: a drain is on the task queue or running; armed:
+	// the timer will queue one at wakeAt. drainFn is s.drain, bound once.
+	fifo          *engine.FIFOClock // marks in wall nanoseconds since Start
+	queue         dueQueue
+	seq           uint64
+	queued, armed bool
+	wakeAt        sim.Time
+	timer         *time.Timer
+	drainFn       func()
 }
 
 var _ core.Registrar = (*System)(nil)
 
 // NewSystem builds a live system from cfg.
 func NewSystem(cfg Config) (*System, error) {
-	s := &System{pipes: make(map[int]chan delivery)}
+	s := &System{fifo: engine.NewFIFOClockLayout(cfg.M, cfg.N)}
+	s.drainFn = s.drain
+	s.timer = time.AfterFunc(time.Hour, func() { s.tasks.Push(s.drainFn) })
+	s.timer.Stop() // armed by schedule only
 	h, err := NewHost(cfg, s)
 	if err != nil {
 		return nil, err
@@ -61,24 +71,27 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// TransmitRec stamps the delivery record with its due time and hands it to
-// the channel's pipe goroutine, which forwards it to the executor once due
-// — FIFO by construction. The send races Stop: once the pipe's forward
-// goroutine has exited, a full buffer would block the executor forever, so
-// a stopped runtime resolves the op and drops the record instead (shutdown
-// discards in-flight traffic by design; the record is abandoned, not freed,
-// because the pool is executor-only).
+// TransmitRec stamps rec due at the channel's FIFO clamp of now + latency ×
+// Tick, in wall nanoseconds since Start (0 before it, as Host.Now), queues it
+// and schedules a drain for the head. It runs on the executor, as every
+// Substrate method does. The queue holds one in-flight op while non-empty.
 func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	s.tasks.OpStart()
-	select {
-	case s.pipe(ch) <- delivery{due: time.Now().Add(time.Duration(latency) * s.cfg.Tick), rec: rec}:
-	case <-s.stopped:
-		s.tasks.OpDone()
+	now := s.nowNs()
+	if len(s.queue) == 0 {
+		s.tasks.OpStart()
 	}
+	s.seq++
+	s.queue.push(dueRec{s.fifo.Arrival(ch, now, sim.Time(time.Duration(latency)*s.cfg.Tick)), s.seq, rec})
+	s.schedule(now)
 }
 
-// Stop shuts the runtime down and waits for every goroutine to exit.
+// Stop shuts the runtime down. Queued records are abandoned (not freed: the
+// pool is executor-only) and their op resolved, leaving nothing in flight.
 func (s *System) Stop() {
 	s.Shutdown()
-	s.wg.Wait()
+	s.timer.Stop()
+	if len(s.queue) > 0 {
+		s.queue = nil
+		s.tasks.OpDone()
+	}
 }

@@ -4,31 +4,110 @@ import (
 	"time"
 
 	"mobiledist/internal/engine"
+	"mobiledist/internal/sim"
 )
 
-// The runtime's transport is purely physical: the engine decides what to
-// send, on which flat channel id, with which latency (see
-// engine.ChannelLayout); this file only moves deliveries. A delivery is
-// stamped with its due time — arrival + latency × Tick — when it enters its
-// channel's pipe; one goroutine per active channel reads the pipe strictly
-// in order, waits only while the head's due time is still ahead, and hands
-// it to the executor. In-order handling is the model's per-channel FIFO
-// guarantee, and together with the stamp it is the arrival clamp
-// engine.FIFOClock applies on the simulator (arrival = max(now + latency,
-// the channel's previous arrival)): latencies overlap, so a channel is not
-// a serial delay line capped at 1/latency.
+// The runtime's transport only moves deliveries: TransmitRec stamps each
+// record with engine.FIFOClock's arrival clamp in wall nanoseconds and pushes
+// it on one executor-local min-heap on (due, transmit sequence), so each
+// channel lands in transmit order while latencies overlap. One reusable drain
+// func steps what is due; one reusable wall timer queues it for a later head.
 
-// delivery is one message travelling a FIFO channel: once due, interpret
-// rec on the executor. The record is opaque to the transport; it is stepped
-// (and freed) by the bound sink on the executor goroutine only.
-type delivery struct {
-	due time.Time
+// drainBatch bounds one drain's steps, so Do callers queued behind it run.
+const drainBatch = 256
+
+// dueRec is one record in the due queue; at is wall nanoseconds since Start.
+type dueRec struct {
+	at  sim.Time
+	seq uint64
 	rec *engine.DeliveryRec
 }
 
-// DueTimer is the waiting half of a live link pipe, shared with
-// internal/netrt: one reusable timer per pipe goroutine, armed only for a
-// due time that is still ahead. The zero value is ready to use.
+// dueQueue is a value min-heap on (at, seq); container/heap would box pushes.
+type dueQueue []dueRec
+
+func (q dueQueue) less(i, j int) bool {
+	return q[i].at < q[j].at || q[i].at == q[j].at && q[i].seq < q[j].seq
+}
+
+func (q *dueQueue) push(d dueRec) {
+	*q = append(*q, d)
+	h := *q
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+}
+
+func (q *dueQueue) pop() *engine.DeliveryRec {
+	h := *q
+	rec, n := h[0].rec, len(h)-1
+	h[0], h[n] = h[n], dueRec{}
+	h = h[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+	*q = h
+	return rec
+}
+
+// nowNs is the due queue's clock: wall nanoseconds since Start, 0 before it.
+func (s *System) nowNs() sim.Time {
+	if epoch := s.epoch.Load(); epoch != nil {
+		return sim.Time(time.Since(*epoch))
+	}
+	return 0
+}
+
+// schedule makes sure a drain runs by the head's due time: queued now if it
+// is due, else on the timer, unless a queued drain or earlier timer covers it.
+func (s *System) schedule(now sim.Time) {
+	if s.queued || len(s.queue) == 0 {
+		return
+	}
+	head := s.queue[0].at
+	if s.armed {
+		if head >= s.wakeAt {
+			return
+		}
+		if s.armed = false; !s.timer.Stop() {
+			s.queued = true // it fired: its drain is on the way
+			return
+		}
+	}
+	if head <= now {
+		s.queued = true
+		s.tasks.Push(s.drainFn)
+		return
+	}
+	s.armed, s.wakeAt = true, head
+	s.timer.Reset(time.Duration(head - now))
+}
+
+// drain steps at most drainBatch due records against one clock reading, then
+// schedules the next drain once for whatever those steps transmitted.
+func (s *System) drain() {
+	s.queued, s.armed = true, false
+	now := s.nowNs()
+	for n := 0; n < drainBatch && len(s.queue) > 0 && s.queue[0].at <= now; n++ {
+		rec := s.queue.pop()
+		if len(s.queue) == 0 {
+			s.tasks.OpDone()
+		}
+		s.StepRec(rec)
+	}
+	s.queued = false
+	s.schedule(s.nowNs())
+}
+
+// DueTimer is the waiting half of internal/netrt's relay pipes: one
+// reusable timer per pipe goroutine, armed only for a due time that is
+// still ahead. The zero value is ready to use.
 type DueTimer struct {
 	t *time.Timer
 }
@@ -52,38 +131,5 @@ func (d *DueTimer) Wait(due time.Time, stop <-chan struct{}) bool {
 	case <-stop:
 		d.t.Stop()
 		return false
-	}
-}
-
-// pipe returns (creating on demand) the goroutine-backed FIFO channel for
-// the engine's flat channel id.
-func (s *System) pipe(ch int) chan delivery {
-	s.pipesMu.Lock()
-	defer s.pipesMu.Unlock()
-	c, ok := s.pipes[ch]
-	if ok {
-		return c
-	}
-	c = make(chan delivery, 256)
-	s.pipes[ch] = c
-	s.wg.Add(1)
-	go s.forward(c)
-	return c
-}
-
-func (s *System) forward(ch chan delivery) {
-	defer s.wg.Done()
-	var timer DueTimer
-	for {
-		select {
-		case d := <-ch:
-			if !timer.Wait(d.due, s.stopped) {
-				s.tasks.OpDone()
-				return
-			}
-			s.land(d.rec)
-		case <-s.stopped:
-			return
-		}
 	}
 }

@@ -1,14 +1,17 @@
 package rt
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"mobiledist/internal/engine"
 	"mobiledist/internal/sim"
 )
 
-// TestDueTimerArmsOnlyForAFutureDue pins the decision a link pipe makes per
-// frame: a due time that has passed returns at once and never touches the
+// TestDueTimerArmsOnlyForAFutureDue pins the decision a netrt relay pipe
+// makes per frame: a due time that has passed returns at once and never touches the
 // timer; a due time ahead arms the pipe's one timer, which later waits
 // reuse; a closed stop channel wins over a pending wait.
 func TestDueTimerArmsOnlyForAFutureDue(t *testing.T) {
@@ -61,7 +64,7 @@ func transmitAll(t *testing.T, sys *System, ch int, latencies []sim.Time) ([]int
 		}
 	})
 	if !sys.WaitIdle(10 * time.Second) {
-		t.Fatal("pipe did not drain")
+		t.Fatal("channel did not drain")
 	}
 	var got []int
 	var took time.Duration
@@ -82,9 +85,10 @@ func startTicking(t *testing.T, tick time.Duration) *System {
 	return sys
 }
 
-// TestPipeKeepsPutOrderAcrossLatencies: a frame with a short latency queued
-// behind one with a long latency is due first, and must still leave second.
-func TestPipeKeepsPutOrderAcrossLatencies(t *testing.T) {
+// TestChannelKeepsPutOrderAcrossLatencies: a frame with a short latency
+// queued behind one with a long latency on the same channel is clamped to
+// its due time, and must still land second.
+func TestChannelKeepsPutOrderAcrossLatencies(t *testing.T) {
 	sys := startTicking(t, time.Millisecond)
 	order, _ := transmitAll(t, sys, 0, []sim.Time{4, 1, 1})
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -92,10 +96,11 @@ func TestPipeKeepsPutOrderAcrossLatencies(t *testing.T) {
 	}
 }
 
-// TestPipeOverlapsLatencies: k frames of latency L entering a pipe together
-// are all due at about the same instant, so the pipe drains in about L —
-// not k × L, which is what sleeping each frame's latency in turn cost.
-func TestPipeOverlapsLatencies(t *testing.T) {
+// TestChannelOverlapsLatencies: k frames of latency L entering a channel
+// together are all due at about the same instant, so the channel drains in
+// about L — not k × L, which is what sleeping each frame's latency in turn
+// cost.
+func TestChannelOverlapsLatencies(t *testing.T) {
 	const (
 		k    = 8
 		tick = 5 * time.Millisecond
@@ -112,9 +117,234 @@ func TestPipeOverlapsLatencies(t *testing.T) {
 		t.Fatalf("%d of %d frames landed", len(order), k)
 	}
 	if took < l {
-		t.Errorf("pipe drained in %v, before the link latency %v", took, l)
+		t.Errorf("channel drained in %v, before the link latency %v", took, l)
 	}
 	if took > k*l/2 {
-		t.Errorf("pipe of %d frames drained in %v: latencies are serialised (one latency is %v, %d in turn %v)", k, took, l, k, k*l)
+		t.Errorf("channel of %d frames drained in %v: latencies are serialised (one latency is %v, %d in turn %v)", k, took, l, k, k*l)
 	}
+}
+
+// landLog wraps a system's record sink and logs, on the executor, the
+// channel and tag of each record as it lands and the due queue's clock then.
+type landLog struct {
+	engine.RecSink
+	sys *System
+	ch  []int
+	tag []int32
+	at  []sim.Time
+}
+
+func (l *landLog) StepRec(rec *engine.DeliveryRec) {
+	l.ch = append(l.ch, rec.Chan())
+	l.tag = append(l.tag, rec.Tag())
+	l.at = append(l.at, l.sys.nowNs())
+	l.RecSink.StepRec(rec)
+}
+
+// TestDueQueueKeepsEachChannelFIFO transmits a few hundred pooled timer
+// records with random latencies over 24 channels of all three kinds, every
+// record sharing one func. Each channel must land in transmit order, no
+// record before the due time it was stamped with, and a 1-tick record on one
+// channel must overtake a 100-tick record sent just before it on another:
+// the queue is one, the channels are not.
+func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
+	const (
+		tick     = 100 * time.Microsecond
+		channels = 24
+		records  = 400
+	)
+	cfg := DefaultConfig(4, 8)
+	cfg.Tick = tick
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	log := &landLog{RecSink: sys.sink, sys: sys}
+	sys.sink = log
+	sys.Start()
+	t.Cleanup(sys.Stop)
+
+	count := engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count()
+	rng := sim.NewRNG(7)
+	noop := func() {}
+	stamp := make([]sim.Time, records)
+	sys.Do(func() {
+		last := make(map[int]sim.Time)
+		for i := 0; i < records; i++ {
+			ch, lat := (i%channels)*count/channels, rng.Duration(1, 30)
+			switch i {
+			case 0:
+				lat = 100
+			case 1:
+				lat = 1
+			}
+			rec := sys.Engine().TimerRec(noop)
+			rec.SetChan(ch)
+			rec.SetTag(int32(i))
+			before := sys.nowNs()
+			sys.TransmitRec(ch, lat, rec)
+			for _, d := range sys.queue {
+				if d.rec == rec {
+					stamp[i] = d.at
+				}
+			}
+			if floor := before + sim.Time(time.Duration(lat)*tick); stamp[i] < floor || stamp[i] < last[ch] {
+				t.Errorf("record %d on channel %d stamped %d ns, want at least %d (latency) and %d (channel's previous)", i, ch, stamp[i], floor, last[ch])
+			}
+			last[ch] = stamp[i]
+		}
+	})
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("due queue did not drain")
+	}
+	sys.Do(func() {
+		if len(log.tag) != records {
+			t.Fatalf("%d of %d records landed", len(log.tag), records)
+		}
+		prev := make(map[int]int32)
+		var longAt, shortAt int
+		for i, tag := range log.tag {
+			ch := log.ch[i]
+			if p, ok := prev[ch]; ok && tag < p {
+				t.Errorf("channel %d landed record %d after %d", ch, tag, p)
+			}
+			prev[ch] = tag
+			if log.at[i] < stamp[tag] {
+				t.Errorf("record %d landed at %d ns, before its due time %d", tag, log.at[i], stamp[tag])
+			}
+			switch tag {
+			case 0:
+				longAt = i
+			case 1:
+				shortAt = i
+			}
+		}
+		if shortAt > longAt {
+			t.Errorf("the 1-tick record landed %d-th, after the 100-tick record sent before it on another channel (%d-th)", shortAt, longAt)
+		}
+	})
+}
+
+// TestNoGoroutinePerChannel: traffic over every channel of an M=8, N=64
+// system leaves the runtime with its executor and at most one timer
+// goroutine, in flight and at rest — not one goroutine per channel.
+func TestNoGoroutinePerChannel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(8, 64)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	noop := func() {}
+	sys.Do(func() {
+		for ch := 0; ch < (engine.ChannelLayout{M: cfg.M, N: cfg.N}).Count(); ch++ {
+			sys.TransmitRec(ch, 200, sys.Engine().TimerRec(noop))
+		}
+	})
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Errorf("%d goroutines in flight, %d before the system", n, before)
+	}
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("due queue did not drain")
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Errorf("%d goroutines after the traffic, %d before the system", n, before)
+	}
+}
+
+// TestDueQueueAllocsFlatInRecords: a Do that transmits k pooled records,
+// and the drains that land them, allocate about the same for k = 10 and
+// k = 1000 — the queue's array, the drain func and the timer are reused,
+// where a closure per landed record would add a thousand.
+func TestDueQueueAllocsFlatInRecords(t *testing.T) {
+	sys := startTicking(t, time.Microsecond)
+	count := engine.ChannelLayout{M: 2, N: 2}.Count()
+	noop := func() {}
+	run := func(k int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			sys.Do(func() {
+				for i := 0; i < k; i++ {
+					sys.TransmitRec(i%count, 1, sys.Engine().TimerRec(noop))
+				}
+			})
+			if !sys.WaitIdle(10 * time.Second) {
+				t.Fatal("due queue did not drain")
+			}
+		})
+	}
+	few, many := run(10), run(1000)
+	if many > few+8 {
+		t.Errorf("transmitting 1000 records allocated %v times, 10 records %v: the count grows with the batch", many, few)
+	}
+}
+
+// TestTransmitBeforeStartIsDueFromStart: a record transmitted while the
+// system is built is due its latency after Start — Host.Now reads 0 until
+// then — not after the transmission, however long the build took.
+func TestTransmitBeforeStartIsDueFromStart(t *testing.T) {
+	const (
+		tick = time.Millisecond
+		lat  = 20
+		l    = lat * tick
+	)
+	cfg := DefaultConfig(2, 2)
+	cfg.Tick = tick
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	var landed time.Time
+	sys.TransmitRec(0, lat, sys.Engine().TimerRec(func() { landed = time.Now() }))
+	time.Sleep(2 * l) // the build outlasts the latency
+	start := time.Now()
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("the record never landed")
+	}
+	var after time.Duration
+	sys.Do(func() { after = landed.Sub(start) })
+	if after < l {
+		t.Errorf("landed %v after Start, before its latency %v", after, l)
+	}
+	if after > l+2*time.Second {
+		t.Errorf("landed %v after Start, want about its latency %v", after, l)
+	}
+}
+
+// TestDueQueueUnderConcurrentDo: Do callers on several goroutines transmit
+// while the drain and its timer run, at a tick short enough that the timer
+// fires mid-stream; every record lands once and the system goes idle. Run
+// under -race, it checks the seam the due queue shares with other goroutines.
+func TestDueQueueUnderConcurrentDo(t *testing.T) {
+	const callers, calls, perCall = 4, 50, 4
+	sys := startTicking(t, 20*time.Microsecond)
+	count := engine.ChannelLayout{M: 2, N: 2}.Count()
+	landed := 0
+	land := func() { landed++ }
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				sys.Do(func() {
+					for k := 0; k < perCall; k++ {
+						sys.TransmitRec((g+k)%count, sim.Time(1+k%3), sys.Engine().TimerRec(land))
+					}
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("due queue did not drain")
+	}
+	sys.Do(func() {
+		if landed != callers*calls*perCall {
+			t.Errorf("%d records landed, want %d", landed, callers*calls*perCall)
+		}
+	})
 }
