@@ -104,9 +104,12 @@ fuzz-short:
 # simulator, the live runtime, and the TCP network runtime, race detector
 # on. See DESIGN.md §8 and §10. The live runtime's own suite runs five
 # times: its due queue's drain, wall timer and Do callers meet only there.
+# The lifecycle and timer rows run five times too: both live drivers'
+# shutdown and timer accounting meet on the one Host due queue.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count 1 ./internal/conformance/
 	$(GO) test -race -count 5 ./internal/rt/
+	$(GO) test -race -count 5 -run 'TestLiveLifecycle|TestConformanceTimers' ./internal/conformance/
 	$(GO) test -race -run 'Test' -count 1 ./internal/faults/
 	$(GO) test -race -run 'Test' -count 1 ./internal/netrt/ ./internal/wire/
 

@@ -1,11 +1,14 @@
 package conformance
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"mobiledist/internal/core"
+	"mobiledist/internal/cost"
+	"mobiledist/internal/engine"
 	"mobiledist/internal/netrt"
 	"mobiledist/internal/rt"
 )
@@ -20,6 +23,8 @@ type liveSystem interface {
 	Stop()
 	SetDoze(mh core.MHID, dozing bool)
 	IsDozing(mh core.MHID) bool
+	Stats() engine.Stats
+	Searches() int64
 }
 
 // TestLiveLifecycle pins the shutdown contract of the one live shell on
@@ -82,6 +87,28 @@ func TestLiveLifecycle(t *testing.T) {
 			sys.Stop()
 			if !sys.WaitIdle(5 * time.Second) {
 				t.Fatal("a timer that fired after Stop left its in-flight op open")
+			}
+		})
+		t.Run(d.name+"/stats after stop", func(t *testing.T) {
+			sys, teardown := d.build(t)
+			defer teardown()
+			ctx := sys.Register(&probe{})
+			sys.Start()
+			sys.Do(func() { ctx.SendToMH(0, 1, "x", cost.CatAlgorithm) })
+			if !sys.WaitIdle(idleTimeout) {
+				t.Fatal("network did not drain")
+			}
+			want := sys.Stats()
+			if want.Searches == 0 {
+				t.Fatal("a routed send searched nothing; the row reads no counter")
+			}
+			sys.Stop()
+			// Like Meter, the counters stay readable once the executor is gone.
+			if got := sys.Stats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Stats after Stop = %+v, want %+v", got, want)
+			}
+			if got := sys.Searches(); got != want.Searches {
+				t.Errorf("Searches after Stop = %d, want %d", got, want.Searches)
 			}
 		})
 		t.Run(d.name+"/doze", func(t *testing.T) {

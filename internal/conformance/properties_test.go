@@ -229,13 +229,18 @@ func TestConformanceMobilityStatePartitioning(t *testing.T) {
 // work, on every substrate, with the fault injector in the stack. A
 // Context.After callback fires exactly once and holds the network's idle
 // predicate open while armed; an armed Context.AfterDaemon does not, and
-// still fires; both are counted by LiveRecs until they do; and a crash
-// plan's OnCrash/OnRestart hooks, armed through the same record path, fire
-// once each. The counters are plain ints read inside do, so under -race a
+// still fires — nor does one landing first let go of the After's hold; all
+// are counted by LiveRecs until they fire; and a crash plan's
+// OnCrash/OnRestart hooks, armed through the same record path, fire once
+// each. The counters are plain ints read inside do, so under -race a
 // callback that ran off the execution context would be reported.
 func TestConformanceTimers(t *testing.T) {
 	const (
-		afterDelay = 150 // inside the simulator's 200-tick pause
+		afterDelay = 190 // inside the simulator's 200-tick pause
+		// earlyDelay puts a daemon timer after the plan's restart (120) and
+		// before After: popping it must not resolve the op After holds, or
+		// the live substrates go idle 60 ticks early.
+		earlyDelay = 130
 		// daemonDelay is far enough out (half a second of wall time on the
 		// live substrates) that pause returning before it fires is not a
 		// matter of scheduling luck.
@@ -244,7 +249,7 @@ func TestConformanceTimers(t *testing.T) {
 	plan := &core.FaultPlan{Seed: 5, Crashes: []core.Crash{{MSS: 1, At: 40, RestartAt: 120}}}
 	forEachSubstrateFaults(t, 2, 2, plan, func(t *testing.T, d driver) {
 		ctx := d.registrar().Register(&probe{})
-		var fired, daemonFired, crashes, restarts int
+		var fired, earlyFired, daemonFired, crashes, restarts int
 		daemonDone := make(chan struct{})
 		d.start()
 		d.do(func() {
@@ -253,15 +258,16 @@ func TestConformanceTimers(t *testing.T) {
 			inj.OnRestart(func(core.MSSID) { restarts++ })
 			inj.Arm()
 			ctx.AfterDaemon(daemonDelay, func() { daemonFired++; close(daemonDone) })
+			ctx.AfterDaemon(earlyDelay, func() { earlyFired++ })
 			ctx.After(afterDelay, func() { fired++ })
-			if live := d.engine().LiveRecs(); live != 4 {
-				t.Errorf("LiveRecs with four timers armed = %d, want 4", live)
+			if live := d.engine().LiveRecs(); live != 5 {
+				t.Errorf("LiveRecs with five timers armed = %d, want 5", live)
 			}
 		})
 		d.pause(t)
 		d.do(func() {
-			if fired != 1 {
-				t.Errorf("After fired %d times by the time the network went idle, want 1", fired)
+			if fired != 1 || earlyFired != 1 {
+				t.Errorf("After/early AfterDaemon fired %d/%d times by the time the network went idle, want 1/1", fired, earlyFired)
 			}
 			if crashes != 1 || restarts != 1 {
 				t.Errorf("crash/restart hooks fired %d/%d times, want 1/1", crashes, restarts)

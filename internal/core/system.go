@@ -45,15 +45,10 @@ func (s *simSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.Deliver
 
 // AfterRec treats a daemon timer as an ordinary scheduled event: virtual
 // time only advances by running events, so there is no idle accounting to
-// keep open.
+// keep open. At d = 0 the record runs after everything already scheduled for
+// now, in submission order.
 func (s *simSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	if err := s.kernel.ScheduleCallKeyedErr(0, d, s.step, rec); err != nil {
-		panic(fmt.Sprintf("core: schedule record: %v", err))
-	}
-}
-
-func (s *simSubstrate) EnqueueRec(rec *engine.DeliveryRec) {
-	if err := s.kernel.ScheduleCallKeyedErr(0, 0, s.step, rec); err != nil {
 		panic(fmt.Sprintf("core: schedule record: %v", err))
 	}
 }

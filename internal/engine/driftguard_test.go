@@ -122,7 +122,7 @@ func parseNonTest(t *testing.T, fset *token.FileSet, root string, skip ...string
 // copy of the shell — embed the host instead (what genuinely differs per
 // driver is TransmitRec and Stop, which are not listed).
 func TestLiveShellIsWrittenOnce(t *testing.T) {
-	shell := []string{"Do", "WaitIdle", "Start", "AfterRec", "EnqueueRec", "checkMH", "checkMSS"}
+	shell := []string{"Do", "WaitIdle", "Start", "AfterRec", "drain", "schedule", "checkMH", "checkMSS"}
 	declared := make(map[string][]string)
 	fset := token.NewFileSet()
 	for _, dir := range []string{"../rt", "../netrt"} {
@@ -324,7 +324,7 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 			}
 			ast.Inspect(fd, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					t.Errorf("%s: func literal in %s — delivery paths must use pooled DeliveryRecs (newRec + TransmitRec/AfterRec/EnqueueRec), not closures; see deliveryPathClosureAllowlist",
+					t.Errorf("%s: func literal in %s — delivery paths must use pooled DeliveryRecs (newRec + TransmitRec/AfterRec), not closures; see deliveryPathClosureAllowlist",
 						fset.Position(lit.Pos()), fd.Name.Name)
 				}
 				return true
@@ -334,13 +334,14 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 }
 
 // TestSubstrateSeamIsRecordsOnly pins the whole seam: Substrate has exactly
-// these six methods and none of them takes a func. Work crosses the seam
+// these five methods and none of them takes a func. Work crosses the seam
 // as DeliveryRec values only, so every parked unit of work stays enumerable
 // data (LiveRecs) and no binding or wrapper has a second scheduling path to
-// implement. Reintroducing a closure form (After(d, fn), Enqueue(fn)) or an
-// optional side interface for one fails here.
+// implement: "now" is AfterRec(0, rec). Reintroducing a closure form
+// (After(d, fn), Enqueue(fn)), a second deferral method or an optional side
+// interface for one fails here.
 func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
-	want := []string{"AfterRec", "BindRecSink", "EnqueueRec", "Now", "RNG", "TransmitRec"}
+	want := []string{"AfterRec", "BindRecSink", "Now", "RNG", "TransmitRec"}
 	seam := reflect.TypeOf((*Substrate)(nil)).Elem()
 	var got []string
 	for i := 0; i < seam.NumMethod(); i++ {

@@ -433,7 +433,7 @@ func (e *Engine) fireWaiters(mh MHID) {
 	for _, rec := range pending {
 		// Re-enter through the substrate so continuations observe a settled
 		// network state and deterministic ordering.
-		e.sub.EnqueueRec(rec)
+		e.sub.AfterRec(0, rec)
 	}
 	for i := range pending {
 		pending[i] = nil // release the record references

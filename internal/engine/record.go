@@ -15,8 +15,8 @@ import "fmt"
 //
 // Ownership rules:
 //
-//   - A record scheduled through TransmitRec / AfterRec / EnqueueRec is
-//     owned by the substrate until it hands the record to the bound RecSink.
+//   - A record scheduled through TransmitRec / AfterRec is owned by the
+//     substrate until it hands the record to the bound RecSink.
 //   - RecSink.StepRec runs the record's op and then ALWAYS frees it. An op
 //     that needs to park further work (the in-transit waiter queues)
 //     allocates a fresh record from the pool; records are never re-armed.
@@ -35,9 +35,9 @@ import "fmt"
 //     the one record whose state is not plain data: the callback is the
 //     algorithm's, not the engine's. Wrappers outside the engine obtain one
 //     from RecSink.TimerRec.
-//   - The daemon flag (Daemon) marks a timer as standing maintenance: live
-//     substrates' AfterRec does not count an armed daemon record as an
-//     outstanding operation, so it cannot hold WaitIdle open.
+//   - The daemon flag (Daemon) marks a timer as standing maintenance: the
+//     live host's due queue does not count it as an outstanding operation,
+//     so it cannot hold WaitIdle open.
 //
 // The free list is intrusive (the next field), single-threaded like the
 // rest of the engine, and never shrinks; steady-state routing allocates no
@@ -113,8 +113,8 @@ type DeliveryRec struct {
 }
 
 // Chan returns the flat channel id the record was transmitted on, or -1 for
-// records scheduled off-channel (AfterRec/EnqueueRec). Substrate wrappers
-// use it to classify a record at delivery time (ChannelLayout.Decode).
+// records scheduled off-channel (AfterRec). Substrate wrappers use it to
+// classify a record at delivery time (ChannelLayout.Decode).
 func (r *DeliveryRec) Chan() int { return r.onCh }
 
 // SetChan stamps the transmit channel; called by the outermost wrapper's

@@ -155,7 +155,7 @@ func (e *Engine) routeToMH(via MSSID, mh MHID, msg Message, opts routeOpts, stal
 		rec.mss2 = opts.origin
 		rec.msg = msg
 		rec.opts.alg = opts.alg
-		e.sub.EnqueueRec(rec)
+		e.sub.AfterRec(0, rec)
 
 	default:
 		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(mh), int(st.status)))

@@ -43,11 +43,6 @@ func (p *plainSubstrate) AfterRec(d sim.Time, rec *DeliveryRec) {
 		p.sink.StepRec(rec)
 	}
 }
-func (p *plainSubstrate) EnqueueRec(rec *DeliveryRec) {
-	if p.sink != nil {
-		p.sink.StepRec(rec)
-	}
-}
 func (p *plainSubstrate) RNG() *sim.RNG { return sim.NewRNG(1) }
 
 func TestObserveSubstrateFaultStats(t *testing.T) {

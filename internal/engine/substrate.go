@@ -12,7 +12,7 @@ import (
 // time, deferred execution, per-channel FIFO transport, and randomness.
 //
 // Four bindings exist: the deterministic simulation kernel (internal/core
-// binds sim.Kernel), the in-process live runtime (internal/rt binds its
+// binds sim.Kernel), the in-process live runtime (internal/rt: rt.Host's
 // executor and one due queue over wall time), and the socket runtime over
 // TCP streams or authenticated datagrams (internal/netrt). Every Substrate
 // method is invoked from the engine's execution context (the kernel
@@ -42,13 +42,11 @@ type Substrate interface {
 	// numbering (see ChannelLayout).
 	TransmitRec(ch int, latency sim.Time, rec *DeliveryRec)
 	// AfterRec hands rec to the bound sink after d ticks of virtual time,
-	// outside any channel's FIFO order. A live substrate counts the armed
-	// record as an outstanding operation (holding WaitIdle open) unless
+	// outside any channel's FIFO order and after records already due then:
+	// AfterRec(0, rec) is "next". A live substrate counts the armed record
+	// as an outstanding operation (holding WaitIdle open) unless
 	// rec.Daemon() — standing maintenance timers must not wedge quiescence.
 	AfterRec(d sim.Time, rec *DeliveryRec)
-	// EnqueueRec hands rec to the bound sink as soon as possible,
-	// preserving submission order among EnqueueRec calls.
-	EnqueueRec(rec *DeliveryRec)
 }
 
 // ChannelKind classifies a flat channel id.

@@ -35,8 +35,7 @@ func (s *stubSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	s.afters = append(s.afters, fmt.Sprintf("@%d", d))
 	s.sink.StepRec(rec)
 }
-func (s *stubSubstrate) EnqueueRec(rec *engine.DeliveryRec) { s.sink.StepRec(rec) }
-func (s *stubSubstrate) RNG() *sim.RNG                      { return s.rng }
+func (s *stubSubstrate) RNG() *sim.RNG { return s.rng }
 
 // fakeSink plays the engine's end of the record protocol: it counts records
 // that survive to delivery and records returned to the pool, and runs the

@@ -95,7 +95,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	c.hub.start()
 
 	c.wg.Add(2)
-	go c.drain(c.upq, c.transmitUp)
+	go c.pipeLoop(c.upq, c.transmitUp)
 	go c.wirelessLoop()
 	return c, nil
 }

@@ -142,11 +142,11 @@ func (m *member) confirm(ch int32, seq uint64) {
 	m.hub.send(wire.Frame{Type: wire.TDelivered, Ch: ch, Seq: seq})
 }
 
-// drain is a link pipe's goroutine: wait out whatever is left of each
+// pipeLoop is a link pipe's goroutine: wait out whatever is left of each
 // frame's latency, then relay it across its last physical link (at hop 1)
 // — strictly in order, the model's per-channel FIFO. stamp is the other
 // half of the link model.
-func (m *member) drain(q *fifo[dueFrame], relay func(wire.Frame)) {
+func (m *member) pipeLoop(q *fifo[dueFrame], relay func(wire.Frame)) {
 	defer m.wg.Done()
 	var timer rt.DueTimer
 	for {

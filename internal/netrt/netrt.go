@@ -9,13 +9,13 @@
 // runtime splits the model plane from the data plane:
 //
 //   - the hub (this file) is internal/rt's Host — the engine, its single
-//     executor goroutine, timers, Do/WaitIdle and the mobility surface —
-//     plus what sockets add: a listener and one peer per station and mobile
-//     host, one send window per channel, liveness with generation-fenced
-//     resync, and client retargeting. Every TransmitRec parks the delivery
-//     record at the end of its channel's window — its position there is its
-//     sequence number — and ships a TData frame on a physical journey over
-//     TCP;
+//     executor goroutine, the due queue its timers wait in, Do/WaitIdle
+//     and the mobility surface — plus what sockets add: a listener and one
+//     peer per station and mobile host, one send window per channel,
+//     liveness with generation-fenced resync, and client retargeting. Every
+//     TransmitRec parks the delivery record at the end of its channel's
+//     window — its position there is its sequence number — and ships a
+//     TData frame on a physical journey over TCP;
 //   - MSS relay nodes (node.go) carry the wired tier: a TData for wired
 //     channel (i,j) travels hub → node i, is due its link latency after it
 //     entered node i's per-channel pipe, crosses the mesh connection to
@@ -32,7 +32,7 @@
 //     frames strictly in order and waits only while the head's due time
 //     (arrival + latency × tick) is still ahead, so latencies of queued
 //     frames overlap exactly as engine.FIFOClock's arrival clamp makes
-//     them on the simulator and rt's pipes do in-process. Socket writers
+//     them on the simulator and in rt's due queue. Socket writers
 //     flush when idle (peer.writeLoop drains its outbox into one write;
 //     the wireless echo paths flush when their reader has no further
 //     frame buffered), so a hop costs its sockets and nothing else;
@@ -589,7 +589,7 @@ func (s *System) Stop() {
 			p.send(wire.Frame{Type: wire.TBye, Ch: -1})
 		}
 		s.flushPeers(500 * time.Millisecond)
-		s.Shutdown()
+		s.Host.Stop()
 		s.ln.Close()
 		for _, p := range s.peers {
 			p.close()

@@ -156,7 +156,7 @@ func (n *Node) pipe(ch int32) *fifo[dueFrame] {
 	q = newFifo[dueFrame]()
 	n.pipes[ch] = q
 	n.wg.Add(1)
-	go n.drain(q, n.relay)
+	go n.pipeLoop(q, n.relay)
 	return q
 }
 

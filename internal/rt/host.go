@@ -61,10 +61,11 @@ func DefaultConfig(m, n int) Config {
 }
 
 // Transport is the one Substrate method a live driver writes itself: how a
-// delivery record physically crosses FIFO channel ch (an executor-local due
-// queue in this package, sockets in internal/netrt). The driver holds an
-// in-flight op on Tasks while a transmitted record is neither stepped nor
-// abandoned, so WaitIdle sees it.
+// delivery record physically crosses FIFO channel ch (the host's due queue at
+// the channel's FIFO clamp in this package, sockets in internal/netrt). A
+// driver that moves records off the executor holds an in-flight op on Tasks
+// while a transmitted record is neither stepped nor abandoned, so WaitIdle
+// sees it.
 type Transport interface {
 	TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec)
 }
@@ -72,15 +73,16 @@ type Transport interface {
 // Host is the live shell around the engine, written once for every
 // wall-clock driver: the single executor goroutine that runs all engine and
 // algorithm work, the task queue that is also the quiescence predicate, the
-// bound record sink, the wall-clock epoch, and the lifecycle and calling
-// conventions (build single-threaded, Start, interact via Do, WaitIdle,
-// then the driver's Stop). It implements the five transport-independent
-// engine.Substrate methods; the driver embeds *Host and adds TransmitRec
-// and a Stop that ends in Shutdown.
+// bound record sink, the wall-clock epoch, the one due queue every deferred
+// record waits in (transport.go), and the lifecycle and calling conventions
+// (build single-threaded, Start, interact via Do, WaitIdle, then Stop). It
+// implements the four transport-independent engine.Substrate methods; the
+// driver embeds *Host and adds TransmitRec (and, in netrt, a Stop that ends
+// in Host.Stop).
 //
 // Records are stepped and freed only on the executor goroutine — the
-// engine's record pool is not thread-safe, which is why stopped paths drop
-// records instead of freeing them (shutdown abandons the pool anyway).
+// engine's record pool is not thread-safe, which is why Stop abandons queued
+// records instead of freeing them (the pool goes with the host anyway).
 type Host struct {
 	cfg Config
 	eng *engine.Engine
@@ -97,10 +99,22 @@ type Host struct {
 	// before and during Start — a datagram session traces its handshake
 	// while the hub is still being built — so it is published atomically.
 	epoch atomic.Pointer[time.Time]
+
+	// The due queue (transport.go): executor only, or the building goroutine
+	// before Start. held counts queued non-daemon records, which share one
+	// in-flight op; queued: a drain is on the task queue or running; armed:
+	// the timer will queue one at wakeAt. drainFn is h.drain, bound once.
+	queue         dueQueue
+	seq           uint64
+	held          int
+	queued, armed bool
+	wakeAt        sim.Time
+	timer         *time.Timer
+	drainFn       func()
 }
 
 // NewHost builds the engine for cfg on the substrate made of the host's own
-// five methods and the driver's TransmitRec. A non-empty cfg.Faults plan
+// four methods and the driver's TransmitRec. A non-empty cfg.Faults plan
 // interposes the deterministic fault injector between the two.
 func NewHost(cfg Config, tr Transport) (*Host, error) {
 	if cfg.Tick <= 0 {
@@ -113,6 +127,9 @@ func NewHost(cfg Config, tr Transport) (*Host, error) {
 		stopped:  make(chan struct{}),
 		execDone: make(chan struct{}),
 	}
+	h.drainFn = h.drain
+	h.timer = time.AfterFunc(time.Hour, func() { h.tasks.Push(h.drainFn) })
+	h.timer.Stop() // armed by schedule only
 	var err error
 	h.eng, h.inj, err = core.NewEngine(cfg.Config, cfg.Faults, struct {
 		*Host
@@ -143,35 +160,12 @@ func (h *Host) BindRecSink(sink engine.RecSink) { h.sink = sink }
 // StepRec interprets (and frees) rec on the bound sink. Executor only.
 func (h *Host) StepRec(rec *engine.DeliveryRec) { h.sink.StepRec(rec) }
 
-// AfterRec arms a wall timer that lands the record on the executor. A daemon
-// record (standing maintenance such as DTN gossip) is armed without holding
-// an in-flight op open, so it cannot wedge WaitIdle.
+// AfterRec queues rec d ticks from now (from Start, before it, as Now). A
+// daemon record (standing maintenance such as DTN gossip) holds no in-flight
+// op while it waits, so it cannot wedge WaitIdle.
 func (h *Host) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
-	if rec.Daemon() {
-		time.AfterFunc(time.Duration(d)*h.cfg.Tick, func() { h.EnqueueRec(rec) })
-		return
-	}
-	h.tasks.OpStart()
-	time.AfterFunc(time.Duration(d)*h.cfg.Tick, func() { h.land(rec) })
-}
-
-// EnqueueRec runs the record on the executor without delay.
-func (h *Host) EnqueueRec(rec *engine.DeliveryRec) {
-	h.tasks.Push(func() { h.sink.StepRec(rec) })
-}
-
-// land is the arrival end of an in-flight record, callable from any
-// goroutine: step it on the executor and resolve the op its sender opened.
-// After Stop the queue is closed, so the record is dropped (not freed — the
-// pool is executor-only) and the op still resolves, leaving nothing in
-// flight behind.
-func (h *Host) land(rec *engine.DeliveryRec) {
-	if !h.tasks.Push(func() {
-		defer h.tasks.OpDone()
-		h.sink.StepRec(rec)
-	}) {
-		h.tasks.OpDone()
-	}
+	now := h.nowNs()
+	h.put(now, now+sim.Time(time.Duration(d)*h.cfg.Tick), rec)
 }
 
 // Tasks is the executor's work queue and in-flight op counter, for the
@@ -179,7 +173,7 @@ func (h *Host) land(rec *engine.DeliveryRec) {
 // OpStart/OpDone bracket an asynchronous transmission for idle tracking).
 func (h *Host) Tasks() *execq.Queue { return h.tasks }
 
-// Stopped is closed when Shutdown begins; transport goroutines select on it.
+// Stopped is closed when Stop begins; transport goroutines select on it.
 func (h *Host) Stopped() <-chan struct{} { return h.stopped }
 
 // Register implements core.Registrar. It must be called before Start.
@@ -207,15 +201,19 @@ func (h *Host) Config() Config { return h.cfg }
 // Searches reports searches performed so far (same calling rules as Stats).
 func (h *Host) Searches() int64 { return h.Stats().Searches }
 
-// Stats returns a copy of the model-level counters. After Start it
-// synchronises with the executor, so it must not be called from inside Do or
-// a handler (read Engine().Stats() there instead).
+// Stats returns a copy of the model-level counters. Between Start and Stop
+// it synchronises with the executor, so it must not be called from inside Do
+// or a handler (read Engine().Stats() there instead); before Start and after
+// Stop it reads them directly.
 func (h *Host) Stats() engine.Stats {
 	if !h.started {
 		return h.eng.Stats()
 	}
 	var st engine.Stats
-	h.Do(func() { st = h.eng.Stats() })
+	if !h.run(func() { st = h.eng.Stats() }) {
+		<-h.execDone // stopped: read once the executor has exited
+		st = h.eng.Stats()
+	}
 	return st
 }
 
@@ -246,14 +244,23 @@ func (h *Host) Do(fn func()) {
 	if !h.started {
 		panic("rt: Do before Start")
 	}
+	if !h.run(fn) {
+		panic("rt: Do after Stop")
+	}
+}
+
+// run runs fn on the executor and waits for it, or reports false at once if
+// Stop has closed the task queue.
+func (h *Host) run(fn func()) bool {
 	done := make(chan struct{})
 	if !h.tasks.Push(func() {
 		defer close(done)
 		fn()
 	}) {
-		panic("rt: Do after Stop")
+		return false
 	}
 	<-done
+	return true
 }
 
 // WaitIdle blocks until the network drains — no task queued, no task
@@ -286,16 +293,23 @@ func (h *Host) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// Shutdown is the host's half of every driver's Stop: close the stop signal
-// and the task queue, and wait for the executor if Start ever launched it.
-// Safe to call more than once and before Start; the driver then releases
-// what is its own (the due queue's timer, sockets).
-func (h *Host) Shutdown() {
+// Stop shuts the host down: it closes the stop signal and the task queue,
+// waits for the executor if Start ever launched it, stops the due timer and
+// abandons the queued records (not freed: the pool is executor-only),
+// resolving their op so nothing is left in flight. Safe to call more than
+// once and before Start. netrt's Stop calls it, then releases its sockets.
+func (h *Host) Stop() {
 	h.stopOnce.Do(func() {
 		close(h.stopped)
 		h.tasks.Close()
 		if h.started {
 			<-h.execDone
+		}
+		h.timer.Stop()
+		h.queue = nil
+		if h.held > 0 {
+			h.held = 0
+			h.tasks.OpDone()
 		}
 	})
 }

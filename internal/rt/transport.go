@@ -7,11 +7,11 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// The runtime's transport only moves deliveries: TransmitRec stamps each
-// record with engine.FIFOClock's arrival clamp in wall nanoseconds and pushes
-// it on one executor-local min-heap on (due, transmit sequence), so each
-// channel lands in transmit order while latencies overlap. One reusable drain
-// func steps what is due; one reusable wall timer queues it for a later head.
+// Every deferred record on a live host waits in one executor-local min-heap
+// on (due, push sequence), due in wall nanoseconds since Start: AfterRec's
+// timers at now + d, System.TransmitRec's deliveries at engine.FIFOClock's
+// arrival clamp. One reusable drain func steps what is due; one reusable
+// wall timer queues it for a later head.
 
 // drainBatch bounds one drain's steps, so Do callers queued behind it run.
 const drainBatch = 256
@@ -57,57 +57,75 @@ func (q *dueQueue) pop() *engine.DeliveryRec {
 }
 
 // nowNs is the due queue's clock: wall nanoseconds since Start, 0 before it.
-func (s *System) nowNs() sim.Time {
-	if epoch := s.epoch.Load(); epoch != nil {
+func (h *Host) nowNs() sim.Time {
+	if epoch := h.epoch.Load(); epoch != nil {
 		return sim.Time(time.Since(*epoch))
 	}
 	return 0
 }
 
+// put queues rec due at time at, with the clock read at now, and schedules a
+// drain for the head. The first queued non-daemon record opens the one op.
+func (h *Host) put(now, at sim.Time, rec *engine.DeliveryRec) {
+	if !rec.Daemon() {
+		if h.held == 0 {
+			h.tasks.OpStart()
+		}
+		h.held++
+	}
+	h.seq++
+	h.queue.push(dueRec{at, h.seq, rec})
+	h.schedule(now)
+}
+
 // schedule makes sure a drain runs by the head's due time: queued now if it
 // is due, else on the timer, unless a queued drain or earlier timer covers it.
-func (s *System) schedule(now sim.Time) {
-	if s.queued || len(s.queue) == 0 {
+func (h *Host) schedule(now sim.Time) {
+	if h.queued || len(h.queue) == 0 {
 		return
 	}
-	head := s.queue[0].at
-	if s.armed {
-		if head >= s.wakeAt {
+	head := h.queue[0].at
+	if h.armed {
+		if head >= h.wakeAt {
 			return
 		}
-		if s.armed = false; !s.timer.Stop() {
-			s.queued = true // it fired: its drain is on the way
+		if h.armed = false; !h.timer.Stop() {
+			h.queued = true // it fired: its drain is on the way
 			return
 		}
 	}
 	if head <= now {
-		s.queued = true
-		s.tasks.Push(s.drainFn)
+		h.queued = true
+		h.tasks.Push(h.drainFn)
 		return
 	}
-	s.armed, s.wakeAt = true, head
-	s.timer.Reset(time.Duration(head - now))
+	h.armed, h.wakeAt = true, head
+	h.timer.Reset(time.Duration(head - now))
 }
 
 // drain steps at most drainBatch due records against one clock reading, then
-// schedules the next drain once for whatever those steps transmitted.
-func (s *System) drain() {
-	s.queued, s.armed = true, false
-	now := s.nowNs()
-	for n := 0; n < drainBatch && len(s.queue) > 0 && s.queue[0].at <= now; n++ {
-		rec := s.queue.pop()
-		if len(s.queue) == 0 {
-			s.tasks.OpDone()
+// schedules once for what they queued. The last non-daemon record out (its
+// kind read before StepRec frees it) resolves the op.
+func (h *Host) drain() {
+	h.queued, h.armed = true, false
+	now := h.nowNs()
+	for n := 0; n < drainBatch && len(h.queue) > 0 && h.queue[0].at <= now; n++ {
+		rec := h.queue.pop()
+		if !rec.Daemon() {
+			if h.held--; h.held == 0 {
+				h.tasks.OpDone()
+			}
 		}
-		s.StepRec(rec)
+		h.sink.StepRec(rec)
 	}
-	s.queued = false
-	s.schedule(s.nowNs())
+	h.queued = false
+	h.schedule(h.nowNs())
 }
 
-// DueTimer is the waiting half of internal/netrt's relay pipes: one
-// reusable timer per pipe goroutine, armed only for a due time that is
-// still ahead. The zero value is ready to use.
+// DueTimer is the waiting half of internal/netrt's relay pipes
+// (member.pipeLoop, in processes that have no Host): one reusable timer per
+// pipe goroutine, armed only for a due time that is still ahead. The zero
+// value is ready to use.
 type DueTimer struct {
 	t *time.Timer
 }

@@ -225,92 +225,125 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 	})
 }
 
-// TestNoGoroutinePerChannel: traffic over every channel of an M=8, N=64
-// system leaves the runtime with its executor and at most one timer
-// goroutine, in flight and at rest — not one goroutine per channel.
-func TestNoGoroutinePerChannel(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := DefaultConfig(8, 64)
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	sys.Start()
-	t.Cleanup(sys.Stop)
-	noop := func() {}
-	sys.Do(func() {
-		for ch := 0; ch < (engine.ChannelLayout{M: cfg.M, N: cfg.N}).Count(); ch++ {
-			sys.TransmitRec(ch, 200, sys.Engine().TimerRec(noop))
-		}
-	})
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Errorf("%d goroutines in flight, %d before the system", n, before)
-	}
-	if !sys.WaitIdle(10 * time.Second) {
-		t.Fatal("due queue did not drain")
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Errorf("%d goroutines after the traffic, %d before the system", n, before)
-	}
+// putRows are the two ways a record enters the host's due queue, each
+// putting rec number i after the given ticks.
+var putRows = []struct {
+	name string
+	put  func(sys *System, i int, ticks sim.Time, rec *engine.DeliveryRec)
+}{
+	{"TransmitRec", func(sys *System, i int, ticks sim.Time, rec *engine.DeliveryRec) {
+		cfg := sys.Config()
+		sys.TransmitRec(i%engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count(), ticks, rec)
+	}},
+	{"AfterRec", func(sys *System, _ int, ticks sim.Time, rec *engine.DeliveryRec) {
+		sys.AfterRec(ticks, rec)
+	}},
 }
 
-// TestDueQueueAllocsFlatInRecords: a Do that transmits k pooled records,
-// and the drains that land them, allocate about the same for k = 10 and
-// k = 1000 — the queue's array, the drain func and the timer are reused,
-// where a closure per landed record would add a thousand.
-func TestDueQueueAllocsFlatInRecords(t *testing.T) {
-	sys := startTicking(t, time.Microsecond)
-	count := engine.ChannelLayout{M: 2, N: 2}.Count()
-	noop := func() {}
-	run := func(k int) float64 {
-		return testing.AllocsPerRun(20, func() {
+// TestNoGoroutinePerChannel: a record for every channel of an M=8, N=64
+// system, transmitted or armed as a timer, leaves the runtime with its
+// executor and at most one timer goroutine, sampled from the put until the
+// last landing — not one goroutine per channel or per timer.
+func TestNoGoroutinePerChannel(t *testing.T) {
+	for _, row := range putRows {
+		t.Run(row.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig(8, 64)
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatalf("NewSystem: %v", err)
+			}
+			sys.Start()
+			defer sys.Stop()
+			noop := func() {}
 			sys.Do(func() {
-				for i := 0; i < k; i++ {
-					sys.TransmitRec(i%count, 1, sys.Engine().TimerRec(noop))
+				for i := 0; i < (engine.ChannelLayout{M: cfg.M, N: cfg.N}).Count(); i++ {
+					row.put(sys, i, 200, sys.Engine().TimerRec(noop))
 				}
 			})
-			if !sys.WaitIdle(10 * time.Second) {
-				t.Fatal("due queue did not drain")
+			peak := 0
+			for deadline := time.Now().Add(10 * time.Second); !sys.WaitIdle(0); {
+				if time.Now().After(deadline) {
+					t.Fatal("due queue did not drain")
+				}
+				peak = max(peak, runtime.NumGoroutine())
+			}
+			if peak > before+2 {
+				t.Errorf("%d goroutines in flight, %d before the system", peak, before)
+			}
+			if n := runtime.NumGoroutine(); n > before+2 {
+				t.Errorf("%d goroutines after the traffic, %d before the system", n, before)
 			}
 		})
 	}
-	few, many := run(10), run(1000)
-	if many > few+8 {
-		t.Errorf("transmitting 1000 records allocated %v times, 10 records %v: the count grows with the batch", many, few)
+}
+
+// TestDueQueueAllocsFlatInRecords: a Do that transmits (or arms as timers)
+// k pooled records, and the drains that land them, allocate about the same
+// for k = 10 and k = 1000 — the queue's array, the drain func and the timer
+// are reused, where a closure or timer per landed record would add a
+// thousand.
+func TestDueQueueAllocsFlatInRecords(t *testing.T) {
+	for _, row := range putRows {
+		t.Run(row.name, func(t *testing.T) {
+			sys := startTicking(t, time.Microsecond)
+			noop := func() {}
+			run := func(k int) float64 {
+				return testing.AllocsPerRun(20, func() {
+					sys.Do(func() {
+						for i := 0; i < k; i++ {
+							row.put(sys, i, 1, sys.Engine().TimerRec(noop))
+						}
+					})
+					if !sys.WaitIdle(10 * time.Second) {
+						t.Fatal("due queue did not drain")
+					}
+				})
+			}
+			few, many := run(10), run(1000)
+			if many > few+8 {
+				t.Errorf("putting 1000 records allocated %v times, 10 records %v: the count grows with the batch", many, few)
+			}
+		})
 	}
 }
 
-// TestTransmitBeforeStartIsDueFromStart: a record transmitted while the
-// system is built is due its latency after Start — Host.Now reads 0 until
-// then — not after the transmission, however long the build took.
+// TestTransmitBeforeStartIsDueFromStart: a record transmitted (or armed as
+// a timer) while the system is built is due its latency after Start —
+// Host.Now reads 0 until then — not after the put, however long the build
+// took.
 func TestTransmitBeforeStartIsDueFromStart(t *testing.T) {
 	const (
 		tick = time.Millisecond
 		lat  = 20
 		l    = lat * tick
 	)
-	cfg := DefaultConfig(2, 2)
-	cfg.Tick = tick
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	var landed time.Time
-	sys.TransmitRec(0, lat, sys.Engine().TimerRec(func() { landed = time.Now() }))
-	time.Sleep(2 * l) // the build outlasts the latency
-	start := time.Now()
-	sys.Start()
-	t.Cleanup(sys.Stop)
-	if !sys.WaitIdle(10 * time.Second) {
-		t.Fatal("the record never landed")
-	}
-	var after time.Duration
-	sys.Do(func() { after = landed.Sub(start) })
-	if after < l {
-		t.Errorf("landed %v after Start, before its latency %v", after, l)
-	}
-	if after > l+2*time.Second {
-		t.Errorf("landed %v after Start, want about its latency %v", after, l)
+	for _, row := range putRows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig(2, 2)
+			cfg.Tick = tick
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatalf("NewSystem: %v", err)
+			}
+			var landed time.Time
+			row.put(sys, 0, lat, sys.Engine().TimerRec(func() { landed = time.Now() }))
+			time.Sleep(2 * l) // the build outlasts the latency
+			start := time.Now()
+			sys.Start()
+			defer sys.Stop()
+			if !sys.WaitIdle(10 * time.Second) {
+				t.Fatal("the record never landed")
+			}
+			var after time.Duration
+			sys.Do(func() { after = landed.Sub(start) })
+			if after < l {
+				t.Errorf("landed %v after Start, before its latency %v", after, l)
+			}
+			if after > l+2*time.Second {
+				t.Errorf("landed %v after Start, want about its latency %v", after, l)
+			}
+		})
 	}
 }
 
