@@ -134,10 +134,11 @@ chaos-udp:
 # baseline under custodian-crash plans, exactly-once + FIFO drain under
 # wireless loss on all four substrates, token recovery still regenerating
 # exactly once with DTN attached — plus the dtn package's own suite, race
-# detector on. See DESIGN.md §13.
+# detector on, three times: recycled flights and reused store entries are
+# aliasing a single pass can miss. See DESIGN.md §13.
 chaos-dtn:
 	$(GO) test -race -run 'TestChaosDTN|TestConformanceDTN' -count 1 ./internal/conformance/
-	$(GO) test -race -count 1 ./internal/dtn/
+	$(GO) test -race -count 3 ./internal/dtn/
 
 # Extended loopback soak: churn + CS traffic + fault injection + one relay
 # crash/restart cycle over real sockets for 15s under the race detector

@@ -168,3 +168,63 @@ func TestStoreFrontRemovalMovesNothing(t *testing.T) {
 		t.Errorf("removing the 4th of %d residents shifted %d slots, want 3", window, got)
 	}
 }
+
+// TestReplicaCostsOneAllocation pins the replica path's garbage: the one
+// object a replica costs is the Bundle replicate makes for its message.
+// The message boxes without allocating (bundleMsg is one pointer), the
+// arrival stores the pointer it carries instead of a copy, the store
+// reuses a freed arena entry, and the bundle's flight — held open here
+// by a second copy on its way elsewhere — takes the new destination in
+// place.
+func TestReplicaCostsOneAllocation(t *testing.T) {
+	mgr, log := parkedManager(t, 64)
+	b := mgr.stores[0].All()[10]
+	mgr.inflightInc(b, 2)
+	cycle := func() {
+		log.sent = log.sent[:0]
+		mgr.replicate(0, 1, b, 1)
+		msg := log.sent[0].(bundleMsg)
+		mgr.HandleMSS(mgr.ctx, 1, engine.From{MSS: 0}, msg)
+		if got := mgr.stores[1].Get(b.ID); got != msg.b {
+			t.Fatalf("station 1 holds %p for bundle %d, want the arriving replica %p", got, b.ID, msg.b)
+		}
+		mgr.remove(1, b.ID)
+	}
+	cycle() // warm: the arena entry and the flight's destination slots
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
+		t.Errorf("replicate + arrival + Put allocated %.1f objects per replica, want at most 1 (the Bundle)", allocs)
+	}
+	if f := mgr.inflight[b.ID]; f == nil || f.total != 1 || mgr.inFlightTotal != 1 {
+		t.Fatalf("flight after the cycles: %+v, in flight %d; want the one copy toward station 2", f, mgr.inFlightTotal)
+	}
+}
+
+// TestFlightLedgerAllocatesNothing pins the in-flight ledger: counting a
+// copy onto and off an existing flight reuses its destination slots, and
+// a drained flight is recycled for the next bundle put on the wire.
+func TestFlightLedgerAllocatesNothing(t *testing.T) {
+	mgr, _ := parkedManager(t, 4)
+	all := mgr.stores[0].All()
+	a, b := all[0], all[1]
+	mgr.inflightInc(a, 2)
+	mgr.inflightInc(a, 1)
+	mgr.inflightDec(a.ID, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		mgr.inflightInc(a, 1)
+		if !mgr.inflightDec(a.ID, 1) {
+			t.Fatal("inflightDec lost the copy toward station 1")
+		}
+	}); allocs != 0 {
+		t.Errorf("inflightInc/inflightDec on an existing flight allocated %.1f objects, want 0", allocs)
+	}
+	mgr.inflightDec(a.ID, 2)
+	if len(mgr.inflight) != 0 || len(mgr.spareFlights) != 1 {
+		t.Fatalf("drained ledger: %d flights, %d spare; want 0 and 1", len(mgr.inflight), len(mgr.spareFlights))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		mgr.inflightInc(b, 1)
+		mgr.inflightDec(b.ID, 1)
+	}); allocs != 0 {
+		t.Errorf("a flight opened after another drained allocated %.1f objects, want 0 (the spare)", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package dtn
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Summary-vector codec: the anti-entropy payload exchanged by the
@@ -117,11 +118,22 @@ func (r *summaryReader) read(dst []BundleID) int {
 // order. It rejects truncated input, trailing garbage, duplicate IDs,
 // and deltas that would overflow.
 func DecodeSummary(data []byte) ([]BundleID, error) {
-	r := readSummary(data)
-	ids := make([]BundleID, r.n)
-	r.read(ids)
-	if r.err != nil {
-		return nil, r.err
+	ids, err := appendDecoded(nil, data)
+	if err != nil {
+		return nil, err
 	}
 	return ids, nil
+}
+
+// appendDecoded is DecodeSummary onto dst, for a caller that reuses its
+// buffer. On error it returns dst with nothing appended.
+func appendDecoded(dst []BundleID, data []byte) ([]BundleID, error) {
+	r := readSummary(data)
+	n := len(dst)
+	dst = slices.Grow(dst, int(r.n))[:n+int(r.n)]
+	r.read(dst[n:])
+	if r.err != nil {
+		return dst[:n], r.err
+	}
+	return dst, nil
 }

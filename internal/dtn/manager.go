@@ -2,6 +2,7 @@ package dtn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mobiledist/internal/cost"
@@ -11,11 +12,15 @@ import (
 
 // Wire messages. These travel MSS-to-MSS over the engine's wired channel
 // (SendFixed, charged to cost.CatControl like the mobility plumbing they
-// extend); payloads stay by-value so the netrt substrates relay them
-// hub-side like any other algorithm message.
+// extend). A bundleMsg owns the replica it carries: replicate makes it
+// for the message, transfer hands over one it just took out of a store,
+// and the receiving station stores that same Bundle. One replica per
+// message, never shared, so a replica costs one allocation and nothing
+// is copied on arrival. On netrt, payloads never leave the hub, which
+// relays them like any other algorithm message.
 type (
 	// bundleMsg carries one replica to a peer station.
-	bundleMsg struct{ b Bundle }
+	bundleMsg struct{ b *Bundle }
 	// summaryMsg is an anti-entropy summary vector (EncodeSummary).
 	summaryMsg struct{ data []byte }
 	// wantMsg answers a summary with the IDs the receiver lacks.
@@ -63,11 +68,14 @@ type Manager struct {
 	// travelling even if every store drained.
 	inflight      map[BundleID]*flight
 	inFlightTotal int
+	spareFlights  []*flight // drained, for reuse
 	nextID        BundleID
 
-	connected []bool           // per MH: false between disconnect() and reconnect join
-	visits    [][]engine.MSSID // per MH: recently joined cells, most recent first
-	down      []bool           // per MSS: true between NoteCrash and NoteRestart
+	connected []bool // per MH: false between disconnect() and reconnect join
+	// visits holds per MH the recently joined cells, most recent first,
+	// each in its own HistoryDepth-capacity window of one backing array.
+	visits [][]engine.MSSID
+	down   []bool // per MSS: true between NoteCrash and NoteRestart
 
 	tickArmed bool
 	stats     Stats
@@ -83,8 +91,24 @@ type Manager struct {
 // copies travelling toward each destination station.
 type flight struct {
 	b     Bundle
-	dests map[engine.MSSID]int
+	dests []flightDest // one per station with copies on the way, n > 0
 	total int
+}
+
+// flightDest counts the copies of one bundle travelling toward to.
+type flightDest struct {
+	to engine.MSSID
+	n  int32
+}
+
+// dest returns the index of to in f.dests, or -1.
+func (f *flight) dest(to engine.MSSID) int {
+	for i := range f.dests {
+		if f.dests[i].to == to {
+			return i
+		}
+	}
+	return -1
 }
 
 // Manager capabilities, checked at compile time.
@@ -130,13 +154,18 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	for i := range m.connected {
 		m.connected[i] = true
 	}
+	depth := cfg.HistoryDepth
+	history := make([]engine.MSSID, m.ctx.N()*depth)
 	m.visits = make([][]engine.MSSID, m.ctx.N())
+	for mh := range m.visits {
+		m.visits[mh] = history[mh*depth : mh*depth : (mh+1)*depth]
+	}
 	// Seed the visit history with the initial placement: OnJoin only
 	// fires for later moves, but "where a host started" is as good a
 	// spray target as any visited cell.
 	for i := range m.stores {
 		for _, mh := range m.ctx.LocalMHs(engine.MSSID(i)) {
-			m.visits[mh] = []engine.MSSID{engine.MSSID(i)}
+			m.visits[mh] = append(m.visits[mh], engine.MSSID(i))
 		}
 	}
 	m.down = make([]bool, m.ctx.M())
@@ -282,10 +311,10 @@ func (m *Manager) HandleMSS(ctx engine.Context, at engine.MSSID, from engine.Fro
 			// copy NoteCrash already reaped was loss-accounted there,
 			// so only still-tracked copies are lost here.
 			if tracked {
-				m.lose(at, &b)
+				m.lose(at, b)
 			}
 		} else {
-			m.acceptBundle(at, &b)
+			m.acceptBundle(at, b)
 		}
 	case summaryMsg:
 		if !m.down[at] && !from.IsMH {
@@ -380,40 +409,70 @@ func (m *Manager) deliver(at engine.MSSID, b *Bundle) {
 // ---- replica movement ----
 
 // replicate copies b from one station to another, giving the new
-// replica the stated token budget. Replication toward a down station is
-// a silent no-op (its store is gone and the wire to it is dead), so no
-// copy is created or charged.
+// replica the stated token budget: the copy is the one allocation a
+// replica costs, and the message owns it. Replication toward a down
+// station is a silent no-op (its store is gone and the wire to it is
+// dead), so no copy is created or charged.
 func (m *Manager) replicate(from, to engine.MSSID, b *Bundle, tokens int) {
 	if m.down[to] {
 		return
 	}
-	cp := *b
+	cp := new(Bundle)
+	*cp = *b
 	cp.Tokens = tokens
 	m.copies[b.ID]++
-	m.inflightInc(&cp, to)
+	m.inflightInc(cp, to)
 	m.stats.Transfers++
 	m.ctx.NoteBundleTransfer(uint64(b.ID), from, to)
 	m.ctx.SendFixed(from, to, bundleMsg{b: cp}, cost.CatControl)
 }
 
 // transfer moves b (already removed from from's store) toward to
-// without creating a new replica — the custody move of DeliverAll.
+// without creating a new replica — the custody move of DeliverAll. The
+// message takes b over.
 func (m *Manager) transfer(from, to engine.MSSID, b *Bundle) {
 	m.inflightInc(b, to)
 	m.stats.Transfers++
 	m.ctx.NoteBundleTransfer(uint64(b.ID), from, to)
-	m.ctx.SendFixed(from, to, bundleMsg{b: *b}, cost.CatControl)
+	m.ctx.SendFixed(from, to, bundleMsg{b: b}, cost.CatControl)
 }
 
 func (m *Manager) inflightInc(b *Bundle, to engine.MSSID) {
 	f := m.inflight[b.ID]
 	if f == nil {
-		f = &flight{b: *b, dests: make(map[engine.MSSID]int)}
+		if n := len(m.spareFlights); n > 0 {
+			f = m.spareFlights[n-1]
+			m.spareFlights = m.spareFlights[:n-1]
+		} else {
+			f = new(flight)
+		}
+		f.b = *b
 		m.inflight[b.ID] = f
 	}
-	f.dests[to]++
+	if i := f.dest(to); i >= 0 {
+		f.dests[i].n++
+	} else {
+		f.dests = append(f.dests, flightDest{to: to, n: 1})
+	}
 	f.total++
 	m.inFlightTotal++
+}
+
+// landed retires n copies of f's bundle toward dests[i], recycling the
+// flight once nothing of the bundle is left on the wire.
+func (m *Manager) landed(f *flight, i int, n int32) {
+	if f.dests[i].n -= n; f.dests[i].n == 0 {
+		last := len(f.dests) - 1
+		f.dests[i] = f.dests[last]
+		f.dests = f.dests[:last]
+	}
+	f.total -= int(n)
+	m.inFlightTotal -= int(n)
+	if f.total == 0 {
+		delete(m.inflight, f.b.ID)
+		f.b = Bundle{}
+		m.spareFlights = append(m.spareFlights, f)
+	}
 }
 
 // inflightDec retires one on-the-wire copy that just surfaced at
@@ -423,18 +482,14 @@ func (m *Manager) inflightInc(b *Bundle, to engine.MSSID) {
 // not loss-account it a second time.
 func (m *Manager) inflightDec(id BundleID, at engine.MSSID) bool {
 	f := m.inflight[id]
-	if f == nil || f.dests[at] == 0 {
+	if f == nil {
 		return false
 	}
-	f.dests[at]--
-	if f.dests[at] == 0 {
-		delete(f.dests, at)
+	i := f.dest(at)
+	if i < 0 {
+		return false
 	}
-	f.total--
-	if f.total == 0 {
-		delete(m.inflight, id)
-	}
-	m.inFlightTotal--
+	m.landed(f, i, 1)
 	return true
 }
 
@@ -470,11 +525,16 @@ func (m *Manager) handleSummary(at, peer engine.MSSID, data []byte) {
 	m.ctx.SendFixed(at, peer, wantMsg{data: EncodeSummary(want)}, cost.CatControl)
 }
 
+// handleWant replicates every still-present bundle a peer asked for. The
+// want-list is decoded into the manager's ID scratch, lent out for the
+// walk like bundleBuf; a corrupt list is dropped whole.
 func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
-	ids, err := DecodeSummary(data)
+	ids, err := appendDecoded(m.wantBuf[:0], data)
 	if err != nil {
+		m.wantBuf = ids
 		return
 	}
+	m.wantBuf = nil
 	now := m.ctx.Now()
 	for _, id := range ids {
 		b := m.stores[at].Get(id)
@@ -491,6 +551,7 @@ func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 		m.stores[at].Touch(id)
 		m.replicate(at, peer, b, 1)
 	}
+	m.wantBuf = ids[:0]
 }
 
 // ---- replica loss paths ----
@@ -572,16 +633,20 @@ func (m *Manager) OnDisconnect(ctx engine.Context, mss engine.MSSID, mh engine.M
 	m.strategy.ReportPeerDisappeared(m, mss, mh)
 }
 
+// noteVisit moves mss to the front of mh's history in place: an earlier
+// visit to it is taken out, and a full history drops its oldest cell.
 func (m *Manager) noteVisit(mh engine.MHID, mss engine.MSSID) {
 	v := m.visits[mh]
-	out := make([]engine.MSSID, 0, len(v)+1)
-	out = append(out, mss)
-	for _, c := range v {
-		if c != mss && len(out) < m.cfg.HistoryDepth {
-			out = append(out, c)
+	k := slices.Index(v, mss)
+	if k < 0 {
+		if len(v) < m.cfg.HistoryDepth {
+			v = append(v, 0)
 		}
+		k = len(v) - 1
 	}
-	m.visits[mh] = out
+	copy(v[1:k+1], v[:k])
+	v[0] = mss
+	m.visits[mh] = v
 }
 
 // ---- crash seam ----
@@ -617,21 +682,16 @@ func (m *Manager) reapInflight(mss engine.MSSID) {
 	// leak into the event trace (seeded runs are byte-identical).
 	var ids []BundleID
 	for id, f := range m.inflight {
-		if f.dests[mss] > 0 {
+		if f.dest(mss) >= 0 {
 			ids = append(ids, id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := m.inflight[id]
-		n := f.dests[mss]
-		delete(f.dests, mss)
-		f.total -= n
-		if f.total == 0 {
-			delete(m.inflight, id)
-		}
-		m.inFlightTotal -= n
-		b := f.b
+		i := f.dest(mss)
+		n, b := f.dests[i].n, f.b
+		m.landed(f, i, n)
 		for ; n > 0; n-- {
 			m.lose(mss, &b)
 		}
@@ -666,6 +726,8 @@ func (m *Manager) StoredAt(at engine.MSSID) []BundleID {
 }
 
 // RecentCells returns the cells mh recently joined, most recent first.
+// The history is updated in place, so the result is valid until the
+// host's next join: read it synchronously, as SprayAndWait does.
 func (m *Manager) RecentCells(mh engine.MHID) []engine.MSSID {
 	return m.visits[mh]
 }

@@ -24,15 +24,22 @@ import (
 // bundle — the first to expire, drain or be evicted — sits at the front;
 // the live window is slots[head:], a front removal only advances head,
 // and any other insert or removal shifts whichever side of the window is
-// shorter (DESIGN.md §13).
+// shorter. The index holds no pointers: a slot names its entry by
+// position in an arena, so a shift is a plain memmove and the collector
+// never scans the index (DESIGN.md §13).
 type Store struct {
 	cap   int // 0 = unlimited
 	quota int // per-MH, 0 = unlimited
 
 	slots []slot
 	head  int
-	// lruHead/lruTail is the eviction order, least recently useful first.
-	lruHead, lruTail *storeEntry
+	// ents is the entry arena the slots index. An entry not in use is on
+	// the free list, linked through next; free is its first (none when
+	// empty). lruHead/lruTail is the eviction order over the entries in
+	// use, least recently useful first.
+	ents             []storeEntry
+	free             int32
+	lruHead, lruTail int32
 	perMH            map[engine.MHID]int
 
 	// minExpiry is a lower bound on the earliest deadline among the
@@ -49,26 +56,35 @@ type Store struct {
 	moved int
 }
 
-// slot is one resident in the ordered index. The ID and destination sit
-// inline so lookups and per-host walks touch no other memory.
+// slot is one resident in the ordered index, 16 bytes and pointer-free:
+// the ID and destination sit inline so lookups and per-host walks touch
+// no other memory, and e is the resident's position in the entry arena.
 type slot struct {
 	id BundleID
 	mh engine.MHID
-	e  *storeEntry
+	e  int32
 }
 
+// storeEntry is one arena entry: the replica and its neighbours in the
+// eviction order (none at either end).
 type storeEntry struct {
 	b          *Bundle
-	prev, next *storeEntry
+	prev, next int32
 }
+
+// none is the null entry link.
+const none int32 = -1
 
 // NewStore returns an empty store with the given capacity and per-MH
 // quota (0 = unlimited for either).
 func NewStore(cap, quota int) *Store {
 	return &Store{
-		cap:   cap,
-		quota: quota,
-		perMH: make(map[engine.MHID]int),
+		cap:     cap,
+		quota:   quota,
+		free:    none,
+		lruHead: none,
+		lruTail: none,
+		perMH:   make(map[engine.MHID]int),
 	}
 }
 
@@ -108,7 +124,7 @@ func (s *Store) Has(id BundleID) bool {
 // Get returns the resident replica, or nil.
 func (s *Store) Get(id BundleID) *Bundle {
 	if i, ok := s.find(id); ok {
-		return s.live()[i].e.b
+		return s.ents[s.live()[i].e].b
 	}
 	return nil
 }
@@ -127,13 +143,13 @@ func (s *Store) Put(b *Bundle) (evicted *Bundle, ok bool) {
 		return nil, false
 	}
 	if s.cap > 0 && s.Len() >= s.cap {
-		victim, _ := s.find(s.lruHead.b.ID)
+		victim, _ := s.find(s.ents[s.lruHead].b.ID)
 		evicted = s.removeSlot(victim)
 		if victim < i {
 			i--
 		}
 	}
-	e := &storeEntry{b: b}
+	e := s.alloc(b)
 	s.insertAt(i, slot{id: b.ID, mh: b.MH, e: e})
 	s.pushBack(e)
 	s.perMH[b.MH]++
@@ -193,7 +209,7 @@ func (s *Store) appendForMH(dst []*Bundle, mh engine.MHID) []*Bundle {
 	}
 	for _, sl := range s.live() {
 		if sl.mh == mh {
-			dst = append(dst, sl.e.b)
+			dst = append(dst, s.ents[sl.e].b)
 			if left--; left == 0 {
 				break
 			}
@@ -209,7 +225,7 @@ func (s *Store) All() []*Bundle {
 
 func (s *Store) appendAll(dst []*Bundle) []*Bundle {
 	for _, sl := range s.live() {
-		dst = append(dst, sl.e.b)
+		dst = append(dst, s.ents[sl.e].b)
 	}
 	return dst
 }
@@ -247,7 +263,7 @@ func (s *Store) appendExpired(dst []*Bundle, now sim.Time) []*Bundle {
 	}
 	var next sim.Time
 	for _, sl := range s.live() {
-		b := sl.e.b
+		b := s.ents[sl.e].b
 		switch {
 		case b.expired(now):
 			dst = append(dst, b)
@@ -260,18 +276,40 @@ func (s *Store) appendExpired(dst []*Bundle, now sim.Time) []*Bundle {
 }
 
 // removeSlot takes the resident at position i of the ordered index out of
-// the index, the eviction order and the per-MH count.
+// the index, the eviction order and the per-MH count, and frees its entry.
 func (s *Store) removeSlot(i int) *Bundle {
 	e := s.live()[i].e
+	b := s.ents[e].b
 	s.unlink(e)
+	s.release(e)
 	s.removeAt(i)
-	if n := s.perMH[e.b.MH] - 1; n > 0 {
-		s.perMH[e.b.MH] = n
+	if n := s.perMH[b.MH] - 1; n > 0 {
+		s.perMH[b.MH] = n
 	} else {
-		delete(s.perMH, e.b.MH)
+		delete(s.perMH, b.MH)
 	}
 	s.vec = nil
-	return e.b
+	return b
+}
+
+// alloc takes an arena entry for b: the first free one, else a new one
+// at the end of the arena.
+func (s *Store) alloc(b *Bundle) int32 {
+	e := s.free
+	if e == none {
+		e = int32(len(s.ents))
+		s.ents = append(s.ents, storeEntry{})
+	} else {
+		s.free = s.ents[e].next
+	}
+	s.ents[e].b = b
+	return e
+}
+
+// release puts an unlinked entry on the free list, dropping its replica.
+func (s *Store) release(e int32) {
+	s.ents[e] = storeEntry{next: s.free}
+	s.free = e
 }
 
 // insertAt places sl at position i of the ordered index.
@@ -283,9 +321,7 @@ func (s *Store) insertAt(i int, sl slot) {
 			// Out of room with at least as much dead space below head
 			// as there are residents: slide down instead of growing.
 			// Each slide is paid for by the front removals before it.
-			old := len(s.slots)
 			copy(s.slots, s.slots[s.head:])
-			clear(s.slots[n:old])
 			s.slots, s.head = s.slots[:n], 0
 			s.moved += n
 		}
@@ -311,12 +347,10 @@ func (s *Store) removeAt(i int) {
 	live := s.live()
 	if last := len(live) - 1; i < last-i {
 		copy(live[1:i+1], live[:i])
-		live[0] = slot{}
 		s.head++
 		s.moved += i
 	} else {
 		copy(live[i:], live[i+1:])
-		live[last] = slot{}
 		s.slots = s.slots[:len(s.slots)-1]
 		s.moved += last - i
 	}
@@ -325,26 +359,26 @@ func (s *Store) removeAt(i int) {
 	}
 }
 
-func (s *Store) pushBack(e *storeEntry) {
-	e.prev, e.next = s.lruTail, nil
-	if s.lruTail != nil {
-		s.lruTail.next = e
+func (s *Store) pushBack(e int32) {
+	s.ents[e].prev, s.ents[e].next = s.lruTail, none
+	if s.lruTail != none {
+		s.ents[s.lruTail].next = e
 	} else {
 		s.lruHead = e
 	}
 	s.lruTail = e
 }
 
-func (s *Store) unlink(e *storeEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (s *Store) unlink(e int32) {
+	prev, next := s.ents[e].prev, s.ents[e].next
+	if prev != none {
+		s.ents[prev].next = next
 	} else {
-		s.lruHead = e.next
+		s.lruHead = next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if next != none {
+		s.ents[next].prev = prev
 	} else {
-		s.lruTail = e.prev
+		s.lruTail = prev
 	}
-	e.prev, e.next = nil, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mobiledist/internal/engine"
 	"mobiledist/internal/sim"
@@ -89,6 +90,32 @@ func TestStorePutResidentIDPanics(t *testing.T) {
 		}
 	}()
 	s.Put(mkBundle(7, 0))
+}
+
+// TestStoreIndexHoldsNoPointers pins the layout DESIGN.md §13 relies on:
+// the ordered index is shifted by plain memmove and never scanned by the
+// collector only while a slot holds no pointer of any kind. A field that
+// brings one back (a *storeEntry, a string, a slice) fails here.
+func TestStoreIndexHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+			reflect.Map, reflect.String, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: the store index must hold no pointers (DESIGN.md §13, Layout)", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("slot", reflect.TypeOf(slot{}))
+	if size := unsafe.Sizeof(slot{}); size != 16 {
+		t.Errorf("slot is %d bytes, want 16 (DESIGN.md §13, Layout)", size)
+	}
 }
 
 // ---- reference model ----
@@ -296,6 +323,26 @@ func FuzzStoreModel(f *testing.F) {
 		fzSweep, 0, 3, fzSweep, 2, 0, fzPut, 2, 0x0c, fzSweep, 8, 0, fzSweep, 60, 0))
 	// A Put of a resident ID.
 	f.Add(byte(0), byte(0), fzOps(fzPut, 6, 0, fzPut, 6, 1))
+	// Fill a cap-4 store, evict through it, drain it and refill it, so
+	// freed arena entries are reused out of order by the evictions, the
+	// removals and the refill.
+	var refill []byte
+	for i := 0; i < 10; i++ {
+		refill = append(refill, fzPutFresh, 0, byte(i%4))
+	}
+	refill = append(refill, fzTouch, 0, 0, fzRemove, 2, 0, fzPut, 2, 1, fzPut, 9, 2)
+	for i := 0; i < 4; i++ {
+		refill = append(refill, fzFront, 0, 0)
+	}
+	for i := 0; i < 6; i++ {
+		refill = append(refill, fzPut, byte(20-3*i), byte(i))
+	}
+	f.Add(byte(4), byte(0), refill)
+	// The same at cap 2 with a quota, arbitrary IDs: every Put past the
+	// second evicts, and refused Puts must not take an entry.
+	f.Add(byte(2), byte(1), fzOps(
+		fzPut, 5, 0, fzPut, 3, 1, fzPut, 7, 2, fzPut, 4, 2, fzPut, 1, 3, fzTouch, 4, 0,
+		fzPut, 8, 0, fzRemove, 8, 0, fzRemove, 4, 0, fzPut, 6, 1, fzPut, 2, 1, fzPut, 9, 3))
 
 	f.Fuzz(func(t *testing.T, capByte, quotaByte byte, ops []byte) {
 		cap, quota := int(capByte%17), int(quotaByte%5)
@@ -415,29 +462,58 @@ func compareStores(t *testing.T, got *Store, want *modelStore) {
 	// The eviction order is only observable one Put at a time; compare
 	// the whole list here so a divergence shows at the step that made it.
 	ge, we := got.lruHead, want.head
-	for ; ge != nil && we != nil; ge, we = ge.next, we.next {
-		if ge.b != we.b {
-			t.Fatalf("eviction order diverges at bundle %d, model %d", ge.b.ID, we.b.ID)
+	prev := none
+	for ; ge != none && we != nil; ge, we = got.ents[ge].next, we.next {
+		if got.ents[ge].b != we.b {
+			t.Fatalf("eviction order diverges at bundle %d, model %d", got.ents[ge].b.ID, we.b.ID)
 		}
+		if got.ents[ge].prev != prev {
+			t.Fatalf("entry %d links back to %d, want %d", ge, got.ents[ge].prev, prev)
+		}
+		prev = ge
 	}
-	if ge != nil || we != nil {
-		t.Fatalf("eviction lists differ in length")
+	if ge != none || we != nil || got.lruTail != prev {
+		t.Fatalf("eviction lists differ in length, or the tail %d is not the last entry %d", got.lruTail, prev)
 	}
 	// The store's own invariants.
+	inUse := make(map[int32]bool)
 	for i, sl := range got.live() {
 		if i > 0 && got.live()[i-1].id >= sl.id {
 			t.Fatalf("index not strictly ascending at %d: %d then %d", i, got.live()[i-1].id, sl.id)
 		}
-		if sl.e.b.ID != sl.id || sl.e.b.MH != sl.mh {
-			t.Fatalf("slot %d (id %d mh %d) does not describe its bundle (id %d mh %d)", i, sl.id, sl.mh, sl.e.b.ID, sl.e.b.MH)
+		if sl.e < 0 || int(sl.e) >= len(got.ents) || inUse[sl.e] {
+			t.Fatalf("slot %d names entry %d: out of the arena's %d or named twice", i, sl.e, len(got.ents))
 		}
-		if x := sl.e.b.Expiry; x != 0 && (got.minExpiry == 0 || got.minExpiry > x) {
+		inUse[sl.e] = true
+		b := got.ents[sl.e].b
+		if b == nil || b.ID != sl.id || b.MH != sl.mh {
+			t.Fatalf("slot %d (id %d mh %d) does not describe its entry's bundle %v", i, sl.id, sl.mh, b)
+		}
+		if x := b.Expiry; x != 0 && (got.minExpiry == 0 || got.minExpiry > x) {
 			t.Fatalf("expiry watermark %d is not a lower bound: bundle %d expires at %d", got.minExpiry, sl.id, x)
 		}
 	}
-	for i, sl := range got.slots[:cap(got.slots)] {
-		if (i < got.head || i >= len(got.slots)) && sl != (slot{}) {
-			t.Fatalf("dead slot %d (window %d:%d) still holds bundle %d", i, got.head, len(got.slots), sl.id)
+	// Every arena entry is either named by a slot or on the free list,
+	// and a free entry is reachable from neither the index nor the
+	// eviction order.
+	free := 0
+	for e := got.free; e != none; e = got.ents[e].next {
+		if inUse[e] {
+			t.Fatalf("free entry %d is still named by a slot", e)
+		}
+		if got.ents[e].b != nil {
+			t.Fatalf("free entry %d still holds bundle %d", e, got.ents[e].b.ID)
+		}
+		if free++; free > len(got.ents) {
+			t.Fatalf("free list has a cycle")
+		}
+	}
+	if got.Len()+free != len(got.ents) {
+		t.Fatalf("%d live entries and %d free ones, arena holds %d", got.Len(), free, len(got.ents))
+	}
+	for e := got.lruHead; e != none; e = got.ents[e].next {
+		if !inUse[e] {
+			t.Fatalf("eviction order reaches entry %d, which no slot names", e)
 		}
 	}
 }
