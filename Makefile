@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 30s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 30s ./internal/dgram
+	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
 
@@ -96,6 +97,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 5s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzPacketHeader -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 5s ./internal/dgram
+	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 5s -fuzzminimizetime 500x ./internal/dtn
 
@@ -124,10 +126,11 @@ chaos-net:
 # Datagram-substrate conformance: the UDP transport (authenticated dgram
 # sessions) driven through the seeded datagram nemesis — drops, duplicates,
 # reorders, jitter on every link — plus the dgram package's own protocol
-# suite, race detector on. See DESIGN.md §12.
+# suite, race detector on, three times: reused MAC state and tags summed in
+# place are aliasing a single pass can miss. See DESIGN.md §12.
 chaos-udp:
 	$(GO) test -race -run 'TestUDP' -count 1 -timeout 300s ./internal/conformance/ ./internal/nemesis/
-	$(GO) test -race -count 1 ./internal/dgram/
+	$(GO) test -race -count 3 ./internal/dgram/
 
 # Store-carry-forward conformance: the custody subsystem's chaos and
 # cross-substrate tests — delivery ratio strictly above the park-at-MSS

@@ -30,7 +30,9 @@ type packetSink func(pkt []byte) error
 
 // segment is one in-flight run of stream bytes awaiting acknowledgement.
 type segment struct {
-	off     uint64
+	off uint64
+	// data aliases the body of the segment's first sealed packet, which
+	// nothing writes again; a retransmit seals a copy into a new packet.
 	data    []byte
 	sentAt  time.Time
 	retries int
@@ -49,11 +51,12 @@ type oooSeg struct {
 // in-flight window); read deadlines are.
 type Conn struct {
 	cfg Config
-	// sealKey authenticates outbound packets, openKey inbound; they are
-	// the two direction keys of dirKeys, swapped between the sides, so a
-	// reflected datagram never authenticates (see packet.go).
-	sealKey []byte
-	openKey []byte
+	// sealMAC authenticates outbound packets, openMAC inbound; they are
+	// keyed once with the two direction keys of dirKeys, swapped between
+	// the sides, so a reflected datagram never authenticates (see
+	// packet.go). Both are used only under mu.
+	sealMAC *sessionMAC
+	openMAC *sessionMAC
 	send    packetSink
 	local   net.Addr
 	remote  net.Addr
@@ -86,12 +89,17 @@ type Conn struct {
 	// send side: segments ordered by offset, all with off+len > cumAcked.
 	nextOff  uint64
 	cumAcked uint64
-	segs     []*segment
+	segs     []segment
 
-	// receive side.
+	// receive side. readBuf[readPos:] is not yet read.
 	recvBase uint64
 	ooo      []oooSeg
+	oooBytes int // stream bytes parked in ooo
 	readBuf  []byte
+	readPos  int
+	// ackOwed counts in-order stream bytes taken in since the last ack
+	// went out; the retransmit tick acks them (see handleDataLocked).
+	ackOwed int
 
 	readDeadline time.Time
 
@@ -102,11 +110,14 @@ type Conn struct {
 }
 
 func newConn(cfg Config, key []byte, side int32, send packetSink, local, remote net.Addr) *Conn {
-	dialKey, acceptKey := dirKeys(key)
+	sealKey, openKey := dirKeys(key)
+	if side == sideAccept {
+		sealKey, openKey = openKey, sealKey
+	}
 	c := &Conn{
 		cfg:      cfg,
-		sealKey:  dialKey,
-		openKey:  acceptKey,
+		sealMAC:  newSessionMAC(sealKey),
+		openMAC:  newSessionMAC(openKey),
 		side:     side,
 		send:     send,
 		local:    local,
@@ -114,9 +125,6 @@ func newConn(cfg Config, key []byte, side int32, send packetSink, local, remote 
 		accepted: make(chan struct{}),
 		lastRecv: time.Now(),
 		done:     make(chan struct{}),
-	}
-	if side == sideAccept {
-		c.sealKey, c.openKey = acceptKey, dialKey
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -130,15 +138,22 @@ func (c *Conn) trace(kind obs.EventKind, b, cc int32) {
 	}
 }
 
-// sealNextLocked seals one datagram under the next packet sequence and
-// counts it as sent; the caller ships it — bulk senders drop mu first, so
-// socket writes never stall the listener's shared readLoop on this
-// session's lock.
-func (c *Conn) sealNextLocked(ptype byte, body []byte) []byte {
-	pkt := sealPacket(c.sealKey, header{Type: ptype, Session: c.sid, Seq: c.nextSeq}, body)
+// packetLocked starts the next outbound datagram: its header under the
+// next packet sequence, in a buffer with room for a bodyLen-byte body and
+// the tag (see newPacket).
+func (c *Conn) packetLocked(ptype byte, bodyLen int) []byte {
+	pkt := newPacket(header{Type: ptype, Session: c.sid, Seq: c.nextSeq}, bodyLen)
 	c.nextSeq++
+	return pkt
+}
+
+// sealLocked tags a datagram packetLocked started and counts it as sent;
+// the caller ships it — bulk senders drop mu first, so socket writes never
+// stall the listener's shared readLoop on this session's lock.
+func (c *Conn) sealLocked(pkt []byte) []byte {
+	pkt = c.sealMAC.seal(pkt)
 	c.stats.PacketsSent++
-	c.trace(obs.EvPacketSent, int32(ptype), int32(len(pkt)))
+	c.trace(obs.EvPacketSent, int32(pkt[3]), int32(len(pkt)))
 	return pkt
 }
 
@@ -146,16 +161,30 @@ func (c *Conn) sealNextLocked(ptype byte, body []byte) []byte {
 // deliberately dropped: UDP gives no delivery signal anyway, and loss
 // recovery is the retransmit loop's job.
 func (c *Conn) sendPacketLocked(ptype byte, body []byte) {
-	_ = c.send(c.sealNextLocked(ptype, body))
+	_ = c.send(c.sealLocked(append(c.packetLocked(ptype, len(body)), body...)))
 }
 
 func (c *Conn) maxSegment() int { return c.cfg.MTU - headerSize - tagSize - dataOverhead }
 
-func (c *Conn) sealSegmentLocked(s *segment) []byte {
-	body := make([]byte, dataOverhead+len(s.data))
-	binary.BigEndian.PutUint64(body, s.off)
-	copy(body[dataOverhead:], s.data)
-	return c.sealNextLocked(ptData, body)
+// sealSegmentLocked seals stream bytes data at offset off as one data
+// packet, straight from data.
+func (c *Conn) sealSegmentLocked(off uint64, data []byte) []byte {
+	pkt := binary.BigEndian.AppendUint64(c.packetLocked(ptData, dataOverhead+len(data)), off)
+	return c.sealLocked(append(pkt, data...))
+}
+
+// newSegmentLocked seals data as the next run of the stream and records
+// it for retransmission, its bytes held in the packet it returns.
+func (c *Conn) newSegmentLocked(data []byte) []byte {
+	pkt := c.sealSegmentLocked(c.nextOff, data)
+	const at = headerSize + dataOverhead
+	c.segs = append(c.segs, segment{
+		off:    c.nextOff,
+		data:   pkt[at : at+len(data) : at+len(data)],
+		sentAt: time.Now(),
+	})
+	c.nextOff += uint64(len(data))
+	return pkt
 }
 
 // Write packetizes p into MTU-sized segments (fragmenting frames larger
@@ -182,18 +211,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		var pkts [][]byte
 		for len(chunk) > 0 {
-			m := len(chunk)
-			if ms := c.maxSegment(); m > ms {
-				m = ms
-			}
-			s := &segment{
-				off:    c.nextOff,
-				data:   append([]byte(nil), chunk[:m]...),
-				sentAt: time.Now(),
-			}
-			c.segs = append(c.segs, s)
-			c.nextOff += uint64(m)
-			pkts = append(pkts, c.sealSegmentLocked(s))
+			m := min(len(chunk), c.maxSegment())
+			pkts = append(pkts, c.newSegmentLocked(chunk[:m]))
 			chunk = chunk[m:]
 			p = p[m:]
 			total += m
@@ -214,9 +233,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if len(c.readBuf) > 0 {
-			n := copy(p, c.readBuf)
-			c.readBuf = c.readBuf[n:]
+		if c.readPos < len(c.readBuf) {
+			n := copy(p, c.readBuf[c.readPos:])
+			c.readPos += n
+			if c.readPos == len(c.readBuf) {
+				c.readBuf, c.readPos = c.readBuf[:0], 0
+			}
 			return n, nil
 		}
 		if c.remoteEOF {
@@ -235,9 +257,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 // handlePacket authenticates, replay-checks and dispatches one inbound
 // datagram. pkt is only valid for the duration of the call.
 func (c *Conn) handlePacket(pkt []byte) {
-	h, body, err := openPacket(c.openKey, pkt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	h, body, err := c.openMAC.open(pkt)
 	if err != nil {
 		c.stats.BadPackets++
 		return
@@ -293,20 +315,29 @@ func (c *Conn) handleDataLocked(body []byte) {
 		return
 	}
 	off := binary.BigEndian.Uint64(body[:dataOverhead])
-	data := body[dataOverhead:]
-	if len(data) > 0 {
-		c.insertDataLocked(off, data)
+	// Delayed cumulative acks (RFC 5681 §4.2): in-order data only owes an
+	// ack, which the retransmit tick sends; anything the sender must
+	// hear about now, or two full segments owed, is acked at once.
+	if c.insertDataLocked(off, body[dataOverhead:]) || c.ackOwed >= 2*c.maxSegment() {
+		c.sendAckLocked()
 	}
-	c.sendAckLocked()
 }
 
 // insertDataLocked folds one segment into the receive state: extend the
-// contiguous prefix, or park it out of order. data must be copied (it
-// aliases the socket buffer).
-func (c *Conn) insertDataLocked(off uint64, data []byte) {
+// contiguous prefix, or park it out of order. data is copied (it aliases
+// the socket buffer). It reports whether the segment calls for an
+// immediate ack: out-of-order, stale, duplicate or empty data, or
+// in-order data that fills part of a gap.
+func (c *Conn) insertDataLocked(off uint64, data []byte) (ackNow bool) {
 	end := off + uint64(len(data))
-	if end <= c.recvBase {
-		return // stale retransmit: ack (caller does) and move on
+	if len(data) == 0 || end <= c.recvBase {
+		return true // stale retransmit: re-ack so the sender stops
+	}
+	if end < off || end-c.recvBase > maxWindowBytes {
+		// Past the window: a conforming sender's Write never lets
+		// nextOff run more than maxWindowBytes ahead of our ack.
+		c.stats.BadPackets++
+		return false
 	}
 	if off < c.recvBase {
 		data = data[c.recvBase-off:]
@@ -315,16 +346,37 @@ func (c *Conn) insertDataLocked(off uint64, data []byte) {
 	if off > c.recvBase {
 		for _, s := range c.ooo {
 			if s.off == off && uint64(len(s.data)) >= uint64(len(data)) {
-				return // duplicate of a parked segment
+				return true // duplicate of a parked segment
 			}
 		}
+		if c.oooBytes+len(data) > maxWindowBytes {
+			c.stats.BadPackets++
+			return false
+		}
 		c.ooo = append(c.ooo, oooSeg{off: off, data: append([]byte(nil), data...)})
-		return
+		c.oooBytes += len(data)
+		return true
+	}
+	c.appendReadLocked(data)
+	c.recvBase = end
+	gap := len(c.ooo) > 0
+	if gap {
+		c.drainOOOLocked()
+	}
+	c.cond.Broadcast()
+	return gap
+}
+
+// appendReadLocked queues in-order stream bytes for Read, reusing the
+// front of readBuf that Read has consumed before growing it, and owes the
+// peer an ack for them.
+func (c *Conn) appendReadLocked(data []byte) {
+	if c.readPos > 0 && len(c.readBuf)+len(data) > cap(c.readBuf) {
+		n := copy(c.readBuf, c.readBuf[c.readPos:])
+		c.readBuf, c.readPos = c.readBuf[:n], 0
 	}
 	c.readBuf = append(c.readBuf, data...)
-	c.recvBase = end
-	c.drainOOOLocked()
-	c.cond.Broadcast()
+	c.ackOwed += len(data)
 }
 
 func (c *Conn) drainOOOLocked() {
@@ -335,15 +387,17 @@ func (c *Conn) drainOOOLocked() {
 			send := s.off + uint64(len(s.data))
 			switch {
 			case send <= c.recvBase:
-				// wholly behind: drop
+				c.oooBytes -= len(s.data) // wholly behind: drop
 			case s.off <= c.recvBase:
-				c.readBuf = append(c.readBuf, s.data[c.recvBase-s.off:]...)
+				c.appendReadLocked(s.data[c.recvBase-s.off:])
+				c.oooBytes -= len(s.data)
 				c.recvBase = send
 				progressed = true
 			default:
 				kept = append(kept, s)
 			}
 		}
+		clear(c.ooo[len(kept):])
 		c.ooo = kept
 	}
 }
@@ -369,21 +423,36 @@ func mergeRanges(ranges [][2]uint64, max int) [][2]uint64 {
 }
 
 // sendAckLocked ships a cumulative ack plus up to maxAckRanges selective
-// ranges covering the parked out-of-order data.
+// ranges covering the parked out-of-order data, settling any owed ack.
+// The body is written straight into the packet.
 func (c *Conn) sendAckLocked() {
-	ranges := make([][2]uint64, 0, len(c.ooo))
-	for _, s := range c.ooo {
-		ranges = append(ranges, [2]uint64{s.off, s.off + uint64(len(s.data))})
+	var ranges [][2]uint64
+	if len(c.ooo) > 0 {
+		ranges = make([][2]uint64, 0, len(c.ooo))
+		for _, s := range c.ooo {
+			ranges = append(ranges, [2]uint64{s.off, s.off + uint64(len(s.data))})
+		}
+		ranges = mergeRanges(ranges, maxAckRanges)
 	}
-	ranges = mergeRanges(ranges, maxAckRanges)
-	body := make([]byte, 9+16*len(ranges))
-	binary.BigEndian.PutUint64(body, c.recvBase)
-	body[8] = byte(len(ranges))
-	for i, r := range ranges {
-		binary.BigEndian.PutUint64(body[9+16*i:], r[0])
-		binary.BigEndian.PutUint64(body[9+16*i+8:], r[1])
+	pkt := binary.BigEndian.AppendUint64(c.packetLocked(ptAck, 9+16*len(ranges)), c.recvBase)
+	pkt = append(pkt, byte(len(ranges)))
+	for _, r := range ranges {
+		pkt = binary.BigEndian.AppendUint64(pkt, r[0])
+		pkt = binary.BigEndian.AppendUint64(pkt, r[1])
 	}
-	c.sendPacketLocked(ptAck, body)
+	c.ackOwed = 0
+	_ = c.send(c.sealLocked(pkt))
+}
+
+// sackCovers reports whether one of an ack's selective ranges (sacks: a
+// run of 16-byte start,end pairs) covers [off, end).
+func sackCovers(sacks []byte, off, end uint64) bool {
+	for ; len(sacks) >= 16; sacks = sacks[16:] {
+		if off >= binary.BigEndian.Uint64(sacks) && end <= binary.BigEndian.Uint64(sacks[8:]) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Conn) handleAckLocked(body []byte) {
@@ -397,11 +466,7 @@ func (c *Conn) handleAckLocked(body []byte) {
 		c.stats.BadPackets++
 		return
 	}
-	ranges := make([][2]uint64, n)
-	for i := 0; i < n; i++ {
-		ranges[i][0] = binary.BigEndian.Uint64(body[9+16*i:])
-		ranges[i][1] = binary.BigEndian.Uint64(body[9+16*i+8:])
-	}
+	sacks := body[9 : 9+16*n]
 	if cum > c.nextOff {
 		c.stats.BadPackets++
 		return
@@ -414,29 +479,20 @@ func (c *Conn) handleAckLocked(body []byte) {
 	for _, s := range c.segs {
 		end := s.off + uint64(len(s.data))
 		resolved := end <= cum
-		wasSacked := s.sacked
-		if !resolved && !s.sacked {
-			for _, r := range ranges {
-				if s.off >= r[0] && end <= r[1] {
-					s.sacked = true
-					break
-				}
-			}
-		}
-		if resolved || s.sacked {
-			if s.retries == 0 && !wasSacked {
+		if !s.sacked && (resolved || sackCovers(sacks, s.off, end)) {
+			if s.retries == 0 {
 				// Karn's rule: only never-retransmitted segments yield a
 				// clean RTT sample — and each at most once (a sacked
 				// segment stays listed until the cumulative ack passes).
 				c.trace(obs.EvPacketRTT, int32(now.Sub(s.sentAt)/time.Microsecond), 0)
 			}
-			if !resolved {
-				kept = append(kept, s) // sacked: hold for window accounting
-			}
-			continue
+			s.sacked = true
 		}
-		kept = append(kept, s)
+		if !resolved {
+			kept = append(kept, s) // sacked or not, it holds window until acked
+		}
 	}
+	clear(c.segs[len(kept):])
 	c.segs = kept
 	c.cond.Broadcast()
 }
@@ -446,13 +502,11 @@ func (c *Conn) handleAckLocked(body []byte) {
 // retransmission of this session's handshake (e.g. a fresh re-dial from
 // the same source address under a new token).
 func (c *Conn) handleConnectRetry(pkt []byte) bool {
-	h, body, err := openPacket(c.openKey, pkt)
-	if err != nil || h.Type != ptConnect || len(body) < 8 {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if binary.BigEndian.Uint64(body[:8]) != c.dialNonce {
+	h, body, err := c.openMAC.open(pkt)
+	if err != nil || h.Type != ptConnect || len(body) < 8 ||
+		binary.BigEndian.Uint64(body[:8]) != c.dialNonce {
 		return false
 	}
 	if c.replay.admit(h.Seq) {
@@ -471,14 +525,13 @@ func (c *Conn) rto(retries int) time.Duration {
 	return d
 }
 
-// retransmitLoop re-sends timed-out segments with doubling backoff capped
-// at 8x, gives up after MaxRetries, and reaps idle sessions.
+// tick is the retransmit loop's period: a quarter of the RTO, at least
+// 1 ms. It is also the longest a session holds an owed ack.
+func (c *Conn) tick() time.Duration { return max(c.cfg.RTO/4, time.Millisecond) }
+
+// retransmitLoop runs tickLocked every tick and ships what it re-seals.
 func (c *Conn) retransmitLoop() {
-	tick := c.cfg.RTO / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(c.tick())
 	defer t.Stop()
 	for {
 		select {
@@ -491,30 +544,7 @@ func (c *Conn) retransmitLoop() {
 			c.mu.Unlock()
 			return
 		}
-		now := time.Now()
-		var failed error
-		if c.cfg.IdleTimeout > 0 && now.Sub(c.lastRecv) > c.cfg.IdleTimeout {
-			failed = fmt.Errorf("%w: idle for %v", ErrSessionDead, c.cfg.IdleTimeout)
-		}
-		var pkts [][]byte
-		for _, s := range c.segs {
-			if failed != nil {
-				break
-			}
-			if s.sacked || now.Sub(s.sentAt) < c.rto(s.retries) {
-				continue
-			}
-			if s.retries >= c.cfg.MaxRetries {
-				failed = fmt.Errorf("%w: segment at %d unacked after %d retransmits",
-					ErrSessionDead, s.off, s.retries)
-				break
-			}
-			s.retries++
-			s.sentAt = now
-			c.stats.Retransmits++
-			c.trace(obs.EvPacketRetransmit, int32(s.retries), int32(len(s.data)))
-			pkts = append(pkts, c.sealSegmentLocked(s))
-		}
+		pkts, failed := c.tickLocked(time.Now())
 		if failed != nil {
 			c.failLocked(failed)
 			c.mu.Unlock()
@@ -527,6 +557,38 @@ func (c *Conn) retransmitLoop() {
 			_ = c.send(pkt)
 		}
 	}
+}
+
+// tickLocked is one retransmit tick at now: it reaps an idle session,
+// sends an owed ack, and re-seals every timed-out segment (doubling
+// backoff capped at 8x) for the caller to ship, giving up on a segment
+// after MaxRetries. A segment times out one tick after its RTO: the peer
+// may hold its ack that long (the max_ack_delay allowance of RFC 9002
+// §6.2.1), and a stall must still outlast the whole RTO to draw a
+// spurious retransmit.
+func (c *Conn) tickLocked(now time.Time) (pkts [][]byte, failed error) {
+	if c.cfg.IdleTimeout > 0 && now.Sub(c.lastRecv) > c.cfg.IdleTimeout {
+		return nil, fmt.Errorf("%w: idle for %v", ErrSessionDead, c.cfg.IdleTimeout)
+	}
+	if c.ackOwed > 0 {
+		c.sendAckLocked()
+	}
+	for i := range c.segs {
+		s := &c.segs[i]
+		if s.sacked || now.Sub(s.sentAt) < c.rto(s.retries)+c.tick() {
+			continue
+		}
+		if s.retries >= c.cfg.MaxRetries {
+			return nil, fmt.Errorf("%w: segment at %d unacked after %d retransmits",
+				ErrSessionDead, s.off, s.retries)
+		}
+		s.retries++
+		s.sentAt = now
+		c.stats.Retransmits++
+		c.trace(obs.EvPacketRetransmit, int32(s.retries), int32(len(s.data)))
+		pkts = append(pkts, c.sealSegmentLocked(s.off, s.data))
+	}
+	return pkts, nil
 }
 
 // failLocked marks the session terminally broken and wakes every waiter.
@@ -557,6 +619,10 @@ func (c *Conn) Close() error {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
+		// An owed ack goes first: the tick that would send it stops now.
+		if c.ackOwed > 0 {
+			c.sendAckLocked()
+		}
 		// Twice: best effort against loss; the peer's replay window
 		// absorbs the duplicate.
 		c.sendPacketLocked(ptClose, nil)

@@ -23,9 +23,10 @@
 //   - the byte stream is packetized into MTU-sized segments addressed by
 //     stream offset; frames larger than one datagram are fragmented across
 //     segments and reassembled by contiguity on the receive side.
-//   - acks carry a cumulative offset plus selective ranges; unacked
-//     segments are retransmitted on a timeout with per-segment doubling
-//     backoff capped at 8x — the PR 3 stop-and-wait ARQ discipline promoted
+//   - acks carry a cumulative offset plus selective ranges; in-order data
+//     is acked on the next retransmit tick (RTO/4), anything else at once;
+//     unacked segments are retransmitted on a timeout with per-segment
+//     doubling backoff capped at 8x — the engine ARQ's discipline promoted
 //     from sim model to the wire (with a window instead of stop-and-wait).
 //   - liveness above the session is the network runtime's heartbeat /
 //     generation-fencing machinery; the session itself only gives up after

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"testing"
@@ -478,7 +479,11 @@ func TestDialRefused(t *testing.T) {
 // authentication, and so can never enter the replay window, corrupt the
 // receive stream, or falsely advance the ack state.
 func TestReflectedPacketRejected(t *testing.T) {
-	_, client, server := startPair(t, fastCfg())
+	cfg := fastCfg()
+	// An RTO far above the loopback RTT: a retransmit of "reflect me"
+	// still in flight after the wait below would land mid-check.
+	cfg.RTO = 200 * time.Millisecond
+	_, client, server := startPair(t, cfg)
 
 	msg := []byte("reflect me")
 	if _, err := client.Write(msg); err != nil {
@@ -487,6 +492,20 @@ func TestReflectedPacketRejected(t *testing.T) {
 	buf := make([]byte, len(msg))
 	if _, err := io.ReadFull(server, buf); err != nil {
 		t.Fatalf("read: %v", err)
+	}
+	// The server acks "reflect me" on its retransmit tick. Until that ack
+	// lands, it can arrive between a snapshot below and its check, and
+	// count as a packet the client received.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		client.mu.Lock()
+		acked := client.cumAcked == client.nextOff
+		client.mu.Unlock()
+		if acked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never acked the client's data")
+		}
 	}
 
 	for _, victim := range []*Conn{client, server} {
@@ -498,8 +517,8 @@ func TestReflectedPacketRejected(t *testing.T) {
 		ack := make([]byte, 9)
 		binary.BigEndian.PutUint64(ack, victim.recvBase)
 		pkts := [][]byte{
-			sealPacket(victim.sealKey, header{Type: ptData, Session: victim.sid, Seq: victim.nextSeq + 50}, data),
-			sealPacket(victim.sealKey, header{Type: ptAck, Session: victim.sid, Seq: victim.nextSeq + 51}, ack),
+			victim.sealMAC.sealBody(header{Type: ptData, Session: victim.sid, Seq: victim.nextSeq + 50}, data),
+			victim.sealMAC.sealBody(header{Type: ptAck, Session: victim.sid, Seq: victim.nextSeq + 51}, ack),
 		}
 		replayBefore := victim.replay
 		cumBefore, baseBefore := victim.cumAcked, victim.recvBase
@@ -565,14 +584,13 @@ func TestConnectReplayDropped(t *testing.T) {
 
 	badBefore, _ := l.Stats()
 	// Replay from a spoofed, unrelated source address: no session minted.
-	spoofed := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
-	l.handleConnect(captured, spoofed, nil)
+	l.handleConnect(captured, netip.MustParseAddrPort("127.0.0.1:1"), nil)
 	if n := len(l.Sessions()); n != 1 {
 		t.Fatalf("replayed connect minted a session: %d live", n)
 	}
 	// Replay from the client's own (spoofable) source address: the live
 	// session must not be displaced.
-	l.handleConnect(captured, server.RemoteAddr().(*net.UDPAddr), server)
+	l.handleConnect(captured, server.RemoteAddr().(*net.UDPAddr).AddrPort(), server)
 	if badAfter, _ := l.Stats(); badAfter != badBefore+2 {
 		t.Fatalf("replayed connects not counted: %d -> %d", badBefore, badAfter)
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,7 @@ type Listener struct {
 	advertise atomic.Value // string
 
 	mu       sync.Mutex
-	sessions map[string]*Conn
+	sessions map[netip.AddrPort]*Conn
 	closed   bool
 
 	// usedDials records the (session key, dial nonce) pair of every
@@ -67,7 +68,7 @@ func Listen(addr string, secret []byte, cfg Config) (*Listener, error) {
 		cfg:       cfg,
 		secret:    append([]byte(nil), secret...),
 		pc:        pc,
-		sessions:  make(map[string]*Conn),
+		sessions:  make(map[netip.AddrPort]*Conn),
 		usedDials: make(map[string]time.Time),
 		acceptCh:  make(chan *Conn, cfg.AcceptBacklog),
 		done:      make(chan struct{}),
@@ -147,7 +148,7 @@ func (l *Listener) noteBadPacket() {
 func (l *Listener) readLoop() {
 	buf := make([]byte, maxPacket)
 	for {
-		n, raddr, err := l.pc.ReadFromUDP(buf)
+		n, raddr, err := l.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-l.done:
@@ -160,9 +161,11 @@ func (l *Listener) readLoop() {
 			return
 		}
 		pkt := buf[:n]
-		key := raddr.String()
+		// A dual-stack socket reports IPv4 peers as mapped addresses;
+		// sessions are keyed on the plain form.
+		raddr = netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port())
 		l.mu.Lock()
-		c := l.sessions[key]
+		c := l.sessions[raddr]
 		l.mu.Unlock()
 		if c != nil {
 			if h, _, herr := decodeHeader(pkt, true); herr == nil && h.Type == ptConnect {
@@ -184,7 +187,7 @@ func (l *Listener) readLoop() {
 // handleConnect validates a connect packet from an unknown (or
 // re-dialing) source and, when it passes, establishes a session, sends
 // the accept and queues the session for Accept.
-func (l *Listener) handleConnect(pkt []byte, raddr *net.UDPAddr, replace *Conn) {
+func (l *Listener) handleConnect(pkt []byte, peer netip.AddrPort, replace *Conn) {
 	h, body, err := decodeHeader(pkt, true)
 	if err != nil || h.Type != ptConnect || len(body) < 8 {
 		l.noteBadPacket()
@@ -228,22 +231,20 @@ func (l *Listener) handleConnect(pkt []byte, raddr *net.UDPAddr, replace *Conn) 
 		return
 	}
 	sid := binary.BigEndian.Uint64(sidBytes[:])
-	peer := *raddr
 	c := newConn(l.cfg, key, sideAccept, func(p []byte) error {
-		_, err := l.pc.WriteToUDP(p, &peer)
+		_, err := l.pc.WriteToUDPAddrPort(p, peer)
 		return err
-	}, l.pc.LocalAddr(), &peer)
+	}, l.pc.LocalAddr(), net.UDPAddrFromAddrPort(peer))
 	c.sid = sid
 	c.established = true
 	c.dialNonce = dialNonce
 	c.acceptBody = make([]byte, 16)
 	binary.BigEndian.PutUint64(c.acceptBody, sid)
 	binary.BigEndian.PutUint64(c.acceptBody[8:], dialNonce)
-	addrKey := peer.String()
 	c.onClose = func() {
 		l.mu.Lock()
-		if l.sessions[addrKey] == c {
-			delete(l.sessions, addrKey)
+		if l.sessions[peer] == c {
+			delete(l.sessions, peer)
 		}
 		l.mu.Unlock()
 	}
@@ -259,7 +260,7 @@ func (l *Listener) handleConnect(pkt []byte, raddr *net.UDPAddr, replace *Conn) 
 		l.mu.Unlock()
 		return // backlog full: drop; the dialer retries (same dial nonce, still unused)
 	}
-	l.sessions[addrKey] = c
+	l.sessions[peer] = c
 	// Record the pair only once the session is installed, so a dialer
 	// whose first attempt hit a full backlog can retry the same connect.
 	if len(l.usedDials) >= maxUsedDials {

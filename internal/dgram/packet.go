@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // Packet layout — fixed-width header, type-specific body, truncated MAC:
@@ -119,26 +120,51 @@ func dirKeys(key []byte) (dial, accept []byte) {
 	return d.Sum(nil), a.Sum(nil)
 }
 
-// sealPacket builds one authenticated datagram: header + body + tag.
-func sealPacket(key []byte, h header, body []byte) []byte {
-	pkt := appendHeader(make([]byte, 0, headerSize+len(body)+tagSize), h)
-	pkt = append(pkt, body...)
-	mac := hmac.New(sha256.New, key)
-	mac.Write(pkt)
-	return append(pkt, mac.Sum(nil)[:tagSize]...)
+// sessionMAC is one direction key's HMAC-SHA256, keyed once per session.
+// Reset restores the precomputed inner and outer pad states (FIPS 198-1
+// §6 allows reusing them), so each packet costs two SHA-256 passes over
+// its bytes and no key schedule or allocation. Not safe for concurrent
+// use: a Conn drives its two MACs under its mutex.
+type sessionMAC struct {
+	h   hash.Hash
+	sum [sha256.Size]byte // open's scratch: the untruncated tag
 }
 
-// openPacket verifies pkt's tag under key and returns its header and body.
-func openPacket(key, pkt []byte) (header, []byte, error) {
+func newSessionMAC(key []byte) *sessionMAC {
+	return &sessionMAC{h: hmac.New(sha256.New, key)}
+}
+
+// newPacket returns h's encoded header in a buffer with room for a
+// bodyLen-byte body and the full tag computation, so appending the body
+// and sealing allocate nothing more.
+func newPacket(h header, bodyLen int) []byte {
+	return appendHeader(make([]byte, 0, headerSize+bodyLen+sha256.Size), h)
+}
+
+// seal appends pkt's truncated tag, summed in place into pkt's spare
+// capacity (newPacket leaves enough).
+func (m *sessionMAC) seal(pkt []byte) []byte {
+	n := len(pkt)
+	m.h.Reset()
+	m.h.Write(pkt)
+	return m.h.Sum(pkt)[:n+tagSize]
+}
+
+// open verifies pkt's tag and returns its header and body.
+func (m *sessionMAC) open(pkt []byte) (header, []byte, error) {
 	h, body, err := decodeHeader(pkt, true)
 	if err != nil {
 		return header{}, nil, err
 	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(pkt[:len(pkt)-tagSize])
-	want := mac.Sum(nil)[:tagSize]
-	if !hmac.Equal(want, pkt[len(pkt)-tagSize:]) {
+	m.h.Reset()
+	m.h.Write(pkt[:len(pkt)-tagSize])
+	if !hmac.Equal(m.h.Sum(m.sum[:0])[:tagSize], pkt[len(pkt)-tagSize:]) {
 		return header{}, nil, errPacketMAC
 	}
 	return h, body, nil
+}
+
+// openPacket verifies pkt's tag under a one-off MAC keyed with key.
+func openPacket(key, pkt []byte) (header, []byte, error) {
+	return newSessionMAC(key).open(pkt)
 }

@@ -107,7 +107,14 @@ func (t *udpTransport) dial(addr string) (net.Conn, error) {
 			return nil, err
 		}
 	}
-	return dgram.Dial(addr, token, key, t.cfg)
+	c, err := dgram.Dial(addr, token, key, t.cfg)
+	if err != nil {
+		// Not the nil *dgram.Conn: as a net.Conn it would compare
+		// non-nil, and a caller that keeps the last attempt's conn would
+		// write to it.
+		return nil, err
+	}
+	return c, nil
 }
 
 func (t *udpTransport) listen(addr, advertise string) (net.Listener, error) {

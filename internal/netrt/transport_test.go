@@ -1,13 +1,16 @@
 package netrt
 
 import (
+	"net"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
+	"mobiledist/internal/dgram"
 	"mobiledist/internal/obs"
 )
 
@@ -83,6 +86,26 @@ func TestLoopbackUDPFIFOAcrossMoves(t *testing.T) {
 	}
 }
 
+// TestUDPDialFailureIsNilConn: a failed datagram dial yields a nil
+// net.Conn, not a nil *dgram.Conn that compares non-nil — the client's
+// redial loop keeps the last attempt's conn and would write to it.
+func TestUDPDialFailureIsNilConn(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pc.LocalAddr().String()
+	pc.Close() // nothing listens there now: every connect is refused
+	tr := &udpTransport{secret: secretBytes(""), cfg: dgram.Config{RTO: time.Millisecond, MaxRetries: 2}}
+	conn, err := tr.dial(addr)
+	if err == nil {
+		t.Fatal("dial to a closed port succeeded")
+	}
+	if conn != nil {
+		t.Fatalf("failed dial returned a non-nil net.Conn %#v", conn)
+	}
+}
+
 // TestUDPHubTracesItsSessions: the hub's datagram sessions record into the
 // hub's tracer, so a traced UDP cluster's /metrics carries the dgram RTT
 // histogram the session layer samples, beside the model's own events.
@@ -104,9 +127,19 @@ func TestUDPHubTracesItsSessions(t *testing.T) {
 	})
 	settle(t, lb)
 
-	rec := httptest.NewRecorder()
-	lb.Sys.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	m := regexp.MustCompile(`(?m)^mobiledist_dgram_rtt_us_count (\d+)$`).FindStringSubmatch(rec.Body.String())
+	// A session acks in-order data on its retransmit tick, so the hub's
+	// first RTT sample can land after the model has drained.
+	rtt := regexp.MustCompile(`(?m)^mobiledist_dgram_rtt_us_count (\d+)$`)
+	var rec *httptest.ResponseRecorder
+	var m []string
+	for deadline := time.Now().Add(idleTimeout); ; time.Sleep(5 * time.Millisecond) {
+		rec = httptest.NewRecorder()
+		lb.Sys.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		m = rtt.FindStringSubmatch(rec.Body.String())
+		if (m != nil && m[1] != "0") || time.Now().After(deadline) {
+			break
+		}
+	}
 	if m == nil || m[1] == "0" {
 		t.Errorf("hub /metrics has no dgram RTT samples:\n%s", rec.Body)
 	}
