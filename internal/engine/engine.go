@@ -112,15 +112,15 @@ type Engine struct {
 	ctxs []Context
 
 	// waiters holds delivery records blocked on a MH that is between cells;
-	// they fire once it joins a cell. Fired slices are recycled through
-	// waiterPool so churn-heavy runs stop allocating once warm.
-	waiters    map[MHID][]*DeliveryRec
-	waiterPool [][]*DeliveryRec
+	// they fire once it joins a cell (see waiterQueues).
+	waiters waiterQueues
 
-	// recFree/recLive are the delivery-record pool: an intrusive free list
-	// and the checked-out count (see record.go).
+	// recFree/recLive/recSlab are the delivery-record pool: an intrusive
+	// free list, the checked-out count and the length of the last slab it
+	// grew by (see record.go).
 	recFree *DeliveryRec
 	recLive int
+	recSlab int
 
 	// pairs is the per-ordered-(MH,MH)-pair FIFO reorder state for
 	// SendMHToMH traffic.
@@ -150,13 +150,12 @@ func New(cfg Config, sub Substrate) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil substrate")
 	}
 	e := &Engine{
-		cfg:     cfg,
-		sub:     sub,
-		meter:   cost.NewMeterSized(cfg.N),
-		mss:     make([]mssState, cfg.M),
-		mh:      make([]mhState, cfg.N),
-		waiters: make(map[MHID][]*DeliveryRec),
-		pairs:   make(map[pairKey]*pairState),
+		cfg:   cfg,
+		sub:   sub,
+		meter: cost.NewMeterSized(cfg.N),
+		mss:   make([]mssState, cfg.M),
+		mh:    make([]mhState, cfg.N),
+		pairs: make(map[pairKey]*pairState),
 	}
 	sub.BindRecSink(e)
 	e.stats.DozeInterruptionsByMH = make(map[MHID]int64)
@@ -385,23 +384,90 @@ func (e *Engine) notifyFailure(alg int32, at MSSID, mh MHID, msg Message, reason
 	h.OnDeliveryFailure(e.ctxs[alg], at, mh, msg, reason)
 }
 
-// addWaiter parks rec until mh joins a cell, reusing a pooled slice when
-// the MH has no waiters yet. With Config.WaiterLimit set, a full queue
-// overflows into the custody hook (when one is bound and accepts) or is
-// dropped and counted in Stats.WaiterDrops.
+// waitBlockRecs is the number of record pointers in one waiter block: 14
+// pointers, the link and the count fill the block's 128 bytes, two cache
+// lines.
+const waitBlockRecs = 14
+
+// waitBlock is one fixed-size piece of a waiter queue. A queue's blocks
+// form a ring: the last block's next is the first, and every block but the
+// last is full. A freed block keeps its stale record pointers: records
+// belong to the pool for the engine's life, so they hold nothing alive.
+type waitBlock struct {
+	recs [waitBlockRecs]*DeliveryRec
+	next *waitBlock // the queue's following block, or the next free block
+	n    int32      // in a queue's last block: the records the queue holds
+}
+
+// waiterQueues is the engine's in-transit waiter storage (DESIGN §5): one
+// pointer per host to its queue's last block (nil: nothing parked),
+// allocated on the first park so a system whose hosts never park pays
+// nothing, over blocks that come in slabs (nextSlab) and are recycled
+// through an intrusive free list, so once warm, parking allocates nothing.
+type waiterQueues struct {
+	tail []*waitBlock
+	free *waitBlock
+	slab int // length of the last slab allocated
+}
+
+// len reports the number of records parked on mh.
+func (w *waiterQueues) len(mh MHID) int {
+	if w.tail == nil || w.tail[mh] == nil {
+		return 0
+	}
+	return int(w.tail[mh].n)
+}
+
+// push appends rec to mh's queue; hosts sizes the tail table on the first
+// park.
+func (w *waiterQueues) push(mh MHID, rec *DeliveryRec, hosts int) {
+	if w.tail == nil {
+		w.tail = make([]*waitBlock, hosts)
+	}
+	t := w.tail[mh]
+	var n int32
+	if t != nil {
+		n = t.n
+	}
+	i := n % waitBlockRecs
+	if i == 0 {
+		b := w.alloc()
+		if t == nil {
+			b.next = b
+		} else {
+			b.next, t.next = t.next, b
+		}
+		t = b
+		w.tail[mh] = b
+	}
+	t.recs[i] = rec
+	t.n = n + 1
+}
+
+// alloc takes a block off the free list, growing it by a slab when empty.
+func (w *waiterQueues) alloc() *waitBlock {
+	if w.free == nil {
+		w.slab = nextSlab(w.slab)
+		slab := make([]waitBlock, w.slab)
+		for i := range slab[:len(slab)-1] {
+			slab[i].next = &slab[i+1]
+		}
+		w.free = &slab[0]
+	}
+	b := w.free
+	w.free = b.next
+	return b
+}
+
+// addWaiter parks rec until mh joins a cell. With Config.WaiterLimit set,
+// a full queue overflows into the custody hook (when one is bound and
+// accepts) or is dropped and counted in Stats.WaiterDrops.
 func (e *Engine) addWaiter(mh MHID, rec *DeliveryRec) {
-	w, ok := e.waiters[mh]
-	if lim := e.cfg.WaiterLimit; lim > 0 && len(w) >= lim {
+	if lim := e.cfg.WaiterLimit; lim > 0 && e.waiters.len(mh) >= lim {
 		e.overflowWaiter(mh, rec)
 		return
 	}
-	if !ok {
-		if n := len(e.waiterPool); n > 0 {
-			w = e.waiterPool[n-1]
-			e.waiterPool = e.waiterPool[:n-1]
-		}
-	}
-	e.waiters[mh] = append(w, rec)
+	e.waiters.push(mh, rec, e.cfg.N)
 }
 
 // overflowWaiter disposes of a record that found mh's waiter queue full.
@@ -424,21 +490,30 @@ func (e *Engine) overflowWaiter(mh MHID, rec *DeliveryRec) {
 	e.FreeRec(rec)
 }
 
+// fireWaiters hands mh's parked records back to the substrate with
+// AfterRec(0, ·), in park order, so their continuations observe a settled
+// network state and deterministic ordering, then splices the queue's ring
+// of blocks onto the free list whole. The walk reads blocks only, never a
+// record: the kernel's pop prefetch loads each one when it is due. The
+// queue is detached before the walk and its blocks freed only after it,
+// because a substrate that steps synchronously may park again, on any
+// host, from inside AfterRec.
 func (e *Engine) fireWaiters(mh MHID) {
-	pending := e.waiters[mh]
-	if len(pending) == 0 {
+	w := &e.waiters
+	if w.len(mh) == 0 {
 		return
 	}
-	delete(e.waiters, mh)
-	for _, rec := range pending {
-		// Re-enter through the substrate so continuations observe a settled
-		// network state and deterministic ordering.
-		e.sub.AfterRec(0, rec)
+	t := w.tail[mh]
+	w.tail[mh] = nil
+	head := t.next
+	b := head
+	for left := t.n; left > 0; left -= waitBlockRecs {
+		for _, rec := range b.recs[:min(left, waitBlockRecs)] {
+			e.sub.AfterRec(0, rec)
+		}
+		b = b.next
 	}
-	for i := range pending {
-		pending[i] = nil // release the record references
-	}
-	e.waiterPool = append(e.waiterPool, pending[:0])
+	t.next, w.free = w.free, head
 }
 
 // localMHs returns the cell's membership in ascending order. The slice is

@@ -41,7 +41,7 @@ import "fmt"
 //
 // The free list is intrusive (the next field), single-threaded like the
 // rest of the engine, and never shrinks; steady-state routing allocates no
-// records at all.
+// records at all. It grows by slabs (growRecs), not one record at a time.
 
 // recOp selects the runRec branch a DeliveryRec executes.
 type recOp uint8
@@ -153,20 +153,46 @@ type RecSink interface {
 
 var _ RecSink = (*Engine)(nil)
 
-// newRec takes a record from the free list (or allocates one) and resets it
-// to op with no transmit channel.
+// Slab lengths, in 128-byte values, of the record pool and the waiter
+// blocks: the first slab is 32 KB and each next one doubles, up to 256 KB.
+// A slab holds pointers, so between 512 B and 32 KB the allocator puts an
+// 8-byte header in front of it and its values would start 8 bytes past a
+// 128-byte boundary; from 32 KB up a slab is a large object, page-aligned,
+// and each value in it spans exactly two cache lines (DESIGN §7.2, Layout;
+// TestDeliveryRecLayout pins the sizes and the alignment).
+const (
+	slabMin = 256
+	slabMax = 2048
+)
+
+// nextSlab returns the length of the slab that follows one of length cur
+// (0 before the first).
+func nextSlab(cur int) int { return min(max(2*cur, slabMin), slabMax) }
+
+// newRec takes a record from the free list (growing the pool when it is
+// empty) and resets it to op with no transmit channel.
 func (e *Engine) newRec(op recOp) *DeliveryRec {
-	r := e.recFree
-	if r == nil {
-		r = &DeliveryRec{}
-	} else {
-		e.recFree = r.next
-		r.next = nil
+	if e.recFree == nil {
+		e.growRecs()
 	}
+	r := e.recFree
+	e.recFree = r.next
+	r.next = nil
 	e.recLive++
 	r.op = op
 	r.onCh = -1
 	return r
+}
+
+// growRecs allocates the next slab and threads its records onto the free
+// list in address order.
+func (e *Engine) growRecs() {
+	e.recSlab = nextSlab(e.recSlab)
+	slab := make([]DeliveryRec, e.recSlab)
+	for i := range slab[:len(slab)-1] {
+		slab[i].next = &slab[i+1]
+	}
+	e.recFree = &slab[0]
 }
 
 // FreeRec returns rec to the pool, clearing every field so no message or

@@ -245,7 +245,12 @@ func (d *scaleDriver) apply(op ScaleOp) {
 		}
 		// In transit: skip — the host is already mid-protocol.
 	case ScaleSearchChase:
-		_ = d.sys.Move(op.MH, op.MSS)
+		// A host that is not connected (here: already in transit) refuses
+		// a Move with no side effects but its *StatusError; skip the call
+		// and chase the host anyway.
+		if _, status := d.sys.Where(op.MH); status == core.StatusConnected {
+			_ = d.sys.Move(op.MH, op.MSS)
+		}
 		from := core.MSSID((int(op.MSS) + 1) % d.sc.Cfg.M)
 		d.ctx.SendToMH(from, op.MH, nil, cost.CatAlgorithm)
 	}

@@ -100,32 +100,46 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestRunScaleAllocsFlatInOps is RunScale's allocation contract: at fixed N
-// and Chains, a route run of 40k ops mallocs no more than one of 10k. The
-// record pool and the wheel's chunks grow with the pending population, which
-// the chain count bounds, not with ops; the chains themselves are cursors,
-// not one closure per op. (The chase kind is not pinned: a Move refused
-// because the host is already in transit allocates its *StatusError.)
+// and Chains, a run of 40k ops mallocs no more than one of 10k, plus a
+// per-kind slack. The record pool, the waiter arena and the wheel's chunks
+// grow with the pending population, which the chain count bounds, not with
+// ops; the chains themselves are cursors, not one closure per op. The chase
+// kind's slack is ChanTable's downlink overflow: a host gains an entry the
+// first time each cell transmits to it, so those allocations are bounded by
+// M·N and taper off, but have not all happened by 10k ops.
 func TestRunScaleAllocsFlatInOps(t *testing.T) {
-	mallocs := func(ops int) uint64 {
-		sc, err := GenScale(ScaleConfig{N: 2000, M: 20, Seed: 5, Kind: ScaleRoute, Ops: ops, Chains: 500})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		cfg   ScaleConfig
+		slack uint64 // extra mallocs allowed from 10k to 40k ops
+	}{
+		{ScaleConfig{N: 2000, M: 20, Seed: 5, Kind: ScaleRoute, Chains: 500}, 64},
+		{ScaleConfig{N: 500, M: 4, Seed: 5, Kind: ScaleSearchChase, Chains: 200}, 1500}, // < 0.05 per op
+		{ScaleConfig{N: 500, M: 10, Seed: 5, Kind: ScaleChurn, Chains: 200}, 64},
+	} {
+		mallocs := func(ops int) uint64 {
+			cfg := c.cfg
+			cfg.Ops = ops
+			sc, err := GenScale(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewScaleSystem(sc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunScale(sys, sc); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
 		}
-		sys, err := NewScaleSystem(sc, 0)
-		if err != nil {
-			t.Fatal(err)
+		small, large := mallocs(10_000), mallocs(40_000)
+		t.Logf("%v: %d mallocs at 10k ops, %d at 40k", c.cfg.Kind, small, large)
+		if large > small+c.slack {
+			t.Errorf("%v: RunScale mallocs grow with ops: %d at 10k ops, %d at 40k (slack %d)", c.cfg.Kind, small, large, c.slack)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := RunScale(sys, sc); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	small, large := mallocs(10_000), mallocs(40_000)
-	if large > small+64 {
-		t.Errorf("RunScale mallocs grow with ops: %d at 10k ops, %d at 40k", small, large)
 	}
 }
 
