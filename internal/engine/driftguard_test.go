@@ -55,7 +55,7 @@ var forbiddenAdapterDecls = map[string]string{
 	"sortedMHs":        "sorted-slice membership is engine-owned",
 	"routeOpts":        "routing context is engine-owned",
 	"waiters":          "in-transit waiter queues are engine-owned",
-	// per-channel FIFO bookkeeping (substrates use FIFOClock or relay pipes)
+	// per-channel FIFO bookkeeping (substrates use FIFOClock)
 	"fifoWired": "FIFO arrival clamping lives in engine.FIFOClock",
 	"fifoDown":  "FIFO arrival clamping lives in engine.FIFOClock",
 	"fifoUp":    "FIFO arrival clamping lives in engine.FIFOClock",
@@ -139,6 +139,102 @@ func TestLiveShellIsWrittenOnce(t *testing.T) {
 			t.Errorf("method %s is declared %d times across rt and netrt, want exactly once (on rt.Host): %v", name, len(at), at)
 		}
 	}
+}
+
+// wallWaitAllowlist names the functions in internal/rt and internal/netrt
+// that may wait on the wall clock (time.NewTimer, AfterFunc, After, Sleep),
+// each with the reason it is not a second due queue.
+var wallWaitAllowlist = map[string]string{
+	"NewHost":     "rt.Host's due queue: its one reusable timer",
+	"dueLoop":     "a relay process's due queue: its one reusable timer",
+	"WaitIdle":    "a caller's deadline, not a due time",
+	"waitDrained": "a caller's deadline, not a due time",
+	"waitReady":   "a caller's deadline, not a due time",
+	"redial":      "reconnect backoff, not a due time",
+	"RestartNode": "loopback harness: rebind retry pacing",
+}
+
+// TestDueWaitIsWrittenOnce is TestLiveShellIsWrittenOnce for the link
+// model's waiting half: across internal/rt and internal/netrt, a heap's
+// parent index ((i-1)/2) appears only in rt.DueQueue's methods, nothing
+// imports container/heap, and only the functions in wallWaitAllowlist wait
+// on the wall clock. A relay or driver that grows its own due heap or its
+// own timer-wait loop fails here: push onto an rt.DueQueue instead.
+func TestDueWaitIsWrittenOnce(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../rt", "../netrt"} {
+		for _, f := range parseNonTest(t, fset, dir) {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"container/heap"` {
+					t.Errorf("%s: imports container/heap — the one due heap is rt.DueQueue", fset.Position(imp.Pos()))
+				}
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				dueQueue := fd.Recv != nil && recvTypeName(fd.Recv.List[0].Type) == "DueQueue"
+				ast.Inspect(fd, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.BinaryExpr:
+						if isHeapParent(x) && !dueQueue {
+							t.Errorf("%s: heap parent index in %s — the one due heap is rt.DueQueue", fset.Position(x.Pos()), fd.Name.Name)
+						}
+					case *ast.CallExpr:
+						sel, ok := x.Fun.(*ast.SelectorExpr)
+						if !ok {
+							return true
+						}
+						pkg, ok := sel.X.(*ast.Ident)
+						if !ok || pkg.Name != "time" || pkg.Obj != nil {
+							return true
+						}
+						switch sel.Sel.Name {
+						case "NewTimer", "AfterFunc", "After", "Sleep":
+							if wallWaitAllowlist[fd.Name.Name] == "" {
+								t.Errorf("%s: time.%s in %s — a due time waits on an rt.DueQueue (or name the function in wallWaitAllowlist with the reason it is something else)",
+									fset.Position(x.Pos()), sel.Sel.Name, fd.Name.Name)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// recvTypeName is the type name of a method receiver, generic or not.
+func recvTypeName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// isHeapParent reports whether e is (x - 1) / 2.
+func isHeapParent(e *ast.BinaryExpr) bool {
+	paren, ok := e.X.(*ast.ParenExpr)
+	if !ok || e.Op != token.QUO || !isLit(e.Y, "2") {
+		return false
+	}
+	sub, ok := paren.X.(*ast.BinaryExpr)
+	return ok && sub.Op == token.SUB && isLit(sub.Y, "1")
+}
+
+func isLit(e ast.Expr, v string) bool {
+	l, ok := e.(*ast.BasicLit)
+	return ok && l.Value == v
 }
 
 // TestSubstrateStackIsAssembledOnce pins core.NewEngine as the only place
@@ -233,7 +329,6 @@ func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
 // exist beside engine.ChanTable, each with the reason it is not per-channel
 // model state.
 var perChannelMapAllowlist = map[string]string{
-	"netrt/pipes": "relay node: lock-guarded registry of per-channel pipe goroutines, created on demand",
 	"netrt/links": "relay node: lock-guarded registry of attached client connections, keyed by MH id",
 }
 

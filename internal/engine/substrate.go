@@ -250,9 +250,9 @@ func (t *ChanTable[T]) Each(fn func(ch int, v *T)) {
 // FIFOClock computes FIFO-respecting arrival times: one high-water mark per
 // channel. A zero mark means "no prior traffic", which is exact: clamping
 // against 0 is a no-op. The unit is the caller's — ticks on the simulator,
-// wall nanoseconds since Start in internal/rt's due queue. Substrates that
-// serialize channels physically (netrt's relays, one in-order pipe per
-// channel) do not need it.
+// wall nanoseconds since Start in internal/rt's due queue, wall
+// nanoseconds since the process started in each internal/netrt relay
+// node's and client's. It is the link model on every substrate.
 type FIFOClock struct{ marks *ChanTable[sim.Time] }
 
 // NewFIFOClockLayout returns a clock for the engine's (m, n) channel

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"mobiledist/internal/wire"
 )
@@ -33,19 +32,17 @@ type ClientConfig struct {
 // current serving MSS node. TRetarget frames from the hub's mobility relay
 // move the link between stations — dialling the new cell with backoff,
 // attaching with TAttach, and reporting TAttached — so every leave/join
-// handoff is a physical re-dial. Uplink frames are stamped with their due
-// time as they arrive from the hub, leave the uplink pipe in order once
-// due, and cross the client's end of the wireless link (see wlink), which
+// handoff is a physical re-dial. Uplink frames wait on the client's due
+// queue (see member) from their arrival from the hub until they are due,
+// and then cross the client's end of the wireless link (see wlink), which
 // holds each until the node echoes it. An uplink due while the MH is
 // detached (between cells or disconnected), or one the link does not take,
 // is resolved straight to the hub — the transmission left the antenna; the
 // model's deliver closure decides what arrival means.
 type Client struct {
 	member
-	cfg  ClientConfig
-	tick time.Duration
-	tr   transport
-	upq  *fifo[dueFrame]
+	cfg ClientConfig
+	tr  transport
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -62,11 +59,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ID < 0 || cfg.ID >= cfg.Cluster.N {
 		return nil, fmt.Errorf("netrt: client id %d out of range (N=%d)", cfg.ID, cfg.Cluster.N)
 	}
-	c := &Client{
-		cfg:  cfg,
-		tick: cfg.Cluster.tick(),
-		upq:  newFifo[dueFrame](),
-	}
+	c := &Client{cfg: cfg}
 	c.cond = sync.NewCond(&c.mu)
 	c.init(wire.RoleMH, cfg.ID, cfg.Cluster, cfg.Gen, cfg.FrameTap)
 	tr, err := cfg.Cluster.transport(wire.RoleMH, cfg.ID)
@@ -83,10 +76,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	c.tr = tr
 
 	c.joinHub(cfg.Cluster.Hub, tr, func(f wire.Frame) {
-		switch f.Type {
-		case wire.TData:
-			c.upq.put(stamp(f, c.tick))
-		case wire.TRetarget:
+		if f.Type == wire.TRetarget {
 			if h, err := wire.DecodeHandoff(f.Payload); err == nil {
 				c.retarget(h)
 			}
@@ -95,7 +85,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	c.hub.start()
 
 	c.wg.Add(2)
-	go c.pipeLoop(c.upq, c.transmitUp)
+	go c.dueLoop(c.transmitUp)
 	go c.wirelessLoop()
 	return c, nil
 }
@@ -208,6 +198,5 @@ func (c *Client) Stop() {
 		}
 		c.cond.Broadcast()
 		c.mu.Unlock()
-		c.upq.close()
 	})
 }

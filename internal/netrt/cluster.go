@@ -28,7 +28,7 @@ type ClusterConfig struct {
 	// TickNS is the virtual-time tick in nanoseconds (0: the 50µs
 	// default) — nanoseconds so that it carries the hub's rt.Config.Tick
 	// without loss and hub and relays price a link latency identically.
-	// Relays use it to stamp due times in their link pipes.
+	// Relays use it to stamp due times on their due queues.
 	TickNS int64 `json:"tick_ns,omitempty"`
 	// HeartbeatMS is the liveness ping interval in milliseconds (0: the
 	// 25ms default; negative: heartbeats disabled). Relay nodes use the

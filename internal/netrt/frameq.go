@@ -7,12 +7,11 @@ import (
 	"mobiledist/internal/wire"
 )
 
-// fifo is an unbounded FIFO with a blocking consumer. It backs both peer
-// outboxes (frames awaiting a healthy connection) and relay link pipes
-// (frames stamped with their due time). Unboundedness matters for the same
-// reason as in internal/execq: producers include the hub executor and
-// socket readers, neither of which may ever block on a slow consumer, or
-// the runtime can deadlock against its own deliveries.
+// fifo is an unbounded FIFO of frames with a blocking consumer: a peer's
+// outbox, the frames awaiting a healthy connection. Unboundedness matters
+// for the same reason as in internal/execq: producers include the hub
+// executor and socket readers, neither of which may ever block on a slow
+// consumer, or the runtime can deadlock against its own deliveries.
 //
 // The consumer works in batches with ack semantics: peek hands it
 // everything queued without removing it, consume removes the batch once it
@@ -26,28 +25,28 @@ import (
 // consumes nothing — so it can never pop frames queued after the clear —
 // and the frames it wrote were re-sent by whoever cleared (resync replay);
 // the receiving side suppresses the duplicates.
-type fifo[T any] struct {
+type fifo struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []T
+	items  []wire.Frame
 	epoch  uint64
 	closed bool
 }
 
-func newFifo[T any]() *fifo[T] {
-	q := &fifo[T]{}
+func newFifo() *fifo {
+	q := &fifo{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// put appends v. It reports false if the queue is closed.
-func (q *fifo[T]) put(v T) bool {
+// put appends f. It reports false if the queue is closed.
+func (q *fifo) put(f wire.Frame) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items = append(q.items, f)
 	q.cond.Signal()
 	return true
 }
@@ -56,7 +55,7 @@ func (q *fifo[T]) put(v T) bool {
 // everything queued — a read-only view, valid until the matching consume —
 // and the epoch to pass to it. Producers only ever append past the view or
 // move to a fresh array, so the consumer reads it without the lock.
-func (q *fifo[T]) peek() ([]T, uint64, bool) {
+func (q *fifo) peek() ([]wire.Frame, uint64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -71,7 +70,7 @@ func (q *fifo[T]) peek() ([]T, uint64, bool) {
 // consume removes the n-item batch a peek returned — unless the queue was
 // cleared since, in which case handling the batch was a harmless duplicate
 // and nothing is removed.
-func (q *fifo[T]) consume(epoch uint64, n int) {
+func (q *fifo) consume(epoch uint64, n int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.epoch != epoch {
@@ -87,7 +86,7 @@ func (q *fifo[T]) consume(epoch uint64, n int) {
 // in-flight peek/consume pair. Used when a peer is declared dead: its
 // suffix is re-sent by the resync replay, so retaining stale frames would
 // only interleave duplicates ahead of the replayed order.
-func (q *fifo[T]) clear() {
+func (q *fifo) clear() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.items = nil
@@ -96,7 +95,7 @@ func (q *fifo[T]) clear() {
 }
 
 // depth reports the number of queued items (for /status).
-func (q *fifo[T]) depth() int {
+func (q *fifo) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
@@ -107,7 +106,7 @@ func (q *fifo[T]) depth() int {
 // abort predicate is re-evaluated on every wake-up; callers whose predicate
 // depends on external state (a peer's connection) must arrange for wake to
 // be called when that state changes.
-func (q *fifo[T]) waitDrained(deadline time.Time, abort func() bool) bool {
+func (q *fifo) waitDrained(deadline time.Time, abort func() bool) bool {
 	timer := time.AfterFunc(time.Until(deadline), q.wake)
 	defer timer.Stop()
 	q.mu.Lock()
@@ -125,30 +124,16 @@ func (q *fifo[T]) waitDrained(deadline time.Time, abort func() bool) bool {
 }
 
 // wake broadcasts to all waiters (drain waiters re-check their predicate).
-func (q *fifo[T]) wake() {
+func (q *fifo) wake() {
 	q.mu.Lock()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
 // close wakes all consumers; queued items are still served until empty.
-func (q *fifo[T]) close() {
+func (q *fifo) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
 	q.cond.Broadcast()
-}
-
-// dueFrame is a TData frame inside a link pipe (a node's per-channel pipes,
-// a client's uplink pipe): the frame and the wall time it may leave.
-type dueFrame struct {
-	f   wire.Frame
-	due time.Time
-}
-
-// stamp is the pipe-entry half of the link model, the same on every live
-// substrate: f is due its latency, in ticks, after it arrived. The pipe's
-// goroutine (rt.DueTimer) is the other half.
-func stamp(f wire.Frame, tick time.Duration) dueFrame {
-	return dueFrame{f: f, due: time.Now().Add(time.Duration(f.Latency) * tick)}
 }

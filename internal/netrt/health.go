@@ -208,7 +208,8 @@ type nodeStatusJSON struct {
 	HubConnected bool               `json:"hub_connected"`
 	Clients      int                `json:"clients"`
 	HubOutbox    int                `json:"hub_outbox"`
-	PipeDepth    int                `json:"pipe_depth"`
+	PipeDepth    int                `json:"pipe_depth"` // frames on the due queue
+	Rejected     int64              `json:"rejected_frames"`
 	Dgram        []dgramSessionJSON `json:"dgram_sessions,omitempty"`
 }
 
@@ -231,16 +232,15 @@ func (n *Node) HealthHandler() http.Handler {
 			Gen:          n.gen.Load(),
 			HubConnected: n.hub.connected(),
 			HubOutbox:    n.hub.outboxDepth(),
+			Rejected:     n.rejected.Load(),
 			Dgram:        listenerSessions(n.ln),
 		}
 		n.linkMu.Lock()
 		doc.Clients = len(n.links)
 		n.linkMu.Unlock()
-		n.pipeMu.Lock()
-		for _, q := range n.pipes {
-			doc.PipeDepth += q.depth()
-		}
-		n.pipeMu.Unlock()
+		n.dueMu.Lock()
+		doc.PipeDepth = n.due.Len()
+		n.dueMu.Unlock()
 		writeJSON(w, doc)
 	})
 	return mux
@@ -256,6 +256,7 @@ type clientStatusJSON struct {
 	Attached       bool               `json:"attached"`
 	TargetMSS      int32              `json:"target_mss"`
 	PendingUplinks int                `json:"pending_uplinks"`
+	Rejected       int64              `json:"rejected_frames"`
 	Dgram          []dgramSessionJSON `json:"dgram_sessions,omitempty"`
 }
 
@@ -276,6 +277,7 @@ func (c *Client) HealthHandler() http.Handler {
 			ID:           c.cfg.ID,
 			Gen:          c.gen.Load(),
 			HubConnected: c.hub.connected(),
+			Rejected:     c.rejected.Load(),
 		}
 		c.mu.Lock()
 		l := c.link

@@ -7,14 +7,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobiledist/internal/engine"
 	"mobiledist/internal/rt"
+	"mobiledist/internal/sim"
 	"mobiledist/internal/wire"
 )
 
 // This file is what a relay node and an MH client share: the wireless link
 // between them (wlink, one type for both of its ends), their membership of
 // the cluster (member: the hub connection, the incarnation generation, the
-// lifecycle and the due-time pipe loop), and the one reconnect loop
+// lifecycle and the process's one due queue), and the one reconnect loop
 // (redial).
 
 // Reconnect pacing: a dialler waits from dialBackoffMin after its first
@@ -62,15 +64,25 @@ type pendKey struct {
 }
 
 // member is a relay node's or an MH client's place in the cluster: one
-// connection to the hub, the incarnation generation the hub admitted, and
-// a lifecycle. Node and Client embed it.
+// connection to the hub, the incarnation generation the hub admitted, a
+// lifecycle, and the process's one due queue. Node and Client embed it.
 type member struct {
-	self wire.Hello // role, id and topology of every hello; Gen is read per dial
-	tap  func(raw []byte, f wire.Frame)
-	hub  *peer
+	self   wire.Hello // role, id and topology of every hello; Gen is read per dial
+	layout engine.ChannelLayout
+	tap    func(raw []byte, f wire.Frame)
+	hub    *peer
 
-	gen     atomic.Uint64 // generation the hub admitted (TResync ack)
-	saidBye atomic.Bool   // orderly hub shutdown seen (supervisors stop restarting)
+	gen      atomic.Uint64 // generation the hub admitted (TResync ack)
+	saidBye  atomic.Bool   // orderly hub shutdown seen (supervisors stop restarting)
+	rejected atomic.Int64  // TData frames on channels this process does not send on
+
+	tick  time.Duration
+	epoch time.Time  // due times are wall nanoseconds since it
+	dueMu sync.Mutex // guards fifo and due
+	fifo  *engine.FIFOClock
+	due   rt.DueQueue[wire.Frame]
+	wake  chan struct{} // capacity 1: a push, or the head's timer fired
+	timer *time.Timer   // dueLoop's; nil until a head was still ahead
 
 	wg       sync.WaitGroup
 	stop     chan struct{}
@@ -81,8 +93,13 @@ type member struct {
 // init readies m for cluster process (role, id), claiming generation gen.
 func (m *member) init(role wire.Role, id int, cc ClusterConfig, gen uint64, tap func(raw []byte, f wire.Frame)) {
 	m.self = wire.Hello{Role: role, ID: int32(id), M: int32(cc.M), N: int32(cc.N)}
+	m.layout = engine.ChannelLayout{M: cc.M, N: cc.N}
 	m.tap = tap
 	m.gen.Store(gen)
+	m.tick = cc.tick()
+	m.epoch = time.Now()
+	m.fifo = engine.NewFIFOClockLayout(cc.M, cc.N)
+	m.wake = make(chan struct{}, 1)
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
 }
@@ -106,11 +123,14 @@ func (m *member) dialPeer(addr string, tr transport, onFrame func(wire.Frame)) *
 }
 
 // joinHub builds the hub peer, unstarted. The member answers the hub's
-// pings, adopts the generation a TResync assigns and runs shutdown on TBye;
-// every other hub frame goes to onData, on the connection's reader.
-func (m *member) joinHub(addr string, tr transport, onData func(wire.Frame), shutdown func()) {
+// pings, adopts the generation a TResync assigns, queues TData and runs
+// shutdown on TBye; every other hub frame goes to onControl, on the
+// connection's reader.
+func (m *member) joinHub(addr string, tr transport, onControl func(wire.Frame), shutdown func()) {
 	m.hub = m.dialPeer(addr, tr, func(f wire.Frame) {
 		switch f.Type {
+		case wire.TData:
+			m.queue(f)
 		case wire.THeartbeat:
 			if f.Hop == 0 { // hub ping: answer in kind
 				m.hub.send(wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: f.Seq, Hop: 1})
@@ -122,7 +142,7 @@ func (m *member) joinHub(addr string, tr transport, onData func(wire.Frame), shu
 			m.saidBye.Store(true)
 			go shutdown() // not inline: shutdown waits for this very reader
 		default:
-			onData(f)
+			onControl(f)
 		}
 	})
 }
@@ -142,31 +162,78 @@ func (m *member) confirm(ch int32, seq uint64) {
 	m.hub.send(wire.Frame{Type: wire.TDelivered, Ch: ch, Seq: seq})
 }
 
-// pipeLoop is a link pipe's goroutine: wait out whatever is left of each
-// frame's latency, then relay it across its last physical link (at hop 1)
-// — strictly in order, the model's per-channel FIFO. stamp is the other
-// half of the link model.
-func (m *member) pipeLoop(q *fifo[dueFrame], relay func(wire.Frame)) {
+// carries reports whether this process sends on channel ch: a node on its
+// station's wired row and downlinks, a client on its own uplink.
+func (m *member) carries(ch int32) bool {
+	l, c, id := m.layout, int(ch), int(m.self.ID)
+	if m.self.Role == wire.RoleMH {
+		return c == l.Count()-l.N+id
+	}
+	down := l.M*l.M + id*l.N
+	return c >= id*l.M && c < (id+1)*l.M || c >= down && c < down+l.N
+}
+
+// queue takes a TData frame off the hub connection: it pushes the frame at
+// its channel's FIFO clamp of arrival + latency × tick and wakes dueLoop,
+// or drops and counts a frame on a channel this process does not send on.
+// It never writes a socket, so no far end can stall the hub connection.
+func (m *member) queue(f wire.Frame) {
+	if !m.carries(f.Ch) {
+		m.rejected.Add(1)
+		return
+	}
+	now, lat := sim.Time(time.Since(m.epoch)), sim.Time(time.Duration(f.Latency)*m.tick)
+	m.dueMu.Lock()
+	m.due.Push(m.fifo.Arrival(int(f.Ch), now, lat), f)
+	m.dueMu.Unlock()
+	m.poke()
+}
+
+// poke wakes dueLoop; a wake already pending covers this one.
+func (m *member) poke() {
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
+}
+
+// dueLoop is the due queue's one goroutine: it sends each frame once due,
+// at hop 1, across its last physical link, and otherwise sleeps until the
+// head is due (on one timer, armed only for a head still ahead) or a frame
+// arrives. It exits when stop closes.
+func (m *member) dueLoop(send func(wire.Frame)) {
 	defer m.wg.Done()
-	var timer rt.DueTimer
 	for {
-		batch, epoch, ok := q.peek()
-		if !ok {
-			return
-		}
-		for _, d := range batch {
-			if !timer.Wait(d.due, m.stop) {
-				return
+		m.dueMu.Lock()
+		if m.due.Len() > 0 {
+			wait := time.Duration(m.due.Head()) - time.Since(m.epoch)
+			if wait <= 0 {
+				f := m.due.Pop()
+				m.dueMu.Unlock()
+				f.Hop = 1
+				send(f)
+				continue
 			}
-			d.f.Hop = 1
-			relay(d.f)
+			if m.timer == nil {
+				m.timer = time.AfterFunc(wait, m.poke)
+			} else {
+				m.timer.Reset(wait)
+			}
 		}
-		q.consume(epoch, len(batch))
+		m.dueMu.Unlock()
+		select {
+		case <-m.stop:
+			if m.timer != nil {
+				m.timer.Stop()
+			}
+			return
+		case <-m.wake:
+		}
 	}
 }
 
 // halt shuts the process down once: stop closes, release lets go of what
-// the owner holds (listeners, pipes, links), the hub peer closes, and every
+// the owner holds (listeners, links), the hub peer closes, and every
 // goroutine is waited for.
 func (m *member) halt(release func()) {
 	m.stopOnce.Do(func() {
@@ -319,8 +386,10 @@ func (l *wlink) serve(r *wire.Reader) {
 }
 
 // ping sends the next heartbeat, or severs the link once clientMissK beats
-// in a row went unanswered (serve then drops it).
-func (l *wlink) ping() {
+// in a row went unanswered (serve then drops it). It never waits on the
+// link: a beat that finds a write in progress goes unsent, so unanswered,
+// and one the socket cannot take within a beat closes the link.
+func (l *wlink) ping(beat time.Duration) {
 	l.mu.Lock()
 	if l.beatSeq > l.beatAck {
 		l.missed++
@@ -331,9 +400,14 @@ func (l *wlink) ping() {
 	l.beatSeq++
 	seq := l.beatSeq
 	l.mu.Unlock()
-	if dead {
-		l.conn.Close()
-		return
+	var err error
+	if !dead && l.wmu.TryLock() {
+		l.conn.SetWriteDeadline(time.Now().Add(beat))
+		err = l.w.WriteFrame(wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: seq})
+		l.conn.SetWriteDeadline(time.Time{})
+		l.wmu.Unlock()
 	}
-	_ = l.write(wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: seq}) // a failure has closed the link
+	if dead || err != nil {
+		l.conn.Close()
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -119,6 +121,119 @@ func TestRelayPipeOverlapsLatencies(t *testing.T) {
 	}
 	if took > k*l/2 {
 		t.Errorf("downlink of %d frames drained in %v: latencies are serialised (one latency is %v, %d in turn %v)", k, took, l, k, k*l)
+	}
+}
+
+// TestRelayOrdersByDueTime is the ordering the per-channel pipes gave for
+// free, on one queue: a lone node at a 1 ms tick whose downlinks have no
+// client, so each is confirmed the moment it is relayed and the hub reads
+// the relay order. A short latency on one channel overtakes a long one
+// queued earlier on another; mixed latencies on one channel still leave in
+// send order (the FIFO clamp).
+func TestRelayOrdersByDueTime(t *testing.T) {
+	const a, b = 1, 2 // mss0 → mh0, mss0 → mh1
+	rows := []struct {
+		name string
+		send []wire.Frame
+		want []pendKey
+	}{
+		{"short on B overtakes long on A",
+			[]wire.Frame{{Ch: a, Seq: 0, Latency: 100}, {Ch: b, Seq: 0, Latency: 1}},
+			[]pendKey{{b, 0}, {a, 0}}},
+		{"mixed latencies on A keep send order",
+			[]wire.Frame{{Ch: a, Seq: 0, Latency: 50}, {Ch: a, Seq: 1, Latency: 1}, {Ch: a, Seq: 2, Latency: 20}, {Ch: a, Seq: 3}},
+			[]pendKey{{a, 0}, {a, 1}, {a, 2}, {a, 3}}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			hub := startFakeHub(t)
+			startTestNode(t, ClusterConfig{
+				Hub: hub.addr(), MSS: []string{"127.0.0.1:0"}, M: 1, N: 2, HeartbeatMS: -1, TickNS: int64(time.Millisecond),
+			})
+			for _, f := range row.send {
+				f.Type = wire.TData
+				hub.send(t, f)
+			}
+			last := row.want[len(row.want)-1]
+			if got := hub.confirmed(t, last.ch, last.seq); !reflect.DeepEqual(got, row.want) {
+				t.Errorf("relayed %v, want %v", got, row.want)
+			}
+		})
+	}
+}
+
+// TestDueQueueArmsATimerOnlyForAHeadAhead: frames already due when the
+// node's due queue looks at them are relayed without arming its timer (at
+// sub-microsecond ticks no relay ever arms one); a head still ahead arms
+// the one timer.
+func TestDueQueueArmsATimerOnlyForAHeadAhead(t *testing.T) {
+	for _, row := range []struct {
+		latency uint32
+		armed   bool
+	}{{0, false}, {20, true}} {
+		hub := startFakeHub(t)
+		n := startTestNode(t, ClusterConfig{
+			Hub: hub.addr(), MSS: []string{"127.0.0.1:0"}, M: 1, N: 1, HeartbeatMS: -1, TickNS: int64(time.Millisecond),
+		})
+		for seq := uint64(0); seq < 3; seq++ {
+			hub.send(t, wire.Frame{Type: wire.TData, Ch: chLoneDown, Seq: seq, Latency: row.latency})
+		}
+		hub.confirmed(t, chLoneDown, 2)
+		n.Stop() // orders the due goroutine's writes before the read below
+		if armed := n.timer != nil; armed != row.armed {
+			t.Errorf("latency %d ticks: timer armed %v, want %v", row.latency, armed, row.armed)
+		}
+	}
+}
+
+// TestRelayQueuesEveryChannelOnOneGoroutine is rt's TestNoGoroutinePerChannel
+// across sockets: one frame on each of a node's M wired and N downlink
+// channels, all queued at once for 200 ticks of 1 ms, leaves the process's
+// goroutine count flat until they have landed — not one more per channel.
+func TestRelayQueuesEveryChannelOnOneGoroutine(t *testing.T) {
+	const m, nh = 3, 16
+	hub := startFakeHub(t)
+	mss := []string{"127.0.0.1:0"}
+	var stations []*fakeStation
+	for i := 1; i < m; i++ {
+		st := startFakeStation(t)
+		stations = append(stations, st)
+		mss = append(mss, st.ln.Addr().String())
+	}
+	n := startTestNode(t, ClusterConfig{
+		Hub: hub.addr(), MSS: mss, M: m, N: nh, HeartbeatMS: -1, TickNS: int64(time.Millisecond),
+	})
+	hub.send(t, wire.Frame{Type: wire.TData, Ch: 0, Seq: 0}) // self-loop: the hub link is up
+	hub.confirmed(t, 0, 0)
+	for _, st := range stations {
+		if f := <-st.frames; f.Type != wire.THello {
+			t.Fatalf("station read %+v first, want the mesh hello", f)
+		}
+	}
+	before := runtime.NumGoroutine()
+
+	for j := 0; j < m; j++ {
+		hub.send(t, wire.Frame{Type: wire.TData, Ch: int32(j), Seq: 1, Latency: 200})
+	}
+	for mh := 0; mh < nh; mh++ {
+		hub.send(t, wire.Frame{Type: wire.TData, Ch: int32(n.layout.M*n.layout.M + mh), Seq: 0, Latency: 200})
+	}
+	peak, landed := 0, 0
+	deadline := time.After(idleTimeout)
+	for landed < nh+1 { // the downlinks (no client) and the self-loop
+		select {
+		case f := <-hub.frames:
+			if f.Type == wire.TDelivered {
+				landed++
+			}
+		case <-time.After(time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of %d frames landed", landed, nh+1)
+		}
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	if peak > before+2 {
+		t.Errorf("%d goroutines while %d channels' frames were queued, %d before", peak, m+nh, before)
 	}
 }
 
@@ -317,17 +432,18 @@ func TestWriterResendsBatchAfterFailedFlush(t *testing.T) {
 // TestConsumeAfterClearPopsNothing is the epoch guarantee for a batch: a
 // consumer that peeked before a clear removes nothing queued after it.
 func TestConsumeAfterClearPopsNothing(t *testing.T) {
-	q := newFifo[int]()
-	q.put(1)
-	q.put(2)
+	q := newFifo()
+	for _, f := range dataFrames(1, 3) {
+		q.put(f)
+	}
 	batch, epoch, _ := q.peek()
 	q.clear()
-	q.put(3)
-	q.put(4)
-	q.put(5)
+	for _, f := range dataFrames(3, 6) {
+		q.put(f)
+	}
 	q.consume(epoch, len(batch))
-	if got, _, _ := q.peek(); len(got) != 3 || got[0] != 3 || got[2] != 5 {
-		t.Fatalf("queue holds %v after a stale consume, want [3 4 5]", got)
+	if got, _, _ := q.peek(); len(got) != 3 || got[0].Seq != 3 || got[2].Seq != 5 {
+		t.Fatalf("queue holds %v after a stale consume, want seqs [3 4 5]", got)
 	}
 }
 

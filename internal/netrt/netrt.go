@@ -18,7 +18,7 @@
 //     TData frame on a physical journey over TCP;
 //   - MSS relay nodes (node.go) carry the wired tier: a TData for wired
 //     channel (i,j) travels hub → node i, is due its link latency after it
-//     entered node i's per-channel pipe, crosses the mesh connection to
+//     reached node i (on its due queue), crosses the mesh connection to
 //     node j, and node j confirms with TDelivered. Downlinks wait at the
 //     serving node and cross that node's wireless connection to the MH
 //     client;
@@ -28,14 +28,15 @@
 //     traffic always crosses a real link, and handoffs physically re-dial.
 //     Node and client are the two ends of one link type and one cluster
 //     member (link.go);
-//   - a link's latency is a due time, not a sleep: a pipe handles its
-//     frames strictly in order and waits only while the head's due time
-//     (arrival + latency × tick) is still ahead, so latencies of queued
-//     frames overlap exactly as engine.FIFOClock's arrival clamp makes
-//     them on the simulator and in rt's due queue. Socket writers
-//     flush when idle (peer.writeLoop drains its outbox into one write;
-//     the wireless echo paths flush when their reader has no further
-//     frame buffered), so a hop costs its sockets and nothing else;
+//   - a link's latency is a due time, not a sleep: each node and client
+//     process stamps a frame from the hub with engine.FIFOClock's arrival
+//     clamp (arrival + latency × tick, never before the channel's previous
+//     frame) and keeps it on one rt.DueQueue until it is due, so latencies
+//     of queued frames overlap exactly as they do on the simulator and in
+//     rt's due queue, and a process runs no goroutine per channel. Socket
+//     writers flush when idle (peer.writeLoop drains its outbox into one
+//     write; the wireless echo paths flush when their reader has no
+//     further frame buffered), so a hop costs its sockets and nothing else;
 //   - when the hub receives TDelivered (ch, seq) it marks that window entry
 //     confirmed and releases the window's confirmed prefix — so records
 //     leave in per-channel sequence order, and a confirmation that arrives

@@ -223,7 +223,8 @@ func TestLoopbackWireBytesRoundTrip(t *testing.T) {
 
 // TestLoopbackShutdownLeaksNoGoroutines is the goleak-style counter check:
 // after a full run and Stop, the goroutine count must return to (about)
-// where it started.
+// where it started. A node and a client each hold a frame due hours from
+// now, which must not hold up their Stop.
 func TestLoopbackShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -240,7 +241,23 @@ func TestLoopbackShutdownLeaksNoGoroutines(t *testing.T) {
 	})
 	lb.Sys.Move(2, 0)
 	settle(t, lb)
+	far := wire.Frame{Type: wire.TData, Seq: 1 << 40, Latency: 1 << 30}
+	lb.Nodes[0].queue(far) // wired 0 → 0
+	l := lb.Nodes[0].layout
+	far.Ch = int32(l.Count() - l.N)
+	lb.Clients[0].queue(far) // mh0's uplink
+	for _, m := range []*member{&lb.Nodes[0].member, &lb.Clients[0].member} {
+		m.dueMu.Lock()
+		if n := m.due.Len(); n != 1 {
+			t.Errorf("a due queue holds %d frames, want the far-future one", n)
+		}
+		m.dueMu.Unlock()
+	}
+	start := time.Now()
 	lb.Stop()
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("Stop took %v with far-future frames queued", took)
+	}
 
 	assertNoGoroutineLeak(t, before)
 }

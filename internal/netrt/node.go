@@ -30,26 +30,18 @@ type NodeConfig struct {
 
 // Node is an MSS relay: it owns the physical sending end of its station's
 // wired channels and downlinks. TData frames arrive from the hub (hop 0),
-// are stamped with their due time (arrival + latency × tick) as they enter
-// a per-channel pipe — one goroutine per channel, handling frames strictly
-// in order and waiting only while the head's due time is still ahead, the
-// same link model as internal/rt's transport — and then cross the last
+// wait on the node's due queue (see member), and then cross the last
 // physical link: the mesh connection to the destination station, or the
 // station end of the attached MH's wireless link. The node confirms wired
 // arrivals from its mesh neighbours, and its end of each wireless link
 // confirms uplinks and downlinks (see wlink).
 type Node struct {
 	member
-	cfg    NodeConfig
-	tick   time.Duration
-	beat   time.Duration // node→client heartbeat interval (0: disabled)
-	layout engine.ChannelLayout
+	cfg  NodeConfig
+	beat time.Duration // node→client heartbeat interval (0: disabled)
 
 	ln   net.Listener
 	mesh []*peer // dialling peers to every other station (self nil)
-
-	pipeMu sync.Mutex
-	pipes  map[int32]*fifo[dueFrame]
 
 	linkMu sync.Mutex
 	links  map[int32]*wlink // the station end of each attached MH's link
@@ -64,12 +56,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("netrt: node id %d out of range (M=%d)", cfg.ID, cfg.Cluster.M)
 	}
 	n := &Node{
-		cfg:    cfg,
-		tick:   cfg.Cluster.tick(),
-		beat:   cfg.Cluster.heartbeat(),
-		layout: engine.ChannelLayout{M: cfg.Cluster.M, N: cfg.Cluster.N},
-		pipes:  make(map[int32]*fifo[dueFrame]),
-		links:  make(map[int32]*wlink),
+		cfg:   cfg,
+		beat:  cfg.Cluster.heartbeat(),
+		links: make(map[int32]*wlink),
 	}
 	n.init(wire.RoleMSS, cfg.ID, cfg.Cluster, cfg.Gen, cfg.FrameTap)
 	tr, err := cfg.Cluster.transport(wire.RoleMSS, cfg.ID)
@@ -90,11 +79,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.ln = ln
 
-	n.joinHub(cfg.Cluster.Hub, tr, func(f wire.Frame) {
-		if f.Type == wire.TData {
-			n.pipe(f.Ch).put(stamp(f, n.tick))
-		}
-	}, n.Stop)
+	n.joinHub(cfg.Cluster.Hub, tr, func(wire.Frame) {}, n.Stop)
 	n.mesh = make([]*peer, cfg.Cluster.M)
 	for j := range n.mesh {
 		if j == cfg.ID {
@@ -104,11 +89,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.mesh[j].start()
 	}
 	// The hub connection starts last: its first frames may be a resync
-	// replay, and a pipe relays a frame that is already due at once — into
-	// the mesh, which must be complete by then.
+	// replay, and the due queue relays a frame that is already due at once
+	// — into the mesh, which must be complete by then.
+	n.wg.Add(2)
+	go n.dueLoop(n.relay)
 	n.hub.start()
-
-	n.wg.Add(1)
 	go n.acceptLoop()
 	if n.beat > 0 {
 		n.wg.Add(1)
@@ -140,24 +125,9 @@ func (n *Node) heartbeatClients() {
 		}
 		n.linkMu.Unlock()
 		for _, l := range links {
-			l.ping()
+			l.ping(n.beat)
 		}
 	}
-}
-
-// pipe returns (creating on demand) the link pipe for channel ch.
-func (n *Node) pipe(ch int32) *fifo[dueFrame] {
-	n.pipeMu.Lock()
-	defer n.pipeMu.Unlock()
-	q, ok := n.pipes[ch]
-	if ok {
-		return q
-	}
-	q = newFifo[dueFrame]()
-	n.pipes[ch] = q
-	n.wg.Add(1)
-	go n.pipeLoop(q, n.relay)
-	return q
 }
 
 // relay puts a due frame onto its last physical link. A downlink whose MH
@@ -268,11 +238,6 @@ func (n *Node) serveClient(conn net.Conn, r *wire.Reader, mh int32) {
 func (n *Node) Stop() {
 	n.halt(func() {
 		n.ln.Close()
-		n.pipeMu.Lock()
-		for _, q := range n.pipes {
-			q.close()
-		}
-		n.pipeMu.Unlock()
 		for _, p := range n.mesh {
 			if p != nil {
 				p.close()

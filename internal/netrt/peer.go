@@ -37,7 +37,7 @@ type peer struct {
 	// tap, when non-nil, observes every written frame with its wire bytes.
 	tap func(raw []byte, f wire.Frame)
 
-	out  *fifo[wire.Frame]
+	out  *fifo
 	stop chan struct{}
 	wg   *sync.WaitGroup
 
@@ -55,7 +55,7 @@ type peer struct {
 func newPeer(wg *sync.WaitGroup, onFrame func(wire.Frame)) *peer {
 	p := &peer{
 		onFrame: onFrame,
-		out:     newFifo[wire.Frame](),
+		out:     newFifo(),
 		stop:    make(chan struct{}),
 		wg:      wg,
 	}

@@ -1,12 +1,16 @@
 package netrt
 
 import (
+	"encoding/json"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mobiledist/internal/engine"
 	"mobiledist/internal/wire"
 )
 
@@ -128,9 +132,15 @@ func count(keys []pendKey, k pendKey) int {
 // is h.
 func startLoneNode(t *testing.T, h *fakeHub, heartbeatMS int64) *Node {
 	t.Helper()
-	n, err := StartNode(NodeConfig{Cluster: ClusterConfig{
+	return startTestNode(t, ClusterConfig{
 		Hub: h.addr(), MSS: []string{"127.0.0.1:0"}, M: 1, N: 1, HeartbeatMS: heartbeatMS,
-	}})
+	})
+}
+
+// startTestNode starts relay 0 of cluster cc and stops it when the test ends.
+func startTestNode(t *testing.T, cc ClusterConfig) *Node {
+	t.Helper()
+	n, err := StartNode(NodeConfig{Cluster: cc})
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)
 	}
@@ -142,13 +152,20 @@ func startLoneNode(t *testing.T, h *fakeHub, heartbeatMS int64) *Node {
 // echoed an uplink on it, i.e. once the link is registered.
 func rawClient(t *testing.T, n *Node) (net.Conn, *wire.Reader, *wire.Writer) {
 	t.Helper()
+	return rawClientAs(t, n, 0)
+}
+
+// rawClientAs is rawClient for mobile host mh.
+func rawClientAs(t *testing.T, n *Node, mh int32) (net.Conn, *wire.Reader, *wire.Writer) {
+	t.Helper()
 	conn, err := net.Dial("tcp", n.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
+	up := int32(n.layout.Count()-n.layout.N) + mh
 	w := wire.NewWriter(conn)
-	for _, f := range []wire.Frame{{Type: wire.TAttach, Ch: 0}, {Type: wire.TData, Ch: chLoneUp, Seq: 0, Hop: 1}} {
+	for _, f := range []wire.Frame{{Type: wire.TAttach, Ch: mh}, {Type: wire.TData, Ch: up, Seq: 0, Hop: 1}} {
 		if err := w.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +177,7 @@ func rawClient(t *testing.T, n *Node) (net.Conn, *wire.Reader, *wire.Writer) {
 		if err != nil {
 			t.Fatalf("waiting for the uplink echo: %v", err)
 		}
-		if f.Type == wire.TDelivered && f.Ch == chLoneUp && f.Seq == 0 {
+		if f.Type == wire.TDelivered && f.Ch == up && f.Seq == 0 {
 			return conn, r, w
 		}
 	}
@@ -398,5 +415,163 @@ func TestWlinkFailedWriteHoldsNothing(t *testing.T) {
 	}
 	if n := l.held(); n != 0 {
 		t.Errorf("the link holds %d frames after a failed write, want 0", n)
+	}
+}
+
+// TestRelaysRejectChannelsTheyDoNotSend: a TData off the hub socket on a
+// channel the process does not send on — an id outside the numbering, or
+// another station's or host's channel — is dropped and counted on /status,
+// and the process goes on relaying. A node sources its station's wired
+// channels and downlinks, a client its own uplink.
+func TestRelaysRejectChannelsTheyDoNotSend(t *testing.T) {
+	layout := engine.ChannelLayout{M: 2, N: 2}
+	up := func(mh int32) int32 { return int32(layout.Count()-layout.N) + mh }
+	rows := []struct {
+		name    string
+		start   func(t *testing.T, cc ClusterConfig) http.Handler
+		hostile []int32
+		valid   int32 // confirmed straight back: a self-loop, or a detached uplink
+	}{
+		{"node", func(t *testing.T, cc ClusterConfig) http.Handler {
+			return startTestNode(t, cc).HealthHandler()
+		}, []int32{-1, int32(layout.Count()), int32(layout.M*layout.M + layout.N)}, 0},
+		{"client", func(t *testing.T, cc ClusterConfig) http.Handler {
+			c, err := StartClient(ClientConfig{Cluster: cc})
+			if err != nil {
+				t.Fatalf("StartClient: %v", err)
+			}
+			t.Cleanup(c.Stop)
+			return c.HealthHandler()
+		}, []int32{-1, int32(layout.Count()), up(1)}, up(0)},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			hub := startFakeHub(t)
+			st := startFakeStation(t)
+			status := row.start(t, ClusterConfig{
+				Hub: hub.addr(), MSS: []string{"127.0.0.1:0", st.ln.Addr().String()},
+				M: layout.M, N: layout.N, HeartbeatMS: -1,
+			})
+			for _, ch := range row.hostile {
+				hub.send(t, wire.Frame{Type: wire.TData, Ch: ch, Seq: 0})
+			}
+			hub.send(t, wire.Frame{Type: wire.TData, Ch: row.valid, Seq: 7})
+			hub.confirmed(t, row.valid, 7)
+
+			rec := httptest.NewRecorder()
+			status.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+			var doc struct {
+				Rejected int64 `json:"rejected_frames"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("/status: %v", err)
+			}
+			if doc.Rejected != int64(len(row.hostile)) {
+				t.Errorf("/status rejected_frames = %d, want %d", doc.Rejected, len(row.hostile))
+			}
+		})
+	}
+}
+
+// TestMemberCarriesItsOwnChannels checks carries against the layout's own
+// decoding for every process of a 3-station, 4-host cluster and every id
+// from -1 to Count(): a node carries the wired channels and downlinks its
+// station sources, a client its uplink, and nothing else is carried.
+func TestMemberCarriesItsOwnChannels(t *testing.T) {
+	l := engine.ChannelLayout{M: 3, N: 4}
+	cc := ClusterConfig{M: l.M, N: l.N}
+	for _, role := range []wire.Role{wire.RoleMSS, wire.RoleMH} {
+		ids := l.M
+		if role == wire.RoleMH {
+			ids = l.N
+		}
+		for id := 0; id < ids; id++ {
+			var m member
+			m.init(role, id, cc, 0, nil)
+			for ch := -1; ch <= l.Count(); ch++ {
+				want := false
+				if ch >= 0 && ch < l.Count() {
+					kind, a, b := l.Decode(ch)
+					want = role == wire.RoleMSS && kind != engine.ChannelUp && a == id ||
+						role == wire.RoleMH && kind == engine.ChannelUp && b == id
+				}
+				if got := m.carries(int32(ch)); got != want {
+					t.Errorf("%v %d carries channel %d = %v, want %v", role, id, ch, got, want)
+				}
+			}
+		}
+	}
+}
+
+// answerLoop reads a raw client's link and plays its part: it answers the
+// node's pings and echoes each downlink, handing the downlink to got. With
+// stallOnData it falls silent at its first downlink instead — it stops
+// reading for good, and the connection stays open.
+func answerLoop(r *wire.Reader, w *wire.Writer, stallOnData bool, got chan<- wire.Frame) {
+	for {
+		f, err := r.ReadFrame()
+		if err != nil {
+			return
+		}
+		answer := wire.Frame{Type: wire.THeartbeat, Ch: -1, Seq: f.Seq, Hop: 1}
+		switch {
+		case f.Type == wire.TData && stallOnData:
+			return
+		case f.Type == wire.TData:
+			got <- f
+			answer = wire.Frame{Type: wire.TDelivered, Ch: f.Ch, Seq: f.Seq}
+		case f.Type != wire.THeartbeat:
+			continue
+		}
+		if w.WriteFrame(answer) != nil {
+			return
+		}
+	}
+}
+
+// TestStalledClientDelaysOtherDownlinksAtMostMissK pins the one cost of a
+// node's shared due queue: a client that stops reading with downlinks owed
+// holds the station's writer, and with it every other downlink of the
+// node, until its link is severed — at most clientMissK heartbeats after it
+// fell silent. The stalled link's frames all resolve to the hub.
+func TestStalledClientDelaysOtherDownlinksAtMostMissK(t *testing.T) {
+	const (
+		beat   = 25 * time.Millisecond
+		frames = 16 // × 512 KB: more than the loopback socket buffers hold
+		slack  = 250 * time.Millisecond
+	)
+	hub := startFakeHub(t)
+	n := startTestNode(t, ClusterConfig{
+		Hub: hub.addr(), MSS: []string{"127.0.0.1:0"}, M: 1, N: 2, HeartbeatMS: beat.Milliseconds(),
+	})
+	down := func(mh int32) int32 { return int32(n.layout.M*n.layout.M) + mh }
+	stalledConn, r0, w0 := rawClientAs(t, n, 0)
+	stalledConn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	_, r1, w1 := rawClientAs(t, n, 1)
+	got := make(chan wire.Frame, 1)
+	go answerLoop(r0, w0, true, nil)
+	go answerLoop(r1, w1, false, got)
+
+	big := make([]byte, wire.MaxFrame/2)
+	for seq := uint64(0); seq < frames; seq++ {
+		hub.send(t, wire.Frame{Type: wire.TData, Ch: down(0), Seq: seq, Payload: big})
+	}
+	sent := time.Now()
+	hub.send(t, wire.Frame{Type: wire.TData, Ch: down(1), Seq: 0})
+	select {
+	case <-got:
+	case <-time.After(idleTimeout):
+		t.Fatal("the other client's downlink never arrived")
+	}
+	delay := time.Since(sent)
+	t.Logf("the other downlink arrived after %v", delay)
+	if bound := (clientMissK+1)*beat + slack; delay > bound {
+		t.Errorf("a stalled client held the node's other downlinks %v, want at most %v (%d beats of %v and slack)", delay, bound, clientMissK+1, beat)
+	}
+	confirms := hub.confirmed(t, down(1), 0)
+	for seq := uint64(0); seq < frames; seq++ {
+		if count(confirms, pendKey{down(0), seq}) == 0 {
+			confirms = append(confirms, hub.confirmed(t, down(0), seq)...)
+		}
 	}
 }

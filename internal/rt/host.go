@@ -104,8 +104,7 @@ type Host struct {
 	// before Start. held counts queued non-daemon records, which share one
 	// in-flight op; queued: a drain is on the task queue or running; armed:
 	// the timer will queue one at wakeAt. drainFn is h.drain, bound once.
-	queue         dueQueue
-	seq           uint64
+	queue         DueQueue[*engine.DeliveryRec]
 	held          int
 	queued, armed bool
 	wakeAt        sim.Time
@@ -306,7 +305,7 @@ func (h *Host) Stop() {
 			<-h.execDone
 		}
 		h.timer.Stop()
-		h.queue = nil
+		h.queue = DueQueue[*engine.DeliveryRec]{}
 		if h.held > 0 {
 			h.held = 0
 			h.tasks.OpDone()

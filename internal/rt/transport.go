@@ -16,44 +16,68 @@ import (
 // drainBatch bounds one drain's steps, so Do callers queued behind it run.
 const drainBatch = 256
 
-// dueRec is one record in the due queue; at is wall nanoseconds since Start.
-type dueRec struct {
+// DueQueue is a value min-heap of payloads on (due, push order): rt.Host's
+// records and each internal/netrt relay process's frames. The zero value is
+// empty; container/heap would box pushes.
+type DueQueue[T any] struct {
+	h   []due[T]
+	seq uint64
+}
+
+// due is one queued payload: due at at, pushed seq-th.
+type due[T any] struct {
 	at  sim.Time
 	seq uint64
-	rec *engine.DeliveryRec
+	v   T
 }
 
-// dueQueue is a value min-heap on (at, seq); container/heap would box pushes.
-type dueQueue []dueRec
-
-func (q dueQueue) less(i, j int) bool {
-	return q[i].at < q[j].at || q[i].at == q[j].at && q[i].seq < q[j].seq
+// before reports whether d leaves ahead of e.
+func (d *due[T]) before(e *due[T]) bool {
+	return d.at < e.at || d.at == e.at && d.seq < e.seq
 }
 
-func (q *dueQueue) push(d dueRec) {
-	*q = append(*q, d)
-	h := *q
-	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
-		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+// Len reports how many payloads are queued.
+func (q *DueQueue[T]) Len() int { return len(q.h) }
+
+// Head returns the earliest due time queued; the queue must not be empty.
+func (q *DueQueue[T]) Head() sim.Time { return q.h[0].at }
+
+// Push queues v due at at, behind everything already queued at at. Push
+// and Pop move the one element they place into a hole, once.
+func (q *DueQueue[T]) Push(at sim.Time, v T) {
+	q.seq++
+	d := due[T]{at, q.seq, v}
+	h := append(q.h, d)
+	i := len(h) - 1
+	for ; i > 0 && d.before(&h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
 	}
+	h[i] = d
+	q.h = h
 }
 
-func (q *dueQueue) pop() *engine.DeliveryRec {
-	h := *q
-	rec, n := h[0].rec, len(h)-1
-	h[0], h[n] = h[n], dueRec{}
+// Pop removes and returns the head; the queue must not be empty.
+func (q *DueQueue[T]) Pop() T {
+	h := q.h
+	v, n := h[0].v, len(h)-1
+	last := h[n]
+	h[n] = due[T]{}
 	h = h[:n]
-	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
-		if c+1 < n && h.less(c+1, c) {
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
 			c++
 		}
-		if !h.less(c, i) {
+		if !h[c].before(&last) {
 			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i], i = h[c], c
 	}
-	*q = h
-	return rec
+	if n > 0 {
+		h[i] = last
+	}
+	q.h = h
+	return v
 }
 
 // nowNs is the due queue's clock: wall nanoseconds since Start, 0 before it.
@@ -73,18 +97,17 @@ func (h *Host) put(now, at sim.Time, rec *engine.DeliveryRec) {
 		}
 		h.held++
 	}
-	h.seq++
-	h.queue.push(dueRec{at, h.seq, rec})
+	h.queue.Push(at, rec)
 	h.schedule(now)
 }
 
 // schedule makes sure a drain runs by the head's due time: queued now if it
 // is due, else on the timer, unless a queued drain or earlier timer covers it.
 func (h *Host) schedule(now sim.Time) {
-	if h.queued || len(h.queue) == 0 {
+	if h.queued || h.queue.Len() == 0 {
 		return
 	}
-	head := h.queue[0].at
+	head := h.queue.Head()
 	if h.armed {
 		if head >= h.wakeAt {
 			return
@@ -109,8 +132,8 @@ func (h *Host) schedule(now sim.Time) {
 func (h *Host) drain() {
 	h.queued, h.armed = true, false
 	now := h.nowNs()
-	for n := 0; n < drainBatch && len(h.queue) > 0 && h.queue[0].at <= now; n++ {
-		rec := h.queue.pop()
+	for n := 0; n < drainBatch && h.queue.Len() > 0 && h.queue.Head() <= now; n++ {
+		rec := h.queue.Pop()
 		if !rec.Daemon() {
 			if h.held--; h.held == 0 {
 				h.tasks.OpDone()
@@ -120,34 +143,4 @@ func (h *Host) drain() {
 	}
 	h.queued = false
 	h.schedule(h.nowNs())
-}
-
-// DueTimer is the waiting half of internal/netrt's relay pipes
-// (member.pipeLoop, in processes that have no Host): one reusable timer per
-// pipe goroutine, armed only for a due time that is still ahead. The zero
-// value is ready to use.
-type DueTimer struct {
-	t *time.Timer
-}
-
-// Wait blocks until due and reports true, or reports false as soon as stop
-// closes. A due time that has passed returns at once without arming the
-// timer — at sub-microsecond ticks a pipe never arms one at all.
-func (d *DueTimer) Wait(due time.Time, stop <-chan struct{}) bool {
-	wait := time.Until(due)
-	if wait <= 0 {
-		return true
-	}
-	if d.t == nil {
-		d.t = time.NewTimer(wait)
-	} else {
-		d.t.Reset(wait) // expired and drained by the previous Wait
-	}
-	select {
-	case <-d.t.C:
-		return true
-	case <-stop:
-		d.t.Stop()
-		return false
-	}
 }

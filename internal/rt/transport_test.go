@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -10,40 +12,34 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// TestDueTimerArmsOnlyForAFutureDue pins the decision a netrt relay pipe
-// makes per frame: a due time that has passed returns at once and never touches the
-// timer; a due time ahead arms the pipe's one timer, which later waits
-// reuse; a closed stop channel wins over a pending wait.
-func TestDueTimerArmsOnlyForAFutureDue(t *testing.T) {
-	var d DueTimer
-	stop := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		if !d.Wait(time.Now().Add(-time.Duration(i)*time.Millisecond), stop) {
-			t.Fatal("Wait on a passed due time reported stop")
+// TestDueQueuePopsInDueThenPushOrder checks the heap both live substrates
+// share against a stable sort: pushes interleaved with pops, with many
+// equal due times, pop in (due, push order).
+func TestDueQueuePopsInDueThenPushOrder(t *testing.T) {
+	type item struct {
+		at sim.Time
+		id int
+	}
+	rng := sim.NewRNG(5)
+	var q DueQueue[int]
+	var model []item
+	var got, want []int
+	for id := 0; id < 2000; id++ {
+		at := sim.Time(rng.Duration(0, 40))
+		q.Push(at, id)
+		model = append(model, item{at, id})
+		if rng.Duration(0, 3) == 0 {
+			sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
+			got, want = append(got, q.Pop()), append(want, model[0].id)
+			model = model[1:]
 		}
 	}
-	if d.t != nil {
-		t.Fatal("a passed due time armed a timer")
+	sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
+	for _, it := range model {
+		got, want = append(got, q.Pop()), append(want, it.id)
 	}
-
-	due := time.Now().Add(2 * time.Millisecond)
-	if !d.Wait(due, stop) {
-		t.Fatal("Wait on a future due time reported stop")
-	}
-	if time.Now().Before(due) {
-		t.Error("Wait returned before the due time")
-	}
-	first := d.t
-	if first == nil {
-		t.Fatal("a future due time armed no timer")
-	}
-	if !d.Wait(time.Now().Add(time.Millisecond), stop) || d.t != first {
-		t.Error("second wait did not reuse the pipe's timer")
-	}
-
-	close(stop)
-	if d.Wait(time.Now().Add(time.Hour), stop) {
-		t.Error("Wait ignored a closed stop channel")
+	if q.Len() != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("popped %v…, want %v… (%d left)", got[:10], want[:10], q.Len())
 	}
 }
 
@@ -183,8 +179,8 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 			rec.SetTag(int32(i))
 			before := sys.nowNs()
 			sys.TransmitRec(ch, lat, rec)
-			for _, d := range sys.queue {
-				if d.rec == rec {
+			for _, d := range sys.queue.h {
+				if d.v == rec {
 					stamp[i] = d.at
 				}
 			}
