@@ -66,15 +66,17 @@ loc:
 
 # Fuzz pass over the kernel oracles (the wheel against a sorted slice and
 # against the sharded queue: every table's byte identity rests on the pop
-# order) and the scheduler, decoder, store and waiter-queue invariants.
-# FuzzStoreModel compares two whole stores after every op of an input, so
-# the default minute of minimising each new-coverage input would eat the
-# budget; it gets an exec-count bound instead.
+# order) and the scheduler, decoder, store, waiter-queue and per-pair FIFO
+# invariants. FuzzStoreModel compares two whole stores after every op of an
+# input, and FuzzPairFIFO builds an engine per input, so the default minute
+# of minimising each new-coverage input would eat the budget; they get an
+# exec-count bound instead.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 30s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzPairFIFO -fuzztime 30s -fuzzminimizetime 500x ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 30s ./internal/obs
@@ -94,6 +96,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 5s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 5s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzPairFIFO -fuzztime 5s -fuzzminimizetime 500x ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPayloadDecoders -fuzztime 5s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadJSONL -fuzztime 5s ./internal/obs

@@ -32,33 +32,88 @@ func routeSystem(t testing.TB, m, n int) (*System, Context) {
 	return sys, ctx
 }
 
+// TestRoutedMessagePathZeroAllocs: MH-to-MH rounds allocate nothing once
+// warm, whether every message arrives in order or a later message overtakes
+// an earlier one of its pair and waits in the pair's FIFO window — and by
+// quiescence every window is empty and every record back in the pool.
 func TestRoutedMessagePathZeroAllocs(t *testing.T) {
 	const m, n = 8, 64
-	sys, ctx := routeSystem(t, m, n)
-	// A fixed pair set so the lazily-created per-pair FIFO states saturate
-	// during warmup; the steady-state claim is about moving messages, not
-	// about first contact between a pair.
-	round := func() {
-		for j := 0; j < 64; j++ {
-			from := MHID(j % n)
-			to := MHID((j + 1) % n)
-			if err := ctx.SendMHToMH(from, to, 7, cost.CatAlgorithm); err != nil {
-				t.Fatal(err)
+	rows := []struct {
+		name      string
+		overtakes bool
+		// round sends one round of messages and runs the system to
+		// quiescence, reporting how many steps ended with a window holding
+		// a message that overtook an earlier one.
+		round func(t *testing.T, sys *System, ctx Context) int
+	}{
+		{"in order", false, func(t *testing.T, sys *System, ctx Context) int {
+			// A fixed pair set, so the per-pair FIFO states saturate
+			// during warmup; the steady-state claim is about moving
+			// messages, not about first contact between a pair.
+			for j := 0; j < 64; j++ {
+				if err := ctx.SendMHToMH(MHID(j%n), MHID((j+1)%n), 7, cost.CatAlgorithm); err != nil {
+					t.Fatal(err)
+				}
 			}
+			return runCountingHeld(sys)
+		}},
+		{"overtaken", true, func(t *testing.T, sys *System, ctx Context) int {
+			// The first message is 5 ticks into its journey when its
+			// destination moves; the second, sent after the move, often
+			// reaches the new cell first.
+			for j := 0; j < 8; j++ {
+				from, to := MHID(2*j), MHID(2*j+1)
+				if err := ctx.SendMHToMH(from, to, 1, cost.CatAlgorithm); err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.RunUntil(sys.Now() + 5); err != nil {
+					t.Fatal(err)
+				}
+				at, _ := sys.Where(to)
+				if err := sys.Move(to, MSSID((int(at)+1)%m)); err != nil {
+					t.Fatal(err)
+				}
+				if err := ctx.SendMHToMH(from, to, 2, cost.CatAlgorithm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return runCountingHeld(sys)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			sys, ctx := routeSystem(t, m, n)
+			held := 0
+			round := func() { held += row.round(t, sys, ctx) }
+			for i := 0; i < 50; i++ { // steady state: pools, pair states, kernel heaps
+				round()
+			}
+			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+				t.Errorf("steady-state routed-message round allocated %.1f objects, want 0", allocs)
+			}
+			if row.overtakes != (held > 0) {
+				t.Errorf("a message waited in a pair's window after %d steps, want overtakes %v", held, row.overtakes)
+			}
+			if got := sys.Engine().PairsHeld(); got != 0 {
+				t.Errorf("%d slots held in pair windows after quiescence, want 0", got)
+			}
+			if live := sys.Engine().LiveRecs(); live != 0 {
+				t.Errorf("%d delivery records live after quiescence, want 0", live)
+			}
+		})
+	}
+}
+
+// runCountingHeld runs sys to quiescence one step at a time and reports how
+// many steps left a message waiting in a pair's FIFO window.
+func runCountingHeld(sys *System) int {
+	held := 0
+	for sys.Kernel().Step() {
+		if sys.Engine().PairsHeld() > 0 {
+			held++
 		}
-		if err := sys.Run(); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for i := 0; i < 50; i++ { // steady state: pools, pair maps, kernel heaps
-		round()
-	}
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Errorf("steady-state routed-message round allocated %.1f objects, want 0", allocs)
-	}
-	if live := sys.Engine().LiveRecs(); live != 0 {
-		t.Errorf("%d delivery records live after quiescence, want 0", live)
-	}
+	return held
 }
 
 func TestStaleReroutePathZeroAllocs(t *testing.T) {

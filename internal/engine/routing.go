@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"mobiledist/internal/cost"
 	"mobiledist/internal/obs"
@@ -36,25 +37,73 @@ type pairKey struct {
 	from, to MHID
 }
 
-// pairState is the per-ordered-pair FIFO reorder buffer.
+// pairState is the per-ordered-pair FIFO: the next sequence number to hand
+// out, the next to deliver, and a window of what arrived ahead of it. An
+// arrival at nextDeliver with nothing held dispatches at once and touches no
+// window.
 type pairState struct {
 	nextSeq     uint64
 	nextDeliver uint64
-	buffer      map[uint64]deferredDelivery
+	// win[off+i] waits for sequence nextDeliver+i: a message that overtook
+	// an earlier one, or a skipPairSeq tombstone. The window never ends in
+	// an empty slot, so off == len(win) means nothing waits.
+	win []deferredDelivery
+	off int
 }
 
+// deferredDelivery is one window slot: empty, a held message, or a
+// tombstone.
 type deferredDelivery struct {
-	alg int32
-	msg Message
+	alg   int32
+	state slotState
+	msg   Message
 }
+
+type slotState uint8
+
+const (
+	slotEmpty slotState = iota
+	slotHeld
+	slotSkip
+)
 
 func (e *Engine) pairState(key pairKey) *pairState {
 	ps, ok := e.pairs[key]
 	if !ok {
-		ps = &pairState{buffer: make(map[uint64]deferredDelivery)}
+		ps = &pairState{}
 		e.pairs[key] = ps
 	}
 	return ps
+}
+
+// hold puts d in the window slot of sequence seq ≥ nextDeliver, growing the
+// window to reach it; a full array first slides its live slots to the front.
+func (ps *pairState) hold(seq uint64, d deferredDelivery) {
+	i := ps.off + int(seq-ps.nextDeliver)
+	if i >= len(ps.win) {
+		if i >= cap(ps.win) && ps.off > 0 {
+			n := copy(ps.win, ps.win[ps.off:])
+			clear(ps.win[n:])
+			ps.win, i, ps.off = ps.win[:n], i-ps.off, 0
+		}
+		ps.win = slices.Grow(ps.win, i+1-len(ps.win))[:i+1]
+	}
+	ps.win[i] = d
+}
+
+// PairsHeld reports how many slots wait in the per-pair FIFO windows, held
+// messages and tombstones alike: what arrived ahead of an earlier sequence
+// number of its pair. A quiesced fault-free system holds zero.
+func (e *Engine) PairsHeld() int {
+	n := 0
+	for _, ps := range e.pairs {
+		for _, d := range ps.win[ps.off:] {
+			if d.state != slotEmpty {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // sendFixed transmits msg on the wired network. Self-sends are allowed and
@@ -275,45 +324,58 @@ func (e *Engine) downArrive(rec *DeliveryRec) {
 }
 
 // deliverToMH hands msg to the destination's handler, applying the
-// per-pair reorder buffer for MH-to-MH traffic.
+// per-pair FIFO for MH-to-MH traffic. A sequence below the cursor is a
+// duplicate (ARQ and custody suppress them before this point) and is dropped.
 func (e *Engine) deliverToMH(mh MHID, msg Message, opts routeOpts) {
 	if !opts.hasPair {
 		e.dispatchMH(opts.alg, mh, msg)
 		return
 	}
 	ps := e.pairState(opts.pair)
-	ps.buffer[opts.seq] = deferredDelivery{alg: opts.alg, msg: msg}
+	switch {
+	case opts.seq < ps.nextDeliver:
+		return
+	case opts.seq == ps.nextDeliver && ps.off == len(ps.win):
+		ps.nextDeliver++
+		e.dispatchMH(opts.alg, mh, msg)
+		return
+	}
+	ps.hold(opts.seq, deferredDelivery{alg: opts.alg, state: slotHeld, msg: msg})
 	e.drainPair(opts.pair, ps)
 }
 
-// drainPair delivers the in-order prefix of a pair's reorder buffer.
-// Entries with alg < 0 are tombstones left by skipPairSeq for sequence
-// numbers that will never deliver (failed, expired, or dropped sends):
-// they advance the delivery cursor without dispatching.
+// drainPair delivers the present prefix of a pair's window. Tombstones,
+// left by skipPairSeq for sequence numbers that will never deliver (failed,
+// expired, or dropped sends), advance the cursor without dispatching. Each
+// slot leaves the window before its handler runs, which may reach this pair
+// again.
 func (e *Engine) drainPair(key pairKey, ps *pairState) {
-	for {
-		d, ok := ps.buffer[ps.nextDeliver]
-		if !ok {
-			break
+	for ps.off < len(ps.win) && ps.win[ps.off].state != slotEmpty {
+		d := ps.win[ps.off]
+		ps.win[ps.off] = deferredDelivery{}
+		if ps.off++; ps.off == len(ps.win) {
+			ps.win, ps.off = ps.win[:0], 0
 		}
-		delete(ps.buffer, ps.nextDeliver)
 		ps.nextDeliver++
-		if d.alg < 0 {
-			continue
+		if d.state == slotHeld {
+			e.dispatchMH(d.alg, key.to, d.msg)
 		}
-		e.dispatchMH(d.alg, key.to, d.msg)
 	}
 }
 
 // skipPairSeq tombstones a pair sequence number whose message will never
-// be delivered, so the reorder buffer does not wedge every later message
-// of the pair behind the hole. No-op for unpaired traffic.
+// be delivered, so the window does not wedge every later message of the
+// pair behind the hole. No-op for unpaired traffic and for a sequence the
+// cursor has passed.
 func (e *Engine) skipPairSeq(opts routeOpts) {
 	if !opts.hasPair {
 		return
 	}
 	ps := e.pairState(opts.pair)
-	ps.buffer[opts.seq] = deferredDelivery{alg: -1}
+	if opts.seq < ps.nextDeliver {
+		return
+	}
+	ps.hold(opts.seq, deferredDelivery{state: slotSkip})
 	e.drainPair(opts.pair, ps)
 }
 

@@ -16,7 +16,8 @@ import (
 // The consumer works in batches with ack semantics: peek hands it
 // everything queued without removing it, consume removes the batch once it
 // has actually been handled (for an outbox: written and flushed), so a
-// dropped connection retries the whole batch on the next one.
+// dropped connection retries the whole batch on the next one. A warm
+// put/peek/consume cycle allocates nothing: consume keeps the array.
 //
 // The queue carries an epoch so owners can clear it out from under a
 // consumer safely: peek returns the epoch it observed and consume only
@@ -53,8 +54,9 @@ func (q *fifo) put(f wire.Frame) bool {
 
 // peek blocks until something is queued or the queue closes, then returns
 // everything queued — a read-only view, valid until the matching consume —
-// and the epoch to pass to it. Producers only ever append past the view or
-// move to a fresh array, so the consumer reads it without the lock.
+// and the epoch to pass to it. Until that consume, producers only ever append
+// past the view or move to a fresh array, so the consumer reads it without
+// the lock.
 func (q *fifo) peek() ([]wire.Frame, uint64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -76,8 +78,14 @@ func (q *fifo) consume(epoch uint64, n int) {
 	if q.epoch != epoch {
 		return
 	}
-	q.items = q.items[n:]
-	if len(q.items) == 0 {
+	// What was queued behind the batch slides to the front, so the array is
+	// reused rather than stranded: the batch view is dead once consumed and
+	// its reader is the only consumer, so producers may overwrite it. The
+	// vacated tail is cleared, dropping the frames' payloads.
+	m := copy(q.items, q.items[n:])
+	clear(q.items[m:])
+	q.items = q.items[:m]
+	if m == 0 {
 		q.cond.Broadcast() // wake drain waiters
 	}
 }

@@ -447,6 +447,35 @@ func TestConsumeAfterClearPopsNothing(t *testing.T) {
 	}
 }
 
+// TestOutboxCycleAllocFree: once its array has grown, a put/peek/consume
+// cycle allocates nothing, whether the consume empties the queue or leaves
+// a frame queued behind the batch — consume keeps the array instead of
+// stranding it for the next burst to regrow from nothing.
+func TestOutboxCycleAllocFree(t *testing.T) {
+	q := newFifo()
+	frames := dataFrames(0, 8)
+	cycle := func() {
+		for _, f := range frames {
+			q.put(f)
+		}
+		batch, epoch, _ := q.peek()
+		q.put(frames[0]) // queued while the batch is written
+		q.consume(epoch, len(batch))
+		batch, epoch, _ = q.peek()
+		if len(batch) != 1 || batch[0].Seq != 0 {
+			t.Fatalf("after a partial consume the queue holds %v, want the one frame queued behind the batch", batch)
+		}
+		q.consume(epoch, len(batch))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm put/peek/consume cycle: %v allocs, want 0", allocs)
+	}
+	if n := q.depth(); n != 0 {
+		t.Errorf("%d frames left queued, want 0", n)
+	}
+}
+
 // TestClearOutboxRacingFlush runs the same guarantee against a live writer:
 // the outbox is cleared over and over while the writer flushes, and every
 // frame queued after the last clear must still arrive, once and in order.

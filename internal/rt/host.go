@@ -104,12 +104,14 @@ type Host struct {
 	// before Start. held counts queued non-daemon records, which share one
 	// in-flight op; queued: a drain is on the task queue or running; armed:
 	// the timer will queue one at wakeAt. drainFn is h.drain, bound once.
-	queue         DueQueue[*engine.DeliveryRec]
-	held          int
-	queued, armed bool
-	wakeAt        sim.Time
-	timer         *time.Timer
-	drainFn       func()
+	// draining: a drain is stepping its batch, and instant is the clock
+	// reading it took, which stamps every put the batch makes.
+	queue                   DueQueue[*engine.DeliveryRec]
+	held                    int
+	queued, armed, draining bool
+	wakeAt, instant         sim.Time
+	timer                   *time.Timer
+	drainFn                 func()
 }
 
 // NewHost builds the engine for cfg on the substrate made of the host's own
@@ -159,9 +161,10 @@ func (h *Host) BindRecSink(sink engine.RecSink) { h.sink = sink }
 // StepRec interprets (and frees) rec on the bound sink. Executor only.
 func (h *Host) StepRec(rec *engine.DeliveryRec) { h.sink.StepRec(rec) }
 
-// AfterRec queues rec d ticks from now (from Start, before it, as Now). A
-// daemon record (standing maintenance such as DTN gossip) holds no in-flight
-// op while it waits, so it cannot wedge WaitIdle.
+// AfterRec queues rec d ticks from now (from Start, before it, as Now; from
+// the drain's instant, inside a drain). A daemon record (standing
+// maintenance such as DTN gossip) holds no in-flight op while it waits, so
+// it cannot wedge WaitIdle.
 func (h *Host) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 	now := h.nowNs()
 	h.put(now, now+sim.Time(time.Duration(d)*h.cfg.Tick), rec)

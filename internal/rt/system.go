@@ -60,7 +60,8 @@ func NewSystem(cfg Config) (*System, error) {
 
 // TransmitRec puts rec on the host's due queue at the channel's FIFO clamp
 // of now + latency × Tick, in wall nanoseconds since Start (0 before it, as
-// Host.Now). It runs on the executor, as every Substrate method does.
+// Host.Now; the drain's instant, inside a drain). It runs on the executor, as
+// every Substrate method does.
 func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	now := s.nowNs()
 	s.put(now, s.fifo.Arrival(ch, now, sim.Time(time.Duration(latency)*s.cfg.Tick)), rec)

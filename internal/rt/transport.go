@@ -11,7 +11,10 @@ import (
 // on (due, push sequence), due in wall nanoseconds since Start: AfterRec's
 // timers at now + d, System.TransmitRec's deliveries at engine.FIFOClock's
 // arrival clamp. One reusable drain func steps what is due; one reusable
-// wall timer queues it for a later head.
+// wall timer queues it for a later head. A drain is one instant: now, for
+// every put made while it steps its batch, is the reading it took to decide
+// what was due — at most one batch stale, never before the due time of the
+// record that made the put (the sim kernel's event-time semantics).
 
 // drainBatch bounds one drain's steps, so Do callers queued behind it run.
 const drainBatch = 256
@@ -81,7 +84,12 @@ func (q *DueQueue[T]) Pop() T {
 }
 
 // nowNs is the due queue's clock: wall nanoseconds since Start, 0 before it.
+// Inside a drain it is the drain's one reading, so the records it steps
+// transmit and arm timers without reading the clock again.
 func (h *Host) nowNs() sim.Time {
+	if h.draining {
+		return h.instant
+	}
 	if epoch := h.epoch.Load(); epoch != nil {
 		return sim.Time(time.Since(*epoch))
 	}
@@ -126,12 +134,14 @@ func (h *Host) schedule(now sim.Time) {
 	h.timer.Reset(time.Duration(head - now))
 }
 
-// drain steps at most drainBatch due records against one clock reading, then
-// schedules once for what they queued. The last non-daemon record out (its
-// kind read before StepRec frees it) resolves the op.
+// drain steps at most drainBatch due records against one clock reading, the
+// drain's instant, then schedules once for what they queued against a fresh
+// one. The last non-daemon record out (its kind read before StepRec frees
+// it) resolves the op.
 func (h *Host) drain() {
 	h.queued, h.armed = true, false
 	now := h.nowNs()
+	h.instant, h.draining = now, true
 	for n := 0; n < drainBatch && h.queue.Len() > 0 && h.queue.Head() <= now; n++ {
 		rec := h.queue.Pop()
 		if !rec.Daemon() {
@@ -141,6 +151,6 @@ func (h *Host) drain() {
 		}
 		h.sink.StepRec(rec)
 	}
-	h.queued = false
+	h.queued, h.draining = false, false
 	h.schedule(h.nowNs())
 }

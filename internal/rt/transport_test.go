@@ -179,11 +179,7 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 			rec.SetTag(int32(i))
 			before := sys.nowNs()
 			sys.TransmitRec(ch, lat, rec)
-			for _, d := range sys.queue.h {
-				if d.v == rec {
-					stamp[i] = d.at
-				}
-			}
+			stamp[i] = stampOf(sys, rec)
 			if floor := before + sim.Time(time.Duration(lat)*tick); stamp[i] < floor || stamp[i] < last[ch] {
 				t.Errorf("record %d on channel %d stamped %d ns, want at least %d (latency) and %d (channel's previous)", i, ch, stamp[i], floor, last[ch])
 			}
@@ -217,6 +213,166 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 		}
 		if shortAt > longAt {
 			t.Errorf("the 1-tick record landed %d-th, after the 100-tick record sent before it on another channel (%d-th)", shortAt, longAt)
+		}
+	})
+}
+
+// stampOf returns the due time rec waits for in the system's due queue.
+func stampOf(sys *System, rec *engine.DeliveryRec) sim.Time {
+	for _, d := range sys.queue.h {
+		if d.v == rec {
+			return d.at
+		}
+	}
+	return -1
+}
+
+// sinceStart reads the wall clock in the due queue's units, never the
+// drain's instant.
+func sinceStart(sys *System) sim.Time { return sim.Time(time.Since(*sys.epoch.Load())) }
+
+// TestDrainIsOneInstant: a record stepped inside a drain transmits on a
+// channel and arms a timer, with the clock moving on between the two. Both
+// are stamped from the reading the drain took to decide what was due — not
+// from a fresh one — and that reading is no earlier than the stepped
+// record's due time, so the transmit lands no sooner than that due time
+// plus its latency. A transmit from Do afterwards reads the clock afresh.
+func TestDrainIsOneInstant(t *testing.T) {
+	const (
+		tick     = time.Millisecond
+		lat, d   = 3, 7
+		ch       = 2
+		sleep    = 5 * tick
+		idleWait = 10 * time.Second
+	)
+	sys := startTicking(t, tick)
+	noop := func() {}
+	var due, tx, timer, wall sim.Time
+	sys.Do(func() {
+		stepped := sys.Engine().TimerRec(func() {
+			rec := sys.Engine().TimerRec(noop)
+			sys.TransmitRec(ch, lat, rec)
+			tx = stampOf(sys, rec)
+			time.Sleep(sleep) // the clock moves on; the drain's instant does not
+			rec = sys.Engine().TimerRec(noop)
+			sys.AfterRec(d, rec)
+			timer = stampOf(sys, rec)
+			wall = sinceStart(sys)
+		})
+		sys.AfterRec(1, stepped)
+		due = stampOf(sys, stepped)
+	})
+	if !sys.WaitIdle(idleWait) {
+		t.Fatal("due queue did not drain")
+	}
+	if a, b := tx-lat*sim.Time(tick), timer-d*sim.Time(tick); a != b {
+		t.Errorf("transmit stamped from %d ns, timer from %d ns: a drain's puts must share its one reading", a, b)
+	}
+	if floor := due + lat*sim.Time(tick); tx < floor {
+		t.Errorf("transmit stamped %d ns, before the stepped record's due time plus its latency (%d ns)", tx, floor)
+	}
+	if reading := timer - d*sim.Time(tick); reading > wall-sim.Time(sleep) {
+		t.Errorf("timer stamped from %d ns, after the sleep began (the clock read %d ns after it): a fresh reading, not the drain's", reading, wall)
+	}
+
+	time.Sleep(sleep) // the last drain's instant is now well behind the clock
+	sys.Do(func() {
+		before := sinceStart(sys)
+		rec := sys.Engine().TimerRec(noop)
+		sys.TransmitRec(ch+1, lat, rec)
+		if got, floor := stampOf(sys, rec), before+lat*sim.Time(tick); got < floor {
+			t.Errorf("transmit from Do stamped %d ns, want at least %d ns: outside a drain the clock is read afresh", got, floor)
+		}
+	})
+	if !sys.WaitIdle(idleWait) {
+		t.Fatal("due queue did not drain")
+	}
+}
+
+// TestChannelFIFOAcrossDrains: records stepped one tick apart, mostly in
+// separate drains, each transmit on one channel with a latency shorter than
+// the one before. Stamped from each drain's instant and clamped by the
+// channel's FIFO clock, they land in transmit order.
+func TestChannelFIFOAcrossDrains(t *testing.T) {
+	const (
+		tick = 500 * time.Microsecond
+		k    = 24
+		ch   = 1
+	)
+	cfg := DefaultConfig(2, 2)
+	cfg.Tick = tick
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	log := &landLog{RecSink: sys.sink, sys: sys}
+	sys.sink = log
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	noop := func() {}
+	sys.Do(func() {
+		for i := 0; i < k; i++ {
+			sys.AfterRec(sim.Time(i), sys.Engine().TimerRec(func() {
+				rec := sys.Engine().TimerRec(noop)
+				rec.SetChan(ch)
+				rec.SetTag(int32(1 + i))
+				sys.TransmitRec(ch, sim.Time(2*(k-i)), rec)
+			}))
+		}
+	})
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("due queue did not drain")
+	}
+	sys.Do(func() {
+		var got []int32
+		for i, tag := range log.tag {
+			if log.ch[i] == ch && tag > 0 {
+				got = append(got, tag)
+			}
+		}
+		if len(got) != k {
+			t.Fatalf("%d of %d transmits landed", len(got), k)
+		}
+		for i, tag := range got {
+			if tag != int32(1+i) {
+				t.Fatalf("channel %d landed transmits in order %v, want 1..%d", ch, got, k)
+			}
+		}
+	})
+}
+
+// TestHeadDueDuringBatchIsDrainedAtOnce: a record stepped in a drain arms a
+// timer one tick after the drain's instant and then outlasts that tick. The
+// schedule after the batch reads the clock afresh, finds the new head
+// already due and queues a drain at once — where the drain's stale instant
+// would arm the wall timer for a tick that has already passed.
+func TestHeadDueDuringBatchIsDrainedAtOnce(t *testing.T) {
+	const tick = time.Millisecond
+	sys := startTicking(t, tick)
+	landed := false
+	var queued, armed bool
+	checked := make(chan struct{})
+	sys.Do(func() {
+		sys.AfterRec(0, sys.Engine().TimerRec(func() {
+			sys.AfterRec(1, sys.Engine().TimerRec(func() { landed = true }))
+			// Runs after this drain and its schedule, before the next drain.
+			sys.Tasks().Push(func() {
+				queued, armed = sys.queued, sys.armed
+				close(checked)
+			})
+			time.Sleep(5 * tick)
+		}))
+	})
+	<-checked
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("due queue did not drain")
+	}
+	sys.Do(func() {
+		if !queued || armed {
+			t.Errorf("after the batch: drain queued %v, timer armed %v; want a drain queued at once for the head that fell due", queued, armed)
+		}
+		if !landed {
+			t.Error("the head that fell due during the batch never landed")
 		}
 	})
 }
