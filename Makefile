@@ -4,13 +4,14 @@
 # the chaos conformance suites and a short fuzz pass. Outside the gate:
 # `make bench-e2e` runs the repository's one declared benchmark (bench/,
 # BENCHMARK.json: seven workloads over the four substrates), `make
-# bench-compare A=… B=…` gives the verdict on two of its result sets, and
+# bench-compare A=… B=…` gives the verdict on two of its result sets,
 # `make loc` prints the non-test line count per package that CHANGES.md's
-# size tables quote.
+# size tables quote, and `make known-red RUNS=n` counts how often the
+# known-red tests fail.
 
 GO ?= go
 
-.PHONY: ci vet staticcheck build cross test race tables-check bench-e2e bench-compare loc fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables
+.PHONY: ci vet staticcheck build cross test race tables-check bench-e2e bench-compare loc fuzz fuzz-short chaos chaos-net chaos-udp chaos-dtn soak tables known-red
 
 ci: vet staticcheck build cross test race tables-check chaos chaos-net chaos-udp chaos-dtn fuzz-short
 
@@ -64,9 +65,10 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# Fuzz pass over the kernel oracles (the wheel against a sorted slice and
-# against the sharded queue: every table's byte identity rests on the pop
-# order) and the scheduler, decoder, store, waiter-queue and per-pair FIFO
+# Fuzz pass over the event-queue oracles (the wheel one tick wide against a
+# sorted slice and against the sharded queue: every table's byte identity
+# rests on the pop order; the live substrates' width against its lateness
+# contract) and the scheduler, decoder, store, waiter-queue and per-pair FIFO
 # invariants. FuzzStoreModel compares two whole stores after every op of an
 # input, and FuzzPairFIFO builds an engine per input, so the default minute
 # of minimising each new-coverage input would eat the budget; they get an
@@ -74,6 +76,7 @@ loc:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 30s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzWallQueue -fuzztime 30s ./internal/rt
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzPairFIFO -fuzztime 30s -fuzzminimizetime 500x ./internal/engine
@@ -94,6 +97,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 5s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 5s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzWallQueue -fuzztime 5s ./internal/rt
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzPairFIFO -fuzztime 5s -fuzzminimizetime 500x ./internal/engine
@@ -156,6 +160,16 @@ chaos-dtn:
 TRANSPORT ?= tcp
 soak:
 	$(GO) test -race -run 'TestLoopbackSoak' -count 1 ./internal/netrt/ -soak 15s -transport $(TRANSPORT)
+
+# Known-red rates by one protocol, outside `make ci`: each test listed in
+# scripts/known-red.txt runs RUNS times unloaded and RUNS times loaded
+# (-race, two busy loops beside it), and the fail count, panic count and
+# signature classes are printed per test. REF=dir, a second checkout, runs
+# every run on both sides, alternating which goes first.
+RUNS ?= 10
+REF ?=
+known-red:
+	bash scripts/known-red.sh $(RUNS) $(REF)
 
 # Regenerate the experiment tables (parallel driver, deterministic output).
 tables:

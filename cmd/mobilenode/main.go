@@ -466,6 +466,12 @@ func demoWorkload(out io.Writer, sys *netrt.System, m, n int, timeout time.Durat
 	// are one cell over from each host's round-robin starting cell.
 	sys.Move(1, core.MSSID((1+1)%m))
 	sys.Move(core.MHID(n-1), core.MSSID(((n-1)+1)%m))
+	// The token parks after two traversals, and a request that reaches its
+	// station after that is never served, though the network still drains.
+	// So every request is queued, and every move done, before it starts.
+	if !sys.WaitIdle(timeout) {
+		return fmt.Errorf("requests and moves did not settle within %v", timeout)
+	}
 	sys.Do(func() {
 		if err := r2.Start(); err != nil {
 			fmt.Fprintln(out, "start:", err)

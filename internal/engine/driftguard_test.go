@@ -154,32 +154,49 @@ var wallWaitAllowlist = map[string]string{
 	"RestartNode": "loopback harness: rebind retry pacing",
 }
 
-// TestDueWaitIsWrittenOnce is TestLiveShellIsWrittenOnce for the link
-// model's waiting half: across internal/rt and internal/netrt, a heap's
-// parent index ((i-1)/2) appears only in rt.DueQueue's methods, nothing
-// imports container/heap, and only the functions in wallWaitAllowlist wait
-// on the wall clock. A relay or driver that grows its own due heap or its
-// own timer-wait loop fails here: push onto an rt.DueQueue instead.
+// heapIndexAllowlist names the non-test files under internal/sim,
+// internal/rt and internal/netrt that may do heap index math outside
+// sim.Queue's methods, each with the reason.
+var heapIndexAllowlist = map[string]string{
+	"sharded.go": "deleted by ROADMAP item 10",
+}
+
+// TestDueWaitIsWrittenOnce is TestLiveShellIsWrittenOnce for the event
+// queue: across internal/sim, internal/rt and internal/netrt, heap index
+// math (a parent (i-1)/k or (i-1)>>k, a child k*i+1 or i<<k+1) appears only
+// in sim.Queue's methods (and heapIndexAllowlist's files), no type is named
+// DueQueue, nothing imports container/heap, and only the functions in
+// wallWaitAllowlist wait on the wall clock. A kernel, driver or relay that
+// grows its own heap or its own timer-wait loop fails here: push onto a
+// sim.Queue instead.
 func TestDueWaitIsWrittenOnce(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{"../rt", "../netrt"} {
+	for _, dir := range []string{"../sim", "../rt", "../netrt"} {
 		for _, f := range parseNonTest(t, fset, dir) {
+			file := filepath.Base(fset.Position(f.Pos()).Filename)
 			for _, imp := range f.Imports {
 				if imp.Path.Value == `"container/heap"` {
-					t.Errorf("%s: imports container/heap — the one due heap is rt.DueQueue", fset.Position(imp.Pos()))
+					t.Errorf("%s: imports container/heap — the one event queue is sim.Queue", fset.Position(imp.Pos()))
 				}
 			}
 			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						if ts := spec.(*ast.TypeSpec); ts.Name.Name == "DueQueue" {
+							t.Errorf("%s: type DueQueue — the one event queue is sim.Queue", fset.Position(ts.Pos()))
+						}
+					}
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				dueQueue := fd.Recv != nil && recvTypeName(fd.Recv.List[0].Type) == "DueQueue"
+				queue := dir == "../sim" && fd.Recv != nil && recvTypeName(fd.Recv.List[0].Type) == "Queue"
 				ast.Inspect(fd, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.BinaryExpr:
-						if isHeapParent(x) && !dueQueue {
-							t.Errorf("%s: heap parent index in %s — the one due heap is rt.DueQueue", fset.Position(x.Pos()), fd.Name.Name)
+						if isHeapIndex(x) && !queue && heapIndexAllowlist[file] == "" {
+							t.Errorf("%s: heap index math in %s — the one event queue is sim.Queue", fset.Position(x.Pos()), fd.Name.Name)
 						}
 					case *ast.CallExpr:
 						sel, ok := x.Fun.(*ast.SelectorExpr)
@@ -193,7 +210,7 @@ func TestDueWaitIsWrittenOnce(t *testing.T) {
 						switch sel.Sel.Name {
 						case "NewTimer", "AfterFunc", "After", "Sleep":
 							if wallWaitAllowlist[fd.Name.Name] == "" {
-								t.Errorf("%s: time.%s in %s — a due time waits on an rt.DueQueue (or name the function in wallWaitAllowlist with the reason it is something else)",
+								t.Errorf("%s: time.%s in %s — a due time waits on a sim.Queue (or name the function in wallWaitAllowlist with the reason it is something else)",
 									fset.Position(x.Pos()), sel.Sel.Name, fd.Name.Name)
 							}
 						}
@@ -222,19 +239,37 @@ func recvTypeName(e ast.Expr) string {
 	return ""
 }
 
-// isHeapParent reports whether e is (x - 1) / 2.
-func isHeapParent(e *ast.BinaryExpr) bool {
-	paren, ok := e.X.(*ast.ParenExpr)
-	if !ok || e.Op != token.QUO || !isLit(e.Y, "2") {
-		return false
+// isHeapIndex reports whether e is a heap's parent index, (x - 1) / k or
+// (x - 1) >> k, or its first child's, k * x + 1, x * k + 1 or x << k + 1,
+// for a literal k.
+func isHeapIndex(e *ast.BinaryExpr) bool {
+	switch e.Op {
+	case token.QUO, token.SHR:
+		paren, ok := e.X.(*ast.ParenExpr)
+		if !ok || !isLit(e.Y, "") {
+			return false
+		}
+		sub, ok := paren.X.(*ast.BinaryExpr)
+		return ok && sub.Op == token.SUB && isLit(sub.Y, "1")
+	case token.ADD:
+		scaled, ok := e.X.(*ast.BinaryExpr)
+		if !ok || !isLit(e.Y, "1") {
+			return false
+		}
+		switch scaled.Op {
+		case token.MUL:
+			return isLit(scaled.X, "") || isLit(scaled.Y, "")
+		case token.SHL:
+			return isLit(scaled.Y, "")
+		}
 	}
-	sub, ok := paren.X.(*ast.BinaryExpr)
-	return ok && sub.Op == token.SUB && isLit(sub.Y, "1")
+	return false
 }
 
+// isLit reports whether e is a basic literal, with value v unless v is "".
 func isLit(e ast.Expr, v string) bool {
 	l, ok := e.(*ast.BasicLit)
-	return ok && l.Value == v
+	return ok && (v == "" || l.Value == v)
 }
 
 // TestSubstrateStackIsAssembledOnce pins core.NewEngine as the only place

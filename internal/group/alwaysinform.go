@@ -8,10 +8,19 @@ import (
 )
 
 // locUpdate is the location update a member broadcasts to the group after a
-// move (§4.2).
+// move (§4.2). Seq numbers the member's updates: two of them can reach a
+// member out of order (each is routed through the sender's directory, and
+// one may be chased), and only a newer one may overwrite an entry.
 type locUpdate struct {
 	Member core.MHID
 	At     core.MSSID
+	Seq    int64
+}
+
+// ldEntry is one LD(G) entry: where a member is, as of its Seq-th update.
+type ldEntry struct {
+	at  core.MSSID
+	seq int64
 }
 
 // AlwaysInform is the location-directory strategy (§4.2): every member
@@ -28,7 +37,7 @@ type AlwaysInform struct {
 	// ld holds each member's copy of the location directory, indexed by the
 	// member's position in members (per-slot state for live-runtime
 	// compatibility).
-	ld    []map[core.MHID]core.MSSID
+	ld    []map[core.MHID]ldEntry
 	index map[core.MHID]int
 
 	sent      int64
@@ -57,12 +66,12 @@ func NewAlwaysInform(reg core.Registrar, members []core.MHID, opts Options) (*Al
 	}
 	g.ctx = reg.Register(g)
 	locs := initialLocations(g.ctx, set)
-	g.ld = make([]map[core.MHID]core.MSSID, len(g.members))
+	g.ld = make([]map[core.MHID]ldEntry, len(g.members))
 	for i, mh := range g.members {
 		g.index[mh] = i
-		dir := make(map[core.MHID]core.MSSID, len(locs))
+		dir := make(map[core.MHID]ldEntry, len(locs))
 		for member, at := range locs {
-			dir[member] = at
+			dir[member] = ldEntry{at: at}
 		}
 		g.ld[i] = dir
 	}
@@ -89,7 +98,7 @@ func (g *AlwaysInform) Directory(mh core.MHID) (map[core.MHID]core.MSSID, error)
 	}
 	out := make(map[core.MHID]core.MSSID, len(g.ld[slot]))
 	for k, v := range g.ld[slot] {
-		out[k] = v
+		out[k] = v.at
 	}
 	return out, nil
 }
@@ -117,7 +126,7 @@ func (g *AlwaysInform) fanOut(slot int, from core.MHID, msg core.Message, cat co
 		if !ok {
 			return fmt.Errorf("group: mh%d has no directory entry for mh%d", int(from), int(to))
 		}
-		if err := g.ctx.SendMHViaMSS(from, via, to, msg, cat); err != nil {
+		if err := g.ctx.SendMHViaMSS(from, via.at, to, msg, cat); err != nil {
 			return fmt.Errorf("group: always-inform send: %w", err)
 		}
 	}
@@ -137,7 +146,9 @@ func (g *AlwaysInform) HandleMH(_ core.Context, at core.MHID, msg core.Message) 
 			g.opts.OnDeliver(at, m.From, m.Payload)
 		}
 	case locUpdate:
-		g.ld[slot][m.Member] = m.At
+		if m.Seq > g.ld[slot][m.Member].seq {
+			g.ld[slot][m.Member] = ldEntry{m.At, m.Seq}
+		}
 	default:
 		panic(fmt.Sprintf("group: always-inform received unexpected message %T", msg))
 	}
@@ -151,10 +162,11 @@ func (g *AlwaysInform) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, pr
 	if !ok {
 		return
 	}
-	g.ld[slot][mh] = mss
+	own := ldEntry{mss, g.ld[slot][mh].seq + 1}
+	g.ld[slot][mh] = own
 	g.updates++
 	ctx.NoteGroupInform(mh, mss)
-	update := locUpdate{Member: mh, At: mss}
+	update := locUpdate{Member: mh, At: mss, Seq: own.seq}
 	if err := g.fanOut(slot, mh, update, cost.CatLocation); err != nil {
 		panic(fmt.Sprintf("group: always-inform location update: %v", err))
 	}

@@ -55,16 +55,20 @@ type (
 	}
 
 	// lvFullCopy delivers the complete view to a newly included MSS.
+	// AddSeq is the sequence number of the addition it answers.
 	lvFullCopy struct {
-		View []core.MSSID
+		View   []core.MSSID
+		AddSeq int64
 	}
 
 	// lvInc is an incremental view update distributed to view members.
+	// DelSeq is the sequence number of the deletion it announces.
 	lvInc struct {
 		HasAdd bool
 		Add    core.MSSID
 		HasDel bool
 		Del    core.MSSID
+		DelSeq int64
 	}
 )
 
@@ -80,11 +84,15 @@ type lvMSSState struct {
 	// with the destination's addition request (the paper's combined case).
 	pendingDelete bool
 	deleteEpoch   int
-	// deleteInFlight marks that a deletion request for this cell has been
-	// sent but its effect has not come back yet; a member joining in that
-	// window must trigger a (higher-sequenced) re-addition even though the
-	// local copy still says "in view".
-	deleteInFlight bool
+	// deleteInFlight is the sequence number of this cell's deletion request
+	// whose effect has not come back yet, 0 when none; a member joining in
+	// that window must trigger a (higher-sequenced) re-addition even though
+	// the local copy still says "in view". Only an answer to that request
+	// clears it: the lvInc announcing that deletion, or a full copy
+	// answering an addition stamped after it. A full copy answering an
+	// earlier addition is overtaken by the deletion, which the coordinator
+	// will still apply.
+	deleteInFlight int64
 }
 
 // LocationViewOptions extend Options for the location-view strategy.
@@ -235,8 +243,8 @@ func (g *LocationView) HandleMSS(ctx core.Context, at core.MSSID, from core.From
 		req := lvCoordReq{HasAdd: true, Add: m.NewMSS, AddSeq: m.AddSeq}
 		if st.pendingDelete && !g.hasLocalMembers(ctx, at) {
 			st.pendingDelete = false
-			st.deleteInFlight = true
 			st.changeSeq++
+			st.deleteInFlight = st.changeSeq
 			req.HasDel = true
 			req.Del = at
 			req.DelSeq = st.changeSeq
@@ -247,7 +255,9 @@ func (g *LocationView) HandleMSS(ctx core.Context, at core.MSSID, from core.From
 		g.applyAtCoordinator(ctx, at, m)
 	case lvFullCopy:
 		st := &g.mss[at]
-		st.deleteInFlight = false
+		if m.AddSeq > st.deleteInFlight {
+			st.deleteInFlight = 0
+		}
 		if at == g.opts.Coordinator {
 			g.syncCoordinatorCopy()
 			return
@@ -261,7 +271,9 @@ func (g *LocationView) HandleMSS(ctx core.Context, at core.MSSID, from core.From
 		st := &g.mss[at]
 		if m.HasDel && m.Del == at {
 			st.inView = false
-			st.deleteInFlight = false
+			if m.DelSeq == st.deleteInFlight {
+				st.deleteInFlight = 0
+			}
 			st.view = nil
 			return
 		}
@@ -301,7 +313,7 @@ func (g *LocationView) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, pr
 	st := &g.mss[mss]
 	st.pendingDelete = false
 	st.deleteEpoch++
-	if st.inView && !st.deleteInFlight {
+	if st.inView && st.deleteInFlight == 0 {
 		return // a move within the view does not change LV(G)
 	}
 	// "The MH first supplies the id of the MSS M' of its previous cell to
@@ -329,8 +341,8 @@ func (g *LocationView) OnLeave(ctx core.Context, mss core.MSSID, mh core.MHID) {
 	sendDelete := func() {
 		cur := &g.mss[mss]
 		cur.pendingDelete = false
-		cur.deleteInFlight = true
 		cur.changeSeq++
+		cur.deleteInFlight = cur.changeSeq
 		g.deleteReqs++
 		ctx.SendFixed(mss, g.opts.Coordinator,
 			lvCoordReq{HasDel: true, Del: mss, DelSeq: cur.changeSeq}, cost.CatLocation)
@@ -428,14 +440,14 @@ func (g *LocationView) applyAtCoordinator(ctx core.Context, at core.MSSID, req l
 	if addAccepted {
 		// The newly included MSS receives the latest full copy (idempotent
 		// if it already had one).
-		ctx.SendFixed(at, req.Add, lvFullCopy{View: g.View()}, cost.CatLocation)
+		ctx.SendFixed(at, req.Add, lvFullCopy{View: g.View(), AddSeq: req.AddSeq}, cost.CatLocation)
 	}
 	if !changed {
 		return
 	}
 	g.updates++
 	ctx.NoteGroupViewUpdate(added, removed, len(g.master))
-	inc := lvInc{HasAdd: addAccepted, Add: req.Add, HasDel: req.HasDel && !g.master[req.Del], Del: req.Del}
+	inc := lvInc{HasAdd: addAccepted, Add: req.Add, HasDel: req.HasDel && !g.master[req.Del], Del: req.Del, DelSeq: req.DelSeq}
 	for _, id := range g.masterSorted() {
 		if id == at || (req.HasAdd && id == req.Add) {
 			continue // coordinator updates locally; Add got the full copy

@@ -166,8 +166,13 @@ func TestPropertyLocationViewDeliversAfterQuiescence(t *testing.T) {
 // applies in place, and taking the stale snapshot either lost a cell from
 // its copy (first input: mh2 at mss3 never reached) or made it believe it
 // was still in the view after its own deletion, so the next member to join
-// its cell requested no addition (the other three). Each failed on every
-// run before syncCoordinatorCopy.
+// its cell requested no addition (the next three). Each failed on every
+// run before syncCoordinatorCopy. The last four lost an ordinary cell: a
+// full copy answering an addition stamped before the cell's own deletion
+// request cleared deleteInFlight while that deletion was still on its way,
+// so the next member to join requested no addition and the deletion then
+// removed a cell that hosted it. Each failed on every run before lvFullCopy
+// and lvInc carried the sequence number they answer.
 var lvRegressions = []struct {
 	name  string
 	check func(seed uint64, plan []uint8) string
@@ -182,6 +187,14 @@ var lvRegressions = []struct {
 		[]uint8{0x9c, 0xc8, 0x0c, 0x6b, 0x71, 0xe3, 0x1f, 0x36, 0x65, 0x27, 0xa9, 0x73, 0x11, 0x54, 0x4c, 0x93, 0x9f, 0x96, 0x4d, 0xb6, 0x23}},
 	{"exact-coordinator-cell-missing-short", lvExactAfterQuiescence, 0x632c7d53d3ecb7a,
 		[]uint8{0x80, 0xfa, 0xec, 0x32, 0x90, 0x57, 0x31, 0x7c, 0xdb, 0x7a, 0x39, 0x7b, 0x47}},
+	{"exact-stale-copy-clears-deletion", lvExactAfterQuiescence, 0x680de4c7db949b0,
+		[]uint8{0xc6, 0xa0, 0x14, 0x33, 0x6a, 0x0b, 0x6c, 0xd2}},
+	{"exact-stale-copy-clears-deletion-2", lvExactAfterQuiescence, 0xf81124deee8c0c65,
+		[]uint8{0x50, 0x20, 0xee, 0xb5, 0x46, 0xac, 0xa7, 0xbd, 0xe0, 0x6c}},
+	{"exact-stale-copy-clears-deletion-3", lvExactAfterQuiescence, 0xc913d3b798345cae,
+		[]uint8{0xa5, 0xb5, 0x3f, 0x75, 0xa4, 0x0f, 0xd2, 0xca, 0x78, 0xa1, 0x6e, 0xf3, 0xfa, 0xa2, 0xaf, 0xe1, 0x61, 0x7e}},
+	{"delivers-stale-copy-clears-deletion", lvDeliversAfterQuiescence, 0x40f1814e3866da7,
+		[]uint8{0xb5, 0xee, 0xe7, 0x09, 0xa9, 0x43, 0x1b, 0xa1, 0x87, 0x92, 0x66, 0xd2, 0xf0, 0xac, 0x76}},
 }
 
 func TestLocationViewCoordinatorHostsMembersRegressions(t *testing.T) {
@@ -197,54 +210,68 @@ func TestLocationViewCoordinatorHostsMembersRegressions(t *testing.T) {
 // TestPropertyAlwaysInformDirectoriesConverge: after moves drain, every
 // member's directory agrees with reality.
 func TestPropertyAlwaysInformDirectoriesConverge(t *testing.T) {
-	check := func(seed uint64, plan []uint8) bool {
-		const (
-			m = 4
-			n = 6
-			g = 4
-		)
-		cfg := core.DefaultConfig(m, n)
-		cfg.Seed = seed
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return false
-		}
-		ai, err := NewAlwaysInform(sys, membersRange(g), Options{})
-		if err != nil {
-			return false
-		}
-		for i, op := range plan {
-			if i >= 12 {
-				break
-			}
-			mh := core.MHID(op % g)
-			to := core.MSSID((int(op) / 5) % m)
-			sys.Schedule(sim.Time(i*51), func() {
-				if _, st := sys.Where(mh); st == core.StatusConnected {
-					_ = sys.Move(mh, to)
-				}
-			})
-		}
-		if err := sys.Run(); err != nil {
-			return false
-		}
-		for _, owner := range membersRange(g) {
-			dir, err := ai.Directory(owner)
-			if err != nil {
-				return false
-			}
-			for _, member := range membersRange(g) {
-				at, _ := sys.Where(member)
-				if dir[member] != at {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, quickConfig(100, 3)); err != nil {
+	if err := quick.Check(aiDirectoriesConverge, quickConfig(100, 3)); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestAlwaysInformOutOfOrderUpdateRegression pins an input a 50 000-schedule
+// run of the property found: two of mh3's location updates reached mh2 out
+// of order, and the older one overwrote the newer. It failed on every run
+// before locUpdate carried the member's update number.
+func TestAlwaysInformOutOfOrderUpdateRegression(t *testing.T) {
+	plan := []uint8{0x10, 0x8f, 0x5a, 0x8d, 0xef, 0x8e, 0xe0, 0x5b, 0x23, 0x0a, 0x33, 0x7f, 0x10, 0xb5, 0xca, 0xaa, 0xda, 0xf0, 0x3e, 0x56}
+	if !aiDirectoriesConverge(0xcf6d55cb239add25, plan) {
+		t.Error("a member's directory disagrees with where a member is")
+	}
+}
+
+// aiDirectoriesConverge runs one schedule of member moves to quiescence and
+// reports whether every member's LD(G) then agrees with reality.
+func aiDirectoriesConverge(seed uint64, plan []uint8) bool {
+	const (
+		m = 4
+		n = 6
+		g = 4
+	)
+	cfg := core.DefaultConfig(m, n)
+	cfg.Seed = seed
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return false
+	}
+	ai, err := NewAlwaysInform(sys, membersRange(g), Options{})
+	if err != nil {
+		return false
+	}
+	for i, op := range plan {
+		if i >= 12 {
+			break
+		}
+		mh := core.MHID(op % g)
+		to := core.MSSID((int(op) / 5) % m)
+		sys.Schedule(sim.Time(i*51), func() {
+			if _, st := sys.Where(mh); st == core.StatusConnected {
+				_ = sys.Move(mh, to)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		return false
+	}
+	for _, owner := range membersRange(g) {
+		dir, err := ai.Directory(owner)
+		if err != nil {
+			return false
+		}
+		for _, member := range membersRange(g) {
+			at, _ := sys.Where(member)
+			if dir[member] != at {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestLocationViewConcurrentSignificantMoves(t *testing.T) {

@@ -80,7 +80,7 @@ type member struct {
 	epoch time.Time  // due times are wall nanoseconds since it
 	dueMu sync.Mutex // guards fifo and due
 	fifo  *engine.FIFOClock
-	due   rt.DueQueue[wire.Frame]
+	due   sim.Queue[sim.Due[wire.Frame]]
 	wake  chan struct{} // capacity 1: a push, or the head's timer fired
 	timer *time.Timer   // dueLoop's; nil until a head was still ahead
 
@@ -99,6 +99,7 @@ func (m *member) init(role wire.Role, id int, cc ClusterConfig, gen uint64, tap 
 	m.tick = cc.tick()
 	m.epoch = time.Now()
 	m.fifo = engine.NewFIFOClockLayout(cc.M, cc.N)
+	m.due.Init(rt.SlotShift)
 	m.wake = make(chan struct{}, 1)
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
@@ -184,7 +185,8 @@ func (m *member) queue(f wire.Frame) {
 	}
 	now, lat := sim.Time(time.Since(m.epoch)), sim.Time(time.Duration(f.Latency)*m.tick)
 	m.dueMu.Lock()
-	m.due.Push(m.fifo.Arrival(int(f.Ch), now, lat), f)
+	at := m.fifo.Arrival(int(f.Ch), now, lat)
+	m.due.Push(at, sim.Due[wire.Frame]{At: at, V: f})
 	m.dueMu.Unlock()
 	m.poke()
 }
@@ -199,16 +201,16 @@ func (m *member) poke() {
 
 // dueLoop is the due queue's one goroutine: it sends each frame once due,
 // at hop 1, across its last physical link, and otherwise sleeps until the
-// head is due (on one timer, armed only for a head still ahead) or a frame
+// front is due (on one timer, armed only for a front still ahead) or a frame
 // arrives. It exits when stop closes.
 func (m *member) dueLoop(send func(wire.Frame)) {
 	defer m.wg.Done()
 	for {
 		m.dueMu.Lock()
-		if m.due.Len() > 0 {
-			wait := time.Duration(m.due.Head()) - time.Since(m.epoch)
+		if d := m.due.Front(); d != nil {
+			wait := time.Duration(d.At) - time.Since(m.epoch)
 			if wait <= 0 {
-				f := m.due.Pop()
+				f := m.due.Pop().V
 				m.dueMu.Unlock()
 				f.Hop = 1
 				send(f)

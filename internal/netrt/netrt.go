@@ -31,7 +31,7 @@
 //   - a link's latency is a due time, not a sleep: each node and client
 //     process stamps a frame from the hub with engine.FIFOClock's arrival
 //     clamp (arrival + latency × tick, never before the channel's previous
-//     frame) and keeps it on one rt.DueQueue until it is due, so latencies
+//     frame) and keeps it on one sim.Queue until it is due, so latencies
 //     of queued frames overlap exactly as they do on the simulator and in
 //     rt's due queue, and a process runs no goroutine per channel. Socket
 //     writers flush when idle (peer.writeLoop drains its outbox into one

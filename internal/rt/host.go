@@ -27,11 +27,13 @@ type Config struct {
 	Seed uint64
 	// Tick converts the model's virtual-time units to wall time (timers in
 	// algorithm code use sim.Time; one unit lasts one Tick). Zero or
-	// negative means defaultTick. Ticks are honoured to the nanosecond on
-	// every substrate, the socket relays included. A sub-millisecond wait on
-	// an otherwise idle process still wakes up to 1 ms late (the Go
-	// netpoller's timer granularity), which is why the benchmark runs at
-	// 1 ns: no link wait is ever armed and what is left is program cost.
+	// negative means defaultTick. On every substrate, the socket relays
+	// included, nothing lands before its due time, and a due record waits at
+	// most one due-queue slot (1<<SlotShift ns) behind one that is not yet
+	// due. A sub-millisecond wait on an otherwise idle process still wakes
+	// up to 1 ms late (the Go netpoller's timer granularity), which is why
+	// the benchmark runs at 1 ns: no link wait is ever armed and what is
+	// left is program cost.
 	Tick time.Duration
 	// Faults, when non-nil and non-empty, wraps the live substrate in the
 	// deterministic fault injector (internal/faults) and implies
@@ -106,7 +108,7 @@ type Host struct {
 	// the timer will queue one at wakeAt. drainFn is h.drain, bound once.
 	// draining: a drain is stepping its batch, and instant is the clock
 	// reading it took, which stamps every put the batch makes.
-	queue                   DueQueue[*engine.DeliveryRec]
+	queue                   sim.Queue[sim.Due[*engine.DeliveryRec]]
 	held                    int
 	queued, armed, draining bool
 	wakeAt, instant         sim.Time
@@ -128,6 +130,7 @@ func NewHost(cfg Config, tr Transport) (*Host, error) {
 		stopped:  make(chan struct{}),
 		execDone: make(chan struct{}),
 	}
+	h.queue.Init(SlotShift)
 	h.drainFn = h.drain
 	h.timer = time.AfterFunc(time.Hour, func() { h.tasks.Push(h.drainFn) })
 	h.timer.Stop() // armed by schedule only
@@ -308,7 +311,7 @@ func (h *Host) Stop() {
 			<-h.execDone
 		}
 		h.timer.Stop()
-		h.queue = DueQueue[*engine.DeliveryRec]{}
+		h.queue.Init(SlotShift)
 		if h.held > 0 {
 			h.held = 0
 			h.tasks.OpDone()

@@ -1,9 +1,7 @@
 package rt
 
 import (
-	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,34 +10,156 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// TestDueQueuePopsInDueThenPushOrder checks the heap both live substrates
-// share against a stable sort: pushes interleaved with pops, with many
-// equal due times, pop in (due, push order).
-func TestDueQueuePopsInDueThenPushOrder(t *testing.T) {
-	type item struct {
-		at sim.Time
-		id int
+// wallOp is one step of the wall-width queue model: a put on key due d
+// after the clock (kind putNow), after a stale clock reading back ns ago
+// (putStale, as a netrt relay reads its clock before it takes the queue's
+// lock), or a clock advance by d followed by a drain (advance).
+type wallOp struct {
+	kind    int
+	key     int
+	d, back sim.Time
+}
+
+const (
+	putNow = iota
+	putStale
+	advance
+)
+
+// wallEntry is a queued payload of the model: its own due time (what a
+// queue wider than one unit needs its payload to carry), its key, its put
+// number and the clock when it was put.
+type wallEntry struct {
+	at, putAt sim.Time
+	key, id   int
+}
+
+// runWallModel drives a sim.Queue at the live substrates' slot width
+// through ops, popping only a front whose own due time has passed as
+// rt.Host and the netrt relays do, and checks the contract they rely on:
+//   - Pop removes the entry Front showed;
+//   - after a drain at now, nothing still queued is due a slot width or
+//     more before now, counting a put below the cursor as due when it was
+//     put (it joins the cursor's slot);
+//   - pushes on one key, whose due times the model clamps to be
+//     non-decreasing as engine.FIFOClock does, leave in push order.
+func runWallModel(t *testing.T, ops []wallOp) {
+	t.Helper()
+	const width = sim.Time(1) << SlotShift
+	var q sim.Queue[wallEntry]
+	q.Init(SlotShift)
+	var now sim.Time
+	last := map[int]sim.Time{} // each key's latest due time
+	left := map[int]int{}      // each key's last id out
+	queued := map[int]wallEntry{}
+	id := 0
+	put := func(key int, at sim.Time) {
+		at = max(at, last[key])
+		last[key] = at
+		e := wallEntry{at: at, putAt: now, key: key, id: id}
+		id++
+		q.Push(at, e)
+		queued[e.id] = e
 	}
-	rng := sim.NewRNG(5)
-	var q DueQueue[int]
-	var model []item
-	var got, want []int
-	for id := 0; id < 2000; id++ {
-		at := sim.Time(rng.Duration(0, 40))
-		q.Push(at, id)
-		model = append(model, item{at, id})
-		if rng.Duration(0, 3) == 0 {
-			sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
-			got, want = append(got, q.Pop()), append(want, model[0].id)
-			model = model[1:]
+	drain := func() {
+		for {
+			f := q.Front()
+			if f == nil || f.at > now {
+				break
+			}
+			want := f.id
+			if e := q.Pop(); e.id != want {
+				t.Fatalf("Pop removed put %d, Front showed put %d", e.id, want)
+			}
+			e := queued[want]
+			if p, ok := left[e.key]; ok && e.id < p {
+				t.Fatalf("key %d: put %d left after put %d", e.key, e.id, p)
+			}
+			left[e.key] = e.id
+			delete(queued, e.id)
+		}
+		for _, e := range queued {
+			if due := max(e.at, e.putAt); now-due >= width {
+				t.Fatalf("put %d due at %d ns still queued at %d ns: more than one %d ns slot late", e.id, due, now, width)
+			}
+		}
+		if q.Len() != len(queued) {
+			t.Fatalf("queue holds %d, model %d", q.Len(), len(queued))
 		}
 	}
-	sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
-	for _, it := range model {
-		got, want = append(got, q.Pop()), append(want, it.id)
+	for _, op := range ops {
+		switch op.kind {
+		case putNow:
+			put(op.key, now+op.d)
+		case putStale:
+			put(op.key, max(0, now-op.back)+op.d)
+		case advance:
+			now += op.d
+			drain()
+		}
 	}
-	if q.Len() != 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("popped %v…, want %v… (%d left)", got[:10], want[:10], q.Len())
+	for len(queued) > 0 { // the rest, one slot at a time
+		now += width
+		drain()
+	}
+}
+
+// decodeWallOps reads a fuzz input as byte pairs (code, arg): code%4 picks
+// put-now, put-stale, advance or a far put (put-now beyond the wheel's 256
+// slots), code>>2 the key (one of four); arg scales to eighths of a slot, so
+// delays land inside one slot, across several and past the window.
+func decodeWallOps(b []byte) []wallOp {
+	const eighth = sim.Time(1) << SlotShift / 8
+	var ops []wallOp
+	for i := 0; i+1 < len(b) && len(ops) < 300; i += 2 {
+		code, arg := b[i], sim.Time(b[i+1])
+		op := wallOp{kind: int(code % 4), key: int(code>>2) % 4, d: arg * eighth}
+		switch op.kind {
+		case putStale:
+			op.back, op.d = arg*eighth, (arg%4)*eighth
+		case 3:
+			op.kind, op.d = putNow, arg*64*eighth
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// FuzzWallQueue holds sim.Queue at the live slot width to the contract
+// runWallModel checks. Its first seed is the shape that failed a wheel
+// whose cursor moved on a look at the front: a far put at the front (looked
+// at by a drain with nothing due), then an earlier put on another key,
+// which must not queue behind it.
+func FuzzWallQueue(f *testing.F) {
+	f.Add([]byte{3, 100, 2, 0, 4, 8, 2, 9, 2, 255, 2, 255})
+	f.Add([]byte{0, 30, 4, 1, 2, 40, 5, 200, 0, 2, 2, 1, 2, 255})
+	f.Add([]byte{0, 255, 2, 255, 1, 255, 1, 3, 2, 1, 2, 255})
+	f.Fuzz(func(t *testing.T, b []byte) { runWallModel(t, decodeWallOps(b)) })
+}
+
+// TestWallQueueLatenessBound runs the model on link traffic at two ticks:
+// the benchmark's 1 ns, where every put is due at once, and the production
+// 50 µs, where latencies of one to four ticks span dozens of slots and a
+// few timers lie past the window.
+func TestWallQueueLatenessBound(t *testing.T) {
+	for _, tick := range []time.Duration{time.Nanosecond, defaultTick} {
+		t.Run(tick.String(), func(t *testing.T) {
+			rng := sim.NewRNG(11)
+			var ops []wallOp
+			for i := 0; i < 20000; i++ {
+				switch n := rng.Intn(16); {
+				case n < 10:
+					ops = append(ops, wallOp{kind: putNow, key: rng.Intn(24), d: rng.Duration(1, 4) * sim.Time(tick)})
+				case n < 11:
+					ops = append(ops, wallOp{kind: putNow, key: rng.Intn(24), d: rng.Duration(20, 200) * sim.Time(tick)})
+				case n < 12:
+					ops = append(ops, wallOp{kind: putStale, key: rng.Intn(24), back: rng.Duration(0, 5000), d: sim.Time(tick)})
+				default:
+					ops = append(ops, wallOp{kind: advance, d: rng.Duration(0, 3*sim.Time(tick)+2000)})
+				}
+			}
+			runWallModel(t, ops)
+		})
 	}
 }
 
@@ -219,12 +339,13 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 
 // stampOf returns the due time rec waits for in the system's due queue.
 func stampOf(sys *System, rec *engine.DeliveryRec) sim.Time {
-	for _, d := range sys.queue.h {
-		if d.v == rec {
-			return d.at
+	at := sim.Time(-1)
+	sys.queue.Range(func(d *sim.Due[*engine.DeliveryRec]) {
+		if d.V == rec {
+			at = d.At
 		}
-	}
-	return -1
+	})
+	return at
 }
 
 // sinceStart reads the wall clock in the due queue's units, never the

@@ -113,12 +113,14 @@ var lookaheadSeeds = func() [][][2]int {
 	return append(full, half, short)
 }()
 
-// FuzzKernelHeapOracle cross-checks the kernel's pop order against a naive
-// sorted-slice oracle. The op stream (byte pairs, see kernelOp) interleaves
-// pushes of uniquely identified events with Steps and RunUntil deadlines, so
-// events cross from the far heap into the wheel at every window slide, and
-// every fired event must match the oracle's front exactly — same id, same
-// time.
+// FuzzKernelHeapOracle cross-checks the pop order of the kernel, and of a
+// bare Queue one unit wide, against a naive sorted-slice oracle. The op
+// stream (byte pairs, see kernelOp) interleaves pushes of uniquely
+// identified events with Steps and RunUntil deadlines, so events cross from
+// the far heap into the wheel at every window slide, and every fired event
+// must match the oracle's front exactly — same id, same time. The bare
+// queue's cursor moves only on its pops, not on a RunUntil deadline, so it
+// slides its window at other points than the kernel does.
 func FuzzKernelHeapOracle(f *testing.F) {
 	f.Add([]byte{10, 0, 30, 3, 5, 7, 3, 3})
 	f.Add([]byte{255, 3, 255, 3, 0, 0, 3, 3, 3, 3})
@@ -136,6 +138,7 @@ func FuzzKernelHeapOracle(f *testing.F) {
 			id int
 		}
 		k := NewKernel(1)
+		var q Queue[int]
 		var oracle []oracleEvent // sorted by (at, insertion order)
 		var fired []int
 		var now Time
@@ -143,9 +146,19 @@ func FuzzKernelHeapOracle(f *testing.F) {
 		if len(ops) > 400 {
 			ops = ops[:400]
 		}
+		// pop pops the bare queue once; it must yield the oracle's front.
+		pop := func(want oracleEvent) {
+			if got := *q.Front(); got != want.id {
+				t.Fatalf("queue front is id %d, want %d", got, want.id)
+			}
+			if got := q.Pop(); got != want.id {
+				t.Fatalf("queue pop order diverged: got id %d, want %d", got, want.id)
+			}
+		}
 		// fire steps the kernel once; it must fire exactly the oracle's front.
 		fire := func() {
 			want := oracle[0]
+			pop(want)
 			oracle = oracle[1:]
 			before := len(fired)
 			if !k.Step() {
@@ -163,8 +176,8 @@ func FuzzKernelHeapOracle(f *testing.F) {
 			switch action, delay := kernelOp(ops[i], ops[i+1]); action {
 			case opStep:
 				if len(oracle) == 0 {
-					if k.Step() {
-						t.Fatal("kernel fired an event the oracle does not have")
+					if k.Step() || q.Front() != nil {
+						t.Fatal("kernel or queue holds an event the oracle does not have")
 					}
 					continue
 				}
@@ -188,6 +201,7 @@ func FuzzKernelHeapOracle(f *testing.F) {
 					if id != oracle[j].id {
 						t.Fatalf("RunUntil(%d) order diverged at %d: got id %d, want %d", deadline, j, id, oracle[j].id)
 					}
+					pop(oracle[j])
 				}
 				oracle = oracle[want:]
 				now = deadline
@@ -201,6 +215,7 @@ func FuzzKernelHeapOracle(f *testing.F) {
 				nextID++
 				at := now + delay
 				k.Schedule(delay, func() { fired = append(fired, id) })
+				q.Push(at, id)
 				pos := len(oracle)
 				for j, ev := range oracle {
 					if at < ev.at {
@@ -212,16 +227,16 @@ func FuzzKernelHeapOracle(f *testing.F) {
 				copy(oracle[pos+1:], oracle[pos:])
 				oracle[pos] = oracleEvent{at: at, id: id}
 			}
-			if k.Pending() != len(oracle) {
-				t.Fatalf("kernel holds %d events, oracle %d", k.Pending(), len(oracle))
+			if k.Pending() != len(oracle) || q.Len() != len(oracle) {
+				t.Fatalf("kernel holds %d events, queue %d, oracle %d", k.Pending(), q.Len(), len(oracle))
 			}
 		}
 		// Drain: the remaining pops must also match.
 		for len(oracle) > 0 {
 			fire()
 		}
-		if k.Step() || k.Pending() != 0 {
-			t.Fatalf("kernel holds %d events the oracle does not", k.Pending())
+		if k.Step() || k.Pending() != 0 || q.Len() != 0 {
+			t.Fatalf("kernel holds %d events, queue %d, the oracle none", k.Pending(), q.Len())
 		}
 	})
 }

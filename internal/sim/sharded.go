@@ -290,7 +290,7 @@ func (q *shardQueue) mergeRemoveRoot() {
 
 // push inserts ev into the shard selected by key. at must be strictly after
 // the kernel's current instant (the kernel routes at==now to the now-queue).
-func (q *shardQueue) push(key int, ev event) {
+func (q *shardQueue) push(key int, ev farEntry[slot]) {
 	si := key & q.mask
 	s := &q.shards[si]
 	q.size++
@@ -298,16 +298,16 @@ func (q *shardQueue) push(key int, ev event) {
 	// A live bucket already holds this time: append to the run.
 	slot := &s.slots[int(uint64(ev.at)&(timeSlots-1))]
 	if slot.at == ev.at && slot.idx >= 0 {
-		s.buckets[slot.idx].events = append(s.buckets[slot.idx].events, bucketEvent{seq: ev.seq, do: ev.do, arg: ev.arg})
+		s.buckets[slot.idx].events = append(s.buckets[slot.idx].events, bucketEvent{seq: ev.seq, do: ev.v.do, arg: ev.v.arg})
 		return
 	}
 	if idx, ok := s.byTime[ev.at]; ok {
-		s.buckets[idx].events = append(s.buckets[idx].events, bucketEvent{seq: ev.seq, do: ev.do, arg: ev.arg})
+		s.buckets[idx].events = append(s.buckets[idx].events, bucketEvent{seq: ev.seq, do: ev.v.do, arg: ev.v.arg})
 		slot.at, slot.idx = ev.at, idx
 		return
 	}
 	idx := s.alloc(ev.at)
-	s.buckets[idx].events = append(s.buckets[idx].events, bucketEvent{seq: ev.seq, do: ev.do, arg: ev.arg})
+	s.buckets[idx].events = append(s.buckets[idx].events, bucketEvent{seq: ev.seq, do: ev.v.do, arg: ev.v.arg})
 	s.byTime[ev.at] = idx
 	slot.at, slot.idx = ev.at, idx
 	wasEmpty := len(s.heap) == 0
@@ -332,7 +332,7 @@ func (q *shardQueue) peek() (Time, uint64, bool) {
 
 // pop removes and returns the earliest shard-held event. The caller must
 // ensure the merge heap is non-empty.
-func (q *shardQueue) pop() event {
+func (q *shardQueue) pop() farEntry[slot] {
 	si := q.merge[0].shard
 	s := &q.shards[si]
 	idx := s.heap[0].idx
@@ -342,7 +342,7 @@ func (q *shardQueue) pop() event {
 	b.head++
 	q.size--
 
-	ev := event{at: b.at, seq: be.seq, do: be.do, arg: be.arg}
+	ev := farEntry[slot]{b.at, be.seq, slot{be.do, be.arg}}
 	if b.head < len(b.events) {
 		// The run continues: only the head seq changed, and it grew, so the
 		// shard can only move deeper in the merge heap.
