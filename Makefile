@@ -69,7 +69,8 @@ loc:
 # sorted slice and against the sharded queue: every table's byte identity
 # rests on the pop order; the live substrates' width against its lateness
 # contract) and the scheduler, decoder, store, waiter-queue and per-pair FIFO
-# invariants. FuzzStoreModel compares two whole stores after every op of an
+# invariants, and the fault injector's determinism (same plan and seed, same
+# fault events: what makes every chaos failure reproducible). FuzzStoreModel compares two whole stores after every op of an
 # input, and FuzzPairFIFO builds an engine per input, so the default minute
 # of minimising each new-coverage input would eat the budget; they get an
 # exec-count bound instead.
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 30s ./internal/faults
 
 # The same fuzz targets with a budget small enough for the ci gate: the
 # kernel's pop order decides every seeded table, the wire decoders and the
@@ -109,6 +111,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 5s -fuzzminimizetime 500x ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 5s ./internal/faults
 
 # Chaos conformance: the substrate-parity invariants re-run under seeded
 # fault plans (wireless loss, link flaps, MSS crash/restart) on the

@@ -11,11 +11,14 @@ package conformance
 // under the race detector.
 
 import (
+	"slices"
 	"testing"
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
+	"mobiledist/internal/engine"
 	"mobiledist/internal/mutex/ring"
+	"mobiledist/internal/obs"
 	"mobiledist/internal/sim"
 )
 
@@ -295,7 +298,6 @@ func TestChaosTokenRecovery(t *testing.T) {
 		}
 		d.start()
 		d.do(func() {
-			inj.OnRestart(func(mss core.MSSID) { r2.NoteRestart(mss) })
 			inj.Arm()
 			// Requesters sit in live cells only (round-robin placement:
 			// mh0→mss0, mh1→mss1, mh3→mss3); the crashed cell 2 has no
@@ -348,24 +350,31 @@ func TestChaosTokenRecovery(t *testing.T) {
 }
 
 // TestChaosDeterministicWeather: on the deterministic substrate the whole
-// chaos run — delivery trace and fault counters — is a pure function of
-// (plan, seed): two identical systems produce byte-identical traces.
+// chaos run — the injector's fault events and counters — is a pure
+// function of (plan, seed): two identical systems produce identical
+// events, and a different plan seed different ones.
 func TestChaosDeterministicWeather(t *testing.T) {
-	run := func() (string, interface{}) {
-		d := newSimFaultDriver(5, 10, lossyPlan())
-		d.injector().RecordTrace(true)
+	run := func(seed uint64) ([]obs.Event, engine.FaultStats) {
+		plan := lossyPlan()
+		plan.Seed = seed
+		d := newSimFaultDriver(5, 10, plan)
+		tr := obs.NewTracer(0)
+		d.injector().SetTracer(tr)
 		_, _ = chaosMutexScenario(t, d, 4)
-		return d.injector().Trace(), d.injector().Stats()
+		return tr.Events(), d.injector().Stats()
 	}
-	trace1, stats1 := run()
-	trace2, stats2 := run()
-	if trace1 != trace2 {
-		t.Fatalf("same plan + seed produced different delivery traces:\n--- run1 ---\n%s--- run2 ---\n%s", trace1, trace2)
+	events1, stats1 := run(42)
+	events2, stats2 := run(42)
+	if len(events1) == 0 {
+		t.Fatal("no fault events: the plan injected nothing")
+	}
+	if !slices.Equal(events1, events2) {
+		t.Fatalf("same plan + seed produced different fault events (%d vs %d)", len(events1), len(events2))
 	}
 	if stats1 != stats2 {
 		t.Fatalf("same plan + seed produced different fault stats: %+v vs %+v", stats1, stats2)
 	}
-	if trace1 == "" {
-		t.Fatal("empty delivery trace: the plan injected nothing")
+	if events3, _ := run(43); slices.Equal(events1, events3) {
+		t.Fatal("plan seeds 42 and 43 produced identical fault events: the seed is inert")
 	}
 }

@@ -342,7 +342,6 @@ func TestCrashTokenRecoveryUnderNemesis(t *testing.T) {
 	// process dies for real before the token ever reaches it.
 	cn.lb.KillNode(2)
 	cn.lb.Sys.Do(func() {
-		inj.OnRestart(func(mss core.MSSID) { r2.NoteRestart(mss) })
 		inj.Arm()
 		// Requesters sit in live cells only (round-robin: mh0→mss0,
 		// mh1→mss1, mh3→mss3), matching the protocol's scope.

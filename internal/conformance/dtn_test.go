@@ -171,10 +171,7 @@ func TestChaosDTNDeliveryRatio(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dtn.New: %v", err)
 		}
-		inj := sys.Injector()
-		inj.OnCrash(mgr.NoteCrash)
-		inj.OnRestart(mgr.NoteRestart)
-		inj.Arm()
+		sys.Injector().Arm()
 		// Build mobility history (spray targets recently visited cells),
 		// then vanish in cell 2 — the station the plan later crashes.
 		sys.Schedule(10, func() { _ = sys.Move(0, 1) })
@@ -271,11 +268,6 @@ func TestChaosDTNTokenRecovery(t *testing.T) {
 		}
 		d.start()
 		d.do(func() {
-			inj.OnCrash(mgr.NoteCrash)
-			inj.OnRestart(func(mss core.MSSID) {
-				mgr.NoteRestart(mss)
-				r2.NoteRestart(mss)
-			})
 			inj.Arm()
 			for _, mh := range []core.MHID{0, 1, 3} {
 				if err := r2.Request(mh); err != nil {

@@ -1,12 +1,15 @@
 package conformance
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
 	"mobiledist/internal/mutex/ring"
+	"mobiledist/internal/sim"
 )
 
 // probe is a minimal algorithm giving scenarios a Context and delivery
@@ -225,13 +228,78 @@ func TestConformanceMobilityStatePartitioning(t *testing.T) {
 	})
 }
 
+// crashLog is an algorithm that implements only core.CrashObserver. It
+// appends each notification, prefixed with its tag, to a journal it may
+// share with other observers, and, when given a context, keeps the
+// virtual time each one arrived at.
+type crashLog struct {
+	tag     string
+	journal *[]string
+	ctx     core.Context
+	at      []sim.Time
+}
+
+func (c *crashLog) Name() string { return "crash-log" }
+
+func (c *crashLog) NoteCrash(mss core.MSSID) { c.note("crash", mss) }
+
+func (c *crashLog) NoteRestart(mss core.MSSID) { c.note("restart", mss) }
+
+func (c *crashLog) note(what string, mss core.MSSID) {
+	*c.journal = append(*c.journal, fmt.Sprintf("%s%s mss%d", c.tag, what, int(mss)))
+	if c.ctx != nil {
+		c.at = append(c.at, c.ctx.Now())
+	}
+}
+
+// TestCrashNewsNeedsNoWiring: an algorithm that implements only NoteCrash
+// and NoteRestart hears of every crash and restart the plan arms, once
+// each, at its planned instant, with nothing wired beyond Register and
+// Arm; two such observers hear each instant in registration order. The
+// simulator lands each notification exactly on its instant, a live
+// substrate never before it.
+func TestCrashNewsNeedsNoWiring(t *testing.T) {
+	plan := &core.FaultPlan{Seed: 5, Crashes: []core.Crash{
+		{MSS: 1, At: 40, RestartAt: 120},
+		{MSS: 0, At: 60}, // never restarts
+	}}
+	wantJournal := []string{
+		"a:crash mss1", "b:crash mss1",
+		"a:crash mss0", "b:crash mss0",
+		"a:restart mss1", "b:restart mss1",
+	}
+	wantAt := []sim.Time{40, 60, 120}
+	forEachSubstrateFaults(t, 2, 2, plan, func(t *testing.T, d driver) {
+		var journal []string
+		first := &crashLog{tag: "a:", journal: &journal}
+		second := &crashLog{tag: "b:", journal: &journal}
+		first.ctx = d.registrar().Register(first)
+		second.ctx = d.registrar().Register(second)
+		d.start()
+		d.do(func() { d.injector().Arm() })
+		d.settle(t)
+		d.do(func() {
+			if !reflect.DeepEqual(journal, wantJournal) {
+				t.Fatalf("observers heard %v, want %v", journal, wantJournal)
+			}
+			for _, log := range []*crashLog{first, second} {
+				for i, at := range log.at {
+					if at < wantAt[i] || (d.name() == "sim" && at != wantAt[i]) {
+						t.Errorf("%s heard %s at t=%d, planned for t=%d", log.tag, wantJournal[2*i], at, wantAt[i])
+					}
+				}
+			}
+		})
+	})
+}
+
 // TestConformanceTimers: timers are delivery records like all other parked
 // work, on every substrate, with the fault injector in the stack. A
 // Context.After callback fires exactly once and holds the network's idle
 // predicate open while armed; an armed Context.AfterDaemon does not, and
 // still fires — nor does one landing first let go of the After's hold; all
-// are counted by LiveRecs until they fire; and a crash plan's
-// OnCrash/OnRestart hooks, armed through the same record path, fire once
+// are counted by LiveRecs until they fire; and a crash plan's crash and
+// restart records, armed through the same path, reach a CrashObserver once
 // each. The counters are plain ints read inside do, so under -race a
 // callback that ran off the execution context would be reported.
 func TestConformanceTimers(t *testing.T) {
@@ -249,14 +317,13 @@ func TestConformanceTimers(t *testing.T) {
 	plan := &core.FaultPlan{Seed: 5, Crashes: []core.Crash{{MSS: 1, At: 40, RestartAt: 120}}}
 	forEachSubstrateFaults(t, 2, 2, plan, func(t *testing.T, d driver) {
 		ctx := d.registrar().Register(&probe{})
-		var fired, earlyFired, daemonFired, crashes, restarts int
+		var crashes []string
+		d.registrar().Register(&crashLog{journal: &crashes})
+		var fired, earlyFired, daemonFired int
 		daemonDone := make(chan struct{})
 		d.start()
 		d.do(func() {
-			inj := d.injector()
-			inj.OnCrash(func(core.MSSID) { crashes++ })
-			inj.OnRestart(func(core.MSSID) { restarts++ })
-			inj.Arm()
+			d.injector().Arm()
 			ctx.AfterDaemon(daemonDelay, func() { daemonFired++; close(daemonDone) })
 			ctx.AfterDaemon(earlyDelay, func() { earlyFired++ })
 			ctx.After(afterDelay, func() { fired++ })
@@ -269,8 +336,8 @@ func TestConformanceTimers(t *testing.T) {
 			if fired != 1 || earlyFired != 1 {
 				t.Errorf("After/early AfterDaemon fired %d/%d times by the time the network went idle, want 1/1", fired, earlyFired)
 			}
-			if crashes != 1 || restarts != 1 {
-				t.Errorf("crash/restart hooks fired %d/%d times, want 1/1", crashes, restarts)
+			if want := []string{"crash mss1", "restart mss1"}; !reflect.DeepEqual(crashes, want) {
+				t.Errorf("crash observer heard %v, want %v", crashes, want)
 			}
 			if daemonFired != 0 {
 				t.Errorf("AfterDaemon fired %d times before its delay; the idle wait must not have waited for it", daemonFired)

@@ -32,8 +32,8 @@ type Config struct {
 
 	// Faults, when non-nil and non-empty, wraps the kernel substrate in a
 	// deterministic fault injector applying the plan (internal/faults) and
-	// implies ReliableWireless so algorithms keep the model's delivery
-	// guarantees under loss (see NewEngine).
+	// turns on the engine's reliable-wireless sublayer so algorithms keep
+	// the model's delivery guarantees under loss (see NewEngine).
 	Faults *FaultPlan
 
 	// StepLimit bounds total simulation events as a runaway-protocol
@@ -109,8 +109,9 @@ func DefaultConfig(m, n int) Config {
 // transport to do before the injector disturbs it, then the engine — and
 // returns the engine with the injector (nil when fault-free). It is also the
 // one place the two derived model rules are applied: a non-empty fault plan
-// forces the ARQ sublayer on (without it, injected loss would silently void
-// the model's FIFO and prefix-delivery guarantees), and a zero SearchMode
+// turns the ARQ sublayer on — it is what NewEngine tells engine.New, and
+// there is no other switch (without ARQ, injected loss would silently void
+// the model's FIFO and prefix-delivery guarantees) — and a zero SearchMode
 // means SearchAbstract.
 func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*engine.Engine, *faults.Injector, error) {
 	sub := raw
@@ -122,13 +123,12 @@ func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*eng
 		}
 		inj.SetTracer(model.Obs)
 		sub = inj
-		model.ReliableWireless = true
 	}
 	if model.SearchMode == 0 {
 		model.SearchMode = SearchAbstract
 	}
 	model.Obs.SetTopology(model.M, model.N)
-	eng, err := engine.New(model, engine.ObserveSubstrate(sub, model.Obs))
+	eng, err := engine.New(model, engine.ObserveSubstrate(sub, model.Obs), inj != nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,6 +52,8 @@ type (
 	MHHandler = engine.MHHandler
 	// MobilityObserver is notified of mobility protocol events.
 	MobilityObserver = engine.MobilityObserver
+	// CrashObserver is notified of planned station crashes and restarts.
+	CrashObserver = engine.CrashObserver
 	// DeliveryFailureHandler is notified of failed routed deliveries.
 	DeliveryFailureHandler = engine.DeliveryFailureHandler
 	// Context is the capability surface algorithms use to interact with the

@@ -474,6 +474,27 @@ func TestDialRefused(t *testing.T) {
 	}
 }
 
+// TestDialClosedPortFailsFast: a connect to a closed loopback port draws an
+// ICMP refusal that ends the session's read loop, and Dial returns that
+// error at once instead of retransmitting the connect until MaxRetries
+// runs out (about 1.5 s at the default RTO).
+func TestDialClosedPortFailsFast(t *testing.T) {
+	probe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.LocalAddr().String()
+	probe.Close()
+	token, key := mintFor(t, time.Minute, addr)
+	start := time.Now()
+	if _, err := Dial(addr, token, key, Config{}); err == nil {
+		t.Fatal("dial to a closed port succeeded")
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("dial to a closed port failed after %v, want < 100ms", took)
+	}
+}
+
 // TestReflectedPacketRejected proves direction-key separation: a host's
 // own sealed datagrams bounced back at it by an on-path attacker fail
 // authentication, and so can never enter the replay window, corrupt the

@@ -12,8 +12,9 @@ import (
 
 // Dial establishes a datagram session to addr, proving possession of the
 // session key derived from token (see Mint). The connect is retransmitted
-// with capped backoff until the server's accept arrives or MaxRetries is
-// exhausted.
+// with capped backoff until the server's accept arrives, MaxRetries is
+// exhausted, or the session fails (a closed port answers the first connect
+// with an ICMP refusal, which ends the socket's read loop).
 func Dial(addr string, token, key []byte, cfg Config) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	raddr, err := net.ResolveUDPAddr("udp", addr)
@@ -57,6 +58,11 @@ func Dial(addr string, token, key []byte, cfg Config) (*Conn, error) {
 		c.mu.Unlock()
 		select {
 		case <-c.accepted:
+		case <-c.done:
+			c.mu.Lock()
+			err := c.err
+			c.mu.Unlock()
+			return nil, fmt.Errorf("dgram: connect to %s: %w", addr, err)
 		case <-time.After(c.rto(attempt)):
 		}
 	}

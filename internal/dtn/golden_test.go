@@ -71,10 +71,7 @@ func runCustodyGolden(t *testing.T, strategy RoutingAlgorithm) (string, *Manager
 	if err != nil {
 		t.Fatalf("dtn.New: %v", err)
 	}
-	inj := sys.Injector()
-	inj.OnCrash(mgr.NoteCrash)
-	inj.OnRestart(mgr.NoteRestart)
-	inj.Arm()
+	sys.Injector().Arm()
 
 	apply := func(i int) {
 		o := ops[i]

@@ -116,6 +116,7 @@ var (
 	_ engine.Algorithm        = (*Manager)(nil)
 	_ engine.MSSHandler       = (*Manager)(nil)
 	_ engine.MobilityObserver = (*Manager)(nil)
+	_ engine.CrashObserver    = (*Manager)(nil)
 	_ engine.CustodyHook      = (*Manager)(nil)
 	_ Host                    = (*Manager)(nil)
 )
@@ -652,8 +653,8 @@ func (m *Manager) noteVisit(mh engine.MHID, mss engine.MSSID) {
 // ---- crash seam ----
 
 // NoteCrash wipes the station's volatile store and refuses custody
-// there until NoteRestart. Wire it to faults.Injector.OnCrash (or the
-// netrt supervisor's crash callback); it runs on the execution context.
+// there until NoteRestart. It implements engine.CrashObserver: the engine
+// calls it, on the execution context, at each crash the fault plan arms.
 func (m *Manager) NoteCrash(mss engine.MSSID) {
 	if int(mss) < 0 || int(mss) >= len(m.down) {
 		return
@@ -699,7 +700,8 @@ func (m *Manager) reapInflight(mss engine.MSSID) {
 }
 
 // NoteRestart reopens the station for custody (its store restarts
-// empty, like every volatile structure on a restarted station).
+// empty, like every volatile structure on a restarted station); the
+// restart half of engine.CrashObserver.
 func (m *Manager) NoteRestart(mss engine.MSSID) {
 	if int(mss) < 0 || int(mss) >= len(m.down) {
 		return

@@ -147,10 +147,7 @@ func TestEpidemicSurvivesCustodianCrash(t *testing.T) {
 	cfg := core.DefaultConfig(4, 1)
 	cfg.Faults = &core.FaultPlan{Crashes: []core.Crash{{MSS: 0, At: 300, RestartAt: 400}}}
 	sys, p, ctx, mgr := fixedSys(t, cfg, Config{Strategy: Epidemic{Every: 50}})
-	inj := sys.Injector()
-	inj.OnCrash(mgr.NoteCrash)
-	inj.OnRestart(mgr.NoteRestart)
-	inj.Arm()
+	sys.Injector().Arm()
 	if err := sys.Disconnect(0); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
@@ -240,10 +237,7 @@ func TestCrashReapsInflightTransfer(t *testing.T) {
 	// on the wire 308→311. Crashing the receiver at 310 catches it.
 	cfg.Faults = &core.FaultPlan{Crashes: []core.Crash{{MSS: 1, At: 310, RestartAt: 400}}}
 	sys, p, ctx, mgr := fixedSys(t, cfg, Config{})
-	inj := sys.Injector()
-	inj.OnCrash(mgr.NoteCrash)
-	inj.OnRestart(mgr.NoteRestart)
-	inj.Arm()
+	sys.Injector().Arm()
 	if err := sys.Disconnect(0); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
@@ -292,10 +286,7 @@ func TestFailCustodyTombstonesWithOriginDown(t *testing.T) {
 	cfg := core.DefaultConfig(2, 2)
 	cfg.Faults = &core.FaultPlan{Crashes: []core.Crash{{MSS: 1, At: 100, RestartAt: 200}}}
 	sys, p, ctx, mgr := fixedSys(t, cfg, Config{TTL: 50})
-	inj := sys.Injector()
-	inj.OnCrash(mgr.NoteCrash)
-	inj.OnRestart(mgr.NoteRestart)
-	inj.Arm()
+	sys.Injector().Arm()
 	if err := sys.Disconnect(0); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}

@@ -60,18 +60,6 @@ type Config struct {
 	// false, search is charged only for genuinely non-local destinations.
 	PessimisticSearch bool
 
-	// ReliableWireless interposes a stop-and-wait ARQ sublayer (per-channel
-	// sequence numbers, ack/timeout/retransmit with capped exponential
-	// backoff, receiver-side dedup) on the wireless up/downlinks, so
-	// algorithms keep the model's FIFO + prefix-delivery semantics when the
-	// substrate underneath loses, duplicates, or reorders wireless frames.
-	// Wired MSS-to-MSS channels stay lossless per the model and are not
-	// touched. The first ack timeout is 2*Wireless.Max + 4 ticks (a data
-	// frame plus its ack at maximum latency) and doubles per retry up to 8x.
-	// Off by default: over reliable channels the sublayer would only add
-	// traffic and perturb seeded runs.
-	ReliableWireless bool
-
 	// WaiterLimit caps the number of delivery records parked per
 	// in-transit MH (the waiter queue a never-arriving MH would otherwise
 	// grow without bound). On overflow a routed payload is offered to the

@@ -309,13 +309,13 @@ func TestSubstrateStackIsAssembledOnce(t *testing.T) {
 // faultInjectorAllowedEngineRefs is the complete engine surface the fault
 // injector (internal/faults) may touch: the Substrate seam it wraps, the
 // delivery-record currency that flows through it (DeliveryRec and the
-// RecSink pool protocol, whose TimerRec is how plan arming obtains its
-// crash/restart timer records), the channel-numbering decoder and the
-// per-channel table keyed by it, the loss-reporting types, and the public
-// model vocabulary. Anything else —
-// routing, mobility, FIFO bookkeeping, ARQ — is engine-internal, and an
-// injector reaching for it is drifting from a substrate wrapper into a
-// second protocol implementation.
+// RecSink pool protocol, whose CrashRec is how plan arming obtains its
+// plain-data crash and restart records), the channel-numbering decoder and
+// the per-channel table keyed by it, the loss-reporting types, and the
+// public model vocabulary. Anything else — routing, mobility, FIFO
+// bookkeeping, ARQ, the observers a crash record reaches — is
+// engine-internal, and an injector reaching for it is drifting from a
+// substrate wrapper into a second protocol implementation.
 var faultInjectorAllowedEngineRefs = map[string]bool{
 	"Substrate":     true,
 	"DeliveryRec":   true,
@@ -463,28 +463,35 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 	}
 }
 
-// TestSubstrateSeamIsRecordsOnly pins the whole seam: Substrate has exactly
-// these five methods and none of them takes a func. Work crosses the seam
-// as DeliveryRec values only, so every parked unit of work stays enumerable
-// data (LiveRecs) and no binding or wrapper has a second scheduling path to
-// implement: "now" is AfterRec(0, rec). Reintroducing a closure form
-// (After(d, fn), Enqueue(fn)), a second deferral method or an optional side
-// interface for one fails here.
+// TestSubstrateSeamIsRecordsOnly pins the whole seam, both directions:
+// Substrate and RecSink have exactly these methods and none of them takes a
+// func. Work crosses the seam as DeliveryRec values only, so every parked
+// unit of work stays enumerable data (LiveRecs) and no binding or wrapper
+// has a second scheduling path to implement: "now" is AfterRec(0, rec), and
+// a fault plan's crash and restart instants are CrashRec records.
+// Reintroducing a closure form (After(d, fn), Enqueue(fn), TimerRec(fn)), a
+// second deferral method or an optional side interface for one fails here.
 func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
-	want := []string{"AfterRec", "BindRecSink", "Now", "RNG", "TransmitRec"}
-	seam := reflect.TypeOf((*Substrate)(nil)).Elem()
-	var got []string
-	for i := 0; i < seam.NumMethod(); i++ {
-		m := seam.Method(i)
-		got = append(got, m.Name)
-		for j := 0; j < m.Type.NumIn(); j++ {
-			if m.Type.In(j).Kind() == reflect.Func {
-				t.Errorf("Substrate.%s takes a func parameter (%v): schedule a DeliveryRec instead", m.Name, m.Type.In(j))
+	for _, seam := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf((*Substrate)(nil)).Elem(), []string{"AfterRec", "BindRecSink", "Now", "RNG", "TransmitRec"}},
+		{reflect.TypeOf((*RecSink)(nil)).Elem(), []string{"CloneRec", "CrashRec", "FreeRec", "StepRec"}},
+	} {
+		var got []string
+		for i := 0; i < seam.typ.NumMethod(); i++ {
+			m := seam.typ.Method(i)
+			got = append(got, m.Name)
+			for j := 0; j < m.Type.NumIn(); j++ {
+				if m.Type.In(j).Kind() == reflect.Func {
+					t.Errorf("%s.%s takes a func parameter (%v): schedule a DeliveryRec instead", seam.typ.Name(), m.Name, m.Type.In(j))
+				}
 			}
 		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Substrate methods = %v, want exactly %v", got, want)
+		if !reflect.DeepEqual(got, seam.want) {
+			t.Errorf("%s methods = %v, want exactly %v", seam.typ.Name(), got, seam.want)
+		}
 	}
 }
 

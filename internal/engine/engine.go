@@ -76,8 +76,8 @@ type Stats struct {
 	// injecting substrate (random loss, link flaps, a crashed station's
 	// radio); folded in from the substrate's FaultStats.
 	WirelessDrops int64
-	// Retransmits counts ARQ retransmissions after ack timeouts
-	// (Config.ReliableWireless).
+	// Retransmits counts ARQ retransmissions after ack timeouts (the
+	// reliable-wireless sublayer, on under a non-empty fault plan).
 	Retransmits int64
 	// DuplicatesSuppressed counts wireless frames the ARQ receiver
 	// discarded as already-accepted duplicates.
@@ -126,8 +126,8 @@ type Engine struct {
 	// SendMHToMH traffic.
 	pairs map[pairKey]*pairState
 
-	// arq is the reliable-wireless sublayer; nil unless
-	// Config.ReliableWireless (see arq.go).
+	// arq is the reliable-wireless sublayer; nil unless New was asked for
+	// it (see arq.go).
 	arq *arq
 
 	// custody, when bound, is offered messages that would otherwise end in
@@ -141,8 +141,10 @@ type Engine struct {
 var _ Registrar = (*Engine)(nil)
 
 // New builds an engine from cfg on the given substrate, placing every MH in
-// its initial cell.
-func New(cfg Config, sub Substrate) (*Engine, error) {
+// its initial cell. reliableWireless interposes the ARQ sublayer (arq.go)
+// on the wireless links; core.NewEngine sets it exactly when the fault plan
+// is non-empty (over reliable links it would only add traffic).
+func New(cfg Config, sub Substrate, reliableWireless bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,7 +194,7 @@ func New(cfg Config, sub Substrate) (*Engine, error) {
 		e.mh[i] = mhState{status: StatusConnected, at: at}
 		e.mss[at].local.add(MHID(i))
 	}
-	if cfg.ReliableWireless {
+	if reliableWireless {
 		e.arq = newARQ(e)
 	}
 	return e, nil
@@ -238,7 +240,7 @@ func (e *Engine) Stats() Stats {
 		cp.DozeInterruptionsByMH[k] = v
 	}
 	if fr, ok := e.sub.(FaultReporter); ok {
-		cp = cp.Merge(fr.FaultStats())
+		cp = cp.Merge(fr.Stats())
 	}
 	return cp
 }
@@ -368,6 +370,20 @@ func (e *Engine) notifyDisconnect(at MSSID, mh MHID) {
 	for i, alg := range e.algs {
 		if obs, ok := alg.(MobilityObserver); ok {
 			obs.OnDisconnect(e.ctxs[i], at, mh)
+		}
+	}
+}
+
+// notifyCrash tells every registered CrashObserver, in registration order,
+// that mss crashed (restart false) or came back (restart true).
+func (e *Engine) notifyCrash(mss MSSID, restart bool) {
+	for _, alg := range e.algs {
+		if obs, ok := alg.(CrashObserver); ok {
+			if restart {
+				obs.NoteRestart(mss)
+			} else {
+				obs.NoteCrash(mss)
+			}
 		}
 	}
 }

@@ -37,12 +37,12 @@ func (o *observedSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryR
 	o.Substrate.TransmitRec(ch, latency, rec)
 }
 
-// FaultStats forwards the inner substrate's loss accounting so wrapping
-// the injector does not hide it from Engine.Stats; a fault-free inner
+// Stats forwards the inner substrate's loss accounting so wrapping the
+// injector does not hide it from Engine.Stats; a fault-free inner
 // substrate reports zeroes.
-func (o *observedSubstrate) FaultStats() FaultStats {
+func (o *observedSubstrate) Stats() FaultStats {
 	if fr, ok := o.Substrate.(FaultReporter); ok {
-		return fr.FaultStats()
+		return fr.Stats()
 	}
 	return FaultStats{}
 }

@@ -29,12 +29,14 @@ import "fmt"
 //   - FreeRec never follows rec.inner: an ARQ data frame's payload record
 //     is owned by the ARQ sender queue until the frame is acked (see
 //     arq.go), so dropping an air copy must not free the payload.
-//   - A timer (Context.After, Context.AfterDaemon, fault-plan arming) is an
-//     opTimer record carrying its callback, scheduled through AfterRec like
-//     any other deferred work and counted by LiveRecs until it fires. It is
-//     the one record whose state is not plain data: the callback is the
-//     algorithm's, not the engine's. Wrappers outside the engine obtain one
-//     from RecSink.TimerRec.
+//   - A timer (Context.After, Context.AfterDaemon) is an opTimer record
+//     carrying its callback, scheduled through AfterRec like any other
+//     deferred work and counted by LiveRecs until it fires. It is the one
+//     record whose state is not plain data: the callback is the
+//     algorithm's, not the engine's, so it never leaves the engine.
+//   - A planned crash or restart is an opCrash record (mss, restart=flag)
+//     a wrapper obtains from RecSink.CrashRec and schedules with AfterRec;
+//     stepping it notifies the CrashObservers.
 //   - The daemon flag (Daemon) marks a timer as standing maintenance: the
 //     live host's due queue does not count it as an outstanding operation,
 //     so it cannot hold WaitIdle open.
@@ -76,8 +78,11 @@ const (
 	opArqAck     // ack for seq came back: recvAck(ch, seq)
 	opArqTimeout // ack timer fired: timeout(ch, gen=seq)
 
-	// Timers (context.go; fault-plan arming via RecSink.TimerRec).
+	// Timers (context.go).
 	opTimer // run fn on the execution context (daemon timer=flag)
+
+	// Fault-plan instants (RecSink.CrashRec).
+	opCrash // mss crashed (restarted if flag): notifyCrash
 )
 
 // DeliveryRec is one unit of in-flight engine work (see the package comment
@@ -146,9 +151,10 @@ type RecSink interface {
 	// CloneRec allocates a pooled copy of rec (a transmission duplicated in
 	// flight). Each copy is stepped or freed independently.
 	CloneRec(rec *DeliveryRec) *DeliveryRec
-	// TimerRec allocates a pooled timer record that runs fn when stepped;
-	// the caller schedules it with Substrate.AfterRec (fault-plan arming).
-	TimerRec(fn func()) *DeliveryRec
+	// CrashRec allocates a pooled record that, when stepped, tells the
+	// CrashObservers mss crashed (restart false) or restarted; the caller
+	// schedules it with Substrate.AfterRec (fault-plan arming).
+	CrashRec(mss MSSID, restart bool) *DeliveryRec
 }
 
 var _ RecSink = (*Engine)(nil)
@@ -220,6 +226,14 @@ func (e *Engine) CloneRec(rec *DeliveryRec) *DeliveryRec {
 func (e *Engine) TimerRec(fn func()) *DeliveryRec {
 	r := e.newRec(opTimer)
 	r.fn = fn
+	return r
+}
+
+// CrashRec returns a pooled record announcing mss's crash or restart.
+func (e *Engine) CrashRec(mss MSSID, restart bool) *DeliveryRec {
+	r := e.newRec(opCrash)
+	r.mss = mss
+	r.flag = restart
 	return r
 }
 
@@ -322,6 +336,9 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 
 	case opTimer:
 		rec.fn()
+
+	case opCrash:
+		e.notifyCrash(rec.mss, rec.flag)
 
 	default:
 		panic(fmt.Sprintf("engine: delivery record with invalid op %d", int(rec.op)))

@@ -54,7 +54,7 @@ func TestObserveSubstrateFaultStats(t *testing.T) {
 	if !ok {
 		t.Fatal("observed substrate does not implement FaultReporter")
 	}
-	if fs := fr.FaultStats(); fs != (FaultStats{}) {
+	if fs := fr.Stats(); fs != (FaultStats{}) {
 		t.Errorf("fault-free inner reported %+v, want zeroes", fs)
 	}
 

@@ -19,10 +19,10 @@ import (
 // goroutine or a live executor), and every record handed to the substrate
 // must be stepped back on that same execution context.
 //
-// Records are the only thing that crosses the seam: no method takes a func.
-// Message delivery, mobility steps, ARQ timers and algorithm timers
-// (Context.After, fault-plan arming) all travel as pooled DeliveryRec
-// values. The engine binds itself as the substrate's RecSink at
+// Records are the only thing that crosses the seam: no method of Substrate
+// or RecSink takes a func. Message delivery, mobility steps, ARQ timers,
+// algorithm timers (Context.After) and fault-plan crash and restart
+// instants all travel as pooled DeliveryRec values. The engine binds itself as the substrate's RecSink at
 // construction, and the substrate hands each scheduled record to the sink
 // when its time arrives (StepRec executes and recycles it), so every
 // parked unit of work is enumerable data counted by Engine.LiveRecs.
@@ -114,7 +114,7 @@ type FaultStats struct {
 // FaultReporter is implemented by substrates (or substrate wrappers) that
 // inject faults and account for them.
 type FaultReporter interface {
-	FaultStats() FaultStats
+	Stats() FaultStats
 }
 
 // Flat channel numbering. The zero-allocation arithmetic here is the

@@ -127,6 +127,15 @@ type MobilityObserver interface {
 	OnDisconnect(ctx Context, mss MSSID, mh MHID)
 }
 
+// CrashObserver is notified of a fault plan's station crashes and restarts
+// the way a MobilityObserver is notified of moves: every registered
+// algorithm that implements it, in registration order, on the execution
+// context, at the plan's instants (faults.Injector.Arm schedules them).
+type CrashObserver interface {
+	NoteCrash(mss MSSID)
+	NoteRestart(mss MSSID)
+}
+
 // DeliveryFailureHandler is notified at the sending MSS when a message
 // routed with SendToMH could not be delivered because the destination
 // disconnected. The undelivered payload is returned so algorithms such as

@@ -41,7 +41,7 @@ func newWaiterEngine(t testing.TB, m, n int) (*Engine, *heldSubstrate) {
 		M: m, N: n, Params: cost.DefaultParams(),
 		Wired: FixedDelay(1), Wireless: FixedDelay(1), Travel: FixedDelay(1),
 		SearchMode: SearchAbstract,
-	}, sub)
+	}, sub, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,7 @@ func D1StoreCarryForward(seed uint64) Table {
 		if err != nil {
 			panic(err)
 		}
-		inj := sys.Injector()
-		inj.OnCrash(mgr.NoteCrash)
-		inj.OnRestart(mgr.NoteRestart)
-		inj.Arm()
+		sys.Injector().Arm()
 		if _, err := workload.NewAbsence(sys, workload.AbsenceConfig{
 			MH:        0,
 			PreMoves:  2,

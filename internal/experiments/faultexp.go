@@ -57,7 +57,6 @@ func F1Unreliability(seed uint64) Table {
 		panic(err)
 	}
 	if inj != nil {
-		inj.OnRestart(func(mss core.MSSID) { r2.NoteRestart(mss) })
 		inj.Arm()
 	}
 	// Requesters sit in cells that never crash (round-robin placement:

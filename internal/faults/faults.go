@@ -12,27 +12,32 @@
 //   - MSS crash/restart: between At and RestartAt a station neither sends
 //     nor receives — its in-flight wired transmissions are discarded on
 //     arrival, its outbound traffic at the source, and its radio is dark.
-//     On restart an optional hook lets protocol layers replay their rejoin
-//     path (the ring's NoteRestart, for example).
+//     Arm schedules each crash and restart as a record (RecSink.CrashRec)
+//     that reaches every registered engine.CrashObserver — the ring's and
+//     the custody manager's NoteCrash/NoteRestart, for example — the way
+//     moves reach the MobilityObservers.
 //
 // Determinism: every fault decision is a pure function of (Plan.Seed,
 // channel id, per-channel transmission index) — each channel owns a
 // private RNG stream and every wireless transmission consumes exactly
 // four draws whether or not any fault fires. Substrate timing therefore
 // cannot perturb the decisions: the same Plan and seed yield the same
-// per-channel delivery trace on the simulation kernel and on the live
-// runtime, as long as the protocol offers the same per-channel traffic.
-// Crash and flap windows are expressed in virtual time, so they are
-// exactly reproducible on the simulator and reproducible up to scheduling
-// jitter on the live runtime.
+// per-channel decisions on the simulation kernel and on the live runtime,
+// as long as the protocol offers the same per-channel traffic. Crash and
+// flap windows are expressed in virtual time, so they are exactly
+// reproducible on the simulator and reproducible up to scheduling jitter
+// on the live runtime.
 //
-// Wireless fault plans require the engine's reliable-wireless sublayer
-// (engine.Config.ReliableWireless): without ARQ a dropped frame is simply
-// gone and the model's FIFO/prefix guarantees are void. The substrate
-// adapters (internal/core, internal/rt) enable ARQ automatically when
-// handed a non-empty plan. Note the sublayer retransmits forever: a plan
-// that permanently darkens a link carrying traffic will never quiesce, so
-// flap windows and crash restarts should be finite.
+// The witness of those decisions is the obs event stream (SetTracer): one
+// event per transmission the injector disturbs, carrying the channel and
+// the transmission index. The determinism tests compare it across runs.
+//
+// Wireless fault plans require the engine's reliable-wireless sublayer:
+// without ARQ a dropped frame is simply gone and the model's FIFO/prefix
+// guarantees are void. core.NewEngine turns ARQ on exactly when the plan
+// is non-empty. Note the sublayer retransmits forever: a plan that
+// permanently darkens a link carrying traffic will never quiesce, so flap
+// windows and crash restarts should be finite.
 //
 // The injector deliberately knows nothing of the engine beyond the
 // Substrate seam: channels are classified with engine.ChannelLayout, and
@@ -42,7 +47,6 @@ package faults
 
 import (
 	"fmt"
-	"strings"
 
 	"mobiledist/internal/engine"
 	"mobiledist/internal/obs"
@@ -91,9 +95,9 @@ type Flap struct {
 
 // Crash takes one MSS down at At; RestartAt brings it back (0 = never).
 // While down the station's wired traffic is discarded in both directions
-// and its downlinks are dark. The model's stations are stateful, so a
-// consumer that replays per-station protocol state should register an
-// OnRestart hook.
+// and its downlinks are dark. The model's stations are stateful, so an
+// algorithm that replays per-station protocol state implements
+// engine.CrashObserver.
 type Crash struct {
 	MSS       engine.MSSID
 	At        sim.Time
@@ -150,13 +154,11 @@ func (p Plan) Validate(m, n int) error {
 	return nil
 }
 
-// chanState is the per-channel decision stream — a transmission counter and
-// a private RNG derived from (plan seed, channel id) — and, while the trace
-// is recorded, the decision taken for each transmission index.
+// chanState is the per-channel decision stream: a transmission counter and
+// a private RNG derived from (plan seed, channel id).
 type chanState struct {
-	n      int
-	rng    *sim.RNG
-	events []string
+	n   int
+	rng *sim.RNG
 }
 
 // inner is the wrapped substrate. The alias keeps the Injector's embedded
@@ -167,8 +169,9 @@ type inner = engine.Substrate
 // Injector implements engine.Substrate by embedding the inner substrate
 // (time, randomness and off-channel scheduling pass straight through) and
 // disturbing wireless TransmitRecs per the plan. Construct it around the
-// raw substrate, hand it to engine.New, and (for plans with crashes) call
-// Arm on the execution context before traffic flows.
+// raw substrate, hand it to engine.New, and (for plans with crashes whose
+// instants algorithms should hear of) call Arm on the execution context
+// before traffic flows.
 //
 // Record lifecycle: a destroyed transmission (drop, dark link, crashed
 // station) returns its record to the engine's pool via RecSink.FreeRec —
@@ -188,15 +191,11 @@ type Injector struct {
 	// implementation gates deliveries in front of it.
 	sink engine.RecSink
 
-	onCrash, onRestart func(engine.MSSID)
-
 	// tracer, when non-nil, receives one typed event per fault decision
 	// that disturbs traffic (EvDrop, EvDuplicate, EvReorder,
 	// EvCrashDiscard). Undisturbed relays are not evented — the Transmit
 	// seam above the injector already records those.
 	tracer *obs.Tracer
-
-	recording bool
 }
 
 var (
@@ -238,10 +237,8 @@ func (i *Injector) StepRec(rec *engine.DeliveryRec) {
 	if ch := rec.Chan(); ch >= 0 {
 		if kind, _, b := i.layout.Decode(ch); kind == engine.ChannelWired {
 			if i.crashedAt(engine.MSSID(b), i.Now()) {
-				idx := int(rec.Tag())
 				i.stats.CrashDiscards++
-				i.amend(ch, idx, "crash-rx")
-				i.event(obs.EvCrashDiscard, ch, idx)
+				i.event(obs.EvCrashDiscard, ch, int(rec.Tag()), 1)
 				i.sink.FreeRec(rec)
 				return
 			}
@@ -258,62 +255,51 @@ func (i *Injector) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
 	return i.sink.CloneRec(rec)
 }
 
-// TimerRec implements engine.RecSink, forwarding to the engine's pool.
-func (i *Injector) TimerRec(fn func()) *engine.DeliveryRec { return i.sink.TimerRec(fn) }
+// CrashRec implements engine.RecSink, forwarding to the engine's pool.
+func (i *Injector) CrashRec(mss engine.MSSID, restart bool) *engine.DeliveryRec {
+	return i.sink.CrashRec(mss, restart)
+}
 
-// FaultStats implements engine.FaultReporter.
-func (i *Injector) FaultStats() engine.FaultStats { return i.stats }
-
-// Stats returns the injection counters (alias of FaultStats for callers
-// that hold the concrete type).
+// Stats implements engine.FaultReporter: the injection counters.
 func (i *Injector) Stats() engine.FaultStats { return i.stats }
 
 // SetTracer routes the injector's fault decisions into the observability
 // stream. Set before traffic flows; a nil tracer (the default) is a no-op.
 func (i *Injector) SetTracer(t *obs.Tracer) { i.tracer = t }
 
-// event records one fault decision; kind-specific operands are the channel
-// id and the per-channel transmission index.
-func (i *Injector) event(kind obs.EventKind, ch, idx int) {
+// event records one fault decision: A = channel id, B = per-channel
+// transmission index, C = 1 for a dark-link drop or a crash discard at the
+// receiver, else 0 (the obs.EventKind docs).
+func (i *Injector) event(kind obs.EventKind, ch, idx int, c int32) {
 	if i.tracer == nil {
 		return
 	}
-	i.tracer.Record(i.Now(), kind, int32(ch), int32(idx), 0)
+	i.tracer.Record(i.Now(), kind, int32(ch), int32(idx), c)
 }
 
-// OnCrash registers a hook run (on the execution context) when a planned
-// crash fires. Set before Arm.
-func (i *Injector) OnCrash(fn func(engine.MSSID)) { i.onCrash = fn }
-
-// OnRestart registers a hook run (on the execution context) when a crashed
-// station restarts — the place to replay protocol rejoin paths. Set before
-// Arm.
-func (i *Injector) OnRestart(fn func(engine.MSSID)) { i.onRestart = fn }
-
-// Arm schedules the plan's crash and restart hooks. Call it once, on the
-// execution context (before Run on the simulator; inside Do on the live
-// runtime). Crash gating of traffic works without Arm — this only drives
-// the notification hooks.
+// Arm schedules one record per planned crash and per restart
+// (RecSink.CrashRec); stepped at its instant, each tells every registered
+// engine.CrashObserver. Call it once, on the execution context (before Run
+// on the simulator; inside Do on the live runtime). Crash gating of traffic
+// works without Arm — this only drives the notifications.
 func (i *Injector) Arm() {
 	for _, c := range i.plan.Crashes {
-		c := c
-		if i.onCrash != nil {
-			i.at(c.At, func() { i.onCrash(c.MSS) })
-		}
-		if c.RestartAt > 0 && i.onRestart != nil {
-			i.at(c.RestartAt, func() { i.onRestart(c.MSS) })
+		i.at(c.At, c.MSS, false)
+		if c.RestartAt > 0 {
+			i.at(c.RestartAt, c.MSS, true)
 		}
 	}
 }
 
-// at arms a timer record for absolute virtual time t. The record bypasses
-// the injector's own TransmitRec: plan hooks are not traffic.
-func (i *Injector) at(t sim.Time, fn func()) {
+// at schedules mss's crash or restart record for absolute virtual time t.
+// The record bypasses the injector's own TransmitRec: plan instants are not
+// traffic.
+func (i *Injector) at(t sim.Time, mss engine.MSSID, restart bool) {
 	d := t - i.Now()
 	if d < 0 {
 		d = 0
 	}
-	i.AfterRec(d, i.sink.TimerRec(fn))
+	i.AfterRec(d, i.sink.CrashRec(mss, restart))
 }
 
 // DownSince reports whether mss is crashed at the current virtual time,
@@ -378,12 +364,12 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 	now := i.Now()
 	kind, a, b := i.layout.Decode(ch)
 	// st is good until the next At (engine.ChanTable): it is used up to the
-	// draws below, and record looks the channel up again.
+	// draws below.
 	st := i.chans.At(ch)
 	idx := st.n
 	st.n++
 	// Stamp the channel (for the delivery-time gate) and the transmission
-	// index (so a crash-rx discard can amend this entry of the trace).
+	// index (the B operand of a crash discard at the receiver).
 	rec.SetChan(ch)
 	rec.SetTag(int32(idx))
 
@@ -391,14 +377,12 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 		from := engine.MSSID(a)
 		if i.crashedAt(from, now) {
 			i.stats.CrashDiscards++
-			i.record(ch, idx, "crash-tx")
-			i.event(obs.EvCrashDiscard, ch, idx)
+			i.event(obs.EvCrashDiscard, ch, idx, 0)
 			i.sink.FreeRec(rec)
 			return
 		}
 		// The crash-at-receiver check happens in StepRec's gate when the
 		// record surfaces from the transport.
-		i.record(ch, idx, "relay")
 		i.inner.TransmitRec(ch, latency, rec)
 		return
 	}
@@ -423,17 +407,9 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 	pReorder := rng.Float64()
 	extra := reorderExtra(lf.ReorderDelay, rng)
 
-	if dark {
+	if dark || pDrop < lf.Drop {
 		i.stats.WirelessDrops++
-		i.record(ch, idx, "dark")
-		i.event(obs.EvDrop, ch, idx)
-		i.sink.FreeRec(rec)
-		return
-	}
-	if pDrop < lf.Drop {
-		i.stats.WirelessDrops++
-		i.record(ch, idx, "drop")
-		i.event(obs.EvDrop, ch, idx)
+		i.event(obs.EvDrop, ch, idx, b2i(dark))
 		i.sink.FreeRec(rec)
 		return
 	}
@@ -450,25 +426,28 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 		cl := i.sink.CloneRec(rec)
 		i.inner.TransmitRec(ch, latency, rec)
 		i.AfterRec(latency+extra, cl)
-		i.record(ch, idx, "dup+reorder")
-		i.event(obs.EvDuplicate, ch, idx)
-		i.event(obs.EvReorder, ch, idx)
+		i.event(obs.EvDuplicate, ch, idx, 0)
+		i.event(obs.EvReorder, ch, idx, 0)
 	case dup:
 		i.stats.WirelessDuplicates++
 		cl := i.sink.CloneRec(rec)
 		i.inner.TransmitRec(ch, latency, rec)
 		i.inner.TransmitRec(ch, latency, cl)
-		i.record(ch, idx, "dup")
-		i.event(obs.EvDuplicate, ch, idx)
+		i.event(obs.EvDuplicate, ch, idx, 0)
 	case reorder:
 		i.stats.WirelessReorders++
 		i.AfterRec(latency+extra, rec)
-		i.record(ch, idx, "reorder")
-		i.event(obs.EvReorder, ch, idx)
+		i.event(obs.EvReorder, ch, idx, 0)
 	default:
 		i.inner.TransmitRec(ch, latency, rec)
-		i.record(ch, idx, "deliver")
 	}
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func reorderExtra(d engine.Delay, rng *sim.RNG) sim.Time {
@@ -476,43 +455,4 @@ func reorderExtra(d engine.Delay, rng *sim.RNG) sim.Time {
 		d = engine.Delay{Min: 1, Max: 8}
 	}
 	return rng.Duration(d.Min, d.Max)
-}
-
-// RecordTrace switches per-transmission trace recording on or off. Enable
-// it before traffic flows; the trace is the determinism witness the fuzz
-// and conformance tests compare across runs and substrates.
-func (i *Injector) RecordTrace(on bool) { i.recording = on }
-
-func (i *Injector) record(ch, idx int, action string) {
-	if !i.recording {
-		return
-	}
-	st := i.chans.At(ch)
-	for len(st.events) <= idx {
-		st.events = append(st.events, "")
-	}
-	st.events[idx] = action
-}
-
-func (i *Injector) amend(ch, idx int, action string) {
-	if !i.recording {
-		return
-	}
-	if st := i.chans.At(ch); idx < len(st.events) {
-		st.events[idx] = action
-	}
-}
-
-// Trace renders the recorded per-channel decision log in canonical order
-// (ascending channel id, then transmission index). Because each channel's
-// decisions depend only on (seed, channel, index), the rendering is
-// comparable across runs and across substrates.
-func (i *Injector) Trace() string {
-	var b strings.Builder
-	i.chans.Each(func(ch int, st *chanState) {
-		for idx, action := range st.events {
-			fmt.Fprintf(&b, "ch%d#%d %s\n", ch, idx, action)
-		}
-	})
-	return b.String()
 }

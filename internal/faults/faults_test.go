@@ -2,10 +2,14 @@ package faults
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"mobiledist/internal/cost"
 	"mobiledist/internal/engine"
+	"mobiledist/internal/obs"
 	"mobiledist/internal/sim"
 )
 
@@ -38,34 +42,21 @@ func (s *stubSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
 func (s *stubSubstrate) RNG() *sim.RNG { return s.rng }
 
 // fakeSink plays the engine's end of the record protocol: it counts records
-// that survive to delivery and records returned to the pool, and runs the
-// callback of a timer record it handed out.
+// that survive to delivery and records returned to the pool.
 type fakeSink struct {
 	delivered int
 	freed     int
-	timers    map[*engine.DeliveryRec]func()
 }
 
-func (f *fakeSink) StepRec(rec *engine.DeliveryRec) {
-	if fn, ok := f.timers[rec]; ok {
-		delete(f.timers, rec)
-		fn()
-		return
-	}
-	f.delivered++
-}
+func (f *fakeSink) StepRec(rec *engine.DeliveryRec) { f.delivered++ }
 func (f *fakeSink) FreeRec(rec *engine.DeliveryRec) { f.freed++ }
 func (f *fakeSink) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
 	c := *rec
 	return &c
 }
-func (f *fakeSink) TimerRec(fn func()) *engine.DeliveryRec {
+func (f *fakeSink) CrashRec(engine.MSSID, bool) *engine.DeliveryRec {
 	rec := &engine.DeliveryRec{}
 	rec.SetChan(-1)
-	if f.timers == nil {
-		f.timers = make(map[*engine.DeliveryRec]func())
-	}
-	f.timers[rec] = fn
 	return rec
 }
 
@@ -236,29 +227,67 @@ func TestDownSinceOracle(t *testing.T) {
 	}
 }
 
+// crashLog is an algorithm that implements only engine.CrashObserver: it
+// logs each notification with the virtual time it arrived at.
+type crashLog struct {
+	now    func() sim.Time
+	events []string
+}
+
+func (c *crashLog) Name() string { return "crash-log" }
+func (c *crashLog) NoteCrash(mss engine.MSSID) {
+	c.events = append(c.events, fmt.Sprintf("crash mss%d @%d", int(mss), c.now()))
+}
+func (c *crashLog) NoteRestart(mss engine.MSSID) {
+	c.events = append(c.events, fmt.Sprintf("restart mss%d @%d", int(mss), c.now()))
+}
+
+// TestArmFiresCrashAndRestartHooks: Arm schedules one record per planned
+// crash and restart at its instant, and stepping it reaches a registered
+// CrashObserver with no further wiring. The stub steps each AfterRec
+// record at once; its log says when each one was due.
 func TestArmFiresCrashAndRestartHooks(t *testing.T) {
-	inj, _, _ := mustNew(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}}})
-	var events []string
-	inj.OnCrash(func(mss engine.MSSID) { events = append(events, fmt.Sprintf("crash mss%d", int(mss))) })
-	inj.OnRestart(func(mss engine.MSSID) { events = append(events, fmt.Sprintf("restart mss%d", int(mss))) })
-	inj.Arm() // the stub steps AfterRec records synchronously
-	if len(events) != 2 || events[0] != "crash mss1" || events[1] != "restart mss1" {
-		t.Errorf("hook events = %v, want [crash mss1, restart mss1]", events)
+	stub := newStub()
+	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}, {MSS: 0, At: 40}}}, 2, 4, stub)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng, err := engine.New(engine.Config{
+		M: 2, N: 4, Params: cost.DefaultParams(),
+		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
+		SearchMode: engine.SearchAbstract,
+	}, inj, true)
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	log := &crashLog{now: func() sim.Time { return stub.now }}
+	eng.Register(log)
+	stub.now = 5
+	inj.Arm()
+	if want := []string{"@5", "@95", "@35"}; !reflect.DeepEqual(stub.afters, want) {
+		t.Errorf("Arm scheduled %v, want %v (crash, restart, crash; no restart for RestartAt 0)", stub.afters, want)
+	}
+	if want := []string{"crash mss1 @5", "restart mss1 @5", "crash mss0 @5"}; !reflect.DeepEqual(log.events, want) {
+		t.Errorf("observer saw %v, want %v", log.events, want)
+	}
+	if live := eng.LiveRecs(); live != 0 {
+		t.Errorf("LiveRecs = %d after the crash records stepped, want 0", live)
 	}
 }
 
 // driveTraffic pushes a fixed per-channel traffic pattern through an
-// injector and returns (trace, stats) — the determinism witness.
-func driveTraffic(t *testing.T, plan Plan, n int) (string, engine.FaultStats) {
+// injector and returns (fault events, stats) — the determinism witness.
+func driveTraffic(t *testing.T, plan Plan, n int) ([]obs.Event, engine.FaultStats) {
 	t.Helper()
 	inj, _, _ := mustNew(t, plan)
-	inj.RecordTrace(true)
+	tr := obs.NewTracer(0)
+	inj.SetTracer(tr)
 	for i := 0; i < n; i++ {
 		xmit(inj, downCh(i%2, i%4), sim.Time(1+i%3))
 		xmit(inj, upCh(i%4), sim.Time(1+i%2))
 		xmit(inj, (i%2)*2+(i+1)%2, 5)
 	}
-	return inj.Trace(), inj.Stats()
+	return tr.Events(), inj.Stats()
 }
 
 func TestSamePlanSameSeedSameTrace(t *testing.T) {
@@ -267,29 +296,68 @@ func TestSamePlanSameSeedSameTrace(t *testing.T) {
 		Down: LinkFaults{Drop: 0.3, Duplicate: 0.1, Reorder: 0.05},
 		Up:   LinkFaults{Drop: 0.2, Duplicate: 0.05},
 	}
-	t1, s1 := driveTraffic(t, plan, 200)
-	t2, s2 := driveTraffic(t, plan, 200)
-	if t1 != t2 {
-		t.Fatal("same plan + seed produced different traces")
+	e1, s1 := driveTraffic(t, plan, 200)
+	e2, s2 := driveTraffic(t, plan, 200)
+	if len(e1) == 0 {
+		t.Fatal("a lossy plan emitted no fault events")
+	}
+	if !slices.Equal(e1, e2) {
+		t.Fatal("same plan + seed produced different fault events")
 	}
 	if s1 != s2 {
 		t.Fatalf("same plan + seed produced different stats: %+v vs %+v", s1, s2)
 	}
 	plan.Seed = 43
-	t3, _ := driveTraffic(t, plan, 200)
-	if t1 == t3 {
-		t.Fatal("different seeds produced identical traces — the seed is inert")
+	e3, _ := driveTraffic(t, plan, 200)
+	if slices.Equal(e1, e3) {
+		t.Fatal("different seeds produced identical fault events — the seed is inert")
+	}
+}
+
+// TestFaultEventOperands pins the operands of the four fault events (the
+// obs.EventKind docs): A = channel, B = the channel's transmission index,
+// C = 1 for a dark-link drop or a crash discard at the receiver, else 0.
+func TestFaultEventOperands(t *testing.T) {
+	const wired10, wired01 = 1*2 + 0, 0*2 + 1
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		ch   int
+		want []obs.Event
+	}{
+		{"random drop", Plan{Up: LinkFaults{Drop: 1}}, upCh(1), []obs.Event{
+			{Kind: obs.EvDrop, A: int32(upCh(1)), B: 0}, {Kind: obs.EvDrop, A: int32(upCh(1)), B: 1}}},
+		{"dark drop", Plan{Flaps: []Flap{{MSS: 0, Until: 10}}}, downCh(0, 2), []obs.Event{
+			{Kind: obs.EvDrop, A: int32(downCh(0, 2)), B: 0, C: 1}, {Kind: obs.EvDrop, A: int32(downCh(0, 2)), B: 1, C: 1}}},
+		{"duplicate", Plan{Down: LinkFaults{Duplicate: 1}}, downCh(1, 3), []obs.Event{
+			{Kind: obs.EvDuplicate, A: int32(downCh(1, 3)), B: 0}, {Kind: obs.EvDuplicate, A: int32(downCh(1, 3)), B: 1}}},
+		{"reorder", Plan{Down: LinkFaults{Reorder: 1}}, downCh(1, 0), []obs.Event{
+			{Kind: obs.EvReorder, A: int32(downCh(1, 0)), B: 0}, {Kind: obs.EvReorder, A: int32(downCh(1, 0)), B: 1}}},
+		{"crash at sender", Plan{Crashes: []Crash{{MSS: 1, RestartAt: 100}}}, wired10, []obs.Event{
+			{Kind: obs.EvCrashDiscard, A: wired10, B: 0}, {Kind: obs.EvCrashDiscard, A: wired10, B: 1}}},
+		{"crash at receiver", Plan{Crashes: []Crash{{MSS: 1, RestartAt: 100}}}, wired01, []obs.Event{
+			{Kind: obs.EvCrashDiscard, A: wired01, B: 0, C: 1}, {Kind: obs.EvCrashDiscard, A: wired01, B: 1, C: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj, _, _ := mustNew(t, tc.plan)
+			tr := obs.NewTracer(0)
+			inj.SetTracer(tr)
+			xmit(inj, tc.ch, 1)
+			xmit(inj, tc.ch, 1)
+			if got := tr.Events(); !slices.Equal(got, tc.want) {
+				t.Errorf("events = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 
 // TestNewAllocatesLinear: an injector costs O(M+N) to build, whatever the
 // channel count. At sim-route's size (M=10^3, N=10^5: 1.0e8 channel ids) a
-// decision stream and a trace slot per id would be 4 GB before the first
-// transmission.
+// decision stream per id would be 4 GB before the first transmission.
 func TestNewAllocatesLinear(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	inj, err := New(Plan{Down: LinkFaults{Drop: 0.05}}, 1000, 100000, newStub())
+	inj, err := New(Plan{Down: LinkFaults{Drop: 0.05}, Up: LinkFaults{Drop: 1}}, 1000, 100000, newStub())
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -297,18 +365,19 @@ func TestNewAllocatesLinear(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
 		t.Errorf("New(M=1000, N=100000) allocated %d bytes, want < 32 MB", got)
 	}
-	inj.RecordTrace(true)
+	tr := obs.NewTracer(0)
+	inj.SetTracer(tr)
 	inj.BindRecSink(&fakeSink{})
 	last := engine.ChannelLayout{M: 1000, N: 100000}.Count() - 1
 	inj.TransmitRec(last, 1, &engine.DeliveryRec{})
-	if got, want := inj.Trace(), fmt.Sprintf("ch%d#0 deliver\n", last); got != want {
-		t.Errorf("trace of one uplink transmission = %q, want %q", got, want)
+	if got, want := tr.Events(), []obs.Event{{Kind: obs.EvDrop, A: int32(last)}}; !slices.Equal(got, want) {
+		t.Errorf("events of one dropped uplink transmission = %+v, want %+v", got, want)
 	}
 }
 
 // FuzzPlanDeterminism fuzzes fault probabilities, seed, and traffic volume:
-// for any plan, driving the same traffic twice must yield byte-identical
-// traces and identical counters. This is the load-bearing property of the
+// for any plan, driving the same traffic twice must yield identical fault
+// events and identical counters. This is the load-bearing property of the
 // whole chaos suite — it is what makes failures reproducible.
 func FuzzPlanDeterminism(f *testing.F) {
 	f.Add(uint64(1), 0.3, 0.1, 0.05, 50)
@@ -333,10 +402,10 @@ func FuzzPlanDeterminism(f *testing.F) {
 			Down: LinkFaults{Drop: clamp(drop), Duplicate: clamp(dup), Reorder: clamp(reorder)},
 			Up:   LinkFaults{Drop: clamp(dup), Duplicate: clamp(reorder), Reorder: clamp(drop)},
 		}
-		t1, s1 := driveTraffic(t, plan, n)
-		t2, s2 := driveTraffic(t, plan, n)
-		if t1 != t2 {
-			t.Fatalf("trace diverged for plan %+v n=%d", plan, n)
+		e1, s1 := driveTraffic(t, plan, n)
+		e2, s2 := driveTraffic(t, plan, n)
+		if !slices.Equal(e1, e2) {
+			t.Fatalf("fault events diverged for plan %+v n=%d", plan, n)
 		}
 		if s1 != s2 {
 			t.Fatalf("stats diverged for plan %+v n=%d: %+v vs %+v", plan, n, s1, s2)

@@ -158,6 +158,7 @@ var (
 	_ core.MHHandler              = (*R2)(nil)
 	_ core.DeliveryFailureHandler = (*R2)(nil)
 	_ core.MobilityObserver       = (*R2)(nil)
+	_ core.CrashObserver          = (*R2)(nil)
 )
 
 // NewR2 registers an R2-family instance. The ring is MSS 0 → 1 → … → M−1 →

@@ -105,6 +105,11 @@ func (a *R2) Regenerations() int64 { return a.regens }
 // StaleTokensDropped reports tokens retired by the generation floor.
 func (a *R2) StaleTokensDropped() int64 { return a.staleTokens }
 
+// NoteCrash implements the crash half of core.CrashObserver. A crashed
+// station's volatile state is wiped when it restarts (NoteRestart); until
+// then the fault injector discards its traffic, so there is nothing to do.
+func (a *R2) NoteCrash(core.MSSID) {}
+
 // NoteRestart informs the algorithm that mss has crashed and restarted: its
 // volatile state (queued requests, grant queue, any held token) is gone. The
 // generation floor survives — it models the one value the protocol commits

@@ -87,14 +87,19 @@ const (
 	// EvFailure: a routed send ended in a disconnected notification.
 	// A = mh, B = origin mss.
 	EvFailure
-	// EvDrop: the fault injector destroyed a wireless frame. A = channel.
+	// EvDrop: the fault injector destroyed a wireless frame. A = channel,
+	// B = the channel's transmission index, C = 1 when the link was dark (a
+	// flap or a crashed station's radio), 0 for random loss.
 	EvDrop
-	// EvDuplicate: the fault injector duplicated a wireless frame. A = channel.
+	// EvDuplicate: the fault injector duplicated a wireless frame.
+	// A = channel, B = transmission index, C = 0.
 	EvDuplicate
-	// EvReorder: the fault injector released a frame out of order. A = channel.
+	// EvReorder: the fault injector released a frame out of order.
+	// A = channel, B = transmission index, C = 0.
 	EvReorder
 	// EvCrashDiscard: a wired transmission died at a crashed station.
-	// A = channel, B = 1 when discarded at the receiver, 0 at the sender.
+	// A = channel, B = transmission index, C = 1 when discarded at the
+	// receiver, 0 at the sender.
 	EvCrashDiscard
 	// EvGroupInform: a group strategy propagated a location update — the
 	// always-inform broadcast that follows a member's join (Section 4.2).

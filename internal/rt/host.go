@@ -36,9 +36,9 @@ type Config struct {
 	// left is program cost.
 	Tick time.Duration
 	// Faults, when non-nil and non-empty, wraps the live substrate in the
-	// deterministic fault injector (internal/faults) and implies
-	// ReliableWireless (see core.NewEngine). Fault windows are in ticks of
-	// virtual time.
+	// deterministic fault injector (internal/faults) and turns on the
+	// engine's reliable-wireless sublayer (see core.NewEngine). Fault
+	// windows are in ticks of virtual time.
 	Faults *core.FaultPlan
 }
 

@@ -57,7 +57,7 @@ type (
 	From = core.From
 	// Config describes a two-tier network instance: the model parameters
 	// (M, N, Params, the Wired/Wireless/Travel latency ranges, SearchMode,
-	// ReliableWireless, Obs, … — the fields of the embedded engine
+	// WaiterLimit, Obs, … — the fields of the embedded engine
 	// configuration, declared once for every driver) plus the simulator's
 	// own Seed, Faults, StepLimit and Shards. Start from DefaultConfig and
 	// assign fields.
