@@ -68,8 +68,10 @@ loc:
 # Fuzz pass over the event-queue oracles (the wheel one tick wide against a
 # sorted slice and against the sharded queue: every table's byte identity
 # rests on the pop order; the live substrates' width against its lateness
-# contract) and the scheduler, decoder, store, waiter-queue and per-pair FIFO
-# invariants, and the fault injector's determinism (same plan and seed, same
+# contract), the kernel's schedule order and the RNG's duration range, the
+# Lamport request queue and clock witness behind L1, L2 and StaticMutex,
+# the scheduler, decoder, store, waiter-queue and per-pair FIFO invariants,
+# and the fault injector's determinism (same plan and seed, same
 # fault events: what makes every chaos failure reproducible). FuzzStoreModel compares two whole stores after every op of an
 # input, and FuzzPairFIFO builds an engine per input, so the default minute
 # of minimising each new-coverage input would eat the budget; they get an
@@ -77,6 +79,8 @@ loc:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 30s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzKernelSchedule -fuzztime 30s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzRNGDuration -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzWallQueue -fuzztime 30s ./internal/rt
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 30s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 30s ./internal/engine
@@ -90,15 +94,20 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 30s ./internal/faults
+	$(GO) test -run xxx -fuzz FuzzRequestQueue -fuzztime 30s ./internal/logical
+	$(GO) test -run xxx -fuzz FuzzClockWitness -fuzztime 30s ./internal/logical
 
 # The same fuzz targets with a budget small enough for the ci gate: the
-# kernel's pop order decides every seeded table, the wire decoders and the
+# kernel's pop order decides every seeded table, the Lamport queue decides
+# who may enter the critical section, the wire decoders and the
 # datagram packet/token parsers read bytes straight off sockets, and the
 # JSONL trace reader takes whatever file it is given, so even a few seconds
 # of coverage-guided input on every change is worth the wall clock.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzKernelHeapOracle -fuzztime 5s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzShardedKernelOracle -fuzztime 5s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzKernelSchedule -fuzztime 5s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzRNGDuration -fuzztime 5s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzWallQueue -fuzztime 5s ./internal/rt
 	$(GO) test -run xxx -fuzz FuzzChanTable -fuzztime 5s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzWaiterQueue -fuzztime 5s ./internal/engine
@@ -112,6 +121,8 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 5s -fuzzminimizetime 500x ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 5s ./internal/faults
+	$(GO) test -run xxx -fuzz FuzzRequestQueue -fuzztime 5s ./internal/logical
+	$(GO) test -run xxx -fuzz FuzzClockWitness -fuzztime 5s ./internal/logical
 
 # Chaos conformance: the substrate-parity invariants re-run under seeded
 # fault plans (wireless loss, link flaps, MSS crash/restart) on the

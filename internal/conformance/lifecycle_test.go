@@ -3,6 +3,7 @@ package conformance
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"mobiledist/internal/cost"
 	"mobiledist/internal/engine"
 	"mobiledist/internal/netrt"
+	"mobiledist/internal/proxy"
 	"mobiledist/internal/rt"
 )
 
@@ -83,7 +85,7 @@ func TestLiveLifecycle(t *testing.T) {
 			// 2000 ticks of 50µs: armed now, fires 100ms from now — after Stop
 			// unless the machine is badly overloaded, in which case the op
 			// resolves the ordinary way and the row passes trivially.
-			sys.Do(func() { ctx.After(2000, func() {}) })
+			sys.Do(func() { ctx.After(2000, timerTick{}) })
 			sys.Stop()
 			if !sys.WaitIdle(5 * time.Second) {
 				t.Fatal("a timer that fired after Stop left its in-flight op open")
@@ -123,5 +125,48 @@ func TestLiveLifecycle(t *testing.T) {
 				t.Error("mh1 still dozing after SetDoze(1, false)")
 			}
 		})
+	}
+}
+
+// TestLiveSystemMethodSets pins the exported method sets of both live
+// drivers, and so of mobiledist.LiveSystem. The Substrate methods (AfterRec,
+// BindRecSink, RNG, TransmitRec) and the transport's reach into the host
+// (StepRec, Tasks, Stopped) touch the executor-only record pool, so they
+// live on rt's unexported adapter and on the rt.Driver that NewHost returns
+// to the driver alone; none of them may be promoted into a System again.
+// The proxy runtime's Env is checked with them: a static algorithm's timer
+// is a message too, so no Env method takes a func.
+func TestLiveSystemMethodSets(t *testing.T) {
+	host := []string{"Config", "Disconnect", "Do", "Engine", "Injector", "IsDozing", "Meter", "MetricsHandler", "Move", "Now", "Reconnect", "Register", "Searches", "SetDoze", "Start", "Stats", "Stop", "Tracer", "WaitIdle", "Where"}
+	hub := append(append([]string(nil), host...), "Addr", "HealthHandler", "ParkedOnDead", "PeerHealth", "PeerStateOf", "SetAdvertise", "Transport", "WaitReady")
+	sort.Strings(hub)
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf((*rt.System)(nil)), host},
+		{reflect.TypeOf((*netrt.System)(nil)), hub},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumMethod(); i++ {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v methods = %v, want exactly %v", c.typ, got, c.want)
+		}
+		for _, seam := range []string{"AfterRec", "BindRecSink", "StepRec", "TransmitRec", "RNG", "Tasks", "Stopped"} {
+			if _, ok := c.typ.MethodByName(seam); ok {
+				t.Errorf("%v exports %s: the driver seam must stay off the public API", c.typ, seam)
+			}
+		}
+	}
+	env := reflect.TypeOf((*proxy.Env)(nil)).Elem()
+	for i := 0; i < env.NumMethod(); i++ {
+		m := env.Method(i)
+		for j := 0; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j).Kind() == reflect.Func {
+				t.Errorf("proxy.Env.%s takes a func parameter (%v): a timer is a message (After(d, p, msg))", m.Name, m.Type.In(j))
+			}
+		}
 	}
 }

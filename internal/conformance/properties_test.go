@@ -3,6 +3,7 @@ package conformance
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 // probe is a minimal algorithm giving scenarios a Context and delivery
 // hooks. Hooks run on the substrate's execution context.
 type probe struct {
-	onMH func(ctx core.Context, at core.MHID, msg core.Message)
+	onMH    func(ctx core.Context, at core.MHID, msg core.Message)
+	onTimer func(ctx core.Context, msg core.Message)
 }
 
 func (p *probe) Name() string { return "conformance-probe" }
@@ -25,6 +27,12 @@ func (p *probe) HandleMSS(core.Context, core.MSSID, core.From, core.Message) {}
 func (p *probe) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	if p.onMH != nil {
 		p.onMH(ctx, at, msg)
+	}
+}
+
+func (p *probe) HandleTimer(ctx core.Context, msg core.Message) {
+	if p.onTimer != nil {
+		p.onTimer(ctx, msg)
 	}
 }
 
@@ -293,15 +301,23 @@ func TestCrashNewsNeedsNoWiring(t *testing.T) {
 	})
 }
 
+// timerTick is the message TestConformanceTimers sends itself.
+type timerTick struct {
+	Kind string
+	Seq  int
+}
+
 // TestConformanceTimers: timers are delivery records like all other parked
-// work, on every substrate, with the fault injector in the stack. A
-// Context.After callback fires exactly once and holds the network's idle
+// work, on every substrate, with the fault injector in the stack. A timer
+// is a message the algorithm sends itself: Context.After's message reaches
+// HandleTimer unchanged, exactly once, and holds the network's idle
 // predicate open while armed; an armed Context.AfterDaemon does not, and
 // still fires — nor does one landing first let go of the After's hold; all
 // are counted by LiveRecs until they fire; and a crash plan's crash and
 // restart records, armed through the same path, reach a CrashObserver once
-// each. The counters are plain ints read inside do, so under -race a
-// callback that ran off the execution context would be reported.
+// each. After from an algorithm without HandleTimer panics at once, naming
+// it. The counters are plain values read inside do, so under -race a
+// handler that ran off the execution context would be reported.
 func TestConformanceTimers(t *testing.T) {
 	const (
 		afterDelay = 190 // inside the simulator's 200-tick pause
@@ -314,33 +330,51 @@ func TestConformanceTimers(t *testing.T) {
 		// matter of scheduling luck.
 		daemonDelay = 10_000
 	)
+	sent := map[string]timerTick{"after": {"after", 1}, "early": {"early", 2}, "daemon": {"daemon", 3}}
 	plan := &core.FaultPlan{Seed: 5, Crashes: []core.Crash{{MSS: 1, At: 40, RestartAt: 120}}}
 	forEachSubstrateFaults(t, 2, 2, plan, func(t *testing.T, d driver) {
-		ctx := d.registrar().Register(&probe{})
-		var crashes []string
-		d.registrar().Register(&crashLog{journal: &crashes})
-		var fired, earlyFired, daemonFired int
+		fired := make(map[string]int)
 		daemonDone := make(chan struct{})
+		ctx := d.registrar().Register(&probe{onTimer: func(_ core.Context, msg core.Message) {
+			tick, ok := msg.(timerTick)
+			if !ok || tick != sent[tick.Kind] {
+				t.Errorf("HandleTimer got %#v, want one of the messages sent: %v", msg, sent)
+				return
+			}
+			if fired[tick.Kind]++; tick.Kind == "daemon" {
+				close(daemonDone)
+			}
+		}})
+		var crashes []string
+		noTimer := d.registrar().Register(&crashLog{journal: &crashes})
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, `"crash-log"`) {
+					t.Errorf("After from an algorithm without HandleTimer panicked with %q, want a panic naming \"crash-log\"", r)
+				}
+			}()
+			noTimer.After(afterDelay, sent["after"])
+		}()
 		d.start()
 		d.do(func() {
 			d.injector().Arm()
-			ctx.AfterDaemon(daemonDelay, func() { daemonFired++; close(daemonDone) })
-			ctx.AfterDaemon(earlyDelay, func() { earlyFired++ })
-			ctx.After(afterDelay, func() { fired++ })
+			ctx.AfterDaemon(daemonDelay, sent["daemon"])
+			ctx.AfterDaemon(earlyDelay, sent["early"])
+			ctx.After(afterDelay, sent["after"])
 			if live := d.engine().LiveRecs(); live != 5 {
 				t.Errorf("LiveRecs with five timers armed = %d, want 5", live)
 			}
 		})
 		d.pause(t)
 		d.do(func() {
-			if fired != 1 || earlyFired != 1 {
-				t.Errorf("After/early AfterDaemon fired %d/%d times by the time the network went idle, want 1/1", fired, earlyFired)
+			if fired["after"] != 1 || fired["early"] != 1 {
+				t.Errorf("After/early AfterDaemon fired %d/%d times by the time the network went idle, want 1/1", fired["after"], fired["early"])
 			}
 			if want := []string{"crash mss1", "restart mss1"}; !reflect.DeepEqual(crashes, want) {
 				t.Errorf("crash observer heard %v, want %v", crashes, want)
 			}
-			if daemonFired != 0 {
-				t.Errorf("AfterDaemon fired %d times before its delay; the idle wait must not have waited for it", daemonFired)
+			if fired["daemon"] != 0 {
+				t.Errorf("AfterDaemon fired %d times before its delay; the idle wait must not have waited for it", fired["daemon"])
 			}
 			if live := d.engine().LiveRecs(); live != 1 {
 				t.Errorf("LiveRecs with only the daemon timer armed = %d, want 1", live)
@@ -353,8 +387,8 @@ func TestConformanceTimers(t *testing.T) {
 			t.Fatal("AfterDaemon never fired")
 		}
 		d.do(func() {
-			if fired != 1 || daemonFired != 1 {
-				t.Errorf("After/AfterDaemon fired %d/%d times, want 1/1", fired, daemonFired)
+			if fired["after"] != 1 || fired["daemon"] != 1 {
+				t.Errorf("After/AfterDaemon fired %d/%d times, want 1/1", fired["after"], fired["daemon"])
 			}
 			if live := d.engine().LiveRecs(); live != 0 {
 				t.Errorf("LiveRecs after every timer fired = %d, want 0", live)

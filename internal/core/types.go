@@ -50,6 +50,9 @@ type (
 	MSSHandler = engine.MSSHandler
 	// MHHandler receives messages delivered to a mobile host.
 	MHHandler = engine.MHHandler
+	// TimerHandler receives the messages an algorithm sent itself with
+	// Context.After.
+	TimerHandler = engine.TimerHandler
 	// MobilityObserver is notified of mobility protocol events.
 	MobilityObserver = engine.MobilityObserver
 	// CrashObserver is notified of planned station crashes and restarts.

@@ -117,6 +117,7 @@ var (
 	_ engine.MSSHandler       = (*Manager)(nil)
 	_ engine.MobilityObserver = (*Manager)(nil)
 	_ engine.CrashObserver    = (*Manager)(nil)
+	_ engine.TimerHandler     = (*Manager)(nil)
 	_ engine.CustodyHook      = (*Manager)(nil)
 	_ Host                    = (*Manager)(nil)
 )
@@ -794,10 +795,14 @@ func (m *Manager) maybeArmTick() {
 		return
 	}
 	m.tickArmed = true
-	m.ctx.AfterDaemon(m.ticker.TickEvery(), m.tick)
+	m.ctx.AfterDaemon(m.ticker.TickEvery(), gossipTick{})
 }
 
-func (m *Manager) tick() {
+// gossipTick is the maintenance timer's message.
+type gossipTick struct{}
+
+// HandleTimer implements engine.TimerHandler: the maintenance tick.
+func (m *Manager) HandleTimer(engine.Context, engine.Message) {
 	m.tickArmed = false
 	for i := range m.stores {
 		if !m.down[i] {

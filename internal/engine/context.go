@@ -12,14 +12,15 @@ import (
 type Context interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
-	// After schedules fn to run on this node's execution context after d.
-	After(d sim.Time, fn func())
-	// AfterDaemon schedules fn like After but as a background daemon
+	// After sends msg to the algorithm itself, to arrive at its HandleTimer
+	// (TimerHandler) after d. It panics if the algorithm has no HandleTimer.
+	After(d sim.Time, msg Message)
+	// AfterDaemon schedules msg like After but as a background daemon
 	// timer: on live substrates the armed timer does not count as an
 	// outstanding operation, so standing periodic maintenance (DTN gossip
 	// ticks) cannot wedge WaitIdle. Use After for anything the network
 	// must settle on.
-	AfterDaemon(d sim.Time, fn func())
+	AfterDaemon(d sim.Time, msg Message)
 	// RNG returns a deterministic random source.
 	RNG() *sim.RNG
 
@@ -140,14 +141,12 @@ var _ Context = (*algContext)(nil)
 
 func (c *algContext) Now() sim.Time { return c.e.sub.Now() }
 
-func (c *algContext) After(d sim.Time, fn func()) {
-	c.e.sub.AfterRec(d, c.e.TimerRec(fn))
+func (c *algContext) After(d sim.Time, msg Message) {
+	c.e.sub.AfterRec(d, c.e.timerRec(c.alg, msg, false))
 }
 
-func (c *algContext) AfterDaemon(d sim.Time, fn func()) {
-	r := c.e.TimerRec(fn)
-	r.flag = true
-	c.e.sub.AfterRec(d, r)
+func (c *algContext) AfterDaemon(d sim.Time, msg Message) {
+	c.e.sub.AfterRec(d, c.e.timerRec(c.alg, msg, true))
 }
 
 func (c *algContext) RNG() *sim.RNG { return c.e.sub.RNG() }

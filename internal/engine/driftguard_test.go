@@ -116,13 +116,13 @@ func parseNonTest(t *testing.T, fset *token.FileSet, root string, skip ...string
 }
 
 // TestLiveShellIsWrittenOnce pins the live driver shell to rt.Host: the
-// executor lifecycle, the transport-independent Substrate methods and the
-// id checks are each a method of exactly one receiver across internal/rt
-// and internal/netrt. A second declaration is a driver re-growing its own
-// copy of the shell — embed the host instead (what genuinely differs per
-// driver is TransmitRec and Stop, which are not listed).
+// executor lifecycle, the due queue's timer path and the id checks are each
+// a method of exactly one receiver across internal/rt and internal/netrt. A
+// second declaration is a driver re-growing its own copy of the shell —
+// embed the host instead (what genuinely differs per driver is its
+// transmit and Stop, which are not listed).
 func TestLiveShellIsWrittenOnce(t *testing.T) {
-	shell := []string{"Do", "WaitIdle", "Start", "AfterRec", "drain", "schedule", "checkMH", "checkMSS"}
+	shell := []string{"Do", "WaitIdle", "Start", "afterRec", "drain", "schedule", "checkMH", "checkMSS"}
 	declared := make(map[string][]string)
 	fset := token.NewFileSet()
 	for _, dir := range []string{"../rt", "../netrt"} {
@@ -431,14 +431,14 @@ var deliveryPathClosureAllowlist = map[string]string{
 }
 
 // TestDeliveryPathsBuildNoClosures fails if routing.go, arq.go,
-// mobility.go, engine.go, or context.go contains a func literal outside the
-// allowlist above. This is the record-discipline guard: the CPS delivery
-// chain was replaced by value-state records, and this test keeps it
-// replaced. context.go is included because timers cross the seam as
-// records too: Context.After must store the caller's callback in a record,
-// never wrap it in a closure of its own.
+// mobility.go, engine.go, context.go or record.go contains a func literal
+// outside the allowlist above. This is the record-discipline guard: the CPS
+// delivery chain was replaced by value-state records, and this test keeps
+// it replaced. context.go and record.go are included because timers cross
+// the seam as records too: Context.After puts the algorithm's message in a
+// record, and runRec hands it to HandleTimer, with no closure in between.
 func TestDeliveryPathsBuildNoClosures(t *testing.T) {
-	for _, file := range []string{"routing.go", "arq.go", "mobility.go", "engine.go", "context.go"} {
+	for _, file := range []string{"routing.go", "arq.go", "mobility.go", "engine.go", "context.go", "record.go"} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
@@ -465,12 +465,15 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 
 // TestSubstrateSeamIsRecordsOnly pins the whole seam, both directions:
 // Substrate and RecSink have exactly these methods and none of them takes a
-// func. Work crosses the seam as DeliveryRec values only, so every parked
-// unit of work stays enumerable data (LiveRecs) and no binding or wrapper
-// has a second scheduling path to implement: "now" is AfterRec(0, rec), and
-// a fault plan's crash and restart instants are CrashRec records.
-// Reintroducing a closure form (After(d, fn), Enqueue(fn), TimerRec(fn)), a
-// second deferral method or an optional side interface for one fails here.
+// func, DeliveryRec has no func-typed field, and no method of Context takes
+// a func. Work crosses the seam as DeliveryRec values only, and every
+// record is plain data, so every parked unit of work stays enumerable
+// (LiveRecs) and no binding or wrapper has a second scheduling path to
+// implement: "now" is AfterRec(0, rec), a fault plan's crash and restart
+// instants are CrashRec records, and an algorithm timer is a message the
+// algorithm sends itself. Reintroducing a closure form (After(d, fn),
+// Enqueue(fn), TimerRec(fn), a callback field in the record), a second
+// deferral method or an optional side interface for one fails here.
 func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
 	for _, seam := range []struct {
 		typ  reflect.Type
@@ -491,6 +494,21 @@ func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, seam.want) {
 			t.Errorf("%s methods = %v, want exactly %v", seam.typ.Name(), got, seam.want)
+		}
+	}
+	rec := reflect.TypeOf(DeliveryRec{})
+	for i := 0; i < rec.NumField(); i++ {
+		if f := rec.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("DeliveryRec.%s is a func (%v): a record must be plain data", f.Name, f.Type)
+		}
+	}
+	ctx := reflect.TypeOf((*Context)(nil)).Elem()
+	for i := 0; i < ctx.NumMethod(); i++ {
+		m := ctx.Method(i)
+		for j := 0; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j).Kind() == reflect.Func {
+				t.Errorf("Context.%s takes a func parameter (%v): a timer is a message (After(d, msg))", m.Name, m.Type.In(j))
+			}
 		}
 	}
 }

@@ -29,11 +29,11 @@ import "fmt"
 //   - FreeRec never follows rec.inner: an ARQ data frame's payload record
 //     is owned by the ARQ sender queue until the frame is acked (see
 //     arq.go), so dropping an air copy must not free the payload.
-//   - A timer (Context.After, Context.AfterDaemon) is an opTimer record
-//     carrying its callback, scheduled through AfterRec like any other
-//     deferred work and counted by LiveRecs until it fires. It is the one
-//     record whose state is not plain data: the callback is the
-//     algorithm's, not the engine's, so it never leaves the engine.
+//   - A timer (Context.After, Context.AfterDaemon) is an opTimer record:
+//     a message the algorithm sends itself (opts.alg, msg), scheduled
+//     through AfterRec like any other deferred work, counted by LiveRecs
+//     until it fires, and handed to the algorithm's TimerHandler then.
+//     Like every other record it is plain data.
 //   - A planned crash or restart is an opCrash record (mss, restart=flag)
 //     a wrapper obtains from RecSink.CrashRec and schedules with AfterRec;
 //     stepping it notifies the CrashObservers.
@@ -79,7 +79,7 @@ const (
 	opArqTimeout // ack timer fired: timeout(ch, gen=seq)
 
 	// Timers (context.go).
-	opTimer // run fn on the execution context (daemon timer=flag)
+	opTimer // HandleTimer(opts.alg, msg) on the execution context (daemon timer=flag)
 
 	// Fault-plan instants (RecSink.CrashRec).
 	opCrash // mss crashed (restarted if flag): notifyCrash
@@ -114,7 +114,7 @@ type DeliveryRec struct {
 	ackCh int
 	seq   uint64
 	inner *DeliveryRec // ARQ data frame's payload; owned by the sender queue
-	fn    func()       // opTimer's callback
+	spare [8]byte      // unused: keeps the record at 128 bytes (DESIGN §7.2, Layout)
 }
 
 // Chan returns the flat channel id the record was transmitted on, or -1 for
@@ -222,10 +222,16 @@ func (e *Engine) CloneRec(rec *DeliveryRec) *DeliveryRec {
 	return c
 }
 
-// TimerRec returns a pooled non-daemon timer record running fn.
-func (e *Engine) TimerRec(fn func()) *DeliveryRec {
+// timerRec returns a pooled timer record carrying msg back to alg; it panics
+// at once, naming alg, if alg has no TimerHandler to take msg when it fires.
+func (e *Engine) timerRec(alg int32, msg Message, daemon bool) *DeliveryRec {
+	if _, ok := e.algs[alg].(TimerHandler); !ok {
+		panic(fmt.Sprintf("engine: algorithm %q armed a timer without TimerHandler", e.algs[alg].Name()))
+	}
 	r := e.newRec(opTimer)
-	r.fn = fn
+	r.opts.alg = alg
+	r.msg = msg
+	r.flag = daemon
 	return r
 }
 
@@ -335,7 +341,7 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 		e.arq.timeout(rec.ch, rec.seq)
 
 	case opTimer:
-		rec.fn()
+		e.algs[rec.opts.alg].(TimerHandler).HandleTimer(e.ctxs[rec.opts.alg], rec.msg)
 
 	case opCrash:
 		e.notifyCrash(rec.mss, rec.flag)

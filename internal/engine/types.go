@@ -112,6 +112,12 @@ type MHHandler interface {
 	HandleMH(ctx Context, at MHID, msg Message)
 }
 
+// TimerHandler receives the messages an algorithm sent itself with
+// Context.After or Context.AfterDaemon, when their delay has passed.
+type TimerHandler interface {
+	HandleTimer(ctx Context, msg Message)
+}
+
 // MobilityObserver is notified of mobility protocol events. Callbacks run
 // at the MSS processing the event, after the network's own bookkeeping.
 type MobilityObserver interface {

@@ -70,6 +70,13 @@ type (
 		Del    core.MSSID
 		DelSeq int64
 	}
+
+	// lvCombineDone is the timer message that ends a cell's CombineWindow:
+	// the deletion withheld at Epoch goes out unless a join cancelled it.
+	lvCombineDone struct {
+		MSS   core.MSSID
+		Epoch int
+	}
 )
 
 // lvMSSState is the per-MSS protocol state.
@@ -139,6 +146,7 @@ var (
 	_ core.MSSHandler       = (*LocationView)(nil)
 	_ core.MHHandler        = (*LocationView)(nil)
 	_ core.MobilityObserver = (*LocationView)(nil)
+	_ core.TimerHandler     = (*LocationView)(nil)
 )
 
 // NewLocationView registers a location-view group over the given members,
@@ -338,29 +346,34 @@ func (g *LocationView) OnLeave(ctx core.Context, mss core.MSSID, mh core.MHID) {
 		// keeps the eventual view exact in that race.
 		return
 	}
-	sendDelete := func() {
-		cur := &g.mss[mss]
-		cur.pendingDelete = false
-		cur.changeSeq++
-		cur.deleteInFlight = cur.changeSeq
-		g.deleteReqs++
-		ctx.SendFixed(mss, g.opts.Coordinator,
-			lvCoordReq{HasDel: true, Del: mss, DelSeq: cur.changeSeq}, cost.CatLocation)
-	}
 	st.pendingDelete = true
 	st.deleteEpoch++
-	epoch := st.deleteEpoch
 	if g.opts.CombineWindow <= 0 {
-		sendDelete()
+		g.sendDelete(ctx, mss)
 		return
 	}
-	ctx.After(g.opts.CombineWindow, func() {
-		cur := &g.mss[mss]
-		if !cur.pendingDelete || cur.deleteEpoch != epoch || g.hasLocalMembers(ctx, mss) {
-			return
-		}
-		sendDelete()
-	})
+	ctx.After(g.opts.CombineWindow, lvCombineDone{MSS: mss, Epoch: st.deleteEpoch})
+}
+
+// HandleTimer implements core.TimerHandler: a combine window closed.
+func (g *LocationView) HandleTimer(ctx core.Context, msg core.Message) {
+	m := msg.(lvCombineDone)
+	cur := &g.mss[m.MSS]
+	if !cur.pendingDelete || cur.deleteEpoch != m.Epoch || g.hasLocalMembers(ctx, m.MSS) {
+		return
+	}
+	g.sendDelete(ctx, m.MSS)
+}
+
+// sendDelete asks the coordinator to delete mss from the view.
+func (g *LocationView) sendDelete(ctx core.Context, mss core.MSSID) {
+	cur := &g.mss[mss]
+	cur.pendingDelete = false
+	cur.changeSeq++
+	cur.deleteInFlight = cur.changeSeq
+	g.deleteReqs++
+	ctx.SendFixed(mss, g.opts.Coordinator,
+		lvCoordReq{HasDel: true, Del: mss, DelSeq: cur.changeSeq}, cost.CatLocation)
 }
 
 // OnDisconnect implements core.MobilityObserver: a disconnecting member

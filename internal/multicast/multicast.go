@@ -150,6 +150,7 @@ var (
 	_ core.MHHandler              = (*Multicast)(nil)
 	_ core.MobilityObserver       = (*Multicast)(nil)
 	_ core.DeliveryFailureHandler = (*Multicast)(nil)
+	_ core.TimerHandler           = (*Multicast)(nil)
 )
 
 // New registers a multicast group over the given members. Watermark
@@ -392,9 +393,7 @@ func (g *Multicast) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.M
 		// repeats this.
 		if rb.Tries < maxRollbackTries {
 			rb.Tries++
-			ctx.After(rollbackRetryDelay, func() {
-				ctx.SendToMSSOfMH(at, mh, rb, cost.CatLocation)
-			})
+			ctx.After(rollbackRetryDelay, mcRollbackRetry{At: at, Rollback: rb})
 		} else {
 			g.lostRollbacks++
 		}
@@ -427,6 +426,20 @@ type mcStateRollback struct {
 	MH    core.MHID
 	Seq   int64
 	Tries int
+}
+
+// mcRollbackRetry is the timer message that chases a bounced rollback
+// again from At.
+type mcRollbackRetry struct {
+	At       core.MSSID
+	Rollback mcStateRollback
+}
+
+// HandleTimer implements core.TimerHandler: a bounced rollback's retry
+// delay is over.
+func (g *Multicast) HandleTimer(ctx core.Context, msg core.Message) {
+	m := msg.(mcRollbackRetry)
+	ctx.SendToMSSOfMH(m.At, m.Rollback.MH, m.Rollback, cost.CatLocation)
 }
 
 // appendAndDrain appends a sequenced entry to the local log and delivers to

@@ -35,9 +35,17 @@ type L1 struct {
 }
 
 var (
-	_ core.Algorithm = (*L1)(nil)
-	_ core.MHHandler = (*L1)(nil)
+	_ core.Algorithm    = (*L1)(nil)
+	_ core.MHHandler    = (*L1)(nil)
+	_ core.TimerHandler = (*L1)(nil)
 )
+
+// l1Release is the timer message that ends the critical section the MH in
+// slot entered with request ts.
+type l1Release struct {
+	slot int
+	ts   logical.Timestamp
+}
 
 // NewL1 registers an L1 instance over the given participant MHs (all N MHs
 // in the paper's analysis).
@@ -123,14 +131,20 @@ func (a *L1) granted(slot int, ts logical.Timestamp) {
 	if a.opts.OnEnter != nil {
 		a.opts.OnEnter(mh)
 	}
-	a.ctx.After(a.opts.Hold, func() {
-		a.ctx.NoteCSExit(mh)
-		if a.opts.OnExit != nil {
-			a.opts.OnExit(mh)
-		}
-		a.pending[slot] = nil
-		if err := a.engines[slot].Release(ts); err != nil {
-			panic(fmt.Sprintf("lamport: L1 release: %v", err))
-		}
-	})
+	a.ctx.After(a.opts.Hold, l1Release{slot: slot, ts: ts})
+}
+
+// HandleTimer implements core.TimerHandler: the hold is over, so the MH
+// leaves the critical section and releases.
+func (a *L1) HandleTimer(_ core.Context, msg core.Message) {
+	m := msg.(l1Release)
+	mh := a.participants[m.slot]
+	a.ctx.NoteCSExit(mh)
+	if a.opts.OnExit != nil {
+		a.opts.OnExit(mh)
+	}
+	a.pending[m.slot] = nil
+	if err := a.engines[m.slot].Release(m.ts); err != nil {
+		panic(fmt.Sprintf("lamport: L1 release: %v", err))
+	}
 }

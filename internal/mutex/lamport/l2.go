@@ -35,6 +35,13 @@ type (
 		MH    core.MHID
 		ReqTS logical.Timestamp
 	}
+
+	// holdDoneMsg is the timer message that ends MH's critical section;
+	// Rel is the release-resource it then sends.
+	holdDoneMsg struct {
+		MH  core.MHID
+		Rel releaseResourceMsg
+	}
 )
 
 type l2MHState struct {
@@ -64,6 +71,7 @@ var (
 	_ core.MHHandler              = (*L2)(nil)
 	_ core.DeliveryFailureHandler = (*L2)(nil)
 	_ core.MobilityObserver       = (*L2)(nil)
+	_ core.TimerHandler           = (*L2)(nil)
 )
 
 // NewL2 registers an L2 instance. All M MSSs participate; any MH may
@@ -147,21 +155,26 @@ func (a *L2) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	if a.opts.OnEnter != nil {
 		a.opts.OnEnter(at)
 	}
-	ctx.After(a.opts.Hold, func() {
-		ctx.NoteCSExit(at)
-		if a.opts.OnExit != nil {
-			a.opts.OnExit(at)
-		}
-		// The request is no longer outstanding from the MH's point of view;
-		// a new Request may be issued while the release propagates.
-		a.mhs[at].requested = false
-		rel := releaseResourceMsg{Home: m.Home, ReqTS: m.ReqTS}
-		if err := ctx.SendFromMH(at, rel, cost.CatAlgorithm); err != nil {
-			// Disconnected inside the critical section: L2 requires the MH
-			// to reconnect to send release-resource; remember the debt.
-			a.mhs[at].owesRelease = &rel
-		}
-	})
+	ctx.After(a.opts.Hold, holdDoneMsg{MH: at, Rel: releaseResourceMsg{Home: m.Home, ReqTS: m.ReqTS}})
+}
+
+// HandleTimer implements core.TimerHandler: the hold is over, so the MH
+// leaves the critical section and sends release-resource.
+func (a *L2) HandleTimer(ctx core.Context, msg core.Message) {
+	m := msg.(holdDoneMsg)
+	ctx.NoteCSExit(m.MH)
+	if a.opts.OnExit != nil {
+		a.opts.OnExit(m.MH)
+	}
+	// The request is no longer outstanding from the MH's point of view;
+	// a new Request may be issued while the release propagates.
+	a.mhs[m.MH].requested = false
+	rel := m.Rel
+	if err := ctx.SendFromMH(m.MH, rel, cost.CatAlgorithm); err != nil {
+		// Disconnected inside the critical section: L2 requires the MH
+		// to reconnect to send release-resource; remember the debt.
+		a.mhs[m.MH].owesRelease = &rel
+	}
 }
 
 // OnDeliveryFailure implements core.DeliveryFailureHandler: the grant could

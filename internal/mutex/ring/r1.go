@@ -45,6 +45,13 @@ type r1Token struct {
 	Traversals int64
 }
 
+// r1HoldDone is the timer message that ends the critical section of the
+// ring member in Slot, which then forwards Tok.
+type r1HoldDone struct {
+	Slot int
+	Tok  r1Token
+}
+
 // R1 is Le Lann's algorithm run directly on the mobile hosts.
 type R1 struct {
 	ctx   core.Context
@@ -70,6 +77,7 @@ var (
 	_ core.Algorithm              = (*R1)(nil)
 	_ core.MHHandler              = (*R1)(nil)
 	_ core.DeliveryFailureHandler = (*R1)(nil)
+	_ core.TimerHandler           = (*R1)(nil)
 )
 
 // NewR1 registers an R1 instance whose ring visits the given MHs in order.
@@ -189,16 +197,22 @@ func (a *R1) receive(slot int, tok r1Token, injected bool) {
 		if a.opts.OnEnter != nil {
 			a.opts.OnEnter(mh)
 		}
-		a.ctx.After(a.opts.Hold, func() {
-			a.ctx.NoteCSExit(mh)
-			if a.opts.OnExit != nil {
-				a.opts.OnExit(mh)
-			}
-			a.forward(slot, tok)
-		})
+		a.ctx.After(a.opts.Hold, r1HoldDone{Slot: slot, Tok: tok})
 		return
 	}
 	a.forward(slot, tok)
+}
+
+// HandleTimer implements core.TimerHandler: the hold is over, so the MH
+// leaves the critical section and forwards the token.
+func (a *R1) HandleTimer(_ core.Context, msg core.Message) {
+	m := msg.(r1HoldDone)
+	mh := a.ring[m.Slot]
+	a.ctx.NoteCSExit(mh)
+	if a.opts.OnExit != nil {
+		a.opts.OnExit(mh)
+	}
+	a.forward(m.Slot, m.Tok)
 }
 
 func (a *R1) forward(slot int, tok r1Token) {

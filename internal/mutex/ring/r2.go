@@ -84,6 +84,13 @@ type (
 	r2ReturnRelay struct {
 		MH core.MHID
 	}
+
+	// r2HoldDone is the timer message that ends MH's critical section; it
+	// then returns the token to Owner.
+	r2HoldDone struct {
+		Owner core.MSSID
+		MH    core.MHID
+	}
 )
 
 type r2Req struct {
@@ -159,6 +166,7 @@ var (
 	_ core.DeliveryFailureHandler = (*R2)(nil)
 	_ core.MobilityObserver       = (*R2)(nil)
 	_ core.CrashObserver          = (*R2)(nil)
+	_ core.TimerHandler           = (*R2)(nil)
 )
 
 // NewR2 registers an R2-family instance. The ring is MSS 0 → 1 → … → M−1 →
@@ -293,19 +301,30 @@ func (a *R2) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	if a.opts.OnEnter != nil {
 		a.opts.OnEnter(at)
 	}
-	ctx.After(a.opts.Hold, func() {
-		ctx.NoteCSExit(at)
+	ctx.After(a.opts.Hold, r2HoldDone{Owner: m.Owner, MH: at})
+}
+
+// HandleTimer implements core.TimerHandler: a hold ending (the MH leaves
+// the critical section and returns the token) or a recovery probe tick.
+func (a *R2) HandleTimer(ctx core.Context, msg core.Message) {
+	switch m := msg.(type) {
+	case r2HoldDone:
+		ctx.NoteCSExit(m.MH)
 		if a.opts.OnExit != nil {
-			a.opts.OnExit(at)
+			a.opts.OnExit(m.MH)
 		}
-		up := r2ReturnUp{Owner: m.Owner, MH: at}
-		if err := ctx.SendFromMH(at, up, cost.CatAlgorithm); err != nil {
+		up := r2ReturnUp{Owner: m.Owner, MH: m.MH}
+		if err := ctx.SendFromMH(m.MH, up, cost.CatAlgorithm); err != nil {
 			// Disconnected while holding the token: it must reconnect to
 			// return it; the ring waits (Section 3.1.2 keeps this case out
 			// of scope — we model the honest-eventual-return behaviour).
-			a.mhs[at].owesReturn = &up
+			a.mhs[m.MH].owesReturn = &up
 		}
-	})
+	case r2ProbeTick:
+		a.probeTick(m.MSS)
+	default:
+		panic(fmt.Sprintf("ring: %s received unexpected timer %T", a.variant, msg))
+	}
 }
 
 // OnDeliveryFailure implements core.DeliveryFailureHandler: a granted MH

@@ -97,6 +97,11 @@ type (
 	r2NewGen struct {
 		Gen int64
 	}
+
+	// r2ProbeTick is the timer message of MSS's probe timer.
+	r2ProbeTick struct {
+		MSS core.MSSID
+	}
 )
 
 // Regenerations reports how many replacement tokens recovery has injected.
@@ -136,7 +141,7 @@ func (a *R2) armProbes() {
 }
 
 func (a *R2) armProbe(s core.MSSID) {
-	a.ctx.After(a.opts.Recovery.ProbeEvery, func() { a.probeTick(s) })
+	a.ctx.After(a.opts.Recovery.ProbeEvery, r2ProbeTick{MSS: s})
 }
 
 // probeTick fires a station's probe timer. Timers stop rearming once the

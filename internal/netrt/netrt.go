@@ -163,6 +163,7 @@ func (c *hubChan) frame(ch, i int) wire.Frame {
 // algorithm in this repository runs on it unmodified.
 type System struct {
 	*rt.Host
+	drv      rt.Driver
 	cfg      Config
 	layout   engine.ChannelLayout
 	stopOnce sync.Once
@@ -184,7 +185,7 @@ type System struct {
 	rtGen uint64
 
 	// dead mirrors the liveness tracker's dead verdicts onto the executor
-	// (set and cleared via executor tasks, read by TransmitRec):
+	// (set and cleared via executor tasks, read by transmit):
 	// transmissions toward a dead peer park in their window without queuing
 	// a frame, and the resync replay re-sends them.
 	dead []bool
@@ -198,13 +199,13 @@ type System struct {
 
 var _ core.Registrar = (*System)(nil)
 
-// TransmitRec parks the delivery record at the end of the channel's window
+// transmit parks the delivery record at the end of the channel's window
 // and ships the TData frame toward the relay that owns the sending end of
 // the physical journey. A frame bound for a peer the liveness tracker
 // declared dead parks without shipping (graceful degradation: the record
 // stays in the window, bounded by the algorithms' own in-flight windows, and
 // the resync replay ships it when the peer returns).
-func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
+func (s *System) transmit(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	cp := s.chans.At(ch)
 	if *cp == nil {
 		kind, a, b := s.layout.Decode(ch)
@@ -213,7 +214,7 @@ func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) 
 	c := *cp
 	c.win = append(c.win, pendEntry{rec: rec, latency: uint32(latency)})
 	s.inflight.Add(1)
-	s.Tasks().OpStart()
+	s.drv.Tasks().OpStart()
 	p, dead := s.sender(ch)
 	if dead {
 		s.Engine().NoteParkedOnDeadMSS()
@@ -259,11 +260,11 @@ func NewSystem(cfg Config) (*System, error) {
 		dead:   make([]bool, cfg.M+cfg.N),
 	}
 
-	h, err := rt.NewHost(cfg.Config, s)
+	h, drv, err := rt.NewHost(cfg.Config, s.transmit)
 	if err != nil {
 		return nil, err
 	}
-	s.Host = h
+	s.Host, s.drv = h, drv
 	s.lv = newLiveness(cfg.M, cfg.N, cfg.SuspectAfter, cfg.DeadAfter, cfg.Obs, s.Now)
 	// The relay observer is registered first so clients learn their new
 	// cell before any user algorithm reacts to the join.
@@ -336,7 +337,7 @@ func (s *System) heartbeatLoop(every time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.Stopped():
+		case <-s.drv.Stopped():
 			return
 		case <-t.C:
 		}
@@ -345,7 +346,7 @@ func (s *System) heartbeatLoop(every time.Duration) {
 		})
 		for _, i := range died {
 			s.peers[i].clearOutbox()
-			s.Tasks().Push(func() { s.dead[i] = true })
+			s.drv.Tasks().Push(func() { s.dead[i] = true })
 		}
 	}
 }
@@ -410,7 +411,7 @@ func (s *System) handshake(conn net.Conn) {
 		// New incarnation (or a dead peer returning): replay on the
 		// executor. The TResync ack is sent there too, after the outbox
 		// clears, so it isn't dropped with the stale frames.
-		s.Tasks().Push(func() { s.resyncPeer(h.Role, int(h.ID), gen) })
+		s.drv.Tasks().Push(func() { s.resyncPeer(h.Role, int(h.ID), gen) })
 	} else {
 		s.peerFor(h.Role, int(h.ID)).send(wire.Frame{Type: wire.TResync, Ch: -1, Seq: gen})
 	}
@@ -420,7 +421,7 @@ func (s *System) handshake(conn net.Conn) {
 func (s *System) onPeerFrame(role wire.Role, id int, f wire.Frame) {
 	switch f.Type {
 	case wire.TDelivered:
-		s.Tasks().Push(func() { s.resolve(f.Ch, f.Seq) })
+		s.drv.Tasks().Push(func() { s.resolve(f.Ch, f.Seq) })
 	case wire.TAttached:
 		if h := int(f.Ch); 0 <= h && h < s.cfg.N {
 			s.lv.noteAttached(h, f.Seq)
@@ -431,7 +432,7 @@ func (s *System) onPeerFrame(role wire.Role, id int, f wire.Frame) {
 			// through a false suspicion (or a one-way partition healed). Its
 			// outbox was cleared, so replay the unconfirmed suffix.
 			gen := s.lv.genOf(role, id)
-			s.Tasks().Push(func() { s.resyncPeer(role, id, gen) })
+			s.drv.Tasks().Push(func() { s.resyncPeer(role, id, gen) })
 		}
 	}
 }
@@ -460,8 +461,8 @@ func (s *System) resolve(ch int32, seq uint64) {
 		c.win = append(c.win[:0], c.win[1:]...)
 		c.next++
 		s.inflight.Add(-1)
-		s.StepRec(rec)
-		s.Tasks().OpDone()
+		s.drv.StepRec(rec)
+		s.drv.Tasks().OpDone()
 	}
 }
 
@@ -501,7 +502,7 @@ func (s *System) resyncPeer(role wire.Role, id int, gen uint64) {
 	// peer — for a station, wired channels it sends or receives (a frame
 	// may have died inside it after crossing the mesh, before confirming)
 	// and its downlinks; for a client, its uplinks. Early-confirmed entries
-	// are excluded: their journey completed. Frames go where TransmitRec
+	// are excluded: their journey completed. Frames go where transmit
 	// sends them: the sending station owns the journey, so a frame lost
 	// inside a dead *receiving* station replays through its (live) sender.
 	s.chans.Each(func(ch int, cp **hubChan) {

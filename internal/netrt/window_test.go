@@ -24,8 +24,9 @@ const (
 )
 
 // loneHub starts a hub nobody connects to: frames just queue in the peers'
-// outboxes, and the test drives the window by hand on the executor.
-func loneHub(t *testing.T) *System {
+// outboxes, and the test drives the window by hand on the executor. Its
+// steps probe runs what each transmitted record stands for.
+func loneHub(t *testing.T) (*System, *steps) {
 	t.Helper()
 	cfg := DefaultConfig(2, 2)
 	cfg.MSSAddrs = []string{"127.0.0.1:1", "127.0.0.1:1"}
@@ -34,20 +35,34 @@ func loneHub(t *testing.T) *System {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
+	st := &steps{}
+	s.Register(st)
 	s.Start()
 	t.Cleanup(s.Stop)
-	return s
+	return s, st
 }
+
+// steps is a CrashObserver that runs step i when it hears crash i: a record
+// from Engine.CrashRec(i, false) is plain data, and releasing it runs the
+// step it was transmitted for.
+type steps struct{ fns []func() }
+
+func (st *steps) Name() string { return "window-steps" }
+
+func (st *steps) NoteCrash(i core.MSSID) { st.fns[i]() }
+
+func (st *steps) NoteRestart(core.MSSID) {}
 
 // transmit parks a record on ch that appends name to *ran when released and
 // then runs then, if any. Executor only.
-func transmit(s *System, ch int, ran *[]string, name string, then func()) {
-	s.TransmitRec(ch, 1, s.Engine().TimerRec(func() {
+func transmit(s *System, st *steps, ch int, ran *[]string, name string, then func()) {
+	st.fns = append(st.fns, func() {
 		*ran = append(*ran, name)
 		if then != nil {
 			then()
 		}
-	}))
+	})
+	s.transmit(ch, 1, s.Engine().CrashRec(core.MSSID(len(st.fns)-1), false))
 }
 
 // queuedData lists the TData frames in p's outbox as "ch/seq".
@@ -75,11 +90,11 @@ func wantStrings(t *testing.T, what string, got []string, want ...string) {
 // a confirmation for nothing the hub sent is counted and leaves nothing
 // behind — whatever its channel id.
 func TestHubWindowReleasesInOrder(t *testing.T) {
-	s := loneHub(t)
+	s, st := loneHub(t)
 	s.Do(func() {
 		var ran []string
 		for _, name := range []string{"a", "b", "c"} {
-			transmit(s, chWired01, &ran, name, nil)
+			transmit(s, st, chWired01, &ran, name, nil)
 		}
 		s.resolve(chWired01, 1)
 		wantStrings(t, "released after the early confirmation of seq 1", ran)
@@ -121,11 +136,11 @@ func TestHubWindowReleasesInOrder(t *testing.T) {
 // already parked, takes the next sequence number, and the release of the
 // confirmed prefix carries on past it correctly.
 func TestHubWindowReleaseReentersTransmit(t *testing.T) {
-	s := loneHub(t)
+	s, st := loneHub(t)
 	s.Do(func() {
 		var ran []string
-		transmit(s, chWired01, &ran, "a", func() { transmit(s, chWired01, &ran, "c", nil) })
-		transmit(s, chWired01, &ran, "b", nil)
+		transmit(s, st, chWired01, &ran, "a", func() { transmit(s, st, chWired01, &ran, "c", nil) })
+		transmit(s, st, chWired01, &ran, "b", nil)
 		s.resolve(chWired01, 1)
 		s.resolve(chWired01, 0)
 		wantStrings(t, "released after seq 1 then seq 0", ran, "a", "b")
@@ -144,11 +159,11 @@ func TestHubWindowReleaseReentersTransmit(t *testing.T) {
 // (channel, sequence) order, each toward the channel's sending station, and
 // nothing else.
 func TestHubResyncReplaysUnconfirmedInOrder(t *testing.T) {
-	s := loneHub(t)
+	s, st := loneHub(t)
 	s.Do(func() {
 		var ran []string
 		for _, ch := range []int{chDown01, chWired01, chUp0, chWired11, chWired01, chWired10, chWired01} {
-			transmit(s, ch, &ran, "x", nil)
+			transmit(s, st, ch, &ran, "x", nil)
 		}
 		s.resolve(chWired01, 1) // early: its journey completed, no replay
 		for _, p := range s.peers {

@@ -65,8 +65,9 @@ type Env interface {
 	Send(from, to int, msg any)
 	// Output delivers out to the mobile host behind process p.
 	Output(p int, out any)
-	// After schedules fn on the runtime after d.
-	After(d sim.Time, fn func())
+	// After sends msg from process p to itself after d: it arrives as
+	// Handle(env, p, p, msg), so a timer is a message like any other.
+	After(d sim.Time, p int, msg any)
 }
 
 // StaticAlgorithm is a distributed algorithm written for static
@@ -135,6 +136,12 @@ type (
 	pxHandoffState struct {
 		Proc int
 	}
+
+	// pxTimer is a message process Proc sent itself with Env.After.
+	pxTimer struct {
+		Proc int
+		M    any
+	}
 )
 
 // Runtime hosts a StaticAlgorithm's processes at the proxies of the
@@ -164,6 +171,7 @@ var (
 	_ core.MSSHandler       = (*Runtime)(nil)
 	_ core.MHHandler        = (*Runtime)(nil)
 	_ core.MobilityObserver = (*Runtime)(nil)
+	_ core.TimerHandler     = (*Runtime)(nil)
 	_ Env                   = (*Runtime)(nil)
 )
 
@@ -364,4 +372,11 @@ func (r *Runtime) Output(p int, out any) {
 }
 
 // After implements Env.
-func (r *Runtime) After(d sim.Time, fn func()) { r.ctx.After(d, fn) }
+func (r *Runtime) After(d sim.Time, p int, msg any) { r.ctx.After(d, pxTimer{Proc: p, M: msg}) }
+
+// HandleTimer implements core.TimerHandler: a process's message to itself
+// is due.
+func (r *Runtime) HandleTimer(_ core.Context, msg core.Message) {
+	m := msg.(pxTimer)
+	r.alg.Handle(r, m.Proc, m.Proc, m.M)
+}

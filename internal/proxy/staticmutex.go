@@ -23,6 +23,12 @@ type Release struct {
 // section.
 type RequestInput struct{}
 
+// smHoldDone is the timer message a process sends itself when it enters
+// the critical section with request TS: the hold is over, so it releases.
+type smHoldDone struct {
+	TS logical.Timestamp
+}
+
 // MutexOptions configure a StaticMutex.
 type MutexOptions struct {
 	// Hold is how long the critical section is occupied per grant.
@@ -75,12 +81,21 @@ func (s *StaticMutex) Input(env Env, p int, input any) {
 
 // Handle implements StaticAlgorithm.
 func (s *StaticMutex) Handle(env Env, p, from int, msg any) {
-	m, ok := msg.(logical.MutexMsg)
-	if !ok {
+	switch m := msg.(type) {
+	case logical.MutexMsg:
+		s.init(env)
+		s.engines[p].Handle(m)
+	case smHoldDone:
+		if s.opts.OnExit != nil {
+			s.opts.OnExit(p)
+		}
+		if err := s.engines[p].Release(m.TS); err != nil {
+			panic(fmt.Sprintf("proxy: static mutex release: %v", err))
+		}
+		s.env.Output(p, Release{Proc: p})
+	default:
 		panic(fmt.Sprintf("proxy: static mutex got unexpected message %T", msg))
 	}
-	s.init(env)
-	s.engines[p].Handle(m)
 }
 
 // init lazily builds the per-process engines once the environment is known.
@@ -108,13 +123,5 @@ func (s *StaticMutex) granted(p int, ts logical.Timestamp) {
 		s.opts.OnEnter(p)
 	}
 	s.env.Output(p, Grant{Proc: p})
-	s.env.After(s.opts.Hold, func() {
-		if s.opts.OnExit != nil {
-			s.opts.OnExit(p)
-		}
-		if err := s.engines[p].Release(ts); err != nil {
-			panic(fmt.Sprintf("proxy: static mutex release: %v", err))
-		}
-		s.env.Output(p, Release{Proc: p})
-	})
+	s.env.After(s.opts.Hold, p, smHoldDone{TS: ts})
 }

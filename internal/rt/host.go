@@ -65,22 +65,19 @@ func DefaultConfig(m, n int) Config {
 // Transport is the one Substrate method a live driver writes itself: how a
 // delivery record physically crosses FIFO channel ch (the host's due queue at
 // the channel's FIFO clamp in this package, sockets in internal/netrt). A
-// driver that moves records off the executor holds an in-flight op on Tasks
-// while a transmitted record is neither stepped nor abandoned, so WaitIdle
-// sees it.
-type Transport interface {
-	TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec)
-}
+// driver that moves records off the executor holds an in-flight op on
+// Driver.Tasks while a transmitted record is neither stepped nor abandoned,
+// so WaitIdle sees it.
+type Transport func(ch int, latency sim.Time, rec *engine.DeliveryRec)
 
 // Host is the live shell around the engine, written once for every
 // wall-clock driver: the single executor goroutine that runs all engine and
 // algorithm work, the task queue that is also the quiescence predicate, the
 // bound record sink, the wall-clock epoch, the one due queue every deferred
 // record waits in (transport.go), and the lifecycle and calling conventions
-// (build single-threaded, Start, interact via Do, WaitIdle, then Stop). It
-// implements the four transport-independent engine.Substrate methods; the
-// driver embeds *Host and adds TransmitRec (and, in netrt, a Stop that ends
-// in Host.Stop).
+// (build single-threaded, Start, interact via Do, WaitIdle, then Stop). The
+// driver embeds *Host, hands NewHost its Transport and, in netrt, adds a Stop
+// that ends in Host.Stop; the engine sees host and transport as one adapter.
 //
 // Records are stepped and freed only on the executor goroutine — the
 // engine's record pool is not thread-safe, which is why Stop abandons queued
@@ -116,10 +113,10 @@ type Host struct {
 	drainFn                 func()
 }
 
-// NewHost builds the engine for cfg on the substrate made of the host's own
-// four methods and the driver's TransmitRec. A non-empty cfg.Faults plan
-// interposes the deterministic fault injector between the two.
-func NewHost(cfg Config, tr Transport) (*Host, error) {
+// NewHost builds the engine for cfg on the substrate made of the host and the
+// driver's transmit, and returns the Driver for that transmit's use. A
+// non-empty cfg.Faults plan interposes the fault injector between the two.
+func NewHost(cfg Config, transmit Transport) (*Host, Driver, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = defaultTick
 	}
@@ -135,15 +132,45 @@ func NewHost(cfg Config, tr Transport) (*Host, error) {
 	h.timer = time.AfterFunc(time.Hour, func() { h.tasks.Push(h.drainFn) })
 	h.timer.Stop() // armed by schedule only
 	var err error
-	h.eng, h.inj, err = core.NewEngine(cfg.Config, cfg.Faults, struct {
-		*Host
-		Transport
-	}{h, tr})
+	h.eng, h.inj, err = core.NewEngine(cfg.Config, cfg.Faults, substrate{h, transmit})
 	if err != nil {
-		return nil, err
+		return nil, Driver{}, err
 	}
-	return h, nil
+	return h, Driver{h}, nil
 }
+
+// substrate is the engine.Substrate a host and its driver's transmit make
+// together. Being unexported, none of its methods reaches the method set of
+// a System that embeds *Host: the record pool behind them is the executor's.
+type substrate struct {
+	*Host
+	transmit Transport
+}
+
+// Beside the host's Now: the latency RNG, the sink that interprets records
+// (the engine, or the fault injector wrapping it), the due queue and the
+// driver's transmit. Executor only, as every Substrate method.
+func (s substrate) RNG() *sim.RNG                                { return s.rng }
+func (s substrate) BindRecSink(sink engine.RecSink)              { s.sink = sink }
+func (s substrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) { s.afterRec(d, rec) }
+func (s substrate) TransmitRec(ch int, l sim.Time, rec *engine.DeliveryRec) {
+	s.transmit(ch, l, rec)
+}
+
+// Driver is what a driver's transport reaches of its host: the task queue,
+// the stop signal and the bound record sink. Only NewHost makes one.
+type Driver struct{ h *Host }
+
+// Tasks is the executor's work queue and in-flight op counter (Push runs a
+// func on the executor, fire and forget; OpStart/OpDone bracket an
+// asynchronous transmission for idle tracking).
+func (d Driver) Tasks() *execq.Queue { return d.h.tasks }
+
+// Stopped is closed when Stop begins; transport goroutines select on it.
+func (d Driver) Stopped() <-chan struct{} { return d.h.stopped }
+
+// StepRec interprets (and frees) rec on the bound sink. Executor only.
+func (d Driver) StepRec(rec *engine.DeliveryRec) { d.h.sink.StepRec(rec) }
 
 // Now returns virtual time (wall time since Start in ticks).
 func (h *Host) Now() sim.Time {
@@ -154,32 +181,14 @@ func (h *Host) Now() sim.Time {
 	return sim.Time(time.Since(*epoch) / h.cfg.Tick)
 }
 
-// RNG returns the latency random source (executor-only).
-func (h *Host) RNG() *sim.RNG { return h.rng }
-
-// BindRecSink stores the sink that interprets delivery records: the engine,
-// or the fault injector wrapping it.
-func (h *Host) BindRecSink(sink engine.RecSink) { h.sink = sink }
-
-// StepRec interprets (and frees) rec on the bound sink. Executor only.
-func (h *Host) StepRec(rec *engine.DeliveryRec) { h.sink.StepRec(rec) }
-
-// AfterRec queues rec d ticks from now (from Start, before it, as Now; from
+// afterRec queues rec d ticks from now (from Start, before it, as Now; from
 // the drain's instant, inside a drain). A daemon record (standing
 // maintenance such as DTN gossip) holds no in-flight op while it waits, so
 // it cannot wedge WaitIdle.
-func (h *Host) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
+func (h *Host) afterRec(d sim.Time, rec *engine.DeliveryRec) {
 	now := h.nowNs()
 	h.put(now, now+sim.Time(time.Duration(d)*h.cfg.Tick), rec)
 }
-
-// Tasks is the executor's work queue and in-flight op counter, for the
-// driver's transport (Push runs a func on the executor, fire and forget;
-// OpStart/OpDone bracket an asynchronous transmission for idle tracking).
-func (h *Host) Tasks() *execq.Queue { return h.tasks }
-
-// Stopped is closed when Stop begins; transport goroutines select on it.
-func (h *Host) Stopped() <-chan struct{} { return h.stopped }
 
 // Register implements core.Registrar. It must be called before Start.
 func (h *Host) Register(alg core.Algorithm) core.Context {

@@ -50,7 +50,7 @@ var _ core.Registrar = (*System)(nil)
 // NewSystem builds a live system from cfg.
 func NewSystem(cfg Config) (*System, error) {
 	s := &System{fifo: engine.NewFIFOClockLayout(cfg.M, cfg.N)}
-	h, err := NewHost(cfg, s)
+	h, _, err := NewHost(cfg, s.transmit)
 	if err != nil {
 		return nil, err
 	}
@@ -58,11 +58,11 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// TransmitRec puts rec on the host's due queue at the channel's FIFO clamp
-// of now + latency × Tick, in wall nanoseconds since Start (0 before it, as
-// Host.Now; the drain's instant, inside a drain). It runs on the executor, as
-// every Substrate method does.
-func (s *System) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
+// transmit is the system's Transport: it puts rec on the host's due queue at
+// the channel's FIFO clamp of now + latency × Tick, in wall nanoseconds since
+// Start (0 before it, as Host.Now; the drain's instant, inside a drain). It
+// runs on the executor, as every Substrate method does.
+func (s *System) transmit(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	now := s.nowNs()
 	s.put(now, s.fifo.Arrival(ch, now, sim.Time(time.Duration(latency)*s.cfg.Tick)), rec)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Every deferred record on a live host waits in one executor-local
-// sim.Queue, due in wall nanoseconds since Start: AfterRec's timers at
-// now + d, System.TransmitRec's deliveries at engine.FIFOClock's arrival
+// sim.Queue, due in wall nanoseconds since Start: afterRec's timers at
+// now + d, System.transmit's deliveries at engine.FIFOClock's arrival
 // clamp. One reusable drain func steps what is due, never early; one
 // reusable wall timer queues it for a later front. A drain is one instant:
 // now, for every put made while it steps its batch, is the reading it took

@@ -163,20 +163,43 @@ func TestWallQueueLatenessBound(t *testing.T) {
 	}
 }
 
-// transmitAll puts one timer record per latency on channel ch, from the
+// stepProbe is a CrashObserver that hands every crash it hears to on. A
+// record from Engine.CrashRec(id, false) is plain data like every record,
+// and stepping it calls on(id) on the executor, so the tests put such
+// records wherever a record can go and tell them apart by id. Without a
+// probe (or with on nil) a crash record lands and does nothing.
+type stepProbe struct{ on func(id engine.MSSID) }
+
+func (p *stepProbe) Name() string { return "step-probe" }
+
+func (p *stepProbe) NoteCrash(id engine.MSSID) {
+	if p.on != nil {
+		p.on(id)
+	}
+}
+
+func (p *stepProbe) NoteRestart(engine.MSSID) {}
+
+// probeRec returns a pooled record whose step calls the probe's on(id).
+func probeRec(sys *System, id int) *engine.DeliveryRec {
+	return sys.Engine().CrashRec(engine.MSSID(id), false)
+}
+
+// transmitAll puts one probe record per latency on channel ch, from the
 // executor, and returns the order in which they landed and the wall time
 // from the first put to the last landing.
-func transmitAll(t *testing.T, sys *System, ch int, latencies []sim.Time) ([]int, time.Duration) {
+func transmitAll(t *testing.T, sys *System, probe *stepProbe, ch int, latencies []sim.Time) ([]int, time.Duration) {
 	t.Helper()
 	var order []int
 	var start, last time.Time
+	probe.on = func(id engine.MSSID) {
+		order = append(order, int(id))
+		last = time.Now()
+	}
 	sys.Do(func() {
 		start = time.Now()
 		for i, l := range latencies {
-			sys.TransmitRec(ch, l, sys.Engine().TimerRec(func() {
-				order = append(order, i)
-				last = time.Now()
-			}))
+			sys.transmit(ch, l, probeRec(sys, i))
 		}
 	})
 	if !sys.WaitIdle(10 * time.Second) {
@@ -188,7 +211,9 @@ func transmitAll(t *testing.T, sys *System, ch int, latencies []sim.Time) ([]int
 	return got, took
 }
 
-func startTicking(t *testing.T, tick time.Duration) *System {
+// startTicking starts an M=2, N=2 system at the given tick with a step
+// probe registered.
+func startTicking(t *testing.T, tick time.Duration) (*System, *stepProbe) {
 	t.Helper()
 	cfg := DefaultConfig(2, 2)
 	cfg.Tick = tick
@@ -196,17 +221,19 @@ func startTicking(t *testing.T, tick time.Duration) *System {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
+	probe := &stepProbe{}
+	sys.Register(probe)
 	sys.Start()
 	t.Cleanup(sys.Stop)
-	return sys
+	return sys, probe
 }
 
 // TestChannelKeepsPutOrderAcrossLatencies: a frame with a short latency
 // queued behind one with a long latency on the same channel is clamped to
 // its due time, and must still land second.
 func TestChannelKeepsPutOrderAcrossLatencies(t *testing.T) {
-	sys := startTicking(t, time.Millisecond)
-	order, _ := transmitAll(t, sys, 0, []sim.Time{4, 1, 1})
+	sys, probe := startTicking(t, time.Millisecond)
+	order, _ := transmitAll(t, sys, probe, 0, []sim.Time{4, 1, 1})
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("landing order %v, want [0 1 2] (per-channel FIFO)", order)
 	}
@@ -223,12 +250,12 @@ func TestChannelOverlapsLatencies(t *testing.T) {
 		lat  = 4
 		l    = lat * tick
 	)
-	sys := startTicking(t, tick)
+	sys, probe := startTicking(t, tick)
 	latencies := make([]sim.Time, k)
 	for i := range latencies {
 		latencies[i] = lat
 	}
-	order, took := transmitAll(t, sys, 1, latencies)
+	order, took := transmitAll(t, sys, probe, 1, latencies)
 	if len(order) != k {
 		t.Fatalf("%d of %d frames landed", len(order), k)
 	}
@@ -257,9 +284,8 @@ func (l *landLog) StepRec(rec *engine.DeliveryRec) {
 	l.RecSink.StepRec(rec)
 }
 
-// TestDueQueueKeepsEachChannelFIFO transmits a few hundred pooled timer
-// records with random latencies over 24 channels of all three kinds, every
-// record sharing one func. Each channel must land in transmit order, no
+// TestDueQueueKeepsEachChannelFIFO transmits a few hundred pooled records
+// with random latencies over 24 channels of all three kinds. Each channel must land in transmit order, no
 // record before the due time it was stamped with, and a 1-tick record on one
 // channel must overtake a 100-tick record sent just before it on another:
 // the queue is one, the channels are not.
@@ -282,7 +308,6 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 
 	count := engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count()
 	rng := sim.NewRNG(7)
-	noop := func() {}
 	stamp := make([]sim.Time, records)
 	sys.Do(func() {
 		last := make(map[int]sim.Time)
@@ -294,11 +319,11 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 			case 1:
 				lat = 1
 			}
-			rec := sys.Engine().TimerRec(noop)
+			rec := probeRec(sys, 0)
 			rec.SetChan(ch)
 			rec.SetTag(int32(i))
 			before := sys.nowNs()
-			sys.TransmitRec(ch, lat, rec)
+			sys.transmit(ch, lat, rec)
 			stamp[i] = stampOf(sys, rec)
 			if floor := before + sim.Time(time.Duration(lat)*tick); stamp[i] < floor || stamp[i] < last[ch] {
 				t.Errorf("record %d on channel %d stamped %d ns, want at least %d (latency) and %d (channel's previous)", i, ch, stamp[i], floor, last[ch])
@@ -366,21 +391,24 @@ func TestDrainIsOneInstant(t *testing.T) {
 		sleep    = 5 * tick
 		idleWait = 10 * time.Second
 	)
-	sys := startTicking(t, tick)
-	noop := func() {}
+	sys, probe := startTicking(t, tick)
 	var due, tx, timer, wall sim.Time
+	probe.on = func(id engine.MSSID) {
+		if id != 1 {
+			return
+		}
+		rec := probeRec(sys, 0)
+		sys.transmit(ch, lat, rec)
+		tx = stampOf(sys, rec)
+		time.Sleep(sleep) // the clock moves on; the drain's instant does not
+		rec = probeRec(sys, 0)
+		sys.afterRec(d, rec)
+		timer = stampOf(sys, rec)
+		wall = sinceStart(sys)
+	}
 	sys.Do(func() {
-		stepped := sys.Engine().TimerRec(func() {
-			rec := sys.Engine().TimerRec(noop)
-			sys.TransmitRec(ch, lat, rec)
-			tx = stampOf(sys, rec)
-			time.Sleep(sleep) // the clock moves on; the drain's instant does not
-			rec = sys.Engine().TimerRec(noop)
-			sys.AfterRec(d, rec)
-			timer = stampOf(sys, rec)
-			wall = sinceStart(sys)
-		})
-		sys.AfterRec(1, stepped)
+		stepped := probeRec(sys, 1)
+		sys.afterRec(1, stepped)
 		due = stampOf(sys, stepped)
 	})
 	if !sys.WaitIdle(idleWait) {
@@ -399,8 +427,8 @@ func TestDrainIsOneInstant(t *testing.T) {
 	time.Sleep(sleep) // the last drain's instant is now well behind the clock
 	sys.Do(func() {
 		before := sinceStart(sys)
-		rec := sys.Engine().TimerRec(noop)
-		sys.TransmitRec(ch+1, lat, rec)
+		rec := probeRec(sys, 0)
+		sys.transmit(ch+1, lat, rec)
 		if got, floor := stampOf(sys, rec), before+lat*sim.Time(tick); got < floor {
 			t.Errorf("transmit from Do stamped %d ns, want at least %d ns: outside a drain the clock is read afresh", got, floor)
 		}
@@ -428,17 +456,22 @@ func TestChannelFIFOAcrossDrains(t *testing.T) {
 	}
 	log := &landLog{RecSink: sys.sink, sys: sys}
 	sys.sink = log
+	// Probe record i+1 is the i-th step: it transmits a record tagged i+1.
+	sys.Register(&stepProbe{on: func(id engine.MSSID) {
+		if id == 0 {
+			return
+		}
+		i := int(id) - 1
+		rec := probeRec(sys, 0)
+		rec.SetChan(ch)
+		rec.SetTag(int32(1 + i))
+		sys.transmit(ch, sim.Time(2*(k-i)), rec)
+	}})
 	sys.Start()
 	t.Cleanup(sys.Stop)
-	noop := func() {}
 	sys.Do(func() {
 		for i := 0; i < k; i++ {
-			sys.AfterRec(sim.Time(i), sys.Engine().TimerRec(func() {
-				rec := sys.Engine().TimerRec(noop)
-				rec.SetChan(ch)
-				rec.SetTag(int32(1 + i))
-				sys.TransmitRec(ch, sim.Time(2*(k-i)), rec)
-			}))
+			sys.afterRec(sim.Time(i), probeRec(sys, 1+i))
 		}
 	})
 	if !sys.WaitIdle(10 * time.Second) {
@@ -469,21 +502,24 @@ func TestChannelFIFOAcrossDrains(t *testing.T) {
 // would arm the wall timer for a tick that has already passed.
 func TestHeadDueDuringBatchIsDrainedAtOnce(t *testing.T) {
 	const tick = time.Millisecond
-	sys := startTicking(t, tick)
+	sys, probe := startTicking(t, tick)
 	landed := false
 	var queued, armed bool
 	checked := make(chan struct{})
-	sys.Do(func() {
-		sys.AfterRec(0, sys.Engine().TimerRec(func() {
-			sys.AfterRec(1, sys.Engine().TimerRec(func() { landed = true }))
-			// Runs after this drain and its schedule, before the next drain.
-			sys.Tasks().Push(func() {
-				queued, armed = sys.queued, sys.armed
-				close(checked)
-			})
-			time.Sleep(5 * tick)
-		}))
-	})
+	probe.on = func(id engine.MSSID) {
+		if id == 2 {
+			landed = true
+			return
+		}
+		sys.afterRec(1, probeRec(sys, 2))
+		// Runs after this drain and its schedule, before the next drain.
+		sys.tasks.Push(func() {
+			queued, armed = sys.queued, sys.armed
+			close(checked)
+		})
+		time.Sleep(5 * tick)
+	}
+	sys.Do(func() { sys.afterRec(0, probeRec(sys, 1)) })
 	<-checked
 	if !sys.WaitIdle(10 * time.Second) {
 		t.Fatal("due queue did not drain")
@@ -506,10 +542,10 @@ var putRows = []struct {
 }{
 	{"TransmitRec", func(sys *System, i int, ticks sim.Time, rec *engine.DeliveryRec) {
 		cfg := sys.Config()
-		sys.TransmitRec(i%engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count(), ticks, rec)
+		sys.transmit(i%engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count(), ticks, rec)
 	}},
 	{"AfterRec", func(sys *System, _ int, ticks sim.Time, rec *engine.DeliveryRec) {
-		sys.AfterRec(ticks, rec)
+		sys.afterRec(ticks, rec)
 	}},
 }
 
@@ -528,10 +564,9 @@ func TestNoGoroutinePerChannel(t *testing.T) {
 			}
 			sys.Start()
 			defer sys.Stop()
-			noop := func() {}
 			sys.Do(func() {
 				for i := 0; i < (engine.ChannelLayout{M: cfg.M, N: cfg.N}).Count(); i++ {
-					row.put(sys, i, 200, sys.Engine().TimerRec(noop))
+					row.put(sys, i, 200, probeRec(sys, 0))
 				}
 			})
 			peak := 0
@@ -559,13 +594,12 @@ func TestNoGoroutinePerChannel(t *testing.T) {
 func TestDueQueueAllocsFlatInRecords(t *testing.T) {
 	for _, row := range putRows {
 		t.Run(row.name, func(t *testing.T) {
-			sys := startTicking(t, time.Microsecond)
-			noop := func() {}
+			sys, _ := startTicking(t, time.Microsecond)
 			run := func(k int) float64 {
 				return testing.AllocsPerRun(20, func() {
 					sys.Do(func() {
 						for i := 0; i < k; i++ {
-							row.put(sys, i, 1, sys.Engine().TimerRec(noop))
+							row.put(sys, i, 1, probeRec(sys, 0))
 						}
 					})
 					if !sys.WaitIdle(10 * time.Second) {
@@ -600,7 +634,8 @@ func TestTransmitBeforeStartIsDueFromStart(t *testing.T) {
 				t.Fatalf("NewSystem: %v", err)
 			}
 			var landed time.Time
-			row.put(sys, 0, lat, sys.Engine().TimerRec(func() { landed = time.Now() }))
+			sys.Register(&stepProbe{on: func(engine.MSSID) { landed = time.Now() }})
+			row.put(sys, 0, lat, probeRec(sys, 0))
 			time.Sleep(2 * l) // the build outlasts the latency
 			start := time.Now()
 			sys.Start()
@@ -626,10 +661,10 @@ func TestTransmitBeforeStartIsDueFromStart(t *testing.T) {
 // under -race, it checks the seam the due queue shares with other goroutines.
 func TestDueQueueUnderConcurrentDo(t *testing.T) {
 	const callers, calls, perCall = 4, 50, 4
-	sys := startTicking(t, 20*time.Microsecond)
+	sys, probe := startTicking(t, 20*time.Microsecond)
 	count := engine.ChannelLayout{M: 2, N: 2}.Count()
 	landed := 0
-	land := func() { landed++ }
+	probe.on = func(engine.MSSID) { landed++ }
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -638,7 +673,7 @@ func TestDueQueueUnderConcurrentDo(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				sys.Do(func() {
 					for k := 0; k < perCall; k++ {
-						sys.TransmitRec((g+k)%count, sim.Time(1+k%3), sys.Engine().TimerRec(land))
+						sys.transmit((g+k)%count, sim.Time(1+k%3), probeRec(sys, 0))
 					}
 				})
 			}

@@ -2,13 +2,15 @@ package mobiledist
 
 import "mobiledist/internal/rt"
 
-// Live runtime: the same algorithms on real goroutines and channels. Every
-// FIFO channel of the model is a goroutine-backed pipe with wall-clock
-// latency; one executor serializes algorithm state. Use the simulator
-// (NewSystem) for reproducible measurements and the live runtime for
-// operational demos and race-detector validation.
+// Live runtime: the same algorithms on a real executor goroutine and the wall
+// clock. One executor runs all algorithm state, and every deferred record —
+// a delivery on any FIFO channel of the model, at its wall-clock link latency
+// clamped behind the channel's previous one, or a timer — waits in that
+// executor's one due queue. Use the simulator (NewSystem) for reproducible
+// measurements and the live runtime for operational demos and race-detector
+// validation.
 type (
-	// LiveSystem is the goroutine/channel runtime driver. It implements
+	// LiveSystem is the live runtime driver. It implements
 	// Registrar, so every algorithm constructor in this package accepts it.
 	LiveSystem = rt.System
 	// LiveConfig describes a live two-tier network: the same embedded model
