@@ -190,8 +190,10 @@ tables:
 	$(GO) run ./cmd/mobilexp -markdown
 
 # The byte-identity gate: `mobilexp -markdown` must equal the checked-in
-# cmd/mobilexp/testdata/tables.golden.md. A change that intentionally alters
-# protocol behaviour rewrites it with
-# `go test ./cmd/mobilexp -run TestTablesGolden -update`.
+# cmd/mobilexp/testdata/tables.golden.md, the F1 run under
+# `-drop 0.2 -dup 0.1 -crash 2:1:2500` must equal f1.golden.txt, and three
+# traced runs' JSONL must hash to traces.golden.txt. A change that
+# intentionally alters protocol behaviour rewrites them with
+# `go test ./cmd/mobilexp -run 'TestTablesGolden|TestF1Golden|TestTracesGolden' -update`.
 tables-check:
-	$(GO) test -run TestTablesGolden -count 1 ./cmd/mobilexp/
+	$(GO) test -run 'TestTablesGolden|TestF1Golden|TestTracesGolden' -count 1 ./cmd/mobilexp/

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,20 +13,63 @@ import (
 	"mobiledist"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tables.golden.md from the current output")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
 
 // TestTablesGolden is the "experiment tables byte-identical" gate: the full
 // suite's markdown must equal the checked-in golden file. A change that
 // means to alter protocol behaviour regenerates it with
 // `go test ./cmd/mobilexp -run TestTablesGolden -update` and says why.
 func TestTablesGolden(t *testing.T) {
-	const golden = "testdata/tables.golden.md"
 	var out strings.Builder
 	if err := run([]string{"-markdown"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	checkGolden(t, "testdata/tables.golden.md", out.String())
+}
+
+// TestF1Golden pins the fault/recovery table of a run under loss,
+// duplication and a station crash: the fault injector's decisions, the
+// ARQ sublayer and token recovery all feed it. Regenerate with
+// `go test ./cmd/mobilexp -run TestF1Golden -update` and say why.
+func TestF1Golden(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-id", "F1", "-drop", "0.2", "-dup", "0.1", "-crash", "2:1:2500"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkGolden(t, "testdata/f1.golden.txt", out.String())
+}
+
+// TestTracesGolden pins the SHA-256 of the JSONL event stream of three
+// traced runs (a fault-free one, the custody experiment, one under loss):
+// every event the engine, the fault injector and the custody manager emit,
+// with its instant and operands. Regenerate with
+// `go test ./cmd/mobilexp -run TestTracesGolden -update` and say why.
+func TestTracesGolden(t *testing.T) {
+	var sums strings.Builder
+	for _, args := range [][]string{
+		{"-id", "E10", "-seed", "4"},
+		{"-id", "D1"},
+		{"-id", "E5", "-seed", "2", "-drop", "0.1"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		if err := run(append(args, "-trace", path), io.Discard); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sums, "%x  %s -trace\n", sha256.Sum256(data), strings.Join(args, " "))
+	}
+	checkGolden(t, "testdata/traces.golden.txt", sums.String())
+}
+
+// checkGolden compares got with the golden file line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -32,17 +78,17 @@ func TestTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) || i < len(wantLines); i++ {
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w string
-		if i < len(got) {
-			g = got[i]
+		if i < len(gotLines) {
+			g = gotLines[i]
 		}
 		if i < len(wantLines) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("tables differ from %s at line %d (%d vs %d lines):\n got: %s\nwant: %s", golden, i+1, len(got), len(wantLines), g, w)
+			t.Fatalf("output differs from %s at line %d (%d vs %d lines):\n got: %s\nwant: %s", golden, i+1, len(gotLines), len(wantLines), g, w)
 		}
 	}
 }

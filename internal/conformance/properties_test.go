@@ -236,7 +236,8 @@ func TestConformanceMobilityStatePartitioning(t *testing.T) {
 	})
 }
 
-// crashLog is an algorithm that implements only core.CrashObserver. It
+// crashLog is an algorithm that implements only core.CrashObserver and
+// core.RestartObserver. It
 // appends each notification, prefixed with its tag, to a journal it may
 // share with other observers, and, when given a context, keeps the
 // virtual time each one arrived at.

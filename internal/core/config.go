@@ -104,15 +104,14 @@ func DefaultConfig(m, n int) Config {
 }
 
 // NewEngine assembles the one substrate stack every driver runs on top of
-// its raw substrate — fault injector (only under a non-empty plan), then the
-// observability seam outermost so it records what the engine asked the
-// transport to do before the injector disturbs it, then the engine — and
-// returns the engine with the injector (nil when fault-free). It is also the
-// one place the two derived model rules are applied: a non-empty fault plan
-// turns the ARQ sublayer on — it is what NewEngine tells engine.New, and
-// there is no other switch (without ARQ, injected loss would silently void
-// the model's FIFO and prefix-delivery guarantees) — and a zero SearchMode
-// means SearchAbstract.
+// its raw substrate — the fault injector (only under a non-empty plan),
+// then the engine, which records each transmission before the injector
+// sees it — and returns the engine with the injector (nil when
+// fault-free). It is also the one place the two derived model rules are
+// applied: a non-empty fault plan turns the ARQ sublayer on — it is what
+// NewEngine tells engine.New, and there is no other switch (without ARQ,
+// injected loss would silently void the model's FIFO and prefix-delivery
+// guarantees) — and a zero SearchMode means SearchAbstract.
 func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*engine.Engine, *faults.Injector, error) {
 	sub := raw
 	var inj *faults.Injector
@@ -128,7 +127,7 @@ func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*eng
 		model.SearchMode = SearchAbstract
 	}
 	model.Obs.SetTopology(model.M, model.N)
-	eng, err := engine.New(model, engine.ObserveSubstrate(sub, model.Obs), inj != nil)
+	eng, err := engine.New(model, sub, inj != nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,7 +61,9 @@ var (
 	_ MSSHandler             = (*probe)(nil)
 	_ MHHandler              = (*probe)(nil)
 	_ DeliveryFailureHandler = (*probe)(nil)
-	_ MobilityObserver       = (*probe)(nil)
+	_ JoinObserver           = (*probe)(nil)
+	_ LeaveObserver          = (*probe)(nil)
+	_ DisconnectObserver     = (*probe)(nil)
 )
 
 func (p *probe) Name() string {

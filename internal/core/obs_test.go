@@ -125,3 +125,42 @@ func TestDefaultTracerAttachesToDefaultConfig(t *testing.T) {
 		t.Error("system built from DefaultConfig recorded no events")
 	}
 }
+
+// TestTransmitIsTracedBeforeTheInjectorSeesIt: under a drop plan, the
+// engine's EvTransmit for a wireless frame comes before the injector's
+// EvDrop of it. The injector numbers each channel's transmissions from 0,
+// so a drop of index i on a channel must follow exactly i+1 EvTransmit
+// events on that channel.
+func TestTransmitIsTracedBeforeTheInjectorSeesIt(t *testing.T) {
+	tracer := obs.NewTracer(0)
+	cfg := DefaultConfig(3, 6)
+	cfg.Obs = tracer
+	cfg.Faults = &FaultPlan{Seed: 5, Down: LinkFaults{Drop: 0.3}, Up: LinkFaults{Drop: 0.3}}
+	sys := MustNewSystem(cfg)
+	ctx := sys.Register(&probe{})
+	for i := 0; i < 20; i++ {
+		ctx.SendToMH(MSSID(i%3), MHID(i%6), i, cost.CatAlgorithm)
+		if err := ctx.SendFromMH(MHID(i%6), i, cost.CatAlgorithm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	transmits := make(map[int32]int32)
+	drops := 0
+	for _, ev := range tracer.Events() {
+		switch ev.Kind {
+		case obs.EvTransmit:
+			transmits[ev.A]++
+		case obs.EvDrop:
+			drops++
+			if transmits[ev.A] != ev.B+1 {
+				t.Fatalf("drop of ch%d index %d after %d EvTransmit on it, want %d", ev.A, ev.B, transmits[ev.A], ev.B+1)
+			}
+		}
+	}
+	if drops == 0 {
+		t.Fatal("the plan dropped nothing; the test proves nothing")
+	}
+}

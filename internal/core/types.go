@@ -53,10 +53,15 @@ type (
 	// TimerHandler receives the messages an algorithm sent itself with
 	// Context.After.
 	TimerHandler = engine.TimerHandler
-	// MobilityObserver is notified of mobility protocol events.
-	MobilityObserver = engine.MobilityObserver
-	// CrashObserver is notified of planned station crashes and restarts.
-	CrashObserver = engine.CrashObserver
+	// JoinObserver, LeaveObserver and DisconnectObserver are notified of
+	// the mobility protocol's events.
+	JoinObserver       = engine.JoinObserver
+	LeaveObserver      = engine.LeaveObserver
+	DisconnectObserver = engine.DisconnectObserver
+	// CrashObserver and RestartObserver are notified of planned station
+	// crashes and restarts.
+	CrashObserver   = engine.CrashObserver
+	RestartObserver = engine.RestartObserver
 	// DeliveryFailureHandler is notified of failed routed deliveries.
 	DeliveryFailureHandler = engine.DeliveryFailureHandler
 	// Context is the capability surface algorithms use to interact with the

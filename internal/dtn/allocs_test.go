@@ -50,8 +50,8 @@ func parkedManager(t *testing.T, n int) (*Manager, *sentLog) {
 func TestSweepWithNothingDueIsConstant(t *testing.T) {
 	mgr, _ := parkedManager(t, 64)
 	s := mgr.stores[0]
-	if s.expiryDue(mgr.Now()) {
-		t.Fatalf("expiryDue(%d) with every deadline at 2^40: the watermark %d is not doing its job", mgr.Now(), s.minExpiry)
+	if s.expiryDue(mgr.ctx.Now()) {
+		t.Fatalf("expiryDue(%d) with every deadline at 2^40: the watermark %d is not doing its job", mgr.ctx.Now(), s.minExpiry)
 	}
 	// expiryDue false is the whole gate: appendExpired returns before it
 	// looks at a resident.
@@ -65,8 +65,8 @@ func TestSweepWithNothingDueIsConstant(t *testing.T) {
 
 func TestSendSummarySharesCachedVector(t *testing.T) {
 	mgr, log := parkedManager(t, 64)
-	mgr.SendSummary(0, 1)
-	mgr.SendSummary(0, 2)
+	mgr.sendSummary(0, 1)
+	mgr.sendSummary(0, 2)
 	if len(log.sent) != 2 {
 		t.Fatalf("sent %d messages, want 2 summaries", len(log.sent))
 	}
@@ -77,15 +77,15 @@ func TestSendSummarySharesCachedVector(t *testing.T) {
 	// What is left is the message itself, boxed into engine.Message.
 	if allocs := testing.AllocsPerRun(100, func() {
 		log.sent = log.sent[:0]
-		mgr.SendSummary(0, 1)
+		mgr.sendSummary(0, 1)
 	}); allocs > 1 {
-		t.Errorf("SendSummary of an unchanged store allocated %.1f objects, want 1 (the message)", allocs)
+		t.Errorf("sendSummary of an unchanged store allocated %.1f objects, want 1 (the message)", allocs)
 	}
 	// A change to the ID set must not be written into the vector already
 	// handed out: the next summary is a fresh array.
 	want := append([]byte(nil), a...)
 	mgr.remove(0, mgr.stores[0].IDs()[0])
-	mgr.SendSummary(0, 1)
+	mgr.sendSummary(0, 1)
 	c := log.sent[len(log.sent)-1].(summaryMsg).data
 	if &c[0] == &a[0] || string(a) != string(want) {
 		t.Errorf("summary after a removal reused or rewrote the vector in flight")

@@ -88,26 +88,16 @@ type Config struct {
 	// MHQuota bounds the bundles one station holds per destination MH;
 	// 0 means unlimited. Arrivals over quota are refused.
 	MHQuota int
-	// SprayCopies is the initial token budget L handed to each new
-	// bundle (only binary spray-and-wait consumes it). 0 defaults to 4.
-	SprayCopies int
-	// HistoryDepth is how many recently-visited cells are remembered
-	// per MH for spray targeting. 0 defaults to 4.
-	HistoryDepth int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Strategy == nil {
-		c.Strategy = Park{}
-	}
-	if c.SprayCopies <= 0 {
-		c.SprayCopies = 4
-	}
-	if c.HistoryDepth <= 0 {
-		c.HistoryDepth = 4
-	}
-	return c
-}
+const (
+	// sprayCopies is the token budget L each new bundle starts with (only
+	// binary spray-and-wait consumes it).
+	sprayCopies = 4
+	// historyDepth is how many recently joined cells are remembered per
+	// MH for spray targeting.
+	historyDepth = 4
+)
 
 // Stats counts custody activity across all stations. Read it after the
 // run settles (or between settled phases); it is maintained on the

@@ -7,7 +7,6 @@ import (
 
 	"mobiledist/internal/cost"
 	"mobiledist/internal/engine"
-	"mobiledist/internal/sim"
 )
 
 // Wire messages. These travel MSS-to-MSS over the engine's wired channel
@@ -42,7 +41,8 @@ type Manager struct {
 	eng      *engine.Engine
 	cfg      Config
 	strategy RoutingAlgorithm
-	ticker   Ticker // non-nil iff strategy wants periodic maintenance
+	ticker   Ticker  // non-nil iff strategy wants periodic maintenance
+	sprayer  sprayer // non-nil iff strategy replicates on arrival
 
 	stores []*Store
 	// resident counts the stores holding a replica of each bundle and
@@ -73,7 +73,7 @@ type Manager struct {
 
 	connected []bool // per MH: false between disconnect() and reconnect join
 	// visits holds per MH the recently joined cells, most recent first,
-	// each in its own HistoryDepth-capacity window of one backing array.
+	// each in its own historyDepth-capacity window of one backing array.
 	visits [][]engine.MSSID
 	down   []bool // per MSS: true between NoteCrash and NoteRestart
 
@@ -113,20 +113,23 @@ func (f *flight) dest(to engine.MSSID) int {
 
 // Manager capabilities, checked at compile time.
 var (
-	_ engine.Algorithm        = (*Manager)(nil)
-	_ engine.MSSHandler       = (*Manager)(nil)
-	_ engine.MobilityObserver = (*Manager)(nil)
-	_ engine.CrashObserver    = (*Manager)(nil)
-	_ engine.TimerHandler     = (*Manager)(nil)
-	_ engine.CustodyHook      = (*Manager)(nil)
-	_ Host                    = (*Manager)(nil)
+	_ engine.Algorithm          = (*Manager)(nil)
+	_ engine.MSSHandler         = (*Manager)(nil)
+	_ engine.JoinObserver       = (*Manager)(nil)
+	_ engine.DisconnectObserver = (*Manager)(nil)
+	_ engine.CrashObserver      = (*Manager)(nil)
+	_ engine.RestartObserver    = (*Manager)(nil)
+	_ engine.TimerHandler       = (*Manager)(nil)
+	_ engine.CustodyHook        = (*Manager)(nil)
 )
 
 // New registers a custody manager on the network behind reg and binds it
 // to the engine's custody seam. reg must expose its engine (the core,
 // rt, and netrt Systems all do; so does a bare *engine.Engine).
 func New(reg engine.Registrar, cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Strategy == nil {
+		cfg.Strategy = Park{}
+	}
 	var eng *engine.Engine
 	switch r := reg.(type) {
 	case *engine.Engine:
@@ -146,6 +149,7 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 		nextID:   1,
 	}
 	m.ticker, _ = cfg.Strategy.(Ticker)
+	m.sprayer, _ = cfg.Strategy.(sprayer)
 	m.ctx = reg.Register(m)
 	m.stores = make([]*Store, m.ctx.M())
 	for i := range m.stores {
@@ -156,11 +160,10 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	for i := range m.connected {
 		m.connected[i] = true
 	}
-	depth := cfg.HistoryDepth
-	history := make([]engine.MSSID, m.ctx.N()*depth)
+	history := make([]engine.MSSID, m.ctx.N()*historyDepth)
 	m.visits = make([][]engine.MSSID, m.ctx.N())
 	for mh := range m.visits {
-		m.visits[mh] = history[mh*depth : mh*depth : (mh+1)*depth]
+		m.visits[mh] = history[mh*historyDepth : mh*historyDepth : (mh+1)*historyDepth]
 	}
 	// Seed the visit history with the initial placement: OnJoin only
 	// fires for later moves, but "where a host started" is as good a
@@ -277,7 +280,7 @@ func (m *Manager) OfferCustody(holder engine.MSSID, mh engine.MHID, msg engine.M
 		Msg:     msg,
 		Ref:     ref,
 		Created: now,
-		Tokens:  m.cfg.SprayCopies,
+		Tokens:  sprayCopies,
 	}
 	if m.cfg.TTL > 0 {
 		b.Expiry = now + m.cfg.TTL
@@ -359,7 +362,6 @@ func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
 	if !ok {
 		m.stats.DroppedQuota++
 		m.ctx.NoteBundleDropped(uint64(b.ID), at, b.MH)
-		m.strategy.ReportFailure(m, at, b, "quota")
 		m.terminal(at, b, true)
 		return
 	}
@@ -370,31 +372,19 @@ func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
 	m.onStored(at, b)
 }
 
-// onStored runs the strategy hooks for a replica that just entered at's
-// store and executes any replication it requests. Token accounting is
-// binary: a replica with more than one token hands half to each peer.
+// onStored asks a spraying strategy where the replica that just entered
+// at's store should replicate, and ships it half the replica's tokens.
 func (m *Manager) onStored(at engine.MSSID, b *Bundle) {
-	m.strategy.NotifyIncoming(m, at, b)
-	peers, drop := m.strategy.SenderForBundle(m, at, b)
-	for _, p := range peers {
-		if p == at || int(p) < 0 || int(p) >= len(m.stores) || m.down[p] {
-			continue
-		}
-		tokens := 1
-		if b.Tokens > 1 {
-			give := b.Tokens / 2
-			b.Tokens -= give
-			tokens = give
-		}
-		m.replicate(at, p, b, tokens)
+	if m.sprayer == nil {
+		return
 	}
-	if drop && m.stores[at].Has(b.ID) &&
-		(m.inflight[b.ID] != nil || m.resident[b.ID] > 1) {
-		// Custody transfer: the strategy moved the bundle on and wants
-		// the local replica gone. Only honour it while another copy
-		// exists, so a buggy strategy cannot silently lose a bundle.
-		m.remove(at, b.ID)
+	p, ok := m.sprayer.sprayTarget(m, at, b)
+	if !ok || m.down[p] {
+		return
 	}
+	give := b.Tokens / 2
+	b.Tokens -= give
+	m.replicate(at, p, b, give)
 }
 
 // deliver retires the bundle and hands it back to the engine, which
@@ -430,7 +420,7 @@ func (m *Manager) replicate(from, to engine.MSSID, b *Bundle, tokens int) {
 }
 
 // transfer moves b (already removed from from's store) toward to
-// without creating a new replica — the custody move of DeliverAll. The
+// without creating a new replica — the custody move of deliverAll. The
 // message takes b over.
 func (m *Manager) transfer(from, to engine.MSSID, b *Bundle) {
 	m.inflightInc(b, to)
@@ -562,7 +552,6 @@ func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 func (m *Manager) expire(at engine.MSSID, b *Bundle) {
 	m.stats.Expired++
 	m.ctx.NoteBundleExpired(uint64(b.ID), at, b.MH)
-	m.strategy.ReportFailure(m, at, b, "expired")
 	m.terminal(at, b, !m.down[at])
 }
 
@@ -570,7 +559,6 @@ func (m *Manager) expire(at engine.MSSID, b *Bundle) {
 func (m *Manager) evict(at engine.MSSID, b *Bundle) {
 	m.stats.EvictedLRU++
 	m.ctx.NoteBundleDropped(uint64(b.ID), at, b.MH)
-	m.strategy.ReportFailure(m, at, b, "evicted")
 	m.terminal(at, b, true)
 }
 
@@ -578,7 +566,6 @@ func (m *Manager) evict(at engine.MSSID, b *Bundle) {
 func (m *Manager) lose(at engine.MSSID, b *Bundle) {
 	m.stats.Lost++
 	m.ctx.NoteBundleDropped(uint64(b.ID), at, b.MH)
-	m.strategy.ReportFailure(m, at, b, "crash")
 	m.terminal(at, b, false)
 }
 
@@ -613,26 +600,23 @@ func (m *Manager) sweepExpired(at engine.MSSID) {
 	m.giveBundleBuf(buf)
 }
 
-// ---- MobilityObserver ----
+// ---- mobility ----
 
 // OnJoin marks the host reachable, records the visit for spray
-// targeting, and lets the strategy drain parked traffic toward it.
+// targeting, and drains every replica parked for it toward its station.
+// A leave changes nothing: an in-transit host is still deliverable (the
+// engine queues for it).
 func (m *Manager) OnJoin(ctx engine.Context, mss engine.MSSID, mh engine.MHID, prev engine.MSSID, wasDisconnected bool) {
 	m.connected[mh] = true
 	m.noteVisit(mh, mss)
-	m.strategy.ReportPeerAppeared(m, mss, mh)
+	m.deliverAll(mss, mh)
 	m.maybeArmTick()
 }
-
-// OnLeave is a no-op: an in-transit host is still deliverable (the
-// engine queues for it), so custody state does not change.
-func (m *Manager) OnLeave(ctx engine.Context, mss engine.MSSID, mh engine.MHID) {}
 
 // OnDisconnect marks the host unreachable so arriving replicas park
 // instead of delivering.
 func (m *Manager) OnDisconnect(ctx engine.Context, mss engine.MSSID, mh engine.MHID) {
 	m.connected[mh] = false
-	m.strategy.ReportPeerDisappeared(m, mss, mh)
 }
 
 // noteVisit moves mss to the front of mh's history in place: an earlier
@@ -641,7 +625,7 @@ func (m *Manager) noteVisit(mh engine.MHID, mss engine.MSSID) {
 	v := m.visits[mh]
 	k := slices.Index(v, mss)
 	if k < 0 {
-		if len(v) < m.cfg.HistoryDepth {
+		if len(v) < historyDepth {
 			v = append(v, 0)
 		}
 		k = len(v) - 1
@@ -701,8 +685,8 @@ func (m *Manager) reapInflight(mss engine.MSSID) {
 }
 
 // NoteRestart reopens the station for custody (its store restarts
-// empty, like every volatile structure on a restarted station); the
-// restart half of engine.CrashObserver.
+// empty, like every volatile structure on a restarted station). It
+// implements engine.RestartObserver.
 func (m *Manager) NoteRestart(mss engine.MSSID) {
 	if int(mss) < 0 || int(mss) >= len(m.down) {
 		return
@@ -710,33 +694,11 @@ func (m *Manager) NoteRestart(mss engine.MSSID) {
 	m.down[mss] = false
 }
 
-// ---- Host (the strategy service surface) ----
+// ---- replica drains ----
 
-// M reports the number of stations.
-func (m *Manager) M() int { return m.ctx.M() }
-
-// Now reports the current virtual time.
-func (m *Manager) Now() sim.Time { return m.ctx.Now() }
-
-// HasReplica reports whether the station holds a replica of id.
-func (m *Manager) HasReplica(at engine.MSSID, id BundleID) bool {
-	return m.stores[at].Has(id)
-}
-
-// StoredAt returns the station's resident bundle IDs in ascending order.
-func (m *Manager) StoredAt(at engine.MSSID) []BundleID {
-	return m.stores[at].IDs()
-}
-
-// RecentCells returns the cells mh recently joined, most recent first.
-// The history is updated in place, so the result is valid until the
-// host's next join: read it synchronously, as SprayAndWait does.
-func (m *Manager) RecentCells(mh engine.MHID) []engine.MSSID {
-	return m.visits[mh]
-}
-
-// SendSummary ships the station's summary vector to a peer.
-func (m *Manager) SendSummary(from, peer engine.MSSID) {
+// sendSummary ships the station's summary vector to a peer (anti-entropy:
+// the peer answers with a want-list, see handleSummary).
+func (m *Manager) sendSummary(from, peer engine.MSSID) {
 	if from == peer || m.down[from] {
 		return
 	}
@@ -750,11 +712,12 @@ func (m *Manager) SendSummary(from, peer engine.MSSID) {
 	m.ctx.SendFixed(from, peer, summaryMsg{data: m.stores[from].summary()}, cost.CatControl)
 }
 
-// DeliverAll moves every stored replica destined for mh toward station
-// at. Stations are visited in ascending order and bundles in ascending
-// ID order; arrival order may still differ, and the engine's pair
-// sequence buffer restores per-pair FIFO at final delivery.
-func (m *Manager) DeliverAll(at engine.MSSID, mh engine.MHID) {
+// deliverAll moves every stored replica destined for mh toward station
+// at; the first to arrive is redelivered, the rest are duplicates.
+// Stations are visited in ascending order and bundles in ascending ID
+// order; arrival order may still differ, and the engine's pair sequence
+// buffer restores per-pair FIFO at final delivery.
+func (m *Manager) deliverAll(at engine.MSSID, mh engine.MHID) {
 	buf := m.takeBundleBuf()
 	for i := range m.stores {
 		src := engine.MSSID(i)

@@ -189,7 +189,7 @@ func TestSprayReplicatesAlongVisitHistory(t *testing.T) {
 	tr := obs.NewTracer(0).WithMetrics(obs.NewMetrics())
 	cfg := core.DefaultConfig(4, 1)
 	cfg.Obs = tr
-	sys, p, ctx, mgr := fixedSys(t, cfg, Config{Strategy: SprayAndWait{}, SprayCopies: 4})
+	sys, p, ctx, mgr := fixedSys(t, cfg, Config{Strategy: SprayAndWait{}})
 	sys.Schedule(10, func() { _ = sys.Move(0, 1) })
 	sys.Schedule(40, func() { _ = sys.Move(0, 2) })
 	sys.Schedule(70, func() { _ = sys.Disconnect(0) })
@@ -233,7 +233,7 @@ func TestSprayReplicatesAlongVisitHistory(t *testing.T) {
 func TestCrashReapsInflightTransfer(t *testing.T) {
 	cfg := core.DefaultConfig(2, 2)
 	// Reconnect at 300: uplink 300→302, handoff req 302→305, reply
-	// 305→308, join at 308 fires DeliverAll — the custody transfer is
+	// 305→308, join at 308 fires deliverAll — the custody transfer is
 	// on the wire 308→311. Crashing the receiver at 310 catches it.
 	cfg.Faults = &core.FaultPlan{Crashes: []core.Crash{{MSS: 1, At: 310, RestartAt: 400}}}
 	sys, p, ctx, mgr := fixedSys(t, cfg, Config{})
@@ -337,9 +337,9 @@ func TestExpiredDuplicateCountsAsDuplicate(t *testing.T) {
 	sys.Schedule(10, func() { ctx.SendToMH(1, 0, "parked", cost.CatAlgorithm) })
 	var cp Bundle
 	sys.Schedule(50, func() {
-		ids := mgr.StoredAt(0)
+		ids := mgr.stores[0].IDs()
 		if len(ids) != 1 {
-			t.Errorf("StoredAt(0) = %v, want 1 parked bundle", ids)
+			t.Errorf("stores[0].IDs() = %v, want 1 parked bundle", ids)
 			return
 		}
 		cp = *mgr.stores[0].Get(ids[0])

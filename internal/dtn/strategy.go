@@ -5,57 +5,15 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// Host is the service surface the Manager offers routing strategies —
-// deliberately the DTN7 shape: the strategy decides where replicas go,
-// the host executes the movement, accounting, and delivery mechanics.
-type Host interface {
-	// M returns the number of stations.
-	M() int
-	// Now returns the current virtual time.
-	Now() sim.Time
-	// HasReplica reports whether station at holds a replica of id.
-	HasReplica(at engine.MSSID, id BundleID) bool
-	// StoredAt returns the bundle IDs resident at the station, in
-	// ascending order.
-	StoredAt(at engine.MSSID) []BundleID
-	// RecentCells returns the cells mh recently joined, most recent
-	// first (bounded by Config.HistoryDepth). Empty for a host that has
-	// not moved since the run started.
-	RecentCells(mh engine.MHID) []engine.MSSID
-	// SendSummary ships from's summary vector to peer over the wired
-	// network; the peer answers with a want-list and from replicates
-	// every still-present bundle the peer asked for (anti-entropy).
-	SendSummary(from, peer engine.MSSID)
-	// DeliverAll moves every stored replica destined for mh, from every
-	// station, toward station at (where mh just appeared); the first
-	// replica of each bundle to arrive is redelivered, the rest are
-	// discarded as duplicates.
-	DeliverAll(at engine.MSSID, mh engine.MHID)
-}
-
 // RoutingAlgorithm decides how bundles replicate between stations while
-// their destination is away. The five callbacks mirror DTN7's routing
-// interface; all run on the engine's execution context.
+// their destination is away. What every strategy shares the Manager does
+// itself: a replica parks where it entered a store, and when its host
+// joins a cell every stored replica drains toward that station. A strategy
+// differs only by the optional capabilities it adds: periodic maintenance
+// (Ticker) or replication as a replica enters a store (sprayer).
 type RoutingAlgorithm interface {
 	// Name identifies the strategy in tables and traces.
 	Name() string
-	// NotifyIncoming observes a bundle entering at's store (fresh
-	// custody or an arriving replica), before SenderForBundle is
-	// consulted.
-	NotifyIncoming(h Host, at engine.MSSID, b *Bundle)
-	// SenderForBundle is consulted when b enters at's store: it returns
-	// the peer stations that should receive replicas now, and whether
-	// at should drop its own replica after sending (custody transfer
-	// rather than copy). Token accounting is the manager's job.
-	SenderForBundle(h Host, at engine.MSSID, b *Bundle) (peers []engine.MSSID, drop bool)
-	// ReportPeerAppeared fires when mh joins a cell at station at
-	// (reconnection or an ordinary move while bundles are parked).
-	ReportPeerAppeared(h Host, at engine.MSSID, mh engine.MHID)
-	// ReportPeerDisappeared fires when mh disconnects at station at.
-	ReportPeerDisappeared(h Host, at engine.MSSID, mh engine.MHID)
-	// ReportFailure observes a replica leaving custody without
-	// delivering: "expired", "evicted", "quota", or "crash".
-	ReportFailure(h Host, at engine.MSSID, b *Bundle, reason string)
 }
 
 // Ticker is an optional strategy capability: periodic maintenance (the
@@ -67,7 +25,14 @@ type Ticker interface {
 	// TickEvery is the gossip period in ticks.
 	TickEvery() sim.Time
 	// Tick runs one maintenance round.
-	Tick(h Host)
+	Tick(m *Manager)
+}
+
+// sprayer is an optional strategy capability: consulted as replica b
+// enters at's store, sprayTarget names the one station that should get
+// half of b's tokens now, if any.
+type sprayer interface {
+	sprayTarget(m *Manager, at engine.MSSID, b *Bundle) (engine.MSSID, bool)
 }
 
 // Park is the paper-faithful control strategy: custody stays at the
@@ -78,26 +43,6 @@ type Park struct{}
 
 // Name identifies the strategy.
 func (Park) Name() string { return "park" }
-
-// NotifyIncoming is a no-op: Park never acts on arrivals.
-func (Park) NotifyIncoming(Host, engine.MSSID, *Bundle) {}
-
-// SenderForBundle never replicates.
-func (Park) SenderForBundle(Host, engine.MSSID, *Bundle) ([]engine.MSSID, bool) {
-	return nil, false
-}
-
-// ReportPeerAppeared drains everything parked for the host toward its
-// new station.
-func (Park) ReportPeerAppeared(h Host, at engine.MSSID, mh engine.MHID) {
-	h.DeliverAll(at, mh)
-}
-
-// ReportPeerDisappeared is a no-op.
-func (Park) ReportPeerDisappeared(Host, engine.MSSID, engine.MHID) {}
-
-// ReportFailure is a no-op.
-func (Park) ReportFailure(Host, engine.MSSID, *Bundle, string) {}
 
 // Epidemic floods bundles between neighbouring stations by periodic
 // anti-entropy: each gossip tick, every station holding bundles sends
@@ -123,39 +68,19 @@ func (e Epidemic) TickEvery() sim.Time {
 
 // Tick runs one anti-entropy round: every station holding bundles
 // exchanges summaries with its ring neighbours.
-func (e Epidemic) Tick(h Host) {
-	m := h.M()
-	if m < 2 {
+func (e Epidemic) Tick(m *Manager) {
+	n := len(m.stores)
+	if n < 2 {
 		return
 	}
-	for mss := 0; mss < m; mss++ {
+	for mss := 0; mss < n; mss++ {
 		at := engine.MSSID(mss)
-		h.SendSummary(at, engine.MSSID((mss+1)%m))
-		if m > 2 {
-			h.SendSummary(at, engine.MSSID((mss+m-1)%m))
+		m.sendSummary(at, engine.MSSID((mss+1)%n))
+		if n > 2 {
+			m.sendSummary(at, engine.MSSID((mss+n-1)%n))
 		}
 	}
 }
-
-// NotifyIncoming is a no-op: epidemic spreads on the tick, not on
-// arrival.
-func (Epidemic) NotifyIncoming(Host, engine.MSSID, *Bundle) {}
-
-// SenderForBundle never replicates eagerly; gossip does the spreading.
-func (Epidemic) SenderForBundle(Host, engine.MSSID, *Bundle) ([]engine.MSSID, bool) {
-	return nil, false
-}
-
-// ReportPeerAppeared drains every replica toward the host's new station.
-func (Epidemic) ReportPeerAppeared(h Host, at engine.MSSID, mh engine.MHID) {
-	h.DeliverAll(at, mh)
-}
-
-// ReportPeerDisappeared is a no-op.
-func (Epidemic) ReportPeerDisappeared(Host, engine.MSSID, engine.MHID) {}
-
-// ReportFailure is a no-op.
-func (Epidemic) ReportFailure(Host, engine.MSSID, *Bundle, string) {}
 
 // SprayAndWait is binary spray-and-wait aimed at mobility history: a
 // bundle starts with L tokens; a station holding a replica with more
@@ -169,30 +94,16 @@ type SprayAndWait struct{}
 // Name identifies the strategy.
 func (SprayAndWait) Name() string { return "spray" }
 
-// NotifyIncoming is a no-op; spraying happens via SenderForBundle.
-func (SprayAndWait) NotifyIncoming(Host, engine.MSSID, *Bundle) {}
-
-// SenderForBundle sprays half the replica's tokens toward the
-// destination's most recently visited cell without a replica.
-func (SprayAndWait) SenderForBundle(h Host, at engine.MSSID, b *Bundle) ([]engine.MSSID, bool) {
+// sprayTarget picks the destination's most recently visited cell without
+// a replica, while the replica has tokens to give.
+func (SprayAndWait) sprayTarget(m *Manager, at engine.MSSID, b *Bundle) (engine.MSSID, bool) {
 	if b.Tokens <= 1 {
-		return nil, false
+		return 0, false
 	}
-	for _, cell := range h.RecentCells(b.MH) {
-		if cell != at && !h.HasReplica(cell, b.ID) {
-			return []engine.MSSID{cell}, false
+	for _, cell := range m.visits[b.MH] {
+		if cell != at && !m.stores[cell].Has(b.ID) {
+			return cell, true
 		}
 	}
-	return nil, false
+	return 0, false
 }
-
-// ReportPeerAppeared drains every replica toward the host's new station.
-func (SprayAndWait) ReportPeerAppeared(h Host, at engine.MSSID, mh engine.MHID) {
-	h.DeliverAll(at, mh)
-}
-
-// ReportPeerDisappeared is a no-op.
-func (SprayAndWait) ReportPeerDisappeared(Host, engine.MSSID, engine.MHID) {}
-
-// ReportFailure is a no-op.
-func (SprayAndWait) ReportFailure(Host, engine.MSSID, *Bundle, string) {}

@@ -123,7 +123,7 @@ func (a *arq) transmitHead(ch int) {
 	air.ackCh = f.ackCh
 	air.seq = f.seq
 	air.inner = f.rec
-	a.e.sub.TransmitRec(ch, a.e.delay(a.e.cfg.Wireless), air)
+	a.e.transmit(ch, a.e.delay(a.e.cfg.Wireless), air)
 	timer := a.e.newRec(opArqTimeout)
 	timer.ch = ch
 	timer.seq = st.timerGen
@@ -180,7 +180,7 @@ func (a *arq) sendAck(ackCh, dataCh int, seq uint64) {
 	ack := a.e.newRec(opArqAck)
 	ack.ch = dataCh
 	ack.seq = seq
-	a.e.sub.TransmitRec(ackCh, a.e.delay(a.e.cfg.Wireless), ack)
+	a.e.transmit(ackCh, a.e.delay(a.e.cfg.Wireless), ack)
 }
 
 // recvAck resolves the in-flight frame of dataCh and releases the next.

@@ -75,10 +75,9 @@ type Config struct {
 	// Obs, when non-nil, receives typed observability events (internal/obs)
 	// from the engine's model-level emission points: mobility protocol
 	// steps, routed deliveries with chase-hop counts, searches, delivery
-	// failures, and ARQ activity. Substrate adapters additionally wrap
-	// their substrate with ObserveSubstrate so channel transmissions are
-	// recorded at the Substrate seam. Nil (the default) costs one branch
-	// per would-be event and allocates nothing.
+	// failures, ARQ activity, and one EvTransmit per channel transmission,
+	// recorded as the engine hands the record to the substrate. Nil (the
+	// default) costs one branch per would-be event and allocates nothing.
 	Obs *obs.Tracer
 }
 

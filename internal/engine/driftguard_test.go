@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -274,7 +275,7 @@ func isLit(e ast.Expr, v string) bool {
 
 // TestSubstrateStackIsAssembledOnce pins core.NewEngine as the only place
 // under internal/ (outside engine and faults themselves) that builds the
-// fault-injector → observer → engine stack: engine.New and faults.New each
+// fault-injector → engine stack: engine.New and faults.New each
 // have exactly one non-test call site. A second one is a driver assembling
 // its own stack, and with it its own copy of the derived config rules.
 func TestSubstrateStackIsAssembledOnce(t *testing.T) {
@@ -555,6 +556,58 @@ func checkDecls(t *testing.T, fset *token.FileSet, f *ast.File) {
 					for _, vn := range sp.Names {
 						flag(vn.Name, vn.Pos())
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCallbacksAreOneMethod pins the engine's callback idiom: every
+// interface in types.go named *Observer or *Handler declares exactly one
+// method, so an algorithm implements only the callbacks it acts on, and no
+// non-test method under internal/ or cmd/ with one of those names has an
+// empty body. A callback that does nothing is a capability the algorithm
+// does not have: leave the method out instead.
+func TestCallbacksAreOneMethod(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "types.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callbacks := map[string]string{} // method name → interface
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		iface, ok := spec.Type.(*ast.InterfaceType)
+		name := spec.Name.Name
+		if !ok || !(strings.HasSuffix(name, "Observer") || strings.HasSuffix(name, "Handler")) {
+			return false
+		}
+		if n := len(iface.Methods.List); n != 1 {
+			t.Errorf("%s declares %d methods, want 1: split it into one-method interfaces", name, n)
+		}
+		for _, m := range iface.Methods.List {
+			for _, id := range m.Names {
+				callbacks[id.Name] = name
+			}
+		}
+		return false
+	})
+	if len(callbacks) == 0 {
+		t.Fatal("found no *Observer or *Handler interface in types.go")
+	}
+	for _, root := range []string{"..", "../../cmd"} {
+		for _, f := range parseNonTest(t, fset, root) {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Body == nil || len(fn.Body.List) > 0 {
+					continue
+				}
+				if iface, ok := callbacks[fn.Name.Name]; ok {
+					t.Errorf("%s: %s.%s has an empty body; drop it and let the type not implement engine.%s",
+						fset.Position(fn.Pos()), recvTypeName(fn.Recv.List[0].Type), fn.Name.Name, iface)
 				}
 			}
 		}

@@ -306,10 +306,19 @@ func (e *Engine) delay(d Delay) sim.Time {
 	return e.sub.RNG().Duration(d.Min, d.Max)
 }
 
-// transmitWired sends rec over the (from, to) wired channel: draw the link
-// latency, then hand the record to the substrate's FIFO transport.
+// transmit hands rec to the substrate's FIFO transport on channel ch, with
+// the link latency already drawn, and records the EvTransmit event first:
+// the trace shows what the engine asked the transport to do, before a
+// fault injector underneath disturbs it. Every channel transmission, ARQ
+// air copies and acks included, goes through here.
+func (e *Engine) transmit(ch int, latency sim.Time, rec *DeliveryRec) {
+	e.event(obs.EvTransmit, int32(ch), int32(latency), 0)
+	e.sub.TransmitRec(ch, latency, rec)
+}
+
+// transmitWired sends rec over the (from, to) wired channel.
 func (e *Engine) transmitWired(from, to MSSID, rec *DeliveryRec) {
-	e.sub.TransmitRec(e.chanWired(from, to), e.delay(e.cfg.Wired), rec)
+	e.transmit(e.chanWired(from, to), e.delay(e.cfg.Wired), rec)
 }
 
 // transmitDown sends rec over the (mss, mh) wireless downlink, through the
@@ -321,7 +330,7 @@ func (e *Engine) transmitDown(mss MSSID, mh MHID, rec *DeliveryRec) {
 		e.arq.send(e.chanDown(mss, mh), e.chanUp(mh), rec)
 		return
 	}
-	e.sub.TransmitRec(e.chanDown(mss, mh), e.delay(e.cfg.Wireless), rec)
+	e.transmit(e.chanDown(mss, mh), e.delay(e.cfg.Wireless), rec)
 }
 
 // transmitUp sends rec over mh's wireless uplink. Under ARQ, acks come back
@@ -331,7 +340,7 @@ func (e *Engine) transmitUp(mh MHID, rec *DeliveryRec) {
 		e.arq.send(e.chanUp(mh), e.chanDown(e.mh[mh].at, mh), rec)
 		return
 	}
-	e.sub.TransmitRec(e.chanUp(mh), e.delay(e.cfg.Wireless), rec)
+	e.transmit(e.chanUp(mh), e.delay(e.cfg.Wireless), rec)
 }
 
 func (e *Engine) dispatchMSS(alg int32, at MSSID, from From, msg Message) {
@@ -352,7 +361,7 @@ func (e *Engine) dispatchMH(alg int32, at MHID, msg Message) {
 
 func (e *Engine) notifyJoin(at MSSID, mh MHID, prev MSSID, wasDisconnected bool) {
 	for i, alg := range e.algs {
-		if obs, ok := alg.(MobilityObserver); ok {
+		if obs, ok := alg.(JoinObserver); ok {
 			obs.OnJoin(e.ctxs[i], at, mh, prev, wasDisconnected)
 		}
 	}
@@ -360,7 +369,7 @@ func (e *Engine) notifyJoin(at MSSID, mh MHID, prev MSSID, wasDisconnected bool)
 
 func (e *Engine) notifyLeave(at MSSID, mh MHID) {
 	for i, alg := range e.algs {
-		if obs, ok := alg.(MobilityObserver); ok {
+		if obs, ok := alg.(LeaveObserver); ok {
 			obs.OnLeave(e.ctxs[i], at, mh)
 		}
 	}
@@ -368,22 +377,22 @@ func (e *Engine) notifyLeave(at MSSID, mh MHID) {
 
 func (e *Engine) notifyDisconnect(at MSSID, mh MHID) {
 	for i, alg := range e.algs {
-		if obs, ok := alg.(MobilityObserver); ok {
+		if obs, ok := alg.(DisconnectObserver); ok {
 			obs.OnDisconnect(e.ctxs[i], at, mh)
 		}
 	}
 }
 
-// notifyCrash tells every registered CrashObserver, in registration order,
-// that mss crashed (restart false) or came back (restart true).
+// notifyCrash tells every registered CrashObserver (restart false) or
+// RestartObserver (restart true), in registration order, about mss.
 func (e *Engine) notifyCrash(mss MSSID, restart bool) {
 	for _, alg := range e.algs {
-		if obs, ok := alg.(CrashObserver); ok {
-			if restart {
+		if restart {
+			if obs, ok := alg.(RestartObserver); ok {
 				obs.NoteRestart(mss)
-			} else {
-				obs.NoteCrash(mss)
 			}
+		} else if obs, ok := alg.(CrashObserver); ok {
+			obs.NoteCrash(mss)
 		}
 	}
 }

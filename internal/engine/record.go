@@ -36,7 +36,7 @@ import "fmt"
 //     Like every other record it is plain data.
 //   - A planned crash or restart is an opCrash record (mss, restart=flag)
 //     a wrapper obtains from RecSink.CrashRec and schedules with AfterRec;
-//     stepping it notifies the CrashObservers.
+//     stepping it notifies the CrashObservers or RestartObservers.
 //   - The daemon flag (Daemon) marks a timer as standing maintenance: the
 //     live host's due queue does not count it as an outstanding operation,
 //     so it cannot hold WaitIdle open.
@@ -99,7 +99,7 @@ type DeliveryRec struct {
 	op    recOp
 	stale bool
 	flag  bool  // op-specific; opDispatchMSS: the sender is mh2, not mss2
-	tag   int32 // wrapper-private cookie (the fault injector's trace index)
+	tag   int32 // per-channel transmission index, stamped by the fault injector
 	mh    MHID
 	mh2   MHID
 	mss   MSSID
@@ -126,12 +126,13 @@ func (r *DeliveryRec) Chan() int { return r.onCh }
 // TransmitRec (and by off-channel paths with -1).
 func (r *DeliveryRec) SetChan(ch int) { r.onCh = ch }
 
-// Tag returns the wrapper-private cookie set by SetTag.
+// Tag returns the transmission index set by SetTag.
 func (r *DeliveryRec) Tag() int32 { return r.tag }
 
-// SetTag attaches a wrapper-private cookie to the record (the fault
-// injector stores its per-channel trace index so a discard at delivery time
-// can amend the transmit-time trace entry).
+// SetTag stamps the record with its per-channel transmission index. The
+// fault injector does so in TransmitRec, so a discard at the receiver
+// (EvCrashDiscard) reports the same index, as operand B, as the
+// transmission it discards.
 func (r *DeliveryRec) SetTag(v int32) { r.tag = v }
 
 // Daemon reports whether the record is a daemon timer (Context.AfterDaemon):
@@ -152,7 +153,8 @@ type RecSink interface {
 	// flight). Each copy is stepped or freed independently.
 	CloneRec(rec *DeliveryRec) *DeliveryRec
 	// CrashRec allocates a pooled record that, when stepped, tells the
-	// CrashObservers mss crashed (restart false) or restarted; the caller
+	// CrashObservers mss crashed (restart false) or the RestartObservers it
+	// restarted; the caller
 	// schedules it with Substrate.AfterRec (fault-plan arming).
 	CrashRec(mss MSSID, restart bool) *DeliveryRec
 }

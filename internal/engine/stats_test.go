@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
+	"mobiledist/internal/cost"
 	"mobiledist/internal/obs"
 	"mobiledist/internal/sim"
 )
@@ -21,65 +23,100 @@ func TestStatsMergeFoldsFaultStats(t *testing.T) {
 	}
 }
 
-// plainSubstrate is a minimal Substrate that does not report faults — the
-// path a live transport or a fault-free simulator takes. Records are
-// stepped synchronously through the bound sink.
-type plainSubstrate struct {
-	now       sim.Time
-	sink      RecSink
-	transmits int
+// tracedSubstrate logs each TransmitRec as the EvTransmit event the engine
+// should have recorded for it, at a clock the test sets. run steps every
+// transmission before any timer, as if each link took less than an ARQ
+// timeout, so nothing is retransmitted.
+type tracedSubstrate struct {
+	sink          RecSink
+	now           sim.Time
+	sent          []obs.Event
+	stats         FaultStats
+	queue, timers []*DeliveryRec
 }
 
-func (p *plainSubstrate) Now() sim.Time            { return p.now }
-func (p *plainSubstrate) BindRecSink(sink RecSink) { p.sink = sink }
-func (p *plainSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryRec) {
-	p.transmits++
-	if p.sink != nil {
-		p.sink.StepRec(rec)
-	}
+func (s *tracedSubstrate) Now() sim.Time            { return s.now }
+func (s *tracedSubstrate) RNG() *sim.RNG            { return sim.NewRNG(1) }
+func (s *tracedSubstrate) BindRecSink(sink RecSink) { s.sink = sink }
+func (s *tracedSubstrate) Stats() FaultStats        { return s.stats }
+func (s *tracedSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryRec) {
+	s.sent = append(s.sent, obs.Event{T: s.now, Kind: obs.EvTransmit, A: int32(ch), B: int32(latency)})
+	s.queue = append(s.queue, rec)
 }
-func (p *plainSubstrate) AfterRec(d sim.Time, rec *DeliveryRec) {
-	if p.sink != nil {
-		p.sink.StepRec(rec)
-	}
-}
-func (p *plainSubstrate) RNG() *sim.RNG { return sim.NewRNG(1) }
+func (s *tracedSubstrate) AfterRec(d sim.Time, rec *DeliveryRec) { s.timers = append(s.timers, rec) }
 
-func TestObserveSubstrateFaultStats(t *testing.T) {
+func (s *tracedSubstrate) run() {
+	for len(s.queue)+len(s.timers) > 0 {
+		next := &s.timers
+		if len(s.queue) > 0 {
+			next = &s.queue
+		}
+		rec := (*next)[0]
+		*next = (*next)[1:]
+		s.sink.StepRec(rec)
+	}
+}
+
+// mhSink accepts every message at both tiers.
+type mhSink struct{}
+
+func (mhSink) Name() string                            { return "sink" }
+func (mhSink) HandleMSS(Context, MSSID, From, Message) {}
+func (mhSink) HandleMH(Context, MHID, Message)         {}
+
+// TestTransmitRecordsEveryTransmission: the engine records one EvTransmit
+// (T, channel, latency) per record it hands the substrate, wired and
+// wireless, ARQ air copies and acks included, and nothing else of kind
+// EvTransmit.
+func TestTransmitRecordsEveryTransmission(t *testing.T) {
 	tracer := obs.NewTracer(0)
-
-	// Non-reporting inner: the wrapper must report zeroes, not panic.
-	sub := ObserveSubstrate(&plainSubstrate{}, tracer)
-	fr, ok := sub.(FaultReporter)
-	if !ok {
-		t.Fatal("observed substrate does not implement FaultReporter")
+	sub := &tracedSubstrate{now: 42}
+	e, err := New(Config{
+		M: 2, N: 2, Params: cost.DefaultParams(),
+		Wired: FixedDelay(3), Wireless: FixedDelay(1), Travel: FixedDelay(1),
+		SearchMode: SearchAbstract, Obs: tracer,
+	}, sub, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fs := fr.Stats(); fs != (FaultStats{}) {
-		t.Errorf("fault-free inner reported %+v, want zeroes", fs)
+	ctx := e.Register(mhSink{})
+	ctx.SendFixed(0, 1, "wired", cost.CatAlgorithm)
+	ctx.SendToMH(0, 1, "routed", cost.CatAlgorithm) // mh1 is in cell 1: wired hop, then the downlink
+	if err := ctx.SendFromMH(0, "up", cost.CatAlgorithm); err != nil {
+		t.Fatal(err)
 	}
-
-	// Nil tracer: wrapping is the identity, so the tracing-disabled hot
-	// path keeps the raw substrate.
-	raw := &plainSubstrate{}
-	if got := ObserveSubstrate(raw, nil); got != Substrate(raw) {
-		t.Error("ObserveSubstrate(raw, nil) did not return raw unchanged")
+	sub.run()
+	var got []obs.Event
+	for _, ev := range tracer.Events() {
+		if ev.Kind == obs.EvTransmit {
+			got = append(got, ev)
+		}
+	}
+	if !reflect.DeepEqual(got, sub.sent) {
+		t.Errorf("EvTransmit events %v, want one per TransmitRec %v", got, sub.sent)
+	}
+	// Two wired hops, and two wireless frames each with its ARQ ack.
+	if len(sub.sent) != 6 {
+		t.Errorf("%d transmissions, want 6", len(sub.sent))
+	}
+	if e.Stats().WirelessDrops != 0 || e.LiveRecs() != 0 {
+		t.Errorf("drops %d, live records %d after the run; want 0, 0", e.Stats().WirelessDrops, e.LiveRecs())
 	}
 }
 
-func TestObserveSubstrateRecordsTransmit(t *testing.T) {
-	tracer := obs.NewTracer(0)
-	raw := &plainSubstrate{now: 42}
-	sub := ObserveSubstrate(raw, tracer)
-	sub.TransmitRec(3, 10, &DeliveryRec{})
-	if raw.transmits != 1 {
-		t.Fatal("TransmitRec did not forward to inner")
+// TestStatsFoldsSubstrateFaultStats: Engine.Stats folds in the loss
+// accounting of a substrate that reports it.
+func TestStatsFoldsSubstrateFaultStats(t *testing.T) {
+	sub := &tracedSubstrate{stats: FaultStats{WirelessDrops: 7}}
+	e, err := New(Config{
+		M: 1, N: 1, Params: cost.DefaultParams(),
+		Wired: FixedDelay(1), Wireless: FixedDelay(1), Travel: FixedDelay(1),
+		SearchMode: SearchAbstract,
+	}, sub, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	evs := tracer.Events()
-	if len(evs) != 1 {
-		t.Fatalf("recorded %d events, want 1", len(evs))
-	}
-	want := obs.Event{T: 42, Kind: obs.EvTransmit, A: 3, B: 10}
-	if evs[0] != want {
-		t.Errorf("event = %+v, want %+v", evs[0], want)
+	if got := e.Stats().WirelessDrops; got != 7 {
+		t.Errorf("Stats().WirelessDrops = %d, want the substrate's 7", got)
 	}
 }

@@ -118,27 +118,38 @@ type TimerHandler interface {
 	HandleTimer(ctx Context, msg Message)
 }
 
-// MobilityObserver is notified of mobility protocol events. Callbacks run
-// at the MSS processing the event, after the network's own bookkeeping.
-type MobilityObserver interface {
-	// OnJoin fires when mh completes a join at mss. prev is the MSS of the
-	// previous cell (supplied with the join message, Section 2), or -1 for
-	// the initial placement. wasDisconnected distinguishes reconnect()
-	// from an ordinary cell switch.
+// JoinObserver is notified when mh completes a join at mss. prev is the
+// MSS of the previous cell (supplied with the join message, Section 2), or
+// -1 for the initial placement. wasDisconnected distinguishes reconnect()
+// from an ordinary cell switch. Like every mobility callback it runs at
+// the MSS processing the event, after the network's own bookkeeping, for
+// every registered algorithm that implements it, in registration order.
+type JoinObserver interface {
 	OnJoin(ctx Context, mss MSSID, mh MHID, prev MSSID, wasDisconnected bool)
-	// OnLeave fires when mss processes mh's leave() message.
+}
+
+// LeaveObserver is notified when mss processes mh's leave() message.
+type LeaveObserver interface {
 	OnLeave(ctx Context, mss MSSID, mh MHID)
-	// OnDisconnect fires when mss processes mh's disconnect() message and
-	// has set the "disconnected" flag.
+}
+
+// DisconnectObserver is notified when mss processes mh's disconnect()
+// message and has set the "disconnected" flag.
+type DisconnectObserver interface {
 	OnDisconnect(ctx Context, mss MSSID, mh MHID)
 }
 
-// CrashObserver is notified of a fault plan's station crashes and restarts
-// the way a MobilityObserver is notified of moves: every registered
-// algorithm that implements it, in registration order, on the execution
-// context, at the plan's instants (faults.Injector.Arm schedules them).
+// CrashObserver is notified of a fault plan's station crashes the way a
+// JoinObserver is notified of moves: every registered algorithm that
+// implements it, in registration order, on the execution context, at the
+// plan's instants (faults.Injector.Arm schedules them).
 type CrashObserver interface {
 	NoteCrash(mss MSSID)
+}
+
+// RestartObserver is notified, like a CrashObserver, when a crashed
+// station restarts.
+type RestartObserver interface {
 	NoteRestart(mss MSSID)
 }
 

@@ -13,9 +13,10 @@
 //     nor receives — its in-flight wired transmissions are discarded on
 //     arrival, its outbound traffic at the source, and its radio is dark.
 //     Arm schedules each crash and restart as a record (RecSink.CrashRec)
-//     that reaches every registered engine.CrashObserver — the ring's and
-//     the custody manager's NoteCrash/NoteRestart, for example — the way
-//     moves reach the MobilityObservers.
+//     that reaches every registered engine.CrashObserver or
+//     engine.RestartObserver — the custody manager's NoteCrash and the
+//     ring's NoteRestart, for example — the way moves reach the
+//     JoinObservers.
 //
 // Determinism: every fault decision is a pure function of (Plan.Seed,
 // channel id, per-channel transmission index) — each channel owns a
@@ -46,7 +47,9 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mobiledist/internal/engine"
 	"mobiledist/internal/obs"
@@ -97,7 +100,7 @@ type Flap struct {
 // While down the station's wired traffic is discarded in both directions
 // and its downlinks are dark. The model's stations are stateful, so an
 // algorithm that replays per-station protocol state implements
-// engine.CrashObserver.
+// engine.CrashObserver or engine.RestartObserver.
 type Crash struct {
 	MSS       engine.MSSID
 	At        sim.Time
@@ -193,8 +196,8 @@ type Injector struct {
 
 	// tracer, when non-nil, receives one typed event per fault decision
 	// that disturbs traffic (EvDrop, EvDuplicate, EvReorder,
-	// EvCrashDiscard). Undisturbed relays are not evented — the Transmit
-	// seam above the injector already records those.
+	// EvCrashDiscard). Undisturbed relays are not evented — the engine
+	// records every transmission (EvTransmit) before the injector sees it.
 	tracer *obs.Tracer
 }
 
@@ -236,7 +239,7 @@ func (i *Injector) BindRecSink(sink engine.RecSink) {
 func (i *Injector) StepRec(rec *engine.DeliveryRec) {
 	if ch := rec.Chan(); ch >= 0 {
 		if kind, _, b := i.layout.Decode(ch); kind == engine.ChannelWired {
-			if i.crashedAt(engine.MSSID(b), i.Now()) {
+			if _, down := i.crashedAt(engine.MSSID(b), i.Now()); down {
 				i.stats.CrashDiscards++
 				i.event(obs.EvCrashDiscard, ch, int(rec.Tag()), 1)
 				i.sink.FreeRec(rec)
@@ -279,49 +282,56 @@ func (i *Injector) event(kind obs.EventKind, ch, idx int, c int32) {
 
 // Arm schedules one record per planned crash and per restart
 // (RecSink.CrashRec); stepped at its instant, each tells every registered
-// engine.CrashObserver. Call it once, on the execution context (before Run
-// on the simulator; inside Do on the live runtime). Crash gating of traffic
-// works without Arm — this only drives the notifications.
+// engine.CrashObserver or engine.RestartObserver. Call it once, on the
+// execution context (before Run on the simulator; inside Do on the live
+// runtime). Crash gating of traffic works without Arm — this only drives
+// the notifications.
+//
+// The instants are scheduled in stable (time, plan index) order, as delays
+// from one reading of the clock. An instant already past when Arm runs — a
+// live substrate arms after Start — is clamped to now, and records due
+// together step in push order, so the observers still hear the plan in
+// time order, with its windows shrunk. (A live substrate stamps the delays
+// from its drain's instant, so a second clock reading taken after a stall
+// could put a later instant first.)
 func (i *Injector) Arm() {
+	type instant struct {
+		t       sim.Time
+		mss     engine.MSSID
+		restart bool
+	}
+	var plan []instant
 	for _, c := range i.plan.Crashes {
-		i.at(c.At, c.MSS, false)
+		plan = append(plan, instant{c.At, c.MSS, false})
 		if c.RestartAt > 0 {
-			i.at(c.RestartAt, c.MSS, true)
+			plan = append(plan, instant{c.RestartAt, c.MSS, true})
 		}
 	}
-}
-
-// at schedules mss's crash or restart record for absolute virtual time t.
-// The record bypasses the injector's own TransmitRec: plan instants are not
-// traffic.
-func (i *Injector) at(t sim.Time, mss engine.MSSID, restart bool) {
-	d := t - i.Now()
-	if d < 0 {
-		d = 0
+	slices.SortStableFunc(plan, func(a, b instant) int { return cmp.Compare(a.t, b.t) })
+	now := i.Now()
+	for _, p := range plan {
+		// The record bypasses the injector's own TransmitRec: plan
+		// instants are not traffic.
+		i.AfterRec(max(p.t-now, 0), i.sink.CrashRec(p.mss, p.restart))
 	}
-	i.AfterRec(d, i.sink.CrashRec(mss, restart))
 }
 
 // DownSince reports whether mss is crashed at the current virtual time,
 // and since when. Callable only on the execution context; useful as a
 // failure-detector oracle with a suspicion delay.
 func (i *Injector) DownSince(mss engine.MSSID) (sim.Time, bool) {
-	now := i.Now()
+	return i.crashedAt(mss, i.Now())
+}
+
+// crashedAt reports whether a plan window has mss crashed at t, and since
+// when.
+func (i *Injector) crashedAt(mss engine.MSSID, t sim.Time) (sim.Time, bool) {
 	for _, c := range i.plan.Crashes {
-		if c.MSS == mss && c.At <= now && (c.RestartAt == 0 || now < c.RestartAt) {
+		if c.MSS == mss && c.At <= t && (c.RestartAt == 0 || t < c.RestartAt) {
 			return c.At, true
 		}
 	}
 	return 0, false
-}
-
-func (i *Injector) crashedAt(mss engine.MSSID, t sim.Time) bool {
-	for _, c := range i.plan.Crashes {
-		if c.MSS == mss && c.At <= t && (c.RestartAt == 0 || t < c.RestartAt) {
-			return true
-		}
-	}
-	return false
 }
 
 func (i *Injector) flappedDown(mss engine.MSSID, t sim.Time) bool {
@@ -375,7 +385,7 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 
 	if kind == engine.ChannelWired {
 		from := engine.MSSID(a)
-		if i.crashedAt(from, now) {
+		if _, down := i.crashedAt(from, now); down {
 			i.stats.CrashDiscards++
 			i.event(obs.EvCrashDiscard, ch, idx, 0)
 			i.sink.FreeRec(rec)
@@ -393,7 +403,8 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 	case engine.ChannelDown:
 		lf = i.plan.Down
 		mss := engine.MSSID(a)
-		dark = i.crashedAt(mss, now) || i.flappedDown(mss, now)
+		_, crashed := i.crashedAt(mss, now)
+		dark = crashed || i.flappedDown(mss, now)
 	case engine.ChannelUp:
 		lf = i.plan.Up
 		dark = i.flappedUp(engine.MHID(b), now)

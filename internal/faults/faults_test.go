@@ -21,6 +21,7 @@ import (
 // delivery-time path (crash-at-receiver) as the real substrates.
 type stubSubstrate struct {
 	now       sim.Time
+	step      sim.Time // added to now after each reading of the clock
 	rng       *sim.RNG
 	sink      engine.RecSink
 	transmits []string // "ch@latency" for in-order copies
@@ -29,7 +30,7 @@ type stubSubstrate struct {
 
 func newStub() *stubSubstrate { return &stubSubstrate{rng: sim.NewRNG(99)} }
 
-func (s *stubSubstrate) Now() sim.Time                   { return s.now }
+func (s *stubSubstrate) Now() sim.Time                   { s.now += s.step; return s.now - s.step }
 func (s *stubSubstrate) BindRecSink(sink engine.RecSink) { s.sink = sink }
 func (s *stubSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	s.transmits = append(s.transmits, fmt.Sprintf("ch%d@%d", ch, latency))
@@ -227,8 +228,8 @@ func TestDownSinceOracle(t *testing.T) {
 	}
 }
 
-// crashLog is an algorithm that implements only engine.CrashObserver: it
-// logs each notification with the virtual time it arrived at.
+// crashLog is an algorithm that implements only engine.CrashObserver and
+// engine.RestartObserver: it logs each notification with the virtual time it arrived at.
 type crashLog struct {
 	now    func() sim.Time
 	events []string
@@ -264,14 +265,65 @@ func TestArmFiresCrashAndRestartHooks(t *testing.T) {
 	eng.Register(log)
 	stub.now = 5
 	inj.Arm()
-	if want := []string{"@5", "@95", "@35"}; !reflect.DeepEqual(stub.afters, want) {
-		t.Errorf("Arm scheduled %v, want %v (crash, restart, crash; no restart for RestartAt 0)", stub.afters, want)
+	if want := []string{"@5", "@35", "@95"}; !reflect.DeepEqual(stub.afters, want) {
+		t.Errorf("Arm scheduled %v, want %v (in time order; no restart for RestartAt 0)", stub.afters, want)
 	}
-	if want := []string{"crash mss1 @5", "restart mss1 @5", "crash mss0 @5"}; !reflect.DeepEqual(log.events, want) {
+	if want := []string{"crash mss1 @5", "crash mss0 @5", "restart mss1 @5"}; !reflect.DeepEqual(log.events, want) {
 		t.Errorf("observer saw %v, want %v", log.events, want)
 	}
 	if live := eng.LiveRecs(); live != 0 {
 		t.Errorf("LiveRecs = %d after the crash records stepped, want 0", live)
+	}
+}
+
+// TestArmLateFiresInPlanTimeOrder: a live substrate arms after Start, so
+// every planned instant may already be past. Each is clamped to now, and
+// the observers must still hear them in the plan's time order, not its
+// list order.
+func TestArmLateFiresInPlanTimeOrder(t *testing.T) {
+	stub := newStub()
+	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}, {MSS: 0, At: 60}}}, 2, 4, stub)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng, err := engine.New(engine.Config{
+		M: 2, N: 4, Params: cost.DefaultParams(),
+		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
+		SearchMode: engine.SearchAbstract,
+	}, inj, true)
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	log := &crashLog{now: func() sim.Time { return stub.now }}
+	eng.Register(log)
+	stub.now = 500
+	inj.Arm()
+	if want := []string{"crash mss1 @500", "crash mss0 @500", "restart mss1 @500"}; !reflect.DeepEqual(log.events, want) {
+		t.Errorf("observer saw %v, want %v", log.events, want)
+	}
+}
+
+// TestArmReadsTheClockOnce: a live substrate stamps Arm's delays from its
+// drain's instant, so Arm must take them all from one clock reading. A
+// stub whose clock jumps 100 ticks at every reading stands in for a stall
+// inside Arm: the delays must still ascend with the plan's instants.
+func TestArmReadsTheClockOnce(t *testing.T) {
+	stub := newStub()
+	stub.step = 100
+	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}}}, 2, 4, stub)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := engine.New(engine.Config{
+		M: 2, N: 4, Params: cost.DefaultParams(),
+		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
+		SearchMode: engine.SearchAbstract,
+	}, inj, true); err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	inj.Arm()
+	if want := []string{"@40", "@120"}; !reflect.DeepEqual(stub.afters, want) {
+		t.Errorf("Arm scheduled %v, want %v", stub.afters, want)
 	}
 }
 

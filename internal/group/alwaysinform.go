@@ -46,9 +46,9 @@ type AlwaysInform struct {
 }
 
 var (
-	_ Comm                  = (*AlwaysInform)(nil)
-	_ core.MHHandler        = (*AlwaysInform)(nil)
-	_ core.MobilityObserver = (*AlwaysInform)(nil)
+	_ Comm              = (*AlwaysInform)(nil)
+	_ core.MHHandler    = (*AlwaysInform)(nil)
+	_ core.JoinObserver = (*AlwaysInform)(nil)
 )
 
 // NewAlwaysInform registers an always-inform group over the given members,
@@ -154,7 +154,7 @@ func (g *AlwaysInform) HandleMH(_ core.Context, at core.MHID, msg core.Message) 
 	}
 }
 
-// OnJoin implements core.MobilityObserver: after a move (or reconnect) the
+// OnJoin implements core.JoinObserver: after a move (or reconnect) the
 // member broadcasts its new location to the whole group, updating its own
 // entry locally.
 func (g *AlwaysInform) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
@@ -171,9 +171,3 @@ func (g *AlwaysInform) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, pr
 		panic(fmt.Sprintf("group: always-inform location update: %v", err))
 	}
 }
-
-// OnLeave implements core.MobilityObserver.
-func (g *AlwaysInform) OnLeave(core.Context, core.MSSID, core.MHID) {}
-
-// OnDisconnect implements core.MobilityObserver.
-func (g *AlwaysInform) OnDisconnect(core.Context, core.MSSID, core.MHID) {}

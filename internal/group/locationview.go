@@ -142,11 +142,13 @@ type LocationView struct {
 }
 
 var (
-	_ Comm                  = (*LocationView)(nil)
-	_ core.MSSHandler       = (*LocationView)(nil)
-	_ core.MHHandler        = (*LocationView)(nil)
-	_ core.MobilityObserver = (*LocationView)(nil)
-	_ core.TimerHandler     = (*LocationView)(nil)
+	_ Comm                    = (*LocationView)(nil)
+	_ core.MSSHandler         = (*LocationView)(nil)
+	_ core.MHHandler          = (*LocationView)(nil)
+	_ core.JoinObserver       = (*LocationView)(nil)
+	_ core.LeaveObserver      = (*LocationView)(nil)
+	_ core.DisconnectObserver = (*LocationView)(nil)
+	_ core.TimerHandler       = (*LocationView)(nil)
 )
 
 // NewLocationView registers a location-view group over the given members,
@@ -311,7 +313,7 @@ func (g *LocationView) HandleMH(_ core.Context, at core.MHID, msg core.Message) 
 	}
 }
 
-// OnJoin implements core.MobilityObserver: a member joining a cell outside
+// OnJoin implements core.JoinObserver: a member joining a cell outside
 // the view triggers the addition protocol through the previous MSS; any
 // member joining cancels a withheld deletion for that cell.
 func (g *LocationView) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
@@ -331,7 +333,7 @@ func (g *LocationView) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, pr
 	ctx.SendFixed(mss, prev, lvAddReq{NewMSS: mss, Member: mh, AddSeq: st.changeSeq}, cost.CatLocation)
 }
 
-// OnLeave implements core.MobilityObserver: when the last local member
+// OnLeave implements core.LeaveObserver: when the last local member
 // leaves, the cell's deletion from the view is requested — withheld for
 // CombineWindow so it can be combined with the destination's addition.
 func (g *LocationView) OnLeave(ctx core.Context, mss core.MSSID, mh core.MHID) {
@@ -376,7 +378,7 @@ func (g *LocationView) sendDelete(ctx core.Context, mss core.MSSID) {
 		lvCoordReq{HasDel: true, Del: mss, DelSeq: cur.changeSeq}, cost.CatLocation)
 }
 
-// OnDisconnect implements core.MobilityObserver: a disconnecting member
+// OnDisconnect implements core.DisconnectObserver: a disconnecting member
 // counts as leaving its cell for view purposes.
 func (g *LocationView) OnDisconnect(ctx core.Context, mss core.MSSID, mh core.MHID) {
 	g.OnLeave(ctx, mss, mh)

@@ -148,7 +148,7 @@ var (
 	_ core.Algorithm              = (*Multicast)(nil)
 	_ core.MSSHandler             = (*Multicast)(nil)
 	_ core.MHHandler              = (*Multicast)(nil)
-	_ core.MobilityObserver       = (*Multicast)(nil)
+	_ core.JoinObserver           = (*Multicast)(nil)
 	_ core.DeliveryFailureHandler = (*Multicast)(nil)
 	_ core.TimerHandler           = (*Multicast)(nil)
 )
@@ -358,8 +358,9 @@ func (g *Multicast) deliverUp(at core.MHID, seq int64, payload any) {
 // suppressed.
 func (g *Multicast) DuplicatesDropped() int64 { return g.duplicatesDropped }
 
-// OnJoin implements core.MobilityObserver: the new MSS pulls the member's
-// watermark from the previous cell (the Section-2 handoff).
+// OnJoin implements core.JoinObserver: the new MSS pulls the member's
+// watermark from the previous cell (the Section-2 handoff). A leave or a
+// disconnect changes nothing: the old cell keeps the watermark until then.
 func (g *Multicast) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
 	if !g.isMember[mh] {
 		return
@@ -374,13 +375,6 @@ func (g *Multicast) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev 
 	}
 	ctx.SendFixed(mss, prev, mcStateReq{MH: mh, NewMSS: mss, Epoch: g.lastJoinEpoch[mh]}, cost.CatLocation)
 }
-
-// OnLeave implements core.MobilityObserver.
-func (g *Multicast) OnLeave(core.Context, core.MSSID, core.MHID) {}
-
-// OnDisconnect implements core.MobilityObserver: the cell keeps the
-// watermark while the member is disconnected.
-func (g *Multicast) OnDisconnect(core.Context, core.MSSID, core.MHID) {}
 
 // OnDeliveryFailure implements core.DeliveryFailureHandler: a delivery
 // bounced off a disconnected member, so its watermark rolls back for

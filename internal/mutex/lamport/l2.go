@@ -70,7 +70,7 @@ var (
 	_ core.MSSHandler             = (*L2)(nil)
 	_ core.MHHandler              = (*L2)(nil)
 	_ core.DeliveryFailureHandler = (*L2)(nil)
-	_ core.MobilityObserver       = (*L2)(nil)
+	_ core.JoinObserver           = (*L2)(nil)
 	_ core.TimerHandler           = (*L2)(nil)
 )
 
@@ -192,7 +192,7 @@ func (a *L2) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.MHID, ms
 	}
 }
 
-// OnJoin implements core.MobilityObserver: a reconnecting MH that owes a
+// OnJoin implements core.JoinObserver: a reconnecting MH that owes a
 // release-resource sends it from its new cell.
 func (a *L2) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
 	if !wasDisconnected {
@@ -208,12 +208,6 @@ func (a *L2) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MS
 		st.owesRelease = &rel
 	}
 }
-
-// OnLeave implements core.MobilityObserver.
-func (a *L2) OnLeave(core.Context, core.MSSID, core.MHID) {}
-
-// OnDisconnect implements core.MobilityObserver.
-func (a *L2) OnDisconnect(core.Context, core.MSSID, core.MHID) {}
 
 func (a *L2) granted(home core.MSSID, mh core.MHID, ts logical.Timestamp) {
 	// Deliver the grant to the MH, which may have changed cells; the send

@@ -164,8 +164,8 @@ var (
 	_ core.MSSHandler             = (*R2)(nil)
 	_ core.MHHandler              = (*R2)(nil)
 	_ core.DeliveryFailureHandler = (*R2)(nil)
-	_ core.MobilityObserver       = (*R2)(nil)
-	_ core.CrashObserver          = (*R2)(nil)
+	_ core.JoinObserver           = (*R2)(nil)
+	_ core.RestartObserver        = (*R2)(nil)
 	_ core.TimerHandler           = (*R2)(nil)
 )
 
@@ -348,7 +348,7 @@ func (a *R2) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.MHID, ms
 	a.serviceNext(at)
 }
 
-// OnJoin implements core.MobilityObserver: a reconnecting MH that owes a
+// OnJoin implements core.JoinObserver: a reconnecting MH that owes a
 // token return sends it from its new cell.
 func (a *R2) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
 	if !wasDisconnected {
@@ -364,12 +364,6 @@ func (a *R2) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MS
 		st.owesReturn = &up
 	}
 }
-
-// OnLeave implements core.MobilityObserver.
-func (a *R2) OnLeave(core.Context, core.MSSID, core.MHID) {}
-
-// OnDisconnect implements core.MobilityObserver.
-func (a *R2) OnDisconnect(core.Context, core.MSSID, core.MHID) {}
 
 // tokenArrives processes a token arrival at MSS at.
 func (a *R2) tokenArrives(at core.MSSID, tok r2Token) {

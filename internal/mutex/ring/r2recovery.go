@@ -110,13 +110,10 @@ func (a *R2) Regenerations() int64 { return a.regens }
 // StaleTokensDropped reports tokens retired by the generation floor.
 func (a *R2) StaleTokensDropped() int64 { return a.staleTokens }
 
-// NoteCrash implements the crash half of core.CrashObserver. A crashed
-// station's volatile state is wiped when it restarts (NoteRestart); until
-// then the fault injector discards its traffic, so there is nothing to do.
-func (a *R2) NoteCrash(core.MSSID) {}
-
-// NoteRestart informs the algorithm that mss has crashed and restarted: its
-// volatile state (queued requests, grant queue, any held token) is gone. The
+// NoteRestart implements core.RestartObserver: mss crashed and restarted,
+// so its volatile state (queued requests, grant queue, any held token) is
+// gone. R2 observes no crash itself: until the restart the fault injector
+// discards the station's traffic, so there is nothing to do then. The
 // generation floor survives — it models the one value the protocol commits
 // to stable storage, and is what makes a pre-crash token arriving at the
 // restarted station droppable rather than a second live token.

@@ -50,8 +50,9 @@
 // transmission, once made, always resolves — a frame radioed into a cell
 // the MH already left is confirmed by the node, matching the model, whose
 // record interpreter re-checks MH state at delivery time. The fault injector
-// (internal/faults) and the observability seam wrap the substrate exactly
-// as on the other runtimes, so loss is modelled, never accidental.
+// (internal/faults) wraps the substrate, and the engine traces each
+// transmission, exactly as on the other runtimes, so loss is modelled,
+// never accidental.
 //
 // Lifecycle: build (NewSystem, Register — single-threaded), Start, interact
 // via Do, then WaitIdle / Stop. NewSystem listens immediately, so nodes and
@@ -556,7 +557,11 @@ func (r *mobilityRelay) OnDisconnect(_ core.Context, mss core.MSSID, mh core.MHI
 	r.s.sendRetarget(mh, -1, mss, r.s.rtGen)
 }
 
-var _ core.MobilityObserver = (*mobilityRelay)(nil)
+var (
+	_ core.JoinObserver       = (*mobilityRelay)(nil)
+	_ core.LeaveObserver      = (*mobilityRelay)(nil)
+	_ core.DisconnectObserver = (*mobilityRelay)(nil)
+)
 
 // sendRetarget queues a TRetarget for mh: at >= 0 points the client at that
 // station's address, at < 0 detaches it.

@@ -51,8 +51,6 @@ func (st *steps) Name() string { return "window-steps" }
 
 func (st *steps) NoteCrash(i core.MSSID) { st.fns[i]() }
 
-func (st *steps) NoteRestart(core.MSSID) {}
-
 // transmit parks a record on ch that appends name to *ran when released and
 // then runs then, if any. Executor only.
 func transmit(s *System, st *steps, ch int, ran *[]string, name string, then func()) {

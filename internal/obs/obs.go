@@ -25,9 +25,9 @@
 // each emission site with a nil check, so a system built without a tracer
 // pays one predictable branch per would-be event and nothing else.
 //
-// The package depends only on internal/sim; it hooks the engine at the
-// Substrate/Transmit seam (engine.ObserveSubstrate) and at the engine's
-// own model-level emission points, the same layering internal/faults uses.
+// The package depends only on internal/sim. The engine records into it at
+// its own model-level emission points, EvTransmit among them as it hands
+// each record to the substrate; the fault injector records its decisions.
 package obs
 
 import (

@@ -167,12 +167,12 @@ type Runtime struct {
 }
 
 var (
-	_ core.Algorithm        = (*Runtime)(nil)
-	_ core.MSSHandler       = (*Runtime)(nil)
-	_ core.MHHandler        = (*Runtime)(nil)
-	_ core.MobilityObserver = (*Runtime)(nil)
-	_ core.TimerHandler     = (*Runtime)(nil)
-	_ Env                   = (*Runtime)(nil)
+	_ core.Algorithm    = (*Runtime)(nil)
+	_ core.MSSHandler   = (*Runtime)(nil)
+	_ core.MHHandler    = (*Runtime)(nil)
+	_ core.JoinObserver = (*Runtime)(nil)
+	_ core.TimerHandler = (*Runtime)(nil)
+	_ Env               = (*Runtime)(nil)
 )
 
 // New registers a proxy runtime hosting alg for the given participants.
@@ -307,7 +307,7 @@ func (r *Runtime) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
 	}
 }
 
-// OnJoin implements core.MobilityObserver: home proxies are informed of the
+// OnJoin implements core.JoinObserver: home proxies are informed of the
 // move; local proxies hand process state over to the new MSS.
 func (r *Runtime) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
 	p, ok := r.index[mh]
@@ -330,12 +330,6 @@ func (r *Runtime) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev co
 		ctx.SendFixed(mss, prev, pxHandoffReq{Proc: p, NewMSS: mss}, cost.CatLocation)
 	}
 }
-
-// OnLeave implements core.MobilityObserver.
-func (r *Runtime) OnLeave(core.Context, core.MSSID, core.MHID) {}
-
-// OnDisconnect implements core.MobilityObserver.
-func (r *Runtime) OnDisconnect(core.Context, core.MSSID, core.MHID) {}
 
 // Procs implements Env.
 func (r *Runtime) Procs() int { return len(r.participants) }

@@ -178,8 +178,6 @@ func (p *stepProbe) NoteCrash(id engine.MSSID) {
 	}
 }
 
-func (p *stepProbe) NoteRestart(engine.MSSID) {}
-
 // probeRec returns a pooled record whose step calls the probe's on(id).
 func probeRec(sys *System, id int) *engine.DeliveryRec {
 	return sys.Engine().CrashRec(engine.MSSID(id), false)

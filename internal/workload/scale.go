@@ -185,16 +185,13 @@ type ScaleResult struct {
 }
 
 // scaleSink is the algorithm scale scenarios run under: it counts
-// deliveries and otherwise does nothing, so the measured cost is the
-// engine's, not a protocol's.
+// deliveries to hosts (scenarios send nothing to a station) and otherwise
+// does nothing, so the measured cost is the engine's, not a protocol's.
 type scaleSink struct {
 	delivered int64
 }
 
 func (s *scaleSink) Name() string { return "scale-sink" }
-
-func (s *scaleSink) HandleMSS(ctx core.Context, at core.MSSID, from core.From, msg core.Message) {
-}
 
 func (s *scaleSink) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
 	s.delivered++
