@@ -39,8 +39,10 @@ func TestF1Golden(t *testing.T) {
 	checkGolden(t, "testdata/f1.golden.txt", out.String())
 }
 
-// TestTracesGolden pins the SHA-256 of the JSONL event stream of three
-// traced runs (a fault-free one, the custody experiment, one under loss):
+// TestTracesGolden pins the SHA-256 of the JSONL event stream of four
+// traced runs (a fault-free one, the custody experiment, one under loss,
+// and one that fires every fault kind: random drops, a flapped cell's dark
+// links, duplicates, reorders and a crashed station's discards):
 // every event the engine, the fault injector and the custody manager emit,
 // with its instant and operands. Regenerate with
 // `go test ./cmd/mobilexp -run TestTracesGolden -update` and say why.
@@ -50,6 +52,7 @@ func TestTracesGolden(t *testing.T) {
 		{"-id", "E10", "-seed", "4"},
 		{"-id", "D1"},
 		{"-id", "E5", "-seed", "2", "-drop", "0.1"},
+		{"-id", "F1", "-drop", "0.2", "-dup", "0.1", "-reorder", "0.1", "-flap", "1:0:2000", "-crash", "2:1:2500"},
 	} {
 		path := filepath.Join(t.TempDir(), "trace.jsonl")
 		if err := run(append(args, "-trace", path), io.Discard); err != nil {
