@@ -149,7 +149,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cc = overrideTransport(applyEnv(cc), *transport, *secret)
+		if cc, err = applyEnv(cc); err != nil {
+			return err
+		}
+		cc = overrideTransport(cc, *transport, *secret)
 		switch *role {
 		case "hub":
 			return runHub(out, cc, *seed, *timeout, *health)
@@ -244,24 +247,19 @@ func mintTokenBlob(cc netrt.ClusterConfig, id int, ttl time.Duration) (string, e
 
 // applyEnv overlays the MOBILEDIST_* environment overrides on a loaded
 // cluster file, so operators can tune liveness cadence per process without
-// editing the shared file.
-func applyEnv(cc netrt.ClusterConfig) netrt.ClusterConfig {
-	if v, ok := envInt64("MOBILEDIST_HEARTBEAT_MS"); ok {
+// editing the shared file. A set variable that does not parse is an error
+// naming it and its value: a typo must not leave the file's cadence in force
+// unannounced.
+func applyEnv(cc netrt.ClusterConfig) (netrt.ClusterConfig, error) {
+	const key = "MOBILEDIST_HEARTBEAT_MS"
+	if s := os.Getenv(key); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return cc, fmt.Errorf("%s=%q is not an integer number of milliseconds", key, s)
+		}
 		cc.HeartbeatMS = v
 	}
-	return cc
-}
-
-func envInt64(key string) (int64, bool) {
-	s := os.Getenv(key)
-	if s == "" {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	return cc, nil
 }
 
 // serveHealth serves h on addr (no-op when addr is empty), returning a stop

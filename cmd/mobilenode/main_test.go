@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/base64"
+	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -233,16 +234,25 @@ func TestSuperviseRestartsUntilBye(t *testing.T) {
 }
 
 // TestApplyEnvOverrides: the MOBILEDIST_* variables overlay the cluster
-// file's liveness tuning.
+// file's liveness tuning, and a malformed value is an error that names the
+// variable and the value, from applyEnv and from the process's run.
 func TestApplyEnvOverrides(t *testing.T) {
 	t.Setenv("MOBILEDIST_HEARTBEAT_MS", "40")
-	cc := applyEnv(netrt.ClusterConfig{Hub: "h", M: 1, N: 1, MSS: []string{"a"}})
-	if cc.HeartbeatMS != 40 {
-		t.Errorf("applyEnv = %+v, want heartbeat 40", cc)
+	cc, err := applyEnv(netrt.ClusterConfig{Hub: "h", M: 1, N: 1, MSS: []string{"a"}})
+	if err != nil || cc.HeartbeatMS != 40 {
+		t.Errorf("applyEnv = %+v, %v; want heartbeat 40", cc, err)
 	}
 	t.Setenv("MOBILEDIST_HEARTBEAT_MS", "not-a-number")
-	if cc2 := applyEnv(netrt.ClusterConfig{}); cc2.HeartbeatMS != 0 {
-		t.Errorf("malformed env applied: %+v", cc2)
+	if _, err := applyEnv(netrt.ClusterConfig{}); err == nil || !strings.Contains(err.Error(), `MOBILEDIST_HEARTBEAT_MS="not-a-number"`) {
+		t.Errorf("applyEnv on a malformed value: err = %v, want one naming the variable and its value", err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := run([]string{"-init", "-m", "1", "-n", "1", "-base", "127.0.0.1:1", "-cluster", path}, io.Discard); err != nil {
+		t.Fatalf("-init: %v", err)
+	}
+	err = run([]string{"-role", "mss", "-id", "0", "-cluster", path}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "MOBILEDIST_HEARTBEAT_MS") {
+		t.Errorf("-role mss under a malformed MOBILEDIST_HEARTBEAT_MS: err = %v, want it rejected", err)
 	}
 }
 

@@ -30,10 +30,10 @@ type Config struct {
 	// Seed initialises the deterministic RNG.
 	Seed uint64
 
-	// Faults, when non-nil and non-empty, wraps the kernel substrate in a
-	// deterministic fault injector applying the plan (internal/faults) and
-	// turns on the engine's reliable-wireless sublayer so algorithms keep
-	// the model's delivery guarantees under loss (see NewEngine).
+	// Faults, when non-nil and non-empty, gives the engine a deterministic
+	// fault model applying the plan (internal/faults) as its Weather, and
+	// with it the reliable-wireless sublayer, so algorithms keep the
+	// model's delivery guarantees under loss (see NewEngine).
 	Faults *FaultPlan
 
 	// StepLimit bounds total simulation events as a runaway-protocol
@@ -103,31 +103,30 @@ func DefaultConfig(m, n int) Config {
 	}
 }
 
-// NewEngine assembles the one substrate stack every driver runs on top of
-// its raw substrate — the fault injector (only under a non-empty plan),
-// then the engine, which records each transmission before the injector
-// sees it — and returns the engine with the injector (nil when
-// fault-free). It is also the one place the two derived model rules are
-// applied: a non-empty fault plan turns the ARQ sublayer on — it is what
-// NewEngine tells engine.New, and there is no other switch (without ARQ,
-// injected loss would silently void the model's FIFO and prefix-delivery
-// guarantees) — and a zero SearchMode means SearchAbstract.
-func NewEngine(model engine.Config, plan *FaultPlan, raw engine.Substrate) (*engine.Engine, *faults.Injector, error) {
-	sub := raw
+// NewEngine builds the engine every driver runs on top of its substrate,
+// with the fault model (only under a non-empty plan) as its Weather, and
+// returns the engine with the injector (nil when fault-free). It is also
+// the one place the two derived model rules are applied: a non-empty fault
+// plan turns the ARQ sublayer on — the engine runs ARQ exactly when it has
+// a Weather, and there is no other switch (without ARQ, injected loss would
+// silently void the model's FIFO and prefix-delivery guarantees) — and a
+// zero SearchMode means SearchAbstract.
+func NewEngine(model engine.Config, plan *FaultPlan, sub engine.Substrate) (*engine.Engine, *faults.Injector, error) {
 	var inj *faults.Injector
+	var weather engine.Weather // a nil *Injector in it would not be nil
 	if plan != nil && !plan.Empty() {
 		var err error
-		if inj, err = faults.New(*plan, model.M, model.N, raw); err != nil {
+		if inj, err = faults.New(*plan, model.M, model.N); err != nil {
 			return nil, nil, err
 		}
 		inj.SetTracer(model.Obs)
-		sub = inj
+		weather = inj
 	}
 	if model.SearchMode == 0 {
 		model.SearchMode = SearchAbstract
 	}
 	model.Obs.SetTopology(model.M, model.N)
-	eng, err := engine.New(model, sub, inj != nil)
+	eng, err := engine.New(model, sub, weather)
 	if err != nil {
 		return nil, nil, err
 	}

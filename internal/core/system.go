@@ -74,12 +74,12 @@ func NewSystem(cfg Config) (*System, error) {
 		limit = defaultStepLimit
 	}
 	k.SetStepLimit(limit)
-	raw := &simSubstrate{kernel: k}
-	eng, inj, err := NewEngine(cfg.Config, cfg.Faults, raw)
+	sub := &simSubstrate{kernel: k}
+	eng, inj, err := NewEngine(cfg.Config, cfg.Faults, sub)
 	if err != nil {
 		return nil, err
 	}
-	raw.fifo = engine.NewFIFOClockLayout(cfg.M, cfg.N)
+	sub.fifo = engine.NewFIFOClockLayout(cfg.M, cfg.N)
 	return &System{cfg: cfg, kernel: k, eng: eng, inj: inj}, nil
 }
 

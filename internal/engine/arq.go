@@ -8,8 +8,8 @@ import (
 // The reliable-wireless sublayer: a per-channel stop-and-wait ARQ that sits
 // between the engine's wireless sends (transmitDown / transmitUp) and the
 // substrate's raw FIFO transport. The paper's model assumes lossless FIFO
-// wireless channels; when the substrate underneath actually drops,
-// duplicates, or reorders frames (internal/faults), this layer restores
+// wireless channels; when the engine's Weather drops, duplicates or
+// reorders frames (internal/faults), this layer restores
 // exactly those semantics so every algorithm above is untouched:
 //
 //   - each logical message becomes a data frame carrying a per-channel
@@ -33,7 +33,7 @@ import (
 // a connected MH); fault plans use finite flap windows and restart times.
 //
 // Wired MSS-to-MSS channels bypass this layer entirely: the model keeps
-// them lossless, and the fault injector only discards wired traffic at a
+// them lossless, and the fault model only discards wired traffic at a
 // crashed station, which is a station failure, not a link failure.
 
 // arqFrame is one logical message queued on a wireless channel. The ack
@@ -111,8 +111,8 @@ func (a *arq) send(ch, ackCh int, rec *DeliveryRec) {
 
 // transmitHead puts the head-of-queue frame on the air and arms its ack
 // timer. Called for both first transmissions and retransmissions; each
-// attempt gets a fresh air record and timer record, so an injector
-// dropping one copy frees only that copy.
+// attempt gets a fresh air record and timer record, so dropping one copy
+// in flight frees only that copy.
 func (a *arq) transmitHead(ch int) {
 	st := a.state(ch)
 	f := st.queue[0]
@@ -163,7 +163,7 @@ func (a *arq) recvData(ch, ackCh int, seq uint64, payload *DeliveryRec) {
 		a.sendAck(ackCh, ch, seq)
 		a.e.runRec(payload)
 	case seq < st.recvNext:
-		// A retransmitted or injector-duplicated copy of an accepted frame:
+		// A retransmitted or weather-duplicated copy of an accepted frame:
 		// suppress it, but re-ack so a sender whose ack was lost makes
 		// progress.
 		a.e.stats.DuplicatesSuppressed++
@@ -190,7 +190,7 @@ func (a *arq) recvAck(ch int, seq uint64) {
 		return // duplicate or stale ack
 	}
 	st.outstanding = false
-	a.e.FreeRec(st.queue[0].rec) // delivered (and run) at the receiver; release the payload
+	a.e.freeRec(st.queue[0].rec) // delivered (and run) at the receiver; release the payload
 	st.queue = append(st.queue[:0], st.queue[1:]...)
 	st.rto = a.rto0
 	a.e.event(obs.EvAck, int32(ch), st.retries, 0)

@@ -274,10 +274,10 @@ func isLit(e ast.Expr, v string) bool {
 }
 
 // TestSubstrateStackIsAssembledOnce pins core.NewEngine as the only place
-// under internal/ (outside engine and faults themselves) that builds the
-// fault-injector → engine stack: engine.New and faults.New each
-// have exactly one non-test call site. A second one is a driver assembling
-// its own stack, and with it its own copy of the derived config rules.
+// under internal/ (outside engine and faults themselves) that builds an
+// engine and its fault model: engine.New and faults.New each have exactly
+// one non-test call site. A second one is a driver assembling its own
+// stack, and with it its own copy of the derived config rules.
 func TestSubstrateStackIsAssembledOnce(t *testing.T) {
 	calls := map[string][]string{"engine.New": nil, "faults.New": nil}
 	fset := token.NewFileSet()
@@ -308,19 +308,17 @@ func TestSubstrateStackIsAssembledOnce(t *testing.T) {
 }
 
 // faultInjectorAllowedEngineRefs is the complete engine surface the fault
-// injector (internal/faults) may touch: the Substrate seam it wraps, the
-// delivery-record currency that flows through it (DeliveryRec and the
-// RecSink pool protocol, whose CrashRec is how plan arming obtains its
-// plain-data crash and restart records), the channel-numbering decoder and
-// the per-channel table keyed by it, the loss-reporting types, and the
-// public model vocabulary. Anything else — routing, mobility, FIFO
-// bookkeeping, ARQ, the observers a crash record reaches — is
-// engine-internal, and an injector reaching for it is drifting from a
-// substrate wrapper into a second protocol implementation.
+// model (internal/faults) may touch: PlanClock, the interface the engine
+// hands it (the clock and the one way to schedule a plan's instants), the
+// channel-numbering decoder and the per-channel table keyed by it, the
+// loss-reporting type, and the public model vocabulary. It implements
+// engine.Weather without naming it, and it never sees a record: no
+// Substrate, RecSink or DeliveryRec. Anything else — routing, mobility,
+// FIFO bookkeeping, ARQ, the record pool, the observers a crash reaches —
+// is engine-internal, and a fault model reaching for it is drifting from a
+// decision source into a second protocol implementation.
 var faultInjectorAllowedEngineRefs = map[string]bool{
-	"Substrate":     true,
-	"DeliveryRec":   true,
-	"RecSink":       true,
+	"PlanClock":     true,
 	"ChannelLayout": true,
 	"ChannelKind":   true,
 	"ChannelWired":  true,
@@ -329,18 +327,16 @@ var faultInjectorAllowedEngineRefs = map[string]bool{
 	"ChanTable":     true,
 	"NewChanTable":  true,
 	"FaultStats":    true,
-	"FaultReporter": true,
 	"MSSID":         true,
 	"MHID":          true,
 	"Delay":         true,
 }
 
-// TestFaultInjectorUsesOnlyTheSubstrateSeam fails if internal/faults
-// references any engine identifier outside the allowlist above: the
-// injector must observe and disturb traffic purely through the Substrate
-// interface and the channel-layout decoder, never by reaching into engine
-// internals.
-func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
+// TestFaultModelUsesOnlyItsEngineInterface fails if internal/faults
+// references any engine identifier outside the allowlist above: the fault
+// model must decide from the channel layout and the clock it is handed,
+// never by reaching into engine internals or handling records.
+func TestFaultModelUsesOnlyItsEngineInterface(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, f := range parseNonTest(t, fset, "../faults") {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -353,7 +349,7 @@ func TestFaultInjectorUsesOnlyTheSubstrateSeam(t *testing.T) {
 				return true
 			}
 			if !faultInjectorAllowedEngineRefs[sel.Sel.Name] {
-				t.Errorf("%s: references engine.%s — the fault injector may only use the Substrate seam (%v)",
+				t.Errorf("%s: references engine.%s — the fault model may only use its engine interface (%v)",
 					fset.Position(sel.Pos()), sel.Sel.Name, sortedAllowedRefs())
 			}
 			return true
@@ -466,22 +462,26 @@ func TestDeliveryPathsBuildNoClosures(t *testing.T) {
 
 // TestSubstrateSeamIsRecordsOnly pins the whole seam, both directions:
 // Substrate and RecSink have exactly these methods and none of them takes a
-// func, DeliveryRec has no func-typed field, and no method of Context takes
-// a func. Work crosses the seam as DeliveryRec values only, and every
-// record is plain data, so every parked unit of work stays enumerable
-// (LiveRecs) and no binding or wrapper has a second scheduling path to
-// implement: "now" is AfterRec(0, rec), a fault plan's crash and restart
-// instants are CrashRec records, and an algorithm timer is a message the
-// algorithm sends itself. Reintroducing a closure form (After(d, fn),
-// Enqueue(fn), TimerRec(fn), a callback field in the record), a second
-// deferral method or an optional side interface for one fails here.
+// func, DeliveryRec has no func-typed field and exports only Daemon, and no
+// method of Context takes a func. Work crosses the seam as DeliveryRec
+// values only, and every record is plain data, so every parked unit of
+// work stays enumerable
+// (LiveRecs) and no binding has a second scheduling path to implement:
+// "now" is AfterRec(0, rec), a fault plan's crash and restart instants are
+// CrashRec records, and an algorithm timer is a message the algorithm sends
+// itself. The seam carries transport only: RecSink is StepRec alone, so
+// nothing on the far side frees, clones or makes records — the fault model
+// is a Weather the engine reads, not a wrapper around the transport.
+// Reintroducing a closure form (After(d, fn), Enqueue(fn), TimerRec(fn), a
+// callback field in the record), a second deferral method, a pool method on
+// the sink or an optional side interface fails here.
 func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
 	for _, seam := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
 		{reflect.TypeOf((*Substrate)(nil)).Elem(), []string{"AfterRec", "BindRecSink", "Now", "RNG", "TransmitRec"}},
-		{reflect.TypeOf((*RecSink)(nil)).Elem(), []string{"CloneRec", "CrashRec", "FreeRec", "StepRec"}},
+		{reflect.TypeOf((*RecSink)(nil)).Elem(), []string{"StepRec"}},
 	} {
 		var got []string
 		for i := 0; i < seam.typ.NumMethod(); i++ {
@@ -502,6 +502,9 @@ func TestSubstrateSeamIsRecordsOnly(t *testing.T) {
 		if f := rec.Field(i); f.Type.Kind() == reflect.Func {
 			t.Errorf("DeliveryRec.%s is a func (%v): a record must be plain data", f.Name, f.Type)
 		}
+	}
+	if m := reflect.TypeOf((*DeliveryRec)(nil)); m.NumMethod() != 1 || m.Method(0).Name != "Daemon" {
+		t.Errorf("*DeliveryRec has %d exported methods, want only Daemon: a record is opaque beyond the seam", m.NumMethod())
 	}
 	ctx := reflect.TypeOf((*Context)(nil)).Elem()
 	for i := 0; i < ctx.NumMethod(); i++ {

@@ -20,7 +20,9 @@
 //
 // What the engine does not own is execution: time, deferred callbacks,
 // per-channel FIFO transport, and randomness come from a small Substrate
-// interface. internal/core binds the engine to the deterministic simulation
+// interface. Nor does it own unreliability: an optional Weather (the fault
+// model) decides the fate of each transmission, and the engine carries it
+// out. internal/core binds the engine to the deterministic simulation
 // kernel; internal/rt binds it to a goroutine/channel runtime. Because both
 // adapters share this single implementation, every protocol fix, race
 // repair, and hot-path optimization lands on both substrates by
@@ -72,9 +74,9 @@ type Stats struct {
 	// notification to the sender, plus deferred MH sends dropped because the
 	// MH disconnected before they could replay.
 	FailedDeliveries int64
-	// WirelessDrops counts wireless transmissions destroyed in flight by an
-	// injecting substrate (random loss, link flaps, a crashed station's
-	// radio); folded in from the substrate's FaultStats.
+	// WirelessDrops counts wireless transmissions destroyed in flight by
+	// the engine's Weather (random loss, link flaps, a crashed station's
+	// radio); read from its FaultStats.
 	WirelessDrops int64
 	// Retransmits counts ARQ retransmissions after ack timeouts (the
 	// reliable-wireless sublayer, on under a non-empty fault plan).
@@ -135,16 +137,22 @@ type Engine struct {
 	// custody.go). nil leaves the paper's park-and-notify behavior intact.
 	custody CustodyHook
 
+	// weather, when non-nil, decides the fate of every channel transmission
+	// (transmit) and of every record landing off a channel (StepRec).
+	weather Weather
+
 	stats Stats
 }
 
 var _ Registrar = (*Engine)(nil)
 
 // New builds an engine from cfg on the given substrate, placing every MH in
-// its initial cell. reliableWireless interposes the ARQ sublayer (arq.go)
-// on the wireless links; core.NewEngine sets it exactly when the fault plan
-// is non-empty (over reliable links it would only add traffic).
-func New(cfg Config, sub Substrate, reliableWireless bool) (*Engine, error) {
+// its initial cell. A non-nil weather disturbs the channels (see Weather),
+// and with it comes the ARQ sublayer (arq.go) on the wireless links, which
+// restores the model's FIFO and prefix-delivery guarantees; a nil weather
+// keeps the links reliable and ARQ off (over reliable links it would only
+// add traffic).
+func New(cfg Config, sub Substrate, weather Weather) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -152,12 +160,13 @@ func New(cfg Config, sub Substrate, reliableWireless bool) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil substrate")
 	}
 	e := &Engine{
-		cfg:   cfg,
-		sub:   sub,
-		meter: cost.NewMeterSized(cfg.N),
-		mss:   make([]mssState, cfg.M),
-		mh:    make([]mhState, cfg.N),
-		pairs: make(map[pairKey]*pairState),
+		cfg:     cfg,
+		sub:     sub,
+		meter:   cost.NewMeterSized(cfg.N),
+		mss:     make([]mssState, cfg.M),
+		mh:      make([]mhState, cfg.N),
+		pairs:   make(map[pairKey]*pairState),
+		weather: weather,
 	}
 	sub.BindRecSink(e)
 	e.stats.DozeInterruptionsByMH = make(map[MHID]int64)
@@ -194,7 +203,8 @@ func New(cfg Config, sub Substrate, reliableWireless bool) (*Engine, error) {
 		e.mh[i] = mhState{status: StatusConnected, at: at}
 		e.mss[at].local.add(MHID(i))
 	}
-	if reliableWireless {
+	if weather != nil {
+		weather.Bind(e)
 		e.arq = newARQ(e)
 	}
 	return e, nil
@@ -220,27 +230,16 @@ func (e *Engine) Meter() *cost.Meter { return e.meter }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Merge folds a substrate's fault accounting into a copy of the model
-// counters and returns it. It is the single place engine Stats and
-// substrate FaultStats meet: Engine.Stats uses it when the substrate
-// reports faults, and experiment drivers can apply it to snapshots.
-func (s Stats) Merge(fs FaultStats) Stats {
-	s.WirelessDrops = fs.WirelessDrops
-	return s
-}
-
-// Stats returns a copy of the model-level counters. If the substrate
-// injects faults (implements FaultReporter), its loss accounting is folded
-// in via Merge, so callers see drops without knowing the injector's type;
-// substrates that report no faults leave the counters untouched.
+// Stats returns a copy of the model-level counters, with the weather's
+// wireless drops when there is one.
 func (e *Engine) Stats() Stats {
 	cp := e.stats
 	cp.DozeInterruptionsByMH = make(map[MHID]int64, len(e.stats.DozeInterruptionsByMH))
 	for k, v := range e.stats.DozeInterruptionsByMH {
 		cp.DozeInterruptionsByMH[k] = v
 	}
-	if fr, ok := e.sub.(FaultReporter); ok {
-		cp = cp.Merge(fr.Stats())
+	if e.weather != nil {
+		cp.WirelessDrops = e.weather.Stats().WirelessDrops
 	}
 	return cp
 }
@@ -308,12 +307,35 @@ func (e *Engine) delay(d Delay) sim.Time {
 
 // transmit hands rec to the substrate's FIFO transport on channel ch, with
 // the link latency already drawn, and records the EvTransmit event first:
-// the trace shows what the engine asked the transport to do, before a
-// fault injector underneath disturbs it. Every channel transmission, ARQ
-// air copies and acks included, goes through here.
+// the trace shows what the engine asked the transport to do, before the
+// weather disturbs it. Every channel transmission, ARQ air copies and acks
+// included, goes through here. Under a Weather, the record is stamped with
+// its channel and transmission index (StepRec's Discard reads them) and
+// carried out as the weather decides: destroyed, duplicated (the copy is
+// cloned before the first is handed over, which then belongs to the
+// substrate), and with the last copy late, outside the channel's FIFO order.
 func (e *Engine) transmit(ch int, latency sim.Time, rec *DeliveryRec) {
 	e.event(obs.EvTransmit, int32(ch), int32(latency), 0)
-	e.sub.TransmitRec(ch, latency, rec)
+	if e.weather == nil {
+		e.sub.TransmitRec(ch, latency, rec)
+		return
+	}
+	idx, copies, late, extra := e.weather.Transmit(ch)
+	rec.onCh, rec.tag = ch, idx
+	switch copies {
+	case 0:
+		e.freeRec(rec)
+		return
+	case 2:
+		cl := e.cloneRec(rec)
+		e.sub.TransmitRec(ch, latency, rec)
+		rec = cl
+	}
+	if late {
+		e.sub.AfterRec(latency+extra, rec)
+	} else {
+		e.sub.TransmitRec(ch, latency, rec)
+	}
 }
 
 // transmitWired sends rec over the (from, to) wired channel.
@@ -506,13 +528,13 @@ func (e *Engine) overflowWaiter(mh MHID, rec *DeliveryRec) {
 	if e.custody != nil && rec.op == opRouteResume && !rec.opts.toMSS {
 		e.meter.Charge(cost.CatControl, cost.KindFixed)
 		if e.custody.OfferCustody(rec.mss, mh, rec.msg, CustodyRef{opts: rec.opts}) {
-			e.FreeRec(rec)
+			e.freeRec(rec)
 			return
 		}
 	}
 	e.stats.WaiterDrops++
 	e.skipPairSeq(rec.opts)
-	e.FreeRec(rec)
+	e.freeRec(rec)
 }
 
 // fireWaiters hands mh's parked records back to the substrate with

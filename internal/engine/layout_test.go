@@ -26,7 +26,7 @@ func TestDeliveryRecLayout(t *testing.T) {
 		{"waitBlock", unsafe.Sizeof(waitBlock{}), 128},
 	} {
 		if c.size > c.max {
-			t.Errorf("%s is %d bytes, over its %d-byte budget (DESIGN §7.2: hot fields first, ARQ/timer/wrapper fields last, no padding holes)", c.name, c.size, c.max)
+			t.Errorf("%s is %d bytes, over its %d-byte budget (DESIGN §7.2: hot fields first, ARQ/timer/fault fields last, no padding holes)", c.name, c.size, c.max)
 		}
 	}
 

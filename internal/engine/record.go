@@ -1,6 +1,10 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+
+	"mobiledist/internal/sim"
+)
 
 // Delivery records: the engine's in-flight work, as data.
 //
@@ -16,17 +20,15 @@ import "fmt"
 // Ownership rules:
 //
 //   - A record scheduled through TransmitRec / AfterRec is owned by the
-//     substrate until it hands the record to the bound RecSink.
-//   - RecSink.StepRec runs the record's op and then ALWAYS frees it. An op
-//     that needs to park further work (the in-transit waiter queues)
-//     allocates a fresh record from the pool; records are never re-armed.
-//   - A substrate wrapper that destroys a transmission in flight (the fault
-//     injector's drop, dark-link and crashed-station paths) must call
-//     RecSink.FreeRec instead of silently discarding the record, returning
-//     it to the pool unexecuted.
-//   - RecSink.CloneRec allocates a pooled copy for wrappers that duplicate
-//     a transmission; each copy is stepped and freed independently.
-//   - FreeRec never follows rec.inner: an ARQ data frame's payload record
+//     substrate until it hands the record to the bound RecSink, the engine.
+//   - StepRec runs the record's op and then ALWAYS frees it. An op that
+//     needs to park further work (the in-transit waiter queues) allocates a
+//     fresh record from the pool; records are never re-armed.
+//   - Under a Weather, transmit frees a record destroyed in flight, clones
+//     one duplicated in flight (each copy is stepped and freed on its own),
+//     and StepRec frees a record discarded at its receiver without running
+//     it. No record leaves the engine except into the substrate.
+//   - freeRec never follows rec.inner: an ARQ data frame's payload record
 //     is owned by the ARQ sender queue until the frame is acked (see
 //     arq.go), so dropping an air copy must not free the payload.
 //   - A timer (Context.After, Context.AfterDaemon) is an opTimer record:
@@ -35,7 +37,7 @@ import "fmt"
 //     until it fires, and handed to the algorithm's TimerHandler then.
 //     Like every other record it is plain data.
 //   - A planned crash or restart is an opCrash record (mss, restart=flag)
-//     a wrapper obtains from RecSink.CrashRec and schedules with AfterRec;
+//     that AfterCrash schedules with AfterRec at the Weather's request;
 //     stepping it notifies the CrashObservers or RestartObservers.
 //   - The daemon flag (Daemon) marks a timer as standing maintenance: the
 //     live host's due queue does not count it as an outstanding operation,
@@ -81,25 +83,24 @@ const (
 	// Timers (context.go).
 	opTimer // HandleTimer(opts.alg, msg) on the execution context (daemon timer=flag)
 
-	// Fault-plan instants (RecSink.CrashRec).
+	// Fault-plan instants (AfterCrash).
 	opCrash // mss crashed (restarted if flag): notifyCrash
 )
 
 // DeliveryRec is one unit of in-flight engine work (see the package comment
 // above). The struct is exported so substrates can carry *DeliveryRec, but
-// its state is opaque outside the engine except for the channel and tag
-// accessors used by transport-level tooling.
+// its state is opaque outside the engine except for Daemon.
 //
 // Layout (DESIGN §7.2): 128 bytes, one 128-aligned size class, so a record
 // is exactly two cache lines. Hot fields come first — what every routing op
 // reads (op, ids, opts, msg) and the pool link — and the ARQ, timer and
-// wrapper fields last. A new field goes into an existing one's slot or
+// fault fields last. A new field goes into an existing one's slot or
 // after the rest; TestDeliveryRecLayout fails if the record outgrows 128.
 type DeliveryRec struct {
 	op    recOp
 	stale bool
 	flag  bool  // op-specific; opDispatchMSS: the sender is mh2, not mss2
-	tag   int32 // per-channel transmission index, stamped by the fault injector
+	tag   int32 // per-channel transmission index under a Weather
 	mh    MHID
 	mh2   MHID
 	mss   MSSID
@@ -109,7 +110,7 @@ type DeliveryRec struct {
 	next  *DeliveryRec
 	// ch, ackCh and onCh are flat channel ids, which reach M*M+M*N+N (~10^10
 	// at M=10^4/N=10^6): full ints, never narrowed.
-	onCh  int // transmit channel, stamped by the outermost wrapper; -1 off-channel
+	onCh  int // transmit channel under a Weather; -1 off-channel
 	ch    int
 	ackCh int
 	seq   uint64
@@ -117,46 +118,16 @@ type DeliveryRec struct {
 	spare [8]byte      // unused: keeps the record at 128 bytes (DESIGN §7.2, Layout)
 }
 
-// Chan returns the flat channel id the record was transmitted on, or -1 for
-// records scheduled off-channel (AfterRec). Substrate wrappers use it to
-// classify a record at delivery time (ChannelLayout.Decode).
-func (r *DeliveryRec) Chan() int { return r.onCh }
-
-// SetChan stamps the transmit channel; called by the outermost wrapper's
-// TransmitRec (and by off-channel paths with -1).
-func (r *DeliveryRec) SetChan(ch int) { r.onCh = ch }
-
-// Tag returns the transmission index set by SetTag.
-func (r *DeliveryRec) Tag() int32 { return r.tag }
-
-// SetTag stamps the record with its per-channel transmission index. The
-// fault injector does so in TransmitRec, so a discard at the receiver
-// (EvCrashDiscard) reports the same index, as operand B, as the
-// transmission it discards.
-func (r *DeliveryRec) SetTag(v int32) { r.tag = v }
-
 // Daemon reports whether the record is a daemon timer (Context.AfterDaemon):
 // a live substrate's AfterRec must not count it as an outstanding operation
 // while it is armed.
 func (r *DeliveryRec) Daemon() bool { return r.op == opTimer && r.flag }
 
 // RecSink executes and recycles delivery records. The engine implements it;
-// substrates receive it through Substrate.BindRecSink, and a fault-injecting
-// wrapper may interpose its own sink to discard records at delivery time.
+// substrates receive it through Substrate.BindRecSink.
 type RecSink interface {
 	// StepRec runs the record's operation, then frees it.
 	StepRec(rec *DeliveryRec)
-	// FreeRec returns an unexecuted record to the pool (a transmission
-	// destroyed in flight).
-	FreeRec(rec *DeliveryRec)
-	// CloneRec allocates a pooled copy of rec (a transmission duplicated in
-	// flight). Each copy is stepped or freed independently.
-	CloneRec(rec *DeliveryRec) *DeliveryRec
-	// CrashRec allocates a pooled record that, when stepped, tells the
-	// CrashObservers mss crashed (restart false) or the RestartObservers it
-	// restarted; the caller
-	// schedules it with Substrate.AfterRec (fault-plan arming).
-	CrashRec(mss MSSID, restart bool) *DeliveryRec
 }
 
 var _ RecSink = (*Engine)(nil)
@@ -203,20 +174,17 @@ func (e *Engine) growRecs() {
 	e.recFree = &slab[0]
 }
 
-// FreeRec returns rec to the pool, clearing every field so no message or
+// freeRec returns rec to the pool, clearing every field so no message or
 // payload reference outlives the record. It never frees rec.inner (owned by
 // the ARQ sender queue).
-func (e *Engine) FreeRec(rec *DeliveryRec) {
-	if rec == nil {
-		return
-	}
+func (e *Engine) freeRec(rec *DeliveryRec) {
 	*rec = DeliveryRec{next: e.recFree}
 	e.recFree = rec
 	e.recLive--
 }
 
-// CloneRec returns a pooled copy of rec.
-func (e *Engine) CloneRec(rec *DeliveryRec) *DeliveryRec {
+// cloneRec returns a pooled copy of rec.
+func (e *Engine) cloneRec(rec *DeliveryRec) *DeliveryRec {
 	c := e.newRec(rec.op)
 	next := c.next
 	*c = *rec
@@ -237,7 +205,8 @@ func (e *Engine) timerRec(alg int32, msg Message, daemon bool) *DeliveryRec {
 	return r
 }
 
-// CrashRec returns a pooled record announcing mss's crash or restart.
+// CrashRec returns a pooled record announcing mss's crash or restart: plain
+// data, which the live drivers' tests also carry as probe records.
 func (e *Engine) CrashRec(mss MSSID, restart bool) *DeliveryRec {
 	r := e.newRec(opCrash)
 	r.mss = mss
@@ -245,16 +214,28 @@ func (e *Engine) CrashRec(mss MSSID, restart bool) *DeliveryRec {
 	return r
 }
 
+// AfterCrash implements PlanClock: it schedules a CrashRec d ticks from now.
+func (e *Engine) AfterCrash(d sim.Time, mss MSSID, restart bool) {
+	e.sub.AfterRec(d, e.CrashRec(mss, restart))
+}
+
+// Now implements PlanClock: the substrate's virtual time.
+func (e *Engine) Now() sim.Time { return e.sub.Now() }
+
 // LiveRecs reports the number of records currently checked out of the pool:
 // in flight in a substrate, armed as timers, queued as waiters, or held by
 // the ARQ sender queues. A quiesced fault-free system holds zero; the
 // pool-recycling test asserts the same after a chaos plan.
 func (e *Engine) LiveRecs() int { return e.recLive }
 
-// StepRec runs rec's operation and frees it.
+// StepRec runs rec's operation and frees it. Under a Weather, a record that
+// landed off a channel runs only if the weather does not discard it at its
+// receiver.
 func (e *Engine) StepRec(rec *DeliveryRec) {
-	e.runRec(rec)
-	e.FreeRec(rec)
+	if e.weather == nil || rec.onCh < 0 || !e.weather.Discard(rec.onCh, rec.tag) {
+		e.runRec(rec)
+	}
+	e.freeRec(rec)
 }
 
 // runRec is the delivery interpreter: the bodies of what used to be the

@@ -9,20 +9,6 @@ import (
 	"mobiledist/internal/sim"
 )
 
-func TestStatsMergeFoldsFaultStats(t *testing.T) {
-	s := Stats{Searches: 5, Moves: 2, WirelessDrops: 99}
-	merged := s.Merge(FaultStats{WirelessDrops: 7})
-	if merged.WirelessDrops != 7 {
-		t.Errorf("WirelessDrops = %d, want 7 (substrate accounting wins)", merged.WirelessDrops)
-	}
-	if merged.Searches != 5 || merged.Moves != 2 {
-		t.Errorf("Merge disturbed model counters: %+v", merged)
-	}
-	if s.WirelessDrops != 99 {
-		t.Error("Merge mutated its receiver")
-	}
-}
-
 // tracedSubstrate logs each TransmitRec as the EvTransmit event the engine
 // should have recorded for it, at a clock the test sets. run steps every
 // transmission before any timer, as if each link took less than an ARQ
@@ -31,14 +17,12 @@ type tracedSubstrate struct {
 	sink          RecSink
 	now           sim.Time
 	sent          []obs.Event
-	stats         FaultStats
 	queue, timers []*DeliveryRec
 }
 
 func (s *tracedSubstrate) Now() sim.Time            { return s.now }
 func (s *tracedSubstrate) RNG() *sim.RNG            { return sim.NewRNG(1) }
 func (s *tracedSubstrate) BindRecSink(sink RecSink) { s.sink = sink }
-func (s *tracedSubstrate) Stats() FaultStats        { return s.stats }
 func (s *tracedSubstrate) TransmitRec(ch int, latency sim.Time, rec *DeliveryRec) {
 	s.sent = append(s.sent, obs.Event{T: s.now, Kind: obs.EvTransmit, A: int32(ch), B: int32(latency)})
 	s.queue = append(s.queue, rec)
@@ -56,6 +40,21 @@ func (s *tracedSubstrate) run() {
 		s.sink.StepRec(rec)
 	}
 }
+
+// calmWeather lets every transmission through, once and in order, and
+// reports the counters it was built with.
+type calmWeather struct {
+	stats FaultStats
+	sent  int32
+}
+
+func (w *calmWeather) Bind(PlanClock) {}
+func (w *calmWeather) Transmit(int) (int32, int, bool, sim.Time) {
+	w.sent++
+	return w.sent - 1, 1, false, 0
+}
+func (w *calmWeather) Discard(int, int32) bool { return false }
+func (w *calmWeather) Stats() FaultStats       { return w.stats }
 
 // mhSink accepts every message at both tiers.
 type mhSink struct{}
@@ -75,7 +74,7 @@ func TestTransmitRecordsEveryTransmission(t *testing.T) {
 		M: 2, N: 2, Params: cost.DefaultParams(),
 		Wired: FixedDelay(3), Wireless: FixedDelay(1), Travel: FixedDelay(1),
 		SearchMode: SearchAbstract, Obs: tracer,
-	}, sub, true)
+	}, sub, &calmWeather{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +103,18 @@ func TestTransmitRecordsEveryTransmission(t *testing.T) {
 	}
 }
 
-// TestStatsFoldsSubstrateFaultStats: Engine.Stats folds in the loss
-// accounting of a substrate that reports it.
-func TestStatsFoldsSubstrateFaultStats(t *testing.T) {
-	sub := &tracedSubstrate{stats: FaultStats{WirelessDrops: 7}}
+// TestStatsReadsWeatherDrops: Engine.Stats reports the wireless drops of
+// the engine's Weather.
+func TestStatsReadsWeatherDrops(t *testing.T) {
 	e, err := New(Config{
 		M: 1, N: 1, Params: cost.DefaultParams(),
 		Wired: FixedDelay(1), Wireless: FixedDelay(1), Travel: FixedDelay(1),
 		SearchMode: SearchAbstract,
-	}, sub, false)
+	}, &tracedSubstrate{}, &calmWeather{stats: FaultStats{WirelessDrops: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().WirelessDrops; got != 7 {
-		t.Errorf("Stats().WirelessDrops = %d, want the substrate's 7", got)
+		t.Errorf("Stats().WirelessDrops = %d, want the weather's 7", got)
 	}
 }

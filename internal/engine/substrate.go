@@ -22,19 +22,20 @@ import (
 // Records are the only thing that crosses the seam: no method of Substrate
 // or RecSink takes a func. Message delivery, mobility steps, ARQ timers,
 // algorithm timers (Context.After) and fault-plan crash and restart
-// instants all travel as pooled DeliveryRec values. The engine binds itself as the substrate's RecSink at
-// construction, and the substrate hands each scheduled record to the sink
-// when its time arrives (StepRec executes and recycles it), so every
-// parked unit of work is enumerable data counted by Engine.LiveRecs.
+// instants all travel as pooled DeliveryRec values. The engine binds itself
+// as the substrate's RecSink at construction, and the substrate hands each
+// scheduled record to the sink when its time arrives (StepRec executes and
+// recycles it), so every parked unit of work is enumerable data counted by
+// Engine.LiveRecs. The seam carries transport only: faults are a Weather
+// the engine reads on its side of it, never a Substrate wrapped around
+// another.
 type Substrate interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
 	// RNG returns the deterministic random source latencies are drawn from.
 	RNG() *sim.RNG
-	// BindRecSink registers the sink that executes delivery records. The
-	// engine calls it exactly once, before any record is scheduled; a
-	// record-aware wrapper (the fault injector) forwards the bind and may
-	// interpose its own sink.
+	// BindRecSink registers the sink that executes delivery records: the
+	// engine, which calls it exactly once, before any record is scheduled.
 	BindRecSink(sink RecSink)
 	// TransmitRec delivers rec on FIFO channel ch: hand it to the bound
 	// sink after the drawn link latency, never overtaking an earlier
@@ -65,10 +66,9 @@ const (
 // ChannelLayout is the engine's flat channel numbering for an (m, n)
 // network: m*m ordered wired MSS pairs, m*n wireless downlinks and n
 // wireless uplinks, numbered contiguously in that order. It is the
-// classification surface for transport-level tooling that wraps a Substrate
-// (the fault injector): such tooling must depend on nothing of the engine
-// beyond Substrate, this decoder and ChanTable, the per-channel storage
-// keyed by it.
+// classification surface of a Weather (the fault model): a Weather depends
+// on nothing of the engine beyond the interface it implements, this decoder
+// and ChanTable, the per-channel storage keyed by it.
 type ChannelLayout struct{ M, N int }
 
 // Count returns the number of distinct channel ids. It grows as M*N: state
@@ -93,10 +93,43 @@ func (l ChannelLayout) Decode(ch int) (kind ChannelKind, a, b int) {
 	}
 }
 
-// FaultStats are the counters a fault-injecting Substrate wrapper keeps
-// about the transmissions it disturbed. Engine.Stats folds them into the
-// model-level Stats so experiments observe loss without the engine knowing
-// the injector's type.
+// Weather is the fault model the engine reads: a pure decision source,
+// asked at two points only. Engine.transmit asks Transmit for the fate of
+// every channel transmission, and StepRec asks Discard about every record
+// that lands off a channel. The engine acts on the answers itself: it frees
+// a destroyed record, clones a duplicate, sends a straggler around the
+// channel's FIFO order through AfterRec, and discards a record at its
+// receiver. internal/faults implements it from a declarative plan. A nil
+// Weather is the paper's §2 network of reliable FIFO channels.
+//
+// Every method runs on the engine's execution context.
+type Weather interface {
+	// Bind hands the weather the engine's clock; engine.New calls it once.
+	Bind(c PlanClock)
+	// Transmit decides the fate of the next transmission on channel ch:
+	// its per-channel index idx, how many copies land (0: destroyed in
+	// flight, 2: duplicated), and whether the last copy is late, landing
+	// extra ticks after its link latency, outside the channel's FIFO order.
+	Transmit(ch int) (idx int32, copies int, late bool, extra sim.Time)
+	// Discard reports whether transmission idx of channel ch, landing now,
+	// is lost at its receiver.
+	Discard(ch int, idx int32) bool
+	// Stats returns the counters of the transmissions the weather disturbed.
+	Stats() FaultStats
+}
+
+// PlanClock is what the engine hands its Weather: the virtual time a plan's
+// windows are read against, and the one way to schedule a plan's instants.
+// The Engine implements it.
+type PlanClock interface {
+	Now() sim.Time
+	// AfterCrash tells every CrashObserver (restart false) or
+	// RestartObserver (restart true) about mss, d ticks from now.
+	AfterCrash(d sim.Time, mss MSSID, restart bool)
+}
+
+// FaultStats are the counters a Weather keeps about the transmissions it
+// disturbed. Engine.Stats reports its WirelessDrops.
 type FaultStats struct {
 	// WirelessDrops counts wireless transmissions destroyed in flight
 	// (random loss, a flapped link, or a crashed station's radio).
@@ -109,12 +142,6 @@ type FaultStats struct {
 	// CrashDiscards counts wired transmissions discarded because the
 	// sending or receiving MSS was crashed.
 	CrashDiscards int64
-}
-
-// FaultReporter is implemented by substrates (or substrate wrappers) that
-// inject faults and account for them.
-type FaultReporter interface {
-	Stats() FaultStats
 }
 
 // Flat channel numbering. The zero-allocation arithmetic here is the

@@ -41,7 +41,7 @@ func newWaiterEngine(t testing.TB, m, n int) (*Engine, *heldSubstrate) {
 		M: m, N: n, Params: cost.DefaultParams(),
 		Wired: FixedDelay(1), Wireless: FixedDelay(1), Travel: FixedDelay(1),
 		SearchMode: SearchAbstract,
-	}, sub, false)
+	}, sub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWaiterQueueFIFOAcrossBlocks(t *testing.T) {
 		t.Errorf("%d of %d blocks free after both queues fired, want all", free, total)
 	}
 	for _, rec := range sub.held {
-		e.FreeRec(rec)
+		e.freeRec(rec)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestWaiterParkFireAllocFree(t *testing.T) {
 		sub.held = sub.held[:0]
 		e.fireWaiters(1)
 		for _, rec := range sub.held {
-			e.FreeRec(rec)
+			e.freeRec(rec)
 		}
 	}
 	cycle()
@@ -285,7 +285,7 @@ func FuzzWaiterQueue(f *testing.F) {
 				sameRecs(t, "fire", sub.held, model[mh])
 				delete(model, mh)
 				for _, rec := range sub.held {
-					e.FreeRec(rec)
+					e.freeRec(rec)
 				}
 			case 3:
 				e.cfg.WaiterLimit = arg

@@ -1,7 +1,7 @@
-// Package faults is a deterministic, seeded fault injector for the
-// two-tier network model. It wraps any engine.Substrate and disturbs the
-// delivery records flowing through TransmitRec according to a declarative
-// Plan:
+// Package faults is a deterministic, seeded fault model for the two-tier
+// network: an engine.Weather the engine reads. It decides, per the
+// declarative Plan, the fate of each channel transmission the engine asks
+// about, and whether a record landing at a station is lost there:
 //
 //   - per-channel-class wireless loss: drop, duplicate, and
 //     reorder-within-latency probabilities, separately for downlinks and
@@ -12,11 +12,16 @@
 //   - MSS crash/restart: between At and RestartAt a station neither sends
 //     nor receives — its in-flight wired transmissions are discarded on
 //     arrival, its outbound traffic at the source, and its radio is dark.
-//     Arm schedules each crash and restart as a record (RecSink.CrashRec)
-//     that reaches every registered engine.CrashObserver or
+//     Arm schedules each crash and restart (engine.PlanClock's AfterCrash)
+//     so that it reaches every registered engine.CrashObserver or
 //     engine.RestartObserver — the custody manager's NoteCrash and the
 //     ring's NoteRestart, for example — the way moves reach the
 //     JoinObservers.
+//
+// The injector only decides. The engine carries the decisions out on its
+// own records: it frees what is destroyed, clones what is duplicated, sends
+// a straggler around the channel's FIFO order, and discards at the
+// receiver. The injector never holds a record and is not a Substrate.
 //
 // Determinism: every fault decision is a pure function of (Plan.Seed,
 // channel id, per-channel transmission index) — each channel owns a
@@ -35,15 +40,17 @@
 //
 // Wireless fault plans require the engine's reliable-wireless sublayer:
 // without ARQ a dropped frame is simply gone and the model's FIFO/prefix
-// guarantees are void. core.NewEngine turns ARQ on exactly when the plan
-// is non-empty. Note the sublayer retransmits forever: a plan that
+// guarantees are void. The engine turns ARQ on exactly when it has a
+// Weather, and core.NewEngine hands it one exactly when the plan is
+// non-empty. Note the sublayer retransmits forever: a plan that
 // permanently darkens a link carrying traffic will never quiesce, so flap
 // windows and crash restarts should be finite.
 //
 // The injector deliberately knows nothing of the engine beyond the
-// Substrate seam: channels are classified with engine.ChannelLayout, and
-// loss is reported back through engine.FaultStats. A drift-guard test in
-// internal/engine enforces that boundary.
+// interface it implements: channels are classified with
+// engine.ChannelLayout, loss is reported back through engine.FaultStats,
+// and time and plan instants come through the engine.PlanClock the engine
+// binds. A drift-guard test in internal/engine enforces that boundary.
 package faults
 
 import (
@@ -160,128 +167,81 @@ func (p Plan) Validate(m, n int) error {
 // chanState is the per-channel decision stream: a transmission counter and
 // a private RNG derived from (plan seed, channel id).
 type chanState struct {
-	n   int
+	n   int32
 	rng *sim.RNG
 }
 
-// inner is the wrapped substrate. The alias keeps the Injector's embedded
-// field unexported while still promoting the seam methods it does not
-// interpose.
-type inner = engine.Substrate
-
-// Injector implements engine.Substrate by embedding the inner substrate
-// (time, randomness and off-channel scheduling pass straight through) and
-// disturbing wireless TransmitRecs per the plan. Construct it around the
-// raw substrate, hand it to engine.New, and (for plans with crashes whose
+// Injector implements engine.Weather: it decides the fate of the
+// transmissions the engine asks about per the plan. Construct it, hand it
+// to engine.New (which binds its clock), and (for plans with crashes whose
 // instants algorithms should hear of) call Arm on the execution context
 // before traffic flows.
-//
-// Record lifecycle: a destroyed transmission (drop, dark link, crashed
-// station) returns its record to the engine's pool via RecSink.FreeRec —
-// the injector frees what it discards. Duplicates are pooled copies from
-// RecSink.CloneRec. For crash-at-receiver discards the injector interposes
-// itself as the inner substrate's sink (see BindRecSink): every record
-// surfacing from the transport passes its gate, which discards wired
-// records landing at a station that crashed while they were in flight.
 type Injector struct {
-	inner
 	plan   Plan
 	layout engine.ChannelLayout
 	chans  *engine.ChanTable[chanState]
 	stats  engine.FaultStats
-
-	// sink is the engine's record sink; the injector's own RecSink
-	// implementation gates deliveries in front of it.
-	sink engine.RecSink
+	clock  engine.PlanClock
 
 	// tracer, when non-nil, receives one typed event per fault decision
 	// that disturbs traffic (EvDrop, EvDuplicate, EvReorder,
 	// EvCrashDiscard). Undisturbed relays are not evented — the engine
-	// records every transmission (EvTransmit) before the injector sees it.
+	// records every transmission (EvTransmit) before it asks the injector.
 	tracer *obs.Tracer
 }
 
-var (
-	_ engine.Substrate     = (*Injector)(nil)
-	_ engine.FaultReporter = (*Injector)(nil)
-	_ engine.RecSink       = (*Injector)(nil)
-)
-
-// New wraps sub for an (m, n) network under the given plan.
-func New(plan Plan, m, n int, sub engine.Substrate) (*Injector, error) {
+// New builds the fault model of an (m, n) network under the given plan.
+func New(plan Plan, m, n int) (*Injector, error) {
 	if err := plan.Validate(m, n); err != nil {
 		return nil, err
 	}
-	if sub == nil {
-		return nil, fmt.Errorf("faults: nil inner substrate")
-	}
 	layout := engine.ChannelLayout{M: m, N: n}
 	return &Injector{
-		inner:  sub,
 		plan:   plan,
 		layout: layout,
 		chans:  engine.NewChanTable[chanState](layout),
 	}, nil
 }
 
-// BindRecSink implements engine.Substrate: remember the engine's sink and
-// interpose the injector's own gate as the transport's sink, so records can
-// be discarded at delivery time (crash-at-receiver).
-func (i *Injector) BindRecSink(sink engine.RecSink) {
-	i.sink = sink
-	i.inner.BindRecSink(i)
-}
+// Bind implements engine.Weather: engine.New hands over its clock.
+func (i *Injector) Bind(c engine.PlanClock) { i.clock = c }
 
-// StepRec implements engine.RecSink: the delivery-time gate. A wired record
-// landing at a station that crashed while it was in flight is discarded
-// (the message travelled, but lands in a dead station) and its record freed;
-// everything else steps through to the engine.
-func (i *Injector) StepRec(rec *engine.DeliveryRec) {
-	if ch := rec.Chan(); ch >= 0 {
-		if kind, _, b := i.layout.Decode(ch); kind == engine.ChannelWired {
-			if _, down := i.crashedAt(engine.MSSID(b), i.Now()); down {
-				i.stats.CrashDiscards++
-				i.event(obs.EvCrashDiscard, ch, int(rec.Tag()), 1)
-				i.sink.FreeRec(rec)
-				return
-			}
-		}
+// Discard implements engine.Weather: a wired record landing at a station
+// that crashed while it was in flight is lost there (the message travelled,
+// but lands in a dead station).
+func (i *Injector) Discard(ch int, idx int32) bool {
+	kind, _, b := i.layout.Decode(ch)
+	if kind != engine.ChannelWired {
+		return false
 	}
-	i.sink.StepRec(rec)
+	now := i.clock.Now()
+	if _, down := i.crashedAt(engine.MSSID(b), now); !down {
+		return false
+	}
+	i.stats.CrashDiscards++
+	i.event(now, obs.EvCrashDiscard, ch, idx, 1)
+	return true
 }
 
-// FreeRec implements engine.RecSink, forwarding to the engine's pool.
-func (i *Injector) FreeRec(rec *engine.DeliveryRec) { i.sink.FreeRec(rec) }
-
-// CloneRec implements engine.RecSink, forwarding to the engine's pool.
-func (i *Injector) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
-	return i.sink.CloneRec(rec)
-}
-
-// CrashRec implements engine.RecSink, forwarding to the engine's pool.
-func (i *Injector) CrashRec(mss engine.MSSID, restart bool) *engine.DeliveryRec {
-	return i.sink.CrashRec(mss, restart)
-}
-
-// Stats implements engine.FaultReporter: the injection counters.
+// Stats implements engine.Weather: the injection counters.
 func (i *Injector) Stats() engine.FaultStats { return i.stats }
 
 // SetTracer routes the injector's fault decisions into the observability
 // stream. Set before traffic flows; a nil tracer (the default) is a no-op.
 func (i *Injector) SetTracer(t *obs.Tracer) { i.tracer = t }
 
-// event records one fault decision: A = channel id, B = per-channel
+// event records one fault decision at now: A = channel id, B = per-channel
 // transmission index, C = 1 for a dark-link drop or a crash discard at the
 // receiver, else 0 (the obs.EventKind docs).
-func (i *Injector) event(kind obs.EventKind, ch, idx int, c int32) {
+func (i *Injector) event(now sim.Time, kind obs.EventKind, ch int, idx, c int32) {
 	if i.tracer == nil {
 		return
 	}
-	i.tracer.Record(i.Now(), kind, int32(ch), int32(idx), c)
+	i.tracer.Record(now, kind, int32(ch), idx, c)
 }
 
 // Arm schedules one record per planned crash and per restart
-// (RecSink.CrashRec); stepped at its instant, each tells every registered
+// (PlanClock.AfterCrash); stepped at its instant, each tells every registered
 // engine.CrashObserver or engine.RestartObserver. Call it once, on the
 // execution context (before Run on the simulator; inside Do on the live
 // runtime). Crash gating of traffic works without Arm — this only drives
@@ -308,11 +268,9 @@ func (i *Injector) Arm() {
 		}
 	}
 	slices.SortStableFunc(plan, func(a, b instant) int { return cmp.Compare(a.t, b.t) })
-	now := i.Now()
+	now := i.clock.Now()
 	for _, p := range plan {
-		// The record bypasses the injector's own TransmitRec: plan
-		// instants are not traffic.
-		i.AfterRec(max(p.t-now, 0), i.sink.CrashRec(p.mss, p.restart))
+		i.clock.AfterCrash(max(p.t-now, 0), p.mss, p.restart)
 	}
 }
 
@@ -320,7 +278,7 @@ func (i *Injector) Arm() {
 // and since when. Callable only on the execution context; useful as a
 // failure-detector oracle with a suspicion delay.
 func (i *Injector) DownSince(mss engine.MSSID) (sim.Time, bool) {
-	return i.crashedAt(mss, i.Now())
+	return i.crashedAt(mss, i.clock.Now())
 }
 
 // crashedAt reports whether a plan window has mss crashed at t, and since
@@ -366,35 +324,26 @@ func (st *chanState) stream(seed uint64, ch int) *sim.RNG {
 	return st.rng
 }
 
-// TransmitRec implements engine.Substrate: classify the channel, consume
-// the channel's fixed fault-decision draws, and deliver zero, one, or two
-// record copies through the inner substrate. Destroyed records return to
-// the pool via FreeRec; duplicates are pooled clones.
-func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	now := i.Now()
+// Transmit implements engine.Weather: classify the channel, consume the
+// channel's fixed fault-decision draws, and decide how many copies of the
+// transmission land and whether the last one is late.
+func (i *Injector) Transmit(ch int) (idx int32, copies int, late bool, extra sim.Time) {
+	now := i.clock.Now()
 	kind, a, b := i.layout.Decode(ch)
 	// st is good until the next At (engine.ChanTable): it is used up to the
 	// draws below.
 	st := i.chans.At(ch)
-	idx := st.n
+	idx = st.n
 	st.n++
-	// Stamp the channel (for the delivery-time gate) and the transmission
-	// index (the B operand of a crash discard at the receiver).
-	rec.SetChan(ch)
-	rec.SetTag(int32(idx))
 
 	if kind == engine.ChannelWired {
-		from := engine.MSSID(a)
-		if _, down := i.crashedAt(from, now); down {
+		// The crash-at-receiver check is Discard's, when the record lands.
+		if _, down := i.crashedAt(engine.MSSID(a), now); down {
 			i.stats.CrashDiscards++
-			i.event(obs.EvCrashDiscard, ch, idx, 0)
-			i.sink.FreeRec(rec)
-			return
+			i.event(now, obs.EvCrashDiscard, ch, idx, 0)
+			return idx, 0, false, 0
 		}
-		// The crash-at-receiver check happens in StepRec's gate when the
-		// record surfaces from the transport.
-		i.inner.TransmitRec(ch, latency, rec)
-		return
+		return idx, 1, false, 0
 	}
 
 	var lf LinkFaults
@@ -416,42 +365,26 @@ func (i *Injector) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec
 	pDrop := rng.Float64()
 	pDup := rng.Float64()
 	pReorder := rng.Float64()
-	extra := reorderExtra(lf.ReorderDelay, rng)
+	extra = reorderExtra(lf.ReorderDelay, rng)
 
 	if dark || pDrop < lf.Drop {
 		i.stats.WirelessDrops++
-		i.event(obs.EvDrop, ch, idx, b2i(dark))
-		i.sink.FreeRec(rec)
-		return
+		i.event(now, obs.EvDrop, ch, idx, b2i(dark))
+		return idx, 0, false, 0
 	}
-	dup := pDup < lf.Duplicate
-	reorder := pReorder < lf.Reorder
-	switch {
-	case dup && reorder:
-		// Primary copy in order; the duplicate straggles in outside the
-		// FIFO clamp (AfterRec bypasses the channel's ordering). Clone
-		// before the primary is handed over: once scheduled, the record
-		// belongs to the transport.
+	// A duplicated transmission's first copy keeps the channel's order, so
+	// a reorder makes the duplicate the straggler.
+	copies = 1
+	if pDup < lf.Duplicate {
 		i.stats.WirelessDuplicates++
-		i.stats.WirelessReorders++
-		cl := i.sink.CloneRec(rec)
-		i.inner.TransmitRec(ch, latency, rec)
-		i.AfterRec(latency+extra, cl)
-		i.event(obs.EvDuplicate, ch, idx, 0)
-		i.event(obs.EvReorder, ch, idx, 0)
-	case dup:
-		i.stats.WirelessDuplicates++
-		cl := i.sink.CloneRec(rec)
-		i.inner.TransmitRec(ch, latency, rec)
-		i.inner.TransmitRec(ch, latency, cl)
-		i.event(obs.EvDuplicate, ch, idx, 0)
-	case reorder:
-		i.stats.WirelessReorders++
-		i.AfterRec(latency+extra, rec)
-		i.event(obs.EvReorder, ch, idx, 0)
-	default:
-		i.inner.TransmitRec(ch, latency, rec)
+		i.event(now, obs.EvDuplicate, ch, idx, 0)
+		copies = 2
 	}
+	if late = pReorder < lf.Reorder; late {
+		i.stats.WirelessReorders++
+		i.event(now, obs.EvReorder, ch, idx, 0)
+	}
+	return idx, copies, late, extra
 }
 
 func b2i(b bool) int32 {

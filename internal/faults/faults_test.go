@@ -13,71 +13,45 @@ import (
 	"mobiledist/internal/sim"
 )
 
-// stubSubstrate records what the injector lets through: a synchronous fake
-// with manual time, so each test controls the clock and observes exactly
-// which copies of a transmission survive. A record handed to the transport
-// is immediately surfaced back through the bound sink — which, because the
-// injector interposes its gate via BindRecSink, exercises the same
-// delivery-time path (crash-at-receiver) as the real substrates.
-type stubSubstrate struct {
-	now       sim.Time
-	step      sim.Time // added to now after each reading of the clock
-	rng       *sim.RNG
-	sink      engine.RecSink
-	transmits []string // "ch@latency" for in-order copies
-	afters    []string // "@delay" for out-of-order (AfterRec) copies
-}
+// stubClock plays the engine's PlanClock for the decision tests: a manual
+// clock. They arm no plan, so it schedules nothing.
+type stubClock struct{ now sim.Time }
 
-func newStub() *stubSubstrate { return &stubSubstrate{rng: sim.NewRNG(99)} }
+func (c *stubClock) Now() sim.Time                           { return c.now }
+func (c *stubClock) AfterCrash(sim.Time, engine.MSSID, bool) {}
 
-func (s *stubSubstrate) Now() sim.Time                   { s.now += s.step; return s.now - s.step }
-func (s *stubSubstrate) BindRecSink(sink engine.RecSink) { s.sink = sink }
-func (s *stubSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
-	s.transmits = append(s.transmits, fmt.Sprintf("ch%d@%d", ch, latency))
-	s.sink.StepRec(rec)
-}
-func (s *stubSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
-	s.afters = append(s.afters, fmt.Sprintf("@%d", d))
-	s.sink.StepRec(rec)
-}
-func (s *stubSubstrate) RNG() *sim.RNG { return s.rng }
-
-// fakeSink plays the engine's end of the record protocol: it counts records
-// that survive to delivery and records returned to the pool.
-type fakeSink struct {
-	delivered int
-	freed     int
-}
-
-func (f *fakeSink) StepRec(rec *engine.DeliveryRec) { f.delivered++ }
-func (f *fakeSink) FreeRec(rec *engine.DeliveryRec) { f.freed++ }
-func (f *fakeSink) CloneRec(rec *engine.DeliveryRec) *engine.DeliveryRec {
-	c := *rec
-	return &c
-}
-func (f *fakeSink) CrashRec(engine.MSSID, bool) *engine.DeliveryRec {
-	rec := &engine.DeliveryRec{}
-	rec.SetChan(-1)
-	return rec
-}
-
-// mustNew builds an injector over a fresh stub for a 2×4 network, bound to
-// a fake engine sink exactly as engine.New would bind itself.
-func mustNew(t *testing.T, plan Plan) (*Injector, *stubSubstrate, *fakeSink) {
+// mustNew builds an injector for a 2×4 network, bound to a stub clock as
+// engine.New would bind the engine.
+func mustNew(t *testing.T, plan Plan) (*Injector, *stubClock) {
 	t.Helper()
-	stub := newStub()
-	inj, err := New(plan, 2, 4, stub)
+	inj, err := New(plan, 2, 4)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sink := &fakeSink{}
-	inj.BindRecSink(sink)
-	return inj, stub, sink
+	clock := &stubClock{}
+	inj.Bind(clock)
+	return inj, clock
 }
 
-// xmit pushes one fresh record through the injector.
-func xmit(inj *Injector, ch int, latency sim.Time) {
-	inj.TransmitRec(ch, latency, &engine.DeliveryRec{})
+// fate is one transmission's decision, with the receiver's verdict on each
+// copy that lands.
+type fate struct {
+	copies, landed int
+	late           bool
+	extra          sim.Time
+}
+
+// xmit asks the injector what the engine asks it about one transmission on
+// ch: its fate at the sender, then, for each copy, Discard as it lands.
+func xmit(inj *Injector, ch int) fate {
+	idx, copies, late, extra := inj.Transmit(ch)
+	f := fate{copies: copies, late: late, extra: extra}
+	for range copies {
+		if !inj.Discard(ch, idx) {
+			f.landed++
+		}
+	}
+	return f
 }
 
 // layout2x4 mirrors the channel numbering for M=2, N=4.
@@ -110,49 +84,33 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestDropGatesWirelessOnly(t *testing.T) {
-	inj, stub, sink := mustNew(t, Plan{Down: LinkFaults{Drop: 1}, Up: LinkFaults{Drop: 1}})
-	xmit(inj, downCh(0, 0), 3)
-	xmit(inj, upCh(1), 3)
-	xmit(inj, 0, 3) // wired 0→0 stays lossless
-	if sink.delivered != 1 {
-		t.Errorf("delivered %d, want 1 (only the wired copy)", sink.delivered)
-	}
-	if sink.freed != 2 {
-		t.Errorf("freed %d records, want 2 (dropped copies return to the pool)", sink.freed)
+	inj, _ := mustNew(t, Plan{Down: LinkFaults{Drop: 1}, Up: LinkFaults{Drop: 1}})
+	for _, tc := range []struct {
+		ch, want int
+	}{{downCh(0, 0), 0}, {upCh(1), 0}, {0, 1}} { // wired 0→0 stays lossless
+		if got := xmit(inj, tc.ch); got.copies != tc.want || got.landed != tc.want {
+			t.Errorf("channel %d: %+v, want %d copies landing", tc.ch, got, tc.want)
+		}
 	}
 	if got := inj.Stats().WirelessDrops; got != 2 {
 		t.Errorf("WirelessDrops = %d, want 2", got)
 	}
-	if len(stub.transmits) != 1 {
-		t.Errorf("inner saw %d transmits, want 1", len(stub.transmits))
-	}
 }
 
 func TestDuplicateInjectsTwoCopies(t *testing.T) {
-	inj, stub, sink := mustNew(t, Plan{Down: LinkFaults{Duplicate: 1}})
-	xmit(inj, downCh(0, 0), 3)
-	if sink.delivered != 2 {
-		t.Errorf("delivered %d copies, want 2", sink.delivered)
+	inj, _ := mustNew(t, Plan{Down: LinkFaults{Duplicate: 1}})
+	if got := xmit(inj, downCh(0, 0)); got.copies != 2 || got.landed != 2 || got.late {
+		t.Errorf("fate %+v, want two in-order copies, both landing", got)
 	}
 	if got := inj.Stats().WirelessDuplicates; got != 1 {
 		t.Errorf("WirelessDuplicates = %d, want 1", got)
 	}
-	if len(stub.transmits) != 2 {
-		t.Errorf("inner saw %d transmits, want 2 in-order copies", len(stub.transmits))
-	}
 }
 
 func TestReorderBypassesFIFO(t *testing.T) {
-	inj, stub, sink := mustNew(t, Plan{Up: LinkFaults{Reorder: 1, ReorderDelay: engine.Delay{Min: 2, Max: 2}}})
-	xmit(inj, upCh(0), 3)
-	if sink.delivered != 1 {
-		t.Errorf("delivered %d, want 1", sink.delivered)
-	}
-	if len(stub.transmits) != 0 || len(stub.afters) != 1 {
-		t.Errorf("inner saw %d transmits / %d afters, want the copy routed around the FIFO clamp", len(stub.transmits), len(stub.afters))
-	}
-	if stub.afters[0] != "@5" { // latency 3 + extra 2
-		t.Errorf("straggler released after %s, want @5", stub.afters[0])
+	inj, _ := mustNew(t, Plan{Up: LinkFaults{Reorder: 1, ReorderDelay: engine.Delay{Min: 2, Max: 2}}})
+	if got, want := xmit(inj, upCh(0)), (fate{copies: 1, landed: 1, late: true, extra: 2}); got != want {
+		t.Errorf("fate %+v, want %+v: the one copy late by the drawn extra delay", got, want)
 	}
 	if got := inj.Stats().WirelessReorders; got != 1 {
 		t.Errorf("WirelessReorders = %d, want 1", got)
@@ -160,18 +118,17 @@ func TestReorderBypassesFIFO(t *testing.T) {
 }
 
 func TestCrashDiscardsWiredBothDirections(t *testing.T) {
-	inj, stub, sink := mustNew(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}}})
-	stub.now = 50 // inside the crash window
+	inj, clock := mustNew(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}}})
+	clock.now = 50 // inside the crash window
 
-	xmit(inj, 1*2+0, 3)        // wired 1→0: source crashed
-	xmit(inj, 0*2+1, 3)        // wired 0→1: receiver crashed (delivery-time gate)
-	xmit(inj, downCh(1, 0), 3) // crashed station's radio is dark
-
-	if sink.delivered != 0 {
-		t.Errorf("delivered %d, want 0 while mss1 is down", sink.delivered)
+	if got := xmit(inj, 1*2+0); got.copies != 0 { // wired 1→0: source crashed
+		t.Errorf("wired 1→0 from a crashed source: %+v, want destroyed at the sender", got)
 	}
-	if sink.freed != 3 {
-		t.Errorf("freed %d records, want 3 (every discarded copy returns to the pool)", sink.freed)
+	if got := xmit(inj, 0*2+1); got.copies != 1 || got.landed != 0 { // wired 0→1: receiver crashed
+		t.Errorf("wired 0→1 to a crashed receiver: %+v, want sent and discarded on landing", got)
+	}
+	if got := xmit(inj, downCh(1, 0)); got.copies != 0 { // crashed station's radio is dark
+		t.Errorf("downlink of a crashed station: %+v, want dark", got)
 	}
 	st := inj.Stats()
 	if st.CrashDiscards != 2 {
@@ -181,27 +138,31 @@ func TestCrashDiscardsWiredBothDirections(t *testing.T) {
 		t.Errorf("WirelessDrops = %d, want 1 (dark downlink)", st.WirelessDrops)
 	}
 
-	stub.now = 100 // restarted
-	xmit(inj, 1*2+0, 3)
-	xmit(inj, downCh(1, 0), 3)
-	if sink.delivered != 2 {
-		t.Errorf("delivered %d after restart, want 2", sink.delivered)
+	clock.now = 100 // restarted
+	for _, ch := range []int{1*2 + 0, 0*2 + 1, downCh(1, 0)} {
+		if got := xmit(inj, ch); got.landed != 1 {
+			t.Errorf("channel %d after restart: %+v, want it to land", ch, got)
+		}
 	}
 }
 
 func TestFlapDarkensCellAndListedUplinks(t *testing.T) {
-	inj, stub, sink := mustNew(t, Plan{Flaps: []Flap{{MSS: 0, MHs: []engine.MHID{2}, From: 10, Until: 20}}})
+	inj, clock := mustNew(t, Plan{Flaps: []Flap{{MSS: 0, MHs: []engine.MHID{2}, From: 10, Until: 20}}})
 
-	check := func(now sim.Time, wantDelivered int, step string) {
+	check := func(now sim.Time, wantLanded int, step string) {
 		t.Helper()
-		base := sink.delivered
-		stub.now = now
-		xmit(inj, downCh(0, 0), 1) // flapped cell's downlink
-		xmit(inj, downCh(1, 0), 1) // other cell unaffected
-		xmit(inj, upCh(2), 1)      // listed uplink
-		xmit(inj, upCh(3), 1)      // unlisted uplink unaffected
-		if got := sink.delivered - base; got != wantDelivered {
-			t.Errorf("%s: delivered %d, want %d", step, got, wantDelivered)
+		clock.now = now
+		landed := 0
+		for _, ch := range []int{
+			downCh(0, 0), // flapped cell's downlink
+			downCh(1, 0), // other cell unaffected
+			upCh(2),      // listed uplink
+			upCh(3),      // unlisted uplink unaffected
+		} {
+			landed += xmit(inj, ch).landed
+		}
+		if landed != wantLanded {
+			t.Errorf("%s: %d landed, want %d", step, landed, wantLanded)
 		}
 	}
 	check(5, 4, "before flap")
@@ -210,22 +171,63 @@ func TestFlapDarkensCellAndListedUplinks(t *testing.T) {
 }
 
 func TestDownSinceOracle(t *testing.T) {
-	inj, stub, _ := mustNew(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}}})
+	inj, clock := mustNew(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}}})
 	if _, down := inj.DownSince(1); down {
 		t.Error("mss1 reported down before its crash")
 	}
-	stub.now = 50
+	clock.now = 50
 	since, down := inj.DownSince(1)
 	if !down || since != 10 {
 		t.Errorf("DownSince(1) = (%d, %v) at t=50, want (10, true)", since, down)
 	}
-	stub.now = 100
+	clock.now = 100
 	if _, down := inj.DownSince(1); down {
 		t.Error("mss1 reported down after restart")
 	}
 	if _, down := inj.DownSince(0); down {
 		t.Error("mss0 reported down despite never crashing")
 	}
+}
+
+// stubSubstrate steps every record it is handed at once, on a manual
+// clock that moves on by step after each reading, and logs each AfterRec
+// delay: the Arm tests run the real engine on it, so a planned instant
+// travels the whole way from Arm to an observer.
+type stubSubstrate struct {
+	now    sim.Time
+	step   sim.Time
+	sink   engine.RecSink
+	afters []string
+}
+
+func (s *stubSubstrate) Now() sim.Time                   { s.now += s.step; return s.now - s.step }
+func (s *stubSubstrate) RNG() *sim.RNG                   { return sim.NewRNG(99) }
+func (s *stubSubstrate) BindRecSink(sink engine.RecSink) { s.sink = sink }
+func (s *stubSubstrate) TransmitRec(ch int, latency sim.Time, rec *engine.DeliveryRec) {
+	s.sink.StepRec(rec)
+}
+func (s *stubSubstrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) {
+	s.afters = append(s.afters, fmt.Sprintf("@%d", d))
+	s.sink.StepRec(rec)
+}
+
+// newArmed builds the real engine for a 2×4 network on stub with an
+// injector under plan as its Weather.
+func newArmed(t *testing.T, plan Plan, stub *stubSubstrate) (*Injector, *engine.Engine) {
+	t.Helper()
+	inj, err := New(plan, 2, 4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng, err := engine.New(engine.Config{
+		M: 2, N: 4, Params: cost.DefaultParams(),
+		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
+		SearchMode: engine.SearchAbstract,
+	}, stub, inj)
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	return inj, eng
 }
 
 // crashLog is an algorithm that implements only engine.CrashObserver and
@@ -248,19 +250,8 @@ func (c *crashLog) NoteRestart(mss engine.MSSID) {
 // CrashObserver with no further wiring. The stub steps each AfterRec
 // record at once; its log says when each one was due.
 func TestArmFiresCrashAndRestartHooks(t *testing.T) {
-	stub := newStub()
-	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}, {MSS: 0, At: 40}}}, 2, 4, stub)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	eng, err := engine.New(engine.Config{
-		M: 2, N: 4, Params: cost.DefaultParams(),
-		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
-		SearchMode: engine.SearchAbstract,
-	}, inj, true)
-	if err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
+	stub := &stubSubstrate{}
+	inj, eng := newArmed(t, Plan{Crashes: []Crash{{MSS: 1, At: 10, RestartAt: 100}, {MSS: 0, At: 40}}}, stub)
 	log := &crashLog{now: func() sim.Time { return stub.now }}
 	eng.Register(log)
 	stub.now = 5
@@ -281,19 +272,8 @@ func TestArmFiresCrashAndRestartHooks(t *testing.T) {
 // the observers must still hear them in the plan's time order, not its
 // list order.
 func TestArmLateFiresInPlanTimeOrder(t *testing.T) {
-	stub := newStub()
-	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}, {MSS: 0, At: 60}}}, 2, 4, stub)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	eng, err := engine.New(engine.Config{
-		M: 2, N: 4, Params: cost.DefaultParams(),
-		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
-		SearchMode: engine.SearchAbstract,
-	}, inj, true)
-	if err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
+	stub := &stubSubstrate{}
+	inj, eng := newArmed(t, Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}, {MSS: 0, At: 60}}}, stub)
 	log := &crashLog{now: func() sim.Time { return stub.now }}
 	eng.Register(log)
 	stub.now = 500
@@ -308,19 +288,8 @@ func TestArmLateFiresInPlanTimeOrder(t *testing.T) {
 // stub whose clock jumps 100 ticks at every reading stands in for a stall
 // inside Arm: the delays must still ascend with the plan's instants.
 func TestArmReadsTheClockOnce(t *testing.T) {
-	stub := newStub()
-	stub.step = 100
-	inj, err := New(Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}}}, 2, 4, stub)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := engine.New(engine.Config{
-		M: 2, N: 4, Params: cost.DefaultParams(),
-		Wired: engine.FixedDelay(1), Wireless: engine.FixedDelay(1), Travel: engine.FixedDelay(1),
-		SearchMode: engine.SearchAbstract,
-	}, inj, true); err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
+	stub := &stubSubstrate{step: 100}
+	inj, _ := newArmed(t, Plan{Crashes: []Crash{{MSS: 1, At: 40, RestartAt: 120}}}, stub)
 	inj.Arm()
 	if want := []string{"@40", "@120"}; !reflect.DeepEqual(stub.afters, want) {
 		t.Errorf("Arm scheduled %v, want %v", stub.afters, want)
@@ -331,13 +300,13 @@ func TestArmReadsTheClockOnce(t *testing.T) {
 // injector and returns (fault events, stats) — the determinism witness.
 func driveTraffic(t *testing.T, plan Plan, n int) ([]obs.Event, engine.FaultStats) {
 	t.Helper()
-	inj, _, _ := mustNew(t, plan)
+	inj, _ := mustNew(t, plan)
 	tr := obs.NewTracer(0)
 	inj.SetTracer(tr)
 	for i := 0; i < n; i++ {
-		xmit(inj, downCh(i%2, i%4), sim.Time(1+i%3))
-		xmit(inj, upCh(i%4), sim.Time(1+i%2))
-		xmit(inj, (i%2)*2+(i+1)%2, 5)
+		xmit(inj, downCh(i%2, i%4))
+		xmit(inj, upCh(i%4))
+		xmit(inj, (i%2)*2+(i+1)%2)
 	}
 	return tr.Events(), inj.Stats()
 }
@@ -391,11 +360,11 @@ func TestFaultEventOperands(t *testing.T) {
 			{Kind: obs.EvCrashDiscard, A: wired01, B: 0, C: 1}, {Kind: obs.EvCrashDiscard, A: wired01, B: 1, C: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inj, _, _ := mustNew(t, tc.plan)
+			inj, _ := mustNew(t, tc.plan)
 			tr := obs.NewTracer(0)
 			inj.SetTracer(tr)
-			xmit(inj, tc.ch, 1)
-			xmit(inj, tc.ch, 1)
+			xmit(inj, tc.ch)
+			xmit(inj, tc.ch)
 			if got := tr.Events(); !slices.Equal(got, tc.want) {
 				t.Errorf("events = %+v, want %+v", got, tc.want)
 			}
@@ -409,7 +378,7 @@ func TestFaultEventOperands(t *testing.T) {
 func TestNewAllocatesLinear(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	inj, err := New(Plan{Down: LinkFaults{Drop: 0.05}, Up: LinkFaults{Drop: 1}}, 1000, 100000, newStub())
+	inj, err := New(Plan{Down: LinkFaults{Drop: 0.05}, Up: LinkFaults{Drop: 1}}, 1000, 100000)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -419,9 +388,9 @@ func TestNewAllocatesLinear(t *testing.T) {
 	}
 	tr := obs.NewTracer(0)
 	inj.SetTracer(tr)
-	inj.BindRecSink(&fakeSink{})
+	inj.Bind(&stubClock{})
 	last := engine.ChannelLayout{M: 1000, N: 100000}.Count() - 1
-	inj.TransmitRec(last, 1, &engine.DeliveryRec{})
+	inj.Transmit(last)
 	if got, want := tr.Events(), []obs.Event{{Kind: obs.EvDrop, A: int32(last)}}; !slices.Equal(got, want) {
 		t.Errorf("events of one dropped uplink transmission = %+v, want %+v", got, want)
 	}

@@ -49,8 +49,8 @@
 // Model-level semantics are therefore identical to internal/rt: a
 // transmission, once made, always resolves — a frame radioed into a cell
 // the MH already left is confirmed by the node, matching the model, whose
-// record interpreter re-checks MH state at delivery time. The fault injector
-// (internal/faults) wraps the substrate, and the engine traces each
+// record interpreter re-checks MH state at delivery time. The fault model
+// (internal/faults) is the engine's Weather, and the engine traces each
 // transmission, exactly as on the other runtimes, so loss is modelled,
 // never accidental.
 //

@@ -27,7 +27,7 @@
 //
 // The package depends only on internal/sim. The engine records into it at
 // its own model-level emission points, EvTransmit among them as it hands
-// each record to the substrate; the fault injector records its decisions.
+// each record to the substrate; the fault model records its decisions.
 package obs
 
 import (

@@ -35,10 +35,10 @@ type Config struct {
 	// the benchmark runs at 1 ns: no link wait is ever armed and what is
 	// left is program cost.
 	Tick time.Duration
-	// Faults, when non-nil and non-empty, wraps the live substrate in the
-	// deterministic fault injector (internal/faults) and turns on the
-	// engine's reliable-wireless sublayer (see core.NewEngine). Fault
-	// windows are in ticks of virtual time.
+	// Faults, when non-nil and non-empty, gives the engine the
+	// deterministic fault model (internal/faults) as its Weather and turns
+	// on its reliable-wireless sublayer (see core.NewEngine). Fault windows
+	// are in ticks of virtual time.
 	Faults *core.FaultPlan
 }
 
@@ -115,7 +115,7 @@ type Host struct {
 
 // NewHost builds the engine for cfg on the substrate made of the host and the
 // driver's transmit, and returns the Driver for that transmit's use. A
-// non-empty cfg.Faults plan interposes the fault injector between the two.
+// non-empty cfg.Faults plan is the engine's Weather.
 func NewHost(cfg Config, transmit Transport) (*Host, Driver, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = defaultTick
@@ -147,9 +147,16 @@ type substrate struct {
 	transmit Transport
 }
 
-// Beside the host's Now: the latency RNG, the sink that interprets records
-// (the engine, or the fault injector wrapping it), the due queue and the
-// driver's transmit. Executor only, as every Substrate method.
+// Now is the engine's clock, and so ctx.Now(): the due queue's, in ticks.
+// Inside a drain it is the drain's instant, the base afterRec stamps from, so
+// a delay a handler computes as "deadline − Now()" lands no earlier than the
+// deadline however long the batch has run. Host.Now stays wall-fresh for
+// readers off the executor.
+func (s substrate) Now() sim.Time { return sim.Time(time.Duration(s.nowNs()) / s.cfg.Tick) }
+
+// Beside Now: the latency RNG, the sink that interprets records (the
+// engine), the due queue and the driver's transmit. Executor only, as every
+// Substrate method.
 func (s substrate) RNG() *sim.RNG                                { return s.rng }
 func (s substrate) BindRecSink(sink engine.RecSink)              { s.sink = sink }
 func (s substrate) AfterRec(d sim.Time, rec *engine.DeliveryRec) { s.afterRec(d, rec) }

@@ -265,23 +265,6 @@ func TestChannelOverlapsLatencies(t *testing.T) {
 	}
 }
 
-// landLog wraps a system's record sink and logs, on the executor, the
-// channel and tag of each record as it lands and the due queue's clock then.
-type landLog struct {
-	engine.RecSink
-	sys *System
-	ch  []int
-	tag []int32
-	at  []sim.Time
-}
-
-func (l *landLog) StepRec(rec *engine.DeliveryRec) {
-	l.ch = append(l.ch, rec.Chan())
-	l.tag = append(l.tag, rec.Tag())
-	l.at = append(l.at, l.sys.nowNs())
-	l.RecSink.StepRec(rec)
-}
-
 // TestDueQueueKeepsEachChannelFIFO transmits a few hundred pooled records
 // with random latencies over 24 channels of all three kinds. Each channel must land in transmit order, no
 // record before the due time it was stamped with, and a 1-tick record on one
@@ -299,27 +282,32 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	log := &landLog{RecSink: sys.sink, sys: sys}
-	sys.sink = log
+	// Probe record i is the i-th transmit; the probe logs, on the executor,
+	// each id as it lands and the due queue's clock then.
+	var landed []int
+	var at []sim.Time
+	sys.Register(&stepProbe{on: func(id engine.MSSID) {
+		landed = append(landed, int(id))
+		at = append(at, sys.nowNs())
+	}})
 	sys.Start()
 	t.Cleanup(sys.Stop)
 
 	count := engine.ChannelLayout{M: cfg.M, N: cfg.N}.Count()
+	chanOf := func(i int) int { return (i % channels) * count / channels }
 	rng := sim.NewRNG(7)
 	stamp := make([]sim.Time, records)
 	sys.Do(func() {
 		last := make(map[int]sim.Time)
 		for i := 0; i < records; i++ {
-			ch, lat := (i%channels)*count/channels, rng.Duration(1, 30)
+			ch, lat := chanOf(i), rng.Duration(1, 30)
 			switch i {
 			case 0:
 				lat = 100
 			case 1:
 				lat = 1
 			}
-			rec := probeRec(sys, 0)
-			rec.SetChan(ch)
-			rec.SetTag(int32(i))
+			rec := probeRec(sys, i)
 			before := sys.nowNs()
 			sys.transmit(ch, lat, rec)
 			stamp[i] = stampOf(sys, rec)
@@ -333,21 +321,21 @@ func TestDueQueueKeepsEachChannelFIFO(t *testing.T) {
 		t.Fatal("due queue did not drain")
 	}
 	sys.Do(func() {
-		if len(log.tag) != records {
-			t.Fatalf("%d of %d records landed", len(log.tag), records)
+		if len(landed) != records {
+			t.Fatalf("%d of %d records landed", len(landed), records)
 		}
-		prev := make(map[int]int32)
+		prev := make(map[int]int)
 		var longAt, shortAt int
-		for i, tag := range log.tag {
-			ch := log.ch[i]
-			if p, ok := prev[ch]; ok && tag < p {
-				t.Errorf("channel %d landed record %d after %d", ch, tag, p)
+		for i, id := range landed {
+			ch := chanOf(id)
+			if p, ok := prev[ch]; ok && id < p {
+				t.Errorf("channel %d landed record %d after %d", ch, id, p)
 			}
-			prev[ch] = tag
-			if log.at[i] < stamp[tag] {
-				t.Errorf("record %d landed at %d ns, before its due time %d", tag, log.at[i], stamp[tag])
+			prev[ch] = id
+			if at[i] < stamp[id] {
+				t.Errorf("record %d landed at %d ns, before its due time %d", id, at[i], stamp[id])
 			}
-			switch tag {
+			switch id {
 			case 0:
 				longAt = i
 			case 1:
@@ -436,6 +424,63 @@ func TestDrainIsOneInstant(t *testing.T) {
 	}
 }
 
+// deadlineTimer is an algorithm whose "start" timer reads ctx.Now() either
+// side of a sleep of several ticks, then arms a "deadline" timer for a
+// deadline computed from the first reading; it logs when that one fires.
+type deadlineTimer struct {
+	sys                            *System
+	sleep                          time.Duration
+	ahead                          sim.Time
+	before, after, deadline, fired sim.Time
+	firedWall                      sim.Time
+}
+
+func (a *deadlineTimer) Name() string { return "deadline-timer" }
+
+func (a *deadlineTimer) HandleTimer(ctx engine.Context, msg engine.Message) {
+	switch msg {
+	case "start":
+		a.before = ctx.Now()
+		time.Sleep(a.sleep)
+		a.after = ctx.Now()
+		a.deadline = a.before + a.ahead
+		ctx.After(a.deadline-ctx.Now(), "deadline")
+	case "deadline":
+		a.fired, a.firedWall = ctx.Now(), sinceStart(a.sys)
+	}
+}
+
+// TestHandlerClockIsTheDrainInstant: inside a drain, ctx.Now() is the
+// drain's instant, the base After stamps from, so a handler that sleeps
+// several ticks reads the same time before and after, and a timer armed for
+// "deadline − ctx.Now()" fires no earlier than the deadline.
+func TestHandlerClockIsTheDrainInstant(t *testing.T) {
+	const tick = time.Millisecond
+	cfg := DefaultConfig(2, 2)
+	cfg.Tick = tick
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	alg := &deadlineTimer{sys: sys, sleep: 5 * tick, ahead: 20}
+	ctx := sys.Register(alg)
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	sys.Do(func() { ctx.After(1, "start") })
+	if !sys.WaitIdle(10 * time.Second) {
+		t.Fatal("timers did not drain")
+	}
+	if alg.after != alg.before {
+		t.Errorf("ctx.Now() read %d, then %d after a %v sleep in the same handler: a drain is one instant", alg.before, alg.after, alg.sleep)
+	}
+	if alg.fired < alg.deadline {
+		t.Errorf("deadline timer fired at ctx.Now() = %d, before its deadline %d", alg.fired, alg.deadline)
+	}
+	if floor := alg.deadline * sim.Time(tick); alg.firedWall < floor {
+		t.Errorf("deadline timer fired %d ns after Start, before its deadline (%d ns)", alg.firedWall, floor)
+	}
+}
+
 // TestChannelFIFOAcrossDrains: records stepped one tick apart, mostly in
 // separate drains, each transmit on one channel with a latency shorter than
 // the one before. Stamped from each drain's instant and clamped by the
@@ -452,18 +497,16 @@ func TestChannelFIFOAcrossDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	log := &landLog{RecSink: sys.sink, sys: sys}
-	sys.sink = log
-	// Probe record i+1 is the i-th step: it transmits a record tagged i+1.
+	// Probe record i+1 is the i-th step: it transmits probe record k+1+i,
+	// which logs i+1 as it lands.
+	var got []int
 	sys.Register(&stepProbe{on: func(id engine.MSSID) {
-		if id == 0 {
-			return
+		switch i := int(id) - 1; {
+		case i >= k:
+			got = append(got, i-k+1)
+		case i >= 0:
+			sys.transmit(ch, sim.Time(2*(k-i)), probeRec(sys, k+1+i))
 		}
-		i := int(id) - 1
-		rec := probeRec(sys, 0)
-		rec.SetChan(ch)
-		rec.SetTag(int32(1 + i))
-		sys.transmit(ch, sim.Time(2*(k-i)), rec)
 	}})
 	sys.Start()
 	t.Cleanup(sys.Stop)
@@ -476,17 +519,11 @@ func TestChannelFIFOAcrossDrains(t *testing.T) {
 		t.Fatal("due queue did not drain")
 	}
 	sys.Do(func() {
-		var got []int32
-		for i, tag := range log.tag {
-			if log.ch[i] == ch && tag > 0 {
-				got = append(got, tag)
-			}
-		}
 		if len(got) != k {
 			t.Fatalf("%d of %d transmits landed", len(got), k)
 		}
 		for i, tag := range got {
-			if tag != int32(1+i) {
+			if tag != 1+i {
 				t.Fatalf("channel %d landed transmits in order %v, want 1..%d", ch, got, k)
 			}
 		}
