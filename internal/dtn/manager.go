@@ -655,7 +655,7 @@ func (m *Manager) NoteCrash(mss engine.MSSID) {
 }
 
 // reapInflight loss-accounts every replica currently on the wire toward
-// the crashed station. The fault injector's delivery gate discards
+// the crashed station. The engine discards, at its fault model's word,
 // those records before HandleMSS ever sees them, so without this reap
 // the bundle's in-flight count would never drain and its terminal
 // obligations (failure notification or abandonment, pair-seq slot
