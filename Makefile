@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 30s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 30s ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzWantModel -fuzztime 30s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 30s -fuzzminimizetime 500x ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 30s ./internal/faults
 	$(GO) test -run xxx -fuzz FuzzRequestQueue -fuzztime 30s ./internal/logical
@@ -119,6 +120,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzConnectToken -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSessionMAC -fuzztime 5s ./internal/dgram
 	$(GO) test -run xxx -fuzz FuzzSummaryVector -fuzztime 5s ./internal/dtn
+	$(GO) test -run xxx -fuzz FuzzWantModel -fuzztime 5s ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime 5s -fuzzminimizetime 500x ./internal/dtn
 	$(GO) test -run xxx -fuzz FuzzPlanDeterminism -fuzztime 5s ./internal/faults
 	$(GO) test -run xxx -fuzz FuzzRequestQueue -fuzztime 5s ./internal/logical

@@ -194,7 +194,7 @@ func TestReplicaCostsOneAllocation(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
 		t.Errorf("replicate + arrival + Put allocated %.1f objects per replica, want at most 1 (the Bundle)", allocs)
 	}
-	if f := mgr.inflight[b.ID]; f == nil || f.total != 1 || mgr.inFlightTotal != 1 {
+	if f := mgr.ledger[b.ID]; f == nil || f.total != 1 || mgr.inFlightTotal != 1 {
 		t.Fatalf("flight after the cycles: %+v, in flight %d; want the one copy toward station 2", f, mgr.inFlightTotal)
 	}
 }
@@ -218,13 +218,68 @@ func TestFlightLedgerAllocatesNothing(t *testing.T) {
 		t.Errorf("inflightInc/inflightDec on an existing flight allocated %.1f objects, want 0", allocs)
 	}
 	mgr.inflightDec(a.ID, 2)
-	if len(mgr.inflight) != 0 || len(mgr.spareFlights) != 1 {
-		t.Fatalf("drained ledger: %d flights, %d spare; want 0 and 1", len(mgr.inflight), len(mgr.spareFlights))
+	if f := mgr.ledger[a.ID]; f.total != 0 || len(f.dests) != 0 || mgr.inFlightTotal != 0 {
+		t.Fatalf("drained ledger: %d copies toward %d stations, %d in flight; want none", f.total, len(f.dests), mgr.inFlightTotal)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		mgr.inflightInc(b, 1)
 		mgr.inflightDec(b.ID, 1)
 	}); allocs != 0 {
 		t.Errorf("a flight opened after another drained allocated %.1f objects, want 0 (the spare)", allocs)
+	}
+}
+
+// TestSummaryCostsItsIDsNotTheirWidth pins the word format's sparse
+// case: a summary lists only the non-zero 64-ID words, so a store whose
+// IDs span 2^40 encodes and merges two words, and n IDs spaced 65 apart
+// (one per word, the format's worst case) encode to 9 bytes each. The
+// merge is one pass over the peer's words and the store's word view, so
+// pinning both lengths pins the words it visits; a dense array over the
+// ID range, in the summary or in the word view, fails here.
+func TestSummaryCostsItsIDsNotTheirWidth(t *testing.T) {
+	spaced := make([]BundleID, 1000)
+	for i := range spaced {
+		spaced[i] = BundleID(1 + 65*i)
+	}
+	for _, tc := range []struct {
+		name     string
+		ids      []BundleID
+		maxBytes int
+	}{
+		{"1 and 2^40", []BundleID{1, 1 << 40}, 1 + 9 + 5 + 8},
+		{"1000 spaced 65 apart", spaced, 2 + 9*len(spaced)},
+	} {
+		s := NewStore(0, 0)
+		for _, id := range tc.ids {
+			s.Put(mkBundle(id, 0))
+		}
+		n := len(tc.ids)
+		if words := s.wordView(); len(words) != n || cap(words) > 2*n {
+			t.Errorf("%s: word view holds %d words in an array of %d, want %d in at most %d", tc.name, len(words), cap(words), n, 2*n)
+		}
+		vec := s.summary()
+		if len(vec) > tc.maxBytes {
+			t.Errorf("%s: summary of %d IDs is %d bytes, want at most %d", tc.name, n, len(vec), tc.maxBytes)
+		}
+		r, read := readWords(vec), 0
+		for _, ok := r.next(); ok; _, ok = r.next() {
+			read++
+		}
+		if r.err != nil || read != n {
+			t.Errorf("%s: summary lists %d words (%v), want %d", tc.name, read, r.err, n)
+		}
+		// Merged at a station holding the same set: nothing missing,
+		// nothing allocated. At an empty one: every ID wanted.
+		m, log := bareManager(s, NewStore(0, 0))
+		if allocs := testing.AllocsPerRun(20, func() { m.handleSummary(0, 1, vec) }); allocs != 0 || len(log.sent) != 0 {
+			t.Errorf("%s: merge against the same set allocated %.1f objects and sent %d messages, want 0 and 0", tc.name, allocs, len(log.sent))
+		}
+		m.handleSummary(1, 0, vec)
+		if len(log.sent) != 1 {
+			t.Fatalf("%s: merge at an empty station sent %d messages, want 1 want-list", tc.name, len(log.sent))
+		}
+		if got, err := DecodeSummary(log.sent[0].(wantMsg).data); err != nil || !sameIDs(got, tc.ids) {
+			t.Errorf("%s: want-list decodes to %d IDs (%v), want all %d", tc.name, len(got), err, n)
+		}
 	}
 }

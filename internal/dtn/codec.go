@@ -3,120 +3,164 @@ package dtn
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
 // Summary-vector codec: the anti-entropy payload exchanged by the
-// epidemic strategy. A summary is the sorted set of bundle IDs a store
-// holds, encoded as a varint count followed by varint deltas between
-// consecutive IDs (first delta is from zero). Sorted-set + delta keeps
-// the common dense-ID case near one byte per bundle, and gives the codec
-// a canonical form: decode∘encode is the identity on valid encodings,
+// epidemic strategy. A summary is a set of bundle IDs cut into 64-ID
+// words: word k holds IDs 64k … 64k+63, bit b standing for ID 64k+b. The
+// vector lists only the non-zero words, in ascending word-index order:
+// a varint word count, then per word a varint delta from the previous
+// word index (the first from zero) and the word as 8 little-endian
+// bytes. Dense runs of IDs cost about a bit each, and a lone ID costs at
+// most 17 bytes, so a vector is never larger than O(IDs) whatever the
+// spread of the IDs. The form is canonical — indices strictly ascend and
+// no word is zero — so decode∘encode is the identity on the ID set,
 // which FuzzSummaryVector checks as a fixpoint.
 //
-// The format is also written and read piecewise (beginSummary and
-// appendSummaryID; summaryReader), so a store can encode straight from
-// its index and a receiver can merge a vector against its own without
-// materialising either; EncodeSummary and DecodeSummary are the slice
-// forms of the same.
+// The word form is also what the anti-entropy merge works in: a store
+// keeps the same word view of its residents (Store.wordView), and a
+// receiver walks a peer's vector word by word (wordReader) to compute
+// what it lacks as peer &^ own, 64 IDs at a time, without expanding
+// either side into IDs. EncodeSummary and DecodeSummary are the ID-slice
+// forms of the same format; want-lists use them.
 
-// beginSummary starts a vector of count IDs on buf. The IDs follow, in
-// strictly ascending order, through appendSummaryID.
-func beginSummary(buf []byte, count int) []byte {
-	return binary.AppendUvarint(buf, uint64(count))
+// summaryWord is one non-zero word of a summary vector: bit b of bits
+// stands for ID idx*64+b.
+type summaryWord struct {
+	idx, bits uint64
 }
 
-// appendSummaryID appends id to a vector whose last ID was prev (0 for
-// the first).
-func appendSummaryID(buf []byte, prev, id BundleID) []byte {
-	return binary.AppendUvarint(buf, uint64(id-prev))
+const (
+	// maxWordIdx bounds a word index: every ID of the word must fit a
+	// BundleID.
+	maxWordIdx = 1<<58 - 1
+	// minWordBytes is the least a word takes on the wire: a one-byte
+	// delta and the word itself.
+	minWordBytes = 1 + 8
+)
+
+// appendWords encodes words, which must be ascending by index and
+// non-zero (a store's word view is), as a summary vector onto buf.
+func appendWords(buf []byte, words []summaryWord) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(words)))
+	prev := uint64(0)
+	for _, w := range words {
+		buf = appendWord(buf, prev, w)
+		prev = w.idx
+	}
+	return buf
+}
+
+// appendWord appends w to a vector whose last word index was prev (0
+// for the first word).
+func appendWord(buf []byte, prev uint64, w summaryWord) []byte {
+	buf = binary.AppendUvarint(buf, w.idx-prev)
+	return binary.LittleEndian.AppendUint64(buf, w.bits)
 }
 
 // EncodeSummary encodes the bundle-ID set. ids must be sorted ascending
 // and duplicate-free (Store.IDs returns exactly that); Encode panics on
 // out-of-order input rather than silently producing an undecodable
-// vector.
+// vector. One pass counts the words, a second writes them.
 func EncodeSummary(ids []BundleID) []byte {
-	buf := beginSummary(make([]byte, 0, 1+len(ids)), len(ids))
-	prev := BundleID(0)
+	words := 0
 	for i, id := range ids {
-		if i > 0 && id <= prev {
+		if i > 0 && id <= ids[i-1] {
 			panic(fmt.Sprintf("dtn: EncodeSummary ids not strictly ascending at %d", i))
 		}
-		buf = appendSummaryID(buf, prev, id)
-		prev = id
+		if i == 0 || id>>6 != ids[i-1]>>6 {
+			words++
+		}
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, 1+minWordBytes*words), uint64(words))
+	prev, w := uint64(0), summaryWord{}
+	for i, id := range ids {
+		idx := uint64(id) >> 6
+		if i > 0 && idx != w.idx {
+			buf = appendWord(buf, prev, w)
+			prev, w.bits = w.idx, 0
+		}
+		w.idx, w.bits = idx, w.bits|1<<(id&63)
+	}
+	if len(ids) > 0 {
+		buf = appendWord(buf, prev, w)
 	}
 	return buf
 }
 
-// summaryReader walks an encoded summary vector in ascending ID order,
-// a caller-sized chunk at a time. It rejects what DecodeSummary rejects —
-// the rules are here, once — but only as it reaches the fault, so a
-// caller must not act on the IDs it has seen until read has returned 0
+// wordReader walks an encoded summary vector one word at a time, in
+// ascending index order. It rejects what DecodeSummary rejects — the
+// rules are here, once — but only as it reaches the fault, so a caller
+// must not act on the words it has seen until next has returned false
 // with err still nil.
-type summaryReader struct {
-	data []byte // deltas not yet read
-	n    uint64 // IDs the vector claims
-	left uint64 // IDs not yet read
-	prev uint64
+type wordReader struct {
+	data []byte // words not yet read
+	left uint64 // words not yet read
+	idx  uint64 // index of the last word read
+	read bool   // whether a word has been read
 	err  error
 }
 
-// readSummary starts a walk of data. n is the number of IDs the vector
-// claims, already checked against the payload length.
-func readSummary(data []byte) summaryReader {
+// readWords starts a walk of data.
+func readWords(data []byte) wordReader {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return summaryReader{err: fmt.Errorf("dtn: summary count: bad varint")}
+		return wordReader{err: fmt.Errorf("dtn: summary count: bad varint")}
 	}
 	data = data[k:]
-	if n > uint64(len(data)) {
-		// Each delta takes at least one byte; a count beyond the
-		// remaining length is corrupt (and bounds what a caller
-		// allocates from n).
-		return summaryReader{err: fmt.Errorf("dtn: summary count %d exceeds payload", n)}
+	if n > uint64(len(data)/minWordBytes) {
+		// A count beyond what the payload can hold is corrupt (and
+		// bounds what a caller allocates from it).
+		return wordReader{err: fmt.Errorf("dtn: summary count %d exceeds payload", n)}
 	}
-	return summaryReader{data: data, n: n, left: n}
+	return wordReader{data: data, left: n}
 }
 
-// read decodes up to len(dst) further IDs into dst and returns how many.
-// It returns 0 when the vector has ended or is corrupt; r.err says which.
-func (r *summaryReader) read(dst []BundleID) int {
+// next returns the next word. It returns ok false when the vector has
+// ended or is corrupt; r.err says which.
+func (r *wordReader) next() (w summaryWord, ok bool) {
+	if r.left == 0 || r.err != nil {
+		if r.err == nil && len(r.data) != 0 {
+			r.err = fmt.Errorf("dtn: summary has %d trailing bytes", len(r.data))
+		}
+		return summaryWord{}, false
+	}
+	d, k := binary.Uvarint(r.data)
+	switch {
+	case k <= 0:
+		r.err = fmt.Errorf("dtn: summary word index: bad varint")
+	case r.read && d == 0:
+		r.err = fmt.Errorf("dtn: summary word index %d repeated", r.idx)
+	case d > maxWordIdx-r.idx:
+		r.err = fmt.Errorf("dtn: summary word index overflows after %d", r.idx)
+	case len(r.data)-k < 8:
+		r.err = fmt.Errorf("dtn: summary word truncated")
+	}
 	if r.err != nil {
-		return 0
+		return summaryWord{}, false
 	}
-	data, prev, left := r.data, r.prev, r.left
-	got := 0
-	for ; got < len(dst) && left > 0; got++ {
-		i := r.n - left
-		d, k := binary.Uvarint(data)
-		if k <= 0 {
-			r.err = fmt.Errorf("dtn: summary delta %d: bad varint", i)
-			return 0
-		}
-		if i > 0 && d == 0 {
-			r.err = fmt.Errorf("dtn: summary delta %d: duplicate id", i)
-			return 0
-		}
-		v := prev + d
-		if v < prev {
-			r.err = fmt.Errorf("dtn: summary delta %d: overflow", i)
-			return 0
-		}
-		dst[got] = BundleID(v)
-		data, prev, left = data[k:], v, left-1
+	w = summaryWord{idx: r.idx + d, bits: binary.LittleEndian.Uint64(r.data[k:])}
+	if w.bits == 0 {
+		r.err = fmt.Errorf("dtn: summary word %d is zero", w.idx)
+		return summaryWord{}, false
 	}
-	if left == 0 && len(data) != 0 {
-		r.err = fmt.Errorf("dtn: summary has %d trailing bytes", len(data))
-		return 0
+	r.data, r.left, r.idx, r.read = r.data[k+8:], r.left-1, w.idx, true
+	return w, true
+}
+
+// appendIDs appends the IDs of w, ascending.
+func appendIDs(dst []BundleID, w summaryWord) []BundleID {
+	for b := w.bits; b != 0; b &= b - 1 {
+		dst = append(dst, BundleID(w.idx<<6|uint64(bits.TrailingZeros64(b))))
 	}
-	r.data, r.prev, r.left = data, prev, left
-	return got
+	return dst
 }
 
 // DecodeSummary decodes a summary vector, returning the IDs in ascending
-// order. It rejects truncated input, trailing garbage, duplicate IDs,
-// and deltas that would overflow.
+// order. It rejects truncated input, trailing garbage, zero words,
+// repeated word indices, and indices that would overflow.
 func DecodeSummary(data []byte) ([]BundleID, error) {
 	ids, err := appendDecoded(nil, data)
 	if err != nil {
@@ -126,14 +170,21 @@ func DecodeSummary(data []byte) ([]BundleID, error) {
 }
 
 // appendDecoded is DecodeSummary onto dst, for a caller that reuses its
-// buffer. On error it returns dst with nothing appended.
+// buffer. The vector is checked whole before an ID is appended; on error
+// it returns dst unchanged.
 func appendDecoded(dst []BundleID, data []byte) ([]BundleID, error) {
-	r := readSummary(data)
-	n := len(dst)
-	dst = slices.Grow(dst, int(r.n))[:n+int(r.n)]
-	r.read(dst[n:])
+	r := readWords(data)
+	n := 0
+	for w, ok := r.next(); ok; w, ok = r.next() {
+		n += bits.OnesCount64(w.bits)
+	}
 	if r.err != nil {
-		return dst[:n], r.err
+		return dst, r.err
+	}
+	dst = slices.Grow(dst, n)
+	r = readWords(data)
+	for w, ok := r.next(); ok; w, ok = r.next() {
+		dst = appendIDs(dst, w)
 	}
 	return dst, nil
 }

@@ -151,7 +151,7 @@ func TestCustodyGolden(t *testing.T) {
 	}
 }
 
-// checkLedger holds the manager's resident ledger to what its stores
+// checkLedger holds the resident counts of the manager's ledger to what its stores
 // actually contain: the per-bundle counts and the total that replaced
 // probing every station are only as good as put and remove being the
 // sole doors.
@@ -168,12 +168,18 @@ func checkLedger(t *testing.T, mgr *Manager) {
 	if total != mgr.storedTotal || total != mgr.StoredTotal() {
 		t.Errorf("%s: stores hold %d replicas, ledger total %d", mgr.Name(), total, mgr.storedTotal)
 	}
-	if len(resident) != len(mgr.resident) {
-		t.Errorf("%s: %d bundles resident, ledger has %d", mgr.Name(), len(resident), len(mgr.resident))
+	held := 0
+	for _, e := range mgr.ledger {
+		if e.resident > 0 {
+			held++
+		}
+	}
+	if len(resident) != held {
+		t.Errorf("%s: %d bundles resident, ledger has %d", mgr.Name(), len(resident), held)
 	}
 	for id, n := range resident {
-		if mgr.resident[id] != n {
-			t.Errorf("%s: bundle %d resident at %d stations, ledger says %d", mgr.Name(), id, n, mgr.resident[id])
+		if e := mgr.ledger[id]; e == nil || e.resident != n {
+			t.Errorf("%s: bundle %d resident at %d stations, ledger entry %+v", mgr.Name(), id, n, e)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package dtn
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"mobiledist/internal/cost"
 	"mobiledist/internal/engine"
@@ -45,12 +45,19 @@ type Manager struct {
 	sprayer  sprayer // non-nil iff strategy replicates on arrival
 
 	stores []*Store
-	// resident counts the stores holding a replica of each bundle and
-	// storedTotal sums them: the ledger put and remove keep, so "is any
-	// copy left" and "is anything stored" cost one lookup, not a probe
-	// of every station.
-	resident    map[BundleID]int
-	storedTotal int
+	// ledger holds one entry per bundle the manager still accounts for:
+	// from custody until the bundle is retired and no replica of it is
+	// stored or on the wire. So "is any copy left" costs one lookup, not
+	// a probe of every station, and a replica event touches one entry.
+	// A dropped entry is recycled through spareEntries. storedTotal and
+	// inFlightTotal sum the entries' resident and in-flight counts, so
+	// "is anything stored" and "is anything travelling" (the gossip
+	// tick re-arms while transfers are on the wire even if every store
+	// drained) cost nothing.
+	ledger        map[BundleID]*ledgerEntry
+	spareEntries  []*ledgerEntry
+	storedTotal   int
+	inFlightTotal int
 	// Retired IDs reached a terminal state (delivered or failed); late
 	// replicas of a retired bundle are duplicates. IDs are dense and
 	// allocated in order, so the set is a watermark — every ID up to
@@ -58,18 +65,7 @@ type Manager struct {
 	// which drain into the watermark as the gaps below them close.
 	retiredUpTo BundleID
 	retired     map[BundleID]struct{}
-	// copies counts replicas created per live bundle (for the
-	// replication-cost histogram at delivery time).
-	copies map[BundleID]int
-	// inflight tracks replicas currently on the wire per live bundle,
-	// keyed by destination so NoteCrash can reap the copies the fault
-	// injector discards at a crashed receiver; inFlightTotal is the sum,
-	// kept so the gossip tick re-arms while transfers are still
-	// travelling even if every store drained.
-	inflight      map[BundleID]*flight
-	inFlightTotal int
-	spareFlights  []*flight // drained, for reuse
-	nextID        BundleID
+	nextID      BundleID
 
 	connected []bool // per MH: false between disconnect() and reconnect join
 	// visits holds per MH the recently joined cells, most recent first,
@@ -86,9 +82,18 @@ type Manager struct {
 	wantBuf   []BundleID
 }
 
+// ledgerEntry is the manager's books on one bundle.
+type ledgerEntry struct {
+	resident int // stores holding a replica
+	copies   int // replicas created while live (the replication-cost histogram at delivery)
+	flight
+}
+
 // flight is one bundle's on-the-wire accounting: a representative copy
-// (for loss reporting if every wired replica dies) and the number of
-// copies travelling toward each destination station.
+// (for loss reporting if every wired replica dies), held while total >
+// 0, and the number of copies travelling toward each destination
+// station, so NoteCrash can reap the copies the fault injector discards
+// at a crashed receiver.
 type flight struct {
 	b     Bundle
 	dests []flightDest // one per station with copies on the way, n > 0
@@ -142,10 +147,8 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:      cfg,
 		strategy: cfg.Strategy,
-		resident: make(map[BundleID]int),
+		ledger:   make(map[BundleID]*ledgerEntry),
 		retired:  make(map[BundleID]struct{}),
-		copies:   make(map[BundleID]int),
-		inflight: make(map[BundleID]*flight),
 		nextID:   1,
 	}
 	m.ticker, _ = cfg.Strategy.(Ticker)
@@ -191,11 +194,11 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) StoredTotal() int { return m.storedTotal }
 
 // put and remove are the only places a replica enters or leaves a store,
-// so the resident ledger is exact.
+// so the ledger's resident counts are exact.
 func (m *Manager) put(at engine.MSSID, b *Bundle) (evicted *Bundle, ok bool) {
 	evicted, ok = m.stores[at].Put(b)
 	if ok {
-		m.resident[b.ID]++
+		m.entry(b.ID).resident++
 		m.storedTotal++
 	}
 	if evicted != nil {
@@ -213,12 +216,38 @@ func (m *Manager) remove(at engine.MSSID, id BundleID) *Bundle {
 }
 
 func (m *Manager) noteRemoved(id BundleID) {
-	if n := m.resident[id] - 1; n > 0 {
-		m.resident[id] = n
-	} else {
-		delete(m.resident, id)
-	}
+	e := m.ledger[id]
+	e.resident--
 	m.storedTotal--
+	m.settle(id, e)
+}
+
+// entry returns id's ledger entry, opening one if there is none.
+func (m *Manager) entry(id BundleID) *ledgerEntry {
+	if e := m.ledger[id]; e != nil {
+		return e
+	}
+	var e *ledgerEntry
+	if n := len(m.spareEntries); n > 0 {
+		e = m.spareEntries[n-1]
+		m.spareEntries = m.spareEntries[:n-1]
+	} else {
+		e = new(ledgerEntry)
+	}
+	m.ledger[id] = e
+	return e
+}
+
+// settle drops id's entry once the bundle is retired and nothing of it
+// is stored or on the wire. The entry keeps its destination slots for
+// the bundle that reuses it.
+func (m *Manager) settle(id BundleID, e *ledgerEntry) {
+	if e == nil || e.resident > 0 || e.total > 0 || !m.isRetired(id) {
+		return
+	}
+	delete(m.ledger, id)
+	*e = ledgerEntry{flight: flight{dests: e.dests[:0]}}
+	m.spareEntries = append(m.spareEntries, e)
 }
 
 // retire marks id terminal, advancing the watermark over every retired
@@ -292,7 +321,7 @@ func (m *Manager) OfferCustody(holder engine.MSSID, mh engine.MHID, msg engine.M
 	}
 	m.nextID++
 	m.stats.Accepted++
-	m.copies[b.ID] = 1
+	m.ledger[b.ID].copies = 1
 	m.ctx.NoteBundleCustody(uint64(b.ID), holder, mh)
 	if evicted != nil {
 		m.evict(holder, evicted)
@@ -391,10 +420,11 @@ func (m *Manager) onStored(at engine.MSSID, b *Bundle) {
 // routes it to the (re)connected host with a stale-location search plus
 // the ordinary wireless downlink.
 func (m *Manager) deliver(at engine.MSSID, b *Bundle) {
+	e := m.ledger[b.ID]
 	m.retire(b.ID)
 	m.stats.Delivered++
-	m.ctx.NoteBundleDelivered(uint64(b.ID), at, m.copies[b.ID])
-	delete(m.copies, b.ID)
+	m.ctx.NoteBundleDelivered(uint64(b.ID), at, e.copies)
+	m.settle(b.ID, e)
 	m.eng.RedeliverCustody(at, b.MH, b.Msg, b.Ref)
 }
 
@@ -412,8 +442,7 @@ func (m *Manager) replicate(from, to engine.MSSID, b *Bundle, tokens int) {
 	cp := new(Bundle)
 	*cp = *b
 	cp.Tokens = tokens
-	m.copies[b.ID]++
-	m.inflightInc(cp, to)
+	m.inflightInc(cp, to).copies++
 	m.stats.Transfers++
 	m.ctx.NoteBundleTransfer(uint64(b.ID), from, to)
 	m.ctx.SendFixed(from, to, bundleMsg{b: cp}, cost.CatControl)
@@ -429,41 +458,36 @@ func (m *Manager) transfer(from, to engine.MSSID, b *Bundle) {
 	m.ctx.SendFixed(from, to, bundleMsg{b: b}, cost.CatControl)
 }
 
-func (m *Manager) inflightInc(b *Bundle, to engine.MSSID) {
-	f := m.inflight[b.ID]
-	if f == nil {
-		if n := len(m.spareFlights); n > 0 {
-			f = m.spareFlights[n-1]
-			m.spareFlights = m.spareFlights[:n-1]
-		} else {
-			f = new(flight)
-		}
-		f.b = *b
-		m.inflight[b.ID] = f
+// inflightInc counts one copy of b onto the wire toward to, and returns
+// the bundle's ledger entry.
+func (m *Manager) inflightInc(b *Bundle, to engine.MSSID) *ledgerEntry {
+	e := m.entry(b.ID)
+	if e.total == 0 {
+		e.b = *b
 	}
-	if i := f.dest(to); i >= 0 {
-		f.dests[i].n++
+	if i := e.dest(to); i >= 0 {
+		e.dests[i].n++
 	} else {
-		f.dests = append(f.dests, flightDest{to: to, n: 1})
+		e.dests = append(e.dests, flightDest{to: to, n: 1})
 	}
-	f.total++
+	e.total++
 	m.inFlightTotal++
+	return e
 }
 
-// landed retires n copies of f's bundle toward dests[i], recycling the
-// flight once nothing of the bundle is left on the wire.
-func (m *Manager) landed(f *flight, i int, n int32) {
-	if f.dests[i].n -= n; f.dests[i].n == 0 {
-		last := len(f.dests) - 1
-		f.dests[i] = f.dests[last]
-		f.dests = f.dests[:last]
+// landed retires n copies of bundle id toward e.dests[i], dropping the
+// representative copy once nothing of the bundle is left on the wire.
+func (m *Manager) landed(id BundleID, e *ledgerEntry, i int, n int32) {
+	if e.dests[i].n -= n; e.dests[i].n == 0 {
+		last := len(e.dests) - 1
+		e.dests[i] = e.dests[last]
+		e.dests = e.dests[:last]
 	}
-	f.total -= int(n)
+	e.total -= int(n)
 	m.inFlightTotal -= int(n)
-	if f.total == 0 {
-		delete(m.inflight, f.b.ID)
-		f.b = Bundle{}
-		m.spareFlights = append(m.spareFlights, f)
+	if e.total == 0 {
+		e.b = Bundle{}
+		m.settle(id, e)
 	}
 }
 
@@ -473,41 +497,41 @@ func (m *Manager) landed(f *flight, i int, n int32) {
 // (e.g. it arrived after the station restarted) — so the caller must
 // not loss-account it a second time.
 func (m *Manager) inflightDec(id BundleID, at engine.MSSID) bool {
-	f := m.inflight[id]
-	if f == nil {
+	e := m.ledger[id]
+	if e == nil {
 		return false
 	}
-	i := f.dest(at)
+	i := e.dest(at)
 	if i < 0 {
 		return false
 	}
-	m.landed(f, i, 1)
+	m.landed(id, e, i, 1)
 	return true
 }
 
 // ---- anti-entropy ----
 
 // handleSummary answers a peer's summary vector with the IDs this
-// station lacks. Both the vector and the store's index ascend by ID, so
-// one merge walk finds them: nothing is decoded into a slice and only an
-// ID actually missing here is looked up in the retired set. A corrupt
-// vector is dropped whole, as DecodeSummary would have rejected it.
+// station lacks. The vector and the store's word view both ascend by
+// word index, so one merge walk finds them a word at a time: what is
+// wanted from a peer word is peer &^ own, less the retired IDs, and only
+// the bits left after the watermark's mask are looked up in the sparse
+// retired set. Nothing is decoded into IDs but the wanted ones. A
+// corrupt vector is dropped whole, as DecodeSummary would have rejected
+// it.
 func (m *Manager) handleSummary(at, peer engine.MSSID, data []byte) {
-	have := m.stores[at].live()
+	own := m.stores[at].wordView()
 	want := m.wantBuf[:0]
-	r := readSummary(data)
-	var chunk [64]BundleID
-	for n := r.read(chunk[:]); n > 0; n = r.read(chunk[:]) {
-		for _, id := range chunk[:n] {
-			for len(have) > 0 && have[0].id < id {
-				have = have[1:]
-			}
-			if len(have) > 0 && have[0].id == id {
-				continue
-			}
-			if !m.isRetired(id) {
-				want = append(want, id)
-			}
+	r := readWords(data)
+	for w, ok := r.next(); ok; w, ok = r.next() {
+		for len(own) > 0 && own[0].idx < w.idx {
+			own = own[1:]
+		}
+		if len(own) > 0 && own[0].idx == w.idx {
+			w.bits &^= own[0].bits
+		}
+		if w.bits != 0 {
+			want = m.appendUnretired(want, w)
 		}
 	}
 	m.wantBuf = want[:0]
@@ -517,9 +541,32 @@ func (m *Manager) handleSummary(at, peer engine.MSSID, data []byte) {
 	m.ctx.SendFixed(at, peer, wantMsg{data: EncodeSummary(want)}, cost.CatControl)
 }
 
-// handleWant replicates every still-present bundle a peer asked for. The
-// want-list is decoded into the manager's ID scratch, lent out for the
-// walk like bundleBuf; a corrupt list is dropped whole.
+// appendUnretired appends the IDs of w that are not retired, ascending:
+// the watermark clears its share of the word by one mask, and only the
+// bits above it are looked up in the sparse set.
+func (m *Manager) appendUnretired(dst []BundleID, w summaryWord) []BundleID {
+	if lo, upTo := w.idx<<6, uint64(m.retiredUpTo); upTo >= lo {
+		if upTo-lo >= 63 {
+			return dst
+		}
+		w.bits &^= 2<<(upTo-lo) - 1 // IDs lo … upTo
+	}
+	if len(m.retired) == 0 {
+		return appendIDs(dst, w)
+	}
+	for b := w.bits; b != 0; b &= b - 1 {
+		id := BundleID(w.idx<<6 | uint64(bits.TrailingZeros64(b)))
+		if _, dead := m.retired[id]; !dead {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// handleWant replicates every still-present bundle a peer asked for, one
+// search of the store per wanted ID. The want-list is decoded into the
+// manager's ID scratch, lent out for the walk like bundleBuf; a corrupt
+// list is dropped whole.
 func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 	ids, err := appendDecoded(m.wantBuf[:0], data)
 	if err != nil {
@@ -528,11 +575,13 @@ func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 	}
 	m.wantBuf = nil
 	now := m.ctx.Now()
+	st := m.stores[at]
 	for _, id := range ids {
-		b := m.stores[at].Get(id)
-		if b == nil {
+		i, ok := st.find(id)
+		if !ok {
 			continue
 		}
+		b := st.at(i)
 		if b.expired(now) {
 			m.remove(at, id)
 			m.expire(at, b)
@@ -540,7 +589,7 @@ func (m *Manager) handleWant(at, peer engine.MSSID, data []byte) {
 		}
 		// A peer asking for the bundle proves it useful: refresh its
 		// eviction rank.
-		m.stores[at].Touch(id)
+		st.touchAt(i)
 		m.replicate(at, peer, b, 1)
 	}
 	m.wantBuf = ids[:0]
@@ -575,11 +624,15 @@ func (m *Manager) lose(at engine.MSSID, b *Bundle) {
 // abandonment (still freeing the pair-FIFO slot) when only a crashed
 // station could.
 func (m *Manager) terminal(at engine.MSSID, b *Bundle, canNotify bool) {
-	if m.isRetired(b.ID) || m.inflight[b.ID] != nil || m.resident[b.ID] > 0 {
+	if m.isRetired(b.ID) {
+		return
+	}
+	e := m.ledger[b.ID]
+	if e != nil && (e.total > 0 || e.resident > 0) {
 		return
 	}
 	m.retire(b.ID)
-	delete(m.copies, b.ID)
+	m.settle(b.ID, e)
 	m.stats.Failed++
 	if canNotify {
 		m.eng.FailCustody(at, b.MH, b.Msg, b.Ref)
@@ -667,17 +720,17 @@ func (m *Manager) reapInflight(mss engine.MSSID) {
 	// Reap in ascending bundle-ID order: map iteration order must not
 	// leak into the event trace (seeded runs are byte-identical).
 	var ids []BundleID
-	for id, f := range m.inflight {
-		if f.dest(mss) >= 0 {
+	for id, e := range m.ledger {
+		if e.dest(mss) >= 0 {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		f := m.inflight[id]
-		i := f.dest(mss)
-		n, b := f.dests[i].n, f.b
-		m.landed(f, i, n)
+		e := m.ledger[id]
+		i := e.dest(mss)
+		n, b := e.dests[i].n, e.b
+		m.landed(id, e, i, n)
 		for ; n > 0; n-- {
 			m.lose(mss, &b)
 		}

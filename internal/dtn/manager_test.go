@@ -445,8 +445,8 @@ func TestRetiredSetDrainsIntoWatermark(t *testing.T) {
 		t.Fatalf("settled: %d explicit retired entries, watermark %d, next ID %d; want none and watermark = next-1",
 			len(mgr.retired), mgr.retiredUpTo, mgr.nextID)
 	}
-	if len(mgr.resident) != 0 || mgr.storedTotal != 0 || len(mgr.copies) != 0 || len(mgr.inflight) != 0 {
-		t.Fatalf("settled: ledgers hold resident=%d stored=%d copies=%d inflight=%d, want all empty",
-			len(mgr.resident), mgr.storedTotal, len(mgr.copies), len(mgr.inflight))
+	if len(mgr.ledger) != 0 || mgr.storedTotal != 0 || mgr.inFlightTotal != 0 {
+		t.Fatalf("settled: ledger holds %d entries, stored=%d inflight=%d, want all empty",
+			len(mgr.ledger), mgr.storedTotal, mgr.inFlightTotal)
 	}
 }

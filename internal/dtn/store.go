@@ -48,9 +48,13 @@ type Store struct {
 	// bound. It makes a sweep with nothing due O(1) without assuming
 	// that ID order is expiry order — callers may Put any bundles.
 	minExpiry sim.Time
-	// vec caches the encoded ID set (summary); nil after any change to
-	// it. The slice is handed out in messages, so it is never rewritten.
-	vec []byte
+	// words caches the word view of the ID set (wordView) while
+	// wordsOK, and vec its encoding (summary), nil until asked for; any
+	// change to the ID set drops both. vec is handed out in messages, so
+	// it is never rewritten; words is private and its array is reused.
+	words   []summaryWord
+	wordsOK bool
+	vec     []byte
 	// moved counts the slots shifted by inserts, removals and
 	// compaction: the cost contract in allocs_test.go reads it.
 	moved int
@@ -124,10 +128,13 @@ func (s *Store) Has(id BundleID) bool {
 // Get returns the resident replica, or nil.
 func (s *Store) Get(id BundleID) *Bundle {
 	if i, ok := s.find(id); ok {
-		return s.ents[s.live()[i].e].b
+		return s.at(i)
 	}
 	return nil
 }
+
+// at returns the replica at position i of the ordered index.
+func (s *Store) at(i int) *Bundle { return s.ents[s.live()[i].e].b }
 
 // Put admits b. It returns the replica evicted to make room (nil when
 // none) and whether b was admitted; refusal means the per-MH quota was
@@ -156,7 +163,7 @@ func (s *Store) Put(b *Bundle) (evicted *Bundle, ok bool) {
 	if b.Expiry != 0 && (s.minExpiry == 0 || b.Expiry < s.minExpiry) {
 		s.minExpiry = b.Expiry
 	}
-	s.vec = nil
+	s.idsChanged()
 	return evicted, true
 }
 
@@ -172,10 +179,13 @@ func (s *Store) Remove(id BundleID) *Bundle {
 // Touch marks the replica recently useful, moving it to the safe end of
 // the eviction order.
 func (s *Store) Touch(id BundleID) {
-	i, ok := s.find(id)
-	if !ok {
-		return
+	if i, ok := s.find(id); ok {
+		s.touchAt(i)
 	}
+}
+
+// touchAt is Touch of the resident at position i of the ordered index.
+func (s *Store) touchAt(i int) {
 	e := s.live()[i].e
 	s.unlink(e)
 	s.pushBack(e)
@@ -230,21 +240,40 @@ func (s *Store) appendAll(dst []*Bundle) []*Bundle {
 	return dst
 }
 
+// wordView returns the resident IDs as summary words: ascending, none
+// zero, one per 64-ID word that holds a resident, so never more words
+// than residents. It is cached until the ID set changes; valid until
+// the next Put or Remove, and must not be modified.
+func (s *Store) wordView() []summaryWord {
+	if !s.wordsOK {
+		words := s.words[:0]
+		for _, sl := range s.live() {
+			idx, bit := uint64(sl.id)>>6, uint64(1)<<(sl.id&63)
+			if n := len(words); n > 0 && words[n-1].idx == idx {
+				words[n-1].bits |= bit
+			} else {
+				words = append(words, summaryWord{idx: idx, bits: bit})
+			}
+		}
+		s.words, s.wordsOK = words, true
+	}
+	return s.words
+}
+
 // summary returns the encoded summary vector of the resident IDs
 // (EncodeSummary of IDs). The result is cached until the ID set changes
 // and shared between callers: it must not be modified.
 func (s *Store) summary() []byte {
 	if s.vec == nil {
-		live := s.live()
-		buf := beginSummary(make([]byte, 0, 2+len(live)), len(live))
-		prev := BundleID(0)
-		for i := range live {
-			buf = appendSummaryID(buf, prev, live[i].id)
-			prev = live[i].id
-		}
-		s.vec = buf
+		words := s.wordView()
+		s.vec = appendWords(make([]byte, 0, 1+minWordBytes*len(words)), words)
 	}
 	return s.vec
+}
+
+// idsChanged drops the cached views of the ID set.
+func (s *Store) idsChanged() {
+	s.wordsOK, s.vec = false, nil
 }
 
 // expiryDue reports whether any resident's deadline may have passed at
@@ -288,7 +317,7 @@ func (s *Store) removeSlot(i int) *Bundle {
 	} else {
 		delete(s.perMH, b.MH)
 	}
-	s.vec = nil
+	s.idsChanged()
 	return b
 }
 

@@ -459,6 +459,13 @@ func compareStores(t *testing.T, got *Store, want *modelStore) {
 	if g, w := got.summary(), EncodeSummary(ids); !bytes.Equal(g, w) {
 		t.Fatalf("cached summary % x, fresh encoding % x", g, w)
 	}
+	var viewIDs []BundleID
+	for _, w := range got.wordView() {
+		viewIDs = appendIDs(viewIDs, w)
+	}
+	if !sameIDs(viewIDs, ids) {
+		t.Fatalf("cached word view holds %v, model %v", viewIDs, ids)
+	}
 	// The eviction order is only observable one Put at a time; compare
 	// the whole list here so a divergence shows at the step that made it.
 	ge, we := got.lruHead, want.head
