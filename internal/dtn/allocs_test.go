@@ -201,7 +201,8 @@ func TestReplicaCostsOneAllocation(t *testing.T) {
 
 // TestFlightLedgerAllocatesNothing pins the in-flight ledger: counting a
 // copy onto and off an existing flight reuses its destination slots, and
-// a drained flight is recycled for the next bundle put on the wire.
+// a flight opened on a bundle's ledger entry reuses the slots the entry
+// holds (a settled entry is recycled with them).
 func TestFlightLedgerAllocatesNothing(t *testing.T) {
 	mgr, _ := parkedManager(t, 4)
 	all := mgr.stores[0].All()
@@ -225,7 +226,7 @@ func TestFlightLedgerAllocatesNothing(t *testing.T) {
 		mgr.inflightInc(b, 1)
 		mgr.inflightDec(b.ID, 1)
 	}); allocs != 0 {
-		t.Errorf("a flight opened after another drained allocated %.1f objects, want 0 (the spare)", allocs)
+		t.Errorf("a flight opened after another drained allocated %.1f objects, want 0 (the entry's slots)", allocs)
 	}
 }
 
