@@ -200,13 +200,13 @@ func TestReplicaCostsOneAllocation(t *testing.T) {
 }
 
 // TestFlightLedgerAllocatesNothing pins the in-flight ledger: counting a
-// copy onto and off an existing flight reuses its destination slots, and
-// a flight opened on a bundle's ledger entry reuses the slots the entry
-// holds (a settled entry is recycled with them).
+// copy onto and off an existing flight reuses its destination slots, a
+// settled entry (retired, nothing stored, nothing on the wire) leaves the
+// ledger for the spare list, and the next entry opened pops that spare
+// instead of allocating.
 func TestFlightLedgerAllocatesNothing(t *testing.T) {
 	mgr, _ := parkedManager(t, 4)
-	all := mgr.stores[0].All()
-	a, b := all[0], all[1]
+	a := mgr.stores[0].All()[0]
 	mgr.inflightInc(a, 2)
 	mgr.inflightInc(a, 1)
 	mgr.inflightDec(a.ID, 1)
@@ -220,13 +220,29 @@ func TestFlightLedgerAllocatesNothing(t *testing.T) {
 	}
 	mgr.inflightDec(a.ID, 2)
 	if f := mgr.ledger[a.ID]; f.total != 0 || len(f.dests) != 0 || mgr.inFlightTotal != 0 {
-		t.Fatalf("drained ledger: %d copies toward %d stations, %d in flight; want none", f.total, len(f.dests), mgr.inFlightTotal)
+		t.Fatalf("drained flight: %d copies toward %d stations, %d in flight; want none", f.total, len(f.dests), mgr.inFlightTotal)
 	}
+	// Settle a: nothing of it stored or on the wire, then retired.
+	held := len(mgr.ledger)
+	mgr.remove(0, a.ID)
+	mgr.terminal(0, a, false)
+	if len(mgr.ledger) != held-1 || mgr.ledger[a.ID] != nil || len(mgr.spareEntries) != 1 {
+		t.Fatalf("settled bundle %d: ledger holds %d entries (entry %+v), %d spare; want %d, none and 1",
+			a.ID, len(mgr.ledger), mgr.ledger[a.ID], len(mgr.spareEntries), held-1)
+	}
+	// A late copy of the retired bundle opens an entry from the spare and
+	// settles it back when it lands.
 	if allocs := testing.AllocsPerRun(100, func() {
-		mgr.inflightInc(b, 1)
-		mgr.inflightDec(b.ID, 1)
+		mgr.inflightInc(a, 1)
+		if len(mgr.spareEntries) != 0 {
+			t.Fatal("opening a ledger entry left the spare unused")
+		}
+		mgr.inflightDec(a.ID, 1)
 	}); allocs != 0 {
-		t.Errorf("a flight opened after another drained allocated %.1f objects, want 0 (the entry's slots)", allocs)
+		t.Errorf("a ledger entry opened on a bundle with none allocated %.1f objects, want 0 (the spare)", allocs)
+	}
+	if len(mgr.ledger) != held-1 || len(mgr.spareEntries) != 1 {
+		t.Fatalf("after the late copies: ledger holds %d entries, %d spare; want %d and 1", len(mgr.ledger), len(mgr.spareEntries), held-1)
 	}
 }
 

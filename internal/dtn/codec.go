@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Summary-vector codec: the anti-entropy payload exchanged by the
@@ -170,21 +169,16 @@ func DecodeSummary(data []byte) ([]BundleID, error) {
 }
 
 // appendDecoded is DecodeSummary onto dst, for a caller that reuses its
-// buffer. The vector is checked whole before an ID is appended; on error
-// it returns dst unchanged.
+// buffer. On error it returns dst as it was given, so nothing of a
+// corrupt vector is acted on.
 func appendDecoded(dst []BundleID, data []byte) ([]BundleID, error) {
+	n := len(dst)
 	r := readWords(data)
-	n := 0
-	for w, ok := r.next(); ok; w, ok = r.next() {
-		n += bits.OnesCount64(w.bits)
-	}
-	if r.err != nil {
-		return dst, r.err
-	}
-	dst = slices.Grow(dst, n)
-	r = readWords(data)
 	for w, ok := r.next(); ok; w, ok = r.next() {
 		dst = appendIDs(dst, w)
+	}
+	if r.err != nil {
+		return dst[:n], r.err
 	}
 	return dst, nil
 }

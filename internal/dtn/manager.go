@@ -551,9 +551,6 @@ func (m *Manager) appendUnretired(dst []BundleID, w summaryWord) []BundleID {
 		}
 		w.bits &^= 2<<(upTo-lo) - 1 // IDs lo … upTo
 	}
-	if len(m.retired) == 0 {
-		return appendIDs(dst, w)
-	}
 	for b := w.bits; b != 0; b &= b - 1 {
 		id := BundleID(w.idx<<6 | uint64(bits.TrailingZeros64(b)))
 		if _, dead := m.retired[id]; !dead {
