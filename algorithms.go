@@ -1,6 +1,7 @@
 package mobiledist
 
 import (
+	"mobiledist/internal/core"
 	"mobiledist/internal/group"
 	"mobiledist/internal/mutex/lamport"
 	"mobiledist/internal/mutex/ring"
@@ -146,10 +147,4 @@ func NewStaticEcho() *StaticEcho { return proxy.NewStaticEcho() }
 
 // AllMHs enumerates every mobile host id of a system with n MHs, a
 // convenience for participant lists.
-func AllMHs(n int) []MHID {
-	out := make([]MHID, n)
-	for i := range out {
-		out[i] = MHID(i)
-	}
-	return out
-}
+func AllMHs(n int) []MHID { return core.AllMHs(n) }

@@ -68,7 +68,7 @@ func TestConformanceR2CostParity(t *testing.T) {
 
 func meterLocationView(t *testing.T, d driver, m, g int) *cost.Meter {
 	t.Helper()
-	lv, err := group.NewLocationView(d.registrar(), mhRange(g), group.LocationViewOptions{Coordinator: core.MSSID(m - 1)})
+	lv, err := group.NewLocationView(d.registrar(), core.AllMHs(g), group.LocationViewOptions{Coordinator: core.MSSID(m - 1)})
 	if err != nil {
 		t.Fatalf("NewLocationView: %v", err)
 	}

@@ -274,11 +274,3 @@ func forEachSubstrateFaults(t *testing.T, m, n int, plan *core.FaultPlan, scenar
 		scenario(t, d)
 	})
 }
-
-func mhRange(n int) []core.MHID {
-	ids := make([]core.MHID, n)
-	for i := range ids {
-		ids[i] = core.MHID(i)
-	}
-	return ids
-}

@@ -88,15 +88,14 @@ func DefaultTracer() *obs.Tracer { return defaultObs }
 func DefaultConfig(m, n int) Config {
 	return Config{
 		Config: engine.Config{
-			M:                 m,
-			N:                 n,
-			Params:            cost.DefaultParams(),
-			Wired:             Delay{Min: 5, Max: 20},
-			Wireless:          Delay{Min: 1, Max: 4},
-			Travel:            Delay{Min: 10, Max: 50},
-			SearchMode:        SearchAbstract,
-			PessimisticSearch: true,
-			Obs:               defaultObs,
+			M:          m,
+			N:          n,
+			Params:     cost.DefaultParams(),
+			Wired:      Delay{Min: 5, Max: 20},
+			Wireless:   Delay{Min: 1, Max: 4},
+			Travel:     Delay{Min: 10, Max: 50},
+			SearchMode: SearchAbstract,
+			Obs:        defaultObs,
 		},
 		Seed:   1,
 		Faults: defaultFaults,

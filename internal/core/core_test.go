@@ -281,31 +281,12 @@ func TestSendToMHLocalAndRemote(t *testing.T) {
 	if len(p.mhGot) != 2 {
 		t.Fatalf("got %d MH deliveries, want 2", len(p.mhGot))
 	}
-	// Pessimistic default: both deliveries charge a search.
+	// Pessimistic search: both deliveries charge one, the local one too.
 	if got := sys.Meter().Count(cost.CatAlgorithm, cost.KindSearch); got != 2 {
 		t.Errorf("searches = %d, want 2 (pessimistic)", got)
 	}
 	if got := sys.Meter().Count(cost.CatAlgorithm, cost.KindWireless); got != 2 {
 		t.Errorf("wireless = %d, want 2", got)
-	}
-}
-
-func TestSendToMHRealisticSearchOnlyWhenRemote(t *testing.T) {
-	cfg := DefaultConfig(3, 6)
-	cfg.PessimisticSearch = false
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	p := &probe{}
-	ctx := sys.Register(p)
-	ctx.SendToMH(0, 0, "local", cost.CatAlgorithm)
-	ctx.SendToMH(0, 4, "remote", cost.CatAlgorithm)
-	if err := sys.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := sys.Meter().Count(cost.CatAlgorithm, cost.KindSearch); got != 1 {
-		t.Errorf("searches = %d, want 1 (realistic mode)", got)
 	}
 }
 

@@ -69,6 +69,8 @@ type (
 	Context = engine.Context
 	// Registrar is implemented by network drivers that can host algorithms.
 	Registrar = engine.Registrar
+	// Participants is the set of mobile hosts one algorithm runs over.
+	Participants = engine.Participants
 )
 
 // Mobile host connectivity states.
@@ -91,3 +93,12 @@ const (
 
 // FixedDelay returns a degenerate range with a single value.
 func FixedDelay(d sim.Time) Delay { return engine.FixedDelay(d) }
+
+// NewParticipants checks an algorithm's host list and fixes its slots and
+// initial cells before the algorithm registers (engine.NewParticipants).
+func NewParticipants(reg Registrar, hosts []MHID) (*Participants, error) {
+	return engine.NewParticipants(reg, hosts)
+}
+
+// AllMHs lists every mobile host of a network with n hosts, 0 to n-1.
+func AllMHs(n int) []MHID { return engine.AllMHs(n) }

@@ -567,8 +567,8 @@ func (c *Conn) retransmitLoop() {
 // §6.2.1), and a stall must still outlast the whole RTO to draw a
 // spurious retransmit.
 func (c *Conn) tickLocked(now time.Time) (pkts [][]byte, failed error) {
-	if c.cfg.IdleTimeout > 0 && now.Sub(c.lastRecv) > c.cfg.IdleTimeout {
-		return nil, fmt.Errorf("%w: idle for %v", ErrSessionDead, c.cfg.IdleTimeout)
+	if now.Sub(c.lastRecv) > idleTimeout {
+		return nil, fmt.Errorf("%w: idle for %v", ErrSessionDead, idleTimeout)
 	}
 	if c.ackOwed > 0 {
 		c.sendAckLocked()

@@ -30,7 +30,7 @@
 //     from sim model to the wire (with a window instead of stop-and-wait).
 //   - liveness above the session is the network runtime's heartbeat /
 //     generation-fencing machinery; the session itself only gives up after
-//     MaxRetries on a segment (or IdleTimeout without authenticated
+//     MaxRetries on a segment (or a minute without authenticated
 //     traffic) and then surfaces an error so the dialer can re-dial.
 package dgram
 
@@ -54,9 +54,11 @@ const (
 	// attempts of one dial) are tolerated before the session is declared
 	// dead. With the capped backoff this is roughly 1.5s of silence.
 	DefaultMaxRetries = 12
-	// DefaultIdleTimeout reaps sessions that carry no authenticated
-	// traffic at all; the runtime's heartbeats keep live sessions warm.
-	DefaultIdleTimeout = 60 * time.Second
+	// idleTimeout reaps sessions that carry no authenticated traffic at
+	// all; the runtime's heartbeats keep live sessions warm.
+	idleTimeout = 60 * time.Second
+	// acceptBacklog bounds a listener's pending-accept queue.
+	acceptBacklog = 16
 	// backoffCap bounds the per-segment doubling backoff, mirroring the
 	// engine ARQ's 8x cap.
 	backoffCap = 8
@@ -80,11 +82,6 @@ type Config struct {
 	// MaxRetries bounds per-segment retransmits and connect attempts.
 	// 0 means DefaultMaxRetries.
 	MaxRetries int
-	// IdleTimeout reaps sessions without authenticated inbound traffic.
-	// 0 means DefaultIdleTimeout; negative disables the reaper.
-	IdleTimeout time.Duration
-	// AcceptBacklog bounds the listener's pending-accept queue. 0 means 16.
-	AcceptBacklog int
 	// Trace, when non-nil, receives session/packet events
 	// (EvSessionEstablished, EvPacketSent/Recv/Retransmit,
 	// EvPacketReplayDropped, EvPacketRTT).
@@ -108,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = DefaultIdleTimeout
-	}
-	if c.AcceptBacklog == 0 {
-		c.AcceptBacklog = 16
 	}
 	if c.TraceNow == nil {
 		c.TraceNow = func() sim.Time { return sim.Time(time.Since(pkgStart) / time.Microsecond) }

@@ -70,7 +70,7 @@ func Listen(addr string, secret []byte, cfg Config) (*Listener, error) {
 		pc:        pc,
 		sessions:  make(map[netip.AddrPort]*Conn),
 		usedDials: make(map[string]time.Time),
-		acceptCh:  make(chan *Conn, cfg.AcceptBacklog),
+		acceptCh:  make(chan *Conn, acceptBacklog),
 		done:      make(chan struct{}),
 	}
 	l.advertise.Store("")

@@ -135,14 +135,9 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	if cfg.Strategy == nil {
 		cfg.Strategy = Park{}
 	}
-	var eng *engine.Engine
-	switch r := reg.(type) {
-	case *engine.Engine:
-		eng = r
-	case interface{ Engine() *engine.Engine }:
-		eng = r.Engine()
-	default:
-		return nil, fmt.Errorf("dtn: registrar %T does not expose its engine", reg)
+	eng, err := engine.Of(reg)
+	if err != nil {
+		return nil, fmt.Errorf("dtn: %w", err)
 	}
 	m := &Manager{
 		cfg:      cfg,
@@ -163,17 +158,15 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 	for i := range m.connected {
 		m.connected[i] = true
 	}
+	// Seed the visit history with the initial placement: OnJoin only
+	// fires for later moves, but "where a host started" is as good a
+	// spray target as any visited cell.
 	history := make([]engine.MSSID, m.ctx.N()*historyDepth)
 	m.visits = make([][]engine.MSSID, m.ctx.N())
 	for mh := range m.visits {
 		m.visits[mh] = history[mh*historyDepth : mh*historyDepth : (mh+1)*historyDepth]
-	}
-	// Seed the visit history with the initial placement: OnJoin only
-	// fires for later moves, but "where a host started" is as good a
-	// spray target as any visited cell.
-	for i := range m.stores {
-		for _, mh := range m.ctx.LocalMHs(engine.MSSID(i)) {
-			m.visits[mh] = append(m.visits[mh], engine.MSSID(i))
+		if at, st := eng.Where(engine.MHID(mh)); st == engine.StatusConnected {
+			m.visits[mh] = append(m.visits[mh], at)
 		}
 	}
 	m.down = make([]bool, m.ctx.M())
@@ -194,9 +187,10 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) StoredTotal() int { return m.storedTotal }
 
 // put and remove are the only places a replica enters or leaves a store,
-// so the ledger's resident counts are exact.
-func (m *Manager) put(at engine.MSSID, b *Bundle) (evicted *Bundle, ok bool) {
-	evicted, ok = m.stores[at].Put(b)
+// so the ledger's resident counts are exact. put takes b's position in
+// at's store from the caller's find, which showed it is not resident.
+func (m *Manager) put(at engine.MSSID, i int, b *Bundle) (evicted *Bundle, ok bool) {
+	evicted, ok = m.stores[at].putAt(i, b)
 	if ok {
 		m.entry(b.ID).resident++
 		m.storedTotal++
@@ -314,7 +308,8 @@ func (m *Manager) OfferCustody(holder engine.MSSID, mh engine.MHID, msg engine.M
 	if m.cfg.TTL > 0 {
 		b.Expiry = now + m.cfg.TTL
 	}
-	evicted, ok := m.put(holder, b)
+	i, _ := m.stores[holder].find(b.ID) // a fresh ID: the end of the index
+	evicted, ok := m.put(holder, i, b)
 	if !ok {
 		m.stats.DroppedQuota++
 		return false
@@ -371,7 +366,8 @@ func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
 		m.stats.Duplicates++
 		return
 	}
-	if m.stores[at].Has(b.ID) {
+	i, resident := m.stores[at].find(b.ID)
+	if resident {
 		// Duplicate before expiry: an expired replica arriving where an
 		// (equally expired) copy is already resident is one duplicate,
 		// not an extra expiry — the resident copy's sweep is the single
@@ -387,7 +383,7 @@ func (m *Manager) acceptBundle(at engine.MSSID, b *Bundle) {
 		m.deliver(at, b)
 		return
 	}
-	evicted, ok := m.put(at, b)
+	evicted, ok := m.put(at, i, b)
 	if !ok {
 		m.stats.DroppedQuota++
 		m.ctx.NoteBundleDropped(uint64(b.ID), at, b.MH)

@@ -146,6 +146,13 @@ func (s *Store) Put(b *Bundle) (evicted *Bundle, ok bool) {
 	if dup {
 		panic(fmt.Sprintf("dtn: Store.Put of bundle %d, which is already resident", b.ID))
 	}
+	return s.putAt(i, b)
+}
+
+// putAt is Put of a bundle that is not resident, at position i of the
+// ordered index, where find(b.ID) just placed it: a caller that has
+// already searched for the ID does not search again.
+func (s *Store) putAt(i int, b *Bundle) (evicted *Bundle, ok bool) {
 	if s.quota > 0 && s.perMH[b.MH] >= s.quota {
 		return nil, false
 	}

@@ -53,13 +53,6 @@ type Config struct {
 
 	// SearchMode selects the search service (abstract Csearch vs broadcast).
 	SearchMode SearchMode
-	// PessimisticSearch, when true, charges Csearch on every routed delivery
-	// to a MH even if it happens to still be local — the paper's "any
-	// message destined for a mobile host incurs a fixed search cost"
-	// assumption, under which the analytic expressions are exact. When
-	// false, search is charged only for genuinely non-local destinations.
-	PessimisticSearch bool
-
 	// WaiterLimit caps the number of delivery records parked per
 	// in-transit MH (the waiter queue a never-arriving MH would otherwise
 	// grow without bound). On overflow a routed payload is offered to the

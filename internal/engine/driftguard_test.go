@@ -616,3 +616,100 @@ func TestCallbacksAreOneMethod(t *testing.T) {
 		}
 	}
 }
+
+// algorithmPackages are the packages whose constructors register an
+// algorithm on a Registrar.
+var algorithmPackages = []string{"../mutex/lamport", "../mutex/ring", "../group", "../multicast", "../proxy", "../dtn"}
+
+// TestConstructorsValidateBeforeRegister pins the constructor shape of the
+// algorithm packages: a New* function checks everything it can reject
+// before it calls Register, so no return after that call carries an error
+// (a rejected constructor must not leave a half-built algorithm receiving
+// the network's callbacks), and one that takes a host list builds its
+// membership with NewParticipants rather than a loop of its own.
+func TestConstructorsValidateBeforeRegister(t *testing.T) {
+	fset := token.NewFileSet()
+	constructors := 0
+	for _, dir := range algorithmPackages {
+		for _, f := range parseNonTest(t, fset, dir) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "New") {
+					continue
+				}
+				register, participants := token.NoPos, false
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "Register":
+							if register == token.NoPos {
+								register = call.End()
+							}
+						case "NewParticipants":
+							participants = true
+						}
+					}
+					return true
+				})
+				if register == token.NoPos {
+					continue
+				}
+				constructors++
+				if takesHostList(fn) && !participants {
+					t.Errorf("%s: %s takes a host list but does not build it with NewParticipants",
+						fset.Position(fn.Pos()), fn.Name.Name)
+				}
+				if !returnsError(fn) {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch s := n.(type) {
+					case *ast.FuncLit:
+						return false // a closure's returns are not the constructor's
+					case *ast.ReturnStmt:
+						if s.Pos() > register && len(s.Results) > 0 && !isNil(s.Results[len(s.Results)-1]) {
+							t.Errorf("%s: %s returns an error after Register; check it before registering",
+								fset.Position(s.Pos()), fn.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if constructors < 9 {
+		t.Fatalf("found %d registering constructors, want at least 9: the guard is not seeing the packages", constructors)
+	}
+}
+
+// takesHostList reports whether fn has a []core.MHID or []engine.MHID
+// parameter.
+func takesHostList(fn *ast.FuncDecl) bool {
+	for _, p := range fn.Type.Params.List {
+		if at, ok := p.Type.(*ast.ArrayType); ok && at.Len == nil {
+			if sel, ok := at.Elt.(*ast.SelectorExpr); ok && sel.Sel.Name == "MHID" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// returnsError reports whether fn's last result is an error.
+func returnsError(fn *ast.FuncDecl) bool {
+	res := fn.Type.Results
+	if res == nil || len(res.List) == 0 {
+		return false
+	}
+	id, ok := res.List[len(res.List)-1].Type.(*ast.Ident)
+	return ok && id.Name == "error"
+}
+
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}

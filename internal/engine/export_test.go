@@ -6,3 +6,7 @@ import "mobiledist/internal/sim"
 // real fault model (internal/faults imports engine, so they cannot live in
 // package engine).
 func (e *Engine) Transmit(ch int, latency sim.Time, rec *DeliveryRec) { e.transmit(ch, latency, rec) }
+
+// Registered exposes how many algorithms are registered, so the external
+// constructor tests can check that a rejected one left nothing behind.
+func (e *Engine) Registered() int { return len(e.algs) }

@@ -188,9 +188,11 @@ func (e *Engine) routeToMH(via MSSID, mh MHID, msg Message, opts routeOpts, stal
 			e.transmitWired(via, target, rec)
 			return
 		}
-		// Local delivery. Under the paper's pessimistic assumption every
-		// routed delivery to a MH still incurs the fixed search cost.
-		if e.cfg.PessimisticSearch && e.cfg.SearchMode == SearchAbstract {
+		// Local delivery. Under the paper's pessimistic assumption ("any
+		// message destined for a mobile host incurs a fixed search cost",
+		// under which its analytic expressions are exact) every routed
+		// delivery to a MH still pays Csearch.
+		if e.cfg.SearchMode == SearchAbstract {
 			e.chargeSearch(opts, stale)
 		}
 		if !opts.toMSS {

@@ -105,7 +105,7 @@ func measuredLamportCost(seed uint64, m, n int, p cost.Params, useL1 bool) float
 	sys := core.MustNewSystem(cfg)
 	var issue func(core.MHID) error
 	if useL1 {
-		l1, err := lamport.NewL1(sys, mhRange(n), lamport.Options{Hold: 5})
+		l1, err := lamport.NewL1(sys, core.AllMHs(n), lamport.Options{Hold: 5})
 		if err != nil {
 			panic(err)
 		}

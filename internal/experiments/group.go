@@ -57,7 +57,7 @@ func groupTrial(seed uint64, m, n, g int, strat groupStrategy, msgs, movesPerMem
 	cfg.Seed = seed
 	sys := core.MustNewSystem(cfg)
 
-	members := mhRange(g)
+	members := core.AllMHs(g)
 	var comm group.Comm
 	var lv *group.LocationView
 	switch strat {
@@ -206,7 +206,7 @@ func E9GroupLocality(seed uint64) Table {
 			cfg.Seed = seed
 			cfg.Placement = place
 			sys := core.MustNewSystem(cfg)
-			members := mhRange(g)
+			members := core.AllMHs(g)
 			var comm group.Comm
 			switch strat {
 			case stratPureSearch:

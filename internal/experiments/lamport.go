@@ -19,7 +19,7 @@ func lamportExecCost(seed uint64, m, n, reps int, useL1 bool) (perExec float64, 
 
 	issue := func(mh core.MHID) error { return nil }
 	if useL1 {
-		l1, err := lamport.NewL1(sys, mhRange(n), lamport.Options{Hold: 5})
+		l1, err := lamport.NewL1(sys, core.AllMHs(n), lamport.Options{Hold: 5})
 		if err != nil {
 			panic(err)
 		}
@@ -47,14 +47,6 @@ func lamportExecCost(seed uint64, m, n, reps int, useL1 bool) (perExec float64, 
 	wireless := sys.Meter().Count(cost.CatAlgorithm, cost.KindWireless)
 	tx, rx := sys.Meter().TotalEnergy()
 	return total / float64(reps), float64(wireless) / float64(reps), float64(tx+rx) / float64(reps)
-}
-
-func mhRange(n int) []core.MHID {
-	out := make([]core.MHID, n)
-	for i := range out {
-		out[i] = core.MHID(i)
-	}
-	return out
 }
 
 // E1LamportCostVsN reproduces the §3.1.1 comparison: L1's per-execution
@@ -153,7 +145,7 @@ func runDisconnectTrial(seed uint64, m, n, down int, deadline sim.Time, useL1 bo
 	var issue func(core.MHID) error
 	var l2 *lamport.L2
 	if useL1 {
-		l1, err := lamport.NewL1(sys, mhRange(n), lamport.Options{Hold: 5})
+		l1, err := lamport.NewL1(sys, core.AllMHs(n), lamport.Options{Hold: 5})
 		if err != nil {
 			panic(err)
 		}

@@ -44,7 +44,7 @@ func lazyTrial(seed uint64, m, n, movesEa, informEvery int) (informCost, staleCo
 	if err != nil {
 		panic(err)
 	}
-	rt, err := proxy.New(sys, sm, mhRange(n), proxy.Options{
+	rt, err := proxy.New(sys, sm, core.AllMHs(n), proxy.Options{
 		Scope:       proxy.ScopeHome,
 		InformEvery: informEvery,
 	})

@@ -51,7 +51,7 @@ func multicastTrial(seed uint64, m, n, g, items, movesPerMember int) multicastTr
 	sys := core.MustNewSystem(cfg)
 
 	got := make(map[core.MHID][]int64, g)
-	mc, err := multicast.New(sys, mhRange(g), multicast.Options{
+	mc, err := multicast.New(sys, core.AllMHs(g), multicast.Options{
 		Sequencer: core.MSSID(m - 1),
 		OnDeliver: func(at core.MHID, seq int64, _ any) {
 			got[at] = append(got[at], seq)
@@ -70,7 +70,7 @@ func multicastTrial(seed uint64, m, n, g, items, movesPerMember int) multicastTr
 	}
 	if movesPerMember > 0 {
 		if _, err := workload.NewMobility(sys, workload.MobilityConfig{
-			MHs:        mhRange(g),
+			MHs:        core.AllMHs(g),
 			Interval:   workload.Span{Min: 150, Max: 600},
 			MovesPerMH: movesPerMember,
 			Locality:   0.4,

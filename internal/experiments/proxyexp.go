@@ -31,7 +31,7 @@ func proxyTrial(seed uint64, m, n, movesPerMH int, scope proxy.ScopeKind) (algCo
 	if err != nil {
 		panic(err)
 	}
-	rt, err := proxy.New(sys, sm, mhRange(n), proxy.Options{Scope: scope})
+	rt, err := proxy.New(sys, sm, core.AllMHs(n), proxy.Options{Scope: scope})
 	if err != nil {
 		panic(err)
 	}

@@ -52,7 +52,7 @@ func ringTrialR1(seed uint64, m, n, k int) float64 {
 	cfg := core.DefaultConfig(m, n)
 	cfg.Seed = seed
 	sys := core.MustNewSystem(cfg)
-	r1, err := ring.NewR1(sys, mhRange(n), ring.Options{Hold: 3}, false, 1)
+	r1, err := ring.NewR1(sys, core.AllMHs(n), ring.Options{Hold: 3}, false, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -227,7 +227,7 @@ func E7RingDisconnect(seed uint64) Table {
 		cfg := core.DefaultConfig(m, n)
 		cfg.Seed = seed
 		sys := core.MustNewSystem(cfg)
-		r1, err := ring.NewR1(sys, mhRange(n), ring.Options{Hold: 3}, false, 2)
+		r1, err := ring.NewR1(sys, core.AllMHs(n), ring.Options{Hold: 3}, false, 2)
 		if err != nil {
 			panic(err)
 		}

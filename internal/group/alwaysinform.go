@@ -29,16 +29,13 @@ type ldEntry struct {
 // every move broadcasts a location update of the same cost, so the
 // effective cost per group message grows with MOB/MSG.
 type AlwaysInform struct {
-	ctx      core.Context
-	opts     Options
-	members  []core.MHID
-	isMember map[core.MHID]bool
+	ctx     core.Context
+	opts    Options
+	members *core.Participants
 
 	// ld holds each member's copy of the location directory, indexed by the
-	// member's position in members (per-slot state for live-runtime
-	// compatibility).
-	ld    []map[core.MHID]ldEntry
-	index map[core.MHID]int
+	// member's slot (per-slot state for live-runtime compatibility).
+	ld []map[core.MHID]ldEntry
 
 	sent      int64
 	delivered int64
@@ -54,26 +51,20 @@ var (
 // NewAlwaysInform registers an always-inform group over the given members,
 // seeding every member's directory from current locations.
 func NewAlwaysInform(reg core.Registrar, members []core.MHID, opts Options) (*AlwaysInform, error) {
-	set, err := memberSet(members)
+	set, err := core.NewParticipants(reg, members)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("group: %w", err)
 	}
-	g := &AlwaysInform{
-		opts:     opts,
-		members:  append([]core.MHID(nil), members...),
-		isMember: set,
-		index:    make(map[core.MHID]int, len(members)),
-	}
+	g := &AlwaysInform{opts: opts, members: set}
 	g.ctx = reg.Register(g)
-	locs := initialLocations(g.ctx, set)
-	g.ld = make([]map[core.MHID]ldEntry, len(g.members))
-	for i, mh := range g.members {
-		g.index[mh] = i
-		dir := make(map[core.MHID]ldEntry, len(locs))
-		for member, at := range locs {
-			dir[member] = ldEntry{at: at}
+	g.ld = make([]map[core.MHID]ldEntry, set.Len())
+	for i := range g.ld {
+		g.ld[i] = make(map[core.MHID]ldEntry, set.Len())
+		for j, member := range set.Hosts() {
+			if at, ok := set.Cell(j); ok {
+				g.ld[i][member] = ldEntry{at: at}
+			}
 		}
-		g.ld[i] = dir
 	}
 	return g, nil
 }
@@ -92,7 +83,7 @@ func (g *AlwaysInform) Updates() int64 { return g.updates }
 
 // Directory returns a copy of member mh's LD(G) (for tests).
 func (g *AlwaysInform) Directory(mh core.MHID) (map[core.MHID]core.MSSID, error) {
-	slot, ok := g.index[mh]
+	slot, ok := g.members.Slot(mh)
 	if !ok {
 		return nil, fmt.Errorf("group: mh%d is not a member", int(mh))
 	}
@@ -105,7 +96,7 @@ func (g *AlwaysInform) Directory(mh core.MHID) (map[core.MHID]core.MSSID, error)
 
 // Send implements Comm: one directory-routed copy per other member.
 func (g *AlwaysInform) Send(from core.MHID, payload any) error {
-	slot, ok := g.index[from]
+	slot, ok := g.members.Slot(from)
 	if !ok {
 		return fmt.Errorf("group: mh%d is not a member", int(from))
 	}
@@ -118,7 +109,7 @@ func (g *AlwaysInform) Send(from core.MHID, payload any) error {
 // the sender's directory.
 func (g *AlwaysInform) fanOut(slot int, from core.MHID, msg core.Message, cat cost.Category) error {
 	dir := g.ld[slot]
-	for _, to := range g.members {
+	for _, to := range g.members.Hosts() {
 		if to == from {
 			continue
 		}
@@ -135,7 +126,7 @@ func (g *AlwaysInform) fanOut(slot int, from core.MHID, msg core.Message, cat co
 
 // HandleMH implements core.MHHandler.
 func (g *AlwaysInform) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
-	slot, ok := g.index[at]
+	slot, ok := g.members.Slot(at)
 	if !ok {
 		panic(fmt.Sprintf("group: always-inform delivery to non-member mh%d", int(at)))
 	}
@@ -158,7 +149,7 @@ func (g *AlwaysInform) HandleMH(_ core.Context, at core.MHID, msg core.Message) 
 // member broadcasts its new location to the whole group, updating its own
 // entry locally.
 func (g *AlwaysInform) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
-	slot, ok := g.index[mh]
+	slot, ok := g.members.Slot(mh)
 	if !ok {
 		return
 	}

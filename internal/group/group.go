@@ -19,11 +19,7 @@
 // All three implement Comm, so workloads and experiments swap them freely.
 package group
 
-import (
-	"fmt"
-
-	"mobiledist/internal/core"
-)
+import "mobiledist/internal/core"
 
 // Comm is the common surface of the three group communication strategies.
 type Comm interface {
@@ -47,34 +43,4 @@ type Options struct {
 type groupMsg struct {
 	From    core.MHID
 	Payload any
-}
-
-// memberSet builds the membership lookup used by every strategy.
-func memberSet(members []core.MHID) (map[core.MHID]bool, error) {
-	set := make(map[core.MHID]bool, len(members))
-	for _, mh := range members {
-		if set[mh] {
-			return nil, fmt.Errorf("group: duplicate member mh%d", int(mh))
-		}
-		set[mh] = true
-	}
-	if len(set) == 0 {
-		return nil, fmt.Errorf("group: empty membership")
-	}
-	return set, nil
-}
-
-// initialLocations reads the current cell of every member from the network
-// (used to seed directories and views before any traffic flows; the paper
-// assumes an existing consistent view).
-func initialLocations(ctx core.Context, members map[core.MHID]bool) map[core.MHID]core.MSSID {
-	locs := make(map[core.MHID]core.MSSID, len(members))
-	for m := 0; m < ctx.M(); m++ {
-		for _, mh := range ctx.LocalMHs(core.MSSID(m)) {
-			if members[mh] {
-				locs[mh] = core.MSSID(m)
-			}
-		}
-	}
-	return locs
 }

@@ -18,14 +18,6 @@ func newTestSystem(t *testing.T, m, n int, place func(core.MHID) core.MSSID) *co
 	return sys
 }
 
-func membersRange(n int) []core.MHID {
-	out := make([]core.MHID, n)
-	for i := range out {
-		out[i] = core.MHID(i)
-	}
-	return out
-}
-
 type deliveryLog struct {
 	byMember map[core.MHID]int
 	total    int
@@ -50,7 +42,7 @@ func TestPureSearchCostMatchesAnalytic(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n, nil)
 	log := newDeliveryLog()
-	ps, err := NewPureSearch(sys, membersRange(g), log.opts())
+	ps, err := NewPureSearch(sys, core.AllMHs(g), log.opts())
 	if err != nil {
 		t.Fatalf("NewPureSearch: %v", err)
 	}
@@ -79,7 +71,7 @@ func TestAlwaysInformCostMatchesAnalytic(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n, nil)
 	log := newDeliveryLog()
-	ai, err := NewAlwaysInform(sys, membersRange(g), log.opts())
+	ai, err := NewAlwaysInform(sys, core.AllMHs(g), log.opts())
 	if err != nil {
 		t.Fatalf("NewAlwaysInform: %v", err)
 	}
@@ -111,7 +103,7 @@ func TestAlwaysInformUpdateCostMatchesAnalytic(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n, nil)
 	log := newDeliveryLog()
-	ai, err := NewAlwaysInform(sys, membersRange(g), log.opts())
+	ai, err := NewAlwaysInform(sys, core.AllMHs(g), log.opts())
 	if err != nil {
 		t.Fatalf("NewAlwaysInform: %v", err)
 	}
@@ -130,7 +122,7 @@ func TestAlwaysInformUpdateCostMatchesAnalytic(t *testing.T) {
 		t.Errorf("location update cost = %v, want analytic %v\n%s", got, want, sys.Meter().Report(p))
 	}
 	// Every member's directory must now place mh2 at mss3.
-	for _, mh := range membersRange(g) {
+	for _, mh := range core.AllMHs(g) {
 		dir, err := ai.Directory(mh)
 		if err != nil {
 			t.Fatalf("Directory: %v", err)
@@ -145,7 +137,7 @@ func TestAlwaysInformStaleDirectoryStillDelivers(t *testing.T) {
 	const g = 4
 	sys := newTestSystem(t, 4, 8, nil)
 	log := newDeliveryLog()
-	ai, err := NewAlwaysInform(sys, membersRange(g), log.opts())
+	ai, err := NewAlwaysInform(sys, core.AllMHs(g), log.opts())
 	if err != nil {
 		t.Fatalf("NewAlwaysInform: %v", err)
 	}
@@ -187,7 +179,7 @@ func TestLocationViewCostMatchesAnalytic(t *testing.T) {
 	}
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:     log.opts(),
 		Coordinator: core.MSSID(5),
 	})
@@ -225,7 +217,7 @@ func TestLocationViewSignificantMoveWithinBound(t *testing.T) {
 	place := func(mh core.MHID) core.MSSID { return core.MSSID(int(mh) % 3) }
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(5),
 		CombineWindow: 200,
@@ -268,7 +260,7 @@ func TestLocationViewCombinedMove(t *testing.T) {
 	place := func(mh core.MHID) core.MSSID { return core.MSSID(int(mh) % 3) }
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(0),
 		CombineWindow: 500,
@@ -311,7 +303,7 @@ func TestLocationViewInsignificantMoveIsFree(t *testing.T) {
 	place := func(mh core.MHID) core.MSSID { return core.MSSID(int(mh) % 2) }
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(3),
 		CombineWindow: 200,
@@ -348,7 +340,7 @@ func TestLocationViewSoleDepartureDeletesCell(t *testing.T) {
 	place := func(mh core.MHID) core.MSSID { return core.MSSID(int(mh) % 3) }
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(3),
 		CombineWindow: 100,
@@ -380,7 +372,7 @@ func TestLocationViewDeliveryAfterMoves(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n, singleCellPlacement(0))
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(4),
 		CombineWindow: 100,
@@ -410,7 +402,7 @@ func TestLocationViewDeliveryAfterMoves(t *testing.T) {
 	if lv.Delivered() != g-1 {
 		t.Errorf("delivered = %d, want %d", lv.Delivered(), g-1)
 	}
-	for _, mh := range membersRange(g) {
+	for _, mh := range core.AllMHs(g) {
 		if mh == 3 {
 			continue
 		}
@@ -429,7 +421,7 @@ func TestLocationViewSenderJustArrivedFallsBack(t *testing.T) {
 	place := func(mh core.MHID) core.MSSID { return 0 }
 	sys := newTestSystem(t, m, n, place)
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(4),
 		CombineWindow: 100,
@@ -460,15 +452,15 @@ func TestGroupCommRejectsNonMembers(t *testing.T) {
 	sys := newTestSystem(t, 3, 6, nil)
 	log := newDeliveryLog()
 	comms := make([]Comm, 0, 3)
-	ps, err := NewPureSearch(sys, membersRange(3), log.opts())
+	ps, err := NewPureSearch(sys, core.AllMHs(3), log.opts())
 	if err != nil {
 		t.Fatalf("NewPureSearch: %v", err)
 	}
-	ai, err := NewAlwaysInform(sys, membersRange(3), log.opts())
+	ai, err := NewAlwaysInform(sys, core.AllMHs(3), log.opts())
 	if err != nil {
 		t.Fatalf("NewAlwaysInform: %v", err)
 	}
-	lv, err := NewLocationView(sys, membersRange(3), LocationViewOptions{Options: log.opts()})
+	lv, err := NewLocationView(sys, core.AllMHs(3), LocationViewOptions{Options: log.opts()})
 	if err != nil {
 		t.Fatalf("NewLocationView: %v", err)
 	}
@@ -477,5 +469,21 @@ func TestGroupCommRejectsNonMembers(t *testing.T) {
 		if err := c.Send(core.MHID(5), "x"); err == nil {
 			t.Errorf("%s: Send by non-member succeeded, want error", c.Name())
 		}
+	}
+}
+
+// TestLocationViewBadCoordinatorRegistersNothing: a rejected coordinator
+// leaves no half-built view on the network, so a member's later move runs
+// as if the constructor had never been called.
+func TestLocationViewBadCoordinatorRegistersNothing(t *testing.T) {
+	sys := newTestSystem(t, 3, 6, nil)
+	if _, err := NewLocationView(sys, []core.MHID{0, 1}, LocationViewOptions{Coordinator: 7}); err == nil {
+		t.Fatal("NewLocationView accepted coordinator mss7 with M=3")
+	}
+	if err := sys.Move(0, 2); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

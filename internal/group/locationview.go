@@ -120,10 +120,9 @@ type LocationViewOptions struct {
 // once up the wireless link, across the view over the fixed network, and
 // once down per recipient.
 type LocationView struct {
-	ctx      core.Context
-	opts     LocationViewOptions
-	members  []core.MHID
-	isMember map[core.MHID]bool
+	ctx     core.Context
+	opts    LocationViewOptions
+	members *core.Participants
 
 	mss    []lvMSSState
 	master map[core.MSSID]bool // coordinator's authoritative view
@@ -154,24 +153,25 @@ var (
 // NewLocationView registers a location-view group over the given members,
 // seeding LV(G) from current member locations.
 func NewLocationView(reg core.Registrar, members []core.MHID, opts LocationViewOptions) (*LocationView, error) {
-	set, err := memberSet(members)
+	set, err := core.NewParticipants(reg, members)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("group: %w", err)
 	}
-	g := &LocationView{
-		opts:     opts,
-		members:  append([]core.MHID(nil), members...),
-		isMember: set,
-		master:   make(map[core.MSSID]bool),
-		lastSeq:  make(map[core.MSSID]int64),
-	}
-	g.ctx = reg.Register(g)
-	if int(opts.Coordinator) < 0 || int(opts.Coordinator) >= g.ctx.M() {
+	if int(opts.Coordinator) < 0 || int(opts.Coordinator) >= set.M() {
 		return nil, fmt.Errorf("group: invalid coordinator mss%d", int(opts.Coordinator))
 	}
+	g := &LocationView{
+		opts:    opts,
+		members: set,
+		master:  make(map[core.MSSID]bool),
+		lastSeq: make(map[core.MSSID]int64),
+	}
+	g.ctx = reg.Register(g)
 	g.mss = make([]lvMSSState, g.ctx.M())
-	for _, at := range initialLocations(g.ctx, set) {
-		g.master[at] = true
+	for i := range set.Len() {
+		if at, ok := set.Cell(i); ok {
+			g.master[at] = true
+		}
 	}
 	for id := range g.master {
 		g.mss[id].inView = true
@@ -219,7 +219,7 @@ func (g *LocationView) View() []core.MSSID {
 // Send implements Comm: uplink to the local MSS, which fans out across the
 // view.
 func (g *LocationView) Send(from core.MHID, payload any) error {
-	if !g.isMember[from] {
+	if !g.members.Has(from) {
 		return fmt.Errorf("group: mh%d is not a member", int(from))
 	}
 	g.sent++
@@ -317,7 +317,7 @@ func (g *LocationView) HandleMH(_ core.Context, at core.MHID, msg core.Message) 
 // the view triggers the addition protocol through the previous MSS; any
 // member joining cancels a withheld deletion for that cell.
 func (g *LocationView) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
-	if !g.isMember[mh] {
+	if !g.members.Has(mh) {
 		return
 	}
 	st := &g.mss[mss]
@@ -337,7 +337,7 @@ func (g *LocationView) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, pr
 // leaves, the cell's deletion from the view is requested — withheld for
 // CombineWindow so it can be combined with the destination's addition.
 func (g *LocationView) OnLeave(ctx core.Context, mss core.MSSID, mh core.MHID) {
-	if !g.isMember[mh] {
+	if !g.members.Has(mh) {
 		return
 	}
 	st := &g.mss[mss]
@@ -413,7 +413,7 @@ func (g *LocationView) distribute(ctx core.Context, at core.MSSID, from core.MHI
 // deliverLocal hands the message to every local member except the sender.
 func (g *LocationView) deliverLocal(ctx core.Context, at core.MSSID, from core.MHID, payload any, cat cost.Category) {
 	for _, mh := range ctx.LocalMHs(at) {
-		if mh == from || !g.isMember[mh] {
+		if mh == from || !g.members.Has(mh) {
 			continue
 		}
 		if err := ctx.SendToLocalMH(at, mh, groupMsg{From: from, Payload: payload}, cat); err != nil {
@@ -494,7 +494,7 @@ func (g *LocationView) syncCoordinatorCopy() {
 
 func (g *LocationView) hasLocalMembers(ctx core.Context, at core.MSSID) bool {
 	for _, mh := range ctx.LocalMHs(at) {
-		if g.isMember[mh] {
+		if g.members.Has(mh) {
 			return true
 		}
 	}

@@ -30,7 +30,7 @@ func TestAlwaysInformEventsMatchUpdateTally(t *testing.T) {
 	cfg := core.DefaultConfig(m, n)
 	cfg.Obs = tracer
 	sys := core.MustNewSystem(cfg)
-	ai, err := NewAlwaysInform(sys, membersRange(g), Options{})
+	ai, err := NewAlwaysInform(sys, core.AllMHs(g), Options{})
 	if err != nil {
 		t.Fatalf("NewAlwaysInform: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestLocationViewEventsMatchTallies(t *testing.T) {
 	cfg.Obs = tracer
 	cfg.Placement = singleCellPlacement(0)
 	sys := core.MustNewSystem(cfg)
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Coordinator:   core.MSSID(m - 1),
 		CombineWindow: 100,
 	})

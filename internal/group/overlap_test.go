@@ -109,7 +109,7 @@ func TestGroupAndMulticastShareMembers(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(m - 1),
 		CombineWindow: 100,
@@ -118,7 +118,7 @@ func TestGroupAndMulticastShareMembers(t *testing.T) {
 		t.Fatalf("NewLocationView: %v", err)
 	}
 	feed := make(map[core.MHID][]int64)
-	mc, err := multicast.New(sys, membersRange(g), multicast.Options{
+	mc, err := multicast.New(sys, core.AllMHs(g), multicast.Options{
 		Sequencer: core.MSSID(0),
 		OnDeliver: func(at core.MHID, seq int64, _ any) { feed[at] = append(feed[at], seq) },
 	})

@@ -34,7 +34,7 @@ func lvExactAfterQuiescence(seed uint64, plan []uint8) string {
 	if err != nil {
 		return err.Error()
 	}
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Coordinator:   core.MSSID(m - 1),
 		CombineWindow: 150,
 	})
@@ -95,7 +95,7 @@ func lvDeliversAfterQuiescence(seed uint64, plan []uint8) string {
 		return err.Error()
 	}
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(0),
 		CombineWindow: 100,
@@ -125,7 +125,7 @@ func lvDeliversAfterQuiescence(seed uint64, plan []uint8) string {
 	if err := sys.Run(); err != nil {
 		return err.Error()
 	}
-	for _, mh := range membersRange(g) {
+	for _, mh := range core.AllMHs(g) {
 		want := 1
 		if mh == 1 {
 			want = 0
@@ -240,7 +240,7 @@ func aiDirectoriesConverge(seed uint64, plan []uint8) bool {
 	if err != nil {
 		return false
 	}
-	ai, err := NewAlwaysInform(sys, membersRange(g), Options{})
+	ai, err := NewAlwaysInform(sys, core.AllMHs(g), Options{})
 	if err != nil {
 		return false
 	}
@@ -259,12 +259,12 @@ func aiDirectoriesConverge(seed uint64, plan []uint8) bool {
 	if err := sys.Run(); err != nil {
 		return false
 	}
-	for _, owner := range membersRange(g) {
+	for _, owner := range core.AllMHs(g) {
 		dir, err := ai.Directory(owner)
 		if err != nil {
 			return false
 		}
-		for _, member := range membersRange(g) {
+		for _, member := range core.AllMHs(g) {
 			at, _ := sys.Where(member)
 			if dir[member] != at {
 				return false
@@ -291,7 +291,7 @@ func TestLocationViewConcurrentSignificantMoves(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	log := newDeliveryLog()
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(7),
 		CombineWindow: 100,
@@ -347,7 +347,7 @@ func TestLocationViewDisconnectedSoleMemberDeletesCell(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	lv, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lv, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Coordinator:   core.MSSID(3),
 		CombineWindow: 50,
 	})
@@ -395,7 +395,7 @@ func TestGroupStrategiesUnderChurnStillDeliverToConnected(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	log := newDeliveryLog()
-	lvg, err := NewLocationView(sys, membersRange(g), LocationViewOptions{
+	lvg, err := NewLocationView(sys, core.AllMHs(g), LocationViewOptions{
 		Options:       log.opts(),
 		Coordinator:   core.MSSID(3),
 		CombineWindow: 100,

@@ -14,8 +14,7 @@ import (
 type PureSearch struct {
 	ctx       core.Context
 	opts      Options
-	members   []core.MHID
-	isMember  map[core.MHID]bool
+	members   *core.Participants
 	sent      int64
 	delivered int64
 }
@@ -27,15 +26,11 @@ var (
 
 // NewPureSearch registers a pure-search group over the given members.
 func NewPureSearch(reg core.Registrar, members []core.MHID, opts Options) (*PureSearch, error) {
-	set, err := memberSet(members)
+	set, err := core.NewParticipants(reg, members)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("group: %w", err)
 	}
-	g := &PureSearch{
-		opts:     opts,
-		members:  append([]core.MHID(nil), members...),
-		isMember: set,
-	}
+	g := &PureSearch{opts: opts, members: set}
 	g.ctx = reg.Register(g)
 	return g, nil
 }
@@ -51,12 +46,12 @@ func (g *PureSearch) Delivered() int64 { return g.delivered }
 
 // Send implements Comm: one searched MH-to-MH message per other member.
 func (g *PureSearch) Send(from core.MHID, payload any) error {
-	if !g.isMember[from] {
+	if !g.members.Has(from) {
 		return fmt.Errorf("group: mh%d is not a member", int(from))
 	}
 	g.sent++
 	msg := groupMsg{From: from, Payload: payload}
-	for _, to := range g.members {
+	for _, to := range g.members.Hosts() {
 		if to == from {
 			continue
 		}

@@ -34,7 +34,7 @@ func TestMulticastRapidMultiHopChain(t *testing.T) {
 	)
 	sys := slowWiredSystem(t, m, g, 61)
 	rcv := newReceiver()
-	mc, err := New(sys, members(g), Options{Sequencer: 4, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(g), Options{Sequencer: 4, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestMulticastRapidMultiHopChain(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(g), 2)
+	rcv.verify(t, core.AllMHs(g), 2)
 	if mc.Handoffs() == 0 {
 		t.Error("expected handoffs along the chain")
 	}
@@ -79,7 +79,7 @@ func TestMulticastChainWithReturnTrip(t *testing.T) {
 	const g = 2
 	sys := slowWiredSystem(t, 3, g, 67)
 	rcv := newReceiver()
-	mc, err := New(sys, members(g), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(g), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -111,12 +111,12 @@ func TestMulticastChainWithReturnTrip(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(g), 2)
+	rcv.verify(t, core.AllMHs(g), 2)
 }
 
 func TestMulticastAccessors(t *testing.T) {
 	sys := newSys(t, 3, 3, 71)
-	mc, err := New(sys, members(2), Options{Sequencer: 1})
+	mc, err := New(sys, core.AllMHs(2), Options{Sequencer: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

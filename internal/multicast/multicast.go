@@ -118,10 +118,9 @@ type mcMSSState struct {
 
 // Multicast is one exactly-once multicast group.
 type Multicast struct {
-	ctx      core.Context
-	opts     Options
-	members  []core.MHID
-	isMember map[core.MHID]bool
+	ctx     core.Context
+	opts    Options
+	members *core.Participants
 
 	mss []mcMSSState
 	// lastJoinMSS/lastJoinEpoch record each member's most recent join, the
@@ -156,39 +155,32 @@ var (
 // New registers a multicast group over the given members. Watermark
 // ownership starts at each member's current cell.
 func New(reg core.Registrar, members []core.MHID, opts Options) (*Multicast, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("multicast: empty membership")
+	set, err := core.NewParticipants(reg, members)
+	if err != nil {
+		return nil, fmt.Errorf("multicast: %w", err)
 	}
-	g := &Multicast{
-		opts:          opts,
-		members:       append([]core.MHID(nil), members...),
-		isMember:      make(map[core.MHID]bool, len(members)),
-		lastJoinMSS:   make(map[core.MHID]core.MSSID, len(members)),
-		lastJoinEpoch: make(map[core.MHID]int64, len(members)),
-		expected:      make(map[core.MHID]int64, len(members)),
-		early:         make(map[core.MHID]map[int64]any, len(members)),
-	}
-	for _, mh := range g.members {
-		if g.isMember[mh] {
-			return nil, fmt.Errorf("multicast: duplicate member mh%d", int(mh))
-		}
-		g.isMember[mh] = true
-	}
-	g.ctx = reg.Register(g)
-	if int(opts.Sequencer) < 0 || int(opts.Sequencer) >= g.ctx.M() {
+	if int(opts.Sequencer) < 0 || int(opts.Sequencer) >= set.M() {
 		return nil, fmt.Errorf("multicast: invalid sequencer mss%d", int(opts.Sequencer))
 	}
+	n := set.Len()
+	g := &Multicast{
+		opts:          opts,
+		members:       set,
+		lastJoinMSS:   make(map[core.MHID]core.MSSID, n),
+		lastJoinEpoch: make(map[core.MHID]int64, n),
+		expected:      make(map[core.MHID]int64, n),
+		early:         make(map[core.MHID]map[int64]any, n),
+	}
+	g.ctx = reg.Register(g)
 	g.mss = make([]mcMSSState, g.ctx.M())
 	for i := range g.mss {
 		g.mss[i].next = make(map[core.MHID]int64)
 		g.mss[i].pendingReq = make(map[core.MHID]mcStateReq)
 		g.mss[i].pendingRollback = make(map[core.MHID]int64)
 	}
-	for m := 0; m < g.ctx.M(); m++ {
-		for _, mh := range g.ctx.LocalMHs(core.MSSID(m)) {
-			if g.isMember[mh] {
-				g.mss[m].next[mh] = 0
-			}
+	for i, mh := range set.Hosts() {
+		if at, ok := set.Cell(i); ok {
+			g.mss[at].next[mh] = 0
 		}
 	}
 	return g, nil
@@ -211,7 +203,7 @@ func (g *Multicast) Rollbacks() int64 { return g.rollbacks }
 
 // Publish submits payload from the given member (any member may publish).
 func (g *Multicast) Publish(from core.MHID, payload any) error {
-	if !g.isMember[from] {
+	if !g.members.Has(from) {
 		return fmt.Errorf("multicast: mh%d is not a member", int(from))
 	}
 	if err := g.ctx.SendFromMH(from, mcPublish{Payload: payload}, cost.CatAlgorithm); err != nil {
@@ -362,7 +354,7 @@ func (g *Multicast) DuplicatesDropped() int64 { return g.duplicatesDropped }
 // watermark from the previous cell (the Section-2 handoff). A leave or a
 // disconnect changes nothing: the old cell keeps the watermark until then.
 func (g *Multicast) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
-	if !g.isMember[mh] {
+	if !g.members.Has(mh) {
 		return
 	}
 	g.lastJoinEpoch[mh]++
@@ -446,7 +438,7 @@ func (g *Multicast) appendAndDrain(ctx core.Context, at core.MSSID, m mcFlood) {
 		panic(fmt.Sprintf("multicast: mss%d got seq %d with log length %d", int(at), m.Seq, len(st.log)))
 	}
 	st.log = append(st.log, m.Payload)
-	for _, mh := range g.members {
+	for _, mh := range g.members.Hosts() {
 		if _, owned := st.next[mh]; owned {
 			g.drainMember(ctx, at, mh)
 		}

@@ -20,14 +20,6 @@ func newSys(t *testing.T, m, n int, seed uint64) *core.System {
 	return sys
 }
 
-func members(n int) []core.MHID {
-	out := make([]core.MHID, n)
-	for i := range out {
-		out[i] = core.MHID(i)
-	}
-	return out
-}
-
 // receiver records per-member delivery sequences.
 type receiver struct {
 	got map[core.MHID][]int64
@@ -80,7 +72,7 @@ func TestMulticastStaticDelivery(t *testing.T) {
 	)
 	sys := newSys(t, m, n, 1)
 	rcv := newReceiver()
-	mc, err := New(sys, members(g), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(g), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -98,7 +90,7 @@ func TestMulticastStaticDelivery(t *testing.T) {
 	if mc.Published() != 4 {
 		t.Fatalf("published = %d, want 4", mc.Published())
 	}
-	rcv.verify(t, members(g), 4)
+	rcv.verify(t, core.AllMHs(g), 4)
 	if mc.Delivered() != 4*g {
 		t.Errorf("delivered = %d, want %d", mc.Delivered(), 4*g)
 	}
@@ -112,7 +104,7 @@ func TestMulticastMemberMovesBetweenMessages(t *testing.T) {
 	)
 	sys := newSys(t, m, n, 2)
 	rcv := newReceiver()
-	mc, err := New(sys, members(g), Options{Sequencer: 3, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(g), Options{Sequencer: 3, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -132,7 +124,7 @@ func TestMulticastMemberMovesBetweenMessages(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(g), 2)
+	rcv.verify(t, core.AllMHs(g), 2)
 	if mc.Handoffs() != 1 {
 		t.Errorf("handoffs = %d, want 1", mc.Handoffs())
 	}
@@ -149,7 +141,7 @@ func TestMulticastBacklogDeliveredAfterMove(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	rcv := newReceiver()
-	mc, err := New(sys, members(3), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(3), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -166,7 +158,7 @@ func TestMulticastBacklogDeliveredAfterMove(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(3), 3)
+	rcv.verify(t, core.AllMHs(3), 3)
 }
 
 func TestMulticastReturnTripKeepsOwnership(t *testing.T) {
@@ -174,7 +166,7 @@ func TestMulticastReturnTripKeepsOwnership(t *testing.T) {
 	// deliveries (the epoch-pruned handoff case).
 	sys := newSys(t, 3, 3, 4)
 	rcv := newReceiver()
-	mc, err := New(sys, members(2), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(2), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -201,13 +193,13 @@ func TestMulticastReturnTripKeepsOwnership(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(2), 2)
+	rcv.verify(t, core.AllMHs(2), 2)
 }
 
 func TestMulticastDisconnectedMemberCatchesUp(t *testing.T) {
 	sys := newSys(t, 4, 4, 5)
 	rcv := newReceiver()
-	mc, err := New(sys, members(3), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(3), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -231,7 +223,7 @@ func TestMulticastDisconnectedMemberCatchesUp(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(3), 3)
+	rcv.verify(t, core.AllMHs(3), 3)
 }
 
 func TestMulticastDeliveryRacingDisconnect(t *testing.T) {
@@ -245,7 +237,7 @@ func TestMulticastDeliveryRacingDisconnect(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	rcv := newReceiver()
-	mc, err := New(sys, members(2), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
+	mc, err := New(sys, core.AllMHs(2), Options{Sequencer: 2, OnDeliver: rcv.onDeliver})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -270,7 +262,7 @@ func TestMulticastDeliveryRacingDisconnect(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rcv.verify(t, members(2), 1)
+	rcv.verify(t, core.AllMHs(2), 1)
 }
 
 func TestMulticastRejectsBadConfig(t *testing.T) {
@@ -281,15 +273,31 @@ func TestMulticastRejectsBadConfig(t *testing.T) {
 	if _, err := New(sys, []core.MHID{0, 0}, Options{}); err == nil {
 		t.Error("duplicate member accepted")
 	}
-	if _, err := New(sys, members(2), Options{Sequencer: 9}); err == nil {
+	if _, err := New(sys, core.AllMHs(2), Options{Sequencer: 9}); err == nil {
 		t.Error("invalid sequencer accepted")
 	}
-	mc, err := New(sys, members(2), Options{Sequencer: 1})
+	mc, err := New(sys, core.AllMHs(2), Options{Sequencer: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if err := mc.Publish(core.MHID(2), "x"); err == nil {
 		t.Error("publish by non-member accepted")
+	}
+}
+
+// TestMulticastBadSequencerRegistersNothing: a rejected sequencer leaves
+// no half-built group on the network, so a member's later move runs as if
+// the constructor had never been called.
+func TestMulticastBadSequencerRegistersNothing(t *testing.T) {
+	sys := newSys(t, 3, 6, 1)
+	if _, err := New(sys, core.AllMHs(3), Options{Sequencer: 9}); err == nil {
+		t.Fatal("New accepted sequencer mss9 with M=3")
+	}
+	if err := sys.Move(0, 2); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -311,7 +319,7 @@ func TestPropertyExactlyOnceOrderedUnderChaos(t *testing.T) {
 			return false
 		}
 		rcv := newReceiver()
-		mc, err := New(sys, members(g), Options{Sequencer: core.MSSID(m - 1), OnDeliver: rcv.onDeliver})
+		mc, err := New(sys, core.AllMHs(g), Options{Sequencer: core.MSSID(m - 1), OnDeliver: rcv.onDeliver})
 		if err != nil {
 			return false
 		}
@@ -325,7 +333,7 @@ func TestPropertyExactlyOnceOrderedUnderChaos(t *testing.T) {
 			})
 		}
 		if _, err := workload.NewMobility(sys, workload.MobilityConfig{
-			MHs:        members(g),
+			MHs:        core.AllMHs(g),
 			Interval:   workload.Span{Min: 100, Max: 600},
 			MovesPerMH: int(mobilityRaw % 4),
 			Locality:   0.5,
@@ -345,7 +353,7 @@ func TestPropertyExactlyOnceOrderedUnderChaos(t *testing.T) {
 		if err := sys.Run(); err != nil {
 			return false
 		}
-		return rcv.ok(members(g), mc.Published()) && mc.LostRollbacks() == 0
+		return rcv.ok(core.AllMHs(g), mc.Published()) && mc.LostRollbacks() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -357,7 +365,7 @@ func TestPropertyExactlyOnceOrderedUnderChaos(t *testing.T) {
 // abandoned and counted — the chase must not loop forever.
 func TestRollbackRetriesAreBounded(t *testing.T) {
 	sys := newSys(t, 2, 2, 1)
-	g, err := New(sys, members(2), Options{Sequencer: 0})
+	g, err := New(sys, core.AllMHs(2), Options{Sequencer: 0})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -87,7 +87,7 @@ func TestL1EnergyConcentratesAtInitiator(t *testing.T) {
 	const n = 6
 	sys := newTestSystem(t, 3, n)
 	mon := &monitor{t: t}
-	l1, err := NewL1(sys, allMHs(n), mon.options(3))
+	l1, err := NewL1(sys, core.AllMHs(n), mon.options(3))
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestL1GrantsFollowTimestampOrder(t *testing.T) {
 	sys := newTestSystem(t, 3, 5)
 	var order []core.MHID
 	opts := Options{Hold: 3, OnEnter: func(mh core.MHID) { order = append(order, mh) }}
-	l1, err := NewL1(sys, allMHs(5), opts)
+	l1, err := NewL1(sys, core.AllMHs(5), opts)
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}

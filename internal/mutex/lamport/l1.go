@@ -25,13 +25,12 @@ type Options struct {
 // Every MH participates in every execution: each maintains a clock and a
 // request queue, and all protocol traffic is MH-to-MH.
 type L1 struct {
-	ctx          core.Context
-	opts         Options
-	participants []core.MHID
-	index        map[core.MHID]int
-	engines      []*logical.MutexEngine
-	pending      []*logical.Timestamp // outstanding own request per slot
-	grants       int64
+	ctx     core.Context
+	opts    Options
+	members *core.Participants
+	engines []*logical.MutexEngine
+	pending []*logical.Timestamp // outstanding own request per slot
+	grants  int64
 }
 
 var (
@@ -50,26 +49,21 @@ type l1Release struct {
 // NewL1 registers an L1 instance over the given participant MHs (all N MHs
 // in the paper's analysis).
 func NewL1(reg core.Registrar, participants []core.MHID, opts Options) (*L1, error) {
-	if len(participants) == 0 {
-		return nil, fmt.Errorf("lamport: L1 needs at least one participant")
+	members, err := core.NewParticipants(reg, participants)
+	if err != nil {
+		return nil, fmt.Errorf("lamport: L1: %w", err)
 	}
+	n := members.Len()
 	a := &L1{
-		opts:         opts,
-		participants: append([]core.MHID(nil), participants...),
-		index:        make(map[core.MHID]int, len(participants)),
-		engines:      make([]*logical.MutexEngine, len(participants)),
-		pending:      make([]*logical.Timestamp, len(participants)),
-	}
-	for i, mh := range a.participants {
-		if _, dup := a.index[mh]; dup {
-			return nil, fmt.Errorf("lamport: duplicate participant mh%d", int(mh))
-		}
-		a.index[mh] = i
+		opts:    opts,
+		members: members,
+		engines: make([]*logical.MutexEngine, n),
+		pending: make([]*logical.Timestamp, n),
 	}
 	a.ctx = reg.Register(a)
-	for i := range a.participants {
+	for i := range a.engines {
 		slot := i
-		a.engines[i] = logical.NewMutexEngine(slot, len(a.participants),
+		a.engines[i] = logical.NewMutexEngine(slot, n,
 			func(to int, m logical.MutexMsg) { a.sendPeer(slot, to, m) },
 			func(tag int64, ts logical.Timestamp) { a.granted(slot, ts) },
 		)
@@ -86,7 +80,7 @@ func (a *L1) Grants() int64 { return a.grants }
 // Request issues a mutual exclusion request on behalf of mh. At most one
 // request per MH may be outstanding.
 func (a *L1) Request(mh core.MHID) error {
-	slot, ok := a.index[mh]
+	slot, ok := a.members.Slot(mh)
 	if !ok {
 		return fmt.Errorf("lamport: mh%d is not an L1 participant", int(mh))
 	}
@@ -101,7 +95,7 @@ func (a *L1) Request(mh core.MHID) error {
 
 // HandleMH implements core.MHHandler.
 func (a *L1) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
-	slot, ok := a.index[at]
+	slot, ok := a.members.Slot(at)
 	if !ok {
 		panic(fmt.Sprintf("lamport: L1 message delivered to non-participant mh%d", int(at)))
 	}
@@ -113,8 +107,8 @@ func (a *L1) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
 }
 
 func (a *L1) sendPeer(from, to int, m logical.MutexMsg) {
-	src := a.participants[from]
-	dst := a.participants[to]
+	src := a.members.Host(from)
+	dst := a.members.Host(to)
 	if err := a.ctx.SendMHToMH(src, dst, m, cost.CatAlgorithm); err != nil {
 		// A disconnected sender cannot participate; the paper notes L1 does
 		// not provide for disconnection, so the message is simply lost and
@@ -125,7 +119,7 @@ func (a *L1) sendPeer(from, to int, m logical.MutexMsg) {
 }
 
 func (a *L1) granted(slot int, ts logical.Timestamp) {
-	mh := a.participants[slot]
+	mh := a.members.Host(slot)
 	a.grants++
 	a.ctx.NoteCSEnter(mh)
 	if a.opts.OnEnter != nil {
@@ -138,7 +132,7 @@ func (a *L1) granted(slot int, ts logical.Timestamp) {
 // leaves the critical section and releases.
 func (a *L1) HandleTimer(_ core.Context, msg core.Message) {
 	m := msg.(l1Release)
-	mh := a.participants[m.slot]
+	mh := a.members.Host(m.slot)
 	a.ctx.NoteCSExit(mh)
 	if a.opts.OnExit != nil {
 		a.opts.OnExit(mh)

@@ -42,14 +42,6 @@ func newTestSystem(t *testing.T, m, n int) *core.System {
 	return sys
 }
 
-func allMHs(n int) []core.MHID {
-	ids := make([]core.MHID, n)
-	for i := range ids {
-		ids[i] = core.MHID(i)
-	}
-	return ids
-}
-
 func TestL2SingleRequestCostMatchesAnalytic(t *testing.T) {
 	const (
 		m = 5
@@ -87,7 +79,7 @@ func TestL1SingleRequestCostMatchesAnalytic(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n)
 	mon := &monitor{t: t}
-	l1, err := NewL1(sys, allMHs(n), mon.options(10))
+	l1, err := NewL1(sys, core.AllMHs(n), mon.options(10))
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}
@@ -152,7 +144,7 @@ func TestL1ConcurrentRequestsSafetyAndLiveness(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n)
 	mon := &monitor{t: t}
-	l1, err := NewL1(sys, allMHs(n), mon.options(5))
+	l1, err := NewL1(sys, core.AllMHs(n), mon.options(5))
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}
@@ -281,7 +273,7 @@ func TestL2DisconnectInsideCSReleasesAfterReconnect(t *testing.T) {
 func TestL1BlocksWhenParticipantDisconnects(t *testing.T) {
 	sys := newTestSystem(t, 3, 5)
 	mon := &monitor{t: t}
-	l1, err := NewL1(sys, allMHs(5), mon.options(5))
+	l1, err := NewL1(sys, core.AllMHs(5), mon.options(5))
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}
@@ -308,7 +300,7 @@ func TestL1BlocksWhenParticipantDisconnects(t *testing.T) {
 func TestL1RequestWhileMovingIsDeferred(t *testing.T) {
 	sys := newTestSystem(t, 3, 4)
 	mon := &monitor{t: t}
-	l1, err := NewL1(sys, allMHs(4), mon.options(5))
+	l1, err := NewL1(sys, core.AllMHs(4), mon.options(5))
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}
@@ -374,7 +366,7 @@ func TestL2DuplicateRequestRejected(t *testing.T) {
 
 func TestL1NonParticipantRejected(t *testing.T) {
 	sys := newTestSystem(t, 3, 6)
-	l1, err := NewL1(sys, allMHs(3), Options{Hold: 1})
+	l1, err := NewL1(sys, core.AllMHs(3), Options{Hold: 1})
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}

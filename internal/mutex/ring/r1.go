@@ -54,10 +54,10 @@ type r1HoldDone struct {
 
 // R1 is Le Lann's algorithm run directly on the mobile hosts.
 type R1 struct {
-	ctx   core.Context
-	opts  Options
-	ring  []core.MHID
-	index map[core.MHID]int
+	ctx  core.Context
+	opts Options
+	// ring is the logical ring: slot i's successor is slot i+1.
+	ring *core.Participants
 
 	// RepairSkip, when set at construction, reroutes the token around a
 	// disconnected MH instead of stalling the ring (the "re-establish the
@@ -84,22 +84,16 @@ var (
 // maxTraversals bounds token circulation (the token parks after that many
 // full traversals) so simulations quiesce; 0 means circulate forever.
 func NewR1(reg core.Registrar, ringOrder []core.MHID, opts Options, repairSkip bool, maxTraversals int64) (*R1, error) {
-	if len(ringOrder) == 0 {
-		return nil, fmt.Errorf("ring: R1 needs at least one participant")
+	ring, err := core.NewParticipants(reg, ringOrder)
+	if err != nil {
+		return nil, fmt.Errorf("ring: R1: %w", err)
 	}
 	a := &R1{
 		opts:       opts,
-		ring:       append([]core.MHID(nil), ringOrder...),
-		index:      make(map[core.MHID]int, len(ringOrder)),
+		ring:       ring,
 		repairSkip: repairSkip,
-		pending:    make([]bool, len(ringOrder)),
+		pending:    make([]bool, ring.Len()),
 		maxRounds:  maxTraversals,
-	}
-	for i, mh := range a.ring {
-		if _, dup := a.index[mh]; dup {
-			return nil, fmt.Errorf("ring: duplicate participant mh%d", int(mh))
-		}
-		a.index[mh] = i
 	}
 	a.ctx = reg.Register(a)
 	return a, nil
@@ -136,7 +130,7 @@ func (a *R1) Start() error {
 // Request records that mh wants the critical section on the token's next
 // visit.
 func (a *R1) Request(mh core.MHID) error {
-	slot, ok := a.index[mh]
+	slot, ok := a.ring.Slot(mh)
 	if !ok {
 		return fmt.Errorf("ring: mh%d is not an R1 participant", int(mh))
 	}
@@ -151,7 +145,7 @@ func (a *R1) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
 	if !ok {
 		panic(fmt.Sprintf("ring: R1 received unexpected message %T", msg))
 	}
-	slot, ok := a.index[at]
+	slot, ok := a.ring.Slot(at)
 	if !ok {
 		panic(fmt.Sprintf("ring: R1 token delivered to non-participant mh%d", int(at)))
 	}
@@ -170,13 +164,13 @@ func (a *R1) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.MHID, ms
 		a.stalled = true
 		return
 	}
-	slot, ok := a.index[mh]
+	slot, ok := a.ring.Slot(mh)
 	if !ok {
 		return
 	}
-	next := (slot + 1) % len(a.ring)
+	next := (slot + 1) % a.ring.Len()
 	a.hops++
-	ctx.SendToMH(at, a.ring[next], tok, cost.CatAlgorithm)
+	ctx.SendToMH(at, a.ring.Host(next), tok, cost.CatAlgorithm)
 }
 
 // receive processes a token arrival at the ring member in slot. injected
@@ -189,7 +183,7 @@ func (a *R1) receive(slot int, tok r1Token, injected bool) {
 			return // park the token; the simulation can quiesce
 		}
 	}
-	mh := a.ring[slot]
+	mh := a.ring.Host(slot)
 	if a.pending[slot] {
 		a.pending[slot] = false
 		a.grants++
@@ -207,7 +201,7 @@ func (a *R1) receive(slot int, tok r1Token, injected bool) {
 // leaves the critical section and forwards the token.
 func (a *R1) HandleTimer(_ core.Context, msg core.Message) {
 	m := msg.(r1HoldDone)
-	mh := a.ring[m.Slot]
+	mh := a.ring.Host(m.Slot)
 	a.ctx.NoteCSExit(mh)
 	if a.opts.OnExit != nil {
 		a.opts.OnExit(mh)
@@ -216,10 +210,10 @@ func (a *R1) HandleTimer(_ core.Context, msg core.Message) {
 }
 
 func (a *R1) forward(slot int, tok r1Token) {
-	next := (slot + 1) % len(a.ring)
+	next := (slot + 1) % a.ring.Len()
 	a.hops++
-	a.ctx.NoteTokenPass(a.ring[slot], a.ring[next])
-	if err := a.ctx.SendMHToMH(a.ring[slot], a.ring[next], tok, cost.CatAlgorithm); err != nil {
+	a.ctx.NoteTokenPass(a.ring.Host(slot), a.ring.Host(next))
+	if err := a.ctx.SendMHToMH(a.ring.Host(slot), a.ring.Host(next), tok, cost.CatAlgorithm); err != nil {
 		// The holder itself disconnected with the token: the ring stalls.
 		a.stalled = true
 	}

@@ -37,14 +37,6 @@ func newTestSystem(t *testing.T, m, n int) *core.System {
 	return sys
 }
 
-func allMHs(n int) []core.MHID {
-	ids := make([]core.MHID, n)
-	for i := range ids {
-		ids[i] = core.MHID(i)
-	}
-	return ids
-}
-
 func TestR1TraversalCostMatchesAnalytic(t *testing.T) {
 	const (
 		m = 4
@@ -52,7 +44,7 @@ func TestR1TraversalCostMatchesAnalytic(t *testing.T) {
 	)
 	sys := newTestSystem(t, m, n)
 	mon := &monitor{t: t}
-	r1, err := NewR1(sys, allMHs(n), mon.options(3), false, 1)
+	r1, err := NewR1(sys, core.AllMHs(n), mon.options(3), false, 1)
 	if err != nil {
 		t.Fatalf("NewR1: %v", err)
 	}
@@ -81,7 +73,7 @@ func TestR1CostIndependentOfRequests(t *testing.T) {
 	costFor := func(requests int) float64 {
 		sys := newTestSystem(t, m, n)
 		mon := &monitor{t: t}
-		r1, err := NewR1(sys, allMHs(n), mon.options(2), false, 1)
+		r1, err := NewR1(sys, core.AllMHs(n), mon.options(2), false, 1)
 		if err != nil {
 			t.Fatalf("NewR1: %v", err)
 		}
@@ -325,7 +317,7 @@ func TestR2DisconnectedRequesterIsSkipped(t *testing.T) {
 func TestR1StallsOnDisconnectWithoutRepair(t *testing.T) {
 	sys := newTestSystem(t, 3, 5)
 	mon := &monitor{t: t}
-	r1, err := NewR1(sys, allMHs(5), mon.options(2), false, 3)
+	r1, err := NewR1(sys, core.AllMHs(5), mon.options(2), false, 3)
 	if err != nil {
 		t.Fatalf("NewR1: %v", err)
 	}
@@ -351,7 +343,7 @@ func TestR1StallsOnDisconnectWithoutRepair(t *testing.T) {
 func TestR1RepairSkipsDisconnectedMember(t *testing.T) {
 	sys := newTestSystem(t, 3, 5)
 	mon := &monitor{t: t}
-	r1, err := NewR1(sys, allMHs(5), mon.options(2), true, 2)
+	r1, err := NewR1(sys, core.AllMHs(5), mon.options(2), true, 2)
 	if err != nil {
 		t.Fatalf("NewR1: %v", err)
 	}
@@ -383,7 +375,7 @@ func TestR1RepairSkipsDisconnectedMember(t *testing.T) {
 func TestR1InterruptsDozingMHs(t *testing.T) {
 	sys := newTestSystem(t, 3, 6)
 	mon := &monitor{t: t}
-	r1, err := NewR1(sys, allMHs(6), mon.options(1), false, 1)
+	r1, err := NewR1(sys, core.AllMHs(6), mon.options(1), false, 1)
 	if err != nil {
 		t.Fatalf("NewR1: %v", err)
 	}

@@ -166,12 +166,11 @@ func (m *member) confirm(ch int32, seq uint64) {
 // carries reports whether this process sends on channel ch: a node on its
 // station's wired row and downlinks, a client on its own uplink.
 func (m *member) carries(ch int32) bool {
-	l, c, id := m.layout, int(ch), int(m.self.ID)
-	if m.self.Role == wire.RoleMH {
-		return c == l.Count()-l.N+id
+	if ch < 0 || int(ch) >= m.layout.Count() {
+		return false
 	}
-	down := l.M*l.M + id*l.N
-	return c >= id*l.M && c < (id+1)*l.M || c >= down && c < down+l.N
+	role, id := sendsOn(m.layout, int(ch))
+	return role == m.self.Role && id == int(m.self.ID)
 }
 
 // queue takes a TData frame off the hub connection: it pushes the frame at

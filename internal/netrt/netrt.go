@@ -141,21 +141,19 @@ type pendEntry struct {
 // hubChan is the hub's state of one channel, its send window: win[i] is the
 // transmission with sequence number next+i, parked until it and everything
 // before it is confirmed, so the next number to assign is next+len(win).
-// envelope is the payload of the channel's TData frames.
 type hubChan struct {
-	next     uint64
-	win      []pendEntry
-	envelope []byte
+	next uint64
+	win  []pendEntry
 }
 
-// frame builds the TData frame of win[i].
+// frame builds the TData frame of win[i]. It has no payload: the relay
+// routes on Ch, and the record stays in the hub's window.
 func (c *hubChan) frame(ch, i int) wire.Frame {
 	return wire.Frame{
 		Type:    wire.TData,
 		Ch:      int32(ch),
 		Seq:     c.next + uint64(i),
 		Latency: c.win[i].latency,
-		Payload: c.envelope,
 	}
 }
 
@@ -209,8 +207,7 @@ var _ core.Registrar = (*System)(nil)
 func (s *System) transmit(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 	cp := s.chans.At(ch)
 	if *cp == nil {
-		kind, a, b := s.layout.Decode(ch)
-		*cp = &hubChan{envelope: wire.Envelope{Kind: uint8(kind), A: int32(a), B: int32(b)}.Encode()}
+		*cp = &hubChan{}
 	}
 	c := *cp
 	c.win = append(c.win, pendEntry{rec: rec, latency: uint32(latency)})
@@ -229,15 +226,22 @@ func (s *System) transmit(ch int, latency sim.Time, rec *engine.DeliveryRec) {
 }
 
 // sender names the peer that owns the sending end of ch's physical journey
-// — the source station of a wired channel or downlink, the client of an
-// uplink — and whether the liveness tracker has declared it dead.
+// (sendsOn) and whether the liveness tracker has declared it dead.
 func (s *System) sender(ch int) (p *peer, dead bool) {
-	kind, a, b := s.layout.Decode(ch)
-	i := s.lv.idx(wire.RoleMSS, a)
-	if kind == engine.ChannelUp {
-		i = s.lv.idx(wire.RoleMH, b)
-	}
+	i := s.lv.idx(sendsOn(s.layout, ch))
 	return s.peers[i], s.dead[i]
+}
+
+// sendsOn names the process that sends on channel ch of layout l: the
+// source station of a wired channel or downlink, the client of an uplink.
+// The hub ships each TData frame to it, and a relay accepts only the
+// frames it names itself for. ch must be in [0, l.Count()).
+func sendsOn(l engine.ChannelLayout, ch int) (role wire.Role, id int) {
+	kind, a, b := l.Decode(ch)
+	if kind == engine.ChannelUp {
+		return wire.RoleMH, b
+	}
+	return wire.RoleMSS, a
 }
 
 // NewSystem builds a hub from cfg, binds its listener, and starts accepting

@@ -147,11 +147,11 @@ type (
 // Runtime hosts a StaticAlgorithm's processes at the proxies of the
 // participating mobile hosts.
 type Runtime struct {
-	ctx          core.Context
-	alg          StaticAlgorithm
-	opts         Options
-	participants []core.MHID
-	index        map[core.MHID]int
+	ctx  core.Context
+	alg  StaticAlgorithm
+	opts Options
+	// procs maps process p to the MH in slot p.
+	procs *core.Participants
 
 	// host is where each process currently executes: the fixed home proxy
 	// under ScopeHome, the MH's current MSS under ScopeLocal.
@@ -186,50 +186,29 @@ func New(reg core.Registrar, alg StaticAlgorithm, participants []core.MHID, opts
 	default:
 		return nil, fmt.Errorf("proxy: unknown scope %d", int(opts.Scope))
 	}
-	if len(participants) == 0 {
-		return nil, fmt.Errorf("proxy: no participants")
-	}
-	r := &Runtime{
-		alg:          alg,
-		opts:         opts,
-		participants: append([]core.MHID(nil), participants...),
-		index:        make(map[core.MHID]int, len(participants)),
-	}
-	for i, mh := range r.participants {
-		if _, dup := r.index[mh]; dup {
-			return nil, fmt.Errorf("proxy: duplicate participant mh%d", int(mh))
-		}
-		r.index[mh] = i
-	}
 	if opts.InformEvery < 0 {
 		return nil, fmt.Errorf("proxy: negative InformEvery")
 	}
+	procs, err := core.NewParticipants(reg, participants)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
+	}
+	r := &Runtime{alg: alg, opts: opts, procs: procs}
 	if r.opts.InformEvery == 0 {
 		r.opts.InformEvery = 1
 	}
 	r.ctx = reg.Register(r)
-	r.host = make([]core.MSSID, len(r.participants))
-	r.lastLoc = make([]core.MSSID, len(r.participants))
-	r.movesSinceReport = make([]int, len(r.participants))
-	locs := initialCells(r.ctx, r.index)
-	for i := range r.participants {
-		r.host[i] = locs[i]
-		r.lastLoc[i] = locs[i]
-	}
-	return r, nil
-}
-
-// initialCells maps each participant slot to its current cell.
-func initialCells(ctx core.Context, index map[core.MHID]int) []core.MSSID {
-	out := make([]core.MSSID, len(index))
-	for m := 0; m < ctx.M(); m++ {
-		for _, mh := range ctx.LocalMHs(core.MSSID(m)) {
-			if slot, ok := index[mh]; ok {
-				out[slot] = core.MSSID(m)
-			}
+	n := procs.Len()
+	r.host = make([]core.MSSID, n)
+	r.lastLoc = make([]core.MSSID, n)
+	r.movesSinceReport = make([]int, n)
+	for p := range r.host {
+		// A process whose MH is not connected starts at mss0.
+		if at, ok := procs.Cell(p); ok {
+			r.host[p], r.lastLoc[p] = at, at
 		}
 	}
-	return out
+	return r, nil
 }
 
 // Name implements core.Algorithm.
@@ -246,7 +225,7 @@ func (r *Runtime) Outputs() int64 { return r.outputs }
 
 // Input submits input from mh to its process.
 func (r *Runtime) Input(mh core.MHID, input any) error {
-	if _, ok := r.index[mh]; !ok {
+	if _, ok := r.procs.Slot(mh); !ok {
 		return fmt.Errorf("proxy: mh%d is not a participant", int(mh))
 	}
 	if err := r.ctx.SendFromMH(mh, pxInput{In: input}, cost.CatAlgorithm); err != nil {
@@ -262,7 +241,7 @@ func (r *Runtime) HandleMSS(ctx core.Context, at core.MSSID, from core.From, msg
 		if !from.IsMH {
 			panic("proxy: pxInput must come from a MH")
 		}
-		p, ok := r.index[from.MH]
+		p, ok := r.procs.Slot(from.MH)
 		if !ok {
 			panic(fmt.Sprintf("proxy: input from non-participant mh%d", int(from.MH)))
 		}
@@ -310,7 +289,7 @@ func (r *Runtime) HandleMH(_ core.Context, at core.MHID, msg core.Message) {
 // OnJoin implements core.JoinObserver: home proxies are informed of the
 // move; local proxies hand process state over to the new MSS.
 func (r *Runtime) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
-	p, ok := r.index[mh]
+	p, ok := r.procs.Slot(mh)
 	if !ok {
 		return
 	}
@@ -332,7 +311,7 @@ func (r *Runtime) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev co
 }
 
 // Procs implements Env.
-func (r *Runtime) Procs() int { return len(r.participants) }
+func (r *Runtime) Procs() int { return r.procs.Len() }
 
 // Send implements Env: inter-process messages travel proxy to proxy. Under
 // ScopeHome both endpoints are fixed, so this is one Cfixed hop; under
@@ -344,7 +323,7 @@ func (r *Runtime) Send(from, to int, msg any) {
 	case ScopeHome:
 		r.ctx.SendFixed(r.host[from], r.host[to], m, cost.CatAlgorithm)
 	case ScopeLocal:
-		r.ctx.SendToMSSOfMH(r.host[from], r.participants[to], m, cost.CatAlgorithm)
+		r.ctx.SendToMSSOfMH(r.host[from], r.procs.Host(to), m, cost.CatAlgorithm)
 	}
 }
 
@@ -353,7 +332,7 @@ func (r *Runtime) Send(from, to int, msg any) {
 // proxy delivers over its own cell or, if the MH left meanwhile, honours
 // its obligation and searches for it.
 func (r *Runtime) Output(p int, out any) {
-	mh := r.participants[p]
+	mh := r.procs.Host(p)
 	m := pxOutput{Out: out}
 	switch r.opts.Scope {
 	case ScopeHome:

@@ -28,7 +28,7 @@ func TestLiveProxyLocalScopeUsesSearchedInterProxyMessages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStaticMutex: %v", err)
 	}
-	rt, err := proxy.New(sys, sm, mhRange(n), proxy.Options{Scope: proxy.ScopeLocal})
+	rt, err := proxy.New(sys, sm, core.AllMHs(n), proxy.Options{Scope: proxy.ScopeLocal})
 	if err != nil {
 		t.Fatalf("proxy.New: %v", err)
 	}

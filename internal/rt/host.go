@@ -48,14 +48,13 @@ const defaultTick = 50 * time.Microsecond
 func DefaultConfig(m, n int) Config {
 	return Config{
 		Config: engine.Config{
-			M:                 m,
-			N:                 n,
-			Params:            cost.DefaultParams(),
-			Wired:             core.Delay{Min: 1, Max: 4},
-			Wireless:          core.Delay{Min: 1, Max: 2},
-			Travel:            core.Delay{Min: 2, Max: 10},
-			SearchMode:        core.SearchAbstract,
-			PessimisticSearch: true,
+			M:          m,
+			N:          n,
+			Params:     cost.DefaultParams(),
+			Wired:      core.Delay{Min: 1, Max: 4},
+			Wireless:   core.Delay{Min: 1, Max: 2},
+			Travel:     core.Delay{Min: 2, Max: 10},
+			SearchMode: core.SearchAbstract,
 		},
 		Seed: 1,
 		Tick: defaultTick,

@@ -25,7 +25,7 @@ func TestLiveMulticastExactlyOnceUnderMobility(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := make(map[core.MHID][]int64)
-	mc, err := multicast.New(sys, mhRange(g), multicast.Options{
+	mc, err := multicast.New(sys, core.AllMHs(g), multicast.Options{
 		Sequencer: core.MSSID(m - 1),
 		OnDeliver: func(at core.MHID, seq int64, payload any) {
 			mu.Lock()
@@ -92,7 +92,7 @@ func TestLiveR1TokenRing(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	mon := &safetyMonitor{t: t}
-	r1, err := ring.NewR1(sys, mhRange(n), ring.Options{Hold: 2, OnEnter: mon.enter, OnExit: mon.exit}, false, 2)
+	r1, err := ring.NewR1(sys, core.AllMHs(n), ring.Options{Hold: 2, OnEnter: mon.enter, OnExit: mon.exit}, false, 2)
 	if err != nil {
 		t.Fatalf("NewR1: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestLiveAlwaysInformGroup(t *testing.T) {
 	}
 	var mu sync.Mutex
 	delivered := 0
-	ai, err := group.NewAlwaysInform(sys, mhRange(g), group.Options{
+	ai, err := group.NewAlwaysInform(sys, core.AllMHs(g), group.Options{
 		OnDeliver: func(core.MHID, core.MHID, any) {
 			mu.Lock()
 			delivered++
@@ -263,7 +263,7 @@ func TestLiveL1DirectOnMHs(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	mon := &safetyMonitor{t: t}
-	l1, err := lamport.NewL1(sys, mhRange(n), lamport.Options{Hold: 2, OnEnter: mon.enter, OnExit: mon.exit})
+	l1, err := lamport.NewL1(sys, core.AllMHs(n), lamport.Options{Hold: 2, OnEnter: mon.enter, OnExit: mon.exit})
 	if err != nil {
 		t.Fatalf("NewL1: %v", err)
 	}

@@ -15,14 +15,6 @@ import (
 
 const idleTimeout = 10 * time.Second
 
-func mhRange(n int) []core.MHID {
-	out := make([]core.MHID, n)
-	for i := range out {
-		out[i] = core.MHID(i)
-	}
-	return out
-}
-
 // safetyMonitor checks mutual exclusion from handler context (executor
 // goroutine), with a mutex so tests can read final values safely.
 type safetyMonitor struct {
@@ -165,7 +157,7 @@ func TestLiveLocationViewGroup(t *testing.T) {
 	}
 	var mu sync.Mutex
 	delivered := make(map[core.MHID]int)
-	lv, err := group.NewLocationView(sys, mhRange(g), group.LocationViewOptions{
+	lv, err := group.NewLocationView(sys, core.AllMHs(g), group.LocationViewOptions{
 		Options: group.Options{OnDeliver: func(at, from core.MHID, payload any) {
 			mu.Lock()
 			delivered[at]++
@@ -237,7 +229,7 @@ func TestLiveProxyStaticMutex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStaticMutex: %v", err)
 	}
-	rt, err := proxy.New(sys, sm, mhRange(n), proxy.Options{Scope: proxy.ScopeHome})
+	rt, err := proxy.New(sys, sm, core.AllMHs(n), proxy.Options{Scope: proxy.ScopeHome})
 	if err != nil {
 		t.Fatalf("proxy.New: %v", err)
 	}

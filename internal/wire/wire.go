@@ -182,10 +182,10 @@ type Hello struct {
 	Gen  uint64
 }
 
-// Envelope classifies a TData frame at the model level: the channel kind
-// and endpoints from engine.ChannelLayout.Decode. Relays and clients route
-// on it without knowing channel arithmetic; trace tooling reads it to
-// attribute wire traffic to model links.
+// Envelope names a channel at the model level: its kind and endpoints
+// from engine.ChannelLayout.Decode, as a payload blob. TData frames do not
+// carry it (relays route on the frame's Ch); it is kept as a codec for
+// tooling that labels wire traffic with model links.
 type Envelope struct {
 	// Kind is the channel class (engine.ChannelWired/Down/Up as uint8).
 	Kind uint8

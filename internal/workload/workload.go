@@ -34,16 +34,6 @@ func (s Span) draw(rng *sim.RNG) sim.Time {
 	return rng.Duration(s.Min, s.Max)
 }
 
-// allMHs enumerates every MH of the system.
-func allMHs(sys *core.System) []core.MHID {
-	n := sys.Config().N
-	out := make([]core.MHID, n)
-	for i := range out {
-		out[i] = core.MHID(i)
-	}
-	return out
-}
-
 // MobilityConfig parameterises a mobility process.
 type MobilityConfig struct {
 	// MHs are the movers; nil means every MH in the system.
@@ -80,7 +70,7 @@ func NewMobility(sys *core.System, cfg MobilityConfig) (*Mobility, error) {
 		return nil, fmt.Errorf("workload: negative MovesPerMH")
 	}
 	if cfg.MHs == nil {
-		cfg.MHs = allMHs(sys)
+		cfg.MHs = core.AllMHs(sys.Config().N)
 	}
 	w := &Mobility{sys: sys, cfg: cfg, rng: sys.Kernel().RNG().Fork()}
 	for _, mh := range cfg.MHs {
@@ -168,7 +158,7 @@ func NewRequests(sys *core.System, cfg RequestConfig, issue func(core.MHID) erro
 		return nil, fmt.Errorf("workload: negative RequestsPerMH")
 	}
 	if cfg.MHs == nil {
-		cfg.MHs = allMHs(sys)
+		cfg.MHs = core.AllMHs(sys.Config().N)
 	}
 	w := &Requests{sys: sys, cfg: cfg, rng: sys.Kernel().RNG().Fork(), issue: issue}
 	for _, mh := range cfg.MHs {
@@ -240,7 +230,7 @@ func NewChurn(sys *core.System, cfg ChurnConfig) (*Churn, error) {
 		return nil, fmt.Errorf("workload: negative Cycles")
 	}
 	if cfg.MHs == nil {
-		cfg.MHs = allMHs(sys)
+		cfg.MHs = core.AllMHs(sys.Config().N)
 	}
 	w := &Churn{sys: sys, cfg: cfg, rng: sys.Kernel().RNG().Fork()}
 	for _, mh := range cfg.MHs {
