@@ -154,18 +154,16 @@ func New(reg engine.Registrar, cfg Config) (*Manager, error) {
 		m.stores[i] = NewStore(cfg.StoreCap, cfg.MHQuota)
 	}
 	// Hosts start connected; OnDisconnect/OnJoin track them from there.
-	m.connected = make([]bool, m.ctx.N())
-	for i := range m.connected {
-		m.connected[i] = true
-	}
-	// Seed the visit history with the initial placement: OnJoin only
+	// The visit history is seeded with the initial placement: OnJoin only
 	// fires for later moves, but "where a host started" is as good a
 	// spray target as any visited cell.
+	m.connected = make([]bool, m.ctx.N())
 	history := make([]engine.MSSID, m.ctx.N()*historyDepth)
 	m.visits = make([][]engine.MSSID, m.ctx.N())
 	for mh := range m.visits {
+		m.connected[mh] = true
 		m.visits[mh] = history[mh*historyDepth : mh*historyDepth : (mh+1)*historyDepth]
-		if at, st := eng.Where(engine.MHID(mh)); st == engine.StatusConnected {
+		if at, _ := eng.Where(engine.MHID(mh)); m.ctx.IsLocal(at, engine.MHID(mh)) {
 			m.visits[mh] = append(m.visits[mh], at)
 		}
 	}
@@ -308,7 +306,10 @@ func (m *Manager) OfferCustody(holder engine.MSSID, mh engine.MHID, msg engine.M
 	if m.cfg.TTL > 0 {
 		b.Expiry = now + m.cfg.TTL
 	}
-	i, _ := m.stores[holder].find(b.ID) // a fresh ID: the end of the index
+	i, dup := m.stores[holder].find(b.ID) // a fresh ID: the end of the index
+	if dup {
+		panic(fmt.Sprintf("dtn: custody of bundle %d, which is already resident at mss%d", b.ID, int(holder)))
+	}
 	evicted, ok := m.put(holder, i, b)
 	if !ok {
 		m.stats.DroppedQuota++

@@ -30,15 +30,16 @@ func AllMHs(n int) []MHID {
 type Participants struct {
 	hosts []MHID
 	slots []int32 // by host id: its slot, or -1
-	cells []MSSID // by slot: the cell it started in, or -1 if not connected
+	cells []MSSID // by slot: the cell that listed it, or -1
 	m     int
 }
 
 // NewParticipants checks hosts against the network behind reg: it rejects
-// an empty list, a duplicate and an id outside [0, N), and records each
-// connected host's cell. It registers nothing, so a constructor calls it
-// (and checks its station arguments against M) before Register, and an
-// error leaves nothing behind. Callers prefix the error with their package.
+// an empty list, a duplicate and an id outside [0, N), and records the
+// cell whose local list holds each host. It registers nothing, so a
+// constructor calls it (and checks its station arguments against M) before
+// Register, and an error leaves nothing behind. Callers prefix the error
+// with their package.
 func NewParticipants(reg Registrar, hosts []MHID) (*Participants, error) {
 	e, err := Of(reg)
 	if err != nil {
@@ -64,7 +65,7 @@ func NewParticipants(reg Registrar, hosts []MHID) (*Participants, error) {
 			return nil, fmt.Errorf("duplicate participant mh%d", int(mh))
 		}
 		p.slots[mh], p.cells[i] = int32(i), -1
-		if at, st := e.Where(mh); st == StatusConnected {
+		if at := e.mh[mh].at; e.mss[at].local.has(mh) {
 			p.cells[i] = at
 		}
 	}
@@ -99,8 +100,9 @@ func (p *Participants) Has(mh MHID) bool {
 	return ok
 }
 
-// Cell is the cell the participant in slot was connected in when the set
-// was built, and false when it was not connected then.
+// Cell is the cell whose local list held the participant in slot when the
+// set was built (the old cell while a leave or disconnect is on its way
+// up), and false when none did.
 func (p *Participants) Cell(slot int) (MSSID, bool) {
 	return p.cells[slot], p.cells[slot] >= 0
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // placed builds a 3-station, 6-host system with mh i in cell i mod 3 and
-// mh5 disconnected.
+// mh5 disconnected (its disconnect has reached mss2).
 func placed(t *testing.T) *core.System {
 	t.Helper()
 	cfg := core.DefaultConfig(3, 6)
@@ -24,6 +24,12 @@ func placed(t *testing.T) *core.System {
 	}
 	if err := sys.Disconnect(5); err != nil {
 		t.Fatalf("Disconnect: %v", err)
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, st := sys.Where(5); st != core.StatusDisconnected {
+		t.Fatalf("mh5 is %v after Run, want disconnected", st)
 	}
 	return sys
 }
@@ -55,6 +61,31 @@ func TestParticipantsSlotsAndCells(t *testing.T) {
 	for _, mh := range []core.MHID{-1, 0, 2, 3, 6, 99} {
 		if p.Has(mh) {
 			t.Errorf("Has(mh%d) = true for a non-participant", mh)
+		}
+	}
+}
+
+// TestParticipantsCellIsTheListingCell: a host that has started a move or
+// a disconnect stays in its old cell's local list until the uplink
+// arrives, and the set places it there, as the station's own list does.
+func TestParticipantsCellIsTheListingCell(t *testing.T) {
+	sys := placed(t)
+	if err := sys.Move(0, 2); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	if err := sys.Disconnect(4); err != nil {
+		t.Fatalf("Disconnect: %v", err)
+	}
+	p, err := core.NewParticipants(sys, []core.MHID{0, 4, 5})
+	if err != nil {
+		t.Fatalf("NewParticipants: %v", err)
+	}
+	for slot, want := range []struct {
+		cell core.MSSID
+		ok   bool
+	}{{0, true}, {1, true}, {0, false}} {
+		if cell, ok := p.Cell(slot); ok != want.ok || ok && cell != want.cell {
+			t.Errorf("Cell(%d) = mss%d, %v, want mss%d, %v", slot, cell, ok, want.cell, want.ok)
 		}
 	}
 }

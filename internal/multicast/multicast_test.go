@@ -301,6 +301,41 @@ func TestMulticastBadSequencerRegistersNothing(t *testing.T) {
 	}
 }
 
+// TestMulticastBuiltMidMoveDelivers: a group built while one member's
+// leave and another's disconnect are still on their way up gives the
+// watermarks to the cells that list them, so the handoffs that follow
+// find them and every member gets every message.
+func TestMulticastBuiltMidMoveDelivers(t *testing.T) {
+	sys := newSys(t, 3, 6, 1)
+	if err := sys.Move(0, 2); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	if err := sys.Disconnect(1); err != nil {
+		t.Fatalf("Disconnect: %v", err)
+	}
+	rcv := newReceiver()
+	mc, err := New(sys, core.AllMHs(3), Options{Sequencer: 0, OnDeliver: rcv.onDeliver})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		sys.Schedule(sim.Time(500+i*200), func() {
+			if err := mc.Publish(2, i); err != nil {
+				t.Errorf("Publish: %v", err)
+			}
+		})
+	}
+	sys.Schedule(5_000, func() {
+		if err := sys.Reconnect(1, 0, true); err != nil {
+			t.Errorf("Reconnect: %v", err)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rcv.verify(t, core.AllMHs(3), 3)
+}
+
 // TestPropertyExactlyOnceOrderedUnderChaos is the package's central
 // invariant: for arbitrary interleavings of publishes, moves and
 // disconnect/reconnect churn, every member receives every message exactly
