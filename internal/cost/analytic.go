@@ -21,16 +21,25 @@ func AnalyticL1WirelessPerExecution(n int) int64 {
 	return 6 * int64(n-1)
 }
 
+// AnalyticLendingRound is the cost of the round L2 and R2 share between a
+// MH and the station tier (internal/mutex Round): the request to the local
+// MSS (wireless) + the grant, found by search (search+wireless) + the
+// return through the MH's current MSS, relayed to the granting station
+// (wireless+fixed):
+//
+//	3·Cwireless + Cfixed + Csearch
+func AnalyticLendingRound(p Params) float64 {
+	return 3*p.Wireless + p.Fixed + p.Search
+}
+
 // AnalyticL2PerExecution is the total cost of one execution of algorithm L2
-// (Lamport's algorithm run by the MSSs on behalf of a MH):
+// (Lamport's algorithm run by the MSSs on behalf of a MH): one lending
+// round (init, grant, release-resource) plus the request/reply/release
+// exchange among the M MSSs:
 //
 //	(3·Cwireless + Cfixed + Csearch) + 3 × (M−1) × Cfixed
-//
-// The first term is init (wireless) + grant (search+wireless) +
-// release-resource (wireless+fixed); the second is the request/reply/release
-// exchange among the M MSSs.
 func AnalyticL2PerExecution(m int, p Params) float64 {
-	return 3*p.Wireless + p.Fixed + p.Search + 3*float64(m-1)*p.Fixed
+	return AnalyticLendingRound(p) + 3*float64(m-1)*p.Fixed
 }
 
 // AnalyticL2WirelessPerExecution is the number of wireless messages one L2
@@ -49,14 +58,13 @@ func AnalyticR1PerTraversal(n int, p Params) float64 {
 //
 //	K × (3·Cwireless + Cfixed + Csearch) + M × Cfixed
 func AnalyticR2PerTraversal(m, k int, p Params) float64 {
-	return float64(k)*(3*p.Wireless+p.Fixed+p.Search) + float64(m)*p.Fixed
+	return float64(k)*AnalyticLendingRound(p) + float64(m)*p.Fixed
 }
 
-// AnalyticR2PerRequest is the cost of granting a single request in R2:
-// request (wireless) + token out (search+wireless) + token back
-// (wireless+fixed) = 3·Cwireless + Cfixed + Csearch.
+// AnalyticR2PerRequest is the cost of granting a single request in R2: one
+// lending round (request, token out, token back).
 func AnalyticR2PerRequest(p Params) float64 {
-	return 3*p.Wireless + p.Fixed + p.Search
+	return AnalyticLendingRound(p)
 }
 
 // AnalyticPureSearchGroupMsg is the cost of one group message under the pure

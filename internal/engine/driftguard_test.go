@@ -686,6 +686,39 @@ func TestConstructorsValidateBeforeRegister(t *testing.T) {
 	}
 }
 
+// TestMutexHoldAndRoundAreShared pins what internal/mutex took out of the
+// mutual-exclusion algorithms: lamport and ring enter and leave the
+// critical section only through mutex.Hold, so no non-test file there
+// notes a critical-section entry or exit itself, and an owed return is
+// mutex.Round's, so none declares an OnJoin method.
+func TestMutexHoldAndRoundAreShared(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	for _, dir := range []string{"../mutex/lamport", "../mutex/ring"} {
+		for _, f := range parseNonTest(t, fset, dir) {
+			files++
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil && n.Name.Name == "OnJoin" {
+						t.Errorf("%s: OnJoin declared; a return owed across a disconnection is mutex.Round's",
+							fset.Position(n.Pos()))
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "NoteCSEnter" || sel.Sel.Name == "NoteCSExit") {
+						t.Errorf("%s: %s called; the critical section is entered and left through mutex.Hold",
+							fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if files < 5 {
+		t.Fatalf("scanned %d files, want at least 5: the guard is not seeing the packages", files)
+	}
+}
+
 // takesHostList reports whether fn has a []core.MHID or []engine.MHID
 // parameter.
 func takesHostList(fn *ast.FuncDecl) bool {

@@ -6,45 +6,31 @@ import (
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
 	"mobiledist/internal/logical"
-	"mobiledist/internal/sim"
+	"mobiledist/internal/mutex"
 )
 
 // Options configure the critical-section behaviour shared by L1 and L2.
-type Options struct {
-	// Hold is how long a granted MH occupies the critical section before
-	// the algorithm releases on its behalf.
-	Hold sim.Time
-	// OnEnter fires when mh enters the critical section.
-	OnEnter func(mh core.MHID)
-	// OnExit fires when mh leaves the critical section (the release has
-	// been initiated; propagation is asynchronous).
-	OnExit func(mh core.MHID)
-}
+type Options = mutex.Options
 
 // L1 executes Lamport's mutual exclusion directly on the mobile hosts.
 // Every MH participates in every execution: each maintains a clock and a
 // request queue, and all protocol traffic is MH-to-MH.
 type L1 struct {
+	hold
 	ctx     core.Context
-	opts    Options
 	members *core.Participants
 	engines []*logical.MutexEngine
 	pending []*logical.Timestamp // outstanding own request per slot
-	grants  int64
 }
+
+// hold is L1's critical section, ticketed by the request's timestamp.
+type hold = mutex.Hold[logical.Timestamp]
 
 var (
 	_ core.Algorithm    = (*L1)(nil)
 	_ core.MHHandler    = (*L1)(nil)
 	_ core.TimerHandler = (*L1)(nil)
 )
-
-// l1Release is the timer message that ends the critical section the MH in
-// slot entered with request ts.
-type l1Release struct {
-	slot int
-	ts   logical.Timestamp
-}
 
 // NewL1 registers an L1 instance over the given participant MHs (all N MHs
 // in the paper's analysis).
@@ -55,17 +41,17 @@ func NewL1(reg core.Registrar, participants []core.MHID, opts Options) (*L1, err
 	}
 	n := members.Len()
 	a := &L1{
-		opts:    opts,
 		members: members,
 		engines: make([]*logical.MutexEngine, n),
 		pending: make([]*logical.Timestamp, n),
 	}
 	a.ctx = reg.Register(a)
+	a.hold = mutex.NewHold(a.ctx, opts, a.release)
 	for i := range a.engines {
 		slot := i
 		a.engines[i] = logical.NewMutexEngine(slot, n,
 			func(to int, m logical.MutexMsg) { a.sendPeer(slot, to, m) },
-			func(tag int64, ts logical.Timestamp) { a.granted(slot, ts) },
+			func(tag int64, ts logical.Timestamp) { a.Enter(a.members.Host(slot), ts) },
 		)
 	}
 	return a, nil
@@ -73,9 +59,6 @@ func NewL1(reg core.Registrar, participants []core.MHID, opts Options) (*L1, err
 
 // Name implements core.Algorithm.
 func (a *L1) Name() string { return "mutex/L1" }
-
-// Grants reports how many critical-section entries have been granted.
-func (a *L1) Grants() int64 { return a.grants }
 
 // Request issues a mutual exclusion request on behalf of mh. At most one
 // request per MH may be outstanding.
@@ -118,27 +101,11 @@ func (a *L1) sendPeer(from, to int, m logical.MutexMsg) {
 	}
 }
 
-func (a *L1) granted(slot int, ts logical.Timestamp) {
-	mh := a.members.Host(slot)
-	a.grants++
-	a.ctx.NoteCSEnter(mh)
-	if a.opts.OnEnter != nil {
-		a.opts.OnEnter(mh)
-	}
-	a.ctx.After(a.opts.Hold, l1Release{slot: slot, ts: ts})
-}
-
-// HandleTimer implements core.TimerHandler: the hold is over, so the MH
-// leaves the critical section and releases.
-func (a *L1) HandleTimer(_ core.Context, msg core.Message) {
-	m := msg.(l1Release)
-	mh := a.members.Host(m.slot)
-	a.ctx.NoteCSExit(mh)
-	if a.opts.OnExit != nil {
-		a.opts.OnExit(mh)
-	}
-	a.pending[m.slot] = nil
-	if err := a.engines[m.slot].Release(m.ts); err != nil {
+// release ends the hold of mh, which releases its request ts.
+func (a *L1) release(mh core.MHID, ts logical.Timestamp) {
+	slot, _ := a.members.Slot(mh)
+	a.pending[slot] = nil
+	if err := a.engines[slot].Release(ts); err != nil {
 		panic(fmt.Sprintf("lamport: L1 release: %v", err))
 	}
 }

@@ -3,14 +3,14 @@
 // analyses (Section 3.1.2):
 //
 //   - R1 arranges the N mobile hosts themselves in the ring. Every token
-//     hop is a MH-to-MH message (2·Cwireless + Csearch), the traversal cost
-//     is independent of how many requests it satisfies, every MH is
-//     interrupted by the token whether it wants it or not, and a single
-//     disconnected MH stalls the ring.
-//   - R2 arranges the M support stations in the ring. Each MSS queues
-//     requests from local MHs; on token arrival pending requests move to a
-//     grant queue and are serviced one by one (token out to the MH with a
-//     search, token back through its current MSS).
+//     hop is a MH-to-MH message (2·Cwireless + Csearch), a traversal costs
+//     the same however many requests it satisfies, every MH is interrupted
+//     by the token, and a single disconnected MH stalls the ring.
+//   - R2 arranges the M support stations in the ring. What is left here is
+//     the ring: each MSS's request and grant queues, the admission rule,
+//     the traversal count and token recovery (r2recovery.go). Each grant
+//     lends the token to its MH through mutex.Round, ticketed by the token
+//     value.
 //   - R2′ adds the token-val counter so each MH accesses the token at most
 //     once per traversal.
 //   - R2″ replaces the MH-reported counter with a token-carried list of
@@ -23,6 +23,7 @@ import (
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
+	"mobiledist/internal/mutex"
 	"mobiledist/internal/sim"
 )
 
@@ -40,22 +41,20 @@ type Options struct {
 	Recovery *TokenRecovery
 }
 
+// cs is the critical-section part of o.
+func (o Options) cs() mutex.Options {
+	return mutex.Options{Hold: o.Hold, OnEnter: o.OnEnter, OnExit: o.OnExit}
+}
+
 // r1Token is the circulating token of algorithm R1.
 type r1Token struct {
 	Traversals int64
 }
 
-// r1HoldDone is the timer message that ends the critical section of the
-// ring member in Slot, which then forwards Tok.
-type r1HoldDone struct {
-	Slot int
-	Tok  r1Token
-}
-
 // R1 is Le Lann's algorithm run directly on the mobile hosts.
 type R1 struct {
-	ctx  core.Context
-	opts Options
+	hold
+	ctx core.Context
 	// ring is the logical ring: slot i's successor is slot i+1.
 	ring *core.Participants
 
@@ -66,12 +65,15 @@ type R1 struct {
 
 	pending    []bool
 	traversals int64
-	grants     int64
 	hops       int64
 	stalled    bool
 	started    bool
 	maxRounds  int64
 }
+
+// hold is R1's critical section; its ticket is the token the holder
+// forwards when the hold ends.
+type hold = mutex.Hold[r1Token]
 
 var (
 	_ core.Algorithm              = (*R1)(nil)
@@ -89,13 +91,16 @@ func NewR1(reg core.Registrar, ringOrder []core.MHID, opts Options, repairSkip b
 		return nil, fmt.Errorf("ring: R1: %w", err)
 	}
 	a := &R1{
-		opts:       opts,
 		ring:       ring,
 		repairSkip: repairSkip,
 		pending:    make([]bool, ring.Len()),
 		maxRounds:  maxTraversals,
 	}
 	a.ctx = reg.Register(a)
+	a.hold = mutex.NewHold(a.ctx, opts.cs(), func(mh core.MHID, tok r1Token) {
+		slot, _ := a.ring.Slot(mh)
+		a.forward(slot, tok)
+	})
 	return a, nil
 }
 
@@ -104,9 +109,6 @@ func (a *R1) Name() string { return "mutex/R1" }
 
 // Traversals reports completed ring traversals.
 func (a *R1) Traversals() int64 { return a.traversals }
-
-// Grants reports critical-section entries granted.
-func (a *R1) Grants() int64 { return a.grants }
 
 // Hops reports token transmissions between ring members.
 func (a *R1) Hops() int64 { return a.hops }
@@ -183,30 +185,12 @@ func (a *R1) receive(slot int, tok r1Token, injected bool) {
 			return // park the token; the simulation can quiesce
 		}
 	}
-	mh := a.ring.Host(slot)
 	if a.pending[slot] {
 		a.pending[slot] = false
-		a.grants++
-		a.ctx.NoteCSEnter(mh)
-		if a.opts.OnEnter != nil {
-			a.opts.OnEnter(mh)
-		}
-		a.ctx.After(a.opts.Hold, r1HoldDone{Slot: slot, Tok: tok})
+		a.Enter(a.ring.Host(slot), tok) // the holder forwards it when the hold ends
 		return
 	}
 	a.forward(slot, tok)
-}
-
-// HandleTimer implements core.TimerHandler: the hold is over, so the MH
-// leaves the critical section and forwards the token.
-func (a *R1) HandleTimer(_ core.Context, msg core.Message) {
-	m := msg.(r1HoldDone)
-	mh := a.ring.Host(m.Slot)
-	a.ctx.NoteCSExit(mh)
-	if a.opts.OnExit != nil {
-		a.opts.OnExit(mh)
-	}
-	a.forward(m.Slot, m.Tok)
 }
 
 func (a *R1) forward(slot int, tok r1Token) {

@@ -5,6 +5,7 @@ import (
 
 	"mobiledist/internal/core"
 	"mobiledist/internal/cost"
+	"mobiledist/internal/mutex"
 	"mobiledist/internal/sim"
 )
 
@@ -58,40 +59,11 @@ type r2Token struct {
 	Gen int64
 }
 
-// Protocol messages of the R2 family.
-type (
-	// r2Request is a MH's wireless request to its local MSS, carrying its
-	// reported access count (VariantCounter only consults it).
-	r2Request struct {
-		AccessCount int64
-	}
-
-	// r2Grant hands the token to a MH. Owner awaits its return.
-	r2Grant struct {
-		Owner core.MSSID
-		Val   int64
-	}
-
-	// r2ReturnUp is the MH returning the token to its current local MSS,
-	// to be relayed to Owner.
-	r2ReturnUp struct {
-		Owner core.MSSID
-		MH    core.MHID
-	}
-
-	// r2ReturnRelay carries the returned token to the owning MSS over the
-	// fixed network.
-	r2ReturnRelay struct {
-		MH core.MHID
-	}
-
-	// r2HoldDone is the timer message that ends MH's critical section; it
-	// then returns the token to Owner.
-	r2HoldDone struct {
-		Owner core.MSSID
-		MH    core.MHID
-	}
-)
+// r2Request is a MH's wireless request to its local MSS, carrying its
+// reported access count (VariantCounter only consults it).
+type r2Request struct {
+	AccessCount int64
+}
 
 type r2Req struct {
 	MH          core.MHID
@@ -115,29 +87,27 @@ type r2MSSState struct {
 	lastVal  int64
 }
 
-type r2MHState struct {
-	accessCount int64
-	// owesReturn remembers a token return that could not be sent because
-	// the MH disconnected while in the critical section; it is sent upon
-	// reconnection.
-	owesReturn *r2ReturnUp
-}
+// round is R2's lending round, ticketed by the token value.
+type round = mutex.Round[int64]
 
 // R2 is the paper's restructured token-ring mutual exclusion: the ring is
 // formed by the M support stations, and mobile hosts interact only with
-// their local MSS (plus one searched token delivery per grant).
+// their local MSS (plus one searched token delivery per grant), through
+// mutex.Round.
 type R2 struct {
+	*round
 	ctx     core.Context
 	opts    Options
 	variant Variant
 	mss     []r2MSSState
-	mhs     []r2MHState
+	// accessCount is, per MH, the token value of its last grant: the count
+	// it reports with its next request.
+	accessCount []int64
 
 	// lie, when non-nil, makes the selected MHs report access count 0 on
 	// every request — the paper's "malicious" MH for motivating R2″.
 	lie func(core.MHID) bool
 
-	grants       int64
 	traversals   int64
 	perTraversal []int64 // grants in each completed traversal
 	inTraversal  int64
@@ -181,8 +151,16 @@ func NewR2(reg core.Registrar, variant Variant, opts Options, maxTraversals int6
 	}
 	a := &R2{opts: opts, variant: variant, maxRounds: maxTraversals, lie: lie}
 	a.ctx = reg.Register(a)
+	a.round = mutex.NewRound(a.ctx, opts.cs(), mutex.Steps[int64]{
+		Granted: func(mh core.MHID, val int64) {
+			a.inTraversal++
+			a.accessCount[mh] = val
+		},
+		Returned: a.returned,
+		Failed:   a.failed,
+	})
 	a.mss = make([]r2MSSState, a.ctx.M())
-	a.mhs = make([]r2MHState, a.ctx.N())
+	a.accessCount = make([]int64, a.ctx.N())
 	return a, nil
 }
 
@@ -191,9 +169,6 @@ func (a *R2) Name() string { return "mutex/" + a.variant.String() }
 
 // Variant reports which member of the R2 family this instance runs.
 func (a *R2) Variant() Variant { return a.variant }
-
-// Grants reports critical-section entries granted.
-func (a *R2) Grants() int64 { return a.grants }
 
 // Traversals reports completed ring traversals.
 func (a *R2) Traversals() int64 { return a.traversals }
@@ -222,14 +197,13 @@ func (a *R2) Start() error {
 // requests pending at several MSSs as it moves — the interplay the paper
 // uses to motivate R2′.
 func (a *R2) Request(mh core.MHID) error {
-	reported := a.mhs[mh].accessCount
+	reported := a.accessCount[mh]
 	if a.lie != nil && a.lie(mh) {
 		reported = 0
 	}
-	if err := a.ctx.SendFromMH(mh, r2Request{AccessCount: reported}, cost.CatAlgorithm); err != nil {
+	if err := a.Ask(mh, r2Request{AccessCount: reported}); err != nil {
 		return fmt.Errorf("ring: %s request: %w", a.variant, err)
 	}
-	a.ctx.NoteCSRequest(mh)
 	return nil
 }
 
@@ -244,13 +218,6 @@ func (a *R2) HandleMSS(ctx core.Context, at core.MSSID, from core.From, msg core
 		st.requestQ = append(st.requestQ, r2Req{MH: from.MH, AccessCount: m.AccessCount})
 	case r2Token:
 		a.tokenArrives(at, m)
-	case r2ReturnUp:
-		if !from.IsMH {
-			panic("ring: r2ReturnUp must come from a MH")
-		}
-		// Relay the token back to the owning MSS over the fixed network;
-		// charged unconditionally (Cwireless + Cfixed in the paper).
-		ctx.SendFixed(at, m.Owner, r2ReturnRelay{MH: m.MH}, cost.CatAlgorithm)
 	case r2Probe:
 		ctx.SendFixed(at, m.Origin, r2ProbeReply{
 			Nonce:    m.Nonce,
@@ -265,104 +232,66 @@ func (a *R2) HandleMSS(ctx core.Context, at core.MSSID, from core.From, msg core
 		if m.Gen > st.gen {
 			st.gen = m.Gen
 		}
-	case r2ReturnRelay:
-		if !st.isServicing || st.servicing != m.MH {
-			if a.opts.Recovery != nil {
-				// The station crashed and restarted while this grant was
-				// out: its servicing state is gone, and the returning token
-				// belongs to a superseded generation. Drop it; if it was
-				// somehow the live token, the probe timeout regenerates it.
-				a.staleTokens++
-				return
-			}
-			panic(fmt.Sprintf("ring: mss%d got token return from mh%d while not servicing it", int(at), int(m.MH)))
-		}
-		st.isServicing = false
-		if a.variant == VariantList {
-			st.token.List = append(st.token.List, tokenPair{MSS: at, MH: m.MH})
-		}
-		a.serviceNext(at)
 	default:
-		panic(fmt.Sprintf("ring: %s MSS received unexpected message %T", a.variant, msg))
+		a.round.HandleMSS(ctx, at, from, msg)
 	}
 }
 
-// HandleMH implements core.MHHandler: the MH holds the token for the
-// critical section, records the traversal counter, and returns it.
-func (a *R2) HandleMH(ctx core.Context, at core.MHID, msg core.Message) {
-	m, ok := msg.(r2Grant)
-	if !ok {
-		panic(fmt.Sprintf("ring: %s MH received unexpected message %T", a.variant, msg))
-	}
-	a.grants++
-	a.inTraversal++
-	a.mhs[at].accessCount = m.Val
-	ctx.NoteCSEnter(at)
-	if a.opts.OnEnter != nil {
-		a.opts.OnEnter(at)
-	}
-	ctx.After(a.opts.Hold, r2HoldDone{Owner: m.Owner, MH: at})
-}
-
-// HandleTimer implements core.TimerHandler: a hold ending (the MH leaves
-// the critical section and returns the token) or a recovery probe tick.
+// HandleTimer implements core.TimerHandler: a recovery probe tick, or a
+// hold ending.
 func (a *R2) HandleTimer(ctx core.Context, msg core.Message) {
-	switch m := msg.(type) {
-	case r2HoldDone:
-		ctx.NoteCSExit(m.MH)
-		if a.opts.OnExit != nil {
-			a.opts.OnExit(m.MH)
-		}
-		up := r2ReturnUp{Owner: m.Owner, MH: m.MH}
-		if err := ctx.SendFromMH(m.MH, up, cost.CatAlgorithm); err != nil {
-			// Disconnected while holding the token: it must reconnect to
-			// return it; the ring waits (Section 3.1.2 keeps this case out
-			// of scope — we model the honest-eventual-return behaviour).
-			a.mhs[m.MH].owesReturn = &up
-		}
-	case r2ProbeTick:
+	if m, ok := msg.(r2ProbeTick); ok {
 		a.probeTick(m.MSS)
-	default:
-		panic(fmt.Sprintf("ring: %s received unexpected timer %T", a.variant, msg))
+		return
 	}
+	a.round.HandleTimer(ctx, msg)
 }
 
-// OnDeliveryFailure implements core.DeliveryFailureHandler: a granted MH
-// turned out to be disconnected, so the local MSS of the cell where it
-// disconnected "returns the token back to the sending MSS" — modelled as
-// the failure notification — and service continues.
-func (a *R2) OnDeliveryFailure(ctx core.Context, at core.MSSID, mh core.MHID, msg core.Message, _ core.FailReason) {
-	if _, ok := msg.(r2Grant); !ok {
+// returned takes the token back at the station that granted it and
+// services the next request. The MH's current MSS relayed it over the
+// fixed network.
+func (a *R2) returned(at core.MSSID, mh core.MHID, _ int64) {
+	if !a.servicing(at, mh, "token return") {
+		// The station crashed and restarted while this grant was out: its
+		// servicing state is gone, and the returning token belongs to a
+		// superseded generation. Drop it; if it was somehow the live
+		// token, the probe timeout regenerates it.
+		a.staleTokens++
 		return
 	}
 	st := &a.mss[at]
-	if !st.isServicing || st.servicing != mh {
-		if a.opts.Recovery != nil {
-			// Servicing state was wiped by a crash/restart; the failed grant
-			// belongs to a superseded token. Nothing left to resume.
-			return
-		}
-		panic(fmt.Sprintf("ring: mss%d got grant failure for mh%d while not servicing it", int(at), int(mh)))
-	}
 	st.isServicing = false
+	if a.variant == VariantList {
+		st.token.List = append(st.token.List, tokenPair{MSS: at, MH: mh})
+	}
 	a.serviceNext(at)
 }
 
-// OnJoin implements core.JoinObserver: a reconnecting MH that owes a
-// token return sends it from its new cell.
-func (a *R2) OnJoin(ctx core.Context, mss core.MSSID, mh core.MHID, prev core.MSSID, wasDisconnected bool) {
-	if !wasDisconnected {
+// failed resumes service after a granted MH turned out to be disconnected:
+// the local MSS of the cell where it disconnected "returns the token back
+// to the sending MSS", modelled as the failure notification.
+func (a *R2) failed(at core.MSSID, mh core.MHID, _ int64) {
+	if !a.servicing(at, mh, "grant failure") {
+		// Servicing state was wiped by a crash/restart; the failed grant
+		// belongs to a superseded token. Nothing left to resume.
 		return
 	}
-	st := &a.mhs[mh]
-	if st.owesReturn == nil {
-		return
+	a.mss[at].isServicing = false
+	a.serviceNext(at)
+}
+
+// servicing reports whether station at has the token out with mh. Under
+// recovery a crash and restart may have wiped that state, and what comes
+// back belongs to a superseded token; without recovery that cannot happen.
+func (a *R2) servicing(at core.MSSID, mh core.MHID, what string) bool {
+	st := &a.mss[at]
+	if st.isServicing && st.servicing == mh {
+		return true
 	}
-	up := *st.owesReturn
-	st.owesReturn = nil
-	if err := ctx.SendFromMH(mh, up, cost.CatAlgorithm); err != nil {
-		st.owesReturn = &up
+	if a.opts.Recovery == nil {
+		panic(fmt.Sprintf("ring: mss%d got %s from mh%d while not servicing it", int(at), what, int(mh)))
 	}
+	return false
 }
 
 // tokenArrives processes a token arrival at MSS at.
@@ -453,7 +382,7 @@ func (a *R2) serviceNext(at core.MSSID) {
 		// Token out to the MH, which may have moved: search + wireless. The
 		// from operand is -1: the passer is a station, not a ring member.
 		a.ctx.NoteTokenPass(core.MHID(-1), next.MH)
-		a.ctx.SendToMH(at, next.MH, r2Grant{Owner: at, Val: st.token.Val}, cost.CatAlgorithm)
+		a.Lend(at, next.MH, st.token.Val)
 		return
 	}
 	// Grant queue drained: transfer the token to the ring successor —

@@ -10,25 +10,11 @@ import (
 	"testing"
 
 	"mobiledist/internal/core"
-	"mobiledist/internal/mutex/lamport"
-	"mobiledist/internal/mutex/ring"
 	"mobiledist/internal/obs"
 	"mobiledist/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/round.golden.txt")
-
-// requester is what the golden scenario drives: L2 or one R2 variant.
-type requester interface {
-	Request(mh core.MHID) error
-	Grants() int64
-}
-
-// cs is the critical-section behaviour the scenario hands each algorithm.
-type cs struct {
-	hold            sim.Time
-	onEnter, onExit func(core.MHID)
-}
 
 const (
 	goldenM    = 4
@@ -200,30 +186,9 @@ func takenLegs(events []obs.Event) legs {
 // return owed across a disconnection. Regenerate with
 // `go test ./internal/mutex -run TestRoundGolden -update` and say why.
 func TestRoundGolden(t *testing.T) {
-	type run struct {
-		name  string
-		build func(sys *core.System, c cs) (requester, func())
-	}
-	runs := []run{{"L2", func(sys *core.System, c cs) (requester, func()) {
-		return lamport.NewL2(sys, lamport.Options{Hold: c.hold, OnEnter: c.onEnter, OnExit: c.onExit}), nil
-	}}}
-	for _, v := range []ring.Variant{ring.VariantPlain, ring.VariantCounter, ring.VariantList} {
-		v := v
-		runs = append(runs, run{v.String(), func(sys *core.System, c cs) (requester, func()) {
-			r2, err := ring.NewR2(sys, v, ring.Options{Hold: c.hold, OnEnter: c.onEnter, OnExit: c.onExit}, 8, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r2, func() {
-				if err := r2.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}})
-	}
 	var sums strings.Builder
-	for _, r := range runs {
-		data, l, grants := runGolden(t, r.build)
+	for _, r := range lenders(8) {
+		data, l, grants := runGolden(t, func(sys *core.System, c cs) (requester, func()) { return r.build(t, sys, c) })
 		if l.failed == 0 || l.moved == 0 || l.owed == 0 {
 			t.Errorf("%s: legs taken %+v, want every leg at least once", r.name, l)
 		}
