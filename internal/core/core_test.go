@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mobiledist/internal/cost"
@@ -20,8 +21,9 @@ type probe struct {
 	leaves   []probeLeave
 	discs    []probeLeave
 
-	onMSS func(ctx Context, at MSSID, from From, msg Message)
-	onMH  func(ctx Context, at MHID, msg Message)
+	onMSS  func(ctx Context, at MSSID, from From, msg Message)
+	onMH   func(ctx Context, at MHID, msg Message)
+	onJoin func(ctx Context, mss MSSID, mh MHID)
 }
 
 type probeMSSEvent struct {
@@ -93,6 +95,9 @@ func (p *probe) OnDeliveryFailure(ctx Context, at MSSID, mh MHID, msg Message, r
 
 func (p *probe) OnJoin(ctx Context, mss MSSID, mh MHID, prev MSSID, wasDisc bool) {
 	p.joins = append(p.joins, probeJoin{MSS: mss, MH: mh, Prev: prev, WasDisc: wasDisc})
+	if p.onJoin != nil {
+		p.onJoin(ctx, mss, mh)
+	}
 }
 
 func (p *probe) OnLeave(ctx Context, mss MSSID, mh MHID) {
@@ -380,40 +385,101 @@ func TestSendToLocalMHRequiresLocality(t *testing.T) {
 	}
 }
 
+// TestSendMHToMHPairFIFOAcrossMoves: deliveries of one ordered pair
+// arrive in send order whichever end moves.
 func TestSendMHToMHPairFIFOAcrossMoves(t *testing.T) {
-	sys, p, ctx := newProbeSystem(t, 4, 4)
-	// Stream messages from mh0 to mh1 while mh1 moves twice; deliveries
-	// must arrive in send order despite re-routes.
+	send := func(t *testing.T, ctx Context, msg Message) {
+		if err := ctx.SendMHToMH(0, 1, msg, cost.CatAlgorithm); err != nil {
+			t.Errorf("SendMHToMH: %v", err)
+		}
+	}
+	move := func(t *testing.T, sys *System, mh MHID, to MSSID) {
+		if err := sys.Move(mh, to); err != nil {
+			t.Errorf("Move: %v", err)
+		}
+	}
+	var stream []Message
 	for i := 0; i < 10; i++ {
-		i := i
-		sys.Schedule(sim.Time(i*3), func() {
-			if err := ctx.SendMHToMH(0, 1, i, cost.CatAlgorithm); err != nil {
-				t.Errorf("SendMHToMH: %v", err)
+		stream = append(stream, i)
+	}
+	for _, tc := range []struct {
+		name   string
+		m, n   int
+		script func(t *testing.T, sys *System, p *probe, ctx Context)
+		want   []Message
+	}{
+		// A stream from mh0 to mh1 while mh1 moves twice: re-routes must
+		// not reorder it.
+		{"receiver moves", 4, 4, func(t *testing.T, sys *System, _ *probe, ctx Context) {
+			for i := range stream {
+				msg := stream[i]
+				sys.Schedule(sim.Time(i*3), func() { send(t, ctx, msg) })
+			}
+			sys.Schedule(5, func() { move(t, sys, 1, 2) })
+			sys.Schedule(80, func() {
+				if at, st := sys.Where(1); st == StatusConnected && at == 2 {
+					move(t, sys, 1, 3)
+				}
+			})
+		}, stream},
+		// mh0 sends while travelling, so the send waits for its join; a
+		// join observer sends again at that join. The first send was
+		// issued first and must be delivered first.
+		{"sender moves", 2, 2, func(t *testing.T, sys *System, p *probe, ctx Context) {
+			move(t, sys, 0, 1)
+			sys.Schedule(1, func() { send(t, ctx, "first") })
+			p.onJoin = func(ctx Context, _ MSSID, mh MHID) {
+				if mh == 0 {
+					send(t, ctx, "second")
+				}
+			}
+		}, []Message{"first", "second"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, p, ctx := newProbeSystem(t, tc.m, tc.n)
+			tc.script(t, sys, p, ctx)
+			if err := sys.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			var got []Message
+			for _, ev := range p.mhGot {
+				got = append(got, ev.Msg)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("deliveries %v, want %v: pair FIFO violated", got, tc.want)
 			}
 		})
 	}
-	sys.Schedule(5, func() {
-		if err := sys.Move(1, 2); err != nil {
-			t.Errorf("Move: %v", err)
+}
+
+// TestSendFromMHKeepsIssueOrderAcrossSenderMove: a send made while the
+// sender travels waits for its join; a join observer's send at that join
+// must not overtake it at the station.
+func TestSendFromMHKeepsIssueOrderAcrossSenderMove(t *testing.T) {
+	sys, p, ctx := newProbeSystem(t, 2, 2)
+	send := func(ctx Context, msg Message) {
+		if err := ctx.SendFromMH(0, msg, cost.CatAlgorithm); err != nil {
+			t.Errorf("SendFromMH: %v", err)
 		}
-	})
-	sys.Schedule(80, func() {
-		if at, st := sys.Where(1); st == StatusConnected && at == 2 {
-			if err := sys.Move(1, 3); err != nil {
-				t.Errorf("Move: %v", err)
-			}
+	}
+	if err := sys.Move(0, 1); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	sys.Schedule(1, func() { send(ctx, "first") })
+	p.onJoin = func(ctx Context, _ MSSID, mh MHID) {
+		if mh == 0 {
+			send(ctx, "second")
 		}
-	})
+	}
 	if err := sys.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(p.mhGot) != 10 {
-		t.Fatalf("deliveries = %d, want 10", len(p.mhGot))
+	var got []Message
+	for _, ev := range p.mssGot {
+		got = append(got, ev.Msg)
 	}
-	for i, ev := range p.mhGot {
-		if ev.Msg != i {
-			t.Fatalf("delivery %d carried %v: pair FIFO violated (%+v)", i, ev.Msg, p.mhGot)
-		}
+	if want := []Message{"first", "second"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("station received %v, want %v", got, want)
 	}
 }
 

@@ -62,7 +62,7 @@ const (
 	opSendFromMH    // waiter: replay sendFromMH(opts.alg, mh, msg, opts.cat)
 	opUpForwardVia  // uplink completed: forwardViaMSS(opts.origin, mss, mh, msg, opts)
 	opSendMHViaMSS  // waiter: replay sendMHViaMSS(opts.alg, mh, mss, mh2, msg, opts.cat)
-	opSendMHToMH    // waiter: replay sendMHToMH(opts.alg, mh, mh2, msg, opts.cat)
+	opSendMHToMH    // waiter: replay upRoute(mh, mh2, msg, opts) with the pair number drawn at issue
 	opUpRoute       // uplink completed: routeToMH(mss, mh, msg, opts, false)
 
 	// Mobility (mobility.go).
@@ -292,7 +292,11 @@ func (e *Engine) runRec(rec *DeliveryRec) {
 		_ = e.sendMHViaMSS(rec.opts.alg, rec.mh, rec.mss, rec.mh2, rec.msg, rec.opts.cat)
 
 	case opSendMHToMH:
-		_ = e.sendMHToMH(rec.opts.alg, rec.mh, rec.mh2, rec.msg, rec.opts.cat)
+		if e.upRoute(rec.mh, rec.mh2, rec.msg, rec.opts) != nil {
+			// The sender disconnected before the deferred send could run:
+			// the pair number it drew will never deliver.
+			e.skipPairSeq(rec.opts)
+		}
 
 	case opUpRoute:
 		// The message was transmitted before any subsequent leave(), so

@@ -385,28 +385,33 @@ func (e *Engine) skipPairSeq(opts routeOpts) {
 // "neither sends nor receives" (Section 2). From a connected MH it charges
 // the uplink transmission and returns the cell it is made in, with send
 // true: the caller builds its record and transmits. From a MH in transit
-// it parks a replayOp record that re-issues the send once the MH has
-// joined a cell; from a disconnected one it reports an error.
-func (e *Engine) uplink(replayOp recOp, alg int32, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) (at MSSID, send bool, err error) {
+// it parks a replayOp record, carrying opts, that re-issues the send once
+// the MH has joined a cell; from a disconnected one it reports an error.
+// A MH that has just joined but whose parked records are not yet replayed
+// (a join observer sending) parks too, behind them, so its sends leave in
+// the order they were issued.
+func (e *Engine) uplink(replayOp recOp, from MHID, via MSSID, to MHID, msg Message, opts routeOpts) (at MSSID, send bool, err error) {
 	e.checkMH(from)
 	st := &e.mh[from]
 	switch st.status {
 	case StatusDisconnected:
 		return 0, false, fmt.Errorf("engine: mh%d is disconnected and cannot send", int(from))
+	case StatusConnected:
+		if e.waiters.len(from) == 0 {
+			e.meter.Charge(opts.cat, cost.KindWireless)
+			e.meter.WirelessTx(int(from))
+			return st.at, true, nil
+		}
+		fallthrough
 	case StatusInTransit:
 		rec := e.newRec(replayOp)
 		rec.mh = from
 		rec.mss = via
 		rec.mh2 = to
 		rec.msg = msg
-		rec.opts.alg = alg
-		rec.opts.cat = cat
+		rec.opts = opts
 		e.addWaiter(from, rec)
 		return 0, false, nil
-	case StatusConnected:
-		e.meter.Charge(cat, cost.KindWireless)
-		e.meter.WirelessTx(int(from))
-		return st.at, true, nil
 	default:
 		panic(fmt.Sprintf("engine: mh%d in unknown status %d", int(from), int(st.status)))
 	}
@@ -414,7 +419,7 @@ func (e *Engine) uplink(replayOp recOp, alg int32, from MHID, via MSSID, to MHID
 
 // sendFromMH transmits msg from mh to its current local MSS.
 func (e *Engine) sendFromMH(alg int32, mh MHID, msg Message, cat cost.Category) error {
-	at, send, err := e.uplink(opSendFromMH, alg, mh, 0, 0, msg, cat)
+	at, send, err := e.uplink(opSendFromMH, mh, 0, 0, msg, routeOpts{alg: alg, cat: cat})
 	if !send {
 		return err
 	}
@@ -460,7 +465,7 @@ func (e *Engine) sendToMHVia(alg int32, from, via MSSID, to MHID, msg Message, c
 func (e *Engine) sendMHViaMSS(alg int32, from MHID, via MSSID, to MHID, msg Message, cat cost.Category) error {
 	e.checkMSS(via)
 	e.checkMH(to)
-	at, send, err := e.uplink(opSendMHViaMSS, alg, from, via, to, msg, cat)
+	at, send, err := e.uplink(opSendMHViaMSS, from, via, to, msg, routeOpts{alg: alg, cat: cat})
 	if !send {
 		return err
 	}
@@ -484,22 +489,36 @@ func (e *Engine) sendToMSSOfMH(alg int32, from MSSID, mh MHID, msg Message, cat 
 
 // sendMHToMH implements MH-to-MH messaging: wireless uplink, routed
 // forwarding with search, wireless downlink, with per-ordered-pair FIFO
-// delivery.
+// delivery. The pair sequence number is drawn when the send is issued,
+// also when it waits for its travelling sender to join a cell, so that a
+// send made at that join (by a join observer) cannot overtake it.
 func (e *Engine) sendMHToMH(alg int32, from, to MHID, msg Message, cat cost.Category) error {
+	e.checkMH(from)
 	e.checkMH(to)
-	at, send, err := e.uplink(opSendMHToMH, alg, from, 0, to, msg, cat)
+	key := pairKey{from: from, to: to}
+	ps := e.pairState(key)
+	opts := routeOpts{alg: alg, cat: cat, pair: key, hasPair: true, seq: ps.nextSeq}
+	ps.nextSeq++
+	if err := e.upRoute(from, to, msg, opts); err != nil {
+		ps.nextSeq-- // a disconnected sender sent nothing: nothing drew since
+		return err
+	}
+	return nil
+}
+
+// upRoute transmits a paired message whose sequence number opts carries,
+// or parks it while its sender travels.
+func (e *Engine) upRoute(from, to MHID, msg Message, opts routeOpts) error {
+	at, send, err := e.uplink(opSendMHToMH, from, 0, to, msg, opts)
 	if !send {
 		return err
 	}
-	key := pairKey{from: from, to: to}
-	ps := e.pairState(key)
-	seq := ps.nextSeq
-	ps.nextSeq++
+	opts.origin = at
 	rec := e.newRec(opUpRoute)
 	rec.mss = at
 	rec.mh = to
 	rec.msg = msg
-	rec.opts = routeOpts{alg: alg, origin: at, cat: cat, pair: key, hasPair: true, seq: seq}
+	rec.opts = opts
 	e.transmitUp(from, rec)
 	return nil
 }
