@@ -24,11 +24,10 @@ const (
 	goldenAsks = 3
 )
 
-// runGolden runs one lending algorithm under moves and churn with every
-// event kind traced, and returns the JSONL trace and the legs it took.
-// build registers the algorithm; start, when non-nil, runs after the
-// first requests are issued (R2's token injection).
-func runGolden(t *testing.T, build func(sys *core.System, c cs) (requester, func())) ([]byte, legs, int64) {
+// runGolden runs l under moves and churn with every event kind traced,
+// and returns the JSONL trace, the legs it took and its grants. l's start
+// runs after the first requests are issued.
+func runGolden(t *testing.T, l lender) ([]byte, legs, int64) {
 	t.Helper()
 	cfg := core.DefaultConfig(goldenM, goldenN)
 	cfg.Seed = 7
@@ -79,7 +78,7 @@ func runGolden(t *testing.T, build func(sys *core.System, c cs) (requester, func
 		},
 	}
 	var start func()
-	alg, start = build(sys, c)
+	alg, start = l.build(t, sys, c)
 
 	for i := 0; i < goldenN; i++ {
 		mh := core.MHID(i)
@@ -188,7 +187,7 @@ func takenLegs(events []obs.Event) legs {
 func TestRoundGolden(t *testing.T) {
 	var sums strings.Builder
 	for _, r := range lenders(8) {
-		data, l, grants := runGolden(t, func(sys *core.System, c cs) (requester, func()) { return r.build(t, sys, c) })
+		data, l, grants := runGolden(t, r)
 		if l.failed == 0 || l.moved == 0 || l.owed == 0 {
 			t.Errorf("%s: legs taken %+v, want every leg at least once", r.name, l)
 		}
